@@ -179,10 +179,18 @@ def _load_segmentations(path):
 
 
 def _write_segmentation(path, seg: Segmentation):
+    """Write labels and seeds as u16; refuse values that would wrap."""
+    u16_max = np.iinfo(np.uint16).max
+    seeds = np.asarray(seg.seeds, dtype=np.int64).reshape(len(seg.seeds), 2)
+    if len(seg.scores) > u16_max:
+        raise ClusterSegError(f"{path}: {len(seg.scores)} instances exceed the u16 label "
+                              f"limit of {u16_max}")
+    if seeds.size and seeds.max() > u16_max:
+        raise ClusterSegError(f"{path}: a seed coordinate exceeds the u16 limit of {u16_max}")
     dataio.write_bundle(path, {
         "labels": seg.labels.astype(np.uint16),
         "scores": np.asarray(seg.scores, dtype=np.float64),
-        "seeds": np.asarray(seg.seeds, dtype=np.uint16).reshape(len(seg.seeds), 2),
+        "seeds": seeds.astype(np.uint16),
     })
 
 

@@ -25,18 +25,11 @@ def make_example(seed=0, **overrides):
 
 def canonical_labels(labels: np.ndarray) -> np.ndarray:
     """Relabel instances by first appearance so partitions compare equal."""
-    out = np.zeros_like(labels)
-    mapping = {}
-    flat = labels.ravel()
-    canon = out.ravel()
-    for i in range(flat.size):
-        lab = flat[i]
-        if lab == 0:
-            continue
-        if lab not in mapping:
-            mapping[lab] = len(mapping) + 1
-        canon[i] = mapping[lab]
-    return out
+    values, first, inverse = np.unique(labels.ravel(), return_index=True, return_inverse=True)
+    instance = values != 0
+    canon = np.zeros(values.size, dtype=labels.dtype)
+    canon[instance] = np.argsort(np.argsort(first[instance])) + 1
+    return canon[inverse].reshape(labels.shape)
 
 
 def same_partition(a: np.ndarray, b: np.ndarray) -> bool:

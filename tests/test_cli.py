@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from clusterseg.cli import main
+from clusterseg.clustering import Segmentation
 from clusterseg.dataio import read_bundle
+from clusterseg.errors import ClusterSegError
 
 
 def run_cli(*argv):
@@ -270,3 +272,31 @@ def test_jobs_flag_is_deterministic(tmp_path):
     assert bytes_a.keys() == bytes_b.keys()
     for name in bytes_a:
         assert bytes_a[name] == bytes_b[name], name
+
+
+def _segmentation(count, seeds):
+    labels = np.arange(1, count + 1, dtype=np.int32).reshape(1, count)
+    return Segmentation(labels=labels, scores=np.zeros(count), seeds=seeds)
+
+
+def test_write_segmentation_refuses_u16_overflow(tmp_path):
+    from clusterseg.cli import _write_segmentation
+    _write_segmentation(tmp_path / "edge.tsb", _segmentation(1, [(65535, 65535)]))
+    with pytest.raises(ClusterSegError, match="65535"):
+        _write_segmentation(tmp_path / "many.tsb",
+                            _segmentation(65536, [(0, 0)] * 65536))
+    for seed in [(65536, 0), (0, 65536)]:
+        with pytest.raises(ClusterSegError, match="65535"):
+            _write_segmentation(tmp_path / "far.tsb", _segmentation(1, [seed]))
+    assert sorted(os.listdir(tmp_path)) == ["edge.tsb"]
+
+
+def test_infer_exits_2_on_too_many_instances(tmp_path, monkeypatch, capsys):
+    from clusterseg import cli
+    ds, segs = tmp_path / "ds", tmp_path / "segs"
+    assert run_cli(*GEN_ARGS, "--out", str(ds)) == 0
+    monkeypatch.setattr(cli, "segment",
+                        lambda pred, threshold: _segmentation(65536, [(0, 0)] * 65536))
+    assert run_cli("infer", "--dataset", str(ds), "--out", str(segs),
+                   "--predictor", "oracle") == 2
+    assert "65535" in capsys.readouterr().err
