@@ -14,6 +14,7 @@ including NaN payloads.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -77,7 +78,7 @@ def read_bundle(path) -> dict:
         raise BundleTruncatedError(f"{path}: manifest is truncated")
     try:
         manifest = json.loads(data[12:12 + mlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
         raise BundleManifestError(f"{path}: manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise BundleManifestError(f"{path}: manifest must be a JSON object")
@@ -88,7 +89,7 @@ def read_bundle(path) -> dict:
     for name, entry in manifest.items():
         entry = _validated_entry(path, name, entry)
         dtype = np.dtype(_TAG_TO_DTYPE[entry["dtype"]])
-        expected = int(np.prod(entry["shape"], dtype=np.int64)) * dtype.itemsize
+        expected = math.prod(entry["shape"]) * dtype.itemsize
         if expected != entry["length"]:
             raise BundleManifestError(
                 f"{path}: tensor {name!r} length {entry['length']} does not match "
@@ -98,8 +99,15 @@ def read_bundle(path) -> dict:
             raise BundleTruncatedError(
                 f"{path}: tensor {name!r} extends past the end of the payload")
         spans.append((start, stop, name))
-        out[name] = np.frombuffer(payload[start:stop], dtype=dtype).reshape(
-            entry["shape"]).copy()
+        array = np.frombuffer(payload[start:stop], dtype=dtype)
+        try:
+            # an empty tensor can still name more dimensions, or larger
+            # ones, than numpy supports
+            array = array.reshape(entry["shape"])
+        except ValueError as exc:
+            raise BundleManifestError(
+                f"{path}: tensor {name!r} has an unsupported shape: {exc}") from exc
+        out[name] = array.copy()
     spans.sort()
     for (_, stop_a, name_a), (start_b, _, name_b) in zip(spans, spans[1:]):
         if start_b < stop_a:
@@ -114,15 +122,16 @@ def _validated_entry(path, name, entry):
     for key in ("dtype", "shape", "offset", "length"):
         if key not in entry:
             raise BundleManifestError(f"{path}: entry for {name!r} is missing {key!r}")
-    if entry["dtype"] not in _TAG_TO_DTYPE:
+    if not isinstance(entry["dtype"], str) or entry["dtype"] not in _TAG_TO_DTYPE:
         raise BundleDtypeError(f"{path}: tensor {name!r} has unsupported dtype "
                                f"{entry['dtype']!r}")
+    # type() rather than isinstance(): JSON true and false parse as bool, an int
     shape = entry["shape"]
     if (not isinstance(shape, list)
-            or any(not isinstance(s, int) or s < 0 for s in shape)):
+            or any(type(s) is not int or s < 0 for s in shape)):
         raise BundleManifestError(f"{path}: tensor {name!r} has a malformed shape")
     for key in ("offset", "length"):
-        if not isinstance(entry[key], int) or entry[key] < 0:
+        if type(entry[key]) is not int or entry[key] < 0:
             raise BundleManifestError(f"{path}: tensor {name!r} has a malformed {key}")
     if entry.get("layout", "row-major") != "row-major":
         raise BundleManifestError(f"{path}: tensor {name!r} has unsupported layout "

@@ -18,16 +18,27 @@ false positives only in the unrestricted (all-sizes) metric, since an
 unmatched prediction has no ground-truth bin to belong to. Objects with no
 visible pixels are not evaluable and are excluded from the ground truth.
 Bins containing no ground-truth objects yield NaN.
+
+Predicted labels and the ground-truth instance map are both partitions of
+the image, so one histogram of label pairs, ``bincount(pred * (K + 1) +
+gt)``, holds every intersection and its marginals hold the areas: each
+image's IoU matrix costs O(H*W), as in the panoptic-quality evaluation
+(Kirillov et al., arXiv 1801.00868). Each IoU is the same correctly rounded
+int/int division a full-mask `mask_iou` makes. A prediction with no IoU at
+or above a threshold never matches there, so matching visits only the
+candidate pairs; for disjoint masks and a threshold of at least 0.5 an
+object has at most two. One matching per image and threshold serves AP,
+AR and, through its prefixes, AR1 and AR10; each bin's AP and AR share one
+binned matching. The loop definitions this reproduces exactly, and the
+brute-force AP oracle, live in tests/reference_evaluation.py.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .clustering import Segmentation
-from .errors import ClusterSegError, ShapeMismatchError
-from .scenegen import FrameBundle
+from .errors import ClusterSegError, NonFiniteError, ShapeMismatchError
 
 RECALL_GRID = np.linspace(0.0, 1.0, 101)
 
@@ -73,102 +84,84 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return np.count_nonzero(a & b) / union
 
 
-def match_detections(pred_masks, gt_masks, iou_threshold: float, max_det: int):
-    """Greedy matching of score-sorted predictions against ground truth.
+def _prepare_image(seg, frame):
+    """Score-ordered IoU matrix and scores, plus visible objects' bbox areas and occlusion.
 
-    Returns (tp_flags, gt_matched): one bool per considered prediction and
-    one per ground-truth mask.
+    Prediction m is the pixels labelled m + 1 for m < len(scores); object k
+    is the pixels of id k + 1 in the instance map for k < len(occlusion
+    scores). Other labels and ids are ignored.
     """
-    n_pred = min(len(pred_masks), max_det)
-    ious = np.array([[mask_iou(p, g) for g in gt_masks] for p in pred_masks[:n_pred]])
-    tp = np.zeros(n_pred, dtype=bool)
-    gt_matched = np.zeros(len(gt_masks), dtype=bool)
-    for i in range(n_pred):
-        j = _best_gt(ious[i], gt_matched, iou_threshold)
-        if j >= 0:
-            tp[i] = True
-            gt_matched[j] = True
-    return tp, gt_matched
-
-
-def _best_gt(iou_row, taken, threshold):
-    best, best_iou = -1, threshold
-    for j in range(iou_row.shape[0]):
-        if not taken[j] and iou_row[j] >= best_iou and (best < 0 or iou_row[j] > best_iou):
-            best, best_iou = j, iou_row[j]
-    return best
-
-
-@dataclass
-class _ImageRecord:
-    ious: np.ndarray        # n_pred x n_gt, preds pre-sorted by score
-    pred_scores: np.ndarray
-    gt_areas: np.ndarray
-    gt_occlusion: np.ndarray
-    n_pred: int = field(init=False)
-    n_gt: int = field(init=False)
-
-    def __post_init__(self):
-        self.n_pred, self.n_gt = self.ious.shape
-
-
-def _pred_sort_keys(masks, scores):
-    # Deterministic and invariant to instance relabeling: ties in score are
-    # broken by the first set pixel of the mask.
-    first = [int(np.flatnonzero(m.ravel())[0]) if m.any() else m.size for m in masks]
-    return sorted(range(len(masks)), key=lambda i: (-scores[i], first[i]))
-
-
-def _prepare_image(seg: Segmentation, frame: FrameBundle) -> _ImageRecord:
-    if seg.labels.shape != frame.instance_map.shape:
+    labels = np.asarray(seg.labels)
+    if labels.shape != frame.instance_map.shape or labels.ndim != 2:
         raise ShapeMismatchError(
-            f"segmentation {seg.labels.shape} does not match frame {frame.instance_map.shape}")
-    gt_masks, areas, occl = [], [], []
-    for k in range(frame.amodal_masks.shape[0]):
-        modal = frame.instance_map == k + 1
-        if not modal.any():
-            continue
-        rows, cols = np.nonzero(modal)
-        areas.append((rows.max() - rows.min() + 1) * (cols.max() - cols.min() + 1))
-        occl.append(frame.occlusion_scores[k])
-        gt_masks.append(modal)
-    pred_masks = [seg.labels == m + 1 for m in range(len(seg.scores))]
-    order = _pred_sort_keys(pred_masks, list(seg.scores))
-    pred_masks = [pred_masks[i] for i in order]
-    ious = np.array([[mask_iou(p, g) for g in gt_masks] for p in pred_masks],
-                    dtype=np.float64).reshape(len(pred_masks), len(gt_masks))
-    return _ImageRecord(ious=ious,
-                        pred_scores=np.array([seg.scores[i] for i in order],
-                                             dtype=np.float64),
-                        gt_areas=np.array(areas, dtype=np.int64),
-                        gt_occlusion=np.array(occl, dtype=np.float64))
+            f"segmentation {labels.shape} does not match frame {frame.instance_map.shape}")
+    scores = np.asarray(seg.scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ShapeMismatchError(f"scores must be one-dimensional, got shape {scores.shape}")
+    if not np.isfinite(scores).all():
+        raise NonFiniteError("segmentation scores must be finite")
+    occlusion = np.asarray(frame.occlusion_scores, dtype=np.float64).ravel()
+    M, K = scores.size, occlusion.size
+    pred = labels.astype(np.int64).ravel()
+    pred[(pred < 1) | (pred > M)] = 0
+    gt = np.asarray(frame.instance_map).astype(np.int64)
+    gt[(gt < 1) | (gt > K)] = 0
+
+    hist = np.bincount(pred * (K + 1) + gt.ravel(),
+                       minlength=(M + 1) * (K + 1)).reshape(M + 1, K + 1)
+    gt_area = hist[:, 1:].sum(axis=0)
+    visible = np.flatnonzero(gt_area)
+    inter = hist[1:, 1 + visible]
+    union = hist[1:].sum(axis=1)[:, None] + gt_area[visible] - inter
+
+    values, first = np.unique(pred, return_index=True)
+    first_pixel = np.full(M + 1, pred.size)
+    first_pixel[values] = first
+    order = np.lexsort((first_pixel[1:], -scores))
+
+    H, W = gt.shape
+    in_row = np.zeros((K + 1, H), dtype=bool)
+    in_row[gt, np.arange(H)[:, None]] = True
+    in_col = np.zeros((K + 1, W), dtype=bool)
+    in_col[gt, np.arange(W)] = True
+
+    def extent(present):
+        present = present[1 + visible]
+        return present.shape[1] - present.argmax(axis=1) - present[:, ::-1].argmax(axis=1)
+
+    areas = (extent(in_row) * extent(in_col)).astype(np.int64)
+    return (inter / union)[order], scores[order], areas, occlusion[visible]
 
 
-def _match_with_ignore(rec: _ImageRecord, threshold: float, gt_keep: np.ndarray,
-                       max_det: int):
-    """Greedy matching where out-of-bin ground truth absorbs predictions.
+def _candidates(ious, threshold):
+    """(row, [(iou, object), ...] best first) for each row with some IoU >= threshold."""
+    rows, cols = np.nonzero(ious >= threshold)
+    vals = ious[rows, cols]
+    order = np.lexsort((cols, -vals, rows))
+    out = []
+    for row, iou, col in zip(rows[order].tolist(), vals[order].tolist(), cols[order].tolist()):
+        if not out or out[-1][0] != row:
+            out.append((row, []))
+        out[-1][1].append((iou, col))
+    return out
 
-    Returns (tp, ignored) per considered prediction plus the number of
-    matched in-bin objects.
+
+def _greedy(candidates, threshold, keep):
+    """Rows matched to an in-bin object by the greedy rule, in score order.
+
+    Each prediction takes its best unmatched in-bin object at or above the
+    threshold; failing that its best out-of-bin one, which ignores it.
     """
-    n_pred = min(rec.n_pred, max_det)
-    taken = np.zeros(rec.n_gt, dtype=bool)
-    tp = np.zeros(n_pred, dtype=bool)
-    ignored = np.zeros(n_pred, dtype=bool)
-    matched_keep = 0
-    for i in range(n_pred):
-        row = rec.ious[i]
-        j = _best_gt(np.where(gt_keep, row, -1.0), taken, threshold)
-        if j >= 0:
-            taken[j] = True
-            tp[i] = True
-            matched_keep += 1
-            continue
-        j = _best_gt(np.where(gt_keep, -1.0, row), taken, threshold)
-        if j >= 0:
-            taken[j] = True
-            ignored[i] = True
-    return tp, ignored, matched_keep
+    taken = set()
+    matched = []
+    for row, options in candidates:
+        eligible = [j for iou, j in options if iou >= threshold and j not in taken]
+        if eligible:
+            j = next((j for j in eligible if keep[j]), eligible[0])
+            taken.add(j)
+            if keep[j]:
+                matched.append(row)
+    return matched
 
 
 def _interpolated_ap(tp_flags: np.ndarray, n_gt: int) -> float:
@@ -186,42 +179,8 @@ def _interpolated_ap(tp_flags: np.ndarray, n_gt: int) -> float:
     return float(interp.mean())
 
 
-def _ap_over_images(records, threshold, keep_masks, max_det, penalize_unmatched):
-    pooled = []
-    n_gt = 0
-    for rec, keep in zip(records, keep_masks):
-        n_gt += int(keep.sum())
-        tp, ignored, _ = _match_with_ignore(rec, threshold, keep, max_det)
-        for i in range(tp.size):
-            if tp[i]:
-                pooled.append((i, True, rec))
-            elif not ignored[i] and penalize_unmatched:
-                pooled.append((i, False, rec))
-    if n_gt == 0:
-        return math.nan
-    # Pool detections across images in global score order. Scores were
-    # consumed by the per-image sort; reconstruct the global order from the
-    # stored per-image rank and stable image order.
-    flags = np.array([flag for _, flag, _ in _global_order(pooled, records)], dtype=bool)
-    return _interpolated_ap(flags, n_gt)
-
-
-def _global_order(pooled, records):
-    img_index = {id(rec): i for i, rec in enumerate(records)}
-    return sorted(pooled, key=lambda item: (-item[2].pred_scores[item[0]],
-                                            img_index[id(item[2])], item[0]))
-
-
-def _recall_over_images(records, threshold, keep_masks, max_det) -> float:
-    matched = 0
-    total = 0
-    for rec, keep in zip(records, keep_masks):
-        total += int(keep.sum())
-        _, _, m = _match_with_ignore(rec, threshold, keep, max_det)
-        matched += m
-    if total == 0:
-        return math.nan
-    return matched / total
+def _ratio(matched: int, total: int) -> float:
+    return math.nan if total == 0 else matched / total
 
 
 def compute_metrics(pairs, cfg: EvalConfig = EvalConfig()) -> EvalResult:
@@ -229,94 +188,58 @@ def compute_metrics(pairs, cfg: EvalConfig = EvalConfig()) -> EvalResult:
     pairs = list(pairs)
     if not pairs:
         raise ClusterSegError("cannot evaluate an empty dataset")
-    records = [_prepare_image(seg, frame) for seg, frame in pairs]
-
-    thresholds = cfg.iou_thresholds
+    images = [_prepare_image(seg, frame) for seg, frame in pairs]
     max_det = max(cfg.max_dets)
-    keep_all = [np.ones(rec.n_gt, dtype=bool) for rec in records]
+    thresholds = sorted({float(t) for t in (*cfg.iou_thresholds, 0.50, 0.75)})
+    candidates = [_candidates(ious[:max_det], thresholds[0]) for ious, _, _, _ in images]
 
-    def mean_over_thresholds(fn):
-        vals = [fn(t) for t in thresholds]
-        return math.nan if any(math.isnan(v) for v in vals) else float(np.mean(vals))
+    # Each image's first max_det predictions, pooled in global score order.
+    scores = [s[:max_det] for _, s, _, _ in images]
+    offsets = np.cumsum([0] + [s.size for s in scores])
+    pooled = np.argsort(-np.concatenate(scores), kind="stable")
+
+    everything = [[True] * areas.size for _, _, areas, _ in images]
+    n_gt = sum(map(len, everything))
+    last = len(cfg.occlusion_bins) - 1
+    size_names = ("s", "m", "l")[:len(cfg.size_bins)]
+    bins = {}
+    for name, (lo, hi) in zip(size_names, cfg.size_bins):
+        bins[name] = [((a >= lo) & (a < hi)).tolist() for _, _, a, _ in images]
+    for i, (name, (lo, hi)) in enumerate(zip(("ho", "mo", "lo"), cfg.occlusion_bins)):
+        bins[name] = [((o >= lo) & ((o <= hi) if i == last else (o < hi))).tolist()
+                      for _, _, _, o in images]
+    totals = {name: sum(map(sum, keeps)) for name, keeps in bins.items()}
+
+    per_threshold = {}
+    for t in thresholds:
+        # Greedy matching is online, so the first d predictions match as
+        # they do in the max_det pass: AR1 and AR10 count its prefixes.
+        rows = [_greedy(c, t, keep) for c, keep in zip(candidates, everything)]
+        tp = np.zeros(offsets[-1], dtype=bool)
+        for offset, matched in zip(offsets, rows):
+            tp[offset + np.array(matched, dtype=np.int64)] = True
+        out = {"ap": _interpolated_ap(tp[pooled], n_gt),
+               "ar": _ratio(sum(map(len, rows)), n_gt),
+               "ar1": _ratio(sum(sum(r < cfg.max_dets[0] for r in m) for m in rows), n_gt),
+               "ar10": _ratio(sum(sum(r < cfg.max_dets[1] for r in m) for m in rows), n_gt)}
+        for name, keeps in bins.items():
+            matched = sum(len(_greedy(c, t, keep)) for c, keep in zip(candidates, keeps))
+            out[f"ar_{name}"] = _ratio(matched, totals[name])
+            if name in size_names:
+                # Binned AP pools only matched detections, since an unmatched
+                # one belongs to no bin: it depends on the match count alone.
+                out[f"ap_{name}"] = _interpolated_ap(np.ones(matched, dtype=bool),
+                                                     totals[name])
+        per_threshold[t] = out
 
     res = EvalResult()
-    res.ap = mean_over_thresholds(
-        lambda t: _ap_over_images(records, t, keep_all, max_det, True))
-    res.ap50 = _ap_over_images(records, 0.50, keep_all, max_det, True)
-    res.ap75 = _ap_over_images(records, 0.75, keep_all, max_det, True)
-
-    for attr, (lo, hi) in zip(("ap_s", "ap_m", "ap_l"), cfg.size_bins):
-        keep = [(rec.gt_areas >= lo) & (rec.gt_areas < hi) for rec in records]
-        setattr(res, attr, mean_over_thresholds(
-            lambda t, keep=keep: _ap_over_images(records, t, keep, max_det, False)))
-
-    res.ar = mean_over_thresholds(
-        lambda t: _recall_over_images(records, t, keep_all, max_det))
-    res.ar1 = mean_over_thresholds(
-        lambda t: _recall_over_images(records, t, keep_all, cfg.max_dets[0]))
-    res.ar10 = mean_over_thresholds(
-        lambda t: _recall_over_images(records, t, keep_all, cfg.max_dets[1]))
-
-    for attr, (lo, hi) in zip(("ar_s", "ar_m", "ar_l"), cfg.size_bins):
-        keep = [(rec.gt_areas >= lo) & (rec.gt_areas < hi) for rec in records]
-        setattr(res, attr, mean_over_thresholds(
-            lambda t, keep=keep: _recall_over_images(records, t, keep, max_det)))
-
-    last = len(cfg.occlusion_bins) - 1
-    for i, (attr, (lo, hi)) in enumerate(
-            zip(("ar_ho", "ar_mo", "ar_lo"), cfg.occlusion_bins)):
-        if i == last:
-            keep = [(rec.gt_occlusion >= lo) & (rec.gt_occlusion <= hi) for rec in records]
-        else:
-            keep = [(rec.gt_occlusion >= lo) & (rec.gt_occlusion < hi) for rec in records]
-        setattr(res, attr, mean_over_thresholds(
-            lambda t, keep=keep: _recall_over_images(records, t, keep, max_det)))
+    for name in per_threshold[thresholds[0]]:
+        vals = [per_threshold[float(t)][name] for t in cfg.iou_thresholds]
+        setattr(res, name,
+                math.nan if any(math.isnan(v) for v in vals) else float(np.mean(vals)))
+    res.ap50 = per_threshold[0.50]["ap"]
+    res.ap75 = per_threshold[0.75]["ap"]
     return res
-
-
-def brute_force_ap(pred_masks, scores, gt_masks,
-                   iou_thresholds=EvalConfig().iou_thresholds,
-                   max_det: int = 100) -> float:
-    """Independent slow-path AP for tiny single-image cases (test oracle).
-
-    Walks every prefix of the score-ordered predictions with plain loops,
-    building the precision-recall curve point by point.
-    """
-    if not gt_masks:
-        return math.nan
-    order = _pred_sort_keys(list(pred_masks), list(scores))
-    masks = [pred_masks[i] for i in order][:max_det]
-    per_threshold = []
-    for threshold in iou_thresholds:
-        matched = [False] * len(gt_masks)
-        flags = []
-        for mask in masks:
-            best, best_iou = -1, threshold
-            for j, gt in enumerate(gt_masks):
-                if matched[j]:
-                    continue
-                iou = mask_iou(mask, gt)
-                if iou >= best_iou and (best < 0 or iou > best_iou):
-                    best, best_iou = j, iou
-            if best >= 0:
-                matched[best] = True
-                flags.append(True)
-            else:
-                flags.append(False)
-        points = []
-        tp = fp = 0
-        for flag in flags:
-            if flag:
-                tp += 1
-            else:
-                fp += 1
-            points.append((tp / len(gt_masks), tp / (tp + fp)))
-        total = 0.0
-        for r in RECALL_GRID:
-            candidates = [p for rec, p in points if rec >= r]
-            total += max(candidates) if candidates else 0.0
-        per_threshold.append(total / RECALL_GRID.size)
-    return float(np.mean(per_threshold))
 
 
 def result_to_dict(res: EvalResult) -> dict:

@@ -17,6 +17,7 @@ Checkpoints are a versioned binary: magic, version, JSON layer table
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -273,28 +274,56 @@ def save_checkpoint(path, model: MlpModel, state: AdamState | None = None,
 
 
 def load_checkpoint(path):
-    """Read a checkpoint. Returns (model, adam_state_or_None, next_epoch)."""
+    """Read a checkpoint. Returns (model, adam_state_or_None, next_epoch).
+
+    A file that is not a well-formed checkpoint of this model raises
+    ClusterSegError.
+    """
     with open(path, "rb") as fh:
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise ClusterSegError(f"{path}: not a model checkpoint")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ClusterSegError(f"unsupported checkpoint version {header['version']}")
-        def read_table():
-            out = {}
-            for entry in header["layers"]:
-                shape = tuple(entry["shape"])
-                count = int(np.prod(shape)) if shape else 1
-                raw = fh.read(count * 8)
-                if len(raw) != count * 8:
-                    raise ClusterSegError(f"{path}: truncated checkpoint")
-                out[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            return out
-        model = MlpModel(params=read_table())
-        state = None
-        if header["adam"] is not None:
-            a = header["adam"]
-            state = AdamState(m=read_table(), v=read_table(), step=a["step"],
-                              lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"])
-    return model, state, int(header.get("next_epoch", 1))
+        data = fh.read()
+    start = len(CHECKPOINT_MAGIC) + 8
+    if data[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+        raise ClusterSegError(f"{path}: not a model checkpoint")
+    if len(data) < start:
+        raise ClusterSegError(f"{path}: truncated checkpoint")
+    (hlen,) = struct.unpack("<Q", data[len(CHECKPOINT_MAGIC):start])
+    if hlen > len(data) - start:
+        raise ClusterSegError(f"{path}: truncated checkpoint")
+    try:
+        header = json.loads(data[start:start + hlen].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ClusterSegError(f"{path}: checkpoint header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ClusterSegError(f"{path}: checkpoint header must be a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise ClusterSegError(f"unsupported checkpoint version {header.get('version')!r}")
+    layout = MlpModel.parameter_layout()
+    if header.get("layers") != [{"name": n, "shape": list(shape)} for n, shape in layout]:
+        raise ClusterSegError(f"{path}: layer table does not match the model")
+    # type() rather than isinstance(): JSON true and false parse as bool, an int
+    next_epoch = header.get("next_epoch", 1)
+    adam = header.get("adam")
+    if type(next_epoch) is not int or adam is not None and not (
+            isinstance(adam, dict) and type(adam.get("step")) is int
+            and all(type(adam.get(k)) in (int, float) for k in ("lr", "beta1", "beta2", "eps"))):
+        raise ClusterSegError(f"{path}: malformed checkpoint header")
+
+    offset = start + hlen
+    def read_table():
+        nonlocal offset
+        out = {}
+        for name, shape in layout:
+            size = 8 * math.prod(shape)
+            raw = data[offset:offset + size]
+            if len(raw) != size:
+                raise ClusterSegError(f"{path}: truncated checkpoint")
+            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            offset += size
+        return out
+    model = MlpModel(params=read_table())
+    state = None
+    if adam is not None:
+        state = AdamState(m=read_table(), v=read_table(), step=adam["step"], lr=adam["lr"],
+                          beta1=adam["beta1"], beta2=adam["beta2"], eps=adam["eps"])
+    return model, state, next_epoch
+

@@ -17,7 +17,7 @@ from clusterseg.annotation import annotate
 from clusterseg.cli import main as cli_main
 from clusterseg.clustering import gmm_refine, seed_segmentation, segment
 from clusterseg.dataio import read_bundle, write_bundle
-from clusterseg.evaluation import brute_force_ap, compute_metrics
+from clusterseg.evaluation import compute_metrics
 from clusterseg.geometry import CameraIntrinsics
 from clusterseg.losses import LossWeights, finite_diff_check
 from clusterseg.predictor import NoiseSpec, noisy_predict, oracle_predict
@@ -25,6 +25,7 @@ from clusterseg.scenegen import (GeneratorConfig, Primitive, Scene, render,
                                  sample_scene)
 
 from conftest import same_partition
+from reference_evaluation import brute_force_ap
 from test_evaluation import _frame_from_gt, _mask, _random_case, _seg_from_masks
 
 

@@ -140,3 +140,33 @@ def test_fuzzed_files_raise_structured_errors(tmp_path):
             read_bundle(mutated)
         except BundleError:
             pass  # structured failure is the contract
+
+
+def _bundle_with_entry(tmp_path, entry, payload=b""):
+    manifest = json.dumps({"a": {"dtype": "u8", **entry}}).encode()
+    path = tmp_path / "t.tsb"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest + payload)
+    return path
+
+
+def test_shape_overflowing_int64_is_a_manifest_error(tmp_path):
+    path = _bundle_with_entry(tmp_path, {"shape": [2 ** 40, 2 ** 40], "offset": 0,
+                                         "length": 0})
+    with pytest.raises(BundleManifestError):
+        read_bundle(path)
+
+
+def test_boolean_in_shape_is_a_manifest_error(tmp_path):
+    path = _bundle_with_entry(tmp_path, {"shape": [True, 4], "offset": 0, "length": 4},
+                              b"\0" * 4)
+    with pytest.raises(BundleManifestError):
+        read_bundle(path)
+
+
+@pytest.mark.parametrize("key", ["offset", "length"])
+def test_boolean_offset_or_length_is_a_manifest_error(tmp_path, key):
+    entry = {"shape": [1], "offset": 0, "length": 1}
+    entry[key] = True
+    path = _bundle_with_entry(tmp_path, entry, b"\0" * 2)
+    with pytest.raises(BundleManifestError):
+        read_bundle(path)

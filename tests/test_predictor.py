@@ -1,10 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from clusterseg.clustering import segment
 from clusterseg.errors import ClusterSegError, NonFiniteError
 from clusterseg.losses import LossBreakdown, LossWeights, total_loss
-from clusterseg.predictor import (AdamState, NoiseSpec, adam_step,
+from clusterseg.predictor import (CHECKPOINT_MAGIC, AdamState, NoiseSpec, adam_step,
                                   frame_features, init_model, load_checkpoint,
                                   mlp_backward, mlp_forward, noisy_predict,
                                   oracle_logits, oracle_predict, save_checkpoint)
@@ -255,6 +257,37 @@ def test_checkpoint_corruption_errors(tmp_path):
     truncated.write_bytes(raw[:len(raw) // 2])
     with pytest.raises(ClusterSegError):
         load_checkpoint(truncated)
+
+
+
+def _checkpoint_with_header(tmp_path, blob, length=None):
+    path = tmp_path / "crafted.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob) if length is None
+                                                    else length) + blob)
+    return path
+
+
+def test_checkpoint_magic_only_is_a_clusterseg_error(tmp_path):
+    path = tmp_path / "magic.ckpt"
+    path.write_bytes(CHECKPOINT_MAGIC)
+    with pytest.raises(ClusterSegError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_malformed_header_json_is_a_clusterseg_error(tmp_path):
+    with pytest.raises(ClusterSegError):
+        load_checkpoint(_checkpoint_with_header(tmp_path, b'{"version": 1,'))
+
+
+def test_checkpoint_huge_header_length_is_a_clusterseg_error(tmp_path):
+    with pytest.raises(ClusterSegError):
+        load_checkpoint(_checkpoint_with_header(tmp_path, b"{}", length=2 ** 40))
+
+
+@pytest.mark.parametrize("blob", [b"[1, 2]", b'"header"', b"7"])
+def test_checkpoint_non_object_header_is_a_clusterseg_error(tmp_path, blob):
+    with pytest.raises(ClusterSegError):
+        load_checkpoint(_checkpoint_with_header(tmp_path, blob))
 
 
 def test_frame_features_layout():
