@@ -9,7 +9,15 @@ Four maps are produced from a Scene + FrameBundle:
                   object to any other object (the enclosing radius)
   fg_mask  HxW    1 where any object is visible
 
-Background pixels are zero in every map.
+Background pixels are zero in every map, as is any pixel whose id lies
+outside 1..K.
+
+An object's feature is a property of its primitive alone, so it is
+computed once per Primitive instance (`Primitive.feature`, a read-only
+array cached on the instance): sample_scene computes it to check feature
+separation and annotate reads the same array. The cache lives and dies
+with the scene; nothing is shared between scenes or passes. The feature
+and radius maps are each one gather from a table indexed by instance id.
 """
 
 from dataclasses import dataclass
@@ -18,7 +26,7 @@ import numpy as np
 
 from .errors import ClusterSegError
 from .geometry import FEATURE_DIM
-from .scenegen import FrameBundle, Scene, SURFACE_SAMPLE_COUNT, object_feature_of
+from .scenegen import FrameBundle, Scene
 
 DEFAULT_CANDIDATE_FRACTION = 0.20
 DEFAULT_SINGLE_OBJECT_RADIUS = 1.0
@@ -36,23 +44,25 @@ class Annotation:
     instance_map: np.ndarray   # H x W int, copied from the frame
 
 
-def make_xi_map(scene: Scene, frame: FrameBundle,
-                sample_count: int = SURFACE_SAMPLE_COUNT):
-    """Scatter per-object features over the instance map.
+def _per_pixel(values: np.ndarray, instance_map: np.ndarray) -> np.ndarray:
+    """values[k - 1] at every pixel with id k in 1..K, zero at every other pixel."""
+    K = values.shape[0]
+    table = np.zeros((K + 2,) + values.shape[1:])
+    table[1:K + 1] = values
+    return table[np.clip(instance_map.astype(np.intp, copy=False), 0, K + 1)]
+
+
+def make_xi_map(scene: Scene, frame: FrameBundle):
+    """Spread per-object features over the instance map.
 
     Returns (xi_map, per_object_xi). Features come from each primitive's
     fixed deterministic surface sample so occlusion cannot change them and
     all pixels of one object share one exact value.
     """
-    H, W = frame.instance_map.shape
-    K = len(scene.objects)
-    per_object = np.zeros((K, FEATURE_DIM))
+    per_object = np.zeros((len(scene.objects), FEATURE_DIM))
     for k, prim in enumerate(scene.objects):
-        per_object[k] = object_feature_of(prim, sample_count)
-    xi_map = np.zeros((H, W, FEATURE_DIM))
-    for k in range(K):
-        xi_map[frame.instance_map == k + 1] = per_object[k]
-    return xi_map, per_object
+        per_object[k] = prim.feature
+    return _per_pixel(per_object, frame.instance_map), per_object
 
 
 def make_centroid_candidates(instance_map: np.ndarray, fraction: float) -> np.ndarray:
@@ -88,9 +98,8 @@ def make_bgt_map(per_object_xi: np.ndarray, instance_map: np.ndarray,
     used instead.
     """
     K = per_object_xi.shape[0]
-    b_map = np.zeros(instance_map.shape)
     if K == 0:
-        return b_map
+        return np.zeros(instance_map.shape)
     if K == 1:
         radii = np.array([single_object_radius])
     else:
@@ -98,9 +107,7 @@ def make_bgt_map(per_object_xi: np.ndarray, instance_map: np.ndarray,
         dist = np.linalg.norm(diff, axis=-1)
         np.fill_diagonal(dist, np.inf)
         radii = 0.5 * dist.min(axis=1)
-    for k in range(K):
-        b_map[instance_map == k + 1] = radii[k]
-    return b_map
+    return _per_pixel(radii, instance_map)
 
 
 def annotate(scene: Scene, frame: FrameBundle,

@@ -215,18 +215,20 @@ def total_loss(pred: LogitPrediction, ann: Annotation,
 def finite_diff_check(pred: LogitPrediction, ann: Annotation,
                       weights: LossWeights = LossWeights(),
                       epsilon: float = 1e-4, samples: int = 500,
-                      seed: int = 0) -> float:
+                      seed: int = 0, xi_grad_offset: float = 0.0) -> float:
     """Max relative error between analytic gradients and central differences.
 
     Coordinates are drawn uniformly over all four head outputs. Feature
     coordinates whose pixel sits within 10 * epsilon of the violation-loss
     threshold are skipped: the loss is non-differentiable there.
+    xi_grad_offset is added to every analytic feature gradient; a non-zero
+    value is a negative control the check must fail.
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ClusterSegError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
     rng = stream_rng(seed, STREAM_CHECK)
     base = total_loss(pred, ann, weights)
-    fields = [("xi_hat", base.grad_xi), ("b_hat", base.grad_b),
+    fields = [("xi_hat", base.grad_xi + xi_grad_offset), ("b_hat", base.grad_b),
               ("eta_logits", base.grad_eta_logits), ("mask_logits", base.grad_mask_logits)]
     sizes = np.array([arr.size for _, arr in fields])
     offsets = np.concatenate([[0], np.cumsum(sizes)])

@@ -7,6 +7,34 @@ casting with a z-buffer: the nearest positive hit wins, ties closer than
 XYZ, the modal instance-ID map, per-object amodal masks, and per-object
 occlusion scores (visible pixels / amodal pixels).
 
+Each primitive is ray-cast only inside its screen window: the rows and
+columns whose ray lines can meet its bounding sphere (center c = the
+translation, radius R = r for a sphere and ||half_extents|| for a box).
+Every ray of column u lies in the plane x = a_u z, so the column can hold
+a hit only if that plane meets the sphere, (c_x - a_u c_z)^2 <= R^2 (1 +
+a_u^2); rows use b_v and c_y alike. The window is the smallest block of
+rows and columns holding every row and column that passes. It is exact
+for the rendered values, not only for the true geometry:
+
+  - Sphere: for the pixel's direction d the computed discriminant
+    (d.c)^2 - |d|^2 (|c|^2 - r^2) is off by at most about 20 ulp of
+    |d|^2 (|c|^2 + r^2), and the exact one equals |d|^2 (r^2 - rho^2),
+    rho being the distance from c to the ray line. So a computed hit has
+    rho^2 <= r^2 + 2.3e-15 (|c|^2 + r^2), whatever the magnitudes.
+  - Box: a computed slab hit has a point of the ray that lies outside
+    the box by at most a few ulp of |c| + R, and a rotation built from a
+    quaternion that is unit only within 1e-9 enlarges the box by at most
+    5e-9. So rho <= R (1 + 5e-9) + 1e-14 (|c| + R).
+
+The window inflates R^2 to R^2 (1 + WINDOW_REL) + WINDOW_ABS (|c|^2 + R^2),
+over 30 times what either bound needs; the row and column tests
+themselves round by less than 2e-15 (1 + s^2)(|c|^2 + R^2), which the
+same margin absorbs. NaN or overflow keeps a row or column, so a
+primitive whose bound cannot be evaluated is cast over the full frame.
+Inside the window the intersection code runs unchanged on a contiguous
+copy of the window's directions, and every pixel outside it misses, so
+the frame is bit-identical to casting every pixel.
+
 Scene JSON schema (see scene_to_json / scene_from_json):
 
     {
@@ -25,6 +53,7 @@ Scene JSON schema (see scene_to_json / scene_from_json):
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +67,12 @@ DEPTH_TIE_EPS = 1e-9
 RAY_MIN_T = 1e-9
 
 SURFACE_SAMPLE_COUNT = 4096
+
+# Inflation of a primitive's squared bounding radius R^2 for its screen
+# window: R^2 (1 + WINDOW_REL) + WINDOW_ABS (|c|^2 + R^2); the module
+# docstring gives the rounding bounds these cover.
+WINDOW_REL = 1e-6
+WINDOW_ABS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,6 +111,13 @@ class Primitive:
             [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ])
+
+    @cached_property
+    def feature(self) -> np.ndarray:
+        """Read-only object feature of the fixed surface sample, computed once."""
+        xi = compute_object_feature(surface_points(self))
+        xi.flags.writeable = False
+        return xi
 
 
 @dataclass(frozen=True)
@@ -165,11 +207,6 @@ def surface_points(prim: Primitive, n: int = SURFACE_SAMPLE_COUNT) -> np.ndarray
     return local @ prim.rotation.T + t
 
 
-def object_feature_of(prim: Primitive, n: int = SURFACE_SAMPLE_COUNT) -> np.ndarray:
-    """Object feature of a primitive from its fixed surface sample."""
-    return compute_object_feature(surface_points(prim, n))
-
-
 def _min_z_bound(prim: Primitive) -> float:
     # Conservative under any rotation: center z minus the bounding radius.
     he = np.asarray(prim.half_extents, dtype=np.float64)
@@ -208,7 +245,7 @@ def sample_scene(seed: int, cfg: GeneratorConfig = GeneratorConfig()) -> Scene:
                              half_extents=he, albedo=albedo)
             if _min_z_bound(prim) <= 0.05:
                 continue
-            xi = object_feature_of(prim)
+            xi = prim.feature
             if any(feature_distance(xi, other) < cfg.min_feature_separation
                    for other in features):
                 continue
@@ -254,13 +291,15 @@ def _intersect_box(prim: Primitive, dirs: np.ndarray):
     he = np.asarray(prim.half_extents, dtype=np.float64)
     o_local = -(R.T @ np.asarray(prim.translation, dtype=np.float64))
     d_local = np.einsum("ij,hwj->hwi", R.T, dirs)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lo = (-he - o_local) / d_local
         hi = (he - o_local) / d_local
     parallel = d_local == 0.0
     inside = np.abs(o_local) <= he
+    # A ray parallel to a slab is inside it for every t or for none; the
+    # empty slab is (inf, inf) so the min/max below cannot widen it.
     lo = np.where(parallel, np.where(inside, -np.inf, np.inf), lo)
-    hi = np.where(parallel, np.where(inside, np.inf, -np.inf), hi)
+    hi = np.where(parallel, np.inf, hi)
     t1 = np.minimum(lo, hi)
     t2 = np.maximum(lo, hi)
     t_near = t1.max(axis=-1)
@@ -283,26 +322,58 @@ def _intersect_box(prim: Primitive, dirs: np.ndarray):
     return t, n
 
 
+def _slopes_meeting(offset, depth, rr, slopes):
+    """Slice of the slopes s whose plane {lateral = s z} can meet a sphere.
+
+    offset and depth are the sphere center's lateral and z coordinates and
+    rr its inflated squared radius; the plane meets the sphere iff
+    (offset - s depth)^2 <= rr (1 + s^2). NaN or overflow keeps a slope.
+    None if no slope passes.
+    """
+    keep = np.flatnonzero(~((offset - slopes * depth) ** 2 > rr * (1.0 + slopes * slopes)))
+    if keep.size == 0:
+        return None
+    return slice(int(keep[0]), int(keep[-1]) + 1)
+
+
+def _window(prim: Primitive, dirs: np.ndarray):
+    """(rows, cols) slices holding every pixel whose ray can hit prim, or None."""
+    c = np.asarray(prim.translation, dtype=np.float64)
+    he = np.asarray(prim.half_extents, dtype=np.float64)
+    radius = he[0] if prim.kind == "sphere" else np.linalg.norm(he)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rr = radius * radius * (1.0 + WINDOW_REL) + WINDOW_ABS * (c @ c + radius * radius)
+        rows = _slopes_meeting(c[1], c[2], rr, dirs[:, 0, 1])
+        cols = _slopes_meeting(c[0], c[2], rr, dirs[0, :, 0])
+    if rows is None or cols is None:
+        return None
+    return rows, cols
+
+
 def render(scene: Scene) -> FrameBundle:
     """Ray-cast the scene into a FrameBundle. Deterministic and bit-exact."""
     intr = scene.camera
     H, W = intr.height, intr.width
     dirs = _ray_directions(intr)
     K = len(scene.objects)
-    t_maps = np.full((K, H, W), np.inf)
-    normals = np.zeros((K, H, W, 3))
-    for k, prim in enumerate(scene.objects):
-        if prim.kind == "sphere":
-            t_maps[k], normals[k] = _intersect_sphere(prim, dirs)
-        else:
-            t_maps[k], normals[k] = _intersect_box(prim, dirs)
-
+    amodal = np.zeros((K, H, W), dtype=bool)
     best_t = np.full((H, W), np.inf)
     winner = np.zeros((H, W), dtype=np.int32)
-    for k in range(K):
-        closer = t_maps[k] < best_t - DEPTH_TIE_EPS
-        best_t = np.where(closer, t_maps[k], best_t)
-        winner = np.where(closer, k + 1, winner)
+    # Per object: its window, the window's directions and normals, or None.
+    casts = []
+    for k, prim in enumerate(scene.objects):
+        window = _window(prim, dirs)
+        if window is None:
+            casts.append(None)
+            continue
+        sub = np.ascontiguousarray(dirs[window])
+        intersect = _intersect_sphere if prim.kind == "sphere" else _intersect_box
+        t, n = intersect(prim, sub)
+        amodal[k][window] = np.isfinite(t)
+        closer = t < best_t[window] - DEPTH_TIE_EPS
+        np.copyto(best_t[window], t, where=closer)
+        winner[window][closer] = k + 1
+        casts.append((window, sub, n))
 
     fg = winner > 0
     depth = np.where(fg, best_t, 0.0)
@@ -312,20 +383,20 @@ def render(scene: Scene) -> FrameBundle:
     rgb = np.zeros((H, W, 3))
     if scene.background_depth is not None:
         rgb[:] = 0.15
-    inv_len = 1.0 / np.linalg.norm(dirs, axis=-1)
-    for k, prim in enumerate(scene.objects):
-        sel = winner == k + 1
+    occ = np.zeros(K)
+    for k, (prim, cast) in enumerate(zip(scene.objects, casts)):
+        if cast is None:
+            continue
+        window, sub, n = cast
+        sel = winner[window] == k + 1
+        occ[k] = occlusion_score(sel, amodal[k][window])
         if not np.any(sel):
             continue
-        lambert = -np.einsum("hwc,hwc->hw", normals[k], dirs) * inv_len
+        d = sub[sel]
+        lambert = -np.einsum("nc,nc->n", n[sel], d) * (1.0 / np.linalg.norm(d, axis=-1))
         shade = 0.2 + 0.8 * np.clip(lambert, 0.0, 1.0)
-        rgb[sel] = np.asarray(prim.albedo) * shade[sel, None]
+        rgb[window][sel] = np.asarray(prim.albedo) * shade[:, None]
     rgb = np.clip(rgb, 0.0, 1.0)
-
-    amodal = np.isfinite(t_maps)
-    occ = np.zeros(K)
-    for k in range(K):
-        occ[k] = occlusion_score(winner == k + 1, amodal[k])
 
     return FrameBundle(rgb=rgb.astype(np.float32), depth=depth,
                        xyz=depth_to_xyz(depth, intr), instance_map=winner,

@@ -5,7 +5,7 @@ from clusterseg.annotation import (annotate, make_bgt_map, make_centroid_candida
                                    make_xi_map)
 from clusterseg.errors import ClusterSegError
 from clusterseg.geometry import CameraIntrinsics, feature_distance
-from clusterseg.scenegen import Primitive, Scene, object_feature_of, render
+from clusterseg.scenegen import Primitive, Scene, render
 
 from conftest import make_example
 
@@ -43,7 +43,7 @@ def test_xi_map_differs_between_depths():
 def test_box_feature_bounds():
     prim = Primitive(kind="box", quaternion=IDENTITY_Q, translation=(0.0, 0.0, 1.0),
                      half_extents=(0.5, 0.5, 0.5), albedo=(1, 1, 1))
-    xi = object_feature_of(prim)
+    xi = prim.feature
     assert np.allclose(xi[0:3], [0.0, 0.0, 1.0], atol=1e-6)
     moments = xi[3:6] - xi[0:3]
     # surface moments of a cube sit between the volume (1/12) and corner (1/4)

@@ -5,10 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from clusterseg.cli import main
+from clusterseg.cli import _load_segmentations, main
 from clusterseg.clustering import Segmentation
-from clusterseg.dataio import read_bundle
-from clusterseg.errors import ClusterSegError
+from clusterseg.dataio import read_bundle, write_bundle
+from clusterseg.errors import BundleDtypeError, ClusterSegError, ShapeMismatchError
 
 
 def run_cli(*argv):
@@ -249,6 +249,62 @@ def test_train_resume_reproduces_run(tmp_path):
     res_rows = {r["epoch"]: r for r in csv.DictReader(open(str(resumed) + ".csv"))}
     assert res_rows["2"] == full_rows["2"]
     assert resumed.read_bytes() == full.read_bytes()
+
+
+def test_train_resume_past_epochs_exits_2(tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert run_cli("gen", "--count", "2", "--res", "24x24", "--seed", "1",
+                   "--out", str(ds)) == 0
+    ckpt = tmp_path / "three.ckpt"
+    assert run_cli("train", "--dataset", str(ds), "--out", str(ckpt),
+                   "--epochs", "3", "--batch", "2", "--seed", "4") == 0
+    capsys.readouterr()
+    assert run_cli("train", "--dataset", str(ds), "--out", str(tmp_path / "r.ckpt"),
+                   "--epochs", "2", "--batch", "2", "--seed", "4",
+                   "--resume", str(ckpt)) == 2
+    err = capsys.readouterr().err
+    assert "next_epoch" in err and "--epochs" in err
+    assert not (tmp_path / "r.ckpt").exists()
+
+
+@pytest.fixture
+def oracle_segs(tmp_path):
+    ds = tmp_path / "ds"
+    segs = tmp_path / "segs"
+    assert run_cli("gen", "--count", "2", "--res", "24x24", "--seed", "1",
+                   "--out", str(ds)) == 0
+    assert run_cli("infer", "--dataset", str(ds), "--out", str(segs)) == 0
+    return ds, segs
+
+
+@pytest.mark.parametrize("mutate, error", [
+    (lambda t: {**t, "labels": np.full(t["labels"].shape, np.nan)}, BundleDtypeError),
+    (lambda t: {**t, "labels": t["labels"].astype(np.uint8)}, BundleDtypeError),
+    (lambda t: {**t, "seeds": t["seeds"].astype(np.float64)}, BundleDtypeError),
+    (lambda t: {**t, "scores": t["scores"].astype(np.float32)}, BundleDtypeError),
+    (lambda t: {**t, "scores": t["scores"][None, :]}, ShapeMismatchError),
+    (lambda t: {**t, "labels": t["labels"][None]}, ShapeMismatchError),
+    (lambda t: {**t, "seeds": t["seeds"].ravel()}, ShapeMismatchError),
+    (lambda t: {**t, "seeds": t["seeds"][:-1]}, ShapeMismatchError),
+], ids=["nan-f64-labels", "u8-labels", "f64-seeds", "f32-scores", "2d-scores",
+        "3d-labels", "1d-seeds", "seed-count"])
+def test_malformed_segmentation_bundle_is_a_typed_error(oracle_segs, mutate, error, capsys):
+    ds, segs = oracle_segs
+    path = segs / "seg_00000.tsb"
+    write_bundle(path, mutate(read_bundle(path)))
+    with pytest.raises(error):
+        _load_segmentations(str(segs))
+    assert run_cli("eval", "--dataset", str(ds), "--segs", str(segs)) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_segmentation_shape_must_match_frame(oracle_segs, capsys):
+    ds, segs = oracle_segs
+    path = segs / "seg_00000.tsb"
+    t = read_bundle(path)
+    write_bundle(path, {**t, "labels": np.ascontiguousarray(t["labels"][:, :-1])})
+    assert run_cli("eval", "--dataset", str(ds), "--segs", str(segs)) == 2
+    assert "does not match frame" in capsys.readouterr().err
 
 
 def test_jobs_env_fallback(tmp_path, monkeypatch, capsys):

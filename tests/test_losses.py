@@ -216,6 +216,14 @@ def test_finite_diff_full_loss():
     assert err < 1e-4
 
 
+def test_finite_diff_detects_feature_gradient_offset():
+    pred, ann = gradcheck_inputs(seed=0)
+    assert finite_diff_check(pred, ann, LossWeights(), epsilon=1e-4, samples=300,
+                             seed=0, xi_grad_offset=0.25) > 1e-4
+    assert finite_diff_check(pred, ann, LossWeights(), epsilon=1e-4, samples=300,
+                             seed=0, xi_grad_offset=0.0) < 1e-4
+
+
 def test_finite_diff_epsilon_validation():
     pred, ann = gradcheck_inputs(seed=0)
     with pytest.raises(ClusterSegError):

@@ -6,7 +6,7 @@ import pytest
 from clusterseg.errors import (ClusterSegError, MaskContainmentError, PlacementError,
                                ShapeMismatchError)
 from clusterseg.geometry import CameraIntrinsics, feature_distance
-from clusterseg.scenegen import (Primitive, Scene, object_feature_of,
+from clusterseg.scenegen import (Primitive, Scene,
                                  occlusion_score, render, sample_scene, scene_from_json,
                                  scene_to_json, surface_points)
 
@@ -94,7 +94,7 @@ def test_sample_scene_feature_separation():
     cfg = small_config(count_range=(4, 6), min_feature_separation=0.1)
     for seed in range(5):
         scene = sample_scene(seed, cfg)
-        features = [object_feature_of(p) for p in scene.objects]
+        features = [p.feature for p in scene.objects]
         for i in range(len(features)):
             for j in range(i + 1, len(features)):
                 assert feature_distance(features[i], features[j]) >= 0.1
