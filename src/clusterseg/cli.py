@@ -15,14 +15,20 @@ exit), and is deterministic given its configuration and seed. Exit codes:
 
 Dataset directory layout (written by gen, read by infer/eval/train):
 
-  dataset.json     manifest: frame file names + generation parameters
+  dataset.json     manifest: format, frame file names + generation parameters
   scene_00000.json scene geometry (see scenegen JSON schema)
-  frame_00000.tsb  rendered maps + ground-truth annotation maps
+  frame_00000.tsb  rgb, depth, instance map, amodal masks, occlusion scores
+                   and per-object features (FRAME_TENSORS)
+
+Loading rebuilds xyz from depth and the scene's camera, and the annotation
+maps from the per-object features, the instance map and the manifest's
+fraction and single_object_radius, with the same functions gen uses.
 """
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -31,11 +37,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import dataio, losses
-from .annotation import Annotation, annotate
+from .annotation import Annotation, annotate, build_annotation
 from .clustering import Segmentation, segment
-from .errors import BundleDtypeError, ClusterSegError, ShapeMismatchError
+from .errors import BundleDtypeError, BundleManifestError, ClusterSegError, ShapeMismatchError
 from .evaluation import (EvalConfig, compute_metrics, format_table, result_to_dict)
-from .geometry import CameraIntrinsics
+from .geometry import FEATURE_DIM, CameraIntrinsics, depth_to_xyz
 from .losses import LossWeights, finite_diff_check, total_loss
 from .predictor import (AdamState, NoiseSpec, adam_step, init_model, load_checkpoint,
                         mlp_backward, mlp_forward, noisy_predict, oracle_predict,
@@ -47,6 +53,13 @@ from .seeding import STREAM_EPOCH, stream_rng
 GRADCHECK_TOLERANCE = 1e-4
 # Spreads per-frame seeds apart so adjacent base seeds cannot collide.
 SEED_STRIDE = 1_000_003
+# The dataset layout gen writes; a dataset with any other "format" must be
+# regenerated.
+DATASET_FORMAT = 2
+# Every tensor a frame bundle stores, with the dtype it is written in.
+FRAME_TENSORS = {"rgb": np.float32, "depth": np.float64, "instance_map": np.uint16,
+                 "amodal_masks": np.uint8, "occlusion_scores": np.float64,
+                 "per_object_xi": np.float64}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,54 +121,115 @@ def _map_frames(fn, count, jobs):
 # dataset persistence
 
 def _frame_tensors(frame: FrameBundle, ann: Annotation) -> dict:
-    return {
-        "rgb": frame.rgb.astype(np.float32),
-        "depth": frame.depth.astype(np.float64),
-        "xyz": frame.xyz.astype(np.float64),
-        "instance_map": frame.instance_map.astype(np.uint16),
-        "amodal_masks": frame.amodal_masks.astype(np.uint8),
-        "occlusion_scores": frame.occlusion_scores.astype(np.float64),
-        "xi_map": ann.xi_map.astype(np.float64),
-        "eta_gt": ann.eta_gt.astype(np.uint8),
-        "b_map": ann.b_map.astype(np.float64),
-        "fg_mask": ann.fg_mask.astype(np.uint8),
-        "per_object_xi": ann.per_object_xi.astype(np.float64),
-    }
+    arrays = {"rgb": frame.rgb, "depth": frame.depth, "instance_map": frame.instance_map,
+              "amodal_masks": frame.amodal_masks, "occlusion_scores": frame.occlusion_scores,
+              "per_object_xi": ann.per_object_xi}
+    return {name: arrays[name].astype(dtype) for name, dtype in FRAME_TENSORS.items()}
 
 
-def _frame_from_tensors(t: dict):
+def _check_frame_tensors(name, t, scene):
+    """Require what _frame_tensors writes, shaped by the scene's camera and objects."""
+    if t.keys() != FRAME_TENSORS.keys():
+        raise BundleManifestError(f"{name}: a frame bundle holds {sorted(FRAME_TENSORS)}, "
+                                  f"got {sorted(t)}")
+    for key, dtype in FRAME_TENSORS.items():
+        if t[key].dtype != dtype:
+            raise BundleDtypeError(f"{name}: {key} must be {np.dtype(dtype)}, got {t[key].dtype}")
+    H, W, K = scene.camera.height, scene.camera.width, len(scene.objects)
+    shapes = {"rgb": (H, W, 3), "depth": (H, W), "instance_map": (H, W),
+              "amodal_masks": (K, H, W), "occlusion_scores": (K,),
+              "per_object_xi": (K, FEATURE_DIM)}
+    for key, shape in shapes.items():
+        if t[key].shape != shape:
+            raise ShapeMismatchError(f"{name}: {key} has shape {t[key].shape}, expected {shape} "
+                                     f"for a {W}x{H} camera and {K} objects")
+    if t["instance_map"].max(initial=0) > K:
+        raise ShapeMismatchError(f"{name}: instance ids exceed the object count {K}")
+
+
+def _frame_from_tensors(t: dict, scene):
     frame = FrameBundle(
-        rgb=t["rgb"], depth=t["depth"], xyz=t["xyz"],
+        rgb=t["rgb"], depth=t["depth"], xyz=depth_to_xyz(t["depth"], scene.camera),
         instance_map=t["instance_map"].astype(np.int32),
         amodal_masks=t["amodal_masks"].astype(bool),
         occlusion_scores=t["occlusion_scores"],
     )
-    ann = Annotation(
-        xi_map=t["xi_map"], eta_gt=t["eta_gt"].astype(bool), b_map=t["b_map"],
-        fg_mask=t["fg_mask"].astype(bool), per_object_xi=t["per_object_xi"],
-        instance_map=frame.instance_map,
-    )
-    return frame, ann
+    return frame, t["per_object_xi"]
+
+
+def _finite(value):
+    # type() rather than isinstance(): JSON true and false parse as bool, an int
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _derivation_values(fraction, single_object_radius):
+    """The two values the annotation maps are derived from, checked, as floats."""
+    if not (_finite(fraction) and 0.10 <= fraction <= 0.30):
+        raise ClusterSegError(f"fraction must be a finite number in [0.10, 0.30], "
+                              f"got {fraction!r}")
+    if not (_finite(single_object_radius) and single_object_radius > 0):
+        raise ClusterSegError(f"single_object_radius must be a finite number above 0, "
+                              f"got {single_object_radius!r}")
+    return float(fraction), float(single_object_radius)
+
+
+def _read_text(path, what):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise ClusterSegError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_dataset(path):
+    """The dataset's (fraction, single_object_radius) and (scene, frame, per_object_xi) per frame."""
+    manifest_path = os.path.join(path, "dataset.json")
+    try:
+        manifest = json.loads(_read_text(manifest_path, "dataset manifest"))
+    except json.JSONDecodeError as exc:
+        raise ClusterSegError(f"cannot read dataset manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ClusterSegError(f"malformed dataset manifest {manifest_path}: not a JSON object")
+    fmt = manifest.get("format")
+    if type(fmt) is not int or fmt != DATASET_FORMAT:
+        raise ClusterSegError(f"{manifest_path}: dataset format {fmt!r} is not the current "
+                              f"format {DATASET_FORMAT}; regenerate the dataset with gen")
+    try:
+        values = _derivation_values(manifest.get("fraction"),
+                                    manifest.get("single_object_radius"))
+    except ClusterSegError as exc:
+        raise ClusterSegError(f"malformed dataset manifest {manifest_path}: {exc}") from exc
+    frames = []
+    try:
+        for entry in manifest["frames"]:
+            scene_path = os.path.join(path, entry["scene"])
+            try:
+                scene = scene_from_json(_read_text(scene_path, "scene"))
+            except ClusterSegError as exc:
+                raise ClusterSegError(f"{scene_path}: {exc}") from exc
+            bundle_path = os.path.join(path, entry["bundle"])
+            try:
+                tensors = dataio.read_bundle(bundle_path)
+            except (OSError, ValueError) as exc:
+                raise ClusterSegError(f"cannot read frame bundle {bundle_path}: {exc}") from exc
+            _check_frame_tensors(bundle_path, tensors, scene)
+            frames.append((scene, *_frame_from_tensors(tensors, scene)))
+    except (KeyError, TypeError) as exc:
+        raise ClusterSegError(f"malformed dataset manifest {manifest_path}: {exc}") from exc
+    return values, frames
 
 
 def _load_dataset(path):
-    manifest_path = os.path.join(path, "dataset.json")
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ClusterSegError(f"cannot read dataset manifest {manifest_path}: {exc}") from exc
-    records = []
-    try:
-        for entry in manifest["frames"]:
-            with open(os.path.join(path, entry["scene"]), encoding="utf-8") as fh:
-                scene = scene_from_json(fh.read())
-            frame, ann = _frame_from_tensors(
-                dataio.read_bundle(os.path.join(path, entry["bundle"])))
-            records.append((scene, frame, ann))
-    except (KeyError, TypeError) as exc:
-        raise ClusterSegError(f"malformed dataset manifest {manifest_path}: {exc}") from exc
-    return records
+    """(scene, frame, annotation) per frame, the annotation rebuilt from the bundle."""
+    (fraction, single_object_radius), frames = _read_dataset(path)
+    return [(scene, frame,
+             build_annotation(per_object_xi, frame.instance_map, fraction, single_object_radius))
+            for scene, frame, per_object_xi in frames]
 
 
 def _check_segmentation_tensors(name, t):
@@ -215,6 +289,7 @@ def _cmd_gen(args) -> int:
     lo, hi = args.objects
     if not 1 <= lo <= hi <= 65534:
         raise ClusterSegError(f"object count range {lo}..{hi} must lie within 1..65534")
+    _derivation_values(args.fraction, args.single_object_radius)
     cfg = GeneratorConfig(
         count_range=(lo, hi),
         size_range=args.sizes,
@@ -244,6 +319,7 @@ def _cmd_gen(args) -> int:
         frames.append({"scene": scene_name, "bundle": bundle_name,
                        "objects": len(scene.objects)})
     manifest = {
+        "format": DATASET_FORMAT,
         "frames": frames,
         "seed": args.seed,
         "resolution": [w, h],
@@ -329,12 +405,12 @@ def _cmd_infer(args) -> int:
 # eval
 
 def _cmd_eval(args) -> int:
-    records = _load_dataset(args.dataset)
+    _, frames = _read_dataset(args.dataset)
     segs = _load_segmentations(args.segs)
-    if len(records) != len(segs):
+    if len(frames) != len(segs):
         raise ClusterSegError(
-            f"dataset has {len(records)} frames but {len(segs)} segmentations were given")
-    pairs = [(seg, frame) for seg, (_, frame, _) in zip(segs, records)]
+            f"dataset has {len(frames)} frames but {len(segs)} segmentations were given")
+    pairs = [(seg, frame) for seg, (_, frame, _) in zip(segs, frames)]
     result = compute_metrics(pairs, EvalConfig())
     report = {"metrics": result_to_dict(result), "num_images": len(pairs)}
     if args.report:

@@ -87,13 +87,25 @@ def oracle_logits(ann: Annotation, magnitude: float = 50.0) -> LogitPrediction:
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
+    # `direction` is the only frame-sized array made here: the scaling runs
+    # in place and the norms (each row's own sum) 4,096 rows at a time. With
+    # more frame-sized temporaries freed per call, the allocator hands the
+    # heap back to the system every call and page-faults it in again on the
+    # next, which costs more than the arithmetic.
     direction = rng.normal(size=(n, dim))
-    norms = np.linalg.norm(direction, axis=1, keepdims=True)
+    norms = np.empty((n, 1))
+    for start in range(0, n, 4096):
+        rows = slice(start, start + 4096)
+        norms[rows] = np.linalg.norm(direction[rows], axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     # U^(1/dim) scaling gives a uniform ball; nextafter keeps it strictly open.
-    scale = radius * rng.random(size=(n, 1)) ** (1.0 / dim)
-    scale = np.minimum(scale, np.nextafter(radius, 0.0))
-    return direction / norms * scale
+    scale = rng.random(size=(n, 1))
+    scale **= 1.0 / dim
+    scale *= radius
+    np.minimum(scale, np.nextafter(radius, 0.0), out=scale)
+    direction /= norms
+    direction *= scale
+    return direction
 
 
 def noisy_predict(ann: Annotation, spec: NoiseSpec, seed: int) -> Prediction:
@@ -101,12 +113,13 @@ def noisy_predict(ann: Annotation, spec: NoiseSpec, seed: int) -> Prediction:
     rng = stream_rng(seed, STREAM_NOISE)
     H, W = ann.fg_mask.shape
     pred = oracle_predict(ann)
+    # The oracle's xi_hat is a copy of its own, so the noise is added in place.
     if spec.bound_mode == "uniform-ball":
         if spec.ball_radius > 0:
             eps = _uniform_ball(rng, H * W, pred.xi_hat.shape[-1], spec.ball_radius)
-            pred.xi_hat = pred.xi_hat + eps.reshape(pred.xi_hat.shape)
+            pred.xi_hat += eps.reshape(pred.xi_hat.shape)
     elif spec.sigma_xi > 0:
-        pred.xi_hat = pred.xi_hat + rng.normal(0.0, spec.sigma_xi, size=pred.xi_hat.shape)
+        pred.xi_hat += rng.normal(0.0, spec.sigma_xi, size=pred.xi_hat.shape)
     if spec.sigma_b > 0:
         pred.b_hat = np.maximum(pred.b_hat + rng.normal(0.0, spec.sigma_b, size=(H, W)), 0.0)
     if spec.sigma_eta > 0:

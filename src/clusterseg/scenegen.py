@@ -445,6 +445,7 @@ def scene_from_json(text: str) -> Scene:
                                 ppx=float(cam["ppx"]), ppy=float(cam["ppy"]),
                                 width=int(cam["width"]), height=int(cam["height"]))
         bg = doc["background_depth"]
+        bg = None if bg is None else float(bg)
         objects = tuple(
             Primitive(kind=o["kind"],
                       quaternion=tuple(float(x) for x in o["quaternion"]),
@@ -452,7 +453,6 @@ def scene_from_json(text: str) -> Scene:
                       half_extents=tuple(float(x) for x in o["half_extents"]),
                       albedo=tuple(float(x) for x in o["albedo"]))
             for o in doc["objects"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ClusterSegError(f"malformed scene JSON: {exc}") from exc
-    return Scene(objects=objects, camera=intr,
-                 background_depth=None if bg is None else float(bg))
+    return Scene(objects=objects, camera=intr, background_depth=bg)

@@ -3,14 +3,17 @@
 `reference_render` ray-casts every pixel through every primitive and keeps
 a K x H x W x 3 normals buffer; `reference_make_xi_map` recomputes each
 primitive's feature from its surface sample and scatters it with one
-boolean mask per object, as does `reference_make_bgt_map` with the radii.
-The library's windowed renderer, per-primitive feature cache and table
-gathers must reproduce them bit for bit; the tests compare the two.
+boolean mask per object, as does `reference_make_bgt_map` with the radii;
+`reference_make_centroid_candidates` scans the instance map once per
+object. The library's windowed renderer, per-primitive feature cache,
+table gathers and one-sort candidate ranking must reproduce them bit for
+bit; the tests compare the two.
 """
 
 import numpy as np
 
 from clusterseg.annotation import DEFAULT_SINGLE_OBJECT_RADIUS
+from clusterseg.errors import ClusterSegError
 from clusterseg.geometry import FEATURE_DIM, compute_object_feature, depth_to_xyz
 from clusterseg.scenegen import (DEPTH_TIE_EPS, SURFACE_SAMPLE_COUNT, FrameBundle, Scene,
                                  _intersect_box, _intersect_sphere, _ray_directions,
@@ -107,3 +110,28 @@ def reference_make_bgt_map(per_object_xi: np.ndarray, instance_map: np.ndarray,
     for k in range(K):
         b_map[instance_map == k + 1] = radii[k]
     return b_map
+
+
+def reference_make_centroid_candidates(instance_map: np.ndarray, fraction: float) -> np.ndarray:
+    """Mark, per object, the pixels nearest its 2D mass center.
+
+    For each object the max(1, round(fraction * N)) modal pixels closest to
+    the mean pixel coordinate are marked, ties broken by (row, col).
+    Rounding is half-away-from-zero.
+    """
+    if not 0.10 <= fraction <= 0.30:
+        raise ClusterSegError(f"fraction must lie in [0.10, 0.30], got {fraction}")
+    out = np.zeros(instance_map.shape, dtype=bool)
+    for k in np.unique(instance_map):
+        if k == 0:
+            continue
+        rows, cols = np.nonzero(instance_map == k)
+        n = rows.size
+        take = max(1, int(np.floor(fraction * n + 0.5)))
+        c_row = rows.mean()
+        c_col = cols.mean()
+        dist = np.hypot(rows - c_row, cols - c_col)
+        order = np.lexsort((cols, rows, dist))
+        keep = order[:take]
+        out[rows[keep], cols[keep]] = True
+    return out

@@ -33,7 +33,8 @@ def test_xi_map_differs_between_depths():
                     half_extents=(0.1, 0.1, 0.1), albedo=(0, 1, 0))
     scene = Scene(objects=(near, far), camera=intr, background_depth=None)
     frame = render(scene)
-    xi_map, per_object = make_xi_map(scene, frame)
+    per_object = np.array([near.feature, far.feature])
+    xi_map = make_xi_map(per_object, frame.instance_map)
     assert per_object[0][2] != per_object[1][2]
     a = xi_map[frame.instance_map == 1]
     b = xi_map[frame.instance_map == 2]

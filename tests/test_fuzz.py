@@ -1,11 +1,13 @@
 """Mutated and truncated data files raise only ClusterSegError, and the CLI exits 2.
 
-Each example damages a valid file: it truncates it, overwrites bytes (half
-of them in the JSON header) or, in half of the examples, replaces one value
-of the JSON header with another JSON value and fixes up the header length
-so the header still parses. Loading the file must either succeed or raise
-a ClusterSegError subclass; the CLI command that reads the file must exit
-0 or 2, and 2 whenever loading raised.
+Each example damages a valid file. A binary file (a frame or segmentation
+bundle, a checkpoint) is truncated, has bytes overwritten (half of them in
+the JSON header) or, in half of the examples, has one value of its JSON
+header replaced by another JSON value, with the header length fixed up so
+the header still parses. A JSON file (dataset.json, a scene) has one value
+replaced. Loading must either succeed or raise a ClusterSegError subclass;
+the CLI commands that read the file must exit 0 or 2, and 2 whenever
+loading raised.
 """
 
 import json
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from clusterseg.cli import main
+from clusterseg.cli import _load_dataset, main
 from clusterseg.dataio import read_bundle
 from clusterseg.errors import ClusterSegError
 from clusterseg.predictor import CHECKPOINT_MAGIC, init_model, load_checkpoint, save_checkpoint
@@ -61,11 +63,17 @@ def damaged(draw, raw: bytes, magic_len: int):
                 pos = draw(st.integers(0, len(raw) - 1))
             out[pos] = draw(st.integers(0, 255))
         return bytes(out)
-    header = json.loads(raw[header_start:header_end])
-    parent, key = draw(st.sampled_from(list(_slots(header))))
-    parent[key] = draw(st.sampled_from(VALUES))
-    blob = json.dumps(header).encode()
+    blob = draw(value_swapped(raw[header_start:header_end])).encode()
     return raw[:magic_len] + struct.pack("<Q", len(blob)) + blob + raw[header_end:]
+
+
+@st.composite
+def value_swapped(draw, text):
+    """The JSON document text with one value inside it replaced by a VALUES entry."""
+    doc = json.loads(text)
+    parent, key = draw(st.sampled_from(list(_slots(doc))))
+    parent[key] = draw(st.sampled_from(VALUES))
+    return json.dumps(doc)
 
 
 def _slots(node):
@@ -113,3 +121,23 @@ def test_damaged_checkpoint(files, data):
                    "--predictor", "mlp", "--model", str(model)])
     assert rc in (0, 2)
     assert loaded or rc == 2
+
+
+@pytest.mark.parametrize("name", ["frame_00000.tsb", "dataset.json", "scene_00000.json"])
+@FUZZ
+@given(data=st.data())
+def test_damaged_dataset_file(files, name, data):
+    pristine = (files["ds"] / name).read_bytes()
+    if name.endswith(".tsb"):
+        raw = data.draw(damaged(pristine, 4))
+    else:
+        raw = data.draw(value_swapped(pristine)).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        ds = Path(tmp) / "ds"
+        shutil.copytree(files["ds"], ds)
+        (ds / name).write_bytes(raw)
+        loaded = _loads_or_raises(_load_dataset, str(ds))
+        codes = [main(["infer", "--dataset", str(ds), "--out", str(Path(tmp) / "out")]),
+                 main(["eval", "--dataset", str(ds), "--segs", str(files["segs"])])]
+    assert all(rc in (0, 2) for rc in codes)
+    assert loaded or codes == [2, 2]

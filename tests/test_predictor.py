@@ -5,6 +5,7 @@ import pytest
 
 from clusterseg.clustering import segment
 from clusterseg.errors import ClusterSegError, NonFiniteError
+from clusterseg.geometry import CameraIntrinsics
 from clusterseg.losses import LossBreakdown, LossWeights, total_loss
 from clusterseg.predictor import (CHECKPOINT_MAGIC, AdamState, NoiseSpec, adam_step,
                                   frame_features, init_model, load_checkpoint,
@@ -12,6 +13,7 @@ from clusterseg.predictor import (CHECKPOINT_MAGIC, AdamState, NoiseSpec, adam_s
                                   oracle_logits, oracle_predict, save_checkpoint)
 
 from conftest import make_example, same_partition
+from reference_predictor import reference_noisy_predict
 
 
 def test_oracle_predict_round_trips_ground_truth():
@@ -60,6 +62,24 @@ def test_noisy_predict_deterministic_and_clamped():
     assert np.all((a.eta_hat >= 0.0) & (a.eta_hat <= 1.0))
     c = noisy_predict(ann, spec, seed=8)
     assert not np.array_equal(a.xi_hat, c.xi_hat)
+
+
+@pytest.mark.parametrize("spec", [
+    NoiseSpec(bound_mode="uniform-ball", ball_radius=0.07),
+    NoiseSpec(bound_mode="uniform-ball", ball_radius=1e-300),
+    NoiseSpec(bound_mode="uniform-ball", ball_radius=3.0, sigma_b=0.2, flip_rate=0.1),
+    NoiseSpec(sigma_xi=0.05),
+    NoiseSpec(sigma_xi=2.0, sigma_b=0.5, sigma_eta=0.5, flip_rate=0.3),
+])
+def test_noisy_predict_equals_the_out_of_place_reference(spec):
+    for seed in range(6):
+        # 96 x 88 pixels: the library takes the norms in three blocks of rows
+        _, _, ann = make_example(seed=seed, camera=CameraIntrinsics(96.0, 96.0, 48.0, 44.0,
+                                                                     96, 88))
+        got = noisy_predict(ann, spec, seed=seed + 11)
+        want = reference_noisy_predict(ann, spec, seed=seed + 11)
+        for name in ("xi_hat", "eta_hat", "b_hat", "mask_prob"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_noisy_predict_flip_rate_one_inverts_mask():

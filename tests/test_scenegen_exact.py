@@ -1,4 +1,4 @@
-"""The windowed renderer and the annotation table gathers against their references.
+"""The windowed renderer and the annotation maps against their references.
 
 Every comparison is bit for bit: the dtype, shape and bytes of each
 FrameBundle field and of each annotation map. The adversarial scenes put
@@ -18,7 +18,8 @@ from clusterseg.geometry import CameraIntrinsics, compute_object_feature
 from clusterseg.scenegen import (FrameBundle, GeneratorConfig, Primitive, Scene,
                                  _ray_directions, render, sample_scene, surface_points)
 
-from reference_scenegen import reference_make_bgt_map, reference_make_xi_map, reference_render
+from reference_scenegen import (reference_make_bgt_map, reference_make_centroid_candidates,
+                                reference_make_xi_map, reference_render)
 
 FIELDS = ("rgb", "depth", "xyz", "instance_map", "amodal_masks", "occlusion_scores")
 IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
@@ -64,7 +65,7 @@ def _assert_exact_annotation(scene, frame):
     ann = annotate(scene, frame)
     xi_map, per_object = reference_make_xi_map(scene, frame)
     want = {"xi_map": xi_map, "per_object_xi": per_object,
-            "eta_gt": make_centroid_candidates(frame.instance_map, 0.2),
+            "eta_gt": reference_make_centroid_candidates(frame.instance_map, 0.2),
             "b_map": reference_make_bgt_map(per_object, frame.instance_map),
             "fg_mask": frame.instance_map > 0, "instance_map": frame.instance_map}
     for name, value in want.items():
@@ -314,5 +315,59 @@ def test_maps_zero_ids_outside_one_to_k(dtype):
         scene = Scene(objects, _camera(10, 12), None)
         frame = FrameBundle(rgb=None, depth=None, xyz=None, instance_map=instance_map,
                             amodal_masks=None, occlusion_scores=None)
-        for got, want in zip(make_xi_map(scene, frame), reference_make_xi_map(scene, frame)):
-            _same(got, want, "xi_map")
+        want_xi_map, per_object = reference_make_xi_map(scene, frame)
+        _same(make_xi_map(per_object, instance_map), want_xi_map, "xi_map")
+
+
+def _sized_objects(rng, sizes, shape, dtype):
+    """A map whose objects have exactly the given pixel counts, as runs or scattered."""
+    instance_map = np.zeros(shape, dtype=dtype)
+    flat = instance_map.reshape(-1)
+    start = 0
+    for k, n in enumerate(sizes, start=1):
+        if rng.random() < 0.5:
+            flat[start:start + n] = k  # a run: mirror-image distances tie
+            start += n
+    free = np.flatnonzero(flat == 0)
+    rng.shuffle(free)
+    for k, n in enumerate(sizes, start=1):
+        if not np.any(flat == k):
+            flat[free[:n]] = k
+            free = free[n:]
+    return instance_map
+
+
+def test_centroid_candidates_match_the_reference():
+    rng = np.random.default_rng(12)
+    maps = []
+    for seed in range(24):
+        res = (32, 64, 128)[seed % 3]
+        cfg = GeneratorConfig(count_range=(1, 8), camera=_camera(res),
+                              background_depth=BACKGROUNDS[seed % 2])
+        maps.append(render(sample_scene(seed, cfg)).instance_map)
+    for dtype in (np.int16, np.int32, np.int64, np.uint16):
+        for _ in range(10):
+            low = -4 if np.dtype(dtype).kind == "i" else 0
+            shape = tuple(rng.integers(1, 30, size=2))
+            instance_map = rng.integers(low, 12, size=shape).astype(dtype)
+            instance_map[rng.random(shape) < rng.random()] = 0
+            maps.append(instance_map)
+    maps += [np.zeros((5, 7), dtype=np.int32), np.full((3, 4), 65535, dtype=np.uint16)]
+    for instance_map in maps:
+        for fraction in (0.10, 0.2, 0.25, 0.30):
+            _same(make_centroid_candidates(instance_map, fraction),
+                  reference_make_centroid_candidates(instance_map, fraction), "eta_gt")
+
+
+@pytest.mark.parametrize("fraction, sizes", [
+    (0.25, (2, 6, 10, 14, 2)), (0.10, (5, 15, 25, 5)), (0.30, (5, 15, 5)),
+])
+def test_centroid_candidates_round_exact_halves_as_the_reference(fraction, sizes):
+    # fraction * n + 0.5 is exactly an integer for every object here
+    assert all(float(fraction * n + 0.5).is_integer() for n in sizes)
+    rng = np.random.default_rng(13)
+    for trial in range(20):
+        dtype = (np.int32, np.uint16)[trial % 2]
+        instance_map = _sized_objects(rng, sizes, (9, 11), dtype)
+        _same(make_centroid_candidates(instance_map, fraction),
+              reference_make_centroid_candidates(instance_map, fraction), "eta_gt")
