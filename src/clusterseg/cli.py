@@ -492,9 +492,23 @@ def _dataset_ap(model, records, fg_threshold):
     return compute_metrics(pairs).ap
 
 
-def _mean_breakdown(breakdowns):
-    keys = ("l_s", "l_cen", "l_p", "l_var", "l_vio", "total")
-    return {k: float(np.mean([getattr(b, k) for b in breakdowns])) for k in keys}
+LOSS_TERMS = ("l_s", "l_cen", "l_p", "l_var", "l_vio", "total")
+
+
+def _loss_terms(breakdown):
+    """The six loss values of a breakdown, without its gradient maps."""
+    return {k: getattr(breakdown, k) for k in LOSS_TERMS}
+
+
+def _frame_step(model, frame, ann, weights):
+    """One frame's loss terms and parameter gradients.
+
+    The forward cache and the loss gradients die here, so a step's
+    activations are freed before the next frame's are built.
+    """
+    logits, cache = mlp_forward(model, frame)
+    breakdown = total_loss(logits, ann, weights)
+    return _loss_terms(breakdown), mlp_backward(model, cache, breakdown)
 
 
 def _cmd_train(args) -> int:
@@ -517,8 +531,8 @@ def _cmd_train(args) -> int:
 
     rows = []
 
-    def log_epoch(epoch, weights, breakdowns):
-        means = _mean_breakdown(breakdowns)
+    def log_epoch(epoch, weights, terms):
+        means = {k: float(np.mean([t[k] for t in terms])) for k in LOSS_TERMS}
         ap = _dataset_ap(model, records, args.fg_threshold)
         rows.append({"epoch": epoch, **means,
                      "lambda_var": weights.lambda_var,
@@ -527,25 +541,23 @@ def _cmd_train(args) -> int:
 
     if start_epoch == 1:
         # Baseline row: untrained model, no updates.
-        breakdowns = []
+        terms = []
         for scene, frame, ann in records:
             logits, _ = mlp_forward(model, frame)
-            breakdowns.append(total_loss(logits, ann, base))
-        log_epoch(0, base, breakdowns)
+            terms.append(_loss_terms(total_loss(logits, ann, base)))
+        log_epoch(0, base, terms)
 
     for epoch in range(start_epoch, args.epochs + 1):
         weights = _epoch_weights(base, epoch, args.bump_epoch, args.bump_value)
         order = stream_rng(args.seed, STREAM_EPOCH + epoch).permutation(len(records))
-        breakdowns = []
+        terms = []
         for chunk_start in range(0, len(order), args.batch):
             batch = order[chunk_start:chunk_start + args.batch]
             grads_sum = None
             for idx in batch:
                 scene, frame, ann = records[int(idx)]
-                logits, cache = mlp_forward(model, frame)
-                breakdown = total_loss(logits, ann, weights)
-                breakdowns.append(breakdown)
-                grads = mlp_backward(model, cache, breakdown)
+                frame_terms, grads = _frame_step(model, frame, ann, weights)
+                terms.append(frame_terms)
                 if grads_sum is None:
                     grads_sum = grads
                 else:
@@ -554,12 +566,11 @@ def _cmd_train(args) -> int:
             for k in grads_sum:
                 grads_sum[k] /= len(batch)
             adam_step(model, grads_sum, state)
-        log_epoch(epoch, weights, breakdowns)
+        log_epoch(epoch, weights, terms)
 
     save_checkpoint(args.out, model, state, next_epoch=args.epochs + 1)
     log_path = args.log or args.out + ".csv"
-    fieldnames = ["epoch", "l_s", "l_cen", "l_p", "l_var", "l_vio", "total",
-                  "lambda_var", "lambda_vio", "ap"]
+    fieldnames = ["epoch", *LOSS_TERMS, "lambda_var", "lambda_vio", "ap"]
     with open(log_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
@@ -696,6 +707,22 @@ _REQUIRED = {
 }
 
 
+def _bad_value(args):
+    """Describe the first numeric value the command cannot run with, or None.
+
+    Checked after --config merging, so a config file is held to the same
+    rules as the flags.
+    """
+    if args.command == "train":
+        for name in ("epochs", "batch"):
+            value = getattr(args, name)
+            if type(value) is not int or value < 1:
+                return f"--{name} must be an integer of at least 1, got {value!r}"
+        if not (_finite(args.lr) and args.lr > 0):
+            return f"--lr must be a finite number above 0, got {args.lr!r}"
+    return None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -724,6 +751,10 @@ def main(argv=None) -> int:
         if missing:
             parser.error("missing required arguments: "
                          + ", ".join(f"--{m}" for m in missing))
+        problem = _bad_value(args)
+        if problem:
+            print(f"clusterseg: error: {problem}", file=sys.stderr)
+            return 1
         return _COMMANDS[args.command](args)
     except ClusterSegError as exc:
         print(f"clusterseg: error: {exc}", file=sys.stderr)

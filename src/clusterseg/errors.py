@@ -29,6 +29,10 @@ class NonFiniteError(ClusterSegError):
     """A computation produced NaN or infinity where finite values are required."""
 
 
+class TargetError(ClusterSegError):
+    """A classification target holds a value other than 0 and 1."""
+
+
 class BundleError(ClusterSegError):
     """Base class for tensor-bundle I/O failures."""
 

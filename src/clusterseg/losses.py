@@ -28,7 +28,7 @@ import numpy as np
 
 from .annotation import Annotation
 from .clustering import Prediction
-from .errors import ClusterSegError
+from .errors import ClusterSegError, ShapeMismatchError, TargetError
 from .seeding import STREAM_CHECK, stream_rng
 
 
@@ -89,62 +89,102 @@ class LossBreakdown:
     grad_mask_logits: np.ndarray = field(repr=False, default=None)
 
 
+def _shifted_exp(logits: np.ndarray):
+    """exp(z - max) of 2-channel logits, with the channel max and the sum of the two."""
+    # Channel by channel, the max and the sum equal the last-axis reductions
+    # for every non-NaN input, at a fraction of their cost on a 2-long axis.
+    z0, z1 = logits[..., 0], logits[..., 1]
+    m = np.maximum(z0, z1)
+    e = np.empty(logits.shape, dtype=m.dtype)
+    np.subtract(z0, m, out=e[..., 0])
+    np.subtract(z1, m, out=e[..., 1])
+    np.exp(e, out=e)
+    return e, m, e[..., 0] + e[..., 1]
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e, _, total = _shifted_exp(logits)
+    e /= total[..., None]
+    return e
+
+
+def _binary_target(target, logits: np.ndarray) -> np.ndarray:
+    """A {0,1} target map as bool, checked against the logits it labels."""
+    t = np.asarray(target)
+    if t.shape != logits.shape[:-1]:
+        raise ShapeMismatchError(f"target has shape {t.shape}, expected {logits.shape[:-1]}")
+    if t.dtype == bool:
+        return t
+    one = t == 1
+    valid = one | (t == 0)
+    if not valid.all():
+        raise TargetError(f"classification targets must be 0 or 1, got "
+                          f"{np.unique(t[~valid]).tolist()}")
+    return one
 
 
 def _cross_entropy(logits: np.ndarray, target: np.ndarray):
-    # Per-pixel CE of 2-channel logits against a {0,1} target, plus the
-    # gradient before any averaging: softmax - onehot.
-    z = logits.astype(np.float64)
-    m = z.max(axis=-1)
-    lse = m + np.log(np.exp(z - m[..., None]).sum(axis=-1))
-    channel = target[..., None].astype(np.int64)
-    picked = np.take_along_axis(z, channel, axis=-1)[..., 0]
-    ce = lse - picked
-    grad = _softmax(z)
-    np.put_along_axis(grad, channel,
-                      np.take_along_axis(grad, channel, axis=-1) - 1.0, axis=-1)
+    # Per-pixel CE of 2-channel logits against a bool target, plus the
+    # gradient before any averaging: softmax - onehot. One exp(z - max)
+    # serves both the log-sum-exp and the softmax.
+    z = np.asarray(logits, dtype=np.float64)
+    grad, m, total = _shifted_exp(z)
+    ce = m + np.log(total)
+    ce -= np.where(target, z[..., 1], z[..., 0])
+    grad /= total[..., None]
+    np.subtract(grad[..., 1], 1.0, out=grad[..., 1], where=target)
+    np.subtract(grad[..., 0], 1.0, out=grad[..., 0], where=~target)
     return ce, grad
 
 
 def semantic_mask_loss(mask_logits: np.ndarray, fg_gt: np.ndarray):
     """Foreground/background CE averaged over every pixel."""
-    target = np.asarray(fg_gt).astype(np.int64)
-    ce, grad = _cross_entropy(mask_logits, target)
-    n = ce.size
-    return float(ce.mean()), grad / n
+    ce, grad = _cross_entropy(mask_logits, _binary_target(fg_gt, mask_logits))
+    grad /= ce.size
+    return float(ce.mean()), grad
 
 
 def center_loss(eta_logits: np.ndarray, eta_gt: np.ndarray, fg_gt: np.ndarray):
     """Centroid-candidate CE averaged over ground-truth foreground pixels only."""
+    target = _binary_target(eta_gt, eta_logits)
     fg = np.asarray(fg_gt, dtype=bool)
     n_fg = int(fg.sum())
-    grad = np.zeros_like(eta_logits, dtype=np.float64)
     if n_fg == 0:
-        return 0.0, grad
-    target = np.asarray(eta_gt).astype(np.int64)
-    ce, g = _cross_entropy(eta_logits, target)
-    grad[fg] = g[fg] / n_fg
+        return 0.0, np.zeros_like(eta_logits, dtype=np.float64)
+    ce, grad = _cross_entropy(eta_logits, target)
+    grad /= n_fg
+    grad[~fg] = 0.0
     return float(ce[fg].mean()), grad
 
 
+def _foreground_error(xi_hat: np.ndarray, ann: Annotation) -> np.ndarray:
+    fg = ann.fg_mask
+    return xi_hat[fg] - ann.xi_map[fg]
+
+
 def pixel_loss(xi_hat: np.ndarray, b_hat: np.ndarray, ann: Annotation,
-               lambda_xi: float, lambda_b: float):
-    """Squared-error regression on features and radii over foreground pixels."""
+               lambda_xi: float, lambda_b: float, *, dxi: np.ndarray | None = None):
+    """Squared-error regression on features and radii over foreground pixels.
+
+    dxi, if given, is the foreground feature error xi_hat[fg] - xi_map[fg];
+    it is only read.
+    """
     fg = ann.fg_mask
     n_fg = int(fg.sum())
     grad_xi = np.zeros_like(xi_hat, dtype=np.float64)
     grad_b = np.zeros_like(b_hat, dtype=np.float64)
     if n_fg == 0:
         return 0.0, grad_xi, grad_b
-    dxi = xi_hat[fg] - ann.xi_map[fg]
+    if dxi is None:
+        dxi = _foreground_error(xi_hat, ann)
     db = b_hat[fg] - ann.b_map[fg]
     loss = lambda_xi * float(np.sum(dxi * dxi)) / n_fg + lambda_b * float(np.sum(db * db)) / n_fg
-    grad_xi[fg] = lambda_xi * 2.0 * dxi / n_fg
-    grad_b[fg] = lambda_b * 2.0 * db / n_fg
+    g = lambda_xi * 2.0 * dxi
+    g /= n_fg
+    grad_xi[fg] = g
+    db *= lambda_b * 2.0
+    db /= n_fg
+    grad_b[fg] = db
     return loss, grad_xi, grad_b
 
 
@@ -166,24 +206,28 @@ def variance_loss(xi_hat: np.ndarray, instance_map: np.ndarray):
         mu = members[0] + (members - members[0]).mean(axis=0)
         d = members - mu
         loss += float(np.sum(d * d)) / members.shape[0]
-        grad[sel] = 2.0 * d / members.shape[0]
+        d *= 2.0
+        d /= members.shape[0]
+        grad[sel] = d
     return loss, grad
 
 
-def violation_loss(xi_hat: np.ndarray, ann: Annotation, lambda_v: float):
+def violation_loss(xi_hat: np.ndarray, ann: Annotation, lambda_v: float, *,
+                   dxi: np.ndarray | None = None):
     """Unsquared error-norm penalty on pixels straying past lambda_v * B.
 
     The indicator is treated as locally constant, so the gradient on a
-    violating pixel is the unit vector toward the prediction.
+    violating pixel is the unit vector toward the prediction. dxi is as in
+    pixel_loss.
     """
     fg = ann.fg_mask
     grad = np.zeros_like(xi_hat, dtype=np.float64)
-    d = xi_hat[fg] - ann.xi_map[fg]
+    d = _foreground_error(xi_hat, ann) if dxi is None else dxi
     norms = np.linalg.norm(d, axis=-1)
     firing = norms > lambda_v * ann.b_map[fg]
     loss = float(norms[firing].sum())
     g = np.zeros_like(d)
-    g[firing] = d[firing] / norms[firing, None]
+    np.divide(d, norms[:, None], out=g, where=firing[:, None])
     grad[fg] = g
     return loss, grad
 
@@ -193,22 +237,28 @@ def total_loss(pred: LogitPrediction, ann: Annotation,
     """Weighted sum of all five terms with accumulated gradients."""
     l_s, g_mask = semantic_mask_loss(pred.mask_logits, ann.fg_mask)
     l_cen, g_eta = center_loss(pred.eta_logits, ann.eta_gt, ann.fg_mask)
-    l_p_raw, g_xi_p, g_b = pixel_loss(pred.xi_hat, pred.b_hat, ann,
-                                      weights.lambda_xi, weights.lambda_b)
+    dxi = _foreground_error(pred.xi_hat, ann)
+    l_p_raw, g_xi, g_b = pixel_loss(pred.xi_hat, pred.b_hat, ann,
+                                    weights.lambda_xi, weights.lambda_b, dxi=dxi)
     l_var, g_xi_var = variance_loss(pred.xi_hat, ann.instance_map)
-    l_vio, g_xi_vio = violation_loss(pred.xi_hat, ann, weights.lambda_v)
+    l_vio, g_xi_vio = violation_loss(pred.xi_hat, ann, weights.lambda_v, dxi=dxi)
 
     l_p = weights.lambda_p * l_p_raw
     total = (weights.lambda_s * l_s + weights.lambda_cen * l_cen + l_p
              + weights.lambda_var * l_var + weights.lambda_vio * l_vio)
+    # Every term's gradient is a fresh array of its own, so the weighted
+    # sums are formed in place, in the order lambda_p + lambda_var + lambda_vio.
+    g_xi *= weights.lambda_p
+    g_xi_var *= weights.lambda_var
+    g_xi += g_xi_var
+    g_xi_vio *= weights.lambda_vio
+    g_xi += g_xi_vio
+    g_b *= weights.lambda_p
+    g_eta *= weights.lambda_cen
+    g_mask *= weights.lambda_s
     return LossBreakdown(
         l_s=l_s, l_cen=l_cen, l_p=l_p, l_var=l_var, l_vio=l_vio, total=total,
-        grad_xi=(weights.lambda_p * g_xi_p
-                 + weights.lambda_var * g_xi_var
-                 + weights.lambda_vio * g_xi_vio),
-        grad_b=weights.lambda_p * g_b,
-        grad_eta_logits=weights.lambda_cen * g_eta,
-        grad_mask_logits=weights.lambda_s * g_mask,
+        grad_xi=g_xi, grad_b=g_b, grad_eta_logits=g_eta, grad_mask_logits=g_mask,
     )
 
 
@@ -222,10 +272,13 @@ def finite_diff_check(pred: LogitPrediction, ann: Annotation,
     coordinates whose pixel sits within 10 * epsilon of the violation-loss
     threshold are skipped: the loss is non-differentiable there.
     xi_grad_offset is added to every analytic feature gradient; a non-zero
-    value is a negative control the check must fail.
+    value is a negative control the check must fail. A check that draws no
+    coordinate at all raises ClusterSegError rather than pass.
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ClusterSegError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
+    if samples < 1:
+        raise ClusterSegError(f"samples must be at least 1, got {samples}")
     rng = stream_rng(seed, STREAM_CHECK)
     base = total_loss(pred, ann, weights)
     fields = [("xi_hat", base.grad_xi + xi_grad_offset), ("b_hat", base.grad_b),
@@ -239,7 +292,7 @@ def finite_diff_check(pred: LogitPrediction, ann: Annotation,
     worst = 0.0
     drawn = 0
     attempts = 0
-    while drawn < samples and attempts < 50 * samples:
+    while drawn < samples and attempts < 50 * samples and offsets[-1] > 0:
         attempts += 1
         flat = int(rng.integers(0, offsets[-1]))
         fi = int(np.searchsorted(offsets, flat, side="right")) - 1
@@ -263,4 +316,6 @@ def finite_diff_check(pred: LogitPrediction, ann: Annotation,
         analytic = grad[idx]
         rel = abs(analytic - numeric) / max(1e-8, abs(numeric))
         worst = max(worst, rel)
+    if drawn == 0:
+        raise ClusterSegError(f"no gradient coordinate could be checked in {attempts} draws")
     return worst

@@ -72,20 +72,6 @@ def oracle_predict(ann: Annotation) -> Prediction:
     )
 
 
-def oracle_logits(ann: Annotation, magnitude: float = 50.0) -> LogitPrediction:
-    """Oracle with saturated classification logits, for loss tests and checks."""
-    def to_logits(binary):
-        out = np.where(binary[..., None], [-magnitude, magnitude],
-                       [magnitude, -magnitude])
-        return out.astype(np.float64)
-    return LogitPrediction(
-        xi_hat=ann.xi_map.copy(),
-        b_hat=ann.b_map.copy(),
-        eta_logits=to_logits(ann.eta_gt.astype(bool)),
-        mask_logits=to_logits(ann.fg_mask.astype(bool)),
-    )
-
-
 def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
     # `direction` is the only frame-sized array made here: the scaling runs
     # in place and the norms (each row's own sum) 4,096 rows at a time. With
@@ -162,30 +148,37 @@ def init_model(seed: int) -> MlpModel:
 def frame_features(frame: FrameBundle) -> np.ndarray:
     """Per-pixel input rows (N, 10) in row-major pixel order."""
     H, W = frame.depth.shape
-    u = np.tile(np.arange(W, dtype=np.float64) / W, H)
-    v = np.repeat(np.arange(H, dtype=np.float64) / H, W)
-    return np.column_stack([
-        frame.rgb.reshape(-1, 3).astype(np.float64),
-        frame.xyz.reshape(-1, 3).astype(np.float64),
-        frame.depth.reshape(-1).astype(np.float64),
-        u, v, np.ones(H * W),
-    ])
+    x = np.empty((H, W, INPUT_DIM))
+    x[..., 0:3] = frame.rgb
+    x[..., 3:6] = frame.xyz
+    x[..., 6] = frame.depth
+    x[..., 7] = np.arange(W, dtype=np.float64) / W
+    x[..., 8] = (np.arange(H, dtype=np.float64) / H)[:, None]
+    x[..., 9] = 1.0
+    return x.reshape(H * W, INPUT_DIM)
+
+
+def _dense(inputs: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    out = inputs @ weight
+    out += bias
+    return out
 
 
 def mlp_forward(model: MlpModel, frame: FrameBundle):
     """Run the network over one frame.
 
-    Returns (LogitPrediction, cache); the cache feeds mlp_backward.
+    Returns (LogitPrediction, cache). The cache feeds one mlp_backward call,
+    which consumes it: that call overwrites its hidden activations.
     """
     H, W = frame.depth.shape
     p = model.params
     x = frame_features(frame)
     with np.errstate(invalid="ignore", over="ignore"):
-        a1 = x @ p["w1"] + p["b1"]
-        h1 = np.maximum(a1, 0.0)
-        a2 = h1 @ p["w2"] + p["b2"]
-        h2 = np.maximum(a2, 0.0)
-        heads = {name: h2 @ p[f"w_{name}"] + p[f"b_{name}"] for name in HEAD_DIMS}
+        h1 = _dense(x, p["w1"], p["b1"])
+        np.maximum(h1, 0.0, out=h1)
+        h2 = _dense(h1, p["w2"], p["b2"])
+        np.maximum(h2, 0.0, out=h2)
+        heads = {name: _dense(h2, p[f"w_{name}"], p[f"b_{name}"]) for name in HEAD_DIMS}
     for name, out in heads.items():
         if not np.all(np.isfinite(out)):
             raise NonFiniteError(f"non-finite activations in head {name!r}")
@@ -200,7 +193,12 @@ def mlp_forward(model: MlpModel, frame: FrameBundle):
 
 
 def mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
-    """Parameter gradients from head-output gradients via the chain rule."""
+    """Parameter gradients from head-output gradients via the chain rule.
+
+    Consumes the cache: h2 is overwritten with the gradient at the second
+    hidden layer and h1 with the one at the first, so the only frame-sized
+    float array this call allocates is one product buffer.
+    """
     p = model.params
     x, h1, h2 = cache["x"], cache["h1"], cache["h2"]
     n = x.shape[0]
@@ -211,7 +209,6 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
         "mask": breakdown.grad_mask_logits.reshape(n, 2),
     }
     grads = {}
-    dh2 = np.zeros_like(h2)
     for name, dy in head_grads.items():
         w = p[f"w_{name}"]
         if dy.shape[1] != w.shape[1]:
@@ -219,12 +216,22 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
                 f"gradient for head {name!r} has width {dy.shape[1]}, expected {w.shape[1]}")
         grads[f"w_{name}"] = h2.T @ dy
         grads[f"b_{name}"] = dy.sum(axis=0)
-        dh2 += dy @ w.T
-    da2 = dh2 * (h2 > 0)
+    # h2 is only needed as its mask from here on, so it becomes the
+    # accumulator dh2; starting from zeros keeps the sign of every zero sum.
+    live2 = h2 > 0
+    dh2 = h2
+    dh2.fill(0.0)
+    product = np.empty_like(dh2)
+    for name, dy in head_grads.items():
+        np.matmul(dy, p[f"w_{name}"].T, out=product)
+        dh2 += product
+    da2 = dh2
+    da2 *= live2
     grads["w2"] = h1.T @ da2
     grads["b2"] = da2.sum(axis=0)
-    dh1 = da2 @ p["w2"].T
-    da1 = dh1 * (h1 > 0)
+    live1 = h1 > 0
+    da1 = np.matmul(da2, p["w2"].T, out=h1)
+    da1 *= live1
     grads["w1"] = x.T @ da1
     grads["b1"] = da1.sum(axis=0)
     return grads

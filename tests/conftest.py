@@ -3,6 +3,7 @@ import pytest
 
 from clusterseg.annotation import annotate
 from clusterseg.geometry import CameraIntrinsics
+from clusterseg.losses import LogitPrediction
 from clusterseg.scenegen import GeneratorConfig, render, sample_scene
 
 
@@ -21,6 +22,20 @@ def make_example(seed=0, **overrides):
     scene = sample_scene(seed, small_config(**overrides))
     frame = render(scene)
     return scene, frame, annotate(scene, frame)
+
+
+def oracle_logits(ann, magnitude: float = 50.0) -> LogitPrediction:
+    """Ground truth with saturated classification logits, for loss tests."""
+    def to_logits(binary):
+        out = np.where(binary[..., None], [-magnitude, magnitude],
+                       [magnitude, -magnitude])
+        return out.astype(np.float64)
+    return LogitPrediction(
+        xi_hat=ann.xi_map.copy(),
+        b_hat=ann.b_map.copy(),
+        eta_logits=to_logits(ann.eta_gt.astype(bool)),
+        mask_logits=to_logits(ann.fg_mask.astype(bool)),
+    )
 
 
 def canonical_labels(labels: np.ndarray) -> np.ndarray:

@@ -1,15 +1,21 @@
-"""Out-of-place reference definition of the noisy oracle.
+"""Out-of-place reference definitions of the noisy oracle and the MLP.
 
 `reference_noisy_predict` builds every noise term in fresh arrays; the
-library adds the feature noise in place on the oracle's copy, and the
-tests require the two to agree bit for bit.
+library adds the feature noise in place on the oracle's copy. The MLP's
+reference input rows, forward and backward passes build every
+intermediate in a fresh array and leave the forward cache intact; the
+library computes them in place. The tests require each pair to agree bit
+for bit.
 """
 
 import numpy as np
 
 from clusterseg.annotation import Annotation
 from clusterseg.clustering import Prediction
-from clusterseg.predictor import NoiseSpec, oracle_predict
+from clusterseg.errors import NonFiniteError, ShapeMismatchError
+from clusterseg.losses import LogitPrediction
+from clusterseg.predictor import HEAD_DIMS, MlpModel, NoiseSpec, oracle_predict
+from clusterseg.scenegen import FrameBundle
 from clusterseg.seeding import STREAM_NOISE, stream_rng
 
 
@@ -43,3 +49,74 @@ def reference_noisy_predict(ann: Annotation, spec: NoiseSpec, seed: int) -> Pred
         flips = rng.random(size=(H, W)) < spec.flip_rate
         pred.mask_prob = np.where(flips, 1.0 - pred.mask_prob, pred.mask_prob)
     return pred
+
+
+def reference_frame_features(frame: FrameBundle) -> np.ndarray:
+    """Per-pixel input rows (N, 10) in row-major pixel order."""
+    H, W = frame.depth.shape
+    u = np.tile(np.arange(W, dtype=np.float64) / W, H)
+    v = np.repeat(np.arange(H, dtype=np.float64) / H, W)
+    return np.column_stack([
+        frame.rgb.reshape(-1, 3).astype(np.float64),
+        frame.xyz.reshape(-1, 3).astype(np.float64),
+        frame.depth.reshape(-1).astype(np.float64),
+        u, v, np.ones(H * W),
+    ])
+
+
+def reference_mlp_forward(model: MlpModel, frame: FrameBundle):
+    """Run the network over one frame.
+
+    Returns (LogitPrediction, cache); the cache feeds reference_mlp_backward.
+    """
+    H, W = frame.depth.shape
+    p = model.params
+    x = reference_frame_features(frame)
+    with np.errstate(invalid="ignore", over="ignore"):
+        a1 = x @ p["w1"] + p["b1"]
+        h1 = np.maximum(a1, 0.0)
+        a2 = h1 @ p["w2"] + p["b2"]
+        h2 = np.maximum(a2, 0.0)
+        heads = {name: h2 @ p[f"w_{name}"] + p[f"b_{name}"] for name in HEAD_DIMS}
+    for name, out in heads.items():
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteError(f"non-finite activations in head {name!r}")
+    pred = LogitPrediction(
+        xi_hat=heads["xi"].reshape(H, W, 9),
+        b_hat=heads["b"].reshape(H, W),
+        eta_logits=heads["eta"].reshape(H, W, 2),
+        mask_logits=heads["mask"].reshape(H, W, 2),
+    )
+    cache = {"x": x, "h1": h1, "h2": h2}
+    return pred, cache
+
+
+def reference_mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
+    """Parameter gradients from head-output gradients via the chain rule."""
+    p = model.params
+    x, h1, h2 = cache["x"], cache["h1"], cache["h2"]
+    n = x.shape[0]
+    head_grads = {
+        "xi": breakdown.grad_xi.reshape(n, 9),
+        "b": breakdown.grad_b.reshape(n, 1),
+        "eta": breakdown.grad_eta_logits.reshape(n, 2),
+        "mask": breakdown.grad_mask_logits.reshape(n, 2),
+    }
+    grads = {}
+    dh2 = np.zeros_like(h2)
+    for name, dy in head_grads.items():
+        w = p[f"w_{name}"]
+        if dy.shape[1] != w.shape[1]:
+            raise ShapeMismatchError(
+                f"gradient for head {name!r} has width {dy.shape[1]}, expected {w.shape[1]}")
+        grads[f"w_{name}"] = h2.T @ dy
+        grads[f"b_{name}"] = dy.sum(axis=0)
+        dh2 += dy @ w.T
+    da2 = dh2 * (h2 > 0)
+    grads["w2"] = h1.T @ da2
+    grads["b2"] = da2.sum(axis=0)
+    dh1 = da2 @ p["w2"].T
+    da1 = dh1 * (h1 > 0)
+    grads["w1"] = x.T @ da1
+    grads["b1"] = da1.sum(axis=0)
+    return grads

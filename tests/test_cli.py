@@ -157,6 +157,14 @@ def test_gradcheck_exit_codes(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_gradcheck_with_nothing_to_check_fails(samples, capsys):
+    assert run_cli("gradcheck", "--samples", samples, "--seed", "0") == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    assert err.splitlines() == [f"clusterseg: error: samples must be at least 1, got {samples}"]
+
+
 def test_usage_and_data_error_exit_codes(tmp_path, capsys):
     assert run_cli("gen") == 1                      # missing --out
     assert run_cli("definitely-not-a-command") == 1
@@ -265,6 +273,42 @@ def test_train_resume_past_epochs_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "next_epoch" in err and "--epochs" in err
     assert not (tmp_path / "r.ckpt").exists()
+
+
+@pytest.fixture(scope="module")
+def two_frame_dataset(tmp_path_factory):
+    ds = tmp_path_factory.mktemp("flags") / "ds"
+    assert run_cli("gen", "--count", "2", "--res", "16x16", "--objects", "1..1",
+                   "--sizes", "0.12..0.2", "--seed", "2", "--out", str(ds)) == 0
+    return ds
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epochs", "0"), ("--epochs", "-3"), ("--batch", "0"), ("--batch", "-2"),
+    ("--lr", "-1"), ("--lr", "0"), ("--lr", "nan"), ("--lr", "inf"),
+])
+def test_train_rejects_a_bad_number_before_any_work(two_frame_dataset, tmp_path, capsys,
+                                                     flag, value):
+    ckpt = tmp_path / "model.ckpt"
+    for dataset in (two_frame_dataset, tmp_path / "missing"):
+        assert run_cli("train", "--dataset", str(dataset), "--out", str(ckpt),
+                       "--epochs", "1", "--batch", "2", flag, value) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"clusterseg: error: {flag} must be")
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("overrides", [{"epochs": 0}, {"batch": 2.5}, {"lr": -0.5}])
+def test_train_rejects_a_bad_number_from_a_config_file(two_frame_dataset, tmp_path, capsys,
+                                                       overrides):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": str(two_frame_dataset),
+                                  "out": str(tmp_path / "model.ckpt"), **overrides}))
+    assert run_cli("train", "--config", str(config)) == 1
+    (key,) = overrides
+    assert capsys.readouterr().err.startswith(f"clusterseg: error: --{key} must be")
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 @pytest.fixture

@@ -5,13 +5,13 @@ import pytest
 
 from clusterseg.annotation import Annotation
 from clusterseg.cli import gradcheck_inputs
-from clusterseg.errors import ClusterSegError
+from clusterseg import losses
+from clusterseg.errors import ClusterSegError, TargetError
 from clusterseg.losses import (LogitPrediction, LossWeights, center_loss,
                                finite_diff_check, pixel_loss, semantic_mask_loss,
                                total_loss, variance_loss, violation_loss)
-from clusterseg.predictor import oracle_logits
 
-from conftest import make_example
+from conftest import make_example, oracle_logits
 
 LN2 = math.log(2.0)
 
@@ -228,6 +228,47 @@ def test_finite_diff_epsilon_validation():
     pred, ann = gradcheck_inputs(seed=0)
     with pytest.raises(ClusterSegError):
         finite_diff_check(pred, ann, epsilon=1e-2)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_finite_diff_with_no_samples_raises(samples):
+    pred, ann = gradcheck_inputs(seed=0)
+    with pytest.raises(ClusterSegError, match="samples"):
+        finite_diff_check(pred, ann, samples=samples)
+
+
+class _DrawsFeatureCoordinateZero:
+    def integers(self, low, high):
+        return 0
+
+
+def test_finite_diff_with_every_draw_skipped_raises(monkeypatch):
+    # Pixel (0, 0) sits exactly on the violation threshold, and every draw
+    # lands on its first feature coordinate, which the check must skip.
+    _, _, ann = make_example(seed=0)
+    ann.fg_mask[0, 0] = True
+    ann.b_map[0, 0] = 1.0
+    pred = oracle_logits(ann)
+    pred.xi_hat[0, 0] = ann.xi_map[0, 0]
+    pred.xi_hat[0, 0, 0] += 0.2
+    monkeypatch.setattr(losses, "stream_rng", lambda seed, stream: _DrawsFeatureCoordinateZero())
+    with pytest.raises(ClusterSegError, match="no gradient coordinate"):
+        finite_diff_check(pred, ann, LossWeights(lambda_v=0.2), samples=3)
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_losses_reject_a_target_outside_zero_and_one(bad):
+    logits = np.zeros((3, 4, 2))
+    target = np.zeros((3, 4), dtype=np.int64)
+    fg = np.ones((3, 4), dtype=bool)
+    target[1, 2] = bad
+    with pytest.raises(TargetError, match=str(bad)):
+        semantic_mask_loss(logits, target)
+    with pytest.raises(TargetError, match=str(bad)):
+        center_loss(logits, target, fg)
+    # an empty foreground does not excuse a bad target
+    with pytest.raises(TargetError):
+        center_loss(logits, target, ~fg)
 
 
 def test_background_feature_gradient_is_zero():

@@ -10,9 +10,9 @@ from clusterseg.losses import LossBreakdown, LossWeights, total_loss
 from clusterseg.predictor import (CHECKPOINT_MAGIC, AdamState, NoiseSpec, adam_step,
                                   frame_features, init_model, load_checkpoint,
                                   mlp_backward, mlp_forward, noisy_predict,
-                                  oracle_logits, oracle_predict, save_checkpoint)
+                                  oracle_predict, save_checkpoint)
 
-from conftest import make_example, same_partition
+from conftest import make_example, oracle_logits, same_partition
 from reference_predictor import reference_noisy_predict
 
 
