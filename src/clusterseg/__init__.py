@@ -10,7 +10,7 @@ everything into the `clusterseg` command.
 from .annotation import Annotation, annotate
 from .clustering import Prediction, Segmentation, gmm_refine, seed_segmentation, segment
 from .errors import ClusterSegError
-from .evaluation import EvalConfig, EvalResult, compute_metrics, mask_iou
+from .evaluation import EvalConfig, EvalResult, compute_metrics
 from .geometry import (CameraIntrinsics, compute_object_feature, depth_to_xyz,
                        feature_distance)
 from .losses import LogitPrediction, LossBreakdown, LossWeights, finite_diff_check, total_loss
@@ -25,7 +25,7 @@ __all__ = [
     "Annotation", "annotate",
     "Prediction", "Segmentation", "gmm_refine", "seed_segmentation", "segment",
     "ClusterSegError",
-    "EvalConfig", "EvalResult", "compute_metrics", "mask_iou",
+    "EvalConfig", "EvalResult", "compute_metrics",
     "CameraIntrinsics", "compute_object_feature", "depth_to_xyz", "feature_distance",
     "LogitPrediction", "LossBreakdown", "LossWeights", "finite_diff_check", "total_loss",
     "AdamState", "MlpModel", "NoiseSpec", "adam_step", "init_model",

@@ -11,7 +11,9 @@ Subcommands:
 Every command takes --config FILE (a JSON object of flag defaults; explicit
 flags win) and --dump-config (print the effective configuration as JSON and
 exit), and is deterministic given its configuration and seed. Exit codes:
-0 ok, 1 usage error, 2 data error, 3 check failure.
+0 ok, 1 usage error (including a value the flag table below rejects, from
+the command line or the config file), 2 data error (including a value a
+library type rejects), 3 check failure.
 
 Dataset directory layout (written by gen, read by infer/eval/train):
 
@@ -33,6 +35,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,34 +74,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value) -> str:
     return repr(float(value))
-
-
-def _parse_pair(text, caster, sep):
-    parts = text.split(sep)
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected two values separated by {sep!r}: {text!r}")
-    try:
-        return caster(parts[0]), caster(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _resolution(text):
-    return _parse_pair(text, int, "x")
-
-
-def _int_range(text):
-    return _parse_pair(text, int, "..")
-
-
-def _float_range(text):
-    return _parse_pair(text, float, "..")
-
-
-def _optional_float(text):
-    if text.lower() in ("none", "empty"):
-        return None
-    return float(text)
 
 
 def _jobs_default():
@@ -157,14 +132,13 @@ def _frame_from_tensors(t: dict, scene):
     return frame, t["per_object_xi"]
 
 
+def _number(value):
+    """An int or float that converts to a float; JSON true and false parse as bool, an int."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
 def _finite(value):
-    # type() rather than isinstance(): JSON true and false parse as bool, an int
-    if type(value) not in (int, float):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
+    return _number(value) and math.isfinite(value)
 
 
 def _derivation_values(fraction, single_object_radius):
@@ -186,15 +160,20 @@ def _read_text(path, what):
         raise ClusterSegError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _read_json_object(path, what):
+    try:
+        doc = json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise ClusterSegError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ClusterSegError(f"malformed {what} {path}: not a JSON object")
+    return doc
+
+
 def _read_dataset(path):
     """The dataset's (fraction, single_object_radius) and (scene, frame, per_object_xi) per frame."""
     manifest_path = os.path.join(path, "dataset.json")
-    try:
-        manifest = json.loads(_read_text(manifest_path, "dataset manifest"))
-    except json.JSONDecodeError as exc:
-        raise ClusterSegError(f"cannot read dataset manifest {manifest_path}: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ClusterSegError(f"malformed dataset manifest {manifest_path}: not a JSON object")
+    manifest = _read_json_object(manifest_path, "dataset manifest")
     fmt = manifest.get("format")
     if type(fmt) is not int or fmt != DATASET_FORMAT:
         raise ClusterSegError(f"{manifest_path}: dataset format {fmt!r} is not the current "
@@ -246,11 +225,7 @@ def _check_segmentation_tensors(name, t):
 
 def _load_segmentations(path):
     manifest_path = os.path.join(path, "segs.json")
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ClusterSegError(f"cannot read segmentation manifest {manifest_path}: {exc}") from exc
+    manifest = _read_json_object(manifest_path, "segmentation manifest")
     segs = []
     try:
         for name in manifest["segmentations"]:
@@ -286,12 +261,9 @@ def _write_segmentation(path, seg: Segmentation):
 
 def _cmd_gen(args) -> int:
     w, h = args.res
-    lo, hi = args.objects
-    if not 1 <= lo <= hi <= 65534:
-        raise ClusterSegError(f"object count range {lo}..{hi} must lie within 1..65534")
     _derivation_values(args.fraction, args.single_object_radius)
     cfg = GeneratorConfig(
-        count_range=(lo, hi),
+        count_range=args.objects,
         size_range=args.sizes,
         z_range=args.z_range,
         min_feature_separation=args.min_sep,
@@ -323,7 +295,7 @@ def _cmd_gen(args) -> int:
         "frames": frames,
         "seed": args.seed,
         "resolution": [w, h],
-        "objects": [lo, hi],
+        "objects": list(args.objects),
         "fraction": args.fraction,
         "min_feature_separation": args.min_sep,
         "single_object_radius": args.single_object_radius,
@@ -340,23 +312,24 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # infer
 
-def _predict_for_frame(args, model, frame, ann, index):
+def _predict_for_frame(args, model, noise, frame, ann, index):
     if args.predictor == "oracle":
         return oracle_predict(ann)
     if args.predictor == "noisy":
-        radius = args.ball_radius
         if args.ball_minb_frac is not None:
             fg_b = ann.b_map[ann.fg_mask]
             radius = args.ball_minb_frac * float(fg_b.min()) if fg_b.size else 0.0
-        spec = NoiseSpec(sigma_xi=args.sigma_xi, sigma_b=args.sigma_b,
-                         sigma_eta=args.sigma_eta, flip_rate=args.flip_rate,
-                         bound_mode=args.noise_mode, ball_radius=radius)
-        return noisy_predict(ann, spec, args.seed * SEED_STRIDE + index)
+            noise = replace(noise, ball_radius=radius)
+        return noisy_predict(ann, noise, args.seed * SEED_STRIDE + index)
     logits, _ = mlp_forward(model, frame)
     return logits.to_prediction()
 
 
 def _cmd_infer(args) -> int:
+    noise = NoiseSpec(sigma_xi=args.sigma_xi, sigma_b=args.sigma_b, sigma_eta=args.sigma_eta,
+                      flip_rate=args.flip_rate, bound_mode=args.noise_mode,
+                      ball_radius=args.ball_radius)
+    sweep = [NoiseSpec(sigma_xi=s) for s in _sweep_sigmas(args.sweep)] if args.sweep else None
     records = _load_dataset(args.dataset)
     model = None
     if args.predictor == "mlp":
@@ -367,7 +340,7 @@ def _cmd_infer(args) -> int:
 
     def run(i):
         scene, frame, ann = records[i]
-        pred = _predict_for_frame(args, model, frame, ann, i)
+        pred = _predict_for_frame(args, model, noise, frame, ann, i)
         return segment(pred, args.fg_threshold)
 
     segs = _map_frames(run, len(records), args.jobs)
@@ -381,17 +354,15 @@ def _cmd_infer(args) -> int:
                    "fg_threshold": args.fg_threshold}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    if args.sweep:
-        sigmas = [float(s) for s in args.sweep.split(",") if s]
+    if sweep is not None:
         lines = ["sigma,ap"]
-        for sigma in sigmas:
-            spec = NoiseSpec(sigma_xi=sigma)
+        for spec in sweep:
             pairs = []
             for i, (scene, frame, ann) in enumerate(records):
                 pred = noisy_predict(ann, spec, args.seed * SEED_STRIDE + i)
                 pairs.append((segment(pred, args.fg_threshold), frame))
             result = compute_metrics(pairs)
-            lines.append(f"{_fmt(sigma)},{_fmt(result.ap)}")
+            lines.append(f"{_fmt(spec.sigma_xi)},{_fmt(result.ap)}")
         sweep_path = args.sweep_out or os.path.join(args.out, "sweep.csv")
         with open(sweep_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -477,13 +448,6 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _epoch_weights(base: LossWeights, epoch: int, bump_epoch: int,
-                   bump_value: float) -> LossWeights:
-    if epoch > bump_epoch:
-        return replace(base, lambda_var=bump_value, lambda_vio=bump_value)
-    return base
-
-
 def _dataset_ap(model, records, fg_threshold):
     pairs = []
     for scene, frame, ann in records:
@@ -512,10 +476,11 @@ def _frame_step(model, frame, ann, weights):
 
 
 def _cmd_train(args) -> int:
+    base = LossWeights()
+    bumped = replace(base, lambda_var=args.bump_value, lambda_vio=args.bump_value)
     records = _load_dataset(args.dataset)
     if not records:
         raise ClusterSegError("training dataset is empty")
-    base = LossWeights()
     if args.resume:
         model, state, start_epoch = load_checkpoint(args.resume)
         if start_epoch > args.epochs:
@@ -548,7 +513,7 @@ def _cmd_train(args) -> int:
         log_epoch(0, base, terms)
 
     for epoch in range(start_epoch, args.epochs + 1):
-        weights = _epoch_weights(base, epoch, args.bump_epoch, args.bump_value)
+        weights = bumped if epoch > args.bump_epoch else base
         order = stream_rng(args.seed, STREAM_EPOCH + epoch).permutation(len(records))
         terms = []
         for chunk_start in range(0, len(order), args.batch):
@@ -584,182 +549,205 @@ def _cmd_train(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser plumbing
+# flags
+#
+# One row per flag. A value comes from the command line, else --config, else
+# the row's default; its kind parses text and checks every value alike (exit
+# 1). Where a library type or check validates the range (exit 2), the kind
+# checks only the type.
 
-def _add_common(sub):
-    sub.add_argument("--config", default=None,
-                     help="JSON file of flag defaults; explicit flags override")
-    sub.add_argument("--dump-config", action="store_true",
-                     help="print the effective configuration as JSON and exit")
-    sub.add_argument("--seed", type=int, default=0, help="master random seed")
-    sub.add_argument("--jobs", type=int, default=_jobs_default(),
-                     help="worker threads for frame-level parallelism "
-                          "(default: CLUSTERSEG_JOBS or 1)")
+class _Kind(NamedTuple):
+    parse: Callable   # command-line text -> value; raises ValueError on bad text
+    accepts: Callable  # value -> whether the command may run with it
+    what: str         # the values it accepts, for "--flag must be <what>, got <value>"
+
+
+def _pair(kind, sep, what, accepts=lambda lo, hi: True):
+    def parse(text):
+        parts = text.split(sep)
+        if len(parts) != 2:
+            raise ValueError(text)
+        return kind.parse(parts[0]), kind.parse(parts[1])
+    return _Kind(parse, lambda v: (type(v) in (list, tuple) and len(v) == 2
+                                   and all(map(kind.accepts, v)) and accepts(*v)), what)
+
+
+def _choice(*options):
+    return _Kind(str, lambda v: v in options, "one of " + ", ".join(options))
+
+
+def _optional_float(text):
+    return None if text.lower() in ("none", "empty") else float(text)
+
+
+def _sweep_sigmas(text):
+    """The Gaussian feature sigmas a --sweep value lists, or None if it is not numbers."""
+    try:
+        return [float(s) for s in text.split(",") if s]
+    except ValueError:
+        return None
+
+
+INTEGER = _Kind(int, lambda v: type(v) is int, "an integer")
+COUNT = _Kind(int, lambda v: type(v) is int and v >= 1, "an integer of at least 1")
+NUMBER = _Kind(float, _number, "a number")
+OPTIONAL_NUMBER = _Kind(_optional_float, lambda v: v is None or _number(v), "a number or none")
+RANGE = _pair(NUMBER, "..", "two numbers A..B")
+PATH = _Kind(str, lambda v: v is None or type(v) is str, "a path")
+SWITCH = _Kind(str, lambda v: type(v) is bool, "a boolean")
+# Instance ids are stored as u16, and 0 is the background.
+MAX_OBJECTS = 65534
+
+
+class _Flag(NamedTuple):
+    name: str
+    commands: str     # the commands that take it, space-separated
+    default: object   # command-line text, a value, or a function giving one
+    kind: _Kind
+    help: str
+    required: bool = False
+
+    @property
+    def dest(self):
+        return self.name.replace("-", "_")
+
+
+_ALL = "gen infer eval gradcheck train"
+_FLAGS = (
+    _Flag("seed", _ALL, "0", INTEGER, "master random seed"),
+    _Flag("jobs", _ALL, _jobs_default, COUNT, "worker threads for frame-level parallelism "
+          "(default: CLUSTERSEG_JOBS or 1)"),
+    _Flag("dataset", "infer eval train", None, PATH, "dataset directory", required=True),
+    _Flag("out", "gen infer train", None, PATH, "output dataset directory (gen), segmentation "
+          "directory (infer) or checkpoint path (train)", required=True),
+    _Flag("count", "gen", "8", COUNT, "number of frames"),
+    _Flag("res", "gen", "64x64", _pair(INTEGER, "x", "two integers WxH"), "image resolution"),
+    _Flag("objects", "gen", "2..8",
+          _pair(INTEGER, "..", f"two integers A..B with 1 <= A <= B <= {MAX_OBJECTS}",
+                lambda lo, hi: 1 <= lo <= hi <= MAX_OBJECTS), "object count range per scene"),
+    _Flag("sizes", "gen", "0.06..0.18", RANGE, "half-extent range in meters"),
+    _Flag("z-range", "gen", "0.9..1.8", RANGE, "object center depth range in meters"),
+    _Flag("fraction", "gen", "0.2", NUMBER, "centroid-candidate fraction in [0.10, 0.30]"),
+    _Flag("min-sep", "gen", "0.1", NUMBER, "minimum pairwise feature separation"),
+    _Flag("single-object-radius", "gen", "1.0", NUMBER,
+          "enclosing radius for single-object scenes"),
+    _Flag("background-depth", "gen", "2.5", OPTIONAL_NUMBER, "backdrop depth in meters, or none"),
+    _Flag("predictor", "infer", "oracle", _choice("oracle", "noisy", "mlp"), "predictor"),
+    _Flag("model", "infer", None, PATH, "checkpoint path for --predictor mlp"),
+    _Flag("fg-threshold", "infer train", "0.5",
+          _Kind(float, lambda v: _number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+          "foreground probability above which a pixel is clustered"),
+    _Flag("noise-mode", "infer", "gaussian", _choice("gaussian", "uniform-ball"),
+          "feature noise of --predictor noisy"),
+    _Flag("sigma-xi", "infer", "0.0", NUMBER, "Gaussian feature noise"),
+    _Flag("sigma-b", "infer", "0.0", NUMBER, "Gaussian enclosing-radius noise"),
+    _Flag("sigma-eta", "infer", "0.0", NUMBER, "Gaussian centroid-score noise"),
+    _Flag("flip-rate", "infer", "0.0", NUMBER, "foreground flip probability"),
+    _Flag("ball-radius", "infer", "0.0", NUMBER, "uniform-ball feature noise radius (absolute)"),
+    _Flag("ball-minb-frac", "infer", None,
+          _Kind(float, lambda v: v is None or (_finite(v) and v >= 0),
+                "a finite number of at least 0"),
+          "uniform-ball radius as a fraction of each frame's minimum ground-truth radius"),
+    _Flag("sweep", "infer", None,
+          _Kind(str, lambda v: v is None or type(v) is str and _sweep_sigmas(v) is not None,
+                "comma-separated numbers"),
+          "comma-separated Gaussian feature sigmas; writes a (sigma, AP) CSV"),
+    _Flag("sweep-out", "infer", None, PATH, "sweep CSV path (default: sweep.csv in --out)"),
+    _Flag("segs", "eval", None, PATH, "segmentation directory", required=True),
+    _Flag("report", "eval", None, PATH, "JSON report path"),
+    _Flag("samples", "gradcheck", "500", INTEGER, "gradient coordinates to check"),
+    _Flag("epsilon", "gradcheck", None, OPTIONAL_NUMBER,
+          "central-difference step (default: 1e-4, or 1e-3 when --lambda-vio is 0)"),
+    _Flag("lambda-vio", "gradcheck", "1.0", NUMBER, "violation-loss weight"),
+    _Flag("corrupt-gradient", "gradcheck", False, SWITCH,
+          "negative control: corrupt one analytic gradient and expect failure"),
+    _Flag("epochs", "train", "30", COUNT, "training epochs"),
+    _Flag("batch", "train", "4", COUNT, "frames per Adam step"),
+    _Flag("lr", "train", "1e-4", _Kind(float, lambda v: _finite(v) and v > 0,
+                                       "a finite number above 0"), "Adam learning rate"),
+    _Flag("bump-epoch", "train", "5", INTEGER,
+          "after this epoch the variance/violation weights rise to --bump-value"),
+    _Flag("bump-value", "train", "100.0", NUMBER, "variance/violation weight after --bump-epoch"),
+    _Flag("log", "train", None, PATH, "per-epoch CSV path (default: checkpoint path + .csv)"),
+    _Flag("resume", "train", None, PATH, "checkpoint to continue from"),
+)
+
+_COMMANDS = {
+    "gen": (_cmd_gen, "generate a rendered + annotated dataset"),
+    "infer": (_cmd_infer, "segment a dataset with a predictor"),
+    "eval": (_cmd_eval, "score segmentations against ground truth"),
+    "gradcheck": (_cmd_gradcheck, "finite-difference check of loss gradients"),
+    "train": (_cmd_train, "train the per-pixel MLP"),
+}
+
+
+def _rows(command):
+    return [row for row in _FLAGS if command in row.commands.split()]
+
+
+class _BadValue(Exception):
+    """A flag value the CLI rejects; exit code 1."""
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="clusterseg",
                      description="Synthetic RGB-D instance segmentation pipeline.")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    # Subparsers parse into a fresh namespace, so --config defaults must be
-    # installed on the chosen subparser; keep them reachable by name.
-    parser.subparsers = {}
-
-    gen = subs.add_parser("gen", help="generate a rendered + annotated dataset")
-    _add_common(gen)
-    gen.add_argument("--out", help="output dataset directory (required)")
-    gen.add_argument("--count", type=int, default=8, help="number of frames")
-    gen.add_argument("--res", type=_resolution, default=(64, 64), metavar="WxH",
-                     help="image resolution (default 64x64)")
-    gen.add_argument("--objects", type=_int_range, default=(2, 8), metavar="A..B",
-                     help="object count range per scene (default 2..8)")
-    gen.add_argument("--sizes", type=_float_range, default=(0.06, 0.18), metavar="A..B",
-                     help="half-extent range in meters (default 0.06..0.18)")
-    gen.add_argument("--z-range", type=_float_range, default=(0.9, 1.8), metavar="A..B",
-                     help="object center depth range in meters (default 0.9..1.8)")
-    gen.add_argument("--fraction", type=float, default=0.2,
-                     help="centroid-candidate fraction in [0.10, 0.30] (default 0.2)")
-    gen.add_argument("--min-sep", type=float, default=0.1,
-                     help="minimum pairwise feature separation (default 0.1)")
-    gen.add_argument("--single-object-radius", type=float, default=1.0,
-                     help="enclosing radius for single-object scenes (default 1.0)")
-    gen.add_argument("--background-depth", type=_optional_float, default=2.5,
-                     help="backdrop depth in meters, or 'none' (default 2.5)")
-
-    infer = subs.add_parser("infer", help="segment a dataset with a predictor")
-    _add_common(infer)
-    infer.add_argument("--dataset", help="dataset directory (required)")
-    infer.add_argument("--out", help="output segmentation directory (required)")
-    infer.add_argument("--predictor", choices=("oracle", "noisy", "mlp"),
-                       default="oracle")
-    infer.add_argument("--model", default=None, help="checkpoint path for --predictor mlp")
-    infer.add_argument("--fg-threshold", type=float, default=0.5)
-    infer.add_argument("--noise-mode", choices=("gaussian", "uniform-ball"),
-                       default="gaussian")
-    infer.add_argument("--sigma-xi", type=float, default=0.0)
-    infer.add_argument("--sigma-b", type=float, default=0.0)
-    infer.add_argument("--sigma-eta", type=float, default=0.0)
-    infer.add_argument("--flip-rate", type=float, default=0.0)
-    infer.add_argument("--ball-radius", type=float, default=0.0,
-                       help="uniform-ball feature noise radius (absolute)")
-    infer.add_argument("--ball-minb-frac", type=float, default=None,
-                       help="uniform-ball radius as a fraction of each frame's "
-                            "minimum ground-truth radius")
-    infer.add_argument("--sweep", default=None, metavar="S1,S2,...",
-                       help="comma-separated Gaussian feature sigmas; writes a "
-                            "(sigma, AP) CSV")
-    infer.add_argument("--sweep-out", default=None, help="sweep CSV path")
-
-    ev = subs.add_parser("eval", help="score segmentations against ground truth")
-    _add_common(ev)
-    ev.add_argument("--dataset", help="dataset directory (required)")
-    ev.add_argument("--segs", help="segmentation directory (required)")
-    ev.add_argument("--report", default=None, help="JSON report path")
-
-    gc = subs.add_parser("gradcheck", help="finite-difference check of loss gradients")
-    _add_common(gc)
-    gc.add_argument("--samples", type=int, default=500)
-    gc.add_argument("--epsilon", type=float, default=None,
-                    help="central-difference step (default: 1e-4, or 1e-3 "
-                         "when --lambda-vio is 0)")
-    gc.add_argument("--lambda-vio", type=float, default=1.0)
-    gc.add_argument("--corrupt-gradient", action="store_true",
-                    help="negative control: corrupt one analytic gradient "
-                         "and expect failure")
-
-    train = subs.add_parser("train", help="train the per-pixel MLP")
-    _add_common(train)
-    train.add_argument("--dataset", help="dataset directory (required)")
-    train.add_argument("--out", help="checkpoint output path (required)")
-    train.add_argument("--epochs", type=int, default=30)
-    train.add_argument("--batch", type=int, default=4)
-    train.add_argument("--lr", type=float, default=1e-4)
-    train.add_argument("--bump-epoch", type=int, default=5,
-                       help="after this epoch the variance/violation weights "
-                            "rise to --bump-value (default 5)")
-    train.add_argument("--bump-value", type=float, default=100.0)
-    train.add_argument("--fg-threshold", type=float, default=0.5)
-    train.add_argument("--log", default=None, help="per-epoch CSV path "
-                                                   "(default: checkpoint path + .csv)")
-    train.add_argument("--resume", default=None, help="checkpoint to continue from")
-
-    parser.subparsers = {"gen": gen, "infer": infer, "eval": ev,
-                         "gradcheck": gc, "train": train}
+    for command, (_, about) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=about)
+        sub.add_argument("--config", help="JSON object of flag values; explicit flags win")
+        sub.add_argument("--dump-config", action="store_true",
+                         help="print the effective configuration as JSON and exit")
+        for row in _rows(command):
+            shown = (" (required)" if row.required else
+                     f" (default {row.default})" if type(row.default) is str else "")
+            # Values stay text here: _settings parses and checks every source alike.
+            sub.add_argument(f"--{row.name}", default=argparse.SUPPRESS, help=row.help + shown,
+                             **({"action": "store_true"} if row.kind is SWITCH else {}))
     return parser
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "infer": _cmd_infer,
-    "eval": _cmd_eval,
-    "gradcheck": _cmd_gradcheck,
-    "train": _cmd_train,
-}
+def _settings(command, given, dump):
+    """The command's flag values: explicit flags, else --config, else defaults; all checked.
 
-# Required per command, but checked after --config merging so a config file
-# can supply them too.
-_REQUIRED = {
-    "gen": ("out",),
-    "infer": ("dataset", "out"),
-    "eval": ("dataset", "segs"),
-    "gradcheck": (),
-    "train": ("dataset", "out"),
-}
-
-
-def _bad_value(args):
-    """Describe the first numeric value the command cannot run with, or None.
-
-    Checked after --config merging, so a config file is held to the same
-    rules as the flags.
+    Required flags may stay unset for a dump.
     """
-    if args.command == "train":
-        for name in ("epochs", "batch"):
-            value = getattr(args, name)
-            if type(value) is not int or value < 1:
-                return f"--{name} must be an integer of at least 1, got {value!r}"
-        if not (_finite(args.lr) and args.lr > 0):
-            return f"--lr must be a finite number above 0, got {args.lr!r}"
-    return None
+    rows = _rows(command)
+    config_path = given.pop("config")
+    config = _read_json_object(config_path, "config") if config_path else {}
+    unknown = set(config) - {row.dest for row in rows}
+    if unknown:
+        raise ClusterSegError(f"config {config_path} has unknown keys: {sorted(unknown)}")
+    values = {}
+    for row in rows:
+        value = given.get(row.dest, config.get(row.dest, row.default))
+        value = value() if callable(value) else value
+        if value is None and row.required and not dump:
+            raise _BadValue(f"--{row.name} is required")
+        try:
+            parsed = row.kind.parse(value) if type(value) is str else value
+            ok = row.kind.accepts(parsed)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise _BadValue(f"--{row.name} must be {row.kind.what}, got {value!r}")
+        values[row.dest] = parsed
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            try:
-                with open(args.config, encoding="utf-8") as fh:
-                    overrides = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ClusterSegError(f"cannot read config {args.config}: {exc}") from exc
-            unknown = set(overrides) - set(vars(args))
-            if unknown:
-                raise ClusterSegError(
-                    f"config {args.config} has unknown keys: {sorted(unknown)}")
-            parser = build_parser()
-            parser.subparsers[args.command].set_defaults(**overrides)
-            args = parser.parse_args(argv)
-        if args.dump_config:
-            dump = {k: v for k, v in sorted(vars(args).items())
-                    if k not in ("config", "dump_config", "command")}
-            print(json.dumps(dump, indent=2, sort_keys=True, default=list))
+        given = vars(build_parser().parse_args(argv))
+        command, dump = given.pop("command"), given.pop("dump_config")
+        args = _settings(command, given, dump)
+        if dump:
+            print(json.dumps(vars(args), indent=2, sort_keys=True))
             return 0
-        missing = [name for name in _REQUIRED[args.command]
-                   if getattr(args, name) is None]
-        if missing:
-            parser.error("missing required arguments: "
-                         + ", ".join(f"--{m}" for m in missing))
-        problem = _bad_value(args)
-        if problem:
-            print(f"clusterseg: error: {problem}", file=sys.stderr)
-            return 1
-        return _COMMANDS[args.command](args)
-    except ClusterSegError as exc:
+        return _COMMANDS[command][0](args)
+    except _BadValue as exc:
         print(f"clusterseg: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return 1
+    except (ClusterSegError, OSError) as exc:
         print(f"clusterseg: error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,12 +24,12 @@ the image, so one histogram of label pairs, ``bincount(pred * (K + 1) +
 gt)``, holds every intersection and its marginals hold the areas: each
 image's IoU matrix costs O(H*W), as in the panoptic-quality evaluation
 (Kirillov et al., arXiv 1801.00868). Each IoU is the same correctly rounded
-int/int division a full-mask `mask_iou` makes. A prediction with no IoU at
-or above a threshold never matches there, so matching visits only the
-candidate pairs; for disjoint masks and a threshold of at least 0.5 an
-object has at most two. One matching per image and threshold serves AP,
-AR and, through its prefixes, AR1 and AR10; each bin's AP and AR share one
-binned matching. The loop definitions this reproduces exactly, and the
+int/int division as the full-mask `mask_iou` in tests/reference_evaluation.py.
+A prediction with no IoU at or above a threshold never matches there, so
+matching visits only the candidate pairs; for disjoint masks and a
+threshold of at least 0.5 an object has at most two. One matching per image
+and threshold serves AP, AR and, through its prefixes, AR1 and AR10; each
+bin's AP and AR share one binned matching. The loop definitions this reproduces exactly, and the
 brute-force AP oracle, live in tests/reference_evaluation.py.
 """
 
@@ -70,18 +70,6 @@ class EvalResult:
     ar_ho: float = math.nan
     ar_mo: float = math.nan
     ar_lo: float = math.nan
-
-
-def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union of two binary masks; 0 when the union is empty."""
-    a = np.asarray(a, dtype=bool)
-    b = np.asarray(b, dtype=bool)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    union = np.count_nonzero(a | b)
-    if union == 0:
-        return 0.0
-    return np.count_nonzero(a & b) / union
 
 
 def _prepare_image(seg, frame):

@@ -22,7 +22,8 @@ Gradients are returned for every head output; finite_diff_check verifies
 them against central differences.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,12 +47,12 @@ class LossWeights:
     lambda_v: float = 0.2
 
     def __post_init__(self):
-        values = (self.lambda_s, self.lambda_cen, self.lambda_var, self.lambda_vio,
-                  self.lambda_p, self.lambda_xi, self.lambda_b)
-        if any(v < 0 for v in values):
-            raise ClusterSegError("loss weights must be non-negative")
-        if not 0.0 < self.lambda_v <= 1.0:
-            raise ClusterSegError(f"lambda_v must lie in (0, 1], got {self.lambda_v}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "lambda_v" and not 0.0 < value <= 1.0:
+                raise ClusterSegError(f"lambda_v must lie in (0, 1], got {value}")
+            if not 0.0 <= value < math.inf:
+                raise ClusterSegError(f"{f.name} must be finite and non-negative, got {value}")
 
 
 @dataclass
@@ -273,7 +274,8 @@ def finite_diff_check(pred: LogitPrediction, ann: Annotation,
     threshold are skipped: the loss is non-differentiable there.
     xi_grad_offset is added to every analytic feature gradient; a non-zero
     value is a negative control the check must fail. A check that draws no
-    coordinate at all raises ClusterSegError rather than pass.
+    coordinate at all raises ClusterSegError rather than pass, and one whose
+    loss overflows returns NaN, which no tolerance accepts.
     """
     if not 1e-7 <= epsilon <= 1e-3:
         raise ClusterSegError(f"epsilon must lie in [1e-7, 1e-3], got {epsilon}")
@@ -315,7 +317,7 @@ def finite_diff_check(pred: LogitPrediction, ann: Annotation,
         numeric = (hi - lo) / (2.0 * epsilon)
         analytic = grad[idx]
         rel = abs(analytic - numeric) / max(1e-8, abs(numeric))
-        worst = max(worst, rel)
+        worst = np.maximum(worst, rel)  # NaN propagates: an overflowed loss fails
     if drawn == 0:
         raise ClusterSegError(f"no gradient coordinate could be checked in {attempts} draws")
     return worst

@@ -57,9 +57,12 @@ class NoiseSpec:
     def __post_init__(self):
         if self.bound_mode not in ("gaussian", "uniform-ball"):
             raise ClusterSegError(f"unknown bound_mode {self.bound_mode!r}")
-        if min(self.sigma_xi, self.sigma_b, self.sigma_eta,
-               self.flip_rate, self.ball_radius) < 0:
-            raise ClusterSegError("noise magnitudes must be non-negative")
+        for name in ("sigma_xi", "sigma_b", "sigma_eta", "ball_radius"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ClusterSegError(f"{name} must be finite and non-negative, got {value}")
+        if not 0 <= self.flip_rate <= 1:
+            raise ClusterSegError(f"flip_rate must lie in [0, 1], got {self.flip_rate}")
 
 
 def oracle_predict(ann: Annotation) -> Prediction:

@@ -52,6 +52,7 @@ Scene JSON schema (see scene_to_json / scene_from_json):
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -160,6 +161,20 @@ class GeneratorConfig:
     background_depth: float | None = 2.5
     camera: CameraIntrinsics = field(
         default_factory=lambda: CameraIntrinsics(64.0, 64.0, 32.0, 32.0, 64, 64))
+
+    def __post_init__(self):
+        for name in ("size_range", "x_range", "y_range", "z_range"):
+            lo, hi = getattr(self, name)
+            floor = 0.0 if name == "size_range" else -math.inf
+            if not floor < lo <= hi < math.inf:
+                raise ClusterSegError(f"{name} must satisfy {floor} < low <= high < inf, "
+                                      f"got {lo}..{hi}")
+        if not 0.0 <= self.min_feature_separation < math.inf:
+            raise ClusterSegError(f"min_feature_separation must be finite and non-negative, "
+                                  f"got {self.min_feature_separation}")
+        if self.background_depth is not None and not 0.0 < self.background_depth < math.inf:
+            raise ClusterSegError(f"background_depth must be finite and positive, or None, "
+                                  f"got {self.background_depth}")
 
 
 def surface_points(prim: Primitive, n: int = SURFACE_SAMPLE_COUNT) -> np.ndarray:

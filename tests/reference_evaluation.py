@@ -14,9 +14,20 @@ import numpy as np
 
 from clusterseg.clustering import Segmentation
 from clusterseg.errors import ClusterSegError, ShapeMismatchError
-from clusterseg.evaluation import (RECALL_GRID, EvalConfig, EvalResult, _interpolated_ap,
-                                   mask_iou)
+from clusterseg.evaluation import RECALL_GRID, EvalConfig, EvalResult, _interpolated_ap
 from clusterseg.scenegen import FrameBundle
+
+
+def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
+    """Intersection over union of two binary masks; 0 when the union is empty."""
+    a = np.asarray(a, dtype=bool)
+    b = np.asarray(b, dtype=bool)
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"mask shapes differ: {a.shape} vs {b.shape}")
+    union = np.count_nonzero(a | b)
+    if union == 0:
+        return 0.0
+    return np.count_nonzero(a & b) / union
 
 
 def match_detections(pred_masks, gt_masks, iou_threshold: float, max_det: int):

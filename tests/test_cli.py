@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from clusterseg.cli import _load_segmentations, main
+from clusterseg.cli import _load_segmentations, _rows, main
 from clusterseg.clustering import Segmentation
 from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.errors import BundleDtypeError, ClusterSegError, ShapeMismatchError
@@ -309,6 +309,74 @@ def test_train_rejects_a_bad_number_from_a_config_file(two_frame_dataset, tmp_pa
     (key,) = overrides
     assert capsys.readouterr().err.startswith(f"clusterseg: error: --{key} must be")
     assert not (tmp_path / "model.ckpt").exists()
+
+
+BAD_VALUES = [
+    ("infer", ["--fg-threshold", "nan"], 1),
+    ("infer", ["--predictor", "noisy", "--noise-mode", "uniform-ball",
+               "--ball-minb-frac", "nan"], 1),
+    ("infer", ["--jobs", "0"], 1),
+    ("gen", ["--count", "0"], 1),
+    ("gen", ["--count", "-3"], 1),
+    ("gen", ["--objects", "0..2"], 1),
+    ("infer", ["--predictor", "noisy", "--sweep", "0.0,nan"], 2),
+    ("infer", ["--predictor", "noisy", "--sigma-xi", "nan"], 2),
+    ("infer", ["--predictor", "noisy", "--flip-rate", "2"], 2),
+    ("train", ["--epochs", "1", "--bump-value", "nan"], 2),
+    ("gradcheck", ["--samples", "20", "--lambda-vio", "nan"], 2),
+]
+
+
+@pytest.mark.parametrize("command, flags, code", BAD_VALUES,
+                         ids=[f"{c} {f[-2]} {f[-1]}" for c, f, _ in BAD_VALUES])
+def test_a_bad_value_exits_with_one_line_and_writes_nothing(two_frame_dataset, tmp_path, capsys,
+                                                            command, flags, code):
+    out = tmp_path / "out"
+    inputs = {"gen": [], "infer": ["--dataset", str(two_frame_dataset)],
+              "train": ["--dataset", str(two_frame_dataset)], "gradcheck": []}[command]
+    outputs = [] if command == "gradcheck" else ["--out", str(out)]
+    assert run_cli(command, *inputs, *outputs, *flags) == code
+    out_text, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1
+    # exit 1: the flag table rejected the value; exit 2: the library type it feeds
+    assert err.startswith(f"clusterseg: error: {flags[-2]} must be" if code == 1
+                          else "clusterseg: error: ")
+    assert "PASS" not in out_text
+    assert not out.exists()
+
+
+def test_gradcheck_fails_when_the_loss_overflows(capsys):
+    assert run_cli("gradcheck", "--samples", "20", "--lambda-vio", "1e308") == 3
+    assert "error: nan (FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("document, code, message", [
+    ({"count": 2.5}, 1, "--count must be an integer of at least 1, got 2.5"),
+    ([1, 2], 2, "not a JSON object"),
+], ids=["float-count", "list"])
+def test_a_bad_config_file_exits_with_one_line(tmp_path, capsys, document, code, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    assert run_cli("gen", "--config", str(config), "--out", str(tmp_path / "ds")) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "infer", "eval", "gradcheck", "train"])
+def test_dump_config_round_trips_and_help_lists_every_flag(tmp_path, capsys, command):
+    assert run_cli(command, "--dump-config") == 0
+    dumped = capsys.readouterr().out
+    assert set(json.loads(dumped)) == {row.dest for row in _rows(command)}
+    config = tmp_path / "config.json"
+    config.write_text(dumped)
+    assert run_cli(command, "--config", str(config), "--dump-config") == 0
+    assert capsys.readouterr().out == dumped
+
+    assert run_cli(command, "--help") == 0
+    help_text = capsys.readouterr().out
+    for row in _rows(command):
+        assert f"--{row.name}" in help_text
 
 
 @pytest.fixture

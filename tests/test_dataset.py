@@ -172,6 +172,8 @@ def test_manifest_records_the_format(dataset):
     ("--single-object-radius", "nan"), ("--single-object-radius", "0"),
     ("--single-object-radius", "-2"), ("--single-object-radius", "inf"),
     ("--fraction", "nan"), ("--fraction", "0.5"),
+    ("--sizes", "0.2..0.1"), ("--z-range", "nan..1"), ("--min-sep", "nan"),
+    ("--background-depth", "nan"), ("--background-depth", "-3"),
 ])
 def test_gen_refuses_values_its_loader_would_reject(tmp_path, capsys, flag, value):
     out = tmp_path / "ds"

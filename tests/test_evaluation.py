@@ -5,11 +5,10 @@ import pytest
 
 from clusterseg.clustering import Segmentation
 from clusterseg.errors import ClusterSegError, ShapeMismatchError
-from clusterseg.evaluation import (EvalConfig, compute_metrics, format_table, mask_iou,
-                                   result_to_dict)
+from clusterseg.evaluation import EvalConfig, compute_metrics, format_table, result_to_dict
 from clusterseg.scenegen import FrameBundle
 
-from reference_evaluation import brute_force_ap, match_detections
+from reference_evaluation import brute_force_ap, mask_iou, match_detections
 
 H = W = 16
 
