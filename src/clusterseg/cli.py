@@ -22,9 +22,10 @@ Dataset directory layout (written by gen, read by infer/eval/train):
   frame_00000.tsb  rgb, depth, instance map, amodal masks, occlusion scores
                    and per-object features (FRAME_TENSORS)
 
-Loading rebuilds xyz from depth and the scene's camera, and the annotation
-maps from the per-object features, the instance map and the manifest's
-fraction and single_object_radius, with the same functions gen uses.
+Loading rebuilds the annotation maps from the per-object features, the
+instance map and the manifest's fraction and single_object_radius, and, for
+the commands that run the MLP, xyz from depth and the scene's camera, with
+the same functions gen uses.
 """
 
 import argparse
@@ -122,9 +123,10 @@ def _check_frame_tensors(name, t, scene):
         raise ShapeMismatchError(f"{name}: instance ids exceed the object count {K}")
 
 
-def _frame_from_tensors(t: dict, scene):
+def _frame_from_tensors(t: dict, scene, xyz):
     frame = FrameBundle(
-        rgb=t["rgb"], depth=t["depth"], xyz=depth_to_xyz(t["depth"], scene.camera),
+        rgb=t["rgb"], depth=t["depth"],
+        xyz=depth_to_xyz(t["depth"], scene.camera) if xyz else None,
         instance_map=t["instance_map"].astype(np.int32),
         amodal_masks=t["amodal_masks"].astype(bool),
         occlusion_scores=t["occlusion_scores"],
@@ -170,8 +172,11 @@ def _read_json_object(path, what):
     return doc
 
 
-def _read_dataset(path):
-    """The dataset's (fraction, single_object_radius) and (scene, frame, per_object_xi) per frame."""
+def _read_dataset(path, xyz):
+    """The dataset's (fraction, single_object_radius) and (scene, frame, per_object_xi) per frame.
+
+    Each frame's xyz map is derived only when `xyz` is true, else it is None.
+    """
     manifest_path = os.path.join(path, "dataset.json")
     manifest = _read_json_object(manifest_path, "dataset manifest")
     fmt = manifest.get("format")
@@ -197,15 +202,21 @@ def _read_dataset(path):
             except (OSError, ValueError) as exc:
                 raise ClusterSegError(f"cannot read frame bundle {bundle_path}: {exc}") from exc
             _check_frame_tensors(bundle_path, tensors, scene)
-            frames.append((scene, *_frame_from_tensors(tensors, scene)))
+            try:
+                frames.append((scene, *_frame_from_tensors(tensors, scene, xyz)))
+            except ClusterSegError as exc:
+                raise ClusterSegError(f"{bundle_path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise ClusterSegError(f"malformed dataset manifest {manifest_path}: {exc}") from exc
     return values, frames
 
 
-def _load_dataset(path):
-    """(scene, frame, annotation) per frame, the annotation rebuilt from the bundle."""
-    (fraction, single_object_radius), frames = _read_dataset(path)
+def _load_dataset(path, xyz=True):
+    """(scene, frame, annotation) per frame, the annotation rebuilt from the bundle.
+
+    Only the MLP reads a frame's xyz map; without `xyz` it is not derived.
+    """
+    (fraction, single_object_radius), frames = _read_dataset(path, xyz)
     return [(scene, frame,
              build_annotation(per_object_xi, frame.instance_map, fraction, single_object_radius))
             for scene, frame, per_object_xi in frames]
@@ -271,7 +282,6 @@ def _cmd_gen(args) -> int:
         camera=CameraIntrinsics(fx=float(w), fy=float(h), ppx=w / 2.0, ppy=h / 2.0,
                                 width=w, height=h),
     )
-    os.makedirs(args.out, exist_ok=True)
 
     def build(i):
         scene = sample_scene(args.seed * SEED_STRIDE + i, cfg)
@@ -279,7 +289,10 @@ def _cmd_gen(args) -> int:
         ann = annotate(scene, frame, args.fraction, args.single_object_radius)
         return scene, frame, ann
 
+    # Every frame is built before anything is written, so a frame that
+    # fails leaves no partial dataset.
     results = _map_frames(build, args.count, args.jobs)
+    os.makedirs(args.out, exist_ok=True)
     frames = []
     for i, (scene, frame, ann) in enumerate(results):
         scene_name = f"scene_{i:05d}.json"
@@ -330,7 +343,7 @@ def _cmd_infer(args) -> int:
                       flip_rate=args.flip_rate, bound_mode=args.noise_mode,
                       ball_radius=args.ball_radius)
     sweep = [NoiseSpec(sigma_xi=s) for s in _sweep_sigmas(args.sweep)] if args.sweep else None
-    records = _load_dataset(args.dataset)
+    records = _load_dataset(args.dataset, xyz=args.predictor == "mlp")
     model = None
     if args.predictor == "mlp":
         if not args.model:
@@ -376,7 +389,7 @@ def _cmd_infer(args) -> int:
 # eval
 
 def _cmd_eval(args) -> int:
-    _, frames = _read_dataset(args.dataset)
+    _, frames = _read_dataset(args.dataset, xyz=False)
     segs = _load_segmentations(args.segs)
     if len(frames) != len(segs):
         raise ClusterSegError(
@@ -735,8 +748,27 @@ def _settings(command, given, dump):
     return argparse.Namespace(**values)
 
 
+def _join_dash_values(argv):
+    """argv with each value flag joined to a following token that starts with one "-".
+
+    argparse reads a token such as "-1..1" or "-inf" as an unknown option, so
+    "--z-range -1..1" becomes "--z-range=-1..1" and reaches the flag table as
+    that spelling does. "-h" stays an option.
+    """
+    takes_value = {"--config"} | {f"--{row.name}" for row in _FLAGS if row.kind is not SWITCH}
+    joined = []
+    for token in argv:
+        if (joined and joined[-1] in takes_value and token.startswith("-")
+                and not token.startswith("--") and token != "-h"):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     try:
+        argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
         given = vars(build_parser().parse_args(argv))
         command, dump = given.pop("command"), given.pop("dump_config")
         args = _settings(command, given, dump)

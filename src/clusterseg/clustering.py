@@ -18,26 +18,38 @@ the result, so their cost grows close to linearly with foreground pixels:
 
 * Seeding visits foreground pixels once, by descending centroid probability
   then flat index. A pixel can lie in a seed's ball only if its first
-  feature component lies within the seed's radius of the seed's, so a
-  binary search over the pixels sorted by that component gives a candidate
-  slab, widened for rounding, and only its live pixels get the 9-D distance
-  test. A radius whose square is not finite in the feature dtype tests
-  every live pixel, as the definition then does.
+  feature component lies within the seed's radius of the seed's, so the
+  pixels sorted by that component give each pixel a candidate slab, widened
+  for rounding; one binary search before the loop finds every slab, and
+  only a seed's live slab pixels get the 9-D distance test. A radius whose
+  square is not finite in the feature dtype tests every live pixel, as the
+  definition then does.
 * The E-step scores each pixel under its own seeded component exactly.
   Since the Mahalanobis term is at least |x - mu_m|^2 / lambda_max(S_m),
   component m scores at most
   log w_m - 1/2 (9 log 2 pi + log|S_m| + |x - mu_m|^2 / lambda_max(S_m)).
-  Squared distances for all pairs come from one blocked gemm; where the
-  bound, widened for rounding and for the conditioning of S_m, falls below
-  the own score, m cannot win and is skipped (Elkan, "Using the Triangle
-  Inequality to Accelerate k-Means", ICML 2003, adapted to log-densities).
-  Pixels or components whose magnitudes could overflow are never pruned.
-  The surviving pairs go through the same solve and dot product as the
-  definition; ties go to the lowest component index.
+  Where that bound, widened for rounding and for the conditioning of S_m,
+  falls below the own score, m cannot win and is skipped (Elkan, "Using the
+  Triangle Inequality to Accelerate k-Means", ICML 2003, adapted to
+  log-densities). Pixels or components whose magnitudes could overflow are
+  never pruned. The surviving pairs go through the same solve and dot
+  product as the definition; ties go to the lowest component index.
+* A slab index keeps most pairs from meeting the bound at all, in the
+  spirit of the spatial indexes in front of EM of Moore ("Very fast
+  EM-based mixture model clustering using multiresolution kd-trees", NIPS
+  1998): as |x - mu|^2 >= (x0 - mu0)^2, a pixel meets a group of components
+  of similar slope only within a window of their first mean component,
+  widened for rounding. Small groups, and groups whose windows hold a large
+  share of their pairs, meet the bound in dense blocks instead.
+* Most components of a degenerate prediction have one member. Such a
+  component with a finite row holding no -0.0 has that row as its np.mean
+  and exactly 1e-6 * I as its covariance, its own pixel's Mahalanobis term
+  is zero, and one factorization gives the log-determinant and spectrum of
+  all of them; a one-member instance's score is its member's value. These
+  are filled in vectorized; everything else keeps the definition's calls.
 """
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +61,18 @@ DEFAULT_FG_THRESHOLD = 0.5
 COVARIANCE_REGULARIZATION = 1e-6
 # Element budget of every dense pixel x component block in gmm_refine.
 _BLOCK_ELEMENTS = 1 << 16
+# Slab windows are built for groups of at least _WINDOWED_GROUP components,
+# and used unless they hold more than 1 / _DENSE_SHARE of the group's pairs.
+_WINDOWED_GROUP = 32
+_DENSE_SHARE = 16
 
 _EPS = float(np.finfo(np.float64).eps)
 # Pruning needs |x|^2 and |mu|^2 below this, and 1 / lambda_min(S) and the
 # bound's slope below _CAP, so nothing the definition computes can overflow.
 _MAGNITUDE = 1e100
 _CAP = 1e100
+# Absorbs underflow in squared feature differences.
+_FLOOR = 8.0 * math.sqrt(float(np.finfo(np.float64).tiny))
 
 
 @dataclass
@@ -76,12 +94,27 @@ class Segmentation:
     seeds: list = field(default_factory=list)  # (row, col) per instance
 
 
+def _plain(values):
+    """Which values are finite and not -0.0: np.mean over one of them alone returns it."""
+    return np.isfinite(values) & ~(np.signbit(values) & (values == 0))
+
+
 def _instance_scores(labels_fg, eta_fg, count):
     """Score of each instance 1..count: np.mean of eta over its members in row-major order."""
     order = np.argsort(labels_fg, kind="stable")
-    ends = np.cumsum(np.bincount(labels_fg, minlength=count + 1)).tolist()
+    sizes = np.bincount(labels_fg, minlength=count + 1)
+    first = (np.cumsum(sizes) - sizes)[1:]
+    sizes = sizes[1:]
     eta_fg = eta_fg[order]
-    return np.array([float(eta_fg[a:b].mean()) for a, b in zip(ends[:-1], ends[1:])])
+    scores = np.empty(count)
+    # A one-member instance with a plain value scores that value; the rest keep np.mean.
+    fast = (sizes == 1) & (eta_fg.dtype.kind == "f")
+    fast[fast] = _plain(eta_fg[first[fast]])
+    scores[fast] = eta_fg[first[fast]]
+    rest = np.flatnonzero(~fast)
+    for m, lo, hi in zip(rest.tolist(), first[rest].tolist(), (first + sizes)[rest].tolist()):
+        scores[m] = eta_fg[lo:hi].mean()
+    return scores
 
 
 def seed_segmentation(pred: Prediction,
@@ -115,33 +148,41 @@ def seed_segmentation(pred: Prediction,
 
     # A member's first-component gap is at most its distance, up to the
     # rounding of the squares and their sum, which `rel` and `floor` absorb.
-    # A squared radius that may compare as infinite in the feature dtype
-    # takes every live pixel in the definition, so such a seed scans them all.
+    # All slab bounds come from one binary search before the loop. A seed
+    # that uses its slab has a finite radius, so a NaN bound means a NaN or
+    # infinite first component, whose distance to every pixel is NaN or
+    # infinite: that slab's contents never matter. A squared
+    # radius that may compare as infinite in the feature dtype takes every
+    # live pixel in the definition, so such a seed scans them all.
     x0 = X[:, 0].astype(np.float64)
     by_x0 = np.argsort(x0, kind="stable")
-    x0_sorted = x0[by_x0].tolist()
-    x0 = x0.tolist()
-    radii = pred.b_hat[fg].astype(np.float64).tolist()
+    radii = np.maximum(pred.b_hat[fg].astype(np.float64), 0.0)
     info = np.finfo(X.dtype if X.dtype.kind == "f" else np.float64)
     rel = 16.0 * float(info.eps)
     floor = 8.0 * math.sqrt(float(info.tiny))
     r2_limit = float(info.max)
+    # The search runs in slab order, where the bounds nearly ascend.
+    x0_sorted = x0[by_x0]
+    with np.errstate(all="ignore"):
+        half = radii[by_x0] * (1.0 + rel) + rel * np.abs(x0_sorted) + floor
+        edges = np.concatenate((x0_sorted - half, x0_sorted + half))
+    slab = np.empty(2 * n, dtype=np.intp)
+    slab[np.concatenate((by_x0, by_x0 + n))] = np.searchsorted(x0_sorted, edges)
+    slab = slab.tolist()
+    radii = radii.tolist()
 
     labels_fg = np.zeros(n, dtype=np.int32)
     seed_index = []
     for i in order.tolist():
         if not alive_bytes[i]:
             continue
-        radius = max(radii[i], 0.0)
+        radius = radii[i]
         r2 = radius * radius
         seed_index.append(i)
         labels_fg[i] = len(seed_index)
         alive_bytes[i] = 0
         if r2 < r2_limit:
-            s0 = x0[i]
-            half = radius * (1.0 + rel) + rel * abs(s0) + floor
-            lo = bisect_left(x0_sorted, s0 - half)
-            hi = bisect_left(x0_sorted, s0 + half)
+            lo, hi = slab[i], slab[n + i]
             if hi - lo == 1:
                 continue  # the slab holds only the seed itself
             cand = by_x0[lo:hi]
@@ -155,7 +196,8 @@ def seed_segmentation(pred: Prediction,
 
     labels[fg] = labels_fg
     scores = _instance_scores(labels_fg, eta, len(seed_index))
-    seeds = [divmod(int(flat[i]), W) for i in seed_index]
+    rows, cols = np.divmod(flat[seed_index], W)
+    seeds = list(zip(rows.tolist(), cols.tolist()))
     return Segmentation(labels=labels, scores=scores, seeds=seeds)
 
 
@@ -203,6 +245,34 @@ def _quad_forms(diff, counts, covs, variance, fallback, min_cols):
     return quad
 
 
+def _components(Xs, sizes):
+    """Mean and regularized covariance of each component, and which are plain.
+
+    `Xs` lists the members of component 0, then 1, ..., `sizes[m]` rows
+    each. A plain component has one member whose row is plain: its mean is
+    that row and its scatter matrix all +0.0, so its covariance is exactly
+    1e-6 * I. The others take np.mean and a matmul of the centered members,
+    as the definition does.
+    """
+    M = len(sizes)
+    first = np.cumsum(sizes) - sizes
+    plain = sizes == 1
+    plain[plain] = _plain(Xs[first[plain]]).all(axis=1)
+    mus = np.empty((M, FEATURE_DIM))
+    covs = np.zeros((M, FEATURE_DIM, FEATURE_DIM))
+    mus[plain] = Xs[first[plain]]
+    rest = np.flatnonzero(~plain)
+    for m, lo, hi in zip(rest.tolist(), first[rest].tolist(), (first + sizes)[rest].tolist()):
+        members = Xs[lo:hi]
+        mus[m] = members.mean(axis=0)
+        centered = members - mus[m]
+        np.matmul(centered.T, centered, out=covs[m])
+    covs /= sizes[:, None, None]
+    diag = np.arange(FEATURE_DIM)
+    covs[:, diag, diag] += COVARIANCE_REGULARIZATION
+    return mus, covs, plain
+
+
 def gmm_refine(seg: Segmentation, pred: Prediction,
                stats: dict | None = None) -> Segmentation:
     """One hard E-step over the seeded clusters.
@@ -220,25 +290,16 @@ def gmm_refine(seg: Segmentation, pred: Prediction,
     own = seg.labels[fg].astype(np.intp) - 1
     n_fg = X.shape[0]
 
-    # Component parameters. A stable sort by label lists each component's
-    # members in row-major order, as the definition's boolean mask does.
+    # A stable sort by label lists each component's members in row-major
+    # order, as the definition's boolean mask does.
     by_label = np.argsort(own, kind="stable")
     sizes = np.bincount(own, minlength=M)
     Xs = X[by_label]
-    mus = np.empty((M, FEATURE_DIM))
-    covs = np.empty((M, FEATURE_DIM, FEATURE_DIM))
-    start = 0
-    for m, end in enumerate(np.cumsum(sizes).tolist()):
-        members = Xs[start:end]
-        mus[m] = members.mean(axis=0)
-        centered = members - mus[m]
-        np.matmul(centered.T, centered, out=covs[m])
-        start = end
-    covs /= sizes[:, None, None]
-    diag = np.arange(FEATURE_DIM)
-    covs[:, diag, diag] += COVARIANCE_REGULARIZATION
+    mus, covs, plain = _components(Xs, sizes)
 
-    sign, logdet = np.linalg.slogdet(covs)
+    pick, slot = _distinct(np.ones(M, dtype=bool), plain)
+    sign, logdet = np.linalg.slogdet(covs[pick])
+    sign, logdet = sign[slot], logdet[slot]
     # slogdet and solve factor the same matrix, so solve fails exactly when
     # the sign is zero.
     fallback = ~((sign > 0) & np.isfinite(logdet))
@@ -257,11 +318,20 @@ def gmm_refine(seg: Segmentation, pred: Prediction,
         const = FEATURE_DIM * np.log(2.0 * np.pi) + logdet
         min_cols = min(n_fg, 2)
         own_score = np.empty(n_fg)
-        own_score[by_label] = (log_w[own[by_label]] - 0.5 * (
-            const[own[by_label]]
-            + _quad_forms(Xs - mus[own[by_label]], sizes, covs, variance, fallback, min_cols)))
+        own_sorted = own[by_label]
+        if plain.any():
+            # A plain component's own pixel is its mean, so the solve sees a
+            # zero right-hand side and its Mahalanobis term is +-0.0, which
+            # adds to const exactly as +0.0 does.
+            live = ~plain[own_sorted]
+            quad = np.zeros(n_fg)
+            quad[live] = _quad_forms(Xs[live] - mus[own_sorted[live]], np.where(plain, 0, sizes),
+                                     covs, variance, fallback, min_cols)
+        else:
+            quad = _quad_forms(Xs - mus[own_sorted], sizes, covs, variance, fallback, min_cols)
+        own_score[by_label] = log_w[own_sorted] - 0.5 * (const[own_sorted] + quad)
         pix, comp = _candidates(X, own, own_score, mus, covs, variance, fallback,
-                                log_w, const)
+                                log_w, const, plain)
         if pix.size:
             counts = np.bincount(comp, minlength=M)
             score = log_w[comp] - 0.5 * (
@@ -291,19 +361,41 @@ def gmm_refine(seg: Segmentation, pred: Prediction,
     return Segmentation(labels=labels, scores=scores, seeds=seeds)
 
 
-def _candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const):
-    """(pixel, component) pairs the pruning bound cannot rule out, own excluded.
+def _distinct(among, plain):
+    """Covariances to factor for the components in `among`, and where each finds its result.
 
-    Pairs come sorted by component, then pixel.
+    Plain components share one covariance, so the first of them stands for
+    all: a decomposition of equal matrices gives equal bits. Returns the
+    indices to pass and, per component in `among`, its row of the result.
     """
-    M = len(mus)
+    shared = among & plain
+    if not shared.any():
+        return np.flatnonzero(among), slice(None)
+    pick = among & ~plain
+    pick[np.argmax(shared)] = True
+    slot = np.cumsum(pick) - 1
+    slot[shared] = slot[np.argmax(shared)]
+    return np.flatnonzero(pick), slot[among]
+
+
+def _bound_terms(X, own_score, mus, covs, variance, fallback, log_w, const, plain):
+    """The pruning bound of component m at pixel n: m cannot win once
+
+        weights[m] . [x_n, |x_n|^2, 1] > threshold[n].
+
+    Returns (rows, weights, threshold, slope, offset, prunable), rows being
+    [x, |x|^2, 1] per pixel: the dot product is a lower bound of
+    slope_m |x_n - mu_m|^2 - offset_m, and a component that is not prunable
+    has NaN weights, so it never loses by the bound.
+    """
     with np.errstate(all="ignore"):
         # Bounds on the spectrum of each covariance, widened for eigvalsh
         # error; a spherical fallback's spectrum is its variance.
         lam_hi = variance.copy()
         lam_lo = variance.copy()
         if not fallback.all():
-            eig = np.linalg.eigvalsh(covs[~fallback])
+            pick, slot = _distinct(~fallback, plain)
+            eig = np.linalg.eigvalsh(covs[pick])[slot]
             lam_hi[~fallback] = eig[:, -1] * (1.0 + 1e-12)
             lam_lo[~fallback] = eig[:, 0] - 1e-12 * eig[:, -1]
         # The definition's Mahalanobis term is at least slope * |x - mu|^2:
@@ -315,36 +407,117 @@ def _candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const):
         bar = 2.0 * log_w - const
         prunable = (lam_lo > 1.0 / _CAP) & (slope > 0) & (mm < _MAGNITUDE) & np.isfinite(bar)
         # Component m loses to the own one when
-        #   slope * d2 - (2 log w_m - const_m) > -2 * own score,
-        # with slack for rounding in the definition's log-posterior, which
-        # (as |log w_m| >= 1 / n) also dwarfs any underflow in its
-        # Mahalanobis term. One gemm of [x, |x|^2, 1] against these weights
-        # gives a lower bound of the left side; `shrink` covers the gemm's
-        # and the norms' rounding.
+        #   slope * d2 - offset > -2 * own score,  offset = 2 log w_m - const_m + slack,
+        # the slack covering rounding in the definition's log-posterior,
+        # which (as |log w_m| >= 1 / n) also dwarfs any underflow in its
+        # Mahalanobis term; `shrink` covers the rounding of the dot product
+        # and of the norms.
         shrink = 1.0 - 256.0 * _EPS
-        weights = np.empty((FEATURE_DIM + 2, M))
-        weights[:FEATURE_DIM] = -2.0 * slope * mus.T
-        weights[FEATURE_DIM] = slope * shrink
-        weights[FEATURE_DIM + 1] = (slope * mm * shrink - bar
-                                    - 64.0 * _EPS * (np.abs(2.0 * log_w) + np.abs(const)))
-        weights[:, ~prunable] = np.nan
-        xx = np.einsum("nd,nd->n", X, X)
-        rows_aug = np.concatenate((X, xx[:, None], np.ones((len(X), 1))), axis=1)
+        offset = bar + 64.0 * _EPS * (np.abs(2.0 * log_w) + np.abs(const))
+        weights = np.empty((len(mus), FEATURE_DIM + 2))
+        weights[:, :FEATURE_DIM] = -2.0 * slope[:, None] * mus
+        weights[:, FEATURE_DIM] = slope * shrink
+        weights[:, FEATURE_DIM + 1] = slope * mm * shrink - offset
+        weights[~prunable] = np.nan
         # NaN and infinite own scores, and huge pixels, never prune.
+        xx = np.einsum("nd,nd->n", X, X)
         threshold = np.where((xx < _MAGNITUDE) & np.isfinite(own_score), -2.0 * own_score, np.inf)
-        step = max(1, _BLOCK_ELEMENTS // M)
-        pix_parts, comp_parts = [], []
-        for lo in range(0, len(X), step):
-            block = rows_aug[lo:lo + step] @ weights
-            block = block > threshold[lo:lo + step, None]
-            block[np.arange(len(block)), own[lo:lo + step]] = True
-            pix, comp = np.divmod(np.flatnonzero(~block), M)
-            pix_parts.append(pix + lo)
-            comp_parts.append(comp)
+    rows = np.concatenate((X, xx[:, None], np.ones((len(X), 1))), axis=1)
+    return rows, weights, threshold, slope, offset, prunable
+
+
+def _candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const, plain):
+    """(pixel, component) pairs the pruning bound cannot rule out, own excluded.
+
+    Prunable components are grouped by the binary exponent of their slope.
+    A group of at least _WINDOWED_GROUP components meets each pixel only
+    within the pixel's slab window, unless the windows hold more than
+    1 / _DENSE_SHARE of the group's pairs; the other groups meet every pixel
+    in dense blocks, which then cost less than gathering pairs would. Pairs
+    come sorted by component, then pixel.
+    """
+    n, M = len(X), len(mus)
+    rows, weights, threshold, slope, offset, prunable = _bound_terms(
+        X, own_score, mus, covs, variance, fallback, log_w, const, plain)
+    # A pixel with an infinite threshold keeps every component; so does a
+    # component that is not prunable, whose NaN weights never exceed one.
+    tight = np.flatnonzero(prunable)
+    exponent = np.frexp(slope[tight])[1]
+    values, sizes = np.unique(exponent, return_counts=True)
+    indexed = values[sizes >= _WINDOWED_GROUP]
+    dense = [np.flatnonzero(~prunable), tight[~np.isin(exponent, indexed)]]
+    if indexed.size:
+        open_pix = np.flatnonzero(threshold == np.inf)
+        closed = np.flatnonzero(threshold != np.inf)
+    pix_parts, comp_parts = [], []
+    with np.errstate(all="ignore"):
+        for k in indexed.tolist():
+            group = tight[exponent == k]
+            order, lo, count = _slab_window(X[closed, 0], rows[closed, FEATURE_DIM],
+                                            threshold[closed], mus[group], slope[group],
+                                            offset[group])
+            if count.sum() * _DENSE_SHARE <= closed.size * group.size:
+                start = np.repeat(lo - (np.cumsum(count) - count), count)
+                pix = np.concatenate((np.repeat(open_pix, group.size),
+                                      np.repeat(closed, count)))
+                comp = np.concatenate((np.tile(group, open_pix.size),
+                                       group[order[start + np.arange(start.size)]]))
+                for b in range(0, pix.size, _BLOCK_ELEMENTS):
+                    p, c = pix[b:b + _BLOCK_ELEMENTS], comp[b:b + _BLOCK_ELEMENTS]
+                    keep = ~(np.einsum("nk,nk->n", rows[p], weights[c]) > threshold[p])
+                    keep &= c != own[p]
+                    pix_parts.append(p[keep])
+                    comp_parts.append(c[keep])
+                continue
+            dense.append(group)
+        dense = np.concatenate(dense)
+        if dense.size:
+            # A C-ordered operand takes a faster gemm kernel.
+            dense_weights = np.ascontiguousarray(weights[dense].T)
+            # Each pixel's own component, as a column of the blocks or past
+            # their end, is marked pruned.
+            column = np.full(M, dense.size)
+            column[dense] = np.arange(dense.size)
+            step = max(1, _BLOCK_ELEMENTS // dense.size)
+            for lo in range(0, n, step):
+                block = rows[lo:lo + step] @ dense_weights > threshold[lo:lo + step, None]
+                own_column = column[own[lo:lo + step]]
+                mine = own_column < dense.size
+                block[np.flatnonzero(mine), own_column[mine]] = True
+                p, c = np.divmod(np.flatnonzero(~block), dense.size)
+                pix_parts.append(p + lo)
+                comp_parts.append(dense[c])
     pix = np.concatenate(pix_parts)
     comp = np.concatenate(comp_parts)
-    by_comp = np.argsort(comp, kind="stable")
-    return pix[by_comp], comp[by_comp]
+    comp, pix = np.divmod(np.sort(comp * n + pix), n)
+    return pix, comp
+
+
+def _slab_window(x0, xx, threshold, mus, slope, offset):
+    """The slab index over one group of prunable components.
+
+    Takes the pixels' first feature components, squared norms and finite
+    thresholds t, and the group's components. As |x - mu|^2 >= (x0 - mu0)^2,
+    component m loses at a pixel once slope_m (x0 - mu0)^2 - offset_m
+    exceeds t by more than the rounding of the bound's evaluation. The
+    group's smallest slope and largest offset turn that into one window of
+    mu0 values per pixel, widened for rounding. Returns (order, lo, count):
+    the group's components by ascending mu0, and per pixel its window
+    order[lo:lo + count].
+    """
+    order = np.argsort(mus[:, 0], kind="stable")
+    mu0 = mus[order, 0]
+    # The bound's terms are at most slope (|x| + |mu|)^2 and |offset| in
+    # size, so `err` covers its rounding. A NaN from t = -inf leaves only
+    # the widening of `half`.
+    err = 1024.0 * _EPS * (np.abs(threshold) + np.abs(offset).max()
+                           + slope.max() * (np.sqrt(xx) + np.sqrt(
+                               np.einsum("md,md->m", mus, mus).max())) ** 2)
+    reach = np.fmax(threshold + err + offset.max(), 0.0) / slope.min()
+    rel = 16.0 * _EPS
+    half = np.sqrt(reach) * (1.0 + rel) + rel * np.abs(x0) + _FLOOR
+    lo = np.searchsorted(mu0, x0 - half, "left")
+    return order, lo, np.searchsorted(mu0, x0 + half, "right") - lo
 
 
 def _check_prediction(pred: Prediction):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPointCloudError, ShapeMismatchError
+from .errors import EmptyPointCloudError, NonFiniteError, ShapeMismatchError
 
 FEATURE_DIM = 9
 
@@ -44,7 +44,9 @@ def depth_to_xyz(depth: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
     """Back-project a depth map to an HxWx3 camera-frame XYZ map.
 
     Depth value 0 marks an invalid pixel and maps to (0, 0, 0). For valid
-    pixels the z channel reproduces the depth map exactly.
+    pixels the z channel reproduces the depth map exactly. Raises
+    NonFiniteError when a point is not finite, as for a NaN depth or one so
+    large that its x or y overflows.
     """
     depth = np.asarray(depth, dtype=np.float64)
     if depth.ndim != 2 or depth.shape != (intr.height, intr.width):
@@ -52,10 +54,13 @@ def depth_to_xyz(depth: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
             f"depth map shape {depth.shape} does not match intrinsics {intr.height}x{intr.width}")
     u = np.arange(intr.width, dtype=np.float64)
     v = np.arange(intr.height, dtype=np.float64)
-    x = (u[None, :] - intr.ppx) * depth / intr.fx
-    y = (v[:, None] - intr.ppy) * depth / intr.fy
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (u[None, :] - intr.ppx) * depth / intr.fx
+        y = (v[:, None] - intr.ppy) * depth / intr.fy
     xyz = np.stack([x, y, depth], axis=-1)
     xyz[depth == 0.0] = 0.0
+    if not np.isfinite(xyz).all():
+        raise NonFiniteError("depth map back-projects to non-finite points")
     return xyz
 
 

@@ -4,11 +4,16 @@ These are the original brute-force definitions: seeding scans every pixel
 once per seed and the GMM E-step evaluates every foreground pixel under
 every component. The library's pruned stages must reproduce them bit for
 bit (labels, score bytes and seeds); the tests compare the two.
+
+`reference_candidates` is the E-step filter's former dense form, which
+evaluates the pruning bound on every (pixel, component) pair with one
+blocked gemm; the library's slab index must keep every pair it keeps.
 """
 
 import numpy as np
 
-from clusterseg.clustering import (COVARIANCE_REGULARIZATION, DEFAULT_FG_THRESHOLD,
+from clusterseg.clustering import (_BLOCK_ELEMENTS, _CAP, _EPS, _MAGNITUDE,
+                                   COVARIANCE_REGULARIZATION, DEFAULT_FG_THRESHOLD,
                                    Prediction, Segmentation)
 from clusterseg.geometry import FEATURE_DIM
 
@@ -107,3 +112,59 @@ def reference_segment(pred: Prediction,
                       stats: dict | None = None) -> Segmentation:
     """Loop seeding followed by the loop GMM refinement step."""
     return reference_gmm_refine(reference_seed_segmentation(pred, fg_threshold), pred, stats)
+
+
+def reference_candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const):
+    """(pixel, component) pairs the pruning bound cannot rule out, own excluded.
+
+    Pairs come sorted by component, then pixel.
+    """
+    M = len(mus)
+    with np.errstate(all="ignore"):
+        # Bounds on the spectrum of each covariance, widened for eigvalsh
+        # error; a spherical fallback's spectrum is its variance.
+        lam_hi = variance.copy()
+        lam_lo = variance.copy()
+        if not fallback.all():
+            eig = np.linalg.eigvalsh(covs[~fallback])
+            lam_hi[~fallback] = eig[:, -1] * (1.0 + 1e-12)
+            lam_lo[~fallback] = eig[:, 0] - 1e-12 * eig[:, -1]
+        # The definition's Mahalanobis term is at least slope * |x - mu|^2:
+        # LU backward error can shrink it by the cond term, the dot
+        # product's rounding by the sqrt(cond) term.
+        cond = lam_hi / lam_lo
+        slope = (1.0 - 2e-10 * cond - 1e-12 * np.sqrt(cond) - 1e-12) / lam_hi
+        mm = np.einsum("md,md->m", mus, mus)
+        bar = 2.0 * log_w - const
+        prunable = (lam_lo > 1.0 / _CAP) & (slope > 0) & (mm < _MAGNITUDE) & np.isfinite(bar)
+        # Component m loses to the own one when
+        #   slope * d2 - (2 log w_m - const_m) > -2 * own score,
+        # with slack for rounding in the definition's log-posterior, which
+        # (as |log w_m| >= 1 / n) also dwarfs any underflow in its
+        # Mahalanobis term. One gemm of [x, |x|^2, 1] against these weights
+        # gives a lower bound of the left side; `shrink` covers the gemm's
+        # and the norms' rounding.
+        shrink = 1.0 - 256.0 * _EPS
+        weights = np.empty((FEATURE_DIM + 2, M))
+        weights[:FEATURE_DIM] = -2.0 * slope * mus.T
+        weights[FEATURE_DIM] = slope * shrink
+        weights[FEATURE_DIM + 1] = (slope * mm * shrink - bar
+                                    - 64.0 * _EPS * (np.abs(2.0 * log_w) + np.abs(const)))
+        weights[:, ~prunable] = np.nan
+        xx = np.einsum("nd,nd->n", X, X)
+        rows_aug = np.concatenate((X, xx[:, None], np.ones((len(X), 1))), axis=1)
+        # NaN and infinite own scores, and huge pixels, never prune.
+        threshold = np.where((xx < _MAGNITUDE) & np.isfinite(own_score), -2.0 * own_score, np.inf)
+        step = max(1, _BLOCK_ELEMENTS // M)
+        pix_parts, comp_parts = [], []
+        for lo in range(0, len(X), step):
+            block = rows_aug[lo:lo + step] @ weights
+            block = block > threshold[lo:lo + step, None]
+            block[np.arange(len(block)), own[lo:lo + step]] = True
+            pix, comp = np.divmod(np.flatnonzero(~block), M)
+            pix_parts.append(pix + lo)
+            comp_parts.append(comp)
+    pix = np.concatenate(pix_parts)
+    comp = np.concatenate(comp_parts)
+    by_comp = np.argsort(comp, kind="stable")
+    return pix[by_comp], comp[by_comp]

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -324,6 +325,7 @@ BAD_VALUES = [
     ("infer", ["--predictor", "noisy", "--flip-rate", "2"], 2),
     ("train", ["--epochs", "1", "--bump-value", "nan"], 2),
     ("gradcheck", ["--samples", "20", "--lambda-vio", "nan"], 2),
+    ("gen", ["--count", "1", "--res", "16x16", "--background-depth", "1e308"], 2),
 ]
 
 
@@ -343,6 +345,30 @@ def test_a_bad_value_exits_with_one_line_and_writes_nothing(two_frame_dataset, t
                           else "clusterseg: error: ")
     assert "PASS" not in out_text
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value, parsed", [
+    ("gen", "--z-range", "-1..1", [-1.0, 1.0]),
+    ("gen", "--z-range", "-0.5..1", [-0.5, 1.0]),
+    ("infer", "--sigma-xi", "-inf", -math.inf),
+])
+def test_a_value_starting_with_a_dash_parses_as_its_joined_spelling(capsys, command, flag, value,
+                                                                    parsed):
+    dumps = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        assert run_cli(command, *spelling, "--dump-config") == 0
+        dumps.append(capsys.readouterr())
+    assert dumps[0] == dumps[1]
+    assert json.loads(dumps[0].out)[flag[2:].replace("-", "_")] == parsed
+
+
+def test_a_dash_value_reaches_the_library_check(two_frame_dataset, tmp_path, capsys):
+    args = ["infer", "--dataset", str(two_frame_dataset), "--out", str(tmp_path / "out"),
+            "--predictor", "noisy"]
+    assert run_cli(*args, "--sigma-xi", "-inf") == 2
+    assert capsys.readouterr().err == ("clusterseg: error: sigma_xi must be finite and "
+                                       "non-negative, got -inf\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_gradcheck_fails_when_the_loss_overflows(capsys):

@@ -1,7 +1,9 @@
 """The pruned clustering stages against their loop reference definitions.
 
 Every comparison is bit for bit: labels, the bytes of the score array, the
-seed list and the spherical-fallback counter.
+seed list and the spherical-fallback counter. The fast paths inside the
+stages (one-member statistics, the slab index of the E-step filter) are
+also checked against the per-group and dense computations they replace.
 """
 
 import warnings
@@ -11,17 +13,19 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from clusterseg import clustering
 from clusterseg.annotation import annotate
-from clusterseg.clustering import (Prediction, Segmentation, _quad_forms, gmm_refine,
-                                   seed_segmentation, segment)
+from clusterseg.clustering import (COVARIANCE_REGULARIZATION, Prediction, Segmentation,
+                                   _bound_terms, _components, _instance_scores, _quad_forms,
+                                   _slab_window, gmm_refine, seed_segmentation, segment)
 from clusterseg.errors import NonFiniteError, PlacementError, ShapeMismatchError
-from clusterseg.geometry import CameraIntrinsics
+from clusterseg.geometry import FEATURE_DIM, CameraIntrinsics
 from clusterseg.predictor import NoiseSpec, init_model, mlp_forward, noisy_predict, oracle_predict
 from clusterseg.scenegen import GeneratorConfig, render, sample_scene
 
 from conftest import same_partition
-from reference_clustering import (reference_gmm_refine, reference_seed_segmentation,
-                                  reference_segment)
+from reference_clustering import (reference_candidates, reference_gmm_refine,
+                                  reference_seed_segmentation, reference_segment)
 
 
 def _camera(res):
@@ -217,3 +221,139 @@ def test_ball_noise_below_half_min_radius_recovers_partition(seed, res, count_ra
     pred = noisy_predict(ann, NoiseSpec(bound_mode="uniform-ball", ball_radius=radius), seed)
     assert same_partition(seed_segmentation(pred).labels, frame.instance_map)
     assert same_partition(segment(pred).labels, frame.instance_map)
+
+
+# Plain and awkward float64 values: signed zeros, subnormals, NaN, infinities,
+# huge magnitudes.
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, np.nan,
+                    np.inf, -np.inf, 1.0, -2.5, 0.1, 3e38, 1e300, -1e300])
+
+
+def _values(data, shape, scale=1e3):
+    """Floats of `shape`, each from SPECIAL or uniform in [-scale, scale]."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pick = rng.random(shape) < data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+    return np.where(pick, rng.choice(SPECIAL, size=shape), rng.uniform(-scale, scale, shape))
+
+
+def _groups(data, max_size=12):
+    """Labels 1..count in shuffled row order, group sizes 1..max_size."""
+    sizes = data.draw(st.lists(st.integers(1, max_size), min_size=1, max_size=8))
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    return labels[np.array(data.draw(st.permutations(range(labels.size))), dtype=np.intp)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
+def test_instance_scores_equal_a_mean_per_instance(data, dtype):
+    labels = _groups(data)
+    # Unlabelled pixels (label 0) take no part, as seeding leaves -inf pixels.
+    labels = np.concatenate((labels, np.zeros(data.draw(st.integers(0, 3)), dtype=labels.dtype)))
+    count = int(labels.max())
+    with np.errstate(all="ignore"):
+        eta = _values(data, labels.size).astype(dtype)
+        expected = np.array([float(eta[labels == m].mean()) for m in range(1, count + 1)])
+        got = _instance_scores(labels.astype(np.int32), eta, count)
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_component_statistics_equal_a_mean_and_matmul_per_component(data):
+    labels = _groups(data)
+    X = _values(data, (labels.size, FEATURE_DIM))
+    sizes = np.bincount(labels - 1)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mus, covs, plain = _components(X[np.argsort(labels, kind="stable")], sizes)
+        for m in range(sizes.size):
+            members = X[labels == m + 1]
+            mu = members.mean(axis=0)
+            centered = members - mu
+            cov = centered.T @ centered / members.shape[0]
+            cov[np.diag_indices_from(cov)] += COVARIANCE_REGULARIZATION
+            assert mus[m].tobytes() == mu.tobytes()
+            assert covs[m].tobytes() == cov.tobytes()
+            if plain[m]:
+                assert sizes[m] == 1 and np.array_equal(cov, COVARIANCE_REGULARIZATION * np.eye(9))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_stages_exact_with_non_finite_features_and_radii(data):
+    # Direct calls may pass what segment() rejects; both stages must still
+    # follow their definitions.
+    n = data.draw(st.integers(1, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    odd = rng.choice([0.0, -0.0, -1.0, np.nan, np.inf, -np.inf, 1e200], size=n)
+    radii = np.where(rng.random(n) < 0.3, odd, rng.uniform(0.0, 5.0, n))
+    # Few distinct centroid probabilities, so ties in the visit order occur.
+    pred = Prediction(xi_hat=_values(data, (1, n, FEATURE_DIM), scale=3.0),
+                      eta_hat=rng.integers(0, 5, size=(1, n)) / 4.0,
+                      b_hat=radii.reshape(1, n), mask_prob=np.ones((1, n)))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_stages_exact(pred)
+
+
+def _assert_index_keeps_every_dense_pair(args):
+    """Every pair the dense bound keeps lies in the slab index.
+
+    A kept pair has an open pixel (infinite threshold), a component that is
+    not prunable, or lies inside the pixel's window over the component's
+    slope group; the windows are checked for every group, and for all
+    prunable components as one group. Returns the number of pairs checked
+    against a window.
+    """
+    X, own, own_score, mus, covs, variance, fallback, log_w, const, plain = args
+    with np.errstate(all="ignore"):
+        pix, comp = reference_candidates(*args[:-1])
+        rows, _, threshold, slope, offset, prunable = _bound_terms(
+            X, own_score, mus, covs, variance, fallback, log_w, const, plain)
+        closed = np.flatnonzero(threshold != np.inf)
+        row_of = np.full(len(X), -1)
+        row_of[closed] = np.arange(closed.size)
+        tight = np.flatnonzero(prunable)
+        exponent = np.frexp(slope[tight])[1]
+        checked = 0
+        for group in [tight[exponent == k] for k in np.unique(exponent)] + [tight]:
+            order, lo, count = _slab_window(X[closed, 0], rows[closed, FEATURE_DIM],
+                                            threshold[closed], mus[group], slope[group],
+                                            offset[group])
+            rank = np.full(len(mus), -1)
+            rank[group[order]] = np.arange(group.size)
+            mine = (rank[comp] >= 0) & (row_of[pix] >= 0)
+            r, at = row_of[pix[mine]], rank[comp[mine]]
+            assert np.all((lo[r] <= at) & (at < lo[r] + count[r]))
+            checked += int(mine.sum())
+    return checked
+
+
+def _recorded_candidate_calls(monkeypatch, preds):
+    calls = []
+    real = clustering._candidates
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(clustering, "_candidates", record)
+    for pred in preds:
+        segment(pred)
+    return calls
+
+
+def test_slab_index_keeps_every_pair_the_dense_bound_keeps(monkeypatch):
+    preds = []
+    for seed in range(100):
+        _, ann = _frame(seed, 64)
+        radius = 0.49 * float(ann.b_map[ann.fg_mask].min())
+        ball = NoiseSpec(bound_mode="uniform-ball", ball_radius=radius)
+        preds += [oracle_predict(ann), noisy_predict(ann, ball, seed),
+                  noisy_predict(ann, NoiseSpec(sigma_xi=0.05), seed)]
+    for res in (32, 48, 64, 96):
+        frame, _ = _frame(1, res, count_range=(2, 6))
+        preds += [mlp_forward(init_model(model), frame)[0].to_prediction() for model in range(4)]
+    calls = _recorded_candidate_calls(monkeypatch, preds)
+    assert len(calls) > 250
+    assert sum(_assert_index_keeps_every_dense_pair(args) for args in calls) > 10_000

@@ -1,10 +1,11 @@
 """Dataset directories: what a frame bundle stores, and what loading rebuilds.
 
 A frame bundle stores rgb, depth, the instance map, the amodal masks, the
-occlusion scores and the per-object features. Loading rebuilds xyz from the
-depth and the camera and the annotation maps from the features, the
-instance map and the manifest's fraction and single-object radius; every
-rebuilt field must equal what gen computed, bit for bit and dtype included.
+occlusion scores and the per-object features. Loading rebuilds the
+annotation maps from the features, the instance map and the manifest's
+fraction and single-object radius, and, for the commands that run the MLP,
+xyz from the depth and the camera; every rebuilt field must equal what gen
+computed, bit for bit and dtype included.
 """
 
 import json
@@ -208,6 +209,33 @@ def test_malformed_scene_json_is_a_typed_error(dataset, tmp_path, capsys, sectio
         _load_dataset(str(ds))
     _exits_2(ds, segs, tmp_path, capsys)
 
+
+
+def test_eval_and_oracle_infer_read_frames_without_deriving_xyz(dataset, tmp_path, monkeypatch,
+                                                                capsys):
+    ds, segs = dataset
+
+    def derived(*args, **kwargs):
+        raise AssertionError("xyz was derived")
+
+    monkeypatch.setattr(cli, "depth_to_xyz", derived)
+    assert run_cli("eval", "--dataset", ds, "--segs", segs) == 0
+    assert "100.0" in capsys.readouterr().out
+    assert run_cli("infer", "--dataset", ds, "--out", tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("depth", [1e308, np.nan])
+def test_non_finite_derived_xyz_is_a_typed_error(dataset, tmp_path, capsys, depth):
+    ds, segs = dataset
+    path = ds / "frame_00001.tsb"
+    tensors = read_bundle(path)
+    write_bundle(path, {**tensors, "depth": np.full_like(tensors["depth"], depth)})
+    with pytest.raises(ClusterSegError, match="frame_00001.tsb: .*non-finite"):
+        _load_dataset(str(ds))
+    assert run_cli("train", "--dataset", ds, "--out", tmp_path / "model", "--epochs", 1) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("clusterseg: error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "model").exists()
 
 
 def test_eval_reads_frames_without_building_annotations(dataset, monkeypatch, capsys):
