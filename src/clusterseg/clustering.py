@@ -168,8 +168,10 @@ def seed_segmentation(pred: Prediction,
         edges = np.concatenate((x0_sorted - half, x0_sorted + half))
     slab = np.empty(2 * n, dtype=np.intp)
     slab[np.concatenate((by_x0, by_x0 + n))] = np.searchsorted(x0_sorted, edges)
-    slab = slab.tolist()
-    radii = radii.tolist()
+    # Memoryviews read single entries as Python numbers, about as fast as
+    # lists, without converting the entries no seed reads.
+    slab = memoryview(slab)
+    radii = memoryview(radii)
 
     labels_fg = np.zeros(n, dtype=np.int32)
     seed_index = []
