@@ -205,7 +205,7 @@ def _read_dataset(path, xyz):
             try:
                 frames.append((scene, *_frame_from_tensors(tensors, scene, xyz)))
             except ClusterSegError as exc:
-                raise ClusterSegError(f"{bundle_path}: {exc}") from exc
+                raise type(exc)(f"{bundle_path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise ClusterSegError(f"malformed dataset manifest {manifest_path}: {exc}") from exc
     return values, frames

@@ -39,8 +39,9 @@ the result, so their cost grows close to linearly with foreground pixels:
   EM-based mixture model clustering using multiresolution kd-trees", NIPS
   1998): as |x - mu|^2 >= (x0 - mu0)^2, a pixel meets a group of components
   of similar slope only within a window of their first mean component,
-  widened for rounding. Small groups, and groups whose windows hold a large
-  share of their pairs, meet the bound in dense blocks instead.
+  widened for rounding. Pixels sorted by window start meet the bound in
+  gemm blocks, each spanning its pixels' windows. Groups of fewer than 32
+  components meet every pixel in dense blocks instead.
 * Most components of a degenerate prediction have one member. Such a
   component with a finite row holding no -0.0 has that row as its np.mean
   and exactly 1e-6 * I as its covariance, its own pixel's Mahalanobis term
@@ -61,10 +62,10 @@ DEFAULT_FG_THRESHOLD = 0.5
 COVARIANCE_REGULARIZATION = 1e-6
 # Element budget of every dense pixel x component block in gmm_refine.
 _BLOCK_ELEMENTS = 1 << 16
-# Slab windows are built for groups of at least _WINDOWED_GROUP components,
-# and used unless they hold more than 1 / _DENSE_SHARE of the group's pairs.
+# Slab windows serve groups of at least _WINDOWED_GROUP components, whose
+# pixels meet them in runs of _SLAB_PIXELS.
 _WINDOWED_GROUP = 32
-_DENSE_SHARE = 16
+_SLAB_PIXELS = 128
 
 _EPS = float(np.finfo(np.float64).eps)
 # Pruning needs |x|^2 and |mu|^2 below this, and 1 / lambda_min(S) and the
@@ -321,16 +322,13 @@ def gmm_refine(seg: Segmentation, pred: Prediction,
         min_cols = min(n_fg, 2)
         own_score = np.empty(n_fg)
         own_sorted = own[by_label]
-        if plain.any():
-            # A plain component's own pixel is its mean, so the solve sees a
-            # zero right-hand side and its Mahalanobis term is +-0.0, which
-            # adds to const exactly as +0.0 does.
-            live = ~plain[own_sorted]
-            quad = np.zeros(n_fg)
-            quad[live] = _quad_forms(Xs[live] - mus[own_sorted[live]], np.where(plain, 0, sizes),
-                                     covs, variance, fallback, min_cols)
-        else:
-            quad = _quad_forms(Xs - mus[own_sorted], sizes, covs, variance, fallback, min_cols)
+        # A plain component's own pixel is its mean, so the solve sees a zero
+        # right-hand side and its Mahalanobis term is +-0.0, which adds to
+        # const exactly as +0.0 does.
+        live = ~plain[own_sorted]
+        quad = np.zeros(n_fg)
+        quad[live] = _quad_forms(Xs[live] - mus[own_sorted[live]], np.where(plain, 0, sizes),
+                                 covs, variance, fallback, min_cols)
         own_score[by_label] = log_w[own_sorted] - 0.5 * (const[own_sorted] + quad)
         pix, comp = _candidates(X, own, own_score, mus, covs, variance, fallback,
                                 log_w, const, plain)
@@ -432,66 +430,64 @@ def _candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const, 
     """(pixel, component) pairs the pruning bound cannot rule out, own excluded.
 
     Prunable components are grouped by the binary exponent of their slope.
-    A group of at least _WINDOWED_GROUP components meets each pixel only
-    within the pixel's slab window, unless the windows hold more than
-    1 / _DENSE_SHARE of the group's pairs; the other groups meet every pixel
-    in dense blocks, which then cost less than gathering pairs would. Pairs
-    come sorted by component, then pixel.
+    A group of at least _WINDOWED_GROUP components is sorted by mu0 and the
+    pixels by where their slab windows start; each run of _SLAB_PIXELS such
+    pixels meets, in one gemm, the group's components from its first
+    window's start to its furthest window's end. The other components meet
+    every pixel in dense blocks. Pairs come sorted by component, then pixel.
     """
-    n, M = len(X), len(mus)
+    n = len(X)
     rows, weights, threshold, slope, offset, prunable = _bound_terms(
         X, own_score, mus, covs, variance, fallback, log_w, const, plain)
     # A pixel with an infinite threshold keeps every component; so does a
     # component that is not prunable, whose NaN weights never exceed one.
     tight = np.flatnonzero(prunable)
-    exponent = np.frexp(slope[tight])[1]
-    values, sizes = np.unique(exponent, return_counts=True)
-    indexed = values[sizes >= _WINDOWED_GROUP]
-    dense = [np.flatnonzero(~prunable), tight[~np.isin(exponent, indexed)]]
-    if indexed.size:
+    groups = []
+    if tight.size >= _WINDOWED_GROUP:
+        exponent = np.frexp(slope[tight])[1]
+        values, sizes = np.unique(exponent, return_counts=True)
+        indexed = values[sizes >= _WINDOWED_GROUP]
+        groups = [tight[exponent == k] for k in indexed.tolist()]
+        tight = tight[~np.isin(exponent, indexed)]
+    dense = np.concatenate((np.flatnonzero(~prunable), tight))
+    if groups:
         open_pix = np.flatnonzero(threshold == np.inf)
         closed = np.flatnonzero(threshold != np.inf)
     pix_parts, comp_parts = [], []
     with np.errstate(all="ignore"):
-        for k in indexed.tolist():
-            group = tight[exponent == k]
+        for group in groups:
             order, lo, count = _slab_window(X[closed, 0], rows[closed, FEATURE_DIM],
                                             threshold[closed], mus[group], slope[group],
                                             offset[group])
-            if count.sum() * _DENSE_SHARE <= closed.size * group.size:
-                start = np.repeat(lo - (np.cumsum(count) - count), count)
-                pix = np.concatenate((np.repeat(open_pix, group.size),
-                                      np.repeat(closed, count)))
-                comp = np.concatenate((np.tile(group, open_pix.size),
-                                       group[order[start + np.arange(start.size)]]))
-                for b in range(0, pix.size, _BLOCK_ELEMENTS):
-                    p, c = pix[b:b + _BLOCK_ELEMENTS], comp[b:b + _BLOCK_ELEMENTS]
-                    keep = ~(np.einsum("nk,nk->n", rows[p], weights[c]) > threshold[p])
-                    keep &= c != own[p]
-                    pix_parts.append(p[keep])
-                    comp_parts.append(c[keep])
-                continue
-            dense.append(group)
-        dense = np.concatenate(dense)
-        if dense.size:
+            group = group[order]
             # A C-ordered operand takes a faster gemm kernel.
+            group_weights = np.ascontiguousarray(weights[group].T)
+            by_start = np.argsort(lo, kind="stable")
+            pixels = closed[by_start]
+            runs = np.arange(0, pixels.size, _SLAB_PIXELS)
+            ends = np.maximum.reduceat((lo + count)[by_start], runs)
+            pixel_rows, pixel_threshold = rows[pixels], threshold[pixels, None]
+            for r, a, b in zip(runs.tolist(), lo[by_start][runs].tolist(), ends.tolist()):
+                block = (pixel_rows[r:r + _SLAB_PIXELS] @ group_weights[:, a:b]
+                         > pixel_threshold[r:r + _SLAB_PIXELS])
+                p, c = np.divmod(np.flatnonzero(~block), b - a)
+                pix_parts.append(pixels[r + p])
+                comp_parts.append(group[a + c])
+            pix_parts.append(np.repeat(open_pix, group.size))
+            comp_parts.append(np.tile(group, open_pix.size))
+        if dense.size:
             dense_weights = np.ascontiguousarray(weights[dense].T)
-            # Each pixel's own component, as a column of the blocks or past
-            # their end, is marked pruned.
-            column = np.full(M, dense.size)
-            column[dense] = np.arange(dense.size)
             step = max(1, _BLOCK_ELEMENTS // dense.size)
             for lo in range(0, n, step):
                 block = rows[lo:lo + step] @ dense_weights > threshold[lo:lo + step, None]
-                own_column = column[own[lo:lo + step]]
-                mine = own_column < dense.size
-                block[np.flatnonzero(mine), own_column[mine]] = True
                 p, c = np.divmod(np.flatnonzero(~block), dense.size)
                 pix_parts.append(p + lo)
                 comp_parts.append(dense[c])
     pix = np.concatenate(pix_parts)
     comp = np.concatenate(comp_parts)
-    comp, pix = np.divmod(np.sort(comp * n + pix), n)
+    # A pixel's own component always meets the bound; it is no candidate.
+    other = comp != own[pix]
+    comp, pix = np.divmod(np.sort(comp[other] * n + pix[other]), n)
     return pix, comp
 
 

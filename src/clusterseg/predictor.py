@@ -226,14 +226,7 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
     dh2.fill(0.0)
     product = np.empty_like(dh2)
     for name, dy in head_grads.items():
-        w = p[f"w_{name}"]
-        if w.shape[1] == 1:
-            # A one-column head's product is one rounding per entry, which a
-            # broadcast multiply gives without a gemm call; only the sign of
-            # a zero can differ, and adding into dh2 erases it.
-            np.multiply(dy, w.T, out=product)
-        else:
-            np.matmul(dy, w.T, out=product)
+        np.matmul(dy, p[f"w_{name}"].T, out=product)
         dh2 += product
     da2 = dh2
     da2 *= live2

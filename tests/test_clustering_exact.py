@@ -118,6 +118,22 @@ def test_exact_on_untrained_mlp(res):
     assert len(seeded.scores) > 0.8 * np.count_nonzero(seeded.labels)
 
 
+def test_exact_with_open_pixels_beside_a_slab_indexed_group():
+    # A NaN pixel scores NaN under every component, so the definition moves
+    # it to component 0, a one-member component of the indexed group; a
+    # pixel of huge magnitude is never pruned either.
+    frame, _ = _frame(1, 48, count_range=(2, 6))
+    pred = mlp_forward(init_model(0), frame)[0].to_prediction()
+    rows, cols = np.nonzero(pred.mask_prob >= 0.5)
+    pred.xi_hat[rows[-1], cols[-1]] = np.nan
+    pred.xi_hat[rows[-2], cols[-2]] = 1e60
+    with np.errstate(all="ignore"):
+        seeded, _ = _assert_stages_exact(pred)
+        refined = gmm_refine(seeded, pred)
+    assert np.count_nonzero(seeded.labels == 1) == 1
+    assert refined.labels[rows[-1], cols[-1]] == 1
+
+
 @pytest.mark.parametrize("frac", [0.49, 2.0])
 def test_exact_under_ball_noise_at_128(frac):
     _, ann = _frame(7, 128, count_range=(4, 8))
@@ -302,14 +318,19 @@ def _assert_index_keeps_every_dense_pair(args):
     A kept pair has an open pixel (infinite threshold), a component that is
     not prunable, or lies inside the pixel's window over the component's
     slope group; the windows are checked for every group, and for all
-    prunable components as one group. Returns the number of pairs checked
-    against a window.
+    prunable components as one group. `_candidates` itself returns every
+    kept pair whose bound is clear of its threshold by more than rounding.
+    Returns the number of pairs checked against a window.
     """
     X, own, own_score, mus, covs, variance, fallback, log_w, const, plain = args
     with np.errstate(all="ignore"):
         pix, comp = reference_candidates(*args[:-1])
-        rows, _, threshold, slope, offset, prunable = _bound_terms(
+        rows, weights, threshold, slope, offset, prunable = _bound_terms(
             X, own_score, mus, covs, variance, fallback, log_w, const, plain)
+        bound = np.einsum("nk,nk->n", rows[pix], weights[comp])
+        clear = ~(bound >= threshold[pix] - 1e-9 * (1.0 + np.abs(threshold[pix])))
+        got_pix, got_comp = clustering._candidates(*args)
+        assert np.isin(comp[clear] * len(X) + pix[clear], got_comp * len(X) + got_pix).all()
         closed = np.flatnonzero(threshold != np.inf)
         row_of = np.full(len(X), -1)
         row_of[closed] = np.arange(closed.size)
@@ -340,6 +361,7 @@ def _recorded_candidate_calls(monkeypatch, preds):
     monkeypatch.setattr(clustering, "_candidates", record)
     for pred in preds:
         segment(pred)
+    monkeypatch.undo()
     return calls
 
 

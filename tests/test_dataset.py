@@ -18,7 +18,7 @@ from clusterseg.annotation import annotate
 from clusterseg.cli import _load_dataset, main
 from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
-                               ShapeMismatchError)
+                               NonFiniteError, ShapeMismatchError)
 from clusterseg.scenegen import render
 
 FRAME_FIELDS = ("rgb", "depth", "xyz", "instance_map", "amodal_masks", "occlusion_scores")
@@ -230,7 +230,7 @@ def test_non_finite_derived_xyz_is_a_typed_error(dataset, tmp_path, capsys, dept
     path = ds / "frame_00001.tsb"
     tensors = read_bundle(path)
     write_bundle(path, {**tensors, "depth": np.full_like(tensors["depth"], depth)})
-    with pytest.raises(ClusterSegError, match="frame_00001.tsb: .*non-finite"):
+    with pytest.raises(NonFiniteError, match="frame_00001.tsb: .*non-finite"):
         _load_dataset(str(ds))
     assert run_cli("train", "--dataset", ds, "--out", tmp_path / "model", "--epochs", 1) == 2
     err = capsys.readouterr().err
