@@ -67,8 +67,13 @@ class NoiseSpec:
 
 def oracle_predict(ann: Annotation) -> Prediction:
     """Ground truth copied into prediction space."""
+    return _annotation_prediction(ann, ann.xi_map.copy())
+
+
+def _annotation_prediction(ann: Annotation, xi_hat: np.ndarray) -> Prediction:
+    """`xi_hat` with the annotation's other maps copied into prediction space."""
     return Prediction(
-        xi_hat=ann.xi_map.copy(),
+        xi_hat=xi_hat,
         eta_hat=ann.eta_gt.astype(np.float64),
         b_hat=ann.b_map.copy(),
         mask_prob=ann.fg_mask.astype(np.float64),
@@ -101,14 +106,20 @@ def noisy_predict(ann: Annotation, spec: NoiseSpec, seed: int) -> Prediction:
     """Oracle plus seeded per-pixel noise as described by the NoiseSpec."""
     rng = stream_rng(seed, STREAM_NOISE)
     H, W = ann.fg_mask.shape
-    pred = oracle_predict(ann)
-    # The oracle's xi_hat is a copy of its own, so the noise is added in place.
+    shape = ann.xi_map.shape
+    eps = None
     if spec.bound_mode == "uniform-ball":
         if spec.ball_radius > 0:
-            eps = _uniform_ball(rng, H * W, pred.xi_hat.shape[-1], spec.ball_radius)
-            pred.xi_hat += eps.reshape(pred.xi_hat.shape)
+            eps = _uniform_ball(rng, H * W, shape[-1], spec.ball_radius).reshape(shape)
     elif spec.sigma_xi > 0:
-        pred.xi_hat += rng.normal(0.0, spec.sigma_xi, size=pred.xi_hat.shape)
+        eps = rng.normal(0.0, spec.sigma_xi, size=shape)
+    if eps is None:
+        pred = oracle_predict(ann)
+    else:
+        # The noise array becomes xi_hat, so xi_map is not copied first;
+        # addition commutes bit for bit.
+        eps += ann.xi_map
+        pred = _annotation_prediction(ann, eps)
     if spec.sigma_b > 0:
         pred.b_hat = np.maximum(pred.b_hat + rng.normal(0.0, spec.sigma_b, size=(H, W)), 0.0)
     if spec.sigma_eta > 0:

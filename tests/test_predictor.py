@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -70,15 +71,20 @@ def test_noisy_predict_deterministic_and_clamped():
     NoiseSpec(bound_mode="uniform-ball", ball_radius=3.0, sigma_b=0.2, flip_rate=0.1),
     NoiseSpec(sigma_xi=0.05),
     NoiseSpec(sigma_xi=2.0, sigma_b=0.5, sigma_eta=0.5, flip_rate=0.3),
+    NoiseSpec(sigma_b=0.5),
 ])
-def test_noisy_predict_equals_the_out_of_place_reference(spec):
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_noisy_predict_equals_the_out_of_place_reference(spec, dtype):
     for seed in range(6):
         # 96 x 88 pixels: the library takes the norms in three blocks of rows
         _, _, ann = make_example(seed=seed, camera=CameraIntrinsics(96.0, 96.0, 48.0, 44.0,
                                                                      96, 88))
+        ann = replace(ann, xi_map=ann.xi_map.astype(dtype))
         got = noisy_predict(ann, spec, seed=seed + 11)
         want = reference_noisy_predict(ann, spec, seed=seed + 11)
+        assert got.xi_hat is not ann.xi_map
         for name in ("xi_hat", "eta_hat", "b_hat", "mask_prob"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
