@@ -9,11 +9,12 @@ Subcommands:
   train      fit the per-pixel MLP with Adam and log per-epoch losses and AP
 
 Every command takes --config FILE (a JSON object of flag defaults; explicit
-flags win) and --dump-config (print the effective configuration as JSON and
-exit), and is deterministic given its configuration and seed. Exit codes:
-0 ok, 1 usage error (including a value the flag table below rejects, from
-the command line or the config file), 2 data error (including a value a
-library type rejects), 3 check failure.
+flags win) and --dump-config (print the effective configuration as strict
+JSON and exit; a NaN or infinite value exits 1), and is deterministic given
+its configuration and seed. Exit codes: 0 ok, 1 usage error (including a
+value the flag table below rejects, from the command line or the config
+file), 2 data error (including a value a library type rejects), 3 check
+failure.
 
 Dataset directory layout (written by gen, read by infer/eval/train):
 
@@ -506,6 +507,9 @@ def _cmd_train(args) -> int:
         model = init_model(args.seed)
         state = AdamState(lr=args.lr)
         start_epoch = 1
+    # One run, one thread: every forward and backward reuses one set of
+    # hidden-layer buffers.
+    model.scratch = {}
 
     rows = []
 
@@ -539,8 +543,10 @@ def _cmd_train(args) -> int:
                 if grads_sum is None:
                     grads_sum = grads
                 else:
-                    for k in grads_sum:
-                        grads_sum[k] += grads[k]
+                    # A sum that overflows is left for adam_step to reject.
+                    with np.errstate(over="ignore"):
+                        for k in grads_sum:
+                            grads_sum[k] += grads[k]
             for k in grads_sum:
                 grads_sum[k] /= len(batch)
             adam_step(model, grads_sum, state)
@@ -766,6 +772,18 @@ def _join_dash_values(argv):
     return joined
 
 
+def _dump(args) -> str:
+    """The configuration as strict JSON; a NaN or an infinity in it is a _BadValue."""
+    values = vars(args)
+    for dest, value in values.items():
+        try:
+            json.dumps(value, allow_nan=False)
+        except ValueError:
+            raise _BadValue(f"--{dest.replace('_', '-')} must be finite to be dumped as JSON, "
+                            f"got {value!r}") from None
+    return json.dumps(values, indent=2, sort_keys=True)
+
+
 def main(argv=None) -> int:
     try:
         argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
@@ -773,7 +791,7 @@ def main(argv=None) -> int:
         command, dump = given.pop("command"), given.pop("dump_config")
         args = _settings(command, given, dump)
         if dump:
-            print(json.dumps(vars(args), indent=2, sort_keys=True))
+            print(_dump(args))
             return 0
         return _COMMANDS[command][0](args)
     except _BadValue as exc:

@@ -133,9 +133,17 @@ def noisy_predict(ann: Annotation, spec: NoiseSpec, seed: int) -> Prediction:
 
 @dataclass
 class MlpModel:
-    """Parameters of the per-pixel network, all float64."""
+    """Parameters of the per-pixel network, all float64.
+
+    `scratch` is None, or a dict in which mlp_forward and mlp_backward keep
+    the frame-sized hidden-layer buffers of the last frame size they saw and
+    reuse them for every frame of that size. Each forward pass then
+    overwrites the cache the previous one returned, so a model with scratch
+    must not be shared across threads.
+    """
 
     params: dict
+    scratch: dict | None = None
 
     @staticmethod
     def parameter_layout():
@@ -172,25 +180,41 @@ def frame_features(frame: FrameBundle) -> np.ndarray:
     return x.reshape(H * W, INPUT_DIM)
 
 
-def _dense(inputs: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    out = inputs @ weight
+def _dense(inputs: np.ndarray, weight: np.ndarray, bias: np.ndarray, out=None) -> np.ndarray:
+    out = np.matmul(inputs, weight, out=out)
     out += bias
     return out
+
+
+def _hidden_buffer(model: MlpModel, name: str, rows: int) -> np.ndarray:
+    """A (rows, HIDDEN_DIM) array to overwrite: the model's scratch `name`, else a fresh one.
+
+    A fresh frame-sized buffer costs more than its arithmetic: it is handed
+    back to the system when freed and page-faulted in again on the next call.
+    """
+    if model.scratch is None:
+        return np.empty((rows, HIDDEN_DIM))
+    buf = model.scratch.get(name)
+    if buf is None or buf.shape[0] != rows:
+        buf = model.scratch[name] = np.empty((rows, HIDDEN_DIM))
+    return buf
 
 
 def mlp_forward(model: MlpModel, frame: FrameBundle):
     """Run the network over one frame.
 
     Returns (LogitPrediction, cache). The cache feeds one mlp_backward call,
-    which consumes it: that call overwrites its hidden activations.
+    which consumes it: that call overwrites its hidden activations. With
+    model.scratch set, the next mlp_forward call overwrites them as well.
     """
     H, W = frame.depth.shape
     p = model.params
     x = frame_features(frame)
+    n = x.shape[0]
     with np.errstate(invalid="ignore", over="ignore"):
-        h1 = _dense(x, p["w1"], p["b1"])
+        h1 = _dense(x, p["w1"], p["b1"], out=_hidden_buffer(model, "h1", n))
         np.maximum(h1, 0.0, out=h1)
-        h2 = _dense(h1, p["w2"], p["b2"])
+        h2 = _dense(h1, p["w2"], p["b2"], out=_hidden_buffer(model, "h2", n))
         np.maximum(h2, 0.0, out=h2)
         heads = {name: _dense(h2, p[f"w_{name}"], p[f"b_{name}"]) for name in HEAD_DIMS}
     for name, out in heads.items():
@@ -211,7 +235,9 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
 
     Consumes the cache: h2 is overwritten with the gradient at the second
     hidden layer and h1 with the one at the first, so the only frame-sized
-    float array this call allocates is one product buffer.
+    float array this call needs is one product buffer, the model's scratch
+    one when it has scratch. A gradient that is not finite raises
+    NonFiniteError naming its parameter.
     """
     p = model.params
     x, h1, h2 = cache["x"], cache["h1"], cache["h2"]
@@ -223,31 +249,35 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
         "mask": breakdown.grad_mask_logits.reshape(n, 2),
     }
     grads = {}
-    for name, dy in head_grads.items():
-        w = p[f"w_{name}"]
-        if dy.shape[1] != w.shape[1]:
-            raise ShapeMismatchError(
-                f"gradient for head {name!r} has width {dy.shape[1]}, expected {w.shape[1]}")
-        grads[f"w_{name}"] = h2.T @ dy
-        grads[f"b_{name}"] = dy.sum(axis=0)
-    # h2 is only needed as its mask from here on, so it becomes the
-    # accumulator dh2; starting from zeros keeps the sign of every zero sum.
-    live2 = h2 > 0
-    dh2 = h2
-    dh2.fill(0.0)
-    product = np.empty_like(dh2)
-    for name, dy in head_grads.items():
-        np.matmul(dy, p[f"w_{name}"].T, out=product)
-        dh2 += product
-    da2 = dh2
-    da2 *= live2
-    grads["w2"] = h1.T @ da2
-    grads["b2"] = da2.sum(axis=0)
-    live1 = h1 > 0
-    da1 = np.matmul(da2, p["w2"].T, out=h1)
-    da1 *= live1
-    grads["w1"] = x.T @ da1
-    grads["b1"] = da1.sum(axis=0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, dy in head_grads.items():
+            w = p[f"w_{name}"]
+            if dy.shape[1] != w.shape[1]:
+                raise ShapeMismatchError(
+                    f"gradient for head {name!r} has width {dy.shape[1]}, expected {w.shape[1]}")
+            grads[f"w_{name}"] = h2.T @ dy
+            grads[f"b_{name}"] = dy.sum(axis=0)
+        # h2 is only needed as its mask from here on, so it becomes the
+        # accumulator dh2; starting from zeros keeps the sign of every zero sum.
+        live2 = h2 > 0
+        dh2 = h2
+        dh2.fill(0.0)
+        product = _hidden_buffer(model, "product", n)
+        for name, dy in head_grads.items():
+            np.matmul(dy, p[f"w_{name}"].T, out=product)
+            dh2 += product
+        da2 = dh2
+        da2 *= live2
+        grads["w2"] = h1.T @ da2
+        grads["b2"] = da2.sum(axis=0)
+        live1 = h1 > 0
+        da1 = np.matmul(da2, p["w2"].T, out=h1)
+        da1 *= live1
+        grads["w1"] = x.T @ da1
+        grads["b1"] = da1.sum(axis=0)
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
     return grads
 
 
@@ -265,18 +295,29 @@ class AdamState:
 
 
 def adam_step(model: MlpModel, grads: dict, state: AdamState):
-    """One bias-corrected Adam update, in place. Returns (model, state)."""
+    """One bias-corrected Adam update, in place. Returns (model, state).
+
+    A non-finite gradient, or an update that leaves a parameter or its
+    second moment non-finite, raises NonFiniteError naming the parameter.
+    """
     if not state.m:
         state.m = {k: np.zeros_like(v) for k, v in model.params.items()}
         state.v = {k: np.zeros_like(v) for k, v in model.params.items()}
     state.step += 1
     t = state.step
-    for name, g in grads.items():
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        m_hat = state.m[name] / (1 - state.beta1 ** t)
-        v_hat = state.v[name] / (1 - state.beta2 ** t)
-        model.params[name] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, g in grads.items():
+            state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
+            state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
+            # A NaN or infinite gradient makes the second moment non-finite too.
+            if not np.isfinite(state.v[name]).all():
+                what = "second moment of" if np.isfinite(g).all() else "gradient for"
+                raise NonFiniteError(f"Adam step {t}: non-finite {what} parameter {name!r}")
+            m_hat = state.m[name] / (1 - state.beta1 ** t)
+            v_hat = state.v[name] / (1 - state.beta2 ** t)
+            model.params[name] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            if not np.isfinite(model.params[name]).all():
+                raise NonFiniteError(f"Adam step {t}: non-finite parameter {name!r}")
     return model, state
 
 

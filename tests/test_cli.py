@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from clusterseg.cli import _load_segmentations, _rows, main
 from clusterseg.clustering import Segmentation
 from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.errors import BundleDtypeError, ClusterSegError, ShapeMismatchError
+from clusterseg.predictor import MlpModel
 
 
 def run_cli(*argv):
@@ -356,10 +359,16 @@ def test_a_value_starting_with_a_dash_parses_as_its_joined_spelling(capsys, comm
                                                                     parsed):
     dumps = []
     for spelling in ([flag, value], [f"{flag}={value}"]):
-        assert run_cli(command, *spelling, "--dump-config") == 0
-        dumps.append(capsys.readouterr())
+        code = run_cli(command, *spelling, "--dump-config")
+        dumps.append((code, *capsys.readouterr()))
     assert dumps[0] == dumps[1]
-    assert json.loads(dumps[0].out)[flag[2:].replace("-", "_")] == parsed
+    code, out, err = dumps[0]
+    if np.isfinite(parsed).all():
+        assert code == 0
+        assert json.loads(out)[flag[2:].replace("-", "_")] == parsed
+    else:  # the dump refuses a value strict JSON cannot hold, and quotes it
+        assert (code, out) == (1, "")
+        assert err.endswith(f", got {parsed!r}\n")
 
 
 def test_a_dash_value_reaches_the_library_check(two_frame_dataset, tmp_path, capsys):
@@ -369,6 +378,45 @@ def test_a_dash_value_reaches_the_library_check(two_frame_dataset, tmp_path, cap
     assert capsys.readouterr().err == ("clusterseg: error: sigma_xi must be finite and "
                                        "non-negative, got -inf\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_dump_config_refuses_a_non_finite_value(capsys, value):
+    for command, flag, text in (("infer", "--sigma-xi", value),
+                                ("gen", "--background-depth", value),
+                                ("gen", "--z-range", f"1..{value}")):
+        assert run_cli(command, flag, text, "--dump-config") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"clusterseg: error: {flag} must be finite")
+
+
+@pytest.fixture(scope="module")
+def one_frame_dataset(tmp_path_factory):
+    ds = tmp_path_factory.mktemp("overflow") / "ds"
+    assert run_cli("gen", "--count", "1", "--res", "16x16", "--objects", "1..1", "--seed", "1",
+                   "--out", str(ds)) == 0
+    return ds
+
+
+@pytest.mark.parametrize("flags", [["--lr", "1e308"],
+                                   ["--bump-value", "1e308", "--bump-epoch", "0"]],
+                         ids=["lr", "bump-value"])
+def test_training_that_overflows_fails_with_one_line(one_frame_dataset, tmp_path, capsys, flags):
+    ckpt = tmp_path / "model.ckpt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("train", "--dataset", str(one_frame_dataset), "--out", str(ckpt),
+                       "--epochs", "2", "--batch", "1", *flags) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("clusterseg: error: ") and "non-finite" in err
+    # the message names the parameter whose gradient or update overflowed
+    names = re.findall(r"'(\w+)'", err)
+    assert names and names[0] in dict(MlpModel.parameter_layout())
+    assert not ckpt.exists()
 
 
 def test_gradcheck_fails_when_the_loss_overflows(capsys):

@@ -1,4 +1,5 @@
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -223,6 +224,37 @@ def test_mlp_non_finite_raises():
     model.params["w_xi"][0, 0] = np.inf
     with pytest.raises(NonFiniteError):
         mlp_forward(model, frame)
+
+
+def test_mlp_backward_rejects_a_gradient_that_overflows():
+    _, frame, _ = make_example(seed=0)
+    model = init_model(0)
+    _, cache = mlp_forward(model, frame)
+    H, W = frame.depth.shape
+    upstream = LossBreakdown(l_s=0.0, l_cen=0.0, l_p=0.0, l_var=0.0, l_vio=0.0, total=0.0,
+                             grad_xi=np.full((H, W, 9), 1e308), grad_b=np.zeros((H, W)),
+                             grad_eta_logits=np.zeros((H, W, 2)),
+                             grad_mask_logits=np.zeros((H, W, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="gradient for parameter 'w_xi'"):
+            mlp_backward(model, cache, upstream)
+
+
+@pytest.mark.parametrize("grad, lr, message", [
+    (np.inf, 1e-3, "Adam step 1: non-finite gradient for parameter 'w1'"),
+    (np.nan, 1e-3, "Adam step 1: non-finite gradient for parameter 'w1'"),
+    (1e200, 1e-3, "Adam step 1: non-finite second moment of parameter 'w1'"),
+    (2.0, 1e308, "Adam step 1: non-finite parameter 'w1'"),
+], ids=["infinite-gradient", "nan-gradient", "second-moment", "parameter"])
+def test_adam_rejects_a_non_finite_update(grad, lr, message):
+    model = init_model(0)
+    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+    grads["w1"][0, 0] = grad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=message):
+            adam_step(model, grads, AdamState(lr=lr))
 
 
 def test_adam_zero_gradient_is_identity():

@@ -18,8 +18,8 @@ from clusterseg.geometry import CameraIntrinsics
 from clusterseg.losses import (LogitPrediction, LossBreakdown, LossWeights, center_loss,
                                pixel_loss, semantic_mask_loss, total_loss, variance_loss,
                                violation_loss)
-from clusterseg.predictor import (frame_features, init_model, mlp_backward, mlp_forward,
-                                  save_checkpoint)
+from clusterseg.predictor import (MlpModel, frame_features, init_model, mlp_backward,
+                                  mlp_forward, save_checkpoint)
 
 from conftest import make_example
 from reference_losses import (reference_center_loss, reference_pixel_loss,
@@ -82,6 +82,42 @@ def test_training_step_equals_reference(size):
         assert ann.fg_mask.any()
         for weights in (LossWeights(), BUMPED):
             _assert_same_step(init_model(seed), frame, ann, weights)
+
+
+def test_scratch_buffers_are_reused_and_change_no_bit():
+    # 16x16, 24x24, then two more 16x16 frames: the buffers are reallocated
+    # at each change of size and reused while it holds.
+    steps = []
+    for seed, size in ((1, 16), (2, 24), (3, 16), (4, 16)):
+        camera = CameraIntrinsics(float(size), float(size), size / 2.0, size / 2.0, size, size)
+        _, frame, ann = make_example(seed=seed, camera=camera)
+        steps.append((frame, ann))
+    plain = init_model(5)
+    model = MlpModel(params=plain.params, scratch={})
+    caches, products = [], []
+    for frame, ann in steps:
+        pred, cache = mlp_forward(model, frame)
+        plain_pred, plain_cache = mlp_forward(plain, frame)
+        ref_pred, ref_cache = reference_mlp_forward(plain, frame)
+        for name in ("xi_hat", "b_hat", "eta_logits", "mask_logits"):
+            _assert_same(getattr(pred, name), getattr(plain_pred, name), name)
+            _assert_same(getattr(pred, name), getattr(ref_pred, name), name)
+        breakdown = total_loss(pred, ann, BUMPED)
+        _assert_same_breakdown(breakdown, total_loss(plain_pred, ann, BUMPED))
+        ref_grads = reference_mlp_backward(plain, ref_cache, breakdown)
+        plain_grads = mlp_backward(plain, plain_cache, breakdown)
+        grads = mlp_backward(model, cache, breakdown)
+        assert list(grads) == list(plain_grads) == list(ref_grads)
+        for key in grads:
+            _assert_same(grads[key], plain_grads[key], key)
+            _assert_same(grads[key], ref_grads[key], key)
+        caches.append(cache)
+        products.append(model.scratch["product"])
+    for key in ("h1", "h2"):
+        assert not np.shares_memory(caches[0][key], caches[1][key]), key
+        assert np.shares_memory(caches[2][key], caches[3][key]), key
+    assert products[3] is products[2] is not products[1]
+    assert plain.scratch is None
 
 
 def test_training_step_on_an_empty_foreground_equals_reference():
