@@ -44,7 +44,7 @@ import numpy as np
 from . import dataio, losses
 from .annotation import Annotation, annotate, build_annotation
 from .clustering import Segmentation, segment
-from .errors import BundleDtypeError, BundleManifestError, ClusterSegError, ShapeMismatchError
+from .errors import BundleDtypeError, ClusterSegError, ShapeMismatchError
 from .evaluation import (EvalConfig, compute_metrics, format_table, result_to_dict)
 from .geometry import FEATURE_DIM, CameraIntrinsics, depth_to_xyz
 from .losses import LossWeights, finite_diff_check, total_loss
@@ -106,20 +106,12 @@ def _frame_tensors(frame: FrameBundle, ann: Annotation) -> dict:
 
 def _check_frame_tensors(name, t, scene):
     """Require what _frame_tensors writes, shaped by the scene's camera and objects."""
-    if t.keys() != FRAME_TENSORS.keys():
-        raise BundleManifestError(f"{name}: a frame bundle holds {sorted(FRAME_TENSORS)}, "
-                                  f"got {sorted(t)}")
-    for key, dtype in FRAME_TENSORS.items():
-        if t[key].dtype != dtype:
-            raise BundleDtypeError(f"{name}: {key} must be {np.dtype(dtype)}, got {t[key].dtype}")
     H, W, K = scene.camera.height, scene.camera.width, len(scene.objects)
     shapes = {"rgb": (H, W, 3), "depth": (H, W), "instance_map": (H, W),
               "amodal_masks": (K, H, W), "occlusion_scores": (K,),
               "per_object_xi": (K, FEATURE_DIM)}
-    for key, shape in shapes.items():
-        if t[key].shape != shape:
-            raise ShapeMismatchError(f"{name}: {key} has shape {t[key].shape}, expected {shape} "
-                                     f"for a {W}x{H} camera and {K} objects")
+    dataio.check_layout(name, t, {key: (dtype, shapes[key])
+                                  for key, dtype in FRAME_TENSORS.items()})
     if t["instance_map"].max(initial=0) > K:
         raise ShapeMismatchError(f"{name}: instance ids exceed the object count {K}")
 

@@ -533,13 +533,11 @@ def _check_prediction(pred: Prediction):
             raise NonFiniteError(f"prediction {name} contains NaN or infinity")
 
 
-def segment(pred: Prediction,
-            fg_threshold: float = DEFAULT_FG_THRESHOLD,
-            stats: dict | None = None) -> Segmentation:
+def segment(pred: Prediction, fg_threshold: float = DEFAULT_FG_THRESHOLD) -> Segmentation:
     """Full inference: greedy seeding followed by one GMM refinement step.
 
     Raises ShapeMismatchError when the prediction's arrays disagree in shape
     and NonFiniteError when any of them holds NaN or infinity.
     """
     _check_prediction(pred)
-    return gmm_refine(seed_segmentation(pred, fg_threshold), pred, stats)
+    return gmm_refine(seed_segmentation(pred, fg_threshold), pred)

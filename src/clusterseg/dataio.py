@@ -20,7 +20,7 @@ import struct
 import numpy as np
 
 from .errors import (BundleDtypeError, BundleManifestError, BundleTruncatedError,
-                     DuplicateNameError)
+                     ShapeMismatchError)
 
 MAGIC = b"TSB1"
 
@@ -29,23 +29,13 @@ _KIND_TO_TAG = {("f", 4): "f32", ("f", 8): "f64", ("u", 1): "u8", ("u", 2): "u16
 
 
 def write_bundle(path, tensors) -> None:
-    """Write named arrays to a .tsb file.
-
-    tensors may be a mapping or an iterable of (name, array) pairs; names
-    must be unique ASCII strings.
-    """
-    if hasattr(tensors, "items"):
-        items = list(tensors.items())
-    else:
-        items = list(tensors)
+    """Write a mapping of names (non-empty ASCII strings) to arrays to a .tsb file."""
     manifest = {}
     chunks = []
     offset = 0
-    for name, array in items:
+    for name, array in tensors.items():
         if not isinstance(name, str) or not name.isascii() or not name:
             raise BundleManifestError(f"tensor names must be non-empty ASCII, got {name!r}")
-        if name in manifest:
-            raise DuplicateNameError(f"duplicate tensor name {name!r}")
         array = np.asarray(array)
         tag = _KIND_TO_TAG.get((array.dtype.kind, array.dtype.itemsize))
         if tag is None:
@@ -114,6 +104,20 @@ def read_bundle(path) -> dict:
             raise BundleManifestError(
                 f"{path}: tensors {name_a!r} and {name_b!r} overlap in the payload")
     return out
+
+
+def check_layout(path, tensors, layout) -> None:
+    """Require exactly the tensors `layout` names, each in its (dtype, shape)."""
+    if tensors.keys() != layout.keys():
+        raise BundleManifestError(f"{path}: expected tensors {sorted(layout)}, "
+                                  f"got {sorted(tensors)}")
+    for name, (dtype, shape) in layout.items():
+        if tensors[name].dtype != dtype:
+            raise BundleDtypeError(f"{path}: {name} must be {np.dtype(dtype)}, "
+                                   f"got {tensors[name].dtype}")
+        if tensors[name].shape != shape:
+            raise ShapeMismatchError(f"{path}: {name} has shape {tensors[name].shape}, "
+                                     f"expected {shape}")
 
 
 def _validated_entry(path, name, entry):

@@ -47,7 +47,3 @@ class BundleTruncatedError(BundleError):
 
 class BundleDtypeError(BundleError):
     """The bundle references a dtype tag this format does not support."""
-
-
-class DuplicateNameError(BundleError):
-    """Two tensors were written under the same name."""

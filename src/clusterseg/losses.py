@@ -233,9 +233,14 @@ def violation_loss(xi_hat: np.ndarray, ann: Annotation, lambda_v: float, *,
     return loss, grad
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def total_loss(pred: LogitPrediction, ann: Annotation,
                weights: LossWeights = LossWeights()) -> LossBreakdown:
-    """Weighted sum of all five terms with accumulated gradients."""
+    """Weighted sum of all five terms with accumulated gradients.
+
+    Heads large enough to overflow give infinite or NaN terms without
+    warnings; training rejects the resulting gradients (NonFiniteError).
+    """
     l_s, g_mask = semantic_mask_loss(pred.mask_logits, ann.fg_mask)
     l_cen, g_eta = center_loss(pred.eta_logits, ann.eta_gt, ann.fg_mask)
     dxi = _foreground_error(pred.xi_hat, ann)

@@ -12,26 +12,24 @@ with input (r, g, b, x, y, z, depth, u/W, v/H, 1). It exists to exercise
 the loss gradients and the training loop end to end; with no spatial
 context it is not expected to reach the accuracy of a full image model.
 
-Checkpoints are a versioned binary: magic, version, JSON layer table
-(name -> shape), then little-endian float64 parameters in table order.
+Checkpoints are tensor bundles (see dataio): every parameter raveled into
+one f64 vector in parameter_layout() order, the next epoch, and, when saved
+with Adam state, the two moments in the same layout and the step and
+hyperparameters.
 """
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dataio
 from .annotation import Annotation
 from .clustering import Prediction
 from .errors import ClusterSegError, NonFiniteError, ShapeMismatchError
 from .losses import LogitPrediction
 from .scenegen import FrameBundle
 from .seeding import STREAM_MODEL, STREAM_NOISE, stream_rng
-
-CHECKPOINT_MAGIC = b"CSEGMLP\x01"
-CHECKPOINT_VERSION = 1
 
 INPUT_DIM = 10
 HIDDEN_DIM = 64
@@ -321,84 +319,58 @@ def adam_step(model: MlpModel, grads: dict, state: AdamState):
     return model, state
 
 
+def _flatten(params: dict) -> np.ndarray:
+    return np.concatenate([params[name].ravel() for name, _ in MlpModel.parameter_layout()])
+
+
+def _unflatten(flat: np.ndarray) -> dict:
+    out, start = {}, 0
+    for name, shape in MlpModel.parameter_layout():
+        size = math.prod(shape)
+        out[name] = flat[start:start + size].reshape(shape).copy()
+        start += size
+    return out
+
+
+def _checkpoint_layout(adam: bool) -> dict:
+    size = sum(math.prod(shape) for _, shape in MlpModel.parameter_layout())
+    layout = {"params": (np.float64, (size,)), "next_epoch": (np.float64, ())}
+    if adam:
+        layout.update(adam=(np.float64, (5,)), adam_m=(np.float64, (size,)),
+                      adam_v=(np.float64, (size,)))
+    return layout
+
+
 def save_checkpoint(path, model: MlpModel, state: AdamState | None = None,
                     next_epoch: int = 1):
-    """Write the versioned binary checkpoint (optionally with Adam state)."""
-    table = [{"name": n, "shape": list(model.params[n].shape)}
-             for n, _ in MlpModel.parameter_layout()]
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "layers": table,
-        "next_epoch": next_epoch,
-        "adam": None if state is None else
-                {"step": state.step, "lr": state.lr, "beta1": state.beta1,
-                 "beta2": state.beta2, "eps": state.eps},
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for name, _ in MlpModel.parameter_layout():
-            fh.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
-        if state is not None:
-            for name, _ in MlpModel.parameter_layout():
-                fh.write(np.ascontiguousarray(state.m[name], dtype="<f8").tobytes())
-            for name, _ in MlpModel.parameter_layout():
-                fh.write(np.ascontiguousarray(state.v[name], dtype="<f8").tobytes())
+    """Write the model (optionally with Adam state) as a tensor bundle."""
+    tensors = {"params": _flatten(model.params), "next_epoch": np.float64(next_epoch)}
+    if state is not None:
+        tensors.update(adam=np.array([state.step, state.lr, state.beta1, state.beta2, state.eps],
+                                     dtype=np.float64),
+                       adam_m=_flatten(state.m), adam_v=_flatten(state.v))
+    dataio.write_bundle(path, tensors)
 
 
 def load_checkpoint(path):
     """Read a checkpoint. Returns (model, adam_state_or_None, next_epoch).
 
     A file that is not a well-formed checkpoint of this model raises
-    ClusterSegError.
+    ClusterSegError naming the path.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    start = len(CHECKPOINT_MAGIC) + 8
-    if data[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ClusterSegError(f"{path}: not a model checkpoint")
-    if len(data) < start:
-        raise ClusterSegError(f"{path}: truncated checkpoint")
-    (hlen,) = struct.unpack("<Q", data[len(CHECKPOINT_MAGIC):start])
-    if hlen > len(data) - start:
-        raise ClusterSegError(f"{path}: truncated checkpoint")
-    try:
-        header = json.loads(data[start:start + hlen].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError, JSONDecodeError
-        raise ClusterSegError(f"{path}: checkpoint header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ClusterSegError(f"{path}: checkpoint header must be a JSON object")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise ClusterSegError(f"unsupported checkpoint version {header.get('version')!r}")
-    layout = MlpModel.parameter_layout()
-    if header.get("layers") != [{"name": n, "shape": list(shape)} for n, shape in layout]:
-        raise ClusterSegError(f"{path}: layer table does not match the model")
-    # type() rather than isinstance(): JSON true and false parse as bool, an int
-    next_epoch = header.get("next_epoch", 1)
-    adam = header.get("adam")
-    if type(next_epoch) is not int or adam is not None and not (
-            isinstance(adam, dict) and type(adam.get("step")) is int
-            and all(type(adam.get(k)) in (int, float) for k in ("lr", "beta1", "beta2", "eps"))):
-        raise ClusterSegError(f"{path}: malformed checkpoint header")
-
-    offset = start + hlen
-    def read_table():
-        nonlocal offset
-        out = {}
-        for name, shape in layout:
-            size = 8 * math.prod(shape)
-            raw = data[offset:offset + size]
-            if len(raw) != size:
-                raise ClusterSegError(f"{path}: truncated checkpoint")
-            out[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            offset += size
-        return out
-    model = MlpModel(params=read_table())
+    t = dataio.read_bundle(path)
+    adam = "adam" in t
+    dataio.check_layout(path, t, _checkpoint_layout(adam))
+    counts = {"next_epoch": float(t["next_epoch"])}
+    if adam:
+        counts["step"] = float(t["adam"][0])
+    for name, value in counts.items():
+        if not value.is_integer():
+            raise ClusterSegError(f"{path}: {name} must be an integer, got {value!r}")
+    model = MlpModel(params=_unflatten(t["params"]))
     state = None
-    if adam is not None:
-        state = AdamState(m=read_table(), v=read_table(), step=adam["step"], lr=adam["lr"],
-                          beta1=adam["beta1"], beta2=adam["beta2"], eps=adam["eps"])
-    return model, state, next_epoch
-
+    if adam:
+        _, lr, beta1, beta2, eps = t["adam"].tolist()
+        state = AdamState(m=_unflatten(t["adam_m"]), v=_unflatten(t["adam_v"]),
+                          step=int(counts["step"]), lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    return model, state, int(counts["next_epoch"])

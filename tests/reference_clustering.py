@@ -108,10 +108,9 @@ def reference_gmm_refine(seg: Segmentation, pred: Prediction,
 
 
 def reference_segment(pred: Prediction,
-                      fg_threshold: float = DEFAULT_FG_THRESHOLD,
-                      stats: dict | None = None) -> Segmentation:
+                      fg_threshold: float = DEFAULT_FG_THRESHOLD) -> Segmentation:
     """Loop seeding followed by the loop GMM refinement step."""
-    return reference_gmm_refine(reference_seed_segmentation(pred, fg_threshold), pred, stats)
+    return reference_gmm_refine(reference_seed_segmentation(pred, fg_threshold), pred)
 
 
 def reference_candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const):

@@ -11,8 +11,10 @@ import pytest
 from clusterseg.cli import _load_segmentations, _rows, main
 from clusterseg.clustering import Segmentation
 from clusterseg.dataio import read_bundle, write_bundle
-from clusterseg.errors import BundleDtypeError, ClusterSegError, ShapeMismatchError
-from clusterseg.predictor import MlpModel
+from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
+                               ShapeMismatchError)
+from clusterseg.predictor import (AdamState, MlpModel, adam_step, init_model, load_checkpoint,
+                                  save_checkpoint)
 
 
 def run_cli(*argv):
@@ -279,6 +281,64 @@ def test_train_resume_past_epochs_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.ckpt").exists()
 
 
+def test_train_resumed_from_an_untrained_checkpoint_matches_a_fresh_run(tmp_path):
+    ds = tmp_path / "ds"
+    assert run_cli("gen", "--count", "3", "--res", "16x16", "--objects", "1..1",
+                   "--sizes", "0.12..0.2", "--seed", "2", "--out", str(ds)) == 0
+    untrained = tmp_path / "untrained.ckpt"
+    save_checkpoint(untrained, init_model(3))
+    train = ("train", "--dataset", str(ds), "--epochs", "2", "--batch", "2", "--seed", "3")
+    fresh, resumed = tmp_path / "fresh.ckpt", tmp_path / "resumed.ckpt"
+    assert run_cli(*train, "--out", str(fresh)) == 0
+    assert run_cli(*train, "--out", str(resumed), "--resume", str(untrained)) == 0
+    assert resumed.read_bytes() == fresh.read_bytes()
+    assert (open(str(resumed) + ".csv", "rb").read()
+            == open(str(fresh) + ".csv", "rb").read())
+
+
+def _without(name):
+    return lambda t: {k: v for k, v in t.items() if k != name}
+
+
+@pytest.mark.parametrize("mutate, error", [
+    (_without("next_epoch"), BundleManifestError),
+    (lambda t: {**t, "w1": np.zeros((10, 64))}, BundleManifestError),
+    (lambda t: {**t, "params": t["params"].astype(np.float32)}, BundleDtypeError),
+    (lambda t: {**t, "params": t["params"][:-1]}, ShapeMismatchError),
+    (lambda t: {**t, "next_epoch": t["next_epoch"].reshape(1)}, ShapeMismatchError),
+    (_without("adam_v"), BundleManifestError),
+    (_without("adam"), BundleManifestError),
+    (lambda t: {**t, "next_epoch": np.array(1.5)}, ClusterSegError),
+    (lambda t: {**t, "next_epoch": np.array(np.nan)}, ClusterSegError),
+    (lambda t: {**t, "adam": np.concatenate([[2.5], t["adam"][1:]])}, ClusterSegError),
+], ids=["missing-tensor", "extra-tensor", "f32-params", "params-length", "1d-next-epoch",
+        "no-adam-v", "no-adam", "fractional-next-epoch", "nan-next-epoch",
+        "fractional-step"])
+def test_malformed_checkpoint_is_a_typed_error(two_frame_dataset, tmp_path, capsys,
+                                               mutate, error):
+    path = tmp_path / "model.ckpt"
+    model, state = init_model(0), AdamState()
+    adam_step(model, {k: np.ones_like(v) for k, v in model.params.items()}, state)
+    save_checkpoint(path, model, state, next_epoch=2)
+    write_bundle(path, mutate(read_bundle(path)))
+    with pytest.raises(error, match="model.ckpt") as caught:
+        load_checkpoint(path)
+    assert caught.type is error
+    assert run_cli("infer", "--dataset", str(two_frame_dataset), "--out",
+                   str(tmp_path / "segs"), "--predictor", "mlp", "--model", str(path)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "model.ckpt" in err
+
+
+def test_a_checkpoint_in_the_old_format_exits_2(two_frame_dataset, tmp_path, capsys):
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(b"CSEGMLP\x01" + (2).to_bytes(8, "little") + b"{}")
+    assert run_cli("infer", "--dataset", str(two_frame_dataset), "--out",
+                   str(tmp_path / "segs"), "--predictor", "mlp", "--model", str(path)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "missing TSB1 magic" in err
+
+
 @pytest.fixture(scope="module")
 def two_frame_dataset(tmp_path_factory):
     ds = tmp_path_factory.mktemp("flags") / "ds"
@@ -400,9 +460,9 @@ def one_frame_dataset(tmp_path_factory):
     return ds
 
 
-@pytest.mark.parametrize("flags", [["--lr", "1e308"],
+@pytest.mark.parametrize("flags", [["--lr", "1e308"], ["--lr", "1e100"],
                                    ["--bump-value", "1e308", "--bump-epoch", "0"]],
-                         ids=["lr", "bump-value"])
+                         ids=["lr", "lr-1e100", "bump-value"])
 def test_training_that_overflows_fails_with_one_line(one_frame_dataset, tmp_path, capsys, flags):
     ckpt = tmp_path / "model.ckpt"
     with warnings.catch_warnings(record=True) as caught:

@@ -182,9 +182,7 @@ def test_exact_near_overflow(magnitude):
     pred = _overflow_case(magnitude)
     with np.errstate(all="ignore"):
         seeded, fallbacks = _assert_stages_exact(pred)
-        fast_stats, ref_stats = {}, {}
-        _assert_same(segment(pred, stats=fast_stats), reference_segment(pred, stats=ref_stats))
-    assert fast_stats == ref_stats
+        _assert_same(segment(pred), reference_segment(pred))
     assert len(seeded.scores) >= 2
     assert fallbacks > 0
 

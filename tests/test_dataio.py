@@ -6,7 +6,7 @@ import pytest
 
 from clusterseg.dataio import MAGIC, read_bundle, write_bundle
 from clusterseg.errors import (BundleDtypeError, BundleError, BundleManifestError,
-                               BundleTruncatedError, DuplicateNameError)
+                               BundleTruncatedError)
 
 
 def _round_trip(tmp_path, tensors):
@@ -45,16 +45,6 @@ def test_empty_bundle(tmp_path):
     assert read_bundle(path) == {}
     raw = path.read_bytes()
     assert raw[:4] == MAGIC
-
-
-def test_pairs_input_and_duplicates(tmp_path):
-    path = tmp_path / "t.tsb"
-    write_bundle(path, [("a", np.zeros(2, dtype=np.uint8)),
-                        ("b", np.ones(2, dtype=np.uint8))])
-    assert set(read_bundle(path)) == {"a", "b"}
-    with pytest.raises(DuplicateNameError):
-        write_bundle(path, [("a", np.zeros(2, dtype=np.uint8)),
-                            ("a", np.ones(2, dtype=np.uint8))])
 
 
 def test_rejects_bad_names_and_dtypes(tmp_path):

@@ -20,10 +20,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from clusterseg import dataio
 from clusterseg.cli import _load_dataset, main
 from clusterseg.dataio import read_bundle
 from clusterseg.errors import ClusterSegError
-from clusterseg.predictor import CHECKPOINT_MAGIC, init_model, load_checkpoint, save_checkpoint
+from clusterseg.predictor import init_model, load_checkpoint, save_checkpoint
 
 VALUES = [True, False, None, -1, 0, 1.5, float("inf"), [], {}, "x", [2, True],
           2 ** 63 - 1, 2 ** 64, [2 ** 32] * 3]
@@ -112,7 +113,7 @@ def test_damaged_segmentation_bundle(files, data):
 @FUZZ
 @given(data=st.data())
 def test_damaged_checkpoint(files, data):
-    raw = data.draw(damaged(files["model"].read_bytes(), len(CHECKPOINT_MAGIC)))
+    raw = data.draw(damaged(files["model"].read_bytes(), len(dataio.MAGIC)))
     with tempfile.TemporaryDirectory() as tmp:
         model = Path(tmp) / "model.ckpt"
         model.write_bytes(raw)
