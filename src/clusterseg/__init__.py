@@ -3,8 +3,9 @@
 Pipeline: render analytic scenes (scenegen) -> per-pixel ground truth
 (annotation) -> predictions (predictor) -> two-stage clustering
 (clustering) -> COCO-style metrics (evaluation), with training losses and
-gradients (losses) and bit-exact persistence (dataio). The cli module wires
-everything into the `clusterseg` command.
+gradients (losses), bit-exact bundles (dataio) and the dataset and
+segmentation directories (dataset). The cli module wires everything into
+the `clusterseg` command.
 """
 
 from .annotation import Annotation, annotate

@@ -16,23 +16,13 @@ value the flag table below rejects, from the command line or the config
 file), 2 data error (including a value a library type rejects), 3 check
 failure.
 
-Dataset directory layout (written by gen, read by infer/eval/train):
-
-  dataset.json     manifest: format, frame file names + generation parameters
-  scene_00000.json scene geometry (see scenegen JSON schema)
-  frame_00000.tsb  rgb, depth, instance map, amodal masks, occlusion scores
-                   and per-object features (FRAME_TENSORS)
-
-Loading rebuilds the annotation maps from the per-object features, the
-instance map and the manifest's fraction and single_object_radius, and, for
-the commands that run the MLP, xyz from depth and the scene's camera, with
-the same functions gen uses.
+The dataset and segmentation directories these commands write and read are
+laid out, written and loaded by the dataset module.
 """
 
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -41,30 +31,27 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import dataio, losses
-from .annotation import Annotation, annotate, build_annotation
-from .clustering import Segmentation, segment
-from .errors import BundleDtypeError, ClusterSegError, ShapeMismatchError
+from . import losses
+from .annotation import annotate
+from .clustering import segment
+from .dataset import (derivation_values, is_finite, is_number, load_dataset, load_frames,
+                      load_segmentations, read_json_object, write_dataset, write_json,
+                      write_segmentations)
+from .errors import ClusterSegError
 from .evaluation import (EvalConfig, compute_metrics, format_table, result_to_dict)
-from .geometry import FEATURE_DIM, CameraIntrinsics, depth_to_xyz
+from .geometry import CameraIntrinsics
 from .losses import LossWeights, finite_diff_check, total_loss
 from .predictor import (AdamState, NoiseSpec, adam_step, init_model, load_checkpoint,
                         mlp_backward, mlp_forward, noisy_predict, oracle_predict,
                         save_checkpoint)
-from .scenegen import (FrameBundle, GeneratorConfig, render, sample_scene,
-                       scene_from_json, scene_to_json)
+from .scenegen import GeneratorConfig, render, sample_scene
 from .seeding import STREAM_EPOCH, stream_rng
 
 GRADCHECK_TOLERANCE = 1e-4
 # Spreads per-frame seeds apart so adjacent base seeds cannot collide.
 SEED_STRIDE = 1_000_003
-# The dataset layout gen writes; a dataset with any other "format" must be
-# regenerated.
-DATASET_FORMAT = 2
-# Every tensor a frame bundle stores, with the dtype it is written in.
-FRAME_TENSORS = {"rgb": np.float32, "depth": np.float64, "instance_map": np.uint16,
-                 "amodal_masks": np.uint8, "occlusion_scores": np.float64,
-                 "per_object_xi": np.float64}
+# perfbench/plan.py loads datasets and segmentations through these names.
+_load_dataset, _load_segmentations = load_dataset, load_segmentations
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,177 +82,11 @@ def _map_frames(fn, count, jobs):
 
 
 # ---------------------------------------------------------------------------
-# dataset persistence
-
-def _frame_tensors(frame: FrameBundle, ann: Annotation) -> dict:
-    arrays = {"rgb": frame.rgb, "depth": frame.depth, "instance_map": frame.instance_map,
-              "amodal_masks": frame.amodal_masks, "occlusion_scores": frame.occlusion_scores,
-              "per_object_xi": ann.per_object_xi}
-    return {name: arrays[name].astype(dtype) for name, dtype in FRAME_TENSORS.items()}
-
-
-def _check_frame_tensors(name, t, scene):
-    """Require what _frame_tensors writes, shaped by the scene's camera and objects."""
-    H, W, K = scene.camera.height, scene.camera.width, len(scene.objects)
-    shapes = {"rgb": (H, W, 3), "depth": (H, W), "instance_map": (H, W),
-              "amodal_masks": (K, H, W), "occlusion_scores": (K,),
-              "per_object_xi": (K, FEATURE_DIM)}
-    dataio.check_layout(name, t, {key: (dtype, shapes[key])
-                                  for key, dtype in FRAME_TENSORS.items()})
-    if t["instance_map"].max(initial=0) > K:
-        raise ShapeMismatchError(f"{name}: instance ids exceed the object count {K}")
-
-
-def _frame_from_tensors(t: dict, scene, xyz):
-    frame = FrameBundle(
-        rgb=t["rgb"], depth=t["depth"],
-        xyz=depth_to_xyz(t["depth"], scene.camera) if xyz else None,
-        instance_map=t["instance_map"].astype(np.int32),
-        amodal_masks=t["amodal_masks"].astype(bool),
-        occlusion_scores=t["occlusion_scores"],
-    )
-    return frame, t["per_object_xi"]
-
-
-def _number(value):
-    """An int or float that converts to a float; JSON true and false parse as bool, an int."""
-    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
-
-
-def _finite(value):
-    return _number(value) and math.isfinite(value)
-
-
-def _derivation_values(fraction, single_object_radius):
-    """The two values the annotation maps are derived from, checked, as floats."""
-    if not (_finite(fraction) and 0.10 <= fraction <= 0.30):
-        raise ClusterSegError(f"fraction must be a finite number in [0.10, 0.30], "
-                              f"got {fraction!r}")
-    if not (_finite(single_object_radius) and single_object_radius > 0):
-        raise ClusterSegError(f"single_object_radius must be a finite number above 0, "
-                              f"got {single_object_radius!r}")
-    return float(fraction), float(single_object_radius)
-
-
-def _read_text(path, what):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-        raise ClusterSegError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def _read_json_object(path, what):
-    try:
-        doc = json.loads(_read_text(path, what))
-    except json.JSONDecodeError as exc:
-        raise ClusterSegError(f"cannot read {what} {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ClusterSegError(f"malformed {what} {path}: not a JSON object")
-    return doc
-
-
-def _read_dataset(path, xyz):
-    """The dataset's (fraction, single_object_radius) and (scene, frame, per_object_xi) per frame.
-
-    Each frame's xyz map is derived only when `xyz` is true, else it is None.
-    """
-    manifest_path = os.path.join(path, "dataset.json")
-    manifest = _read_json_object(manifest_path, "dataset manifest")
-    fmt = manifest.get("format")
-    if type(fmt) is not int or fmt != DATASET_FORMAT:
-        raise ClusterSegError(f"{manifest_path}: dataset format {fmt!r} is not the current "
-                              f"format {DATASET_FORMAT}; regenerate the dataset with gen")
-    try:
-        values = _derivation_values(manifest.get("fraction"),
-                                    manifest.get("single_object_radius"))
-    except ClusterSegError as exc:
-        raise ClusterSegError(f"malformed dataset manifest {manifest_path}: {exc}") from exc
-    frames = []
-    try:
-        for entry in manifest["frames"]:
-            scene_path = os.path.join(path, entry["scene"])
-            try:
-                scene = scene_from_json(_read_text(scene_path, "scene"))
-            except ClusterSegError as exc:
-                raise ClusterSegError(f"{scene_path}: {exc}") from exc
-            bundle_path = os.path.join(path, entry["bundle"])
-            try:
-                tensors = dataio.read_bundle(bundle_path)
-            except (OSError, ValueError) as exc:
-                raise ClusterSegError(f"cannot read frame bundle {bundle_path}: {exc}") from exc
-            _check_frame_tensors(bundle_path, tensors, scene)
-            try:
-                frames.append((scene, *_frame_from_tensors(tensors, scene, xyz)))
-            except ClusterSegError as exc:
-                raise type(exc)(f"{bundle_path}: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        raise ClusterSegError(f"malformed dataset manifest {manifest_path}: {exc}") from exc
-    return values, frames
-
-
-def _load_dataset(path, xyz=True):
-    """(scene, frame, annotation) per frame, the annotation rebuilt from the bundle.
-
-    Only the MLP reads a frame's xyz map; without `xyz` it is not derived.
-    """
-    (fraction, single_object_radius), frames = _read_dataset(path, xyz)
-    return [(scene, frame,
-             build_annotation(per_object_xi, frame.instance_map, fraction, single_object_radius))
-            for scene, frame, per_object_xi in frames]
-
-
-def _check_segmentation_tensors(name, t):
-    """Require what _write_segmentation writes: u16 labels and seeds, f64 scores."""
-    for key, dtype in (("labels", np.uint16), ("scores", np.float64), ("seeds", np.uint16)):
-        if t[key].dtype != dtype:
-            raise BundleDtypeError(f"{name}: {key} must be {np.dtype(dtype)}, got {t[key].dtype}")
-    labels, scores, seeds = t["labels"], t["scores"], t["seeds"]
-    if labels.ndim != 2 or scores.ndim != 1 or seeds.shape != (scores.size, 2):
-        raise ShapeMismatchError(
-            f"{name}: expected 2-D labels, 1-D scores and one (row, col) seed per score, "
-            f"got labels {labels.shape}, scores {scores.shape}, seeds {seeds.shape}")
-
-
-def _load_segmentations(path):
-    manifest_path = os.path.join(path, "segs.json")
-    manifest = _read_json_object(manifest_path, "segmentation manifest")
-    segs = []
-    try:
-        for name in manifest["segmentations"]:
-            t = dataio.read_bundle(os.path.join(path, name))
-            _check_segmentation_tensors(name, t)
-            segs.append(Segmentation(labels=t["labels"].astype(np.int32),
-                                     scores=t["scores"],
-                                     seeds=[tuple(s) for s in t["seeds"].tolist()]))
-    except (KeyError, TypeError) as exc:
-        raise ClusterSegError(
-            f"malformed segmentation manifest {manifest_path}: {exc}") from exc
-    return segs
-
-
-def _write_segmentation(path, seg: Segmentation):
-    """Write labels and seeds as u16; refuse values that would wrap."""
-    u16_max = np.iinfo(np.uint16).max
-    seeds = np.asarray(seg.seeds, dtype=np.int64).reshape(len(seg.seeds), 2)
-    if len(seg.scores) > u16_max:
-        raise ClusterSegError(f"{path}: {len(seg.scores)} instances exceed the u16 label "
-                              f"limit of {u16_max}")
-    if seeds.size and seeds.max() > u16_max:
-        raise ClusterSegError(f"{path}: a seed coordinate exceeds the u16 limit of {u16_max}")
-    dataio.write_bundle(path, {
-        "labels": seg.labels.astype(np.uint16),
-        "scores": np.asarray(seg.scores, dtype=np.float64),
-        "seeds": seeds.astype(np.uint16),
-    })
-
-
-# ---------------------------------------------------------------------------
 # gen
 
 def _cmd_gen(args) -> int:
     w, h = args.res
-    _derivation_values(args.fraction, args.single_object_radius)
+    derivation_values(args.fraction, args.single_object_radius)
     cfg = GeneratorConfig(
         count_range=args.objects,
         size_range=args.sizes,
@@ -285,33 +106,12 @@ def _cmd_gen(args) -> int:
     # Every frame is built before anything is written, so a frame that
     # fails leaves no partial dataset.
     results = _map_frames(build, args.count, args.jobs)
-    os.makedirs(args.out, exist_ok=True)
-    frames = []
-    for i, (scene, frame, ann) in enumerate(results):
-        scene_name = f"scene_{i:05d}.json"
-        bundle_name = f"frame_{i:05d}.tsb"
-        with open(os.path.join(args.out, scene_name), "w", encoding="utf-8") as fh:
-            fh.write(scene_to_json(scene))
-        dataio.write_bundle(os.path.join(args.out, bundle_name),
-                            _frame_tensors(frame, ann))
-        frames.append({"scene": scene_name, "bundle": bundle_name,
-                       "objects": len(scene.objects)})
-    manifest = {
-        "format": DATASET_FORMAT,
-        "frames": frames,
-        "seed": args.seed,
-        "resolution": [w, h],
-        "objects": list(args.objects),
-        "fraction": args.fraction,
-        "min_feature_separation": args.min_sep,
-        "single_object_radius": args.single_object_radius,
-        "background_depth": args.background_depth,
-        "sizes": list(args.sizes),
-    }
-    with open(os.path.join(args.out, "dataset.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(frames)} frames to {args.out}")
+    write_dataset(args.out, results, seed=args.seed, resolution=[w, h],
+                  objects=list(args.objects), fraction=args.fraction,
+                  min_feature_separation=args.min_sep,
+                  single_object_radius=args.single_object_radius,
+                  background_depth=args.background_depth, sizes=list(args.sizes))
+    print(f"wrote {len(results)} frames to {args.out}")
     return 0
 
 
@@ -331,18 +131,23 @@ def _predict_for_frame(args, model, noise, frame, ann, index):
     return logits.to_prediction()
 
 
+def _dataset_ap(records, fg_threshold, predict):
+    """AP of segmenting predict(index, frame, annotation) for every record."""
+    return compute_metrics([(segment(predict(i, frame, ann), fg_threshold), frame)
+                            for i, (_, frame, ann) in enumerate(records)]).ap
+
+
 def _cmd_infer(args) -> int:
     noise = NoiseSpec(sigma_xi=args.sigma_xi, sigma_b=args.sigma_b, sigma_eta=args.sigma_eta,
                       flip_rate=args.flip_rate, bound_mode=args.noise_mode,
                       ball_radius=args.ball_radius)
     sweep = [NoiseSpec(sigma_xi=s) for s in _sweep_sigmas(args.sweep)] if args.sweep else None
-    records = _load_dataset(args.dataset, xyz=args.predictor == "mlp")
+    records = load_dataset(args.dataset, xyz=args.predictor == "mlp")
     model = None
     if args.predictor == "mlp":
         if not args.model:
             raise ClusterSegError("--model is required with --predictor mlp")
         model, _, _ = load_checkpoint(args.model)
-    os.makedirs(args.out, exist_ok=True)
 
     def run(i):
         scene, frame, ann = records[i]
@@ -350,31 +155,21 @@ def _cmd_infer(args) -> int:
         return segment(pred, args.fg_threshold)
 
     segs = _map_frames(run, len(records), args.jobs)
-    names = []
-    for i, seg in enumerate(segs):
-        name = f"seg_{i:05d}.tsb"
-        _write_segmentation(os.path.join(args.out, name), seg)
-        names.append(name)
-    with open(os.path.join(args.out, "segs.json"), "w", encoding="utf-8") as fh:
-        json.dump({"segmentations": names, "predictor": args.predictor,
-                   "fg_threshold": args.fg_threshold}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_segmentations(args.out, segs, predictor=args.predictor,
+                        fg_threshold=args.fg_threshold)
 
     if sweep is not None:
         lines = ["sigma,ap"]
         for spec in sweep:
-            pairs = []
-            for i, (scene, frame, ann) in enumerate(records):
-                pred = noisy_predict(ann, spec, args.seed * SEED_STRIDE + i)
-                pairs.append((segment(pred, args.fg_threshold), frame))
-            result = compute_metrics(pairs)
-            lines.append(f"{_fmt(spec.sigma_xi)},{_fmt(result.ap)}")
+            ap = _dataset_ap(records, args.fg_threshold, lambda i, frame, ann: noisy_predict(
+                ann, spec, args.seed * SEED_STRIDE + i))
+            lines.append(f"{_fmt(spec.sigma_xi)},{_fmt(ap)}")
         sweep_path = args.sweep_out or os.path.join(args.out, "sweep.csv")
         with open(sweep_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote noise sweep to {sweep_path}")
 
-    print(f"wrote {len(names)} segmentations to {args.out}")
+    print(f"wrote {len(segs)} segmentations to {args.out}")
     return 0
 
 
@@ -382,8 +177,8 @@ def _cmd_infer(args) -> int:
 # eval
 
 def _cmd_eval(args) -> int:
-    _, frames = _read_dataset(args.dataset, xyz=False)
-    segs = _load_segmentations(args.segs)
+    _, frames = load_frames(args.dataset, xyz=False)
+    segs = load_segmentations(args.segs)
     if len(frames) != len(segs):
         raise ClusterSegError(
             f"dataset has {len(frames)} frames but {len(segs)} segmentations were given")
@@ -391,9 +186,7 @@ def _cmd_eval(args) -> int:
     result = compute_metrics(pairs, EvalConfig())
     report = {"metrics": result_to_dict(result), "num_images": len(pairs)}
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.report, report)
     print(format_table(result))
     return 0
 
@@ -454,14 +247,6 @@ def _cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _dataset_ap(model, records, fg_threshold):
-    pairs = []
-    for scene, frame, ann in records:
-        logits, _ = mlp_forward(model, frame)
-        pairs.append((segment(logits.to_prediction(), fg_threshold), frame))
-    return compute_metrics(pairs).ap
-
-
 LOSS_TERMS = ("l_s", "l_cen", "l_p", "l_var", "l_vio", "total")
 
 
@@ -484,7 +269,7 @@ def _frame_step(model, frame, ann, weights):
 def _cmd_train(args) -> int:
     base = LossWeights()
     bumped = replace(base, lambda_var=args.bump_value, lambda_vio=args.bump_value)
-    records = _load_dataset(args.dataset)
+    records = load_dataset(args.dataset)
     if not records:
         raise ClusterSegError("training dataset is empty")
     if args.resume:
@@ -507,7 +292,8 @@ def _cmd_train(args) -> int:
 
     def log_epoch(epoch, weights, terms):
         means = {k: float(np.mean([t[k] for t in terms])) for k in LOSS_TERMS}
-        ap = _dataset_ap(model, records, args.fg_threshold)
+        ap = _dataset_ap(records, args.fg_threshold,
+                         lambda i, frame, ann: mlp_forward(model, frame)[0].to_prediction())
         rows.append({"epoch": epoch, **means,
                      "lambda_var": weights.lambda_var,
                      "lambda_vio": weights.lambda_vio,
@@ -601,8 +387,8 @@ def _sweep_sigmas(text):
 
 INTEGER = _Kind(int, lambda v: type(v) is int, "an integer")
 COUNT = _Kind(int, lambda v: type(v) is int and v >= 1, "an integer of at least 1")
-NUMBER = _Kind(float, _number, "a number")
-OPTIONAL_NUMBER = _Kind(_optional_float, lambda v: v is None or _number(v), "a number or none")
+NUMBER = _Kind(float, is_number, "a number")
+OPTIONAL_NUMBER = _Kind(_optional_float, lambda v: v is None or is_number(v), "a number or none")
 RANGE = _pair(NUMBER, "..", "two numbers A..B")
 PATH = _Kind(str, lambda v: v is None or type(v) is str, "a path")
 SWITCH = _Kind(str, lambda v: type(v) is bool, "a boolean")
@@ -646,7 +432,7 @@ _FLAGS = (
     _Flag("predictor", "infer", "oracle", _choice("oracle", "noisy", "mlp"), "predictor"),
     _Flag("model", "infer", None, PATH, "checkpoint path for --predictor mlp"),
     _Flag("fg-threshold", "infer train", "0.5",
-          _Kind(float, lambda v: _number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+          _Kind(float, lambda v: is_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
           "foreground probability above which a pixel is clustered"),
     _Flag("noise-mode", "infer", "gaussian", _choice("gaussian", "uniform-ball"),
           "feature noise of --predictor noisy"),
@@ -656,7 +442,7 @@ _FLAGS = (
     _Flag("flip-rate", "infer", "0.0", NUMBER, "foreground flip probability"),
     _Flag("ball-radius", "infer", "0.0", NUMBER, "uniform-ball feature noise radius (absolute)"),
     _Flag("ball-minb-frac", "infer", None,
-          _Kind(float, lambda v: v is None or (_finite(v) and v >= 0),
+          _Kind(float, lambda v: v is None or (is_finite(v) and v >= 0),
                 "a finite number of at least 0"),
           "uniform-ball radius as a fraction of each frame's minimum ground-truth radius"),
     _Flag("sweep", "infer", None,
@@ -674,7 +460,7 @@ _FLAGS = (
           "negative control: corrupt one analytic gradient and expect failure"),
     _Flag("epochs", "train", "30", COUNT, "training epochs"),
     _Flag("batch", "train", "4", COUNT, "frames per Adam step"),
-    _Flag("lr", "train", "1e-4", _Kind(float, lambda v: _finite(v) and v > 0,
+    _Flag("lr", "train", "1e-4", _Kind(float, lambda v: is_finite(v) and v > 0,
                                        "a finite number above 0"), "Adam learning rate"),
     _Flag("bump-epoch", "train", "5", INTEGER,
           "after this epoch the variance/violation weights rise to --bump-value"),
@@ -700,16 +486,19 @@ class _BadValue(Exception):
     """A flag value the CLI rejects; exit code 1."""
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser, with flags on the sub-parser of `command` only, or of every command if None."""
     parser = _Parser(prog="clusterseg",
                      description="Synthetic RGB-D instance segmentation pipeline.")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command, (_, about) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=about)
+    for name, (_, about) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=about)
+        if command not in (None, name):
+            continue
         sub.add_argument("--config", help="JSON object of flag values; explicit flags win")
         sub.add_argument("--dump-config", action="store_true",
                          help="print the effective configuration as JSON and exit")
-        for row in _rows(command):
+        for row in _rows(name):
             shown = (" (required)" if row.required else
                      f" (default {row.default})" if type(row.default) is str else "")
             # Values stay text here: _settings parses and checks every source alike.
@@ -725,7 +514,7 @@ def _settings(command, given, dump):
     """
     rows = _rows(command)
     config_path = given.pop("config")
-    config = _read_json_object(config_path, "config") if config_path else {}
+    config = read_json_object(config_path, "config") if config_path else {}
     unknown = set(config) - {row.dest for row in rows}
     if unknown:
         raise ClusterSegError(f"config {config_path} has unknown keys: {sorted(unknown)}")
@@ -779,7 +568,10 @@ def _dump(args) -> str:
 def main(argv=None) -> int:
     try:
         argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
-        given = vars(build_parser().parse_args(argv))
+        # The top-level parser takes no value, so argparse runs the sub-parser of
+        # the first token that is not an option, and only that one needs flags.
+        command = next((token for token in argv if not token.startswith("-")), "")
+        given = vars(build_parser(command).parse_args(argv))
         command, dump = given.pop("command"), given.pop("dump_config")
         args = _settings(command, given, dump)
         if dump:

@@ -107,17 +107,24 @@ def read_bundle(path) -> dict:
 
 
 def check_layout(path, tensors, layout) -> None:
-    """Require exactly the tensors `layout` names, each in its (dtype, shape)."""
+    """Require exactly the tensors `layout` names, each in its (dtype, shape).
+
+    A size given as a name (a string) is free, but the same wherever it appears.
+    """
     if tensors.keys() != layout.keys():
         raise BundleManifestError(f"{path}: expected tensors {sorted(layout)}, "
                                   f"got {sorted(tensors)}")
+    sizes = {}
     for name, (dtype, shape) in layout.items():
         if tensors[name].dtype != dtype:
             raise BundleDtypeError(f"{path}: {name} must be {np.dtype(dtype)}, "
                                    f"got {tensors[name].dtype}")
-        if tensors[name].shape != shape:
-            raise ShapeMismatchError(f"{path}: {name} has shape {tensors[name].shape}, "
-                                     f"expected {shape}")
+        got = tensors[name].shape
+        if len(got) == len(shape):
+            shape = tuple(sizes.setdefault(size, n) if isinstance(size, str) else size
+                          for size, n in zip(shape, got))
+        if got != shape:
+            raise ShapeMismatchError(f"{path}: {name} has shape {got}, expected {shape}")
 
 
 def _validated_entry(path, name, entry):

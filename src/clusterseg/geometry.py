@@ -34,6 +34,9 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
+        if not np.isfinite([self.fx, self.fy, self.ppx, self.ppy]).all():
+            raise NonFiniteError(f"camera intrinsics must be finite, got fx={self.fx}, "
+                                 f"fy={self.fy}, ppx={self.ppx}, ppy={self.ppy}")
         if self.fx <= 0 or self.fy <= 0:
             raise ShapeMismatchError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if self.width <= 0 or self.height <= 0:

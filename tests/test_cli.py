@@ -8,8 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from clusterseg.cli import _load_segmentations, _rows, main
+from clusterseg import cli
+from clusterseg.cli import main
 from clusterseg.clustering import Segmentation
+from clusterseg.dataset import load_segmentations, write_segmentations
 from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
                                ShapeMismatchError)
@@ -497,11 +499,18 @@ def test_a_bad_config_file_exits_with_one_line(tmp_path, capsys, document, code,
     assert not (tmp_path / "ds").exists()
 
 
-@pytest.mark.parametrize("command", ["gen", "infer", "eval", "gradcheck", "train"])
+COMMANDS = ["gen", "infer", "eval", "gradcheck", "train"]
+
+
+def _flag_rows(command):
+    return [row for row in cli._FLAGS if command in row.commands.split()]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_dump_config_round_trips_and_help_lists_every_flag(tmp_path, capsys, command):
     assert run_cli(command, "--dump-config") == 0
     dumped = capsys.readouterr().out
-    assert set(json.loads(dumped)) == {row.dest for row in _rows(command)}
+    assert set(json.loads(dumped)) == {row.dest for row in _flag_rows(command)}
     config = tmp_path / "config.json"
     config.write_text(dumped)
     assert run_cli(command, "--config", str(config), "--dump-config") == 0
@@ -509,7 +518,7 @@ def test_dump_config_round_trips_and_help_lists_every_flag(tmp_path, capsys, com
 
     assert run_cli(command, "--help") == 0
     help_text = capsys.readouterr().out
-    for row in _rows(command):
+    for row in _flag_rows(command):
         assert f"--{row.name}" in help_text
 
 
@@ -532,14 +541,16 @@ def oracle_segs(tmp_path):
     (lambda t: {**t, "labels": t["labels"][None]}, ShapeMismatchError),
     (lambda t: {**t, "seeds": t["seeds"].ravel()}, ShapeMismatchError),
     (lambda t: {**t, "seeds": t["seeds"][:-1]}, ShapeMismatchError),
+    (lambda t: {k: v for k, v in t.items() if k != "seeds"}, BundleManifestError),
+    (lambda t: {**t, "extra": np.zeros(2)}, BundleManifestError),
 ], ids=["nan-f64-labels", "u8-labels", "f64-seeds", "f32-scores", "2d-scores",
-        "3d-labels", "1d-seeds", "seed-count"])
+        "3d-labels", "1d-seeds", "seed-count", "missing-seeds", "extra-tensor"])
 def test_malformed_segmentation_bundle_is_a_typed_error(oracle_segs, mutate, error, capsys):
     ds, segs = oracle_segs
     path = segs / "seg_00000.tsb"
     write_bundle(path, mutate(read_bundle(path)))
-    with pytest.raises(error):
-        _load_segmentations(str(segs))
+    with pytest.raises(error, match="seg_00000.tsb"):
+        load_segmentations(str(segs))
     assert run_cli("eval", "--dataset", str(ds), "--segs", str(segs)) == 2
     assert "error" in capsys.readouterr().err
 
@@ -582,23 +593,52 @@ def _segmentation(count, seeds):
 
 
 def test_write_segmentation_refuses_u16_overflow(tmp_path):
-    from clusterseg.cli import _write_segmentation
-    _write_segmentation(tmp_path / "edge.tsb", _segmentation(1, [(65535, 65535)]))
-    with pytest.raises(ClusterSegError, match="65535"):
-        _write_segmentation(tmp_path / "many.tsb",
-                            _segmentation(65536, [(0, 0)] * 65536))
+    write_segmentations(tmp_path / "edge", [_segmentation(1, [(65535, 65535)])])
+    with pytest.raises(ClusterSegError, match="many/seg_00000.tsb: .*65535"):
+        write_segmentations(tmp_path / "many", [_segmentation(65536, [(0, 0)] * 65536)])
     for seed in [(65536, 0), (0, 65536)]:
-        with pytest.raises(ClusterSegError, match="65535"):
-            _write_segmentation(tmp_path / "far.tsb", _segmentation(1, [seed]))
-    assert sorted(os.listdir(tmp_path)) == ["edge.tsb"]
+        with pytest.raises(ClusterSegError, match="far/seg_00001.tsb: .*65535"):
+            write_segmentations(tmp_path / "far",
+                                [_segmentation(1, [(0, 0)]), _segmentation(1, [seed])])
+    assert sorted(os.listdir(tmp_path)) == ["edge"]
+    assert sorted(os.listdir(tmp_path / "edge")) == ["seg_00000.tsb", "segs.json"]
 
 
 def test_infer_exits_2_on_too_many_instances(tmp_path, monkeypatch, capsys):
-    from clusterseg import cli
+    # A rerun over a previous run's output, where only the second of four
+    # frames overflows, must leave every file of the previous run unchanged.
     ds, segs = tmp_path / "ds", tmp_path / "segs"
     assert run_cli(*GEN_ARGS, "--out", str(ds)) == 0
-    monkeypatch.setattr(cli, "segment",
-                        lambda pred, threshold: _segmentation(65536, [(0, 0)] * 65536))
+    assert run_cli("infer", "--dataset", str(ds), "--out", str(segs)) == 0
+    before = _dir_bytes(segs)
+    calls = []
+
+    def second_frame_overflows(pred, threshold):
+        calls.append(pred)
+        count = 65536 if len(calls) == 2 else 1
+        return _segmentation(count, [(0, 0)] * count)
+
+    monkeypatch.setattr(cli, "segment", second_frame_overflows)
     assert run_cli("infer", "--dataset", str(ds), "--out", str(segs),
-                   "--predictor", "oracle") == 2
-    assert "65535" in capsys.readouterr().err
+                   "--predictor", "oracle", "--jobs", "1") == 2
+    assert "seg_00001.tsb" in capsys.readouterr().err and len(calls) == 4
+    assert _dir_bytes(segs) == before
+
+
+PARSER_ARGV = [["-h"], ["--help"], [], *([command, "-h"] for command in COMMANDS),
+               ["gen", "--bogus", "1"], ["infer", "--dataset"], ["frobnicate"],
+               ["--seed", "3", "gen"], ["--seed=3", "gen"], ["gen", "extra"]]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_usage_errors_equal_the_parser_with_every_flag(argv, monkeypatch, capsys):
+    # main() gives flags only to the sub-parser of the command it runs; what it
+    # prints must equal what a parser with every command's flags prints.
+    code = run_cli(*argv)
+    got = capsys.readouterr()
+    every_flag = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command: every_flag())
+    assert run_cli(*argv) == code
+    want = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+    assert got.out or got.err

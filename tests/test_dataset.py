@@ -13,10 +13,11 @@ import json
 import numpy as np
 import pytest
 
-from clusterseg import cli, scenegen
+from clusterseg import scenegen
 from clusterseg.annotation import annotate
-from clusterseg.cli import _load_dataset, main
+from clusterseg.cli import main
 from clusterseg.dataio import read_bundle, write_bundle
+from clusterseg.dataset import load_dataset
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
                                NonFiniteError, ShapeMismatchError)
 from clusterseg.scenegen import render
@@ -58,7 +59,7 @@ def test_loaded_records_equal_what_gen_computed(tmp_path, monkeypatch, res, obje
 
     with monkeypatch.context() as patch:
         patch.setattr(scenegen, "surface_points", recomputed)
-        records = _load_dataset(str(ds))
+        records = load_dataset(str(ds))
     assert len(records) == 3
     for scene, frame, ann in records:
         # a scene parsed from JSON renders and annotates as the sampled one did
@@ -123,7 +124,7 @@ def test_malformed_frame_bundle_is_a_typed_error(dataset, tmp_path, capsys, muta
     path = ds / "frame_00001.tsb"
     write_bundle(path, mutate(read_bundle(path)))
     with pytest.raises(error, match="frame_00001.tsb"):
-        _load_dataset(str(ds))
+        load_dataset(str(ds))
     _exits_2(ds, segs, tmp_path, capsys)
 
 
@@ -151,7 +152,7 @@ def test_derivation_values_are_validated(dataset, tmp_path, capsys, key, value):
     ds, segs = dataset
     _edit_manifest(ds, key, value)
     with pytest.raises(ClusterSegError, match=key):
-        _load_dataset(str(ds))
+        load_dataset(str(ds))
     _exits_2(ds, segs, tmp_path, capsys)
 
 
@@ -160,7 +161,7 @@ def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
     ds, segs = dataset
     _edit_manifest(ds, "format", value)
     with pytest.raises(ClusterSegError, match="regenerate"):
-        _load_dataset(str(ds))
+        load_dataset(str(ds))
     assert "regenerate" in _exits_2(ds, segs, tmp_path, capsys)
 
 
@@ -188,16 +189,17 @@ def test_missing_or_undecodable_files_are_typed_errors(dataset, tmp_path, capsys
     ds, segs = dataset
     (ds / name).unlink()
     with pytest.raises(ClusterSegError):
-        _load_dataset(str(ds))
+        load_dataset(str(ds))
     (ds / name).write_bytes(b"\xff\xfe not utf-8 \xc3\x28")
     with pytest.raises(ClusterSegError):
-        _load_dataset(str(ds))
+        load_dataset(str(ds))
     _exits_2(ds, segs, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("section, key, value", [
     ("camera", "width", float("inf")), ("camera", "height", 1e300),
     (None, "background_depth", "x"), (None, "background_depth", []),
+    ("camera", "ppx", float("inf")), ("camera", "fy", float("nan")),
 ])
 def test_malformed_scene_json_is_a_typed_error(dataset, tmp_path, capsys, section, key, value):
     ds, segs = dataset
@@ -206,7 +208,7 @@ def test_malformed_scene_json_is_a_typed_error(dataset, tmp_path, capsys, sectio
     (doc[section] if section else doc)[key] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ClusterSegError):
-        _load_dataset(str(ds))
+        load_dataset(str(ds))
     _exits_2(ds, segs, tmp_path, capsys)
 
 
@@ -218,7 +220,7 @@ def test_eval_and_oracle_infer_read_frames_without_deriving_xyz(dataset, tmp_pat
     def derived(*args, **kwargs):
         raise AssertionError("xyz was derived")
 
-    monkeypatch.setattr(cli, "depth_to_xyz", derived)
+    monkeypatch.setattr("clusterseg.dataset.depth_to_xyz", derived)
     assert run_cli("eval", "--dataset", ds, "--segs", segs) == 0
     assert "100.0" in capsys.readouterr().out
     assert run_cli("infer", "--dataset", ds, "--out", tmp_path / "out") == 0
@@ -231,7 +233,7 @@ def test_non_finite_derived_xyz_is_a_typed_error(dataset, tmp_path, capsys, dept
     tensors = read_bundle(path)
     write_bundle(path, {**tensors, "depth": np.full_like(tensors["depth"], depth)})
     with pytest.raises(NonFiniteError, match="frame_00001.tsb: .*non-finite"):
-        _load_dataset(str(ds))
+        load_dataset(str(ds))
     assert run_cli("train", "--dataset", ds, "--out", tmp_path / "model", "--epochs", 1) == 2
     err = capsys.readouterr().err
     assert err.startswith("clusterseg: error: ") and len(err.splitlines()) == 1
@@ -244,6 +246,6 @@ def test_eval_reads_frames_without_building_annotations(dataset, monkeypatch, ca
     def built(*args, **kwargs):
         raise AssertionError("eval built an annotation")
 
-    monkeypatch.setattr(cli, "build_annotation", built)
+    monkeypatch.setattr("clusterseg.dataset.build_annotation", built)
     assert run_cli("eval", "--dataset", ds, "--segs", segs) == 0
     assert "100.0" in capsys.readouterr().out

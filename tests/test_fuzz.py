@@ -21,8 +21,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from clusterseg import dataio
-from clusterseg.cli import _load_dataset, main
+from clusterseg.cli import main
 from clusterseg.dataio import read_bundle
+from clusterseg.dataset import load_dataset
 from clusterseg.errors import ClusterSegError
 from clusterseg.predictor import init_model, load_checkpoint, save_checkpoint
 
@@ -137,7 +138,7 @@ def test_damaged_dataset_file(files, name, data):
         ds = Path(tmp) / "ds"
         shutil.copytree(files["ds"], ds)
         (ds / name).write_bytes(raw)
-        loaded = _loads_or_raises(_load_dataset, str(ds))
+        loaded = _loads_or_raises(load_dataset, str(ds))
         codes = [main(["infer", "--dataset", str(ds), "--out", str(Path(tmp) / "out")]),
                  main(["eval", "--dataset", str(ds), "--segs", str(files["segs"])])]
     assert all(rc in (0, 2) for rc in codes)
