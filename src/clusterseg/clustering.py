@@ -16,14 +16,24 @@ Both stages return exactly what the brute-force definitions above return
 (labels, score bits and seeds), but skip work that provably cannot change
 the result, so their cost grows close to linearly with foreground pixels:
 
-* Seeding visits foreground pixels once, by descending centroid probability
-  then flat index. A pixel can lie in a seed's ball only if its first
-  feature component lies within the seed's radius of the seed's, so the
-  pixels sorted by that component give each pixel a candidate slab, widened
-  for rounding; one binary search before the loop finds every slab, and
-  only a seed's live slab pixels get the 9-D distance test. A radius whose
-  square is not finite in the feature dtype tests every live pixel, as the
-  definition then does.
+* Seeding visits foreground pixels by descending centroid probability, then
+  flat index. A pixel can lie in a seed's ball only if its first feature
+  component lies within the seed's radius of the seed's, so the pixels
+  sorted by that component give each pixel a candidate slab, widened for
+  rounding, and only a seed's live slab pixels get the 9-D distance test. A
+  radius whose square is not finite in the feature dtype tests every live
+  pixel, as the definition then does.
+* Seeding decides the visit order a block at a time, in the manner of the
+  deterministic reservations of Blelloch, Fineman and Shun ("Greedy
+  sequential maximal independent set and matching are parallel on
+  average", SPAA 2012). Only a pixel whose slab holds another pixel can
+  claim one. Where few live pixels of a block can, the block's claim edges
+  are the pairs of such claimers whose balls hold each other; settled along
+  them in visit order they give the claimers that seed, every other live
+  pixel of the block seeds too, and each seed's members then join it at
+  once, a pixel in several balls joining the earliest. A block with denser
+  claims, or with a seed that scans every pixel, halves down to a minimum
+  and then runs the definition's loop pixel by pixel.
 * The E-step scores each pixel under its own seeded component exactly.
   Since the Mahalanobis term is at least |x - mu_m|^2 / lambda_max(S_m),
   component m scores at most
@@ -42,12 +52,16 @@ the result, so their cost grows close to linearly with foreground pixels:
   widened for rounding. Pixels sorted by window start meet the bound in
   gemm blocks, each spanning its pixels' windows. Groups of fewer than 32
   components meet every pixel in dense blocks instead.
-* Most components of a degenerate prediction have one member. Such a
-  component with a finite row holding no -0.0 has that row as its np.mean
-  and exactly 1e-6 * I as its covariance, its own pixel's Mahalanobis term
-  is zero, and one factorization gives the log-determinant and spectrum of
-  all of them; a one-member instance's score is its member's value. These
-  are filled in vectorized; everything else keeps the definition's calls.
+* Most components of a degenerate prediction are plain: one member, whose
+  finite row holds no -0.0. Such a component has that row as its np.mean
+  and exactly 1e-6 * I as its covariance, stored and factored once for all
+  of them, and its own pixel's Mahalanobis term is zero; a one-member
+  instance's score is its member's value. Plain components share every
+  bound term but their mean, so they get no per-component matrices or bound
+  weights: the other pixels meet them through one slab window, and a plain
+  component's pixel of moderate norm can lose to another only on an exact
+  tie, which only the near-duplicate window of _tied_pairs can hold and
+  the lower index wins.
 """
 
 import math
@@ -66,6 +80,15 @@ _BLOCK_ELEMENTS = 1 << 16
 # pixels meet them in runs of _SLAB_PIXELS.
 _WINDOWED_GROUP = 32
 _SLAB_PIXELS = 128
+# A batched solve call costs about as much as solving this many more columns.
+_SOLVE_COLUMNS = 128
+# Seeding decides blocks of the visit order, starting at _SEED_BLOCK pixels.
+# A block's claims are dense when more than one in _DENSE_SHARE of its live
+# pixels can claim another; such a block shrinks to _SEED_BLOCK_MIN before
+# it runs pixel by pixel.
+_SEED_BLOCK = 256
+_SEED_BLOCK_MIN = 32
+_DENSE_SHARE = 8
 
 _EPS = float(np.finfo(np.float64).eps)
 # Pruning needs |x|^2 and |mu|^2 below this, and 1 / lambda_min(S) and the
@@ -74,6 +97,9 @@ _MAGNITUDE = 1e100
 _CAP = 1e100
 # Absorbs underflow in squared feature differences.
 _FLOOR = 8.0 * math.sqrt(float(np.finfo(np.float64).tiny))
+# Shrinks the bound's positive terms to cover the rounding of its dot
+# product and of the norms.
+_SHRINK = 1.0 - 256.0 * _EPS
 
 
 @dataclass
@@ -100,9 +126,14 @@ def _plain(values):
     return np.isfinite(values) & ~(np.signbit(values) & (values == 0))
 
 
+def _stable_order(labels, count):
+    """np.argsort(labels, kind="stable") for labels in [0, count]; 16-bit keys take a radix sort."""
+    return np.argsort(labels.astype(np.uint16) if count < 1 << 16 else labels, kind="stable")
+
+
 def _instance_scores(labels_fg, eta_fg, count):
     """Score of each instance 1..count: np.mean of eta over its members in row-major order."""
-    order = np.argsort(labels_fg, kind="stable")
+    order = _stable_order(labels_fg, count)
     sizes = np.bincount(labels_fg, minlength=count + 1)
     first = (np.cumsum(sizes) - sizes)[1:]
     sizes = sizes[1:]
@@ -118,12 +149,20 @@ def _instance_scores(labels_fg, eta_fg, count):
     return scores
 
 
+def _ranges(starts, stops):
+    """Concatenation of arange(starts[k], stops[k]) over k."""
+    counts = stops - starts
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - counts - starts, counts)
+
+
 def seed_segmentation(pred: Prediction,
                       fg_threshold: float = DEFAULT_FG_THRESHOLD) -> Segmentation:
     """Greedy sphere seeding over predicted-foreground pixels.
 
     Ties in the centroid probability resolve to the smallest (row, col).
-    Every seed assigns at least itself, so the loop terminates.
+    Every block of the visit order ends with all its pixels assigned, so
+    seeding terminates.
     """
     H, W = pred.eta_hat.shape
     fg = pred.mask_prob >= fg_threshold
@@ -137,71 +176,220 @@ def seed_segmentation(pred: Prediction,
     # Visit order of the definition's argmax: NaN first, then descending
     # centroid probability, then flat index. A pixel at -inf never seeds or
     # joins an instance.
-    eta64 = eta.astype(np.float64)
-    order = np.argsort(-eta64, kind="stable")
+    eta64 = eta.astype(np.float64, copy=False)
+    order = np.argsort(-eta64)
     n_nan = int(np.count_nonzero(eta64 != eta64))
+    # Without equal keys any sort gives the stable order.
+    visited = eta64[order]
+    if n_nan > 1 or (visited[1:] == visited[:-1]).any():
+        order = np.argsort(-eta64, kind="stable")
     if n_nan:
         order = np.concatenate((order[n - n_nan:], order[:n - n_nan]))
-    # One buffer, two views: bytes for fast reads in the loop, an array for
-    # vector writes.
-    alive_bytes = bytearray((eta64 != -np.inf).tobytes())
-    alive = np.frombuffer(alive_bytes, dtype=np.bool_)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
 
     # A member's first-component gap is at most its distance, up to the
-    # rounding of the squares and their sum, which `rel` and `floor` absorb.
-    # All slab bounds come from one binary search before the loop. A seed
-    # that uses its slab has a finite radius, so a NaN bound means a NaN or
-    # infinite first component, whose distance to every pixel is NaN or
-    # infinite: that slab's contents never matter. A squared
-    # radius that may compare as infinite in the feature dtype takes every
-    # live pixel in the definition, so such a seed scans them all.
+    # rounding of the squares and their sum, which `rel` and `floor` absorb,
+    # so a seed's members lie in its slab [bounds[i], bounds[n + i]) of first
+    # components. A NaN bound means a NaN or infinite first component, whose
+    # distance to every pixel is NaN or infinite: its slab is empty. A
+    # squared radius that may compare as infinite in the feature dtype takes
+    # every live pixel in the definition, so such a seed scans them all.
     x0 = X[:, 0].astype(np.float64)
-    by_x0 = np.argsort(x0, kind="stable")
-    radii = np.maximum(pred.b_hat[fg].astype(np.float64), 0.0)
+    # Slabs are sets: the order of equal first components does not matter.
+    by_x0 = np.argsort(x0)
+    radii = np.maximum(pred.b_hat[fg].astype(np.float64, copy=False), 0.0)
     info = np.finfo(X.dtype if X.dtype.kind == "f" else np.float64)
     rel = 16.0 * float(info.eps)
     floor = 8.0 * math.sqrt(float(info.tiny))
     r2_limit = float(info.max)
-    # The search runs in slab order, where the bounds nearly ascend.
     x0_sorted = x0[by_x0]
     with np.errstate(all="ignore"):
         half = radii[by_x0] * (1.0 + rel) + rel * np.abs(x0_sorted) + floor
-        edges = np.concatenate((x0_sorted - half, x0_sorted + half))
-    slab = np.empty(2 * n, dtype=np.intp)
-    slab[np.concatenate((by_x0, by_x0 + n))] = np.searchsorted(x0_sorted, edges)
-    # Memoryviews read single entries as Python numbers, about as fast as
-    # lists, without converting the entries no seed reads.
-    slab = memoryview(slab)
-    radii = memoryview(radii)
+        lo_edge, hi_edge = x0_sorted - half, x0_sorted + half
+        r2 = radii * radii
+    bounds = np.empty(2 * n)
+    bounds[np.concatenate((by_x0, by_x0 + n))] = np.concatenate((lo_edge, hi_edge))
+    scan_all = ~(r2 < r2_limit)
+    # A pixel whose slab holds no neighbour by first component holds no
+    # other pixel, so it never claims one.
+    near = np.zeros(n, dtype=bool)
+    near[:-1] = x0_sorted[1:] < hi_edge[:-1]
+    near[1:] |= x0_sorted[:-1] >= lo_edge[1:]
+    claims = np.empty(n, dtype=bool)
+    claims[by_x0] = near
+    claims |= scan_all
 
-    labels_fg = np.zeros(n, dtype=np.int32)
-    seed_index = []
-    for i in order.tolist():
-        if not alive_bytes[i]:
+    seeding = _Seeding(X, r2, rank, bounds, eta64 != -np.inf, by_x0, x0_sorted)
+    alive = seeding.alive
+    start, size, shrink = 0, _SEED_BLOCK, True
+    while start < n:
+        block = order[start:start + size]
+        live = block[alive[block]]
+        claimers = live[claims[live]]
+        dense = claimers.size * _DENSE_SHARE > live.size or bool(scan_all[claimers].any())
+        by = lo = hi = None
+        if not dense and claimers.size > 1:
+            # Claim edges: pairs of the block's claimers whose slabs hold each other.
+            by = claimers[np.argsort(x0[claimers])]
+            lo, hi = seeding.slabs(claimers, x0[by])
+            dense = int((hi - lo).sum()) - claimers.size > live.size
+        # Coming from a sparse block, a dense one halves until it is sparse
+        # or minimal, at once to the minimum when most live pixels claim;
+        # after a dense block, blocks grow again.
+        if dense and shrink and size > _SEED_BLOCK_MIN:
+            size = _SEED_BLOCK_MIN if 2 * claimers.size > live.size else size // 2
             continue
-        radius = radii[i]
-        r2 = radius * radius
-        seed_index.append(i)
-        labels_fg[i] = len(seed_index)
-        alive_bytes[i] = 0
-        if r2 < r2_limit:
-            lo, hi = slab[i], slab[n + i]
-            if hi - lo == 1:
-                continue  # the slab holds only the seed itself
-            cand = by_x0[lo:hi]
-            cand = cand[alive[cand]]
+        start += size
+        size *= 2
+        shrink = not dense
+        seeding.compact(n - start)
+        if dense:
+            seeding.visit(block, claimers, claims, r2_limit)
         else:
-            cand = np.flatnonzero(alive)
-        d2 = np.sum((X[cand] - X[i]) ** 2, axis=-1)
-        members = cand[d2 <= r2]
-        labels_fg[members] = len(seed_index)
-        alive[members] = False
+            seeding.batch(live, claimers, by, lo, hi)
 
+    labels_fg = seeding.labels_fg
     labels[fg] = labels_fg
-    scores = _instance_scores(labels_fg, eta, len(seed_index))
-    rows, cols = np.divmod(flat[seed_index], W)
+    scores = _instance_scores(labels_fg, eta, seeding.count)
+    rows, cols = np.divmod(flat[seeding.seed_index[:seeding.count]], W)
     seeds = list(zip(rows.tolist(), cols.tolist()))
     return Segmentation(labels=labels, scores=scores, seeds=seeds)
+
+
+class _Seeding:
+    """Seeding's progress over the visit order.
+
+    `pool` holds the pixels by first component that were live when it was
+    last compacted, a superset of the live pixels; `seed_index[:count]` the
+    seeds so far in visit order, and `labels_fg` their instances.
+    """
+
+    def __init__(self, X, r2, rank, bounds, alive, pool, pool_x0):
+        self.X, self.r2, self.rank, self.bounds = X, r2, rank, bounds
+        # One buffer, two views: bytes for fast reads in the loop, an array
+        # for vector writes.
+        self.alive_bytes = bytearray(alive.tobytes())
+        self.alive = np.frombuffer(self.alive_bytes, dtype=np.bool_)
+        keep = alive[pool]
+        self.pool, self.pool_x0 = pool[keep], pool_x0[keep]
+        self.labels_fg = np.zeros(len(X), dtype=np.int32)
+        self.seed_index = np.empty(len(X), dtype=np.intp)
+        self.count = 0
+        # Pool slab bounds of the claimers of the block being visited.
+        self.slab = np.zeros(2 * len(X), dtype=np.intp)
+
+    def compact(self, most_live):
+        """Drop dead pixels from the pool once they could be half of it."""
+        if self.pool.size > 2 * most_live:
+            keep = self.alive[self.pool]
+            self.pool, self.pool_x0 = self.pool[keep], self.pool_x0[keep]
+
+    def slabs(self, pixels, among_x0):
+        """Each pixel's slab in a pool sorted by `among_x0`: its (lo, hi) positions."""
+        n = len(self.X)
+        return np.split(np.searchsorted(among_x0, self.bounds[np.concatenate((pixels, n + pixels))]),
+                        2)
+
+    def claimed(self, pixels, among, lo, hi, kill=False):
+        """The pairs of each pixel and a live candidate of its slab among[lo:hi] in its ball.
+
+        A candidate must also come later in visit order. Pairs come in the
+        order of `pixels`, _BLOCK_ELEMENTS candidates at a time; with `kill`
+        each batch's candidates die, so a later pixel claims none of them.
+        """
+        ends = np.cumsum(hi - lo)
+        cuts = np.unique(np.searchsorted(ends, np.arange(_BLOCK_ELEMENTS, ends[-1] if ends.size else 0,
+                                                         _BLOCK_ELEMENTS), "right"))
+        src_parts, dst_parts = [], []
+        for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, pixels.size].tolist()):
+            src = np.repeat(pixels[a:b], hi[a:b] - lo[a:b])
+            dst = among[_ranges(lo[a:b], hi[a:b])]
+            later = (self.rank[dst] > self.rank[src]) & self.alive[dst]
+            src, dst = src[later], dst[later]
+            d2 = np.add.reduce((self.X[dst] - self.X[src]) ** 2, axis=-1)
+            # The definition compares with a Python float, which takes d2's dtype.
+            inside = d2 <= self.r2[src].astype(np.result_type(d2, 0.0))
+            src_parts.append(src[inside])
+            dst_parts.append(dst[inside])
+            if kill:
+                self.alive[dst_parts[-1]] = False
+        return np.concatenate(src_parts), np.concatenate(dst_parts)
+
+    def batch(self, live, claimers, by, lo, hi):
+        """Decide a sparse block of live pixels in visit order at once.
+
+        With two claimers or more, `by` lists them by first component and
+        claimer i's slab among them is by[lo[i]:hi[i]]. Claimers that an
+        earlier seed of the block claims do not seed; all other live pixels
+        do. Each seed's members then join it, a pixel in several balls
+        joining the earliest.
+        """
+        if by is not None:
+            src, dst = self.claimed(claimers, by, lo, hi)
+            at = self.rank[claimers]
+            claimers = claimers[_settle(claimers.size, np.searchsorted(at, self.rank[src]),
+                                        np.searchsorted(at, self.rank[dst]))]
+        new = live
+        if claimers.size:
+            src, dst = self.claimed(claimers, self.pool, *self.slabs(claimers, self.pool_x0),
+                                    kill=True)
+            new = live[self.alive[live]]
+        self.alive[new] = False
+        count = self.count
+        self.labels_fg[new] = np.arange(count + 1, count + 1 + new.size)
+        self.seed_index[count:count + new.size] = new
+        self.count += new.size
+        if claimers.size:
+            # Pairs come in visit order of their seed, and of repeated
+            # indices the last assignment stays, so in reverse each pixel
+            # joins its earliest seed.
+            self.labels_fg[dst[::-1]] = self.labels_fg[src[::-1]]
+
+    def visit(self, block, claimers, claims, r2_limit):
+        """The definition's loop over a dense block of the visit order."""
+        X, alive, alive_bytes, labels_fg, seed_index, pool = (
+            self.X, self.alive, self.alive_bytes, self.labels_fg, self.seed_index, self.pool)
+        n = len(X)
+        at = np.concatenate((claimers, n + claimers))
+        self.slab[at] = np.searchsorted(self.pool_x0, self.bounds[at])
+        # Memoryviews read single entries as Python numbers, about as fast
+        # as lists, without converting the entries no seed reads.
+        slab, r2, claims = memoryview(self.slab), memoryview(self.r2), memoryview(claims)
+        count = self.count
+        for i in block.tolist():
+            if not alive_bytes[i]:
+                continue
+            seed_index[count] = i
+            count += 1
+            labels_fg[i] = count
+            alive_bytes[i] = 0
+            if not claims[i]:
+                continue
+            if r2[i] < r2_limit:
+                cand = pool[slab[i]:slab[n + i]]
+                cand = cand[alive[cand]]
+            else:
+                cand = np.flatnonzero(alive)
+            d2 = np.add.reduce((X[cand] - X[i]) ** 2, axis=-1)
+            members = cand[d2 <= r2[i]]
+            labels_fg[members] = count
+            alive[members] = False
+        self.count = count
+
+
+def _settle(count, src, dst):
+    """Which of `count` claimers, in visit order, seed given claim edges src -> dst.
+
+    A claimer seeds unless an earlier seed claims it. The edges come in
+    the order of their claimants, each later than its claimant, so every
+    claimant is decided by the time its edges are read.
+    """
+    dead = bytearray(count)
+    for claimant, claimed in zip(src.tolist(), dst.tolist()):
+        if not dead[claimant]:
+            dead[claimed] = 1
+    return ~np.frombuffer(dead, dtype=np.bool_)
 
 
 def _quad_forms(diff, counts, covs, variance, fallback, min_cols):
@@ -215,21 +403,25 @@ def _quad_forms(diff, counts, covs, variance, fallback, min_cols):
     or 1 when the definition solves for a single pixel.
     """
     quad = np.empty(diff.shape[0])
-    spherical = np.repeat(fallback, counts)
-    if spherical.any():
+    solving = slice(None)
+    if fallback.any():
+        spherical = np.repeat(fallback, counts)
         # The definition divides the transposed differences, so its second
         # operand is column-major.
         sph = diff[spherical]
         scaled = sph / np.repeat(variance, counts)[spherical, None]
         quad[spherical] = np.einsum("nd,dn->n", sph, scaled.T)
-    counts = np.where(fallback, 0, counts)
-    diff = diff[~spherical]
+        counts = np.where(fallback, 0, counts)
+        solving = ~spherical
+        diff = diff[solving]
     n_pairs = diff.shape[0]
     if not n_pairs:
         return quad
     # One batched solve per width, widths rounded up to a quarter octave; a
     # component with fewer pairs repeats its last column, which only
-    # rewrites the same values.
+    # rewrites the same values. A width whose components would add fewer
+    # than _SOLVE_COLUMNS columns at the next width joins it, as a solve
+    # call costs about as much as that many columns.
     solved = np.empty((FEATURE_DIM, max(n_pairs, min_cols)))
     first = np.cumsum(counts) - counts
     full = counts > 0
@@ -237,15 +429,35 @@ def _quad_forms(diff, counts, covs, variance, fallback, min_cols):
     step = 2 ** np.maximum(np.floor(np.log2(need)) - 2, 0)
     width = np.zeros_like(counts)
     width[full] = np.ceil(need / step) * step
-    for k in np.unique(width[full]).tolist():
+    widths, members = (v.tolist() for v in np.unique(width[full], return_counts=True))
+    for i in range(len(widths) - 1):
+        if (widths[i + 1] - widths[i]) * members[i] < _SOLVE_COLUMNS:
+            width[width == widths[i]] = widths[i + 1]
+            members[i + 1] += members[i]
+            members[i] = 0
+    for k in (k for k, count in zip(widths, members) if count):
         pick = width == k
         cols = first[pick][:, None] + np.minimum(np.arange(k), counts[pick][:, None] - 1)
         solved[:, cols] = np.linalg.solve(covs[pick], diff[cols].transpose(0, 2, 1)).transpose(1, 0, 2)
     if n_pairs < min_cols:
         diff = np.concatenate((diff, diff))
         solved[:, n_pairs:] = solved[:, :n_pairs]
-    quad[~spherical] = np.einsum("nd,dn->n", diff, solved)[:n_pairs]
+    quad[solving] = np.einsum("nd,dn->n", diff, solved)[:n_pairs]
     return quad
+
+
+class _Covariances:
+    """Regularized covariances of M components, each distinct matrix stored once.
+
+    Component m's matrix is `matrices[slot[m]]`. Indexing gives the
+    per-component matrices, as an (M, 9, 9) array would.
+    """
+
+    def __init__(self, matrices, slot):
+        self.matrices, self.slot = matrices, slot
+
+    def __getitem__(self, key):
+        return self.matrices[self.slot[key]]
 
 
 def _components(Xs, sizes):
@@ -254,26 +466,31 @@ def _components(Xs, sizes):
     `Xs` lists the members of component 0, then 1, ..., `sizes[m]` rows
     each. A plain component has one member whose row is plain: its mean is
     that row and its scatter matrix all +0.0, so its covariance is exactly
-    1e-6 * I. The others take np.mean and a matmul of the centered members,
-    as the definition does.
+    1e-6 * I, stored once as the last matrix for all of them. The others
+    take np.mean and a matmul of the centered members, as the definition
+    does, in slots 0, 1, ... in component order.
     """
     M = len(sizes)
     first = np.cumsum(sizes) - sizes
     plain = sizes == 1
     plain[plain] = _plain(Xs[first[plain]]).all(axis=1)
     mus = np.empty((M, FEATURE_DIM))
-    covs = np.zeros((M, FEATURE_DIM, FEATURE_DIM))
     mus[plain] = Xs[first[plain]]
     rest = np.flatnonzero(~plain)
-    for m, lo, hi in zip(rest.tolist(), first[rest].tolist(), (first + sizes)[rest].tolist()):
+    matrices = np.zeros((rest.size + plain.any(), FEATURE_DIM, FEATURE_DIM))
+    for k, (m, lo, hi) in enumerate(zip(rest.tolist(), first[rest].tolist(),
+                                        (first + sizes)[rest].tolist())):
         members = Xs[lo:hi]
-        mus[m] = members.mean(axis=0)
+        # np.mean over rows: their sum divided by their count.
+        mus[m] = np.add.reduce(members, axis=0) / members.shape[0]
         centered = members - mus[m]
-        np.matmul(centered.T, centered, out=covs[m])
-    covs /= sizes[:, None, None]
+        np.matmul(centered.T, centered, out=matrices[k])
+    matrices[:rest.size] /= sizes[rest, None, None]
     diag = np.arange(FEATURE_DIM)
-    covs[:, diag, diag] += COVARIANCE_REGULARIZATION
-    return mus, covs, plain
+    matrices[:, diag, diag] += COVARIANCE_REGULARIZATION
+    slot = np.full(M, rest.size)
+    slot[rest] = np.arange(rest.size)
+    return mus, _Covariances(matrices, slot), plain
 
 
 def gmm_refine(seg: Segmentation, pred: Prediction,
@@ -289,54 +506,57 @@ def gmm_refine(seg: Segmentation, pred: Prediction,
     if M == 0:
         return seg
     fg = seg.labels > 0
-    X = pred.xi_hat[fg].astype(np.float64)
+    X = pred.xi_hat[fg].astype(np.float64, copy=False)
     own = seg.labels[fg].astype(np.intp) - 1
     n_fg = X.shape[0]
 
     # A stable sort by label lists each component's members in row-major
     # order, as the definition's boolean mask does.
-    by_label = np.argsort(own, kind="stable")
+    by_label = _stable_order(own, M)
     sizes = np.bincount(own, minlength=M)
     Xs = X[by_label]
     mus, covs, plain = _components(Xs, sizes)
 
-    pick, slot = _distinct(np.ones(M, dtype=bool), plain)
-    sign, logdet = np.linalg.slogdet(covs[pick])
-    sign, logdet = sign[slot], logdet[slot]
-    # slogdet and solve factor the same matrix, so solve fails exactly when
-    # the sign is zero.
+    # Each distinct matrix is factored once: a decomposition of equal
+    # matrices gives equal bits. slogdet and solve factor the same matrix,
+    # so solve fails exactly when the sign is zero.
+    sign, logdet = np.linalg.slogdet(covs.matrices)
     fallback = ~((sign > 0) & np.isfinite(logdet))
-    variance = np.zeros(M)
-    for m in np.flatnonzero(fallback).tolist():
-        variance[m] = float(np.trace(covs[m])) / FEATURE_DIM
-        logdet[m] = FEATURE_DIM * np.log(variance[m])
+    variance = np.zeros(len(covs.matrices))
+    for k in np.flatnonzero(fallback).tolist():
+        variance[k] = float(np.trace(covs.matrices[k])) / FEATURE_DIM
+        logdet[k] = FEATURE_DIM * np.log(variance[k])
     if stats is not None and fallback.any():
         stats["spherical_fallbacks"] = (stats.get("spherical_fallbacks", 0)
-                                        + int(np.count_nonzero(fallback)))
+                                        + int(np.count_nonzero(fallback[covs.slot])))
+
+    def quad_forms(diff, comp):
+        # _quad_forms solves per matrix, so pairs go in slot order.
+        slot = covs.slot[comp]
+        by_slot = np.argsort(slot, kind="stable")
+        quad = np.empty(len(comp))
+        quad[by_slot] = _quad_forms(diff[by_slot], np.bincount(slot, minlength=len(variance)),
+                                    covs.matrices, variance, fallback, min(n_fg, 2))
+        return quad
 
     # With one component every pixel keeps it.
     new_own = own
     if M > 1:
         log_w = np.log(sizes / n_fg)
-        const = FEATURE_DIM * np.log(2.0 * np.pi) + logdet
-        min_cols = min(n_fg, 2)
-        own_score = np.empty(n_fg)
+        const = FEATURE_DIM * np.log(2.0 * np.pi) + logdet[covs.slot]
         own_sorted = own[by_label]
         # A plain component's own pixel is its mean, so the solve sees a zero
         # right-hand side and its Mahalanobis term is +-0.0, which adds to
         # const exactly as +0.0 does.
         live = ~plain[own_sorted]
         quad = np.zeros(n_fg)
-        quad[live] = _quad_forms(Xs[live] - mus[own_sorted[live]], np.where(plain, 0, sizes),
-                                 covs, variance, fallback, min_cols)
+        quad[live] = quad_forms(Xs[live] - mus[own_sorted[live]], own_sorted[live])
+        own_score = np.empty(n_fg)
         own_score[by_label] = log_w[own_sorted] - 0.5 * (const[own_sorted] + quad)
-        pix, comp = _candidates(X, own, own_score, mus, covs, variance, fallback,
-                                log_w, const, plain)
+        pix, comp = _candidates(X, own, own_score, mus, covs, variance[covs.slot],
+                                fallback[covs.slot], log_w, const, plain)
         if pix.size:
-            counts = np.bincount(comp, minlength=M)
-            score = log_w[comp] - 0.5 * (
-                const[comp]
-                + _quad_forms(X[pix] - mus[comp], counts, covs, variance, fallback, min_cols))
+            score = log_w[comp] - 0.5 * (const[comp] + quad_forms(X[pix] - mus[comp], comp))
             # Each contested pixel takes what np.argmax over its row would:
             # the first NaN, else the first maximum.
             contested = np.unique(pix)
@@ -357,25 +577,8 @@ def gmm_refine(seg: Segmentation, pred: Prediction,
     labels = np.zeros_like(seg.labels)
     labels[fg] = new_labels
     scores = _instance_scores(new_labels, pred.eta_hat[fg], kept.size)
-    seeds = [seg.seeds[m] for m in kept.tolist()]
+    seeds = list(seg.seeds) if kept.size == M else [seg.seeds[m] for m in kept.tolist()]
     return Segmentation(labels=labels, scores=scores, seeds=seeds)
-
-
-def _distinct(among, plain):
-    """Covariances to factor for the components in `among`, and where each finds its result.
-
-    Plain components share one covariance, so the first of them stands for
-    all: a decomposition of equal matrices gives equal bits. Returns the
-    indices to pass and, per component in `among`, its row of the result.
-    """
-    shared = among & plain
-    if not shared.any():
-        return np.flatnonzero(among), slice(None)
-    pick = among & ~plain
-    pick[np.argmax(shared)] = True
-    slot = np.cumsum(pick) - 1
-    slot[shared] = slot[np.argmax(shared)]
-    return np.flatnonzero(pick), slot[among]
 
 
 def _bound_terms(X, own_score, mus, covs, variance, fallback, log_w, const, plain):
@@ -386,18 +589,22 @@ def _bound_terms(X, own_score, mus, covs, variance, fallback, log_w, const, plai
     Returns (rows, weights, threshold, slope, offset, prunable), rows being
     [x, |x|^2, 1] per pixel: the dot product is a lower bound of
     slope_m |x_n - mu_m|^2 - offset_m, and a component that is not prunable
-    has NaN weights, so it never loses by the bound.
+    has NaN weights, so it never loses by the bound. Plain components share
+    one covariance, whose spectrum is computed once.
     """
     with np.errstate(all="ignore"):
         # Bounds on the spectrum of each covariance, widened for eigvalsh
         # error; a spherical fallback's spectrum is its variance.
         lam_hi = variance.copy()
         lam_lo = variance.copy()
-        if not fallback.all():
-            pick, slot = _distinct(~fallback, plain)
-            eig = np.linalg.eigvalsh(covs[pick])[slot]
-            lam_hi[~fallback] = eig[:, -1] * (1.0 + 1e-12)
-            lam_lo[~fallback] = eig[:, 0] - 1e-12 * eig[:, -1]
+        eig = np.empty((len(mus), FEATURE_DIM))
+        pick = ~fallback & ~plain
+        eig[pick] = np.linalg.eigvalsh(covs[pick])
+        shared = ~fallback & plain
+        if shared.any():
+            eig[shared] = np.linalg.eigvalsh(covs[np.argmax(shared)])
+        lam_hi[~fallback] = eig[~fallback, -1] * (1.0 + 1e-12)
+        lam_lo[~fallback] = eig[~fallback, 0] - 1e-12 * eig[~fallback, -1]
         # The definition's Mahalanobis term is at least slope * |x - mu|^2:
         # LU backward error can shrink it by the cond term, the dot
         # product's rounding by the sqrt(cond) term.
@@ -410,14 +617,10 @@ def _bound_terms(X, own_score, mus, covs, variance, fallback, log_w, const, plai
         #   slope * d2 - offset > -2 * own score,  offset = 2 log w_m - const_m + slack,
         # the slack covering rounding in the definition's log-posterior,
         # which (as |log w_m| >= 1 / n) also dwarfs any underflow in its
-        # Mahalanobis term; `shrink` covers the rounding of the dot product
+        # Mahalanobis term; `_SHRINK` covers the rounding of the dot product
         # and of the norms.
-        shrink = 1.0 - 256.0 * _EPS
         offset = bar + 64.0 * _EPS * (np.abs(2.0 * log_w) + np.abs(const))
-        weights = np.empty((len(mus), FEATURE_DIM + 2))
-        weights[:, :FEATURE_DIM] = -2.0 * slope[:, None] * mus
-        weights[:, FEATURE_DIM] = slope * shrink
-        weights[:, FEATURE_DIM + 1] = slope * mm * shrink - offset
+        weights = _weights(mus, mm, slope, offset)
         weights[~prunable] = np.nan
         # NaN and infinite own scores, and huge pixels, never prune.
         xx = np.einsum("nd,nd->n", X, X)
@@ -426,19 +629,76 @@ def _bound_terms(X, own_score, mus, covs, variance, fallback, log_w, const, plai
     return rows, weights, threshold, slope, offset, prunable
 
 
+def _weights(mus, mm, slope, offset):
+    """Bound weights [-2 slope mu, slope, slope |mu|^2 - offset] per row, the positive terms shrunk.
+
+    `slope` and `offset` are per row or shared by all rows.
+    """
+    slope = np.asarray(slope)
+    weights = np.empty((len(mus), FEATURE_DIM + 2))
+    weights[:, :FEATURE_DIM] = -2.0 * slope[..., None] * mus
+    weights[:, FEATURE_DIM] = slope * _SHRINK
+    weights[:, FEATURE_DIM + 1] = slope * mm * _SHRINK - offset
+    return weights
+
+
 def _candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const, plain):
     """(pixel, component) pairs the pruning bound cannot rule out, own excluded.
+
+    Plain components share every bound term but their mean, so the bound
+    is set up for the other components and the plain one of least norm,
+    which stands for all: it is prunable unless none of them is. Pairs come
+    sorted by component, then pixel.
+    """
+    n = len(X)
+    rest = np.flatnonzero(~plain)
+    shared = np.flatnonzero(plain)
+    by_mu0 = shared[np.argsort(mus[shared, 0])]
+    with np.errstate(over="ignore"):
+        mm = np.einsum("md,md->m", mus[by_mu0], mus[by_mu0])
+    terms = np.append(rest, by_mu0[np.argmin(mm)]) if shared.size else rest
+    rows, weights, threshold, slope, offset, prunable = _bound_terms(
+        X, own_score, mus[terms], covs[terms], variance[terms], fallback[terms], log_w[terms],
+        const[terms], plain[terms])
+    k = rest.size
+    pix, comp = _bounded_pairs(X, rows, threshold, mus[rest], weights[:k], slope[:k], offset[:k],
+                               prunable[:k])
+    pix_parts, comp_parts = [pix], [rest[comp]]
+    if shared.size:
+        # A plain component's pixel has its mean's norm. Those of moderate
+        # norm tie only among themselves (_tied_pairs); the rest meet the
+        # bound, or every component when it cannot prune them.
+        tight = (mm < _MAGNITUDE) & prunable[k]
+        pixel_of = np.empty(len(mus), dtype=np.intp)
+        pixel_of[own] = np.arange(n)
+        others = np.ones(n, dtype=bool)
+        others[pixel_of[by_mu0[tight]]] = False
+        for pix, comp in (_tied_pairs(own, own_score, mus, by_mu0[tight],
+                                      pixel_of[by_mu0[tight]], slope[k], offset[k]),
+                          _shared_pairs(X, rows, threshold, mus, mm[tight], by_mu0[tight],
+                                        by_mu0[~tight], np.flatnonzero(others), slope[k],
+                                        offset[k])):
+            pix_parts.append(pix)
+            comp_parts.append(comp)
+    pix = np.concatenate(pix_parts)
+    comp = np.concatenate(comp_parts)
+    # A pixel's own component always meets the bound; it is no candidate.
+    other = comp != own[pix]
+    comp, pix = np.divmod(np.sort(comp[other] * n + pix[other]), n)
+    return pix, comp
+
+
+def _bounded_pairs(X, rows, threshold, mus, weights, slope, offset, prunable):
+    """(pixel, component) pairs the evaluated bound keeps.
 
     Prunable components are grouped by the binary exponent of their slope.
     A group of at least _WINDOWED_GROUP components is sorted by mu0 and the
     pixels by where their slab windows start; each run of _SLAB_PIXELS such
     pixels meets, in one gemm, the group's components from its first
     window's start to its furthest window's end. The other components meet
-    every pixel in dense blocks. Pairs come sorted by component, then pixel.
+    every pixel in dense blocks.
     """
     n = len(X)
-    rows, weights, threshold, slope, offset, prunable = _bound_terms(
-        X, own_score, mus, covs, variance, fallback, log_w, const, plain)
     # A pixel with an infinite threshold keeps every component; so does a
     # component that is not prunable, whose NaN weights never exceed one.
     tight = np.flatnonzero(prunable)
@@ -453,7 +713,7 @@ def _candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const, 
     if groups:
         open_pix = np.flatnonzero(threshold == np.inf)
         closed = np.flatnonzero(threshold != np.inf)
-    pix_parts, comp_parts = [], []
+    pix_parts, comp_parts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     with np.errstate(all="ignore"):
         for group in groups:
             order, lo, count = _slab_window(X[closed, 0], rows[closed, FEATURE_DIM],
@@ -483,12 +743,81 @@ def _candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const, 
                 p, c = np.divmod(np.flatnonzero(~block), dense.size)
                 pix_parts.append(p + lo)
                 comp_parts.append(dense[c])
-    pix = np.concatenate(pix_parts)
-    comp = np.concatenate(comp_parts)
-    # A pixel's own component always meets the bound; it is no candidate.
-    other = comp != own[pix]
-    comp, pix = np.divmod(np.sort(comp[other] * n + pix[other]), n)
-    return pix, comp
+    return np.concatenate(pix_parts), np.concatenate(comp_parts)
+
+
+def _tied_pairs(own, own_score, mus, tight, pixels, slope, offset):
+    """Pairs of a plain component's pixel and another plain component that can take it.
+
+    `tight` lists the plain components of moderate norm by ascending mu0
+    and `pixels` their pixels. Let pixel p belong to one of them, m, and m'
+    be another. Both have the same log w and const, and p's row is m's mean,
+    so the definition scores p at s = log w - const / 2 under m (its
+    Mahalanobis term is +-0.0) and at log w - (const + q) / 2 under m',
+    where q >= 0: the finite difference x - mu' of two rows of moderate norm
+    solves against the diagonal 1e-6 * I to terms of its own signs. Rounding
+    is monotone, so m' scores at most s and takes p only on an exact tie,
+    which goes to the lower index: only m' < m can. By the bound, m' cannot
+    win where slope |x - mu'|^2 > offset - 2 s, and (x0 - mu0')^2 <=
+    |x - mu'|^2. As -2 s is -(2 log w - const) rounded once (doubling is
+    exact), offset - 2 s is the bound's slack 64 eps (|2 log w| + |const|)
+    up to one rounding. So every candidate lies in the near-duplicate window
+    |x0 - mu0'| <= sqrt((offset - 2 s) / slope), widened here like the slabs
+    for the rounding of the difference, the quotient, the square root and
+    x0 -+ half. The window evaluates no bound, so nothing in it can
+    overflow.
+    """
+    if not tight.size:
+        return tight, tight
+    x0 = mus[tight, 0]
+    rel = 16.0 * _EPS
+    reach = max(offset - 2.0 * float(own_score[pixels[0]]), 0.0) / slope
+    half = math.sqrt(reach) * (1.0 + rel) + rel * np.abs(x0) + _FLOOR
+    # A window holds another component only if it holds a neighbour.
+    lo_edge, hi_edge = x0 - half, x0 + half
+    many = np.flatnonzero(np.r_[x0[1:] <= hi_edge[:-1], False]
+                          | np.r_[False, x0[:-1] >= lo_edge[1:]])
+    lo = np.searchsorted(x0, lo_edge[many], "left")
+    hi = np.searchsorted(x0, hi_edge[many], "right")
+    pix = np.repeat(pixels[many], hi - lo)
+    comp = tight[_ranges(lo, hi)]
+    lower = comp < own[pix]
+    return pix[lower], comp[lower]
+
+
+def _shared_pairs(X, rows, threshold, mus, mm, tight, loose, pixels, slope, offset):
+    """Pairs of plain components and the other pixels that the bound keeps.
+
+    Plain components share their slope and offset, so one slab window
+    (_slab_window) over the plain components of moderate norm, `tight` by
+    ascending mu0 with squared norms `mm`, holds every pair the bound could
+    keep for one of `pixels` with a finite threshold; the bound is evaluated
+    per window pair, in chunks of _BLOCK_ELEMENTS weights. Pixels with
+    infinite thresholds meet every component of `tight`, and the `loose`
+    components, which the bound never prunes, meet every pixel.
+    """
+    closed = pixels[threshold[pixels] != np.inf]
+    open_pix = pixels[threshold[pixels] == np.inf]
+    every = np.arange(len(X))
+    pix_parts = [np.repeat(open_pix, tight.size), np.repeat(every, loose.size)]
+    comp_parts = [np.tile(tight, open_pix.size), np.tile(loose, every.size)]
+    if tight.size and closed.size:
+        with np.errstate(all="ignore"):
+            _, lo, count = _slab_window(X[closed, 0], rows[closed, FEATURE_DIM], threshold[closed],
+                                        mus[tight], np.array([slope]), np.array([offset]))
+        ends = np.cumsum(count)
+        step = _BLOCK_ELEMENTS // (FEATURE_DIM + 2)
+        cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], step), "right"))
+        for a, b in zip(cuts.tolist(), np.append(cuts[1:], closed.size).tolist()):
+            pix = np.repeat(closed[a:b], count[a:b])
+            at = _ranges(lo[a:b], lo[a:b] + count[a:b])
+            with np.errstate(all="ignore"):
+                bound = np.einsum("nk,nk->n", rows[pix], _weights(mus[tight[at]], mm[at], slope,
+                                                                  offset))
+            keep = ~(bound > threshold[pix])
+            pix_parts.append(pix[keep])
+            comp_parts.append(tight[at[keep]])
+    return np.concatenate(pix_parts), np.concatenate(comp_parts)
 
 
 def _slab_window(x0, xx, threshold, mus, slope, offset):

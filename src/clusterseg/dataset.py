@@ -29,7 +29,7 @@ from . import dataio
 from .annotation import build_annotation
 from .clustering import Segmentation
 from .errors import ClusterSegError, ShapeMismatchError
-from .geometry import FEATURE_DIM, depth_to_xyz
+from .geometry import FEATURE_DIM, check_back_projection, depth_to_xyz
 from .scenegen import FrameBundle, scene_from_json, scene_to_json
 
 # The dataset layout gen writes; a dataset with any other "format" must be
@@ -120,7 +120,9 @@ def write_dataset(path, records, **params):
 def load_frames(path, xyz=True):
     """The dataset's (fraction, single_object_radius) and (scene, frame, per_object_xi) per frame.
 
-    Each frame's xyz map is derived only when `xyz` is true, else it is None.
+    Each frame's xyz map is derived only when `xyz` is true, else it is None;
+    either way a depth map that back-projects to non-finite points is a
+    NonFiniteError.
     """
     manifest_path = os.path.join(path, "dataset.json")
     manifest = read_json_object(manifest_path, "dataset manifest")
@@ -152,7 +154,11 @@ def load_frames(path, xyz=True):
             if t["instance_map"].max(initial=0) > K:
                 raise ShapeMismatchError(f"{bundle_path}: instance ids exceed the object count {K}")
             try:
-                points = depth_to_xyz(t["depth"], scene.camera) if xyz else None
+                if xyz:
+                    points = depth_to_xyz(t["depth"], scene.camera)
+                else:
+                    check_back_projection(t["depth"], scene.camera)
+                    points = None
             except ClusterSegError as exc:
                 raise type(exc)(f"{bundle_path}: {exc}") from exc
             frame = FrameBundle(rgb=t["rgb"], depth=t["depth"], xyz=points,

@@ -67,6 +67,27 @@ def depth_to_xyz(depth: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
     return xyz
 
 
+def check_back_projection(depth: np.ndarray, intr: CameraIntrinsics) -> None:
+    """Raise NonFiniteError exactly when depth_to_xyz would, without building xyz.
+
+    The depth must be finite. For a fixed column, |x| = |(u - ppx) * d / fx|
+    rounds monotonically in |d|, so x is finite in the whole column when it
+    is at the column's largest |d|; rows and y likewise.
+    """
+    depth = np.asarray(depth, dtype=np.float64)
+    if depth.ndim != 2 or depth.shape != (intr.height, intr.width):
+        raise ShapeMismatchError(
+            f"depth map shape {depth.shape} does not match intrinsics {intr.height}x{intr.width}")
+    if not np.isfinite(depth).all():
+        raise NonFiniteError("depth map back-projects to non-finite points")
+    far = np.abs(depth)
+    with np.errstate(over="ignore"):
+        x = (np.arange(intr.width, dtype=np.float64) - intr.ppx) * far.max(axis=0) / intr.fx
+        y = (np.arange(intr.height, dtype=np.float64) - intr.ppy) * far.max(axis=1) / intr.fy
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteError("depth map back-projects to non-finite points")
+
+
 def compute_object_feature(points: np.ndarray) -> np.ndarray:
     """9-vector feature of a point cloud: AABB center + second moments.
 

@@ -3,7 +3,10 @@
 Every comparison is bit for bit: labels, the bytes of the score array, the
 seed list and the spherical-fallback counter. The fast paths inside the
 stages (one-member statistics, the slab index of the E-step filter) are
-also checked against the per-group and dense computations they replace.
+also checked against the per-group and dense computations they replace,
+and both stages against the former library stages (a loop iteration per
+pixel; a covariance matrix per component), which are fast enough for large
+degenerate frames.
 """
 
 import warnings
@@ -24,7 +27,8 @@ from clusterseg.predictor import NoiseSpec, init_model, mlp_forward, noisy_predi
 from clusterseg.scenegen import GeneratorConfig, render, sample_scene
 
 from conftest import same_partition
-from reference_clustering import (reference_candidates, reference_gmm_refine,
+from reference_clustering import (dense_gmm_refine, loop_seed_segmentation,
+                                  reference_candidates, reference_gmm_refine,
                                   reference_seed_segmentation, reference_segment)
 
 
@@ -55,6 +59,16 @@ def _assert_stages_exact(pred):
                  reference_gmm_refine(seeded, pred, ref_stats))
     assert fast_stats == ref_stats
     return seeded, ref_stats.get("spherical_fallbacks", 0)
+
+
+def _assert_both_oracles(pred):
+    """Both stages equal the brute-force definitions and the former library stages."""
+    seeded, fallbacks = _assert_stages_exact(pred)
+    _assert_same(loop_seed_segmentation(pred), seeded)
+    fast_stats, former_stats = {}, {}
+    _assert_same(gmm_refine(seeded, pred, fast_stats), dense_gmm_refine(seeded, pred, former_stats))
+    assert fast_stats == former_stats
+    return seeded, fallbacks
 
 
 def test_exact_on_oracle_and_noisy_corpus():
@@ -115,6 +129,20 @@ def test_exact_on_untrained_mlp(res):
     logits, _ = mlp_forward(init_model(0), frame)
     seeded, _ = _assert_stages_exact(logits.to_prediction())
     # The degenerate regime: nearly every foreground pixel seeds.
+    assert len(seeded.scores) > 0.8 * np.count_nonzero(seeded.labels)
+
+
+@pytest.mark.parametrize("res", [96, 128])
+def test_former_stages_agree_on_large_untrained_mlp(res):
+    # The brute-force definitions are too slow here; the former stages are
+    # second oracles.
+    frame, _ = _frame(1, res, count_range=(2, 6))
+    pred = mlp_forward(init_model(0), frame)[0].to_prediction()
+    seeded = seed_segmentation(pred)
+    _assert_same(seeded, loop_seed_segmentation(pred))
+    fast_stats, former_stats = {}, {}
+    _assert_same(gmm_refine(seeded, pred, fast_stats), dense_gmm_refine(seeded, pred, former_stats))
+    assert fast_stats == former_stats
     assert len(seeded.scores) > 0.8 * np.count_nonzero(seeded.labels)
 
 
@@ -185,6 +213,25 @@ def test_exact_near_overflow(magnitude):
         _assert_same(segment(pred), reference_segment(pred))
     assert len(seeded.scores) >= 2
     assert fallbacks > 0
+
+
+def test_exact_with_one_member_components_whose_differences_overflow():
+    # Rows +-1e308 apart overflow x - mu, so the definition scores them
+    # under each other's one-member components as NaN, and the first NaN
+    # takes a pixel: the near-duplicate window must leave rows of huge norm
+    # to the exact scores, although their first components nearly agree.
+    xi = np.zeros((4, FEATURE_DIM))
+    xi[0, 1], xi[1, 1], xi[1, 0] = 1e308, -1e308, 1e-300
+    xi[2], xi[3] = 5.0, -5.0
+    pred = Prediction(xi_hat=xi.reshape(1, 4, FEATURE_DIM),
+                      eta_hat=np.array([[0.9, 0.8, 0.7, 0.6]]), b_hat=np.zeros((1, 4)),
+                      mask_prob=np.ones((1, 4)))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        seeded, _ = _assert_both_oracles(pred)
+        refined = gmm_refine(seeded, pred)
+    assert len(seeded.scores) == 4
+    assert refined.labels.tolist() != seeded.labels.tolist()
 
 
 def test_segment_rejects_non_finite_predictions():
@@ -308,6 +355,63 @@ def test_stages_exact_with_non_finite_features_and_radii(data):
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         _assert_stages_exact(pred)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_stages_exact_with_duplicate_and_near_duplicate_rows(data):
+    # A row that repeats an earlier one up to 0, 1e-12 or 1e-160 seeds its
+    # own one-member component under a zero or tiny radius; in the E-step
+    # the two components then score both pixels equally, and the lower
+    # index takes them. Rows holding -0.0 are never plain.
+    n = data.draw(st.integers(2, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xi = rng.uniform(-3.0, 3.0, (n, FEATURE_DIM))
+    xi[rng.random(n) < 0.15, rng.integers(0, FEATURE_DIM)] = -0.0
+    for i in np.flatnonzero(rng.random(n) < 0.6)[1:].tolist():
+        xi[i] = xi[rng.integers(0, i)]
+        gap = rng.choice([0.0, 1e-12, 1e-160])
+        xi[i, rng.integers(0, FEATURE_DIM)] += gap * rng.choice([-1.0, 1.0])
+    radii = rng.choice([0.0, 0.0, 5e-324, 1e-300, 1e-170, 0.5], size=n)
+    pred = Prediction(xi_hat=xi.reshape(1, n, FEATURE_DIM),
+                      eta_hat=rng.integers(0, 5, size=(1, n)) / 4.0,
+                      b_hat=radii.reshape(1, n), mask_prob=np.ones((1, n)))
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        _assert_both_oracles(pred)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_seeding_blocks_equal_both_oracles_at_every_claim_density(data):
+    # Whatever the block and chunk sizes, each block decided in one batch
+    # (share 0), pixel by pixel (share inf) or by its claim density equals
+    # both oracles.
+    n = data.draw(st.integers(1, 300))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    claimers = rng.random(n) < data.draw(st.sampled_from([0.0, 0.02, 0.2, 0.6, 1.0]))
+    radii = np.where(claimers, rng.uniform(0.0, data.draw(st.sampled_from([0.05, 0.4, 2.0])), n),
+                     0.0)
+    radii[rng.random(n) < 0.02] = rng.choice([np.nan, np.inf, 1e200])
+    xi = rng.uniform(0.0, 1.0, (n, FEATURE_DIM))
+    xi[:, 1:] *= data.draw(st.sampled_from([0.0, 0.1, 1.0]))
+    pred = Prediction(xi_hat=xi.reshape(1, n, FEATURE_DIM), eta_hat=rng.random((1, n)),
+                      b_hat=radii.reshape(1, n), mask_prob=rng.random((1, n)) * 1.2)
+    block = data.draw(st.integers(1, 64))
+    block_min = data.draw(st.integers(1, block))
+    share = data.draw(st.sampled_from([2, 8, 32]))
+    # Claim pairs are evaluated this many at a time.
+    chunk = data.draw(st.sampled_from([3, 50, 1 << 16]))
+    with np.errstate(all="ignore"):
+        want = reference_seed_segmentation(pred)
+        _assert_same(loop_seed_segmentation(pred), want)
+        for dense_share in (0, share, np.inf):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(clustering, "_SEED_BLOCK", block)
+                patch.setattr(clustering, "_SEED_BLOCK_MIN", block_min)
+                patch.setattr(clustering, "_DENSE_SHARE", dense_share)
+                patch.setattr(clustering, "_BLOCK_ELEMENTS", chunk)
+                _assert_same(seed_segmentation(pred), want)
 
 
 def _assert_index_keeps_every_dense_pair(args):

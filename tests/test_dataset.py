@@ -249,3 +249,44 @@ def test_eval_reads_frames_without_building_annotations(dataset, monkeypatch, ca
     monkeypatch.setattr("clusterseg.dataset.build_annotation", built)
     assert run_cli("eval", "--dataset", ds, "--segs", segs) == 0
     assert "100.0" in capsys.readouterr().out
+
+
+def _far_principal_point(ds):
+    path = ds / "scene_00000.json"
+    doc = json.loads(path.read_text())
+    doc["camera"]["ppx"] = 1e308
+    path.write_text(json.dumps(doc))
+
+
+def _nan_depth(ds):
+    path = ds / "frame_00000.tsb"
+    tensors = read_bundle(path)
+    depth = tensors["depth"].copy()
+    depth[3, 3] = np.nan
+    write_bundle(path, {**tensors, "depth": depth})
+
+
+@pytest.mark.parametrize("damage", [_far_principal_point, _nan_depth],
+                         ids=["ppx-1e308", "nan-depth"])
+@pytest.mark.parametrize("command", [
+    ("eval", "--segs", "{segs}"),
+    ("infer", "--out", "{tmp}/out", "--predictor", "oracle"),
+    ("infer", "--out", "{tmp}/out", "--predictor", "noisy"),
+    ("infer", "--out", "{tmp}/out", "--predictor", "mlp", "--model", "{model}"),
+    ("train", "--out", "{tmp}/retrained", "--epochs", "1"),
+], ids=["eval", "infer-oracle", "infer-noisy", "infer-mlp", "train"])
+def test_every_command_rejects_a_non_finite_back_projection(tmp_path, capsys, damage, command):
+    # Commands that never build xyz check the back-projection all the same.
+    ds, segs, model = tmp_path / "ds", tmp_path / "segs", tmp_path / "model"
+    assert run_cli("gen", "--count", 2, "--res", "16x16", "--objects", "2..2", "--seed", 4,
+                   "--out", ds) == 0
+    assert run_cli("infer", "--dataset", ds, "--out", segs) == 0
+    assert run_cli("train", "--dataset", ds, "--out", model, "--epochs", 1) == 0
+    damage(ds)
+    with pytest.raises(NonFiniteError, match="frame_00000.tsb: .*non-finite"):
+        load_dataset(str(ds), xyz=False)
+    capsys.readouterr()
+    argv = [a.format(segs=segs, tmp=tmp_path, model=model) for a in command]
+    assert run_cli(argv[0], "--dataset", ds, *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("clusterseg: error: ") and "non-finite" in err
