@@ -32,8 +32,8 @@ the result, so their cost grows close to linearly with foreground pixels:
   them in visit order they give the claimers that seed, every other live
   pixel of the block seeds too, and each seed's members then join it at
   once, a pixel in several balls joining the earliest. A block with denser
-  claims, or with a seed that scans every pixel, halves down to a minimum
-  and then runs the definition's loop pixel by pixel.
+  claims, or with a seed that scans every pixel, runs the definition's loop
+  pixel by pixel.
 * The E-step scores each pixel under its own seeded component exactly.
   Since the Mahalanobis term is at least |x - mu_m|^2 / lambda_max(S_m),
   component m scores at most
@@ -44,14 +44,13 @@ the result, so their cost grows close to linearly with foreground pixels:
   log-densities). Pixels or components whose magnitudes could overflow are
   never pruned. The surviving pairs go through the same solve and dot
   product as the definition; ties go to the lowest component index.
-* A slab index keeps most pairs from meeting the bound at all, in the
-  spirit of the spatial indexes in front of EM of Moore ("Very fast
-  EM-based mixture model clustering using multiresolution kd-trees", NIPS
-  1998): as |x - mu|^2 >= (x0 - mu0)^2, a pixel meets a group of components
-  of similar slope only within a window of their first mean component,
-  widened for rounding. Pixels sorted by window start meet the bound in
-  gemm blocks, each spanning its pixels' windows. Groups of fewer than 32
-  components meet every pixel in dense blocks instead.
+* A slab index keeps most pairs of a pixel and a plain component (below)
+  from meeting the bound at all, in the spirit of the spatial indexes in
+  front of EM of Moore ("Very fast EM-based mixture model clustering using
+  multiresolution kd-trees", NIPS 1998): as |x - mu|^2 >= (x0 - mu0)^2, a
+  pixel meets components of one slope only within a window of their first
+  mean component, widened for rounding. Only plain components are
+  windowed; the others meet every pixel in dense gemm blocks.
 * Most components of a degenerate prediction are plain: one member, whose
   finite row holds no -0.0. Such a component has that row as its np.mean
   and exactly 1e-6 * I as its covariance, stored and factored once for all
@@ -76,18 +75,12 @@ DEFAULT_FG_THRESHOLD = 0.5
 COVARIANCE_REGULARIZATION = 1e-6
 # Element budget of every dense pixel x component block in gmm_refine.
 _BLOCK_ELEMENTS = 1 << 16
-# Slab windows serve groups of at least _WINDOWED_GROUP components, whose
-# pixels meet them in runs of _SLAB_PIXELS.
-_WINDOWED_GROUP = 32
-_SLAB_PIXELS = 128
 # A batched solve call costs about as much as solving this many more columns.
 _SOLVE_COLUMNS = 128
-# Seeding decides blocks of the visit order, starting at _SEED_BLOCK pixels.
-# A block's claims are dense when more than one in _DENSE_SHARE of its live
-# pixels can claim another; such a block shrinks to _SEED_BLOCK_MIN before
-# it runs pixel by pixel.
+# Seeding decides blocks of _SEED_BLOCK pixels of the visit order. A block's
+# claims are dense, and it runs pixel by pixel, when more than one in
+# _DENSE_SHARE of its live pixels can claim another.
 _SEED_BLOCK = 256
-_SEED_BLOCK_MIN = 32
 _DENSE_SHARE = 8
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -222,9 +215,8 @@ def seed_segmentation(pred: Prediction,
 
     seeding = _Seeding(X, r2, rank, bounds, eta64 != -np.inf, by_x0, x0_sorted)
     alive = seeding.alive
-    start, size, shrink = 0, _SEED_BLOCK, True
-    while start < n:
-        block = order[start:start + size]
+    for start in range(0, n, _SEED_BLOCK):
+        block = order[start:start + _SEED_BLOCK]
         live = block[alive[block]]
         claimers = live[claims[live]]
         dense = claimers.size * _DENSE_SHARE > live.size or bool(scan_all[claimers].any())
@@ -234,16 +226,7 @@ def seed_segmentation(pred: Prediction,
             by = claimers[np.argsort(x0[claimers])]
             lo, hi = seeding.slabs(claimers, x0[by])
             dense = int((hi - lo).sum()) - claimers.size > live.size
-        # Coming from a sparse block, a dense one halves until it is sparse
-        # or minimal, at once to the minimum when most live pixels claim;
-        # after a dense block, blocks grow again.
-        if dense and shrink and size > _SEED_BLOCK_MIN:
-            size = _SEED_BLOCK_MIN if 2 * claimers.size > live.size else size // 2
-            continue
-        start += size
-        size *= 2
-        shrink = not dense
-        seeding.compact(n - start)
+        seeding.compact(n - start - block.size)
         if dense:
             seeding.visit(block, claimers, claims, r2_limit)
         else:
@@ -661,8 +644,7 @@ def _candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const, 
         X, own_score, mus[terms], covs[terms], variance[terms], fallback[terms], log_w[terms],
         const[terms], plain[terms])
     k = rest.size
-    pix, comp = _bounded_pairs(X, rows, threshold, mus[rest], weights[:k], slope[:k], offset[:k],
-                               prunable[:k])
+    pix, comp = _bounded_pairs(rows, threshold, weights[:k])
     pix_parts, comp_parts = [pix], [rest[comp]]
     if shared.size:
         # A plain component's pixel has its mean's norm. Those of moderate
@@ -688,61 +670,24 @@ def _candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const, 
     return pix, comp
 
 
-def _bounded_pairs(X, rows, threshold, mus, weights, slope, offset, prunable):
-    """(pixel, component) pairs the evaluated bound keeps.
+def _bounded_pairs(rows, threshold, weights):
+    """(pixel, component) pairs the evaluated bound keeps, in dense gemm blocks.
 
-    Prunable components are grouped by the binary exponent of their slope.
-    A group of at least _WINDOWED_GROUP components is sorted by mu0 and the
-    pixels by where their slab windows start; each run of _SLAB_PIXELS such
-    pixels meets, in one gemm, the group's components from its first
-    window's start to its furthest window's end. The other components meet
-    every pixel in dense blocks.
+    A pixel with an infinite threshold keeps every component; so does a
+    component that is not prunable, whose NaN weights never exceed one.
     """
-    n = len(X)
-    # A pixel with an infinite threshold keeps every component; so does a
-    # component that is not prunable, whose NaN weights never exceed one.
-    tight = np.flatnonzero(prunable)
-    groups = []
-    if tight.size >= _WINDOWED_GROUP:
-        exponent = np.frexp(slope[tight])[1]
-        values, sizes = np.unique(exponent, return_counts=True)
-        indexed = values[sizes >= _WINDOWED_GROUP]
-        groups = [tight[exponent == k] for k in indexed.tolist()]
-        tight = tight[~np.isin(exponent, indexed)]
-    dense = np.concatenate((np.flatnonzero(~prunable), tight))
-    if groups:
-        open_pix = np.flatnonzero(threshold == np.inf)
-        closed = np.flatnonzero(threshold != np.inf)
+    m = len(weights)
     pix_parts, comp_parts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    with np.errstate(all="ignore"):
-        for group in groups:
-            order, lo, count = _slab_window(X[closed, 0], rows[closed, FEATURE_DIM],
-                                            threshold[closed], mus[group], slope[group],
-                                            offset[group])
-            group = group[order]
-            # A C-ordered operand takes a faster gemm kernel.
-            group_weights = np.ascontiguousarray(weights[group].T)
-            by_start = np.argsort(lo, kind="stable")
-            pixels = closed[by_start]
-            runs = np.arange(0, pixels.size, _SLAB_PIXELS)
-            ends = np.maximum.reduceat((lo + count)[by_start], runs)
-            pixel_rows, pixel_threshold = rows[pixels], threshold[pixels, None]
-            for r, a, b in zip(runs.tolist(), lo[by_start][runs].tolist(), ends.tolist()):
-                block = (pixel_rows[r:r + _SLAB_PIXELS] @ group_weights[:, a:b]
-                         > pixel_threshold[r:r + _SLAB_PIXELS])
-                p, c = np.divmod(np.flatnonzero(~block), b - a)
-                pix_parts.append(pixels[r + p])
-                comp_parts.append(group[a + c])
-            pix_parts.append(np.repeat(open_pix, group.size))
-            comp_parts.append(np.tile(group, open_pix.size))
-        if dense.size:
-            dense_weights = np.ascontiguousarray(weights[dense].T)
-            step = max(1, _BLOCK_ELEMENTS // dense.size)
-            for lo in range(0, n, step):
-                block = rows[lo:lo + step] @ dense_weights > threshold[lo:lo + step, None]
-                p, c = np.divmod(np.flatnonzero(~block), dense.size)
+    if m:
+        # A C-ordered operand takes a faster gemm kernel.
+        weights = np.ascontiguousarray(weights.T)
+        step = max(1, _BLOCK_ELEMENTS // m)
+        with np.errstate(all="ignore"):
+            for lo in range(0, len(rows), step):
+                block = rows[lo:lo + step] @ weights > threshold[lo:lo + step, None]
+                p, c = np.divmod(np.flatnonzero(~block), m)
                 pix_parts.append(p + lo)
-                comp_parts.append(dense[c])
+                comp_parts.append(c)
     return np.concatenate(pix_parts), np.concatenate(comp_parts)
 
 

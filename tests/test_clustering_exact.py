@@ -2,11 +2,11 @@
 
 Every comparison is bit for bit: labels, the bytes of the score array, the
 seed list and the spherical-fallback counter. The fast paths inside the
-stages (one-member statistics, the slab index of the E-step filter) are
-also checked against the per-group and dense computations they replace,
-and both stages against the former library stages (a loop iteration per
-pixel; a covariance matrix per component), which are fast enough for large
-degenerate frames.
+stages (one-member statistics, the E-step filter's slab index over plain
+components) are also checked against the per-group and dense computations
+they replace, and both stages against the former library stages (a loop
+iteration per pixel; a covariance matrix per component), which are fast
+enough for large degenerate frames.
 """
 
 import warnings
@@ -160,6 +160,22 @@ def test_exact_with_open_pixels_beside_a_slab_indexed_group():
         refined = gmm_refine(seeded, pred)
     assert np.count_nonzero(seeded.labels == 1) == 1
     assert refined.labels[rows[-1], cols[-1]] == 1
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_exact_on_clusters_without_plain_components(size):
+    # Clusters of `size` rows 1e-3 apart, well inside each other's 0.05
+    # radius, seed components of `size` members (and one of the last row
+    # left over when 256 rows do not divide). Those are not plain, so they
+    # meet the bound in dense blocks, not in the plain components' window.
+    rng = np.random.default_rng(0)
+    n = 16 * 16
+    centres = rng.uniform(0.0, 1.0, (-(-n // size), FEATURE_DIM))
+    xi = np.repeat(centres, size, axis=0)[:n] + 1e-3 * rng.normal(size=(n, FEATURE_DIM))
+    pred = Prediction(xi_hat=xi.reshape(16, 16, FEATURE_DIM), eta_hat=rng.random((16, 16)),
+                      b_hat=np.full((16, 16), 0.05), mask_prob=np.ones((16, 16)))
+    seeded, _ = _assert_both_oracles(pred)
+    assert len(seeded.scores) == len(centres)
 
 
 @pytest.mark.parametrize("frac", [0.49, 2.0])
@@ -397,8 +413,8 @@ def test_seeding_blocks_equal_both_oracles_at_every_claim_density(data):
     xi[:, 1:] *= data.draw(st.sampled_from([0.0, 0.1, 1.0]))
     pred = Prediction(xi_hat=xi.reshape(1, n, FEATURE_DIM), eta_hat=rng.random((1, n)),
                       b_hat=radii.reshape(1, n), mask_prob=rng.random((1, n)) * 1.2)
-    block = data.draw(st.integers(1, 64))
-    block_min = data.draw(st.integers(1, block))
+    # 256 is the shipped block size: a frame of up to 256 pixels is one block.
+    block = data.draw(st.one_of(st.integers(1, 64), st.just(256)))
     share = data.draw(st.sampled_from([2, 8, 32]))
     # Claim pairs are evaluated this many at a time.
     chunk = data.draw(st.sampled_from([3, 50, 1 << 16]))
@@ -408,7 +424,6 @@ def test_seeding_blocks_equal_both_oracles_at_every_claim_density(data):
         for dense_share in (0, share, np.inf):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(clustering, "_SEED_BLOCK", block)
-                patch.setattr(clustering, "_SEED_BLOCK_MIN", block_min)
                 patch.setattr(clustering, "_DENSE_SHARE", dense_share)
                 patch.setattr(clustering, "_BLOCK_ELEMENTS", chunk)
                 _assert_same(seed_segmentation(pred), want)
