@@ -142,7 +142,7 @@ def _cmd_infer(args) -> int:
                       flip_rate=args.flip_rate, bound_mode=args.noise_mode,
                       ball_radius=args.ball_radius)
     sweep = [NoiseSpec(sigma_xi=s) for s in _sweep_sigmas(args.sweep)] if args.sweep else None
-    records = load_dataset(args.dataset, xyz=args.predictor == "mlp")
+    records = load_dataset(args.dataset)
     model = None
     if args.predictor == "mlp":
         if not args.model:
@@ -177,7 +177,7 @@ def _cmd_infer(args) -> int:
 # eval
 
 def _cmd_eval(args) -> int:
-    _, frames = load_frames(args.dataset, xyz=False)
+    _, frames = load_frames(args.dataset)
     segs = load_segmentations(args.segs)
     if len(frames) != len(segs):
         raise ClusterSegError(
@@ -390,7 +390,7 @@ COUNT = _Kind(int, lambda v: type(v) is int and v >= 1, "an integer of at least 
 NUMBER = _Kind(float, is_number, "a number")
 OPTIONAL_NUMBER = _Kind(_optional_float, lambda v: v is None or is_number(v), "a number or none")
 RANGE = _pair(NUMBER, "..", "two numbers A..B")
-PATH = _Kind(str, lambda v: v is None or type(v) is str, "a path")
+PATH = _Kind(str, lambda v: v is None or type(v) is str and "\0" not in v, "a path")
 SWITCH = _Kind(str, lambda v: type(v) is bool, "a boolean")
 # Instance ids are stored as u16, and 0 is the background.
 MAX_OBJECTS = 65534

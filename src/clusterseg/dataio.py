@@ -72,7 +72,7 @@ def read_bundle(path) -> dict:
         raise BundleManifestError(f"{path}: manifest is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise BundleManifestError(f"{path}: manifest must be a JSON object")
-    payload = data[12 + mlen:]
+    payload = memoryview(data)[12 + mlen:]
 
     spans = []
     out = {}

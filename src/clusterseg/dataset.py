@@ -5,8 +5,10 @@ dataset.json, the manifest (format, frame file names and the generation
 parameters), and per frame a scene_NNNNN.json (the scenegen JSON schema) and
 a frame_NNNNN.tsb bundle (frame_layout). Loading rebuilds the annotation maps
 from the per-object features, the instance map and the manifest's fraction
-and single_object_radius, and, for the commands that run the MLP, xyz from
-depth and the scene's camera, with the same functions gen uses.
+and single_object_radius, with the same function gen uses. A loaded frame
+carries the scene's camera, so it derives xyz from its depth on first read,
+as a rendered one does; loading only checks that the depth back-projects to
+finite points.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
 the manifest (segmentation file names, predictor and fg_threshold), and per
@@ -29,7 +31,7 @@ from . import dataio
 from .annotation import build_annotation
 from .clustering import Segmentation
 from .errors import ClusterSegError, ShapeMismatchError
-from .geometry import FEATURE_DIM, check_back_projection, depth_to_xyz
+from .geometry import FEATURE_DIM, check_back_projection
 from .scenegen import FrameBundle, scene_from_json, scene_to_json
 
 # The dataset layout gen writes; a dataset with any other "format" must be
@@ -62,6 +64,13 @@ def _read_text(path, what):
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
+        raise ClusterSegError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _read_bundle(path, what):
+    try:
+        return dataio.read_bundle(path)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ClusterSegError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -117,12 +126,10 @@ def write_dataset(path, records, **params):
                {**params, "format": DATASET_FORMAT, "frames": frames})
 
 
-def load_frames(path, xyz=True):
+def load_frames(path):
     """The dataset's (fraction, single_object_radius) and (scene, frame, per_object_xi) per frame.
 
-    Each frame's xyz map is derived only when `xyz` is true, else it is None;
-    either way a depth map that back-projects to non-finite points is a
-    NonFiniteError.
+    A depth map that back-projects to non-finite points is a NonFiniteError.
     """
     manifest_path = os.path.join(path, "dataset.json")
     manifest = read_json_object(manifest_path, "dataset manifest")
@@ -144,24 +151,17 @@ def load_frames(path, xyz=True):
             except ClusterSegError as exc:
                 raise ClusterSegError(f"{scene_path}: {exc}") from exc
             bundle_path = os.path.join(path, entry["bundle"])
-            try:
-                t = dataio.read_bundle(bundle_path)
-            except (OSError, ValueError) as exc:
-                raise ClusterSegError(f"cannot read frame bundle {bundle_path}: {exc}") from exc
+            t = _read_bundle(bundle_path, "frame bundle")
             K = len(scene.objects)
             dataio.check_layout(bundle_path, t,
                                 frame_layout(scene.camera.height, scene.camera.width, K))
             if t["instance_map"].max(initial=0) > K:
                 raise ShapeMismatchError(f"{bundle_path}: instance ids exceed the object count {K}")
             try:
-                if xyz:
-                    points = depth_to_xyz(t["depth"], scene.camera)
-                else:
-                    check_back_projection(t["depth"], scene.camera)
-                    points = None
+                check_back_projection(t["depth"], scene.camera)
             except ClusterSegError as exc:
                 raise type(exc)(f"{bundle_path}: {exc}") from exc
-            frame = FrameBundle(rgb=t["rgb"], depth=t["depth"], xyz=points,
+            frame = FrameBundle(rgb=t["rgb"], depth=t["depth"], camera=scene.camera,
                                 instance_map=t["instance_map"].astype(np.int32),
                                 amodal_masks=t["amodal_masks"].astype(bool),
                                 occlusion_scores=t["occlusion_scores"])
@@ -171,9 +171,9 @@ def load_frames(path, xyz=True):
     return values, frames
 
 
-def load_dataset(path, xyz=True):
-    """(scene, frame, annotation) per frame, the annotation rebuilt; `xyz` as in load_frames."""
-    (fraction, single_object_radius), frames = load_frames(path, xyz)
+def load_dataset(path):
+    """(scene, frame, annotation) per frame, the annotation rebuilt."""
+    (fraction, single_object_radius), frames = load_frames(path)
     return [(scene, frame,
              build_annotation(per_object_xi, frame.instance_map, fraction, single_object_radius))
             for scene, frame, per_object_xi in frames]
@@ -214,7 +214,7 @@ def load_segmentations(path):
     try:
         for name in manifest["segmentations"]:
             bundle_path = os.path.join(path, name)
-            t = dataio.read_bundle(bundle_path)
+            t = _read_bundle(bundle_path, "segmentation bundle")
             dataio.check_layout(bundle_path, t, SEGMENTATION_LAYOUT)
             segs.append(Segmentation(labels=t["labels"].astype(np.int32),
                                      scores=t["scores"],

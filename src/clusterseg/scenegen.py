@@ -59,7 +59,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ClusterSegError, MaskContainmentError, PlacementError, ShapeMismatchError
-from .geometry import CameraIntrinsics, compute_object_feature, depth_to_xyz, feature_distance
+from .geometry import (CameraIntrinsics, check_back_projection, compute_object_feature,
+                       depth_to_xyz, feature_distance)
 from .seeding import STREAM_SCENE, stream_rng
 
 # Two hits closer than this along one ray count as a tie; lower ID wins.
@@ -140,10 +141,17 @@ class FrameBundle:
 
     rgb: np.ndarray            # H x W x 3 in [0, 1]
     depth: np.ndarray          # H x W meters, 0 = no hit
-    xyz: np.ndarray            # H x W x 3 camera-frame points
+    camera: CameraIntrinsics   # the intrinsics the depth was rendered with
     instance_map: np.ndarray   # H x W int, 0 = background
     amodal_masks: np.ndarray   # K x H x W bool
     occlusion_scores: np.ndarray  # K floats in [0, 1]
+
+    @cached_property
+    def xyz(self) -> np.ndarray:
+        """Read-only H x W x 3 camera-frame points of the depth, derived once."""
+        xyz = depth_to_xyz(self.depth, self.camera)
+        xyz.flags.writeable = False
+        return xyz
 
 
 @dataclass(frozen=True)
@@ -413,8 +421,9 @@ def render(scene: Scene) -> FrameBundle:
         rgb[window][sel] = np.asarray(prim.albedo) * shade[:, None]
     rgb = np.clip(rgb, 0.0, 1.0)
 
-    return FrameBundle(rgb=rgb.astype(np.float32), depth=depth,
-                       xyz=depth_to_xyz(depth, intr), instance_map=winner,
+    check_back_projection(depth, intr)
+    return FrameBundle(rgb=rgb.astype(np.float32), depth=depth, camera=intr,
+                       instance_map=winner,
                        amodal_masks=amodal, occlusion_scores=occ)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from clusterseg.annotation import DEFAULT_SINGLE_OBJECT_RADIUS
 from clusterseg.errors import ClusterSegError
-from clusterseg.geometry import FEATURE_DIM, compute_object_feature, depth_to_xyz
+from clusterseg.geometry import FEATURE_DIM, compute_object_feature
 from clusterseg.scenegen import (DEPTH_TIE_EPS, SURFACE_SAMPLE_COUNT, FrameBundle, Scene,
                                  _intersect_box, _intersect_sphere, _ray_directions,
                                  occlusion_score, surface_points)
@@ -65,7 +65,7 @@ def reference_render(scene: Scene) -> FrameBundle:
         occ[k] = occlusion_score(winner == k + 1, amodal[k])
 
     return FrameBundle(rgb=rgb.astype(np.float32), depth=depth,
-                       xyz=depth_to_xyz(depth, intr), instance_map=winner,
+                       camera=intr, instance_map=winner,
                        amodal_masks=amodal, occlusion_scores=occ)
 
 

@@ -499,6 +499,27 @@ def test_a_bad_config_file_exits_with_one_line(tmp_path, capsys, document, code,
     assert not (tmp_path / "ds").exists()
 
 
+# Every (command, path flag) pair. Only a config file can give a value with a NUL.
+PATH_FLAGS = [(command, row.dest) for row in cli._FLAGS if row.kind is cli.PATH
+              for command in row.commands.split()]
+
+
+@pytest.mark.parametrize("command, dest", PATH_FLAGS, ids=[f"{c}-{d}" for c, d in PATH_FLAGS])
+def test_a_path_with_a_nul_exits_with_one_line(two_frame_dataset, tmp_path, capsys,
+                                               command, dest):
+    value = str(tmp_path / "p\u0000ath")
+    valid = {"dataset": str(two_frame_dataset), "out": str(tmp_path / "out"),
+             "segs": str(tmp_path / "segs"), "predictor": "mlp",
+             "model": str(tmp_path / "model.ckpt"), "count": 1, "res": "16x16"}
+    taken = {row.dest for row in _flag_rows(command)}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**{k: v for k, v in valid.items() if k in taken}, dest: value}))
+    assert run_cli(command, "--config", str(config)) == 1
+    err = capsys.readouterr().err
+    assert err == f"clusterseg: error: --{dest.replace('_', '-')} must be a path, got {value!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 COMMANDS = ["gen", "infer", "eval", "gradcheck", "train"]
 
 
@@ -553,6 +574,20 @@ def test_malformed_segmentation_bundle_is_a_typed_error(oracle_segs, mutate, err
         load_segmentations(str(segs))
     assert run_cli("eval", "--dataset", str(ds), "--segs", str(segs)) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["seg\u0000.tsb", "seg_99999.tsb"], ids=["nul-name", "missing"])
+def test_an_unreadable_segmentation_bundle_is_a_typed_error(oracle_segs, capsys, name):
+    ds, segs = oracle_segs
+    manifest = json.loads((segs / "segs.json").read_text())
+    manifest["segmentations"][1] = name
+    (segs / "segs.json").write_text(json.dumps(manifest))
+    message = f"cannot read segmentation bundle {os.path.join(str(segs), name)}: "
+    with pytest.raises(ClusterSegError, match=re.escape(message)):
+        load_segmentations(str(segs))
+    assert run_cli("eval", "--dataset", str(ds), "--segs", str(segs)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"clusterseg: error: {message}")
 
 
 def test_segmentation_shape_must_match_frame(oracle_segs, capsys):

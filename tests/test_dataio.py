@@ -39,6 +39,19 @@ def test_round_trip_preserves_nan_bits(tmp_path):
     assert out["weird"].tobytes() == weird.tobytes()
 
 
+def test_read_arrays_are_writable_and_own_their_memory(tmp_path):
+    out = _round_trip(tmp_path, {"f64": np.arange(6.0).reshape(2, 3),
+                                 "u16": np.arange(5, dtype=np.uint16),
+                                 "empty": np.zeros((0, 3), dtype=np.uint8),
+                                 "f32": np.ones((2, 2), dtype=np.float32)})
+    arrays = list(out.values())
+    for name, arr in out.items():
+        assert arr.flags.writeable and arr.base is None, name
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_empty_bundle(tmp_path):
     path = tmp_path / "empty.tsb"
     write_bundle(path, {})

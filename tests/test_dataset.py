@@ -3,8 +3,8 @@
 A frame bundle stores rgb, depth, the instance map, the amodal masks, the
 occlusion scores and the per-object features. Loading rebuilds the
 annotation maps from the features, the instance map and the manifest's
-fraction and single-object radius, and, for the commands that run the MLP,
-xyz from the depth and the camera; every rebuilt field must equal what gen
+fraction and single-object radius, and a loaded frame derives xyz from the
+depth and the camera on first read; every rebuilt field must equal what gen
 computed, bit for bit and dtype included.
 """
 
@@ -20,6 +20,7 @@ from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.dataset import load_dataset
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
                                NonFiniteError, ShapeMismatchError)
+from clusterseg.geometry import depth_to_xyz
 from clusterseg.scenegen import render
 
 FRAME_FIELDS = ("rgb", "depth", "xyz", "instance_map", "amodal_masks", "occlusion_scores")
@@ -220,10 +221,31 @@ def test_eval_and_oracle_infer_read_frames_without_deriving_xyz(dataset, tmp_pat
     def derived(*args, **kwargs):
         raise AssertionError("xyz was derived")
 
-    monkeypatch.setattr("clusterseg.dataset.depth_to_xyz", derived)
+    monkeypatch.setattr("clusterseg.scenegen.depth_to_xyz", derived)
     assert run_cli("eval", "--dataset", ds, "--segs", segs) == 0
     assert "100.0" in capsys.readouterr().out
     assert run_cli("infer", "--dataset", ds, "--out", tmp_path / "out") == 0
+
+
+def test_a_frame_derives_xyz_once_read_only_and_train_once_per_frame(dataset, tmp_path,
+                                                                      monkeypatch):
+    ds, _ = dataset
+    calls = []
+
+    def counted(depth, camera):
+        calls.append(depth)
+        return depth_to_xyz(depth, camera)
+
+    monkeypatch.setattr("clusterseg.scenegen.depth_to_xyz", counted)
+    (_, frame, _), _ = load_dataset(str(ds))
+    assert calls == []
+    xyz = frame.xyz
+    assert frame.xyz is xyz and len(calls) == 1
+    assert not xyz.flags.writeable
+    calls.clear()
+    assert run_cli("train", "--dataset", ds, "--out", tmp_path / "model", "--epochs", 3,
+                   "--batch", 1) == 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("depth", [1e308, np.nan])
@@ -284,7 +306,7 @@ def test_every_command_rejects_a_non_finite_back_projection(tmp_path, capsys, da
     assert run_cli("train", "--dataset", ds, "--out", model, "--epochs", 1) == 0
     damage(ds)
     with pytest.raises(NonFiniteError, match="frame_00000.tsb: .*non-finite"):
-        load_dataset(str(ds), xyz=False)
+        load_dataset(str(ds))
     capsys.readouterr()
     argv = [a.format(segs=segs, tmp=tmp_path, model=model) for a in command]
     assert run_cli(argv[0], "--dataset", ds, *argv[1:]) == 2

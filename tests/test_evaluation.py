@@ -29,7 +29,7 @@ def _frame_from_gt(gt_masks, occlusion=None):
     amodal = np.array(gt_masks) if gt_masks else np.zeros((0, H, W), dtype=bool)
     occ = np.ones(len(gt_masks)) if occlusion is None else np.asarray(occlusion, float)
     return FrameBundle(rgb=np.zeros((H, W, 3), dtype=np.float32),
-                       depth=np.zeros((H, W)), xyz=np.zeros((H, W, 3)),
+                       depth=np.zeros((H, W)), camera=None,
                        instance_map=instance, amodal_masks=amodal,
                        occlusion_scores=occ)
 
@@ -248,7 +248,7 @@ def test_fully_occluded_objects_are_excluded():
     instance[visible] = 1
     amodal = np.stack([visible, _mask((8, 14, 8, 14))])
     frame = FrameBundle(rgb=np.zeros((H, W, 3), dtype=np.float32),
-                        depth=np.zeros((H, W)), xyz=np.zeros((H, W, 3)),
+                        depth=np.zeros((H, W)), camera=None,
                         instance_map=instance, amodal_masks=amodal,
                         occlusion_scores=np.array([1.0, 0.0]))
     res = compute_metrics([(_seg_from_masks([visible], [0.9]), frame)])

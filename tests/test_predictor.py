@@ -133,7 +133,7 @@ def test_mlp_hand_computed_single_pixel():
     frame = FrameBundle(
         rgb=np.zeros((1, 1, 3), dtype=np.float32),
         depth=np.array([[1.5]]),
-        xyz=np.array([[[0.0, 0.0, 1.5]]]),
+        camera=CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 1, 1),  # xyz (0, 0, 1.5)
         instance_map=np.ones((1, 1), dtype=np.int32),
         amodal_masks=np.ones((1, 1, 1), dtype=bool),
         occlusion_scores=np.ones(1),

@@ -313,7 +313,7 @@ def test_maps_zero_ids_outside_one_to_k(dtype):
                   reference_make_bgt_map(per_object, instance_map, radius), "b_map")
         objects = tuple(_prim("sphere", (0.1 * i, 0.0, 1.0), 0.05) for i in range(k))
         scene = Scene(objects, _camera(10, 12), None)
-        frame = FrameBundle(rgb=None, depth=None, xyz=None, instance_map=instance_map,
+        frame = FrameBundle(rgb=None, depth=None, camera=None, instance_map=instance_map,
                             amodal_masks=None, occlusion_scores=None)
         want_xi_map, per_object = reference_make_xi_map(scene, frame)
         _same(make_xi_map(per_object, instance_map), want_xi_map, "xi_map")
