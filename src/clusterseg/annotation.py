@@ -15,14 +15,14 @@ outside 1..K.
 `build_annotation(per_object_xi, instance_map, fraction,
 single_object_radius)` is the one function that makes the maps.
 `annotate(scene, frame, ...)` is a thin wrapper that reads the features off
-the scene's primitives; a dataset stores the features and the instance
-map, and its loader rebuilds the maps with `build_annotation` without
-touching the primitives.
+the scene's primitives (`object_features`); gen writes those features and
+the instance map and builds no map, and the dataset loader builds the maps
+with `build_annotation` without touching the primitives.
 
 An object's feature is a property of its primitive alone, so it is
 computed once per Primitive instance (`Primitive.feature`, a read-only
 array cached on the instance): sample_scene computes it to check feature
-separation and annotate reads the same array. The cache lives and dies
+separation, and gen and annotate read the same array. The cache lives and dies
 with the scene; nothing is shared between scenes or passes. The feature
 and radius maps are each one gather from a table indexed by instance id;
 the centroid candidates come from one sort of the foreground pixels.
@@ -143,11 +143,17 @@ def build_annotation(per_object_xi: np.ndarray, instance_map: np.ndarray,
     )
 
 
+def object_features(scene: Scene) -> np.ndarray:
+    """The K x 9 features of the scene's objects, row k - 1 for instance id k."""
+    per_object = np.zeros((len(scene.objects), FEATURE_DIM))
+    for k, prim in enumerate(scene.objects):
+        per_object[k] = prim.feature
+    return per_object
+
+
 def annotate(scene: Scene, frame: FrameBundle,
              fraction: float = DEFAULT_CANDIDATE_FRACTION,
              single_object_radius: float = DEFAULT_SINGLE_OBJECT_RADIUS) -> Annotation:
     """Build the full Annotation for one rendered frame of the scene."""
-    per_object = np.zeros((len(scene.objects), FEATURE_DIM))
-    for k, prim in enumerate(scene.objects):
-        per_object[k] = prim.feature
-    return build_annotation(per_object, frame.instance_map, fraction, single_object_radius)
+    return build_annotation(object_features(scene), frame.instance_map, fraction,
+                            single_object_radius)

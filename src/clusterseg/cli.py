@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import losses
-from .annotation import annotate
+from .annotation import annotate, object_features
 from .clustering import segment
 from .dataset import (derivation_values, is_finite, is_number, load_dataset, load_frames,
                       load_segmentations, read_json_object, write_dataset, write_json,
@@ -97,11 +97,10 @@ def _cmd_gen(args) -> int:
                                 width=w, height=h),
     )
 
+    # A dataset stores the features, not the maps derived from them on load.
     def build(i):
         scene = sample_scene(args.seed * SEED_STRIDE + i, cfg)
-        frame = render(scene)
-        ann = annotate(scene, frame, args.fraction, args.single_object_radius)
-        return scene, frame, ann
+        return scene, render(scene), object_features(scene)
 
     # Every frame is built before anything is written, so a frame that
     # fails leaves no partial dataset.
@@ -142,7 +141,11 @@ def _cmd_infer(args) -> int:
                       flip_rate=args.flip_rate, bound_mode=args.noise_mode,
                       ball_radius=args.ball_radius)
     sweep = [NoiseSpec(sigma_xi=s) for s in _sweep_sigmas(args.sweep)] if args.sweep else None
-    records = load_dataset(args.dataset)
+    if args.predictor == "mlp" and sweep is None:
+        # The MLP reads only the frame, so no annotation map is built.
+        records = [(scene, frame, None) for scene, frame, _ in load_frames(args.dataset)[1]]
+    else:
+        records = load_dataset(args.dataset)
     model = None
     if args.predictor == "mlp":
         if not args.model:

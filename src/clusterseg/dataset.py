@@ -3,12 +3,15 @@
 A dataset directory (written by gen, read by infer, eval and train) holds
 dataset.json, the manifest (format, frame file names and the generation
 parameters), and per frame a scene_NNNNN.json (the scenegen JSON schema) and
-a frame_NNNNN.tsb bundle (frame_layout). Loading rebuilds the annotation maps
-from the per-object features, the instance map and the manifest's fraction
-and single_object_radius, with the same function gen uses. A loaded frame
-carries the scene's camera, so it derives xyz from its depth on first read,
-as a rendered one does; loading only checks that the depth back-projects to
-finite points.
+a frame_NNNNN.tsb bundle (frame_layout). gen writes the per-object features
+and builds no annotation maps; load_dataset builds them with
+`annotation.build_annotation` from the features, the instance map and the
+manifest's fraction and single_object_radius, and load_frames, for commands
+that read only the frames, builds none. A loaded frame carries the scene's
+camera, so it derives xyz from its depth on first read, as a rendered one
+does; loading only checks that the depth back-projects to finite points, and
+rejects features that are not finite, occlusion scores outside [0, 1] and
+amodal mask values other than 0 and 1.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
 the manifest (segmentation file names, predictor and fg_threshold), and per
@@ -30,7 +33,7 @@ import numpy as np
 from . import dataio
 from .annotation import build_annotation
 from .clustering import Segmentation
-from .errors import ClusterSegError, ShapeMismatchError
+from .errors import ClusterSegError, NonFiniteError, ShapeMismatchError, ValueRangeError
 from .geometry import FEATURE_DIM, check_back_projection
 from .scenegen import FrameBundle, scene_from_json, scene_to_json
 
@@ -104,18 +107,20 @@ def derivation_values(fraction, single_object_radius):
 
 
 def write_dataset(path, records, **params):
-    """Write (scene, frame, annotation) records and a manifest of the generation `params`.
+    """Write (scene, frame, per_object_xi) records and a manifest of the generation `params`.
 
-    Loading derives the annotation maps from the params' fraction and single_object_radius.
+    The records have the shape load_frames returns. Loading derives the
+    annotation maps from the features and the params' fraction and
+    single_object_radius.
     """
     os.makedirs(path, exist_ok=True)
     frames = []
-    for i, (scene, frame, ann) in enumerate(records):
+    for i, (scene, frame, per_object_xi) in enumerate(records):
         scene_name = f"scene_{i:05d}.json"
         bundle_name = f"frame_{i:05d}.tsb"
         with open(os.path.join(path, scene_name), "w", encoding="utf-8") as fh:
             fh.write(scene_to_json(scene))
-        arrays = {**vars(frame), "per_object_xi": ann.per_object_xi}
+        arrays = {**vars(frame), "per_object_xi": per_object_xi}
         layout = frame_layout(*frame.depth.shape, len(scene.objects))
         dataio.write_bundle(os.path.join(path, bundle_name),
                             {name: arrays[name].astype(dtype)
@@ -124,6 +129,19 @@ def write_dataset(path, records, **params):
                        "objects": len(scene.objects)})
     write_json(os.path.join(path, "dataset.json"),
                {**params, "format": DATASET_FORMAT, "frames": frames})
+
+
+def _check_frame_values(bundle_path, t):
+    """Raise a typed error naming the bundle for a value no rendered frame holds."""
+    if not np.isfinite(t["per_object_xi"]).all():
+        raise NonFiniteError(f"{bundle_path}: per_object_xi contains NaN or infinity")
+    occ = t["occlusion_scores"]
+    if not (occ.min(initial=0.0) >= 0.0 and occ.max(initial=1.0) <= 1.0):
+        raise ValueRangeError(f"{bundle_path}: occlusion_scores must lie in [0, 1], "
+                              f"got {occ[~((occ >= 0.0) & (occ <= 1.0))][0]!r}")
+    if t["amodal_masks"].max(initial=0) > 1:
+        raise ValueRangeError(f"{bundle_path}: amodal_masks must hold only 0 and 1, "
+                              f"got {int(t['amodal_masks'].max())}")
 
 
 def load_frames(path):
@@ -157,6 +175,7 @@ def load_frames(path):
                                 frame_layout(scene.camera.height, scene.camera.width, K))
             if t["instance_map"].max(initial=0) > K:
                 raise ShapeMismatchError(f"{bundle_path}: instance ids exceed the object count {K}")
+            _check_frame_values(bundle_path, t)
             try:
                 check_back_projection(t["depth"], scene.camera)
             except ClusterSegError as exc:

@@ -29,6 +29,10 @@ class NonFiniteError(ClusterSegError):
     """A computation produced NaN or infinity where finite values are required."""
 
 
+class ValueRangeError(ClusterSegError):
+    """A stored value lies outside the range its field allows."""
+
+
 class TargetError(ClusterSegError):
     """A classification target holds a value other than 0 and 1."""
 

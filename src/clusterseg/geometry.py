@@ -10,6 +10,9 @@ moments of the points about that center:
 
 Pixels showing the same object share one feature value; distance between
 features is what the clustering stage and the radius ground truth operate on.
+Reductions along a 3-wide axis are slow in numpy, so the feature works on
+the cloud's contiguous coordinate rows, (3, N); it gives the bits of the
+(N, 3) point-order definition kept in tests/reference_scenegen.py.
 All functions here are pure and safe to call concurrently.
 """
 
@@ -94,20 +97,32 @@ def compute_object_feature(points: np.ndarray) -> np.ndarray:
     The center is the midpoint of the axis-aligned bounds; moments are
     population means of centered coordinate products and are folded onto
     the center components as described in the module docstring.
+
+    The work runs on the contiguous coordinate rows of the cloud, which is
+    bit for bit the (N, 3) form: min and max do not depend on order, the
+    squared moments are sums in point order, as an axis-0 mean of (N, 3)
+    is, and each cross moment is the mean of one fresh product array. Only
+    an axis holding nothing but zeros takes its bounds from (N, 3), since
+    which signed zero a reduction keeps depends on its order.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ShapeMismatchError(f"expected an (N, 3) point array, got shape {points.shape}")
-    if points.shape[0] == 0:
+    n = points.shape[0]
+    if n == 0:
         raise EmptyPointCloudError("cannot compute an object feature from an empty cloud")
-    if not np.all(np.isfinite(points)):
+    cols = np.ascontiguousarray(points.T)
+    if not np.isfinite(cols).all():
         raise EmptyPointCloudError("point cloud contains non-finite coordinates")
-    center = 0.5 * (points.min(axis=0) + points.max(axis=0))
-    d = points - center
-    mxx, myy, mzz = np.mean(d * d, axis=0)
-    mxy = np.mean(d[:, 0] * d[:, 1])
-    myz = np.mean(d[:, 1] * d[:, 2])
-    mzx = np.mean(d[:, 2] * d[:, 0])
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    if np.any((lo == 0.0) & (hi == 0.0)):
+        lo, hi = points.min(axis=0), points.max(axis=0)
+    center = 0.5 * (lo + hi)
+    d = cols - center[:, None]
+    mxx, myy, mzz = np.cumsum(d * d, axis=1)[:, -1] / n
+    mxy = np.mean(d[0] * d[1])
+    myz = np.mean(d[1] * d[2])
+    mzx = np.mean(d[2] * d[0])
     cx, cy, cz = center
     return np.array([cx, cy, cz,
                      cx + mxx, cy + myy, cz + mzz,

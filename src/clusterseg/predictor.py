@@ -262,7 +262,14 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
         dh2.fill(0.0)
         product = _hidden_buffer(model, "product", n)
         for name, dy in head_grads.items():
-            np.matmul(dy, p[f"w_{name}"].T, out=product)
+            # k = 1 for a one-column head, where a broadcast multiply is far
+            # faster than the gemm. It can differ from the gemm only in the
+            # sign of a zero, which dh2 += product erases: dh2 starts at +0.0
+            # and so never holds -0.0.
+            if dy.shape[1] == 1:
+                np.multiply(dy, p[f"w_{name}"].T, out=product)
+            else:
+                np.matmul(dy, p[f"w_{name}"].T, out=product)
             dh2 += product
         da2 = dh2
         da2 *= live2

@@ -35,6 +35,16 @@ Inside the window the intersection code runs unchanged on a contiguous
 copy of the window's directions, and every pixel outside it misses, so
 the frame is bit-identical to casting every pixel.
 
+Intersection returns only the hit distance. Normals are computed after
+the z-buffer is settled, and only at the pixels each primitive wins, the
+only ones shaded. Every step of a normal is per ray, so a subset of rays
+gets the bits the whole window would: a sphere's normal is elementwise,
+and a box's is its rotation times a signed one-hot, one exact product
+plus signed zeros whose sum does not depend on order.
+
+Every sphere's surface sample scales and shifts one read-only unit sample,
+built once per point count.
+
 Scene JSON schema (see scene_to_json / scene_from_json):
 
     {
@@ -54,7 +64,7 @@ Scene JSON schema (see scene_to_json / scene_from_json):
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -185,28 +195,36 @@ class GeneratorConfig:
                                   f"got {self.background_depth}")
 
 
+@lru_cache(maxsize=4)
+def _unit_sphere(n: int) -> np.ndarray:
+    """Read-only (n, 3) sample of the unit sphere: six axis extremes, then a Fibonacci spiral."""
+    m = n - 6
+    i = np.arange(m, dtype=np.float64)
+    z = 1.0 - (2.0 * i + 1.0) / m
+    phi = i * np.pi * (3.0 - np.sqrt(5.0))
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    pts = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    extremes = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                         [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.float64)
+    unit = np.vstack([extremes, pts])
+    unit.flags.writeable = False
+    return unit
+
+
 def surface_points(prim: Primitive, n: int = SURFACE_SAMPLE_COUNT) -> np.ndarray:
     """Deterministic ~n-point sample of the primitive's surface, camera frame.
 
-    Spheres use a Fibonacci spiral plus the six axis extremes (exactly n
-    points); rotation is skipped since it cannot change a sphere. Boxes get
-    an endpoint-inclusive grid on each face sized by face area, so the
-    rotated corners, and therefore the camera-frame bounds, are sampled
-    exactly; the count is then approximately n.
+    Spheres scale and shift the unit sample for n, a Fibonacci spiral plus
+    the six axis extremes (exactly n points); rotation is skipped since it
+    cannot change a sphere. Boxes get an endpoint-inclusive grid on each
+    face sized by face area, so the rotated corners, and therefore the
+    camera-frame bounds, are sampled exactly; the count is then
+    approximately n.
     """
     t = np.asarray(prim.translation, dtype=np.float64)
     he = np.asarray(prim.half_extents, dtype=np.float64)
     if prim.kind == "sphere":
-        r = he[0]
-        m = n - 6
-        i = np.arange(m, dtype=np.float64)
-        z = 1.0 - (2.0 * i + 1.0) / m
-        phi = i * np.pi * (3.0 - np.sqrt(5.0))
-        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        pts = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-        extremes = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
-                             [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.float64)
-        return np.vstack([extremes, pts]) * r + t
+        return _unit_sphere(n) * he[0] + t
 
     areas = np.array([he[1] * he[2], he[2] * he[0], he[0] * he[1]])  # faces normal to x, y, z
     weights = np.repeat(areas, 2)
@@ -220,11 +238,10 @@ def surface_points(prim: Primitive, n: int = SURFACE_SAMPLE_COUNT) -> np.ndarray
             a_axis, b_axis = [i for i in range(3) if i != axis]
             a = np.linspace(-he[a_axis], he[a_axis], g)
             b = np.linspace(-he[b_axis], he[b_axis], g)
-            aa, bb = np.meshgrid(a, b)
             face = np.zeros((g * g, 3))
             face[:, axis] = sign * he[axis]
-            face[:, a_axis] = aa.ravel()
-            face[:, b_axis] = bb.ravel()
+            face[:, a_axis] = np.tile(a, g)  # the raveled meshgrid(a, b)
+            face[:, b_axis] = np.repeat(b, g)
             faces.append(face)
     local = np.vstack(faces)
     return local @ prim.rotation.T + t
@@ -292,7 +309,8 @@ def _ray_directions(intr: CameraIntrinsics) -> np.ndarray:
     return np.stack([dx, dy, np.ones_like(dx)], axis=-1)
 
 
-def _intersect_sphere(prim: Primitive, dirs: np.ndarray):
+def _intersect_sphere(prim: Primitive, dirs: np.ndarray) -> np.ndarray:
+    """Hit distance t of each ray of dirs (H, W, 3); inf where it misses."""
     c = np.asarray(prim.translation, dtype=np.float64)
     r = prim.half_extents[0]
     dd = np.einsum("hwc,hwc->hw", dirs, dirs)
@@ -303,46 +321,65 @@ def _intersect_sphere(prim: Primitive, dirs: np.ndarray):
     t_near = (dc - sq) / dd
     t_far = (dc + sq) / dd
     t = np.where(t_near > RAY_MIN_T, t_near, t_far)
-    t = np.where(hit & (t > RAY_MIN_T), t, np.inf)
-    t_safe = np.where(np.isfinite(t), t, 1.0)
-    n = (dirs * t_safe[..., None] - c) / r
-    return t, n
+    return np.where(hit & (t > RAY_MIN_T), t, np.inf)
 
 
-def _intersect_box(prim: Primitive, dirs: np.ndarray):
+def _box_slabs(prim: Primitive, dirs: np.ndarray):
+    """Slab test of the rays dirs (..., 3) against a box, in the box frame.
+
+    Returns the local directions d_local, the per-axis slab entry and exit
+    t1 and t2, and the ray's entry t_near and exit t_far. A ray parallel
+    to a slab is inside it for every t or for none; the empty slab is
+    (inf, inf) so the min/max over axes cannot widen it.
+    """
     R = prim.rotation
     he = np.asarray(prim.half_extents, dtype=np.float64)
     o_local = -(R.T @ np.asarray(prim.translation, dtype=np.float64))
-    d_local = np.einsum("ij,hwj->hwi", R.T, dirs)
+    d_local = np.einsum("ij,...j->...i", R.T, dirs)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lo = (-he - o_local) / d_local
         hi = (he - o_local) / d_local
     parallel = d_local == 0.0
     inside = np.abs(o_local) <= he
-    # A ray parallel to a slab is inside it for every t or for none; the
-    # empty slab is (inf, inf) so the min/max below cannot widen it.
     lo = np.where(parallel, np.where(inside, -np.inf, np.inf), lo)
     hi = np.where(parallel, np.inf, hi)
     t1 = np.minimum(lo, hi)
     t2 = np.maximum(lo, hi)
-    t_near = t1.max(axis=-1)
-    t_far = t2.min(axis=-1)
+    # Elementwise over the three slabs, far faster than a reduction along
+    # a 3-wide axis. Both propagate NaN and differ at most in the sign of a
+    # zero, which only meets comparisons with RAY_MIN_T.
+    t_near = np.maximum(np.maximum(t1[..., 0], t1[..., 1]), t1[..., 2])
+    t_far = np.minimum(np.minimum(t2[..., 0], t2[..., 1]), t2[..., 2])
+    return d_local, t1, t2, t_near, t_far
+
+
+def _intersect_box(prim: Primitive, dirs: np.ndarray) -> np.ndarray:
+    """Hit distance t of each ray of dirs (..., 3); inf where it misses."""
+    _, _, _, t_near, t_far = _box_slabs(prim, dirs)
     hit = (t_far >= t_near) & (t_far > RAY_MIN_T)
     t = np.where(t_near > RAY_MIN_T, t_near, t_far)
-    t = np.where(hit, t, np.inf)
-    # Normal of the face whose slab bounds the entry (or exit, if inside).
+    return np.where(hit, t, np.inf)
+
+
+def _normals(prim: Primitive, dirs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Outward unit normals where the rays dirs (N, 3) hit prim at the finite t (N,).
+
+    Every step is per ray, so a subset of a window's rays gets the normals
+    the whole window would. For a box it is the normal of the face whose
+    slab bounds the entry (or the exit, for a ray starting inside).
+    """
+    if prim.kind == "sphere":
+        c = np.asarray(prim.translation, dtype=np.float64)
+        return (dirs * t[:, None] - c) / prim.half_extents[0]
+    d_local, t1, t2, t_near, _ = _box_slabs(prim, dirs)
     face_axis = np.argmax(np.where(np.isfinite(t1), t1, -np.inf), axis=-1)
-    entry = t_near > RAY_MIN_T
-    axis_onehot = np.eye(3)[face_axis]
-    d_axis = np.take_along_axis(d_local, face_axis[..., None], axis=-1)[..., 0]
     exit_axis = np.argmin(np.where(np.isfinite(t2), t2, np.inf), axis=-1)
-    exit_onehot = np.eye(3)[exit_axis]
-    d_exit = np.take_along_axis(d_local, exit_axis[..., None], axis=-1)[..., 0]
-    n_local = np.where(entry[..., None],
-                       -np.sign(d_axis)[..., None] * axis_onehot,
-                       np.sign(d_exit)[..., None] * exit_onehot)
-    n = np.einsum("ij,hwj->hwi", R, n_local)
-    return t, n
+    rows, axes = np.arange(len(dirs)), np.arange(3)
+    # The bool one-hots multiply as the rows of np.eye(3) would.
+    n_local = np.where((t_near > RAY_MIN_T)[:, None],
+                       -np.sign(d_local[rows, face_axis])[:, None] * (face_axis[:, None] == axes),
+                       np.sign(d_local[rows, exit_axis])[:, None] * (exit_axis[:, None] == axes))
+    return np.einsum("ij,...j->...i", prim.rotation, n_local)
 
 
 def _slopes_meeting(offset, depth, rr, slopes):
@@ -382,7 +419,7 @@ def render(scene: Scene) -> FrameBundle:
     amodal = np.zeros((K, H, W), dtype=bool)
     best_t = np.full((H, W), np.inf)
     winner = np.zeros((H, W), dtype=np.int32)
-    # Per object: its window, the window's directions and normals, or None.
+    # Per object: its window and the window's directions, or None.
     casts = []
     for k, prim in enumerate(scene.objects):
         window = _window(prim, dirs)
@@ -391,12 +428,12 @@ def render(scene: Scene) -> FrameBundle:
             continue
         sub = np.ascontiguousarray(dirs[window])
         intersect = _intersect_sphere if prim.kind == "sphere" else _intersect_box
-        t, n = intersect(prim, sub)
+        t = intersect(prim, sub)
         amodal[k][window] = np.isfinite(t)
         closer = t < best_t[window] - DEPTH_TIE_EPS
         np.copyto(best_t[window], t, where=closer)
         winner[window][closer] = k + 1
-        casts.append((window, sub, n))
+        casts.append((window, sub))
 
     fg = winner > 0
     depth = np.where(fg, best_t, 0.0)
@@ -410,13 +447,16 @@ def render(scene: Scene) -> FrameBundle:
     for k, (prim, cast) in enumerate(zip(scene.objects, casts)):
         if cast is None:
             continue
-        window, sub, n = cast
+        window, sub = cast
         sel = winner[window] == k + 1
         occ[k] = occlusion_score(sel, amodal[k][window])
         if not np.any(sel):
             continue
+        # Only the pixels prim wins are shaded, so only they get normals;
+        # there best_t is prim's own t.
         d = sub[sel]
-        lambert = -np.einsum("nc,nc->n", n[sel], d) * (1.0 / np.linalg.norm(d, axis=-1))
+        n = _normals(prim, d, best_t[window][sel])
+        lambert = -np.einsum("nc,nc->n", n, d) * (1.0 / np.linalg.norm(d, axis=-1))
         shade = 0.2 + 0.8 * np.clip(lambert, 0.0, 1.0)
         rgb[window][sel] = np.asarray(prim.albedo) * shade[:, None]
     rgb = np.clip(rgb, 0.0, 1.0)

@@ -1,11 +1,15 @@
-"""Full-frame reference definitions of rendering and the annotation maps.
+"""Full-frame reference definitions of rendering, the object feature and the annotation maps.
 
-`reference_render` ray-casts every pixel through every primitive and keeps
-a K x H x W x 3 normals buffer; `reference_make_xi_map` recomputes each
-primitive's feature from its surface sample and scatters it with one
-boolean mask per object, as does `reference_make_bgt_map` with the radii;
+`reference_render` ray-casts every pixel through every primitive with its
+own intersection code, which computes a normal at every pixel, and keeps
+a K x H x W x 3 normals buffer; `reference_object_feature` reduces the
+(N, 3) point array along its first axis; `reference_make_xi_map`
+recomputes each primitive's feature from its surface sample with it and
+scatters it with one boolean mask per object, as does
+`reference_make_bgt_map` with the radii;
 `reference_make_centroid_candidates` scans the instance map once per
-object. The library's windowed renderer, per-primitive feature cache,
+object. The library's windowed renderer with normals only at shaded
+pixels, its feature over coordinate rows, per-primitive feature cache,
 table gathers and one-sort candidate ranking must reproduce them bit for
 bit; the tests compare the two.
 """
@@ -14,10 +18,91 @@ import numpy as np
 
 from clusterseg.annotation import DEFAULT_SINGLE_OBJECT_RADIUS
 from clusterseg.errors import ClusterSegError
-from clusterseg.geometry import FEATURE_DIM, compute_object_feature
-from clusterseg.scenegen import (DEPTH_TIE_EPS, SURFACE_SAMPLE_COUNT, FrameBundle, Scene,
-                                 _intersect_box, _intersect_sphere, _ray_directions,
-                                 occlusion_score, surface_points)
+from clusterseg.geometry import FEATURE_DIM
+from clusterseg.scenegen import (DEPTH_TIE_EPS, RAY_MIN_T, SURFACE_SAMPLE_COUNT, FrameBundle,
+                                 Scene, _ray_directions, occlusion_score, surface_points)
+
+
+def reference_object_feature(points: np.ndarray) -> np.ndarray:
+    """9-vector feature of an (N, 3) point cloud: AABB center + second moments."""
+    points = np.asarray(points, dtype=np.float64)
+    center = 0.5 * (points.min(axis=0) + points.max(axis=0))
+    d = points - center
+    mxx, myy, mzz = np.mean(d * d, axis=0)
+    mxy = np.mean(d[:, 0] * d[:, 1])
+    myz = np.mean(d[:, 1] * d[:, 2])
+    mzx = np.mean(d[:, 2] * d[:, 0])
+    cx, cy, cz = center
+    return np.array([cx, cy, cz,
+                     cx + mxx, cy + myy, cz + mzz,
+                     cx + mxy, cy + myz, cz + mzx])
+
+
+def reference_sphere_points(prim, n: int = SURFACE_SAMPLE_COUNT) -> np.ndarray:
+    """A sphere's n-point surface sample: six axis extremes, then a Fibonacci spiral."""
+    r = np.asarray(prim.half_extents, dtype=np.float64)[0]
+    m = n - 6
+    i = np.arange(m, dtype=np.float64)
+    z = 1.0 - (2.0 * i + 1.0) / m
+    phi = i * np.pi * (3.0 - np.sqrt(5.0))
+    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    pts = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    extremes = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                         [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.float64)
+    return np.vstack([extremes, pts]) * r + np.asarray(prim.translation, dtype=np.float64)
+
+
+def reference_intersect_sphere(prim, dirs):
+    """(t, normals) of every ray of dirs (H, W, 3); t is inf where the ray misses."""
+    c = np.asarray(prim.translation, dtype=np.float64)
+    r = prim.half_extents[0]
+    dd = np.einsum("hwc,hwc->hw", dirs, dirs)
+    dc = np.einsum("hwc,c->hw", dirs, c)
+    disc = dc * dc - dd * (c @ c - r * r)
+    hit = disc >= 0.0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    t_near = (dc - sq) / dd
+    t_far = (dc + sq) / dd
+    t = np.where(t_near > RAY_MIN_T, t_near, t_far)
+    t = np.where(hit & (t > RAY_MIN_T), t, np.inf)
+    t_safe = np.where(np.isfinite(t), t, 1.0)
+    n = (dirs * t_safe[..., None] - c) / r
+    return t, n
+
+
+def reference_intersect_box(prim, dirs):
+    """(t, normals) of every ray of dirs (H, W, 3); t is inf where the ray misses."""
+    R = prim.rotation
+    he = np.asarray(prim.half_extents, dtype=np.float64)
+    o_local = -(R.T @ np.asarray(prim.translation, dtype=np.float64))
+    d_local = np.einsum("ij,hwj->hwi", R.T, dirs)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo = (-he - o_local) / d_local
+        hi = (he - o_local) / d_local
+    parallel = d_local == 0.0
+    inside = np.abs(o_local) <= he
+    lo = np.where(parallel, np.where(inside, -np.inf, np.inf), lo)
+    hi = np.where(parallel, np.inf, hi)
+    t1 = np.minimum(lo, hi)
+    t2 = np.maximum(lo, hi)
+    t_near = t1.max(axis=-1)
+    t_far = t2.min(axis=-1)
+    hit = (t_far >= t_near) & (t_far > RAY_MIN_T)
+    t = np.where(t_near > RAY_MIN_T, t_near, t_far)
+    t = np.where(hit, t, np.inf)
+    # Normal of the face whose slab bounds the entry (or exit, if inside).
+    face_axis = np.argmax(np.where(np.isfinite(t1), t1, -np.inf), axis=-1)
+    entry = t_near > RAY_MIN_T
+    axis_onehot = np.eye(3)[face_axis]
+    d_axis = np.take_along_axis(d_local, face_axis[..., None], axis=-1)[..., 0]
+    exit_axis = np.argmin(np.where(np.isfinite(t2), t2, np.inf), axis=-1)
+    exit_onehot = np.eye(3)[exit_axis]
+    d_exit = np.take_along_axis(d_local, exit_axis[..., None], axis=-1)[..., 0]
+    n_local = np.where(entry[..., None],
+                       -np.sign(d_axis)[..., None] * axis_onehot,
+                       np.sign(d_exit)[..., None] * exit_onehot)
+    n = np.einsum("ij,hwj->hwi", R, n_local)
+    return t, n
 
 
 def reference_render(scene: Scene) -> FrameBundle:
@@ -30,9 +115,9 @@ def reference_render(scene: Scene) -> FrameBundle:
     normals = np.zeros((K, H, W, 3))
     for k, prim in enumerate(scene.objects):
         if prim.kind == "sphere":
-            t_maps[k], normals[k] = _intersect_sphere(prim, dirs)
+            t_maps[k], normals[k] = reference_intersect_sphere(prim, dirs)
         else:
-            t_maps[k], normals[k] = _intersect_box(prim, dirs)
+            t_maps[k], normals[k] = reference_intersect_box(prim, dirs)
 
     best_t = np.full((H, W), np.inf)
     winner = np.zeros((H, W), dtype=np.int32)
@@ -81,7 +166,7 @@ def reference_make_xi_map(scene: Scene, frame: FrameBundle,
     K = len(scene.objects)
     per_object = np.zeros((K, FEATURE_DIM))
     for k, prim in enumerate(scene.objects):
-        per_object[k] = compute_object_feature(surface_points(prim, sample_count))
+        per_object[k] = reference_object_feature(surface_points(prim, sample_count))
     xi_map = np.zeros((H, W, FEATURE_DIM))
     for k in range(K):
         xi_map[frame.instance_map == k + 1] = per_object[k]

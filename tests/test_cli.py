@@ -3,18 +3,19 @@ import json
 import math
 import os
 import re
+import shutil
 import warnings
 
 import numpy as np
 import pytest
 
-from clusterseg import cli
+from clusterseg import annotation, cli, dataset
 from clusterseg.cli import main
 from clusterseg.clustering import Segmentation
-from clusterseg.dataset import load_segmentations, write_segmentations
+from clusterseg.dataset import load_frames, load_segmentations, write_segmentations
 from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
-                               ShapeMismatchError)
+                               NonFiniteError, ShapeMismatchError, ValueRangeError)
 from clusterseg.predictor import (AdamState, MlpModel, adam_step, init_model, load_checkpoint,
                                   save_checkpoint)
 
@@ -677,3 +678,73 @@ def test_help_and_usage_errors_equal_the_parser_with_every_flag(argv, monkeypatc
     want = capsys.readouterr()
     assert (got.out, got.err) == (want.out, want.err)
     assert got.out or got.err
+
+
+# ---------------------------------------------------------------------------
+# what gen and infer build, and frame bundles that load only if undamaged
+
+def _no_annotation_maps(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("build_annotation was called")
+
+    monkeypatch.setattr(annotation, "build_annotation", refused)
+    monkeypatch.setattr(dataset, "build_annotation", refused)
+
+
+def test_gen_builds_no_annotation_maps(tmp_path, monkeypatch):
+    assert run_cli(*GEN_ARGS, "--out", str(tmp_path / "want")) == 0
+    _no_annotation_maps(monkeypatch)
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert run_cli(*GEN_ARGS, "--out", str(out), "--jobs", jobs) == 0
+        assert _dir_bytes(out) == _dir_bytes(tmp_path / "want")
+
+
+def test_infer_mlp_without_a_sweep_builds_no_annotation_maps(two_frame_dataset, tmp_path,
+                                                             monkeypatch):
+    model = tmp_path / "model.ckpt"
+    save_checkpoint(model, init_model(0))
+    argv = ("infer", "--dataset", str(two_frame_dataset), "--predictor", "mlp",
+            "--model", str(model))
+    assert run_cli(*argv, "--out", str(tmp_path / "want")) == 0
+    _no_annotation_maps(monkeypatch)
+    assert run_cli(*argv, "--out", str(tmp_path / "got")) == 0
+    assert _dir_bytes(tmp_path / "got") == _dir_bytes(tmp_path / "want")
+
+
+@pytest.fixture(scope="module")
+def oracle_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("damaged")
+    assert run_cli("gen", "--count", "2", "--res", "16x16", "--objects", "1..2",
+                   "--sizes", "0.12..0.2", "--seed", "5", "--out", str(root / "ds")) == 0
+    assert run_cli("infer", "--dataset", str(root / "ds"), "--out", str(root / "segs")) == 0
+    return root
+
+
+@pytest.mark.parametrize("tensor, value, error", [
+    ("per_object_xi", np.nan, NonFiniteError),
+    ("per_object_xi", -np.inf, NonFiniteError),
+    ("occlusion_scores", np.nan, ValueRangeError),
+    ("occlusion_scores", 5.0, ValueRangeError),
+    ("occlusion_scores", -1.0, ValueRangeError),
+    ("amodal_masks", 7, ValueRangeError),
+    ("amodal_masks", 2, ValueRangeError),
+], ids=["nan-feature", "inf-feature", "nan-occlusion", "occlusion-5", "occlusion-minus-1",
+        "amodal-7", "amodal-2"])
+def test_a_damaged_frame_bundle_exits_2_naming_it(oracle_run, tmp_path, capsys, tensor, value,
+                                                  error):
+    ds = tmp_path / "ds"
+    shutil.copytree(oracle_run / "ds", ds)
+    path = ds / "frame_00001.tsb"
+    tensors = read_bundle(path)
+    damaged = tensors[tensor].copy()
+    damaged.flat[0] = value
+    write_bundle(path, {**tensors, tensor: damaged})
+    with pytest.raises(error, match=re.escape(str(path))):
+        load_frames(str(ds))
+    for argv in (("eval", "--segs", str(oracle_run / "segs")),
+                 ("infer", "--out", str(tmp_path / "segs")),
+                 ("train", "--out", str(tmp_path / "model.ckpt"), "--epochs", "1")):
+        assert run_cli(*argv, "--dataset", str(ds)) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(path) in err, argv[0]

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from clusterseg import scenegen
 from clusterseg.annotation import annotate, make_bgt_map, make_centroid_candidates, make_xi_map
 from clusterseg.geometry import CameraIntrinsics, compute_object_feature
-from clusterseg.scenegen import (FrameBundle, GeneratorConfig, Primitive, Scene,
-                                 _ray_directions, render, sample_scene, surface_points)
+from clusterseg.scenegen import (SURFACE_SAMPLE_COUNT, FrameBundle, GeneratorConfig, Primitive,
+                                 Scene, _ray_directions, render, sample_scene, surface_points)
 
 from reference_scenegen import (reference_make_bgt_map, reference_make_centroid_candidates,
-                                reference_make_xi_map, reference_render)
+                                reference_make_xi_map, reference_object_feature,
+                                reference_render, reference_sphere_points)
 
 FIELDS = ("rgb", "depth", "xyz", "instance_map", "amodal_masks", "occlusion_scores")
 IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
@@ -299,6 +300,53 @@ def test_annotate_reuses_the_features_sample_scene_computed(monkeypatch):
     ann = annotate(scene, frame)
     for k, prim in enumerate(scene.objects):
         _same(ann.per_object_xi[k], prim.feature, "per_object_xi")
+
+
+def _random_cloud(rng):
+    """An (N, 3) cloud of 1 to 9,000 points at a scale of 1e-3 to 1e3, maybe degenerate."""
+    n = int(rng.integers(1, 9001)) if rng.random() < 0.5 else int(rng.integers(1, 40))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    points = (rng.normal(size=(n, 3)) + rng.normal(size=3) * rng.integers(0, 3)) * scale
+    if rng.random() < 0.3:  # duplicate points
+        points = points[rng.integers(0, max(1, n // 5), size=n)]
+    if rng.random() < 0.4:  # signed zeros among other values
+        points[rng.random((n, 3)) < 0.3] = 0.0
+        points[rng.random((n, 3)) < 0.3] = -0.0
+    if rng.random() < 0.3:  # an axis of signed zeros only
+        points[:, rng.integers(0, 3)] = rng.choice([0.0, -0.0], size=n)
+    if rng.random() < 0.2:  # one repeated point
+        points[:] = points[0]
+    return points
+
+
+def test_feature_equals_the_point_order_reference_on_random_clouds():
+    rng = np.random.default_rng(16)
+    for _ in range(400):
+        points = _random_cloud(rng)
+        _same(compute_object_feature(points), reference_object_feature(points), "feature")
+
+
+def test_feature_equals_the_reference_on_every_sampled_primitive():
+    """Every primitive of 300 sampled scenes, default and wide placement."""
+    for seed in range(300):
+        cfg = GeneratorConfig(count_range=(1, 8), **(WIDE if seed % 2 else {}))
+        for prim in sample_scene(seed, cfg).objects:
+            points = surface_points(prim)
+            want = reference_object_feature(points)
+            _same(compute_object_feature(points), want, "feature")
+            _same(prim.feature, want, "cached feature")
+
+
+def test_sphere_sample_equals_the_reference_and_shares_a_read_only_unit_sphere():
+    rng = np.random.default_rng(17)
+    for n in (7, 64, 1000, SURFACE_SAMPLE_COUNT):
+        for _ in range(5):
+            prim = _prim("sphere", rng.normal(size=3) * 10.0 ** rng.uniform(-2, 3),
+                         10.0 ** rng.uniform(-3, 2))
+            _same(surface_points(prim, n), reference_sphere_points(prim, n), "sphere sample")
+    unit = scenegen._unit_sphere(SURFACE_SAMPLE_COUNT)
+    assert unit is scenegen._unit_sphere(SURFACE_SAMPLE_COUNT)
+    assert not unit.flags.writeable
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])

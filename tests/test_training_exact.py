@@ -190,6 +190,35 @@ def test_saturated_and_tied_logits_equal_reference():
         _assert_same(probs.mask_prob, ref_probs.mask_prob, "mask_prob")
 
 
+def test_one_column_head_product_accumulates_as_the_matmul():
+    """dh2 += dy_b * w_b.T gives the bytes of dh2 += dy_b @ w_b.T.
+
+    dh2 starts at +0.0 and so never holds -0.0: the sign of a zero product
+    cannot show. Values include zeros of both signs and magnitudes near the
+    ends of the f64 range.
+    """
+    rng = np.random.default_rng(18)
+    pool = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 1.0, -2.5])
+
+    def draw(shape):
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+        special = rng.random(shape) < 0.5
+        values[special] = rng.choice(pool, size=int(special.sum()))
+        return values
+
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for _ in range(300):
+            n, hidden = int(rng.integers(1, 40)), int(rng.integers(1, 70))
+            dy, w, before = draw((n, 1)), draw((hidden, 1)), draw((n, hidden))
+            got, want = np.zeros((n, hidden)), np.zeros((n, hidden))
+            if rng.random() < 0.5:  # the heads summed before it
+                got += before
+                want += before
+            got += np.multiply(dy, w.T, out=np.empty((n, hidden)))
+            want += dy @ w.T
+            _assert_same(got, want, "dh2")
+
+
 def test_nan_logits_give_nan_where_the_reference_does():
     # Only a NaN's sign bit may differ from the reference: which NaN operand
     # a channel maximum propagates is not fixed.
