@@ -340,24 +340,27 @@ class _Seeding:
         # as lists, without converting the entries no seed reads.
         slab, r2, claims = memoryview(self.slab), memoryview(self.r2), memoryview(claims)
         count = self.count
-        for i in block.tolist():
-            if not alive_bytes[i]:
-                continue
-            seed_index[count] = i
-            count += 1
-            labels_fg[i] = count
-            alive_bytes[i] = 0
-            if not claims[i]:
-                continue
-            if r2[i] < r2_limit:
-                cand = pool[slab[i]:slab[n + i]]
-                cand = cand[alive[cand]]
-            else:
-                cand = np.flatnonzero(alive)
-            d2 = np.add.reduce((X[cand] - X[i]) ** 2, axis=-1)
-            members = cand[d2 <= r2[i]]
-            labels_fg[members] = count
-            alive[members] = False
+        # Rows of huge finite features can lie so far apart that their
+        # squared distance overflows to inf, as in the definition.
+        with np.errstate(over="ignore"):
+            for i in block.tolist():
+                if not alive_bytes[i]:
+                    continue
+                seed_index[count] = i
+                count += 1
+                labels_fg[i] = count
+                alive_bytes[i] = 0
+                if not claims[i]:
+                    continue
+                if r2[i] < r2_limit:
+                    cand = pool[slab[i]:slab[n + i]]
+                    cand = cand[alive[cand]]
+                else:
+                    cand = np.flatnonzero(alive)
+                d2 = np.add.reduce((X[cand] - X[i]) ** 2, axis=-1)
+                members = cand[d2 <= r2[i]]
+                labels_fg[members] = count
+                alive[members] = False
         self.count = count
 
 
@@ -483,8 +486,15 @@ def gmm_refine(seg: Segmentation, pred: Prediction,
     Covariances are regularized with 1e-6 * I; a component whose regularized
     covariance still has a non-finite log-determinant falls back to a
     spherical covariance of equal trace (counted in stats under
-    "spherical_fallbacks" when a dict is passed).
+    "spherical_fallbacks" when a dict is passed). Finite features large
+    enough to overflow the step's sums and differences are scored as those
+    overflowed values are, NaN included, without floating-point warnings.
     """
+    with np.errstate(all="ignore"):
+        return _hard_e_step(seg, pred, stats)
+
+
+def _hard_e_step(seg, pred, stats):
     M = len(seg.scores)
     if M == 0:
         return seg

@@ -1,10 +1,13 @@
 """Prediction producers: exact oracle, noisy oracle, and a per-pixel MLP.
 
 The oracle copies ground truth into a Prediction; the noisy oracle adds
-seeded per-pixel noise (Gaussian per field, or feature noise drawn from a
-uniform ball of fixed radius, which is what the clustering exactness bound
-is stated in terms of). The MLP is a small double-precision network applied
-independently at every pixel:
+seeded noise (Gaussian per field, or feature noise drawn from a uniform ball
+of fixed radius, which is what the clustering exactness bound is stated in
+terms of). Feature, radius and centroid-score noise are drawn only for the
+ground-truth foreground pixels, and background pixels keep the oracle's
+values; mask flips are drawn for every pixel, so a background pixel flipped
+into the mask carries the zero background feature. The MLP is a small
+double-precision network applied independently at every pixel:
 
     input (10) -> ReLU(64) -> ReLU(64) -> {xi: 9, b: 1, eta: 2, mask: 2}
 
@@ -72,18 +75,19 @@ def _annotation_prediction(ann: Annotation, xi_hat: np.ndarray) -> Prediction:
     """`xi_hat` with the annotation's other maps copied into prediction space."""
     return Prediction(
         xi_hat=xi_hat,
-        eta_hat=ann.eta_gt.astype(np.float64),
+        eta_hat=ann.eta_gt.astype(np.float64, order="C"),
         b_hat=ann.b_map.copy(),
         mask_prob=ann.fg_mask.astype(np.float64),
     )
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
-    # `direction` is the only frame-sized array made here: the scaling runs
-    # in place and the norms (each row's own sum) 4,096 rows at a time. With
-    # more frame-sized temporaries freed per call, the allocator hands the
-    # heap back to the system every call and page-faults it in again on the
-    # next, which costs more than the arithmetic.
+    """n rows drawn uniformly from the open dim-ball of the radius."""
+    # `direction` is the only (n, dim) array made here: the scaling runs in
+    # place and the norms (each row's own sum) 4,096 rows at a time. With
+    # more such temporaries freed per call, the allocator hands the heap back
+    # to the system every call and page-faults it in again on the next,
+    # which costs more than the arithmetic.
     direction = rng.normal(size=(n, dim))
     norms = np.empty((n, 1))
     for start in range(0, n, 4096):
@@ -101,29 +105,44 @@ def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> 
 
 
 def noisy_predict(ann: Annotation, spec: NoiseSpec, seed: int) -> Prediction:
-    """Oracle plus seeded per-pixel noise as described by the NoiseSpec."""
+    """Oracle plus seeded noise as described by the NoiseSpec.
+
+    Feature, radius and centroid-score noise are drawn only for the
+    ground-truth foreground pixels (`ann.fg_mask`, one row each in
+    row-major order), in that order: feature noise (uniform ball, else
+    Gaussian sigma_xi), then sigma_b, then sigma_eta. Background pixels keep
+    the oracle's values. Flips are drawn last, for every pixel, as they
+    decide the predicted mask; a background pixel flipped into the mask
+    carries the oracle's zero feature. With feature noise, xi_hat is float64
+    whatever the annotation's dtype.
+    """
     rng = stream_rng(seed, STREAM_NOISE)
-    H, W = ann.fg_mask.shape
-    shape = ann.xi_map.shape
+    fg = np.flatnonzero(ann.fg_mask)
+    dim = ann.xi_map.shape[-1]
     eps = None
     if spec.bound_mode == "uniform-ball":
         if spec.ball_radius > 0:
-            eps = _uniform_ball(rng, H * W, shape[-1], spec.ball_radius).reshape(shape)
+            eps = _uniform_ball(rng, fg.size, dim, spec.ball_radius)
     elif spec.sigma_xi > 0:
-        eps = rng.normal(0.0, spec.sigma_xi, size=shape)
+        eps = rng.normal(0.0, spec.sigma_xi, size=(fg.size, dim))
     if eps is None:
         pred = oracle_predict(ann)
     else:
-        # The noise array becomes xi_hat, so xi_map is not copied first;
-        # addition commutes bit for bit.
-        eps += ann.xi_map
-        pred = _annotation_prediction(ann, eps)
+        xi_hat = ann.xi_map.astype(np.float64, order="C")
+        rows = xi_hat.reshape(-1, dim)
+        # addition commutes bit for bit
+        eps += rows[fg]
+        rows[fg] = eps
+        pred = _annotation_prediction(ann, xi_hat)
     if spec.sigma_b > 0:
-        pred.b_hat = np.maximum(pred.b_hat + rng.normal(0.0, spec.sigma_b, size=(H, W)), 0.0)
+        pred.b_hat = pred.b_hat.astype(np.float64, order="C", copy=False)
+        b = pred.b_hat.reshape(-1)
+        b[fg] = np.maximum(b[fg] + rng.normal(0.0, spec.sigma_b, size=fg.size), 0.0)
     if spec.sigma_eta > 0:
-        pred.eta_hat = np.clip(pred.eta_hat + rng.normal(0.0, spec.sigma_eta, size=(H, W)),
-                               0.0, 1.0)
+        eta = pred.eta_hat.reshape(-1)
+        eta[fg] = np.clip(eta[fg] + rng.normal(0.0, spec.sigma_eta, size=fg.size), 0.0, 1.0)
     if spec.flip_rate > 0:
+        H, W = ann.fg_mask.shape
         flips = rng.random(size=(H, W)) < spec.flip_rate
         pred.mask_prob = np.where(flips, 1.0 - pred.mask_prob, pred.mask_prob)
     return pred

@@ -43,7 +43,8 @@ and a box's is its rotation times a signed one-hot, one exact product
 plus signed zeros whose sum does not depend on order.
 
 Every sphere's surface sample scales and shifts one read-only unit sample,
-built once per point count.
+built once per point count. A box's sample fills both faces normal to each
+axis at once from one table of the faces' np.linspace grid coordinates.
 
 Scene JSON schema (see scene_to_json / scene_from_json):
 
@@ -226,24 +227,34 @@ def surface_points(prim: Primitive, n: int = SURFACE_SAMPLE_COUNT) -> np.ndarray
     if prim.kind == "sphere":
         return _unit_sphere(n) * he[0] + t
 
+    # Faces +x, -x, +y, -y, +z, -z. Both faces normal to an axis are a g x g
+    # grid over the other two axes, the first of them varying fastest, with
+    # g set by the faces' share of the surface area.
     areas = np.array([he[1] * he[2], he[2] * he[0], he[0] * he[1]])  # faces normal to x, y, z
     weights = np.repeat(areas, 2)
     weights = weights / weights.sum()
-    faces = []
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            share = weights[2 * axis + (0 if sign > 0 else 1)]
-            m = max(4, int(round(n * share)))
-            g = max(2, int(round(np.sqrt(m))))
-            a_axis, b_axis = [i for i in range(3) if i != axis]
-            a = np.linspace(-he[a_axis], he[a_axis], g)
-            b = np.linspace(-he[b_axis], he[b_axis], g)
-            face = np.zeros((g * g, 3))
-            face[:, axis] = sign * he[axis]
-            face[:, a_axis] = np.tile(a, g)  # the raveled meshgrid(a, b)
-            face[:, b_axis] = np.repeat(b, g)
-            faces.append(face)
-    local = np.vstack(faces)
+    sizes = [max(2, int(round(np.sqrt(max(4, int(round(n * share)))))))
+             for share in weights[::2].tolist()]
+    # lin[axis, k, j] is np.linspace(-he[j], he[j], sizes[axis])[k], padded
+    # to the largest size: k scaled steps, or k scaled fractions of the
+    # width where the step underflows to zero, then the exact endpoint.
+    g = np.array(sizes)
+    k = np.arange(g.max(), dtype=np.float64)[:, None]
+    div = (g - 1).astype(np.float64)[:, None, None]
+    delta = he - -he
+    step = delta / div
+    lin = np.where(step == 0, k / div * delta, k * step) - he
+    lin[np.arange(3), g - 1] = he
+    local = np.empty((2 * int(g @ g), 3))
+    lo = 0
+    for axis, size in enumerate(sizes):
+        a, b = [i for i in range(3) if i != axis]
+        faces = local[lo:lo + 2 * size * size].reshape(2, size, size, 3)
+        faces[0, ..., axis] = he[axis]
+        faces[1, ..., axis] = -he[axis]
+        faces[..., a] = lin[axis, :size, a]
+        faces[..., b] = lin[axis, :size, b, None]
+        lo += 2 * size * size
     return local @ prim.rotation.T + t
 
 

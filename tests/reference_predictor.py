@@ -1,11 +1,12 @@
 """Out-of-place reference definitions of the noisy oracle and the MLP.
 
-`reference_noisy_predict` builds every noise term in fresh arrays; the
-library adds the feature noise in place on the oracle's copy. The MLP's
-reference input rows, forward and backward passes build every
-intermediate in a fresh array and leave the forward cache intact; the
-library computes them in place. The tests require each pair to agree bit
-for bit.
+`reference_noisy_predict` scatters each foreground noise draw into a fresh
+frame-sized array and selects the noisy value at the foreground pixels with
+np.where; the library gathers and writes only the foreground rows, in
+place. The MLP's reference input rows, forward and backward passes build
+every intermediate in a fresh array and leave the forward cache intact;
+the library computes them in place. The tests require each pair to agree
+bit for bit.
 """
 
 import numpy as np
@@ -30,21 +31,39 @@ def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> 
 
 
 def reference_noisy_predict(ann: Annotation, spec: NoiseSpec, seed: int) -> Prediction:
-    """Oracle plus seeded per-pixel noise as described by the NoiseSpec."""
+    """Oracle plus seeded noise at the foreground pixels, flips at every pixel.
+
+    The noise draws go, in order, to the feature (uniform ball, else
+    Gaussian sigma_xi), the radius and the centroid score, one row per
+    ground-truth foreground pixel in row-major order; the flips follow, one
+    per pixel. Background pixels keep the oracle's values.
+    """
     rng = stream_rng(seed, STREAM_NOISE)
     H, W = ann.fg_mask.shape
+    fg = ann.fg_mask.astype(bool)
+    n = int(fg.sum())
     pred = oracle_predict(ann)
+
+    def at_foreground(noise):
+        full = np.zeros((H, W) + noise.shape[1:])
+        full[fg] = noise
+        return full
+
+    dim = pred.xi_hat.shape[-1]
+    eps = None
     if spec.bound_mode == "uniform-ball":
         if spec.ball_radius > 0:
-            eps = _uniform_ball(rng, H * W, pred.xi_hat.shape[-1], spec.ball_radius)
-            pred.xi_hat = pred.xi_hat + eps.reshape(pred.xi_hat.shape)
+            eps = _uniform_ball(rng, n, dim, spec.ball_radius)
     elif spec.sigma_xi > 0:
-        pred.xi_hat = pred.xi_hat + rng.normal(0.0, spec.sigma_xi, size=pred.xi_hat.shape)
+        eps = rng.normal(0.0, spec.sigma_xi, size=(n, dim))
+    if eps is not None:
+        pred.xi_hat = np.where(fg[..., None], pred.xi_hat + at_foreground(eps), pred.xi_hat)
     if spec.sigma_b > 0:
-        pred.b_hat = np.maximum(pred.b_hat + rng.normal(0.0, spec.sigma_b, size=(H, W)), 0.0)
+        noise = at_foreground(rng.normal(0.0, spec.sigma_b, size=n))
+        pred.b_hat = np.where(fg, np.maximum(pred.b_hat + noise, 0.0), pred.b_hat)
     if spec.sigma_eta > 0:
-        pred.eta_hat = np.clip(pred.eta_hat + rng.normal(0.0, spec.sigma_eta, size=(H, W)),
-                               0.0, 1.0)
+        noise = at_foreground(rng.normal(0.0, spec.sigma_eta, size=n))
+        pred.eta_hat = np.where(fg, np.clip(pred.eta_hat + noise, 0.0, 1.0), pred.eta_hat)
     if spec.flip_rate > 0:
         flips = rng.random(size=(H, W)) < spec.flip_rate
         pred.mask_prob = np.where(flips, 1.0 - pred.mask_prob, pred.mask_prob)

@@ -8,10 +8,12 @@ recomputes each primitive's feature from its surface sample with it and
 scatters it with one boolean mask per object, as does
 `reference_make_bgt_map` with the radii;
 `reference_make_centroid_candidates` scans the instance map once per
-object. The library's windowed renderer with normals only at shaded
-pixels, its feature over coordinate rows, per-primitive feature cache,
-table gathers and one-sort candidate ranking must reproduce them bit for
-bit; the tests compare the two.
+object; `reference_box_points` builds a box's surface sample face by face
+from np.linspace grids. The library's windowed renderer with normals only
+at shaded pixels, its feature over coordinate rows, per-primitive feature
+cache, table gathers, one-sort candidate ranking and box sample filled two
+faces at a time from one coordinate table must reproduce them bit for bit;
+the tests compare the two.
 """
 
 import numpy as np
@@ -50,6 +52,31 @@ def reference_sphere_points(prim, n: int = SURFACE_SAMPLE_COUNT) -> np.ndarray:
     extremes = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
                          [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=np.float64)
     return np.vstack([extremes, pts]) * r + np.asarray(prim.translation, dtype=np.float64)
+
+
+def reference_box_points(prim, n: int = SURFACE_SAMPLE_COUNT) -> np.ndarray:
+    """A box's surface sample: one endpoint-inclusive grid per face, built face by face."""
+    t = np.asarray(prim.translation, dtype=np.float64)
+    he = np.asarray(prim.half_extents, dtype=np.float64)
+    areas = np.array([he[1] * he[2], he[2] * he[0], he[0] * he[1]])  # faces normal to x, y, z
+    weights = np.repeat(areas, 2)
+    weights = weights / weights.sum()
+    faces = []
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            share = weights[2 * axis + (0 if sign > 0 else 1)]
+            m = max(4, int(round(n * share)))
+            g = max(2, int(round(np.sqrt(m))))
+            a_axis, b_axis = [i for i in range(3) if i != axis]
+            a = np.linspace(-he[a_axis], he[a_axis], g)
+            b = np.linspace(-he[b_axis], he[b_axis], g)
+            face = np.zeros((g * g, 3))
+            face[:, axis] = sign * he[axis]
+            face[:, a_axis] = np.tile(a, g)  # the raveled meshgrid(a, b)
+            face[:, b_axis] = np.repeat(b, g)
+            faces.append(face)
+    local = np.vstack(faces)
+    return local @ prim.rotation.T + t
 
 
 def reference_intersect_sphere(prim, dirs):

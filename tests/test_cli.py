@@ -623,6 +623,21 @@ def test_jobs_flag_is_deterministic(tmp_path):
         assert bytes_a[name] == bytes_b[name], name
 
 
+@pytest.mark.parametrize("noise", [
+    ("--noise-mode", "uniform-ball", "--ball-minb-frac", "0.49"),
+    ("--sigma-xi", "0.05", "--sigma-b", "0.2", "--sigma-eta", "0.3", "--flip-rate", "0.05"),
+], ids=["uniform-ball", "gaussian"])
+def test_noisy_infer_does_not_depend_on_jobs(tmp_path, noise):
+    ds = tmp_path / "ds"
+    assert run_cli(*GEN_ARGS, "--out", str(ds)) == 0
+    argv = ("infer", "--dataset", str(ds), "--predictor", "noisy", *noise, "--seed", "3")
+    assert run_cli(*argv, "--out", str(tmp_path / "jobs1"), "--jobs", "1") == 0
+    assert run_cli(*argv, "--out", str(tmp_path / "jobs2"), "--jobs", "2") == 0
+    want = _dir_bytes(tmp_path / "jobs1")
+    assert len(want) == 5  # four segmentation bundles and segs.json
+    assert _dir_bytes(tmp_path / "jobs2") == want
+
+
 def _segmentation(count, seeds):
     labels = np.arange(1, count + 1, dtype=np.int32).reshape(1, count)
     return Segmentation(labels=labels, scores=np.zeros(count), seeds=seeds)

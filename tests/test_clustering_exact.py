@@ -250,6 +250,32 @@ def test_exact_with_one_member_components_whose_differences_overflow():
     assert refined.labels.tolist() != seeded.labels.tolist()
 
 
+@pytest.mark.parametrize("radius", [1.0, 1e300])
+@pytest.mark.parametrize("signs", [[[1] * 9, [-1] * 9, [1] * 9, [-1] * 9],
+                                   [[1, -1] + [0] * 7, [1, 1] + [0] * 7,
+                                    [-1, 1] + [0] * 7, [-1, -1] + [0] * 7]])
+def test_huge_finite_features_cluster_as_the_definition_without_warnings(signs, radius):
+    # Rows of +-1e308 overflow the definition's seed distances, component
+    # sums and differences. The stages run under the suite's
+    # error::RuntimeWarning filter; only the oracles, which warn, run
+    # with warnings off.
+    pred = Prediction(xi_hat=1e308 * np.array(signs, dtype=np.float64).reshape(2, 2, FEATURE_DIM),
+                      eta_hat=np.array([[0.9, 0.8], [0.7, 0.6]]), b_hat=np.full((2, 2), radius),
+                      mask_prob=np.ones((2, 2)))
+    seeded = seed_segmentation(pred)
+    stats = {}
+    refined = gmm_refine(seeded, pred, stats)
+    _assert_same(segment(pred), refined)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for oracle in (reference_seed_segmentation, loop_seed_segmentation):
+            _assert_same(seeded, oracle(pred))
+        for oracle in (reference_gmm_refine, dense_gmm_refine):
+            oracle_stats = {}
+            _assert_same(refined, oracle(seeded, pred, oracle_stats))
+            assert stats == oracle_stats
+
+
 def test_segment_rejects_non_finite_predictions():
     _, ann = _frame(3, 32)
     for name in ("xi_hat", "eta_hat", "b_hat", "mask_prob"):

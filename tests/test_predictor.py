@@ -88,8 +88,14 @@ def test_noisy_predict_equals_the_out_of_place_reference(spec):
                                   NoiseSpec(sigma_xi=0.05), NoiseSpec(sigma_b=0.5)])
 def test_noisy_predict_of_a_float32_annotation_equals_the_reference(spec):
     _, _, ann = make_example(seed=2)
-    _assert_noisy_predict_equals_the_reference(
-        replace(ann, xi_map=ann.xi_map.astype(np.float32)), spec, 13)
+    ann32 = replace(ann, xi_map=ann.xi_map.astype(np.float32),
+                    b_map=ann.b_map.astype(np.float32))
+    _assert_noisy_predict_equals_the_reference(ann32, spec, 13)
+    # Noise is added in float64, as to a float64 annotation.
+    got = noisy_predict(ann32, spec, 13)
+    noisy_xi = spec.ball_radius > 0 or spec.sigma_xi > 0
+    assert got.xi_hat.dtype == (np.float64 if noisy_xi else np.float32)
+    assert got.b_hat.dtype == (np.float64 if spec.sigma_b > 0 else np.float32)
 
 
 def _assert_noisy_predict_equals_the_reference(ann, spec, seed):
@@ -99,6 +105,42 @@ def _assert_noisy_predict_equals_the_reference(ann, spec, seed):
     for name in ("xi_hat", "eta_hat", "b_hat", "mask_prob"):
         assert getattr(got, name).dtype == getattr(want, name).dtype, name
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("spec", [
+    NoiseSpec(bound_mode="uniform-ball", ball_radius=0.07, sigma_b=0.5, sigma_eta=0.5,
+              flip_rate=0.3),
+    NoiseSpec(sigma_xi=0.2, sigma_b=0.5, sigma_eta=0.5, flip_rate=0.3),
+], ids=["uniform-ball", "gaussian"])
+def test_noisy_predict_draws_noise_only_at_the_foreground(spec):
+    for seed in range(4):
+        _, _, ann = make_example(seed=seed)
+        got = noisy_predict(ann, spec, seed)
+        want = reference_noisy_predict(ann, spec, seed)
+        oracle = oracle_predict(ann)
+        fg, bg = ann.fg_mask, ~ann.fg_mask
+        for name in ("xi_hat", "b_hat", "eta_hat"):
+            assert getattr(got, name)[fg].tobytes() == getattr(want, name)[fg].tobytes(), name
+            assert getattr(got, name)[bg].tobytes() == getattr(oracle, name)[bg].tobytes(), name
+        assert not np.array_equal(got.xi_hat[fg], oracle.xi_hat[fg])
+        # Pixels flipped into the mask carry the zero background feature.
+        flipped_in = bg & (got.mask_prob > 0.5)
+        assert flipped_in.any()
+        assert not got.xi_hat[flipped_in].any()
+        if spec.bound_mode == "uniform-ball":
+            errors = np.linalg.norm(got.xi_hat[fg] - ann.xi_map[fg], axis=-1)
+            assert np.all(errors < spec.ball_radius)
+            assert errors.min() > 0.0
+
+
+def test_noisy_predict_of_a_frame_without_foreground_is_the_oracle():
+    _, _, ann = make_example(seed=1)
+    empty = replace(ann, fg_mask=np.zeros_like(ann.fg_mask))
+    spec = NoiseSpec(bound_mode="uniform-ball", ball_radius=0.07, sigma_b=0.5, sigma_eta=0.5)
+    got, oracle = noisy_predict(empty, spec, 3), oracle_predict(empty)
+    for name in ("xi_hat", "eta_hat", "b_hat", "mask_prob"):
+        assert getattr(got, name).tobytes() == getattr(oracle, name).tobytes(), name
+    _assert_noisy_predict_equals_the_reference(empty, spec, 3)
 
 
 def test_noisy_predict_flip_rate_one_inverts_mask():

@@ -20,7 +20,7 @@ from clusterseg.scenegen import (SURFACE_SAMPLE_COUNT, FrameBundle, GeneratorCon
 
 from reference_scenegen import (reference_make_bgt_map, reference_make_centroid_candidates,
                                 reference_make_xi_map, reference_object_feature,
-                                reference_render, reference_sphere_points)
+                                reference_box_points, reference_render, reference_sphere_points)
 
 FIELDS = ("rgb", "depth", "xyz", "instance_map", "amodal_masks", "occlusion_scores")
 IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
@@ -348,6 +348,36 @@ def test_sphere_sample_equals_the_reference_and_shares_a_read_only_unit_sphere()
     assert unit is scenegen._unit_sphere(SURFACE_SAMPLE_COUNT)
     assert not unit.flags.writeable
 
+
+
+def test_box_sample_equals_the_face_by_face_reference():
+    """Every box of 200 sampled scenes, and random boxes from cubes to slabs.
+
+    A slab's thin faces, and every face at the small sample counts, take
+    the grid's minimum of two points a side; half extents of 5e-324 give
+    grid steps that underflow to zero.
+    """
+    boxes = [prim for seed in range(200)
+             for prim in sample_scene(seed, GeneratorConfig(count_range=(1, 8),
+                                                            **(WIDE if seed % 2 else {}))).objects
+             if prim.kind == "box"]
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        half = 10.0 ** rng.uniform(-4, 2, size=3)
+        if rng.random() < 0.5:  # a slab: one axis 1e-3 to 1e-6 of the others
+            half[rng.integers(3)] *= 10.0 ** rng.uniform(-6, -3)
+        boxes.append(_prim("box", rng.normal(size=3), half, _random_q(rng)))
+    # Unrotated at the origin, so that no larger term absorbs a subnormal.
+    boxes += [_prim("box", (0.0, 0.0, 0.0), half)
+              for half in [(5e-324, 5e-324, 1.0), (1e-310, 1e-310, 2.0), (0.3, 0.3, 0.3)]]
+    sizes = set()
+    for prim in boxes:
+        for n in (5, 24, 100, SURFACE_SAMPLE_COUNT):
+            want = reference_box_points(prim, n)
+            _same(surface_points(prim, n), want, "box sample")
+            sizes.add(len(want))
+    assert min(sizes) == 24  # six faces of 2 x 2
+    assert len(boxes) > 400
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
 def test_maps_zero_ids_outside_one_to_k(dtype):
