@@ -23,17 +23,6 @@ the result, so their cost grows close to linearly with foreground pixels:
   rounding, and only a seed's live slab pixels get the 9-D distance test. A
   radius whose square is not finite in the feature dtype tests every live
   pixel, as the definition then does.
-* Seeding decides the visit order a block at a time, in the manner of the
-  deterministic reservations of Blelloch, Fineman and Shun ("Greedy
-  sequential maximal independent set and matching are parallel on
-  average", SPAA 2012). Only a pixel whose slab holds another pixel can
-  claim one. Where few live pixels of a block can, the block's claim edges
-  are the pairs of such claimers whose balls hold each other; settled along
-  them in visit order they give the claimers that seed, every other live
-  pixel of the block seeds too, and each seed's members then join it at
-  once, a pixel in several balls joining the earliest. A block with denser
-  claims, or with a seed that scans every pixel, runs the definition's loop
-  pixel by pixel.
 * The E-step scores each pixel under its own seeded component exactly.
   Since the Mahalanobis term is at least |x - mu_m|^2 / lambda_max(S_m),
   component m scores at most
@@ -77,11 +66,6 @@ COVARIANCE_REGULARIZATION = 1e-6
 _BLOCK_ELEMENTS = 1 << 16
 # A batched solve call costs about as much as solving this many more columns.
 _SOLVE_COLUMNS = 128
-# Seeding decides blocks of _SEED_BLOCK pixels of the visit order. A block's
-# claims are dense, and it runs pixel by pixel, when more than one in
-# _DENSE_SHARE of its live pixels can claim another.
-_SEED_BLOCK = 256
-_DENSE_SHARE = 8
 
 _EPS = float(np.finfo(np.float64).eps)
 # Pruning needs |x|^2 and |mu|^2 below this, and 1 / lambda_min(S) and the
@@ -154,8 +138,7 @@ def seed_segmentation(pred: Prediction,
     """Greedy sphere seeding over predicted-foreground pixels.
 
     Ties in the centroid probability resolve to the smallest (row, col).
-    Every block of the visit order ends with all its pixels assigned, so
-    seeding terminates.
+    Every seed assigns at least itself, so seeding terminates.
     """
     H, W = pred.eta_hat.shape
     fg = pred.mask_prob >= fg_threshold
@@ -170,24 +153,19 @@ def seed_segmentation(pred: Prediction,
     # centroid probability, then flat index. A pixel at -inf never seeds or
     # joins an instance.
     eta64 = eta.astype(np.float64, copy=False)
-    order = np.argsort(-eta64)
+    order = np.argsort(-eta64, kind="stable")
     n_nan = int(np.count_nonzero(eta64 != eta64))
-    # Without equal keys any sort gives the stable order.
-    visited = eta64[order]
-    if n_nan > 1 or (visited[1:] == visited[:-1]).any():
-        order = np.argsort(-eta64, kind="stable")
     if n_nan:
         order = np.concatenate((order[n - n_nan:], order[:n - n_nan]))
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
 
     # A member's first-component gap is at most its distance, up to the
     # rounding of the squares and their sum, which `rel` and `floor` absorb,
-    # so a seed's members lie in its slab [bounds[i], bounds[n + i]) of first
-    # components. A NaN bound means a NaN or infinite first component, whose
-    # distance to every pixel is NaN or infinite: its slab is empty. A
-    # squared radius that may compare as infinite in the feature dtype takes
-    # every live pixel in the definition, so such a seed scans them all.
+    # so a seed's members lie in its slab by_x0[slab[i]:slab[n + i]] of
+    # pixels by first component. A NaN bound means a NaN or infinite first
+    # component, whose distance to every pixel is NaN or infinite, so no
+    # pixel of its slab joins it. A squared radius that may compare as
+    # infinite in the feature dtype takes every live pixel in the
+    # definition, so such a seed scans them all.
     x0 = X[:, 0].astype(np.float64)
     # Slabs are sets: the order of equal first components does not matter.
     by_x0 = np.argsort(x0)
@@ -199,183 +177,49 @@ def seed_segmentation(pred: Prediction,
     x0_sorted = x0[by_x0]
     with np.errstate(all="ignore"):
         half = radii[by_x0] * (1.0 + rel) + rel * np.abs(x0_sorted) + floor
-        lo_edge, hi_edge = x0_sorted - half, x0_sorted + half
+        edges = np.concatenate((x0_sorted - half, x0_sorted + half))
         r2 = radii * radii
-    bounds = np.empty(2 * n)
-    bounds[np.concatenate((by_x0, by_x0 + n))] = np.concatenate((lo_edge, hi_edge))
-    scan_all = ~(r2 < r2_limit)
-    # A pixel whose slab holds no neighbour by first component holds no
-    # other pixel, so it never claims one.
-    near = np.zeros(n, dtype=bool)
-    near[:-1] = x0_sorted[1:] < hi_edge[:-1]
-    near[1:] |= x0_sorted[:-1] >= lo_edge[1:]
-    claims = np.empty(n, dtype=bool)
-    claims[by_x0] = near
-    claims |= scan_all
+    slab = np.empty(2 * n, dtype=np.intp)
+    slab[np.concatenate((by_x0, by_x0 + n))] = np.searchsorted(x0_sorted, edges)
+    # A seed whose slab holds no other pixel scans nothing.
+    claims = (slab[n:] - slab[:n] > 1) | ~(r2 < r2_limit)
 
-    seeding = _Seeding(X, r2, rank, bounds, eta64 != -np.inf, by_x0, x0_sorted)
-    alive = seeding.alive
-    for start in range(0, n, _SEED_BLOCK):
-        block = order[start:start + _SEED_BLOCK]
-        live = block[alive[block]]
-        claimers = live[claims[live]]
-        dense = claimers.size * _DENSE_SHARE > live.size or bool(scan_all[claimers].any())
-        by = lo = hi = None
-        if not dense and claimers.size > 1:
-            # Claim edges: pairs of the block's claimers whose slabs hold each other.
-            by = claimers[np.argsort(x0[claimers])]
-            lo, hi = seeding.slabs(claimers, x0[by])
-            dense = int((hi - lo).sum()) - claimers.size > live.size
-        seeding.compact(n - start - block.size)
-        if dense:
-            seeding.visit(block, claimers, claims, r2_limit)
-        else:
-            seeding.batch(live, claimers, by, lo, hi)
+    # One buffer, two views: bytes for fast reads in the loop, an array for
+    # vector writes.
+    alive_bytes = bytearray((eta64 != -np.inf).tobytes())
+    alive = np.frombuffer(alive_bytes, dtype=np.bool_)
+    labels_fg = np.zeros(n, dtype=np.int32)
+    seed_index = []
+    # Memoryviews read single entries as Python numbers, about as fast as
+    # lists, without converting the entries no seed reads.
+    slab, r2, claims = memoryview(slab), memoryview(r2), memoryview(claims)
+    # Rows of huge finite features can lie so far apart that their squared
+    # distance overflows to inf, as in the definition.
+    with np.errstate(over="ignore"):
+        for i in order.tolist():
+            if not alive_bytes[i]:
+                continue
+            seed_index.append(i)
+            alive_bytes[i] = 0
+            if not claims[i]:
+                continue
+            if r2[i] < r2_limit:
+                cand = by_x0[slab[i]:slab[n + i]]
+                cand = cand[alive[cand]]
+            else:
+                cand = np.flatnonzero(alive)
+            d2 = np.add.reduce((X[cand] - X[i]) ** 2, axis=-1)
+            members = cand[d2 <= r2[i]]
+            labels_fg[members] = len(seed_index)
+            alive[members] = False
+    count = len(seed_index)
+    labels_fg[seed_index] = np.arange(1, count + 1)
 
-    labels_fg = seeding.labels_fg
     labels[fg] = labels_fg
-    scores = _instance_scores(labels_fg, eta, seeding.count)
-    rows, cols = np.divmod(flat[seeding.seed_index[:seeding.count]], W)
+    scores = _instance_scores(labels_fg, eta, count)
+    rows, cols = np.divmod(flat[seed_index], W)
     seeds = list(zip(rows.tolist(), cols.tolist()))
     return Segmentation(labels=labels, scores=scores, seeds=seeds)
-
-
-class _Seeding:
-    """Seeding's progress over the visit order.
-
-    `pool` holds the pixels by first component that were live when it was
-    last compacted, a superset of the live pixels; `seed_index[:count]` the
-    seeds so far in visit order, and `labels_fg` their instances.
-    """
-
-    def __init__(self, X, r2, rank, bounds, alive, pool, pool_x0):
-        self.X, self.r2, self.rank, self.bounds = X, r2, rank, bounds
-        # One buffer, two views: bytes for fast reads in the loop, an array
-        # for vector writes.
-        self.alive_bytes = bytearray(alive.tobytes())
-        self.alive = np.frombuffer(self.alive_bytes, dtype=np.bool_)
-        keep = alive[pool]
-        self.pool, self.pool_x0 = pool[keep], pool_x0[keep]
-        self.labels_fg = np.zeros(len(X), dtype=np.int32)
-        self.seed_index = np.empty(len(X), dtype=np.intp)
-        self.count = 0
-        # Pool slab bounds of the claimers of the block being visited.
-        self.slab = np.zeros(2 * len(X), dtype=np.intp)
-
-    def compact(self, most_live):
-        """Drop dead pixels from the pool once they could be half of it."""
-        if self.pool.size > 2 * most_live:
-            keep = self.alive[self.pool]
-            self.pool, self.pool_x0 = self.pool[keep], self.pool_x0[keep]
-
-    def slabs(self, pixels, among_x0):
-        """Each pixel's slab in a pool sorted by `among_x0`: its (lo, hi) positions."""
-        n = len(self.X)
-        return np.split(np.searchsorted(among_x0, self.bounds[np.concatenate((pixels, n + pixels))]),
-                        2)
-
-    def claimed(self, pixels, among, lo, hi, kill=False):
-        """The pairs of each pixel and a live candidate of its slab among[lo:hi] in its ball.
-
-        A candidate must also come later in visit order. Pairs come in the
-        order of `pixels`, _BLOCK_ELEMENTS candidates at a time; with `kill`
-        each batch's candidates die, so a later pixel claims none of them.
-        """
-        ends = np.cumsum(hi - lo)
-        cuts = np.unique(np.searchsorted(ends, np.arange(_BLOCK_ELEMENTS, ends[-1] if ends.size else 0,
-                                                         _BLOCK_ELEMENTS), "right"))
-        src_parts, dst_parts = [], []
-        for a, b in zip(np.r_[0, cuts].tolist(), np.r_[cuts, pixels.size].tolist()):
-            src = np.repeat(pixels[a:b], hi[a:b] - lo[a:b])
-            dst = among[_ranges(lo[a:b], hi[a:b])]
-            later = (self.rank[dst] > self.rank[src]) & self.alive[dst]
-            src, dst = src[later], dst[later]
-            d2 = np.add.reduce((self.X[dst] - self.X[src]) ** 2, axis=-1)
-            # The definition compares with a Python float, which takes d2's dtype.
-            inside = d2 <= self.r2[src].astype(np.result_type(d2, 0.0))
-            src_parts.append(src[inside])
-            dst_parts.append(dst[inside])
-            if kill:
-                self.alive[dst_parts[-1]] = False
-        return np.concatenate(src_parts), np.concatenate(dst_parts)
-
-    def batch(self, live, claimers, by, lo, hi):
-        """Decide a sparse block of live pixels in visit order at once.
-
-        With two claimers or more, `by` lists them by first component and
-        claimer i's slab among them is by[lo[i]:hi[i]]. Claimers that an
-        earlier seed of the block claims do not seed; all other live pixels
-        do. Each seed's members then join it, a pixel in several balls
-        joining the earliest.
-        """
-        if by is not None:
-            src, dst = self.claimed(claimers, by, lo, hi)
-            at = self.rank[claimers]
-            claimers = claimers[_settle(claimers.size, np.searchsorted(at, self.rank[src]),
-                                        np.searchsorted(at, self.rank[dst]))]
-        new = live
-        if claimers.size:
-            src, dst = self.claimed(claimers, self.pool, *self.slabs(claimers, self.pool_x0),
-                                    kill=True)
-            new = live[self.alive[live]]
-        self.alive[new] = False
-        count = self.count
-        self.labels_fg[new] = np.arange(count + 1, count + 1 + new.size)
-        self.seed_index[count:count + new.size] = new
-        self.count += new.size
-        if claimers.size:
-            # Pairs come in visit order of their seed, and of repeated
-            # indices the last assignment stays, so in reverse each pixel
-            # joins its earliest seed.
-            self.labels_fg[dst[::-1]] = self.labels_fg[src[::-1]]
-
-    def visit(self, block, claimers, claims, r2_limit):
-        """The definition's loop over a dense block of the visit order."""
-        X, alive, alive_bytes, labels_fg, seed_index, pool = (
-            self.X, self.alive, self.alive_bytes, self.labels_fg, self.seed_index, self.pool)
-        n = len(X)
-        at = np.concatenate((claimers, n + claimers))
-        self.slab[at] = np.searchsorted(self.pool_x0, self.bounds[at])
-        # Memoryviews read single entries as Python numbers, about as fast
-        # as lists, without converting the entries no seed reads.
-        slab, r2, claims = memoryview(self.slab), memoryview(self.r2), memoryview(claims)
-        count = self.count
-        # Rows of huge finite features can lie so far apart that their
-        # squared distance overflows to inf, as in the definition.
-        with np.errstate(over="ignore"):
-            for i in block.tolist():
-                if not alive_bytes[i]:
-                    continue
-                seed_index[count] = i
-                count += 1
-                labels_fg[i] = count
-                alive_bytes[i] = 0
-                if not claims[i]:
-                    continue
-                if r2[i] < r2_limit:
-                    cand = pool[slab[i]:slab[n + i]]
-                    cand = cand[alive[cand]]
-                else:
-                    cand = np.flatnonzero(alive)
-                d2 = np.add.reduce((X[cand] - X[i]) ** 2, axis=-1)
-                members = cand[d2 <= r2[i]]
-                labels_fg[members] = count
-                alive[members] = False
-        self.count = count
-
-
-def _settle(count, src, dst):
-    """Which of `count` claimers, in visit order, seed given claim edges src -> dst.
-
-    A claimer seeds unless an earlier seed claims it. The edges come in
-    the order of their claimants, each later than its claimant, so every
-    claimant is decided by the time its edges are read.
-    """
-    dead = bytearray(count)
-    for claimant, claimed in zip(src.tolist(), dst.tolist()):
-        if not dead[claimant]:
-            dead[claimed] = 1
-    return ~np.frombuffer(dead, dtype=np.bool_)
 
 
 def _quad_forms(diff, counts, covs, variance, fallback, min_cols):

@@ -10,12 +10,15 @@ manifest's fraction and single_object_radius, and load_frames, for commands
 that read only the frames, builds none. A loaded frame carries the scene's
 camera, so it derives xyz from its depth on first read, as a rendered one
 does; loading only checks that the depth back-projects to finite points, and
-rejects features that are not finite, occlusion scores outside [0, 1] and
-amodal mask values other than 0 and 1.
+rejects features that are not finite, amodal mask values other than 0 and
+1, visible pixels outside their object's amodal mask and occlusion scores
+other than the masks give.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
 the manifest (segmentation file names, predictor and fg_threshold), and per
-frame a seg_NNNNN.tsb bundle (SEGMENTATION_LAYOUT).
+frame a seg_NNNNN.tsb bundle (SEGMENTATION_LAYOUT); loading rejects
+scores that are not finite, labels above the instance count and seeds
+outside the image.
 
 Bundles go through `dataio.read_bundle` and `dataio.write_bundle`, looked up
 at call time, and a loaded frame keeps the depth array read, uncopied: the
@@ -33,7 +36,8 @@ import numpy as np
 from . import dataio
 from .annotation import build_annotation
 from .clustering import Segmentation
-from .errors import ClusterSegError, NonFiniteError, ShapeMismatchError, ValueRangeError
+from .errors import (ClusterSegError, MaskContainmentError, NonFiniteError, ShapeMismatchError,
+                     ValueRangeError)
 from .geometry import FEATURE_DIM, check_back_projection
 from .scenegen import FrameBundle, scene_from_json, scene_to_json
 
@@ -132,16 +136,29 @@ def write_dataset(path, records, **params):
 
 
 def _check_frame_values(bundle_path, t):
-    """Raise a typed error naming the bundle for a value no rendered frame holds."""
+    """Raise a typed error naming the bundle for a value no rendered frame holds.
+
+    Object k's visible pixels (id k + 1) must lie in its amodal mask, and its
+    occlusion score must be their count over the mask's, as
+    scenegen.occlusion_score computes it.
+    """
     if not np.isfinite(t["per_object_xi"]).all():
         raise NonFiniteError(f"{bundle_path}: per_object_xi contains NaN or infinity")
-    occ = t["occlusion_scores"]
-    if not (occ.min(initial=0.0) >= 0.0 and occ.max(initial=1.0) <= 1.0):
-        raise ValueRangeError(f"{bundle_path}: occlusion_scores must lie in [0, 1], "
-                              f"got {occ[~((occ >= 0.0) & (occ <= 1.0))][0]!r}")
-    if t["amodal_masks"].max(initial=0) > 1:
+    amodal = t["amodal_masks"]
+    if amodal.max(initial=0) > 1:
         raise ValueRangeError(f"{bundle_path}: amodal_masks must hold only 0 and 1, "
-                              f"got {int(t['amodal_masks'].max())}")
+                              f"got {int(amodal.max())}")
+    ids, occ = t["instance_map"], t["occlusion_scores"]
+    for k, mask in enumerate(amodal.view(np.bool_)):
+        own = ids == k + 1
+        visible = np.count_nonzero(own)
+        if np.count_nonzero(own & mask) != visible:
+            raise MaskContainmentError(f"{bundle_path}: a visible pixel of object {k} lies "
+                                       f"outside its amodal mask")
+        total = np.count_nonzero(mask)
+        if occ[k] != (visible / total if total else 0.0):
+            raise ValueRangeError(f"{bundle_path}: occlusion_scores[{k}] is {occ[k]!r}, but "
+                                  f"its masks give {visible} / {total}")
 
 
 def load_frames(path):
@@ -225,8 +242,27 @@ def write_segmentations(path, segs, **meta):
     write_json(os.path.join(path, "segs.json"), {**meta, "segmentations": list(bundles)})
 
 
+def _check_segmentation_values(bundle_path, t):
+    """Raise a typed error naming the bundle for a value no segmentation holds.
+
+    Scores must be finite, labels at most the instance count M and seeds
+    (row, col) inside the labels' H x W.
+    """
+    scores, seeds = t["scores"], t["seeds"]
+    if not np.isfinite(scores).all():
+        raise NonFiniteError(f"{bundle_path}: segmentation scores must be finite")
+    if t["labels"].max(initial=0) > scores.size:
+        raise ValueRangeError(f"{bundle_path}: label {int(t['labels'].max())} exceeds the "
+                              f"instance count {scores.size}")
+    outside = (seeds >= t["labels"].shape).any(axis=1)
+    if outside.any():
+        row, col = seeds[outside][0].tolist()
+        raise ValueRangeError(f"{bundle_path}: seed ({row}, {col}) lies outside the "
+                              f"{t['labels'].shape[0]} x {t['labels'].shape[1]} labels")
+
+
 def load_segmentations(path):
-    """The segmentations segs.json lists, each bundle exactly in SEGMENTATION_LAYOUT."""
+    """The segmentations segs.json lists, each bundle in SEGMENTATION_LAYOUT with valid values."""
     manifest_path = os.path.join(path, "segs.json")
     manifest = read_json_object(manifest_path, "segmentation manifest")
     segs = []
@@ -235,6 +271,7 @@ def load_segmentations(path):
             bundle_path = os.path.join(path, name)
             t = _read_bundle(bundle_path, "segmentation bundle")
             dataio.check_layout(bundle_path, t, SEGMENTATION_LAYOUT)
+            _check_segmentation_values(bundle_path, t)
             segs.append(Segmentation(labels=t["labels"].astype(np.int32),
                                      scores=t["scores"],
                                      seeds=[tuple(s) for s in t["seeds"].tolist()]))

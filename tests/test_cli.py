@@ -15,7 +15,8 @@ from clusterseg.clustering import Segmentation
 from clusterseg.dataset import load_frames, load_segmentations, write_segmentations
 from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
-                               NonFiniteError, ShapeMismatchError, ValueRangeError)
+                               MaskContainmentError, NonFiniteError, ShapeMismatchError,
+                               ValueRangeError)
 from clusterseg.predictor import (AdamState, MlpModel, adam_step, init_model, load_checkpoint,
                                   save_checkpoint)
 
@@ -554,6 +555,15 @@ def oracle_segs(tmp_path):
     return ds, segs
 
 
+def _seed_outside(axis):
+    """A mutation moving the first seed just past the labels along `axis`."""
+    def mutate(t):
+        seeds = t["seeds"].copy()
+        seeds[0, axis] = t["labels"].shape[axis]
+        return {**t, "seeds": seeds}
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, error", [
     (lambda t: {**t, "labels": np.full(t["labels"].shape, np.nan)}, BundleDtypeError),
     (lambda t: {**t, "labels": t["labels"].astype(np.uint8)}, BundleDtypeError),
@@ -565,16 +575,24 @@ def oracle_segs(tmp_path):
     (lambda t: {**t, "seeds": t["seeds"][:-1]}, ShapeMismatchError),
     (lambda t: {k: v for k, v in t.items() if k != "seeds"}, BundleManifestError),
     (lambda t: {**t, "extra": np.zeros(2)}, BundleManifestError),
+    (lambda t: {**t, "scores": np.r_[np.nan, t["scores"][1:]]}, NonFiniteError),
+    (lambda t: {**t, "scores": np.r_[t["scores"][:-1], -np.inf]}, NonFiniteError),
+    (lambda t: {**t, "labels": np.where(t["labels"] == 1, t["scores"].size + 1,
+                                        t["labels"]).astype(np.uint16)}, ValueRangeError),
+    (_seed_outside(0), ValueRangeError),
+    (_seed_outside(1), ValueRangeError),
 ], ids=["nan-f64-labels", "u8-labels", "f64-seeds", "f32-scores", "2d-scores",
-        "3d-labels", "1d-seeds", "seed-count", "missing-seeds", "extra-tensor"])
+        "3d-labels", "1d-seeds", "seed-count", "missing-seeds", "extra-tensor", "nan-score",
+        "inf-score", "label-above-m", "seed-row-outside", "seed-col-outside"])
 def test_malformed_segmentation_bundle_is_a_typed_error(oracle_segs, mutate, error, capsys):
     ds, segs = oracle_segs
     path = segs / "seg_00000.tsb"
     write_bundle(path, mutate(read_bundle(path)))
-    with pytest.raises(error, match="seg_00000.tsb"):
+    with pytest.raises(error, match=re.escape(str(path))):
         load_segmentations(str(segs))
     assert run_cli("eval", "--dataset", str(ds), "--segs", str(segs)) == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "error" in err and str(path) in err
 
 
 @pytest.mark.parametrize("name", ["seg\u0000.tsb", "seg_99999.tsb"], ids=["nul-name", "missing"])
@@ -736,6 +754,13 @@ def oracle_run(tmp_path_factory):
     return root
 
 
+def _visible_pixel_cleared(tensors):
+    """The amodal masks with object 0's first visible pixel cleared."""
+    amodal = tensors["amodal_masks"].copy()
+    amodal[0].flat[np.flatnonzero(tensors["instance_map"] == 1)[0]] = 0
+    return amodal
+
+
 @pytest.mark.parametrize("tensor, value, error", [
     ("per_object_xi", np.nan, NonFiniteError),
     ("per_object_xi", -np.inf, NonFiniteError),
@@ -744,16 +769,24 @@ def oracle_run(tmp_path_factory):
     ("occlusion_scores", -1.0, ValueRangeError),
     ("amodal_masks", 7, ValueRangeError),
     ("amodal_masks", 2, ValueRangeError),
+    # The frame's one object is fully visible: its masks derive 1.0.
+    ("occlusion_scores", 0.123, ValueRangeError),
+    ("amodal_masks", lambda t: np.zeros_like(t["amodal_masks"]), MaskContainmentError),
+    ("amodal_masks", _visible_pixel_cleared, MaskContainmentError),
 ], ids=["nan-feature", "inf-feature", "nan-occlusion", "occlusion-5", "occlusion-minus-1",
-        "amodal-7", "amodal-2"])
+        "amodal-7", "amodal-2", "underived-occlusion", "cleared-amodal", "visible-outside-amodal"])
 def test_a_damaged_frame_bundle_exits_2_naming_it(oracle_run, tmp_path, capsys, tensor, value,
                                                   error):
+    # A callable value gives the whole damaged tensor; any other replaces its first entry.
     ds = tmp_path / "ds"
     shutil.copytree(oracle_run / "ds", ds)
     path = ds / "frame_00001.tsb"
     tensors = read_bundle(path)
     damaged = tensors[tensor].copy()
-    damaged.flat[0] = value
+    if callable(value):
+        damaged = value(tensors)
+    else:
+        damaged.flat[0] = value
     write_bundle(path, {**tensors, tensor: damaged})
     with pytest.raises(error, match=re.escape(str(path))):
         load_frames(str(ds))

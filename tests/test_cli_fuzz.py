@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from clusterseg.cli import main
@@ -120,6 +120,7 @@ def non_finite_outputs(out):
 @pytest.mark.parametrize("command, flag", [(c, f) for c in FLAGS for f in FLAGS[c]],
                          ids=[f"{c} {f}" for c in FLAGS for f in FLAGS[c]])
 @FUZZ
+@seed(0)
 @given(data=st.data())
 def test_any_flag_value_exits_cleanly(inputs, command, flag, data):
     others = data.draw(st.lists(st.sampled_from(sorted(set(FLAGS[command]) - {flag})),

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, given, seed, settings
 from hypothesis import strategies as st
 
 from clusterseg import clustering
@@ -347,6 +347,7 @@ def _groups(data, max_size=12):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@seed(0)
 @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
 def test_instance_scores_equal_a_mean_per_instance(data, dtype):
     labels = _groups(data)
@@ -361,6 +362,7 @@ def test_instance_scores_equal_a_mean_per_instance(data, dtype):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@seed(0)
 @given(data=st.data())
 def test_component_statistics_equal_a_mean_and_matmul_per_component(data):
     labels = _groups(data)
@@ -382,6 +384,7 @@ def test_component_statistics_equal_a_mean_and_matmul_per_component(data):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
+@seed(0)
 @given(data=st.data())
 def test_stages_exact_with_non_finite_features_and_radii(data):
     # Direct calls may pass what segment() rejects; both stages must still
@@ -400,6 +403,7 @@ def test_stages_exact_with_non_finite_features_and_radii(data):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
+@seed(0)
 @given(data=st.data())
 def test_stages_exact_with_duplicate_and_near_duplicate_rows(data):
     # A row that repeats an earlier one up to 0, 1e-12 or 1e-160 seeds its
@@ -424,11 +428,11 @@ def test_stages_exact_with_duplicate_and_near_duplicate_rows(data):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
+@seed(0)
 @given(data=st.data())
-def test_seeding_blocks_equal_both_oracles_at_every_claim_density(data):
-    # Whatever the block and chunk sizes, each block decided in one batch
-    # (share 0), pixel by pixel (share inf) or by its claim density equals
-    # both oracles.
+def test_seeding_equals_both_oracles_at_every_claim_density(data):
+    # From pixels that claim no other to pixels that all claim many, with
+    # NaN, infinite and overflowing radii, seeding equals both oracles.
     n = data.draw(st.integers(1, 300))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     claimers = rng.random(n) < data.draw(st.sampled_from([0.0, 0.02, 0.2, 0.6, 1.0]))
@@ -439,20 +443,10 @@ def test_seeding_blocks_equal_both_oracles_at_every_claim_density(data):
     xi[:, 1:] *= data.draw(st.sampled_from([0.0, 0.1, 1.0]))
     pred = Prediction(xi_hat=xi.reshape(1, n, FEATURE_DIM), eta_hat=rng.random((1, n)),
                       b_hat=radii.reshape(1, n), mask_prob=rng.random((1, n)) * 1.2)
-    # 256 is the shipped block size: a frame of up to 256 pixels is one block.
-    block = data.draw(st.one_of(st.integers(1, 64), st.just(256)))
-    share = data.draw(st.sampled_from([2, 8, 32]))
-    # Claim pairs are evaluated this many at a time.
-    chunk = data.draw(st.sampled_from([3, 50, 1 << 16]))
     with np.errstate(all="ignore"):
         want = reference_seed_segmentation(pred)
         _assert_same(loop_seed_segmentation(pred), want)
-        for dense_share in (0, share, np.inf):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(clustering, "_SEED_BLOCK", block)
-                patch.setattr(clustering, "_DENSE_SHARE", dense_share)
-                patch.setattr(clustering, "_BLOCK_ELEMENTS", chunk)
-                _assert_same(seed_segmentation(pred), want)
+        _assert_same(seed_segmentation(pred), want)
 
 
 def _assert_index_keeps_every_dense_pair(args):

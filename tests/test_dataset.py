@@ -19,8 +19,8 @@ from clusterseg.cli import main
 from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.dataset import load_dataset
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
-                               NonFiniteError, ShapeMismatchError)
-from clusterseg.geometry import depth_to_xyz
+                               NonFiniteError, PlacementError, ShapeMismatchError)
+from clusterseg.geometry import CameraIntrinsics, depth_to_xyz
 from clusterseg.scenegen import render
 
 FRAME_FIELDS = ("rgb", "depth", "xyz", "instance_map", "amodal_masks", "occlusion_scores")
@@ -71,6 +71,25 @@ def test_loaded_records_equal_what_gen_computed(tmp_path, monkeypatch, res, obje
             _same(getattr(frame, name), getattr(want_frame, name), name)
         for name in ANNOTATION_FIELDS:
             _same(getattr(ann, name), getattr(want_ann, name), name)
+
+
+@pytest.mark.parametrize("res, count_range", [(16, (1, 2)), (32, (2, 8)), (48, (6, 12))])
+def test_rendered_occlusion_scores_are_what_loading_derives(res, count_range):
+    # Loading rejects any occlusion score but the one its masks give over
+    # the whole frame; render computes each within the object's window.
+    camera = CameraIntrinsics(float(res), float(res), res / 2.0, res / 2.0, res, res)
+    cfg = scenegen.GeneratorConfig(count_range=count_range, size_range=(0.06, 0.3), camera=camera)
+    rendered = 0
+    for seed in range(40):
+        try:
+            frame = render(scenegen.sample_scene(seed, cfg))
+        except PlacementError:
+            continue
+        derived = [scenegen.occlusion_score(frame.instance_map == k + 1, mask)
+                   for k, mask in enumerate(frame.amodal_masks)]
+        assert np.array(derived, dtype=np.float64).tobytes() == frame.occlusion_scores.tobytes()
+        rendered += 1
+    assert rendered >= 30
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from clusterseg import dataio
@@ -97,6 +97,7 @@ def _loads_or_raises(loader, path):
 
 
 @FUZZ
+@seed(0)
 @given(data=st.data())
 def test_damaged_segmentation_bundle(files, data):
     pristine = (files["segs"] / files["seg_name"]).read_bytes()
@@ -112,6 +113,7 @@ def test_damaged_segmentation_bundle(files, data):
 
 
 @FUZZ
+@seed(0)
 @given(data=st.data())
 def test_damaged_checkpoint(files, data):
     raw = data.draw(damaged(files["model"].read_bytes(), len(dataio.MAGIC)))
@@ -127,6 +129,7 @@ def test_damaged_checkpoint(files, data):
 
 @pytest.mark.parametrize("name", ["frame_00000.tsb", "dataset.json", "scene_00000.json"])
 @FUZZ
+@seed(0)
 @given(data=st.data())
 def test_damaged_dataset_file(files, name, data):
     pristine = (files["ds"] / name).read_bytes()

@@ -9,7 +9,7 @@ and axis aligned so that rays run exactly parallel to a box face.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from clusterseg import scenegen
@@ -244,6 +244,7 @@ def test_exact_far_from_the_camera(scale):
 
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
+@seed(0)
 @given(data=st.data())
 def test_exact_on_random_primitives(data):
     width = data.draw(st.integers(1, 40))
