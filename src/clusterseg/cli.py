@@ -22,6 +22,7 @@ laid out, written and loaded by the dataset module.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -34,8 +35,9 @@ import numpy as np
 from . import losses
 from .annotation import annotate, object_features
 from .clustering import segment
-from .dataset import (derivation_values, is_finite, is_number, load_dataset, load_frames,
-                      load_segmentations, read_json_object, write_dataset, write_json,
+from .dataset import (derivation_values, derive_annotation, is_finite, is_number,
+                      load_dataset, load_frame, load_frames, load_segmentations,
+                      read_dataset_manifest, read_json_object, write_dataset, write_json,
                       write_segmentations)
 from .errors import ClusterSegError
 from .evaluation import (EvalConfig, compute_metrics, format_table, result_to_dict)
@@ -141,27 +143,31 @@ def _cmd_infer(args) -> int:
                       flip_rate=args.flip_rate, bound_mode=args.noise_mode,
                       ball_radius=args.ball_radius)
     sweep = [NoiseSpec(sigma_xi=s) for s in _sweep_sigmas(args.sweep)] if args.sweep else None
-    if args.predictor == "mlp" and sweep is None:
-        # The MLP reads only the frame, so no annotation map is built.
-        records = [(scene, frame, None) for scene, frame, _ in load_frames(args.dataset)[1]]
-    else:
-        records = load_dataset(args.dataset)
+    values, entries = read_dataset_manifest(args.dataset)
     model = None
     if args.predictor == "mlp":
         if not args.model:
             raise ClusterSegError("--model is required with --predictor mlp")
         model, _, _ = load_checkpoint(args.model)
 
+    # Each frame is loaded, predicted and segmented in one call, so at most
+    # --jobs frames are in memory. The MLP reads only the frame, so it gets
+    # no annotation maps.
     def run(i):
-        scene, frame, ann = records[i]
+        _, frame, per_object_xi = load_frame(*entries[i])
+        ann = (None if args.predictor == "mlp"
+               else derive_annotation(values, frame, per_object_xi))
         pred = _predict_for_frame(args, model, noise, frame, ann, i)
         return segment(pred, args.fg_threshold)
 
-    segs = _map_frames(run, len(records), args.jobs)
+    # Every frame is segmented before anything is written, so a frame that
+    # fails leaves the output directory as it was.
+    segs = _map_frames(run, len(entries), args.jobs)
     write_segmentations(args.out, segs, predictor=args.predictor,
                         fg_threshold=args.fg_threshold)
 
     if sweep is not None:
+        records = load_dataset(args.dataset)
         lines = ["sigma,ap"]
         for spec in sweep:
             ap = _dataset_ap(records, args.fg_threshold, lambda i, frame, ann: noisy_predict(
@@ -489,8 +495,13 @@ class _BadValue(Exception):
     """A flag value the CLI rejects; exit code 1."""
 
 
+@functools.cache
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser, with flags on the sub-parser of `command` only, or of every command if None."""
+    """The parser, with flags on the sub-parser of `command` only, or of every command if None.
+
+    One parser is built per `command` and process and shared by every caller,
+    so no caller may change it.
+    """
     parser = _Parser(prog="clusterseg",
                      description="Synthetic RGB-D instance segmentation pipeline.")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -573,8 +584,10 @@ def main(argv=None) -> int:
         argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
         # The top-level parser takes no value, so argparse runs the sub-parser of
         # the first token that is not an option, and only that one needs flags.
-        command = next((token for token in argv if not token.startswith("-")), "")
-        given = vars(build_parser(command).parse_args(argv))
+        # Any other first token is a usage error, which the parser with every
+        # flag reports alike.
+        command = next((token for token in argv if not token.startswith("-")), None)
+        given = vars(build_parser(command if command in _COMMANDS else None).parse_args(argv))
         command, dump = given.pop("command"), given.pop("dump_config")
         args = _settings(command, given, dump)
         if dump:

@@ -4,15 +4,18 @@ A dataset directory (written by gen, read by infer, eval and train) holds
 dataset.json, the manifest (format, frame file names and the generation
 parameters), and per frame a scene_NNNNN.json (the scenegen JSON schema) and
 a frame_NNNNN.tsb bundle (frame_layout). gen writes the per-object features
-and builds no annotation maps; load_dataset builds them with
-`annotation.build_annotation` from the features, the instance map and the
-manifest's fraction and single_object_radius, and load_frames, for commands
-that read only the frames, builds none. A loaded frame carries the scene's
-camera, so it derives xyz from its depth on first read, as a rendered one
-does; loading only checks that the depth back-projects to finite points, and
-rejects features that are not finite, amodal mask values other than 0 and
-1, visible pixels outside their object's amodal mask and occlusion scores
-other than the masks give.
+and builds no annotation maps. Loading is two steps: read_dataset_manifest
+checks the manifest, every frame's entry included, and load_frame loads and
+checks one frame, so a command can hold one frame at a time.
+derive_annotation builds a frame's maps with `annotation.build_annotation`
+from its features, its instance map and the manifest's fraction and
+single_object_radius. load_dataset loads every frame with its maps, and
+load_frames, for commands that read only the frames, builds none. A loaded
+frame carries the scene's camera, so it derives xyz from its depth on first
+read, as a rendered one does; loading only checks that the depth
+back-projects to finite points, and rejects features that are not finite,
+amodal mask values other than 0 and 1, visible pixels outside their
+object's amodal mask and occlusion scores other than the masks give.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
 the manifest (segmentation file names, predictor and fg_threshold), and per
@@ -26,6 +29,7 @@ benchmark's tracer replaces those two functions and tells frames apart by
 their depth arrays.
 """
 
+import itertools
 import json
 import math
 import os
@@ -140,7 +144,8 @@ def _check_frame_values(bundle_path, t):
 
     Object k's visible pixels (id k + 1) must lie in its amodal mask, and its
     occlusion score must be their count over the mask's, as
-    scenegen.occlusion_score computes it.
+    scenegen.occlusion_score computes it. Of several damaged objects the
+    lowest k is named, its containment checked before its score.
     """
     if not np.isfinite(t["per_object_xi"]).all():
         raise NonFiniteError(f"{bundle_path}: per_object_xi contains NaN or infinity")
@@ -161,10 +166,11 @@ def _check_frame_values(bundle_path, t):
                                   f"its masks give {visible} / {total}")
 
 
-def load_frames(path):
-    """The dataset's (fraction, single_object_radius) and (scene, frame, per_object_xi) per frame.
+def read_dataset_manifest(path):
+    """The dataset's (fraction, single_object_radius) and each frame's (scene path, bundle path).
 
-    A depth map that back-projects to non-finite points is a NonFiniteError.
+    The manifest is checked whole, every frame's entry included, before
+    any frame is read.
     """
     manifest_path = os.path.join(path, "dataset.json")
     manifest = read_json_object(manifest_path, "dataset manifest")
@@ -177,41 +183,55 @@ def load_frames(path):
                                    manifest.get("single_object_radius"))
     except ClusterSegError as exc:
         raise ClusterSegError(f"malformed dataset manifest {manifest_path}: {exc}") from exc
-    frames = []
     try:
-        for entry in manifest["frames"]:
-            scene_path = os.path.join(path, entry["scene"])
-            try:
-                scene = scene_from_json(_read_text(scene_path, "scene"))
-            except ClusterSegError as exc:
-                raise ClusterSegError(f"{scene_path}: {exc}") from exc
-            bundle_path = os.path.join(path, entry["bundle"])
-            t = _read_bundle(bundle_path, "frame bundle")
-            K = len(scene.objects)
-            dataio.check_layout(bundle_path, t,
-                                frame_layout(scene.camera.height, scene.camera.width, K))
-            if t["instance_map"].max(initial=0) > K:
-                raise ShapeMismatchError(f"{bundle_path}: instance ids exceed the object count {K}")
-            _check_frame_values(bundle_path, t)
-            try:
-                check_back_projection(t["depth"], scene.camera)
-            except ClusterSegError as exc:
-                raise type(exc)(f"{bundle_path}: {exc}") from exc
-            frame = FrameBundle(rgb=t["rgb"], depth=t["depth"], camera=scene.camera,
-                                instance_map=t["instance_map"].astype(np.int32),
-                                amodal_masks=t["amodal_masks"].astype(bool),
-                                occlusion_scores=t["occlusion_scores"])
-            frames.append((scene, frame, t["per_object_xi"]))
+        entries = [(os.path.join(path, entry["scene"]), os.path.join(path, entry["bundle"]))
+                   for entry in manifest["frames"]]
     except (KeyError, TypeError) as exc:
         raise ClusterSegError(f"malformed dataset manifest {manifest_path}: {exc}") from exc
-    return values, frames
+    return values, entries
+
+
+def load_frame(scene_path, bundle_path):
+    """One frame's (scene, frame, per_object_xi), every value checked.
+
+    A depth map that back-projects to non-finite points is a NonFiniteError.
+    """
+    try:
+        scene = scene_from_json(_read_text(scene_path, "scene"))
+    except ClusterSegError as exc:
+        raise ClusterSegError(f"{scene_path}: {exc}") from exc
+    t = _read_bundle(bundle_path, "frame bundle")
+    K = len(scene.objects)
+    dataio.check_layout(bundle_path, t, frame_layout(scene.camera.height, scene.camera.width, K))
+    if t["instance_map"].max(initial=0) > K:
+        raise ShapeMismatchError(f"{bundle_path}: instance ids exceed the object count {K}")
+    _check_frame_values(bundle_path, t)
+    try:
+        check_back_projection(t["depth"], scene.camera)
+    except ClusterSegError as exc:
+        raise type(exc)(f"{bundle_path}: {exc}") from exc
+    frame = FrameBundle(rgb=t["rgb"], depth=t["depth"], camera=scene.camera,
+                        instance_map=t["instance_map"].astype(np.int32),
+                        amodal_masks=t["amodal_masks"].astype(bool),
+                        occlusion_scores=t["occlusion_scores"])
+    return scene, frame, t["per_object_xi"]
+
+
+def derive_annotation(values, frame, per_object_xi):
+    """A loaded frame's annotation maps, from its features and the manifest's `values`."""
+    return build_annotation(per_object_xi, frame.instance_map, *values)
+
+
+def load_frames(path):
+    """The dataset's (fraction, single_object_radius) and (scene, frame, per_object_xi) per frame."""
+    values, entries = read_dataset_manifest(path)
+    return values, [load_frame(*entry) for entry in entries]
 
 
 def load_dataset(path):
     """(scene, frame, annotation) per frame, the annotation rebuilt."""
-    (fraction, single_object_radius), frames = load_frames(path)
-    return [(scene, frame,
-             build_annotation(per_object_xi, frame.instance_map, fraction, single_object_radius))
+    values, frames = load_frames(path)
+    return [(scene, frame, derive_annotation(values, frame, per_object_xi))
             for scene, frame, per_object_xi in frames]
 
 
@@ -226,7 +246,8 @@ def write_segmentations(path, segs, **meta):
     for i, seg in enumerate(segs):
         name = f"seg_{i:05d}.tsb"
         bundle_path = os.path.join(path, name)
-        seeds = np.asarray(seg.seeds, dtype=np.int64).reshape(len(seg.seeds), 2)
+        seeds = np.fromiter(itertools.chain.from_iterable(seg.seeds), np.int64,
+                            2 * len(seg.seeds)).reshape(len(seg.seeds), 2)
         if len(seg.scores) > u16_max:
             raise ClusterSegError(f"{bundle_path}: {len(seg.scores)} instances exceed the u16 "
                                   f"label limit of {u16_max}")
@@ -274,7 +295,7 @@ def load_segmentations(path):
             _check_segmentation_values(bundle_path, t)
             segs.append(Segmentation(labels=t["labels"].astype(np.int32),
                                      scores=t["scores"],
-                                     seeds=[tuple(s) for s in t["seeds"].tolist()]))
+                                     seeds=list(zip(*t["seeds"].T.tolist()))))
     except (KeyError, TypeError) as exc:
         raise ClusterSegError(
             f"malformed segmentation manifest {manifest_path}: {exc}") from exc

@@ -4,12 +4,14 @@ import math
 import os
 import re
 import shutil
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from clusterseg import annotation, cli, dataset
+from clusterseg import annotation, cli, dataio, dataset
 from clusterseg.cli import main
 from clusterseg.clustering import Segmentation
 from clusterseg.dataset import load_frames, load_segmentations, write_segmentations
@@ -748,7 +750,7 @@ def test_infer_mlp_without_a_sweep_builds_no_annotation_maps(two_frame_dataset, 
 @pytest.fixture(scope="module")
 def oracle_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("damaged")
-    assert run_cli("gen", "--count", "2", "--res", "16x16", "--objects", "1..2",
+    assert run_cli("gen", "--count", "2", "--res", "16x16", "--objects", "2..2",
                    "--sizes", "0.12..0.2", "--seed", "5", "--out", str(root / "ds")) == 0
     assert run_cli("infer", "--dataset", str(root / "ds"), "--out", str(root / "segs")) == 0
     return root
@@ -761,6 +763,18 @@ def _visible_pixel_cleared(tensors):
     return amodal
 
 
+def _two_objects_damaged(tensors):
+    """Object 0's mask widened by a background pixel, object 1's first visible pixel cleared.
+
+    Object 0's score no longer matches its masks and object 1 is not
+    contained: the lower object is named, whatever its damage.
+    """
+    amodal = tensors["amodal_masks"].copy()
+    amodal[0].flat[np.flatnonzero(tensors["instance_map"] == 0)[0]] = 1
+    amodal[1].flat[np.flatnonzero(tensors["instance_map"] == 2)[0]] = 0
+    return amodal
+
+
 @pytest.mark.parametrize("tensor, value, error", [
     ("per_object_xi", np.nan, NonFiniteError),
     ("per_object_xi", -np.inf, NonFiniteError),
@@ -769,12 +783,14 @@ def _visible_pixel_cleared(tensors):
     ("occlusion_scores", -1.0, ValueRangeError),
     ("amodal_masks", 7, ValueRangeError),
     ("amodal_masks", 2, ValueRangeError),
-    # The frame's one object is fully visible: its masks derive 1.0.
+    # The frame's two objects are fully visible: their masks derive 1.0.
     ("occlusion_scores", 0.123, ValueRangeError),
     ("amodal_masks", lambda t: np.zeros_like(t["amodal_masks"]), MaskContainmentError),
     ("amodal_masks", _visible_pixel_cleared, MaskContainmentError),
+    ("amodal_masks", _two_objects_damaged, ValueRangeError),
 ], ids=["nan-feature", "inf-feature", "nan-occlusion", "occlusion-5", "occlusion-minus-1",
-        "amodal-7", "amodal-2", "underived-occlusion", "cleared-amodal", "visible-outside-amodal"])
+        "amodal-7", "amodal-2", "underived-occlusion", "cleared-amodal", "visible-outside-amodal",
+        "two-objects"])
 def test_a_damaged_frame_bundle_exits_2_naming_it(oracle_run, tmp_path, capsys, tensor, value,
                                                   error):
     # A callable value gives the whole damaged tensor; any other replaces its first entry.
@@ -796,3 +812,101 @@ def test_a_damaged_frame_bundle_exits_2_naming_it(oracle_run, tmp_path, capsys, 
         assert run_cli(*argv, "--dataset", str(ds)) == 2, argv[0]
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(path) in err, argv[0]
+
+
+# ---------------------------------------------------------------------------
+# infer streams its dataset: one frame per worker in memory, nothing written
+# unless every frame succeeds
+
+@pytest.fixture(scope="module")
+def eight_frames(tmp_path_factory):
+    root = tmp_path_factory.mktemp("eight")
+    assert run_cli("gen", "--count", "8", "--res", "24x24", "--objects", "2..4",
+                   "--seed", "7", "--out", str(root / "ds")) == 0
+    save_checkpoint(root / "model.ckpt", init_model(0))
+    return root
+
+
+def _infer_argv(root, predictor):
+    if predictor == "mlp":
+        return ("--predictor", "mlp", "--model", str(root / "model.ckpt"))
+    return ("--predictor", "noisy", "--sigma-xi", "0.05", "--flip-rate", "0.05")
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("predictor", ["noisy", "mlp"])
+def test_infer_holds_at_most_jobs_frames(eight_frames, tmp_path, monkeypatch, predictor, jobs):
+    # A loaded frame keeps the depth array its bundle was read into, so a
+    # frame is live until that array is freed.
+    lock = threading.Lock()
+    live, peak, loads = [0], [0], [0]
+    read = dataio.read_bundle
+
+    def freed():
+        with lock:
+            live[0] -= 1
+
+    def counted(path):
+        tensors = read(path)
+        if "depth" in tensors:
+            with lock:
+                live[0] += 1
+                loads[0] += 1
+                peak[0] = max(peak[0], live[0])
+            weakref.finalize(tensors["depth"], freed)
+        return tensors
+
+    monkeypatch.setattr(dataio, "read_bundle", counted)
+    assert run_cli("infer", "--dataset", str(eight_frames / "ds"), "--out", str(tmp_path / "segs"),
+                   *_infer_argv(eight_frames, predictor), "--jobs", str(jobs)) == 0
+    assert loads[0] == 8
+    assert 1 <= peak[0] <= jobs
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("predictor", ["noisy", "mlp"])
+def test_a_damaged_last_frame_leaves_a_previous_run_unchanged(eight_frames, tmp_path, capsys,
+                                                              predictor, jobs):
+    ds, segs = tmp_path / "ds", tmp_path / "segs"
+    shutil.copytree(eight_frames / "ds", ds)
+    argv = ("infer", "--dataset", str(ds), "--out", str(segs),
+            *_infer_argv(eight_frames, predictor), "--jobs", str(jobs))
+    assert run_cli(*argv) == 0
+    before = _dir_bytes(segs)
+    path = ds / "frame_00007.tsb"
+    tensors = read_bundle(path)
+    write_bundle(path, {**tensors, "per_object_xi": np.full_like(tensors["per_object_xi"],
+                                                                 np.nan)})
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(path) in err
+    assert _dir_bytes(segs) == before
+
+
+@pytest.mark.parametrize("command", [
+    ("infer", "--out", "{tmp}/segs"),
+    ("infer", "--out", "{tmp}/segs", "--predictor", "mlp", "--model", "{root}/model.ckpt"),
+    ("eval", "--segs", "{tmp}/segs"),
+    ("train", "--out", "{tmp}/model.ckpt", "--epochs", "1"),
+], ids=["infer-oracle", "infer-mlp", "eval", "train"])
+def test_a_malformed_last_manifest_entry_exits_2_before_any_frame_is_read(
+        eight_frames, tmp_path, monkeypatch, capsys, command):
+    ds = tmp_path / "ds"
+    shutil.copytree(eight_frames / "ds", ds)
+    manifest = json.loads((ds / "dataset.json").read_text())
+    del manifest["frames"][-1]["bundle"]
+    (ds / "dataset.json").write_text(json.dumps(manifest))
+    bundles_read = []
+    read = dataio.read_bundle
+
+    def recorded(path):
+        bundles_read.append(path)
+        return read(path)
+
+    monkeypatch.setattr(dataio, "read_bundle", recorded)
+    argv = [a.format(tmp=tmp_path, root=eight_frames) for a in command]
+    assert run_cli(argv[0], "--dataset", str(ds), *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "malformed dataset manifest" in err and len(err.splitlines()) == 1
+    assert bundles_read == []

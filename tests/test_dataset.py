@@ -17,7 +17,8 @@ from clusterseg import scenegen
 from clusterseg.annotation import annotate
 from clusterseg.cli import main
 from clusterseg.dataio import read_bundle, write_bundle
-from clusterseg.dataset import load_dataset
+from clusterseg.clustering import Segmentation
+from clusterseg.dataset import load_dataset, load_segmentations, write_segmentations
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
                                NonFiniteError, PlacementError, ShapeMismatchError)
 from clusterseg.geometry import CameraIntrinsics, depth_to_xyz
@@ -331,3 +332,18 @@ def test_every_command_rejects_a_non_finite_back_projection(tmp_path, capsys, da
     assert run_cli(argv[0], "--dataset", ds, *argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("clusterseg: error: ") and "non-finite" in err
+
+
+@pytest.mark.parametrize("seeds", [[], [(3, 0)], [(0, 5), (7, 2), (7, 7)]],
+                         ids=["none", "one", "three"])
+def test_segmentation_seeds_round_trip_as_int_tuples(tmp_path, seeds):
+    M = len(seeds)
+    labels = np.zeros((8, 8), dtype=np.int32)
+    labels[0, :M] = np.arange(1, M + 1)
+    write_segmentations(tmp_path / "segs", [Segmentation(labels, np.linspace(0, 1, M), seeds)])
+    stored = read_bundle(tmp_path / "segs" / "seg_00000.tsb")["seeds"]
+    assert stored.dtype == np.uint16 and stored.shape == (M, 2)
+    assert stored.tolist() == [list(s) for s in seeds]
+    (seg,) = load_segmentations(tmp_path / "segs")
+    assert seg.seeds == seeds
+    assert all(type(v) is int for s in seg.seeds for v in s)
