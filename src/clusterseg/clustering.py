@@ -33,23 +33,28 @@ the result, so their cost grows close to linearly with foreground pixels:
   log-densities). Pixels or components whose magnitudes could overflow are
   never pruned. The surviving pairs go through the same solve and dot
   product as the definition; ties go to the lowest component index.
-* A slab index keeps most pairs of a pixel and a plain component (below)
-  from meeting the bound at all, in the spirit of the spatial indexes in
-  front of EM of Moore ("Very fast EM-based mixture model clustering using
+* A window keeps most pairs of a pixel and a plain component (below) from
+  meeting the bound at all, in the spirit of the spatial indexes in front
+  of EM of Moore ("Very fast EM-based mixture model clustering using
   multiresolution kd-trees", NIPS 1998): as |x - mu|^2 >= (x0 - mu0)^2, a
-  pixel meets components of one slope only within a window of their first
-  mean component, widened for rounding. Only plain components are
-  windowed; the others meet every pixel in dense gemm blocks.
+  pixel meets the plain components only within a window of their first
+  mean component, widened for rounding. The others meet every pixel in
+  dense gemm blocks.
 * Most components of a degenerate prediction are plain: one member, whose
   finite row holds no -0.0. Such a component has that row as its np.mean
   and exactly 1e-6 * I as its covariance, stored and factored once for all
   of them, and its own pixel's Mahalanobis term is zero; a one-member
   instance's score is its member's value. Plain components share every
   bound term but their mean, so they get no per-component matrices or bound
-  weights: the other pixels meet them through one slab window, and a plain
-  component's pixel of moderate norm can lose to another only on an exact
-  tie, which only the near-duplicate window of _tied_pairs can hold and
-  the lower index wins.
+  weights, and every pixel meets them through the one window. A plain
+  component's own pixel has -2 times its exact own score as threshold, so
+  the window and the bound keep every component that could tie with it;
+  the lower index wins the tie.
+* Two more paths stay for their measured cost, given as segment() time
+  without them over time with them on untrained-MLP frames (the median of
+  per-round ratios over 31 interleaved rounds):
+  - width merging in _quad_forms (_SOLVE_COLUMNS): x1.04 at 48x48, x1.05 at 32x32;
+  - 16-bit radix keys in _stable_order: a further x1.05-1.07 at 48x48 and 128x128.
 """
 
 import math
@@ -499,25 +504,13 @@ def _candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const, 
         const[terms], plain[terms])
     k = rest.size
     pix, comp = _bounded_pairs(rows, threshold, weights[:k])
-    pix_parts, comp_parts = [pix], [rest[comp]]
+    comp = rest[comp]
     if shared.size:
-        # A plain component's pixel has its mean's norm. Those of moderate
-        # norm tie only among themselves (_tied_pairs); the rest meet the
-        # bound, or every component when it cannot prune them.
+        # Plain components of huge norm, or that cannot prune, meet every pixel.
         tight = (mm < _MAGNITUDE) & prunable[k]
-        pixel_of = np.empty(len(mus), dtype=np.intp)
-        pixel_of[own] = np.arange(n)
-        others = np.ones(n, dtype=bool)
-        others[pixel_of[by_mu0[tight]]] = False
-        for pix, comp in (_tied_pairs(own, own_score, mus, by_mu0[tight],
-                                      pixel_of[by_mu0[tight]], slope[k], offset[k]),
-                          _shared_pairs(X, rows, threshold, mus, mm[tight], by_mu0[tight],
-                                        by_mu0[~tight], np.flatnonzero(others), slope[k],
-                                        offset[k])):
-            pix_parts.append(pix)
-            comp_parts.append(comp)
-    pix = np.concatenate(pix_parts)
-    comp = np.concatenate(comp_parts)
+        more = _shared_pairs(X, rows, threshold, own, mus, mm[tight], by_mu0[tight],
+                             by_mu0[~tight], slope[k], offset[k])
+        pix, comp = np.concatenate((pix, more[0])), np.concatenate((comp, more[1]))
     # A pixel's own component always meets the bound; it is no candidate.
     other = comp != own[pix]
     comp, pix = np.divmod(np.sort(comp[other] * n + pix[other]), n)
@@ -545,65 +538,40 @@ def _bounded_pairs(rows, threshold, weights):
     return np.concatenate(pix_parts), np.concatenate(comp_parts)
 
 
-def _tied_pairs(own, own_score, mus, tight, pixels, slope, offset):
-    """Pairs of a plain component's pixel and another plain component that can take it.
+def _shared_pairs(X, rows, threshold, own, mus, mm, tight, loose, slope, offset):
+    """Pairs of plain components and pixels that the bound keeps.
 
-    `tight` lists the plain components of moderate norm by ascending mu0
-    and `pixels` their pixels. Let pixel p belong to one of them, m, and m'
-    be another. Both have the same log w and const, and p's row is m's mean,
-    so the definition scores p at s = log w - const / 2 under m (its
-    Mahalanobis term is +-0.0) and at log w - (const + q) / 2 under m',
-    where q >= 0: the finite difference x - mu' of two rows of moderate norm
-    solves against the diagonal 1e-6 * I to terms of its own signs. Rounding
-    is monotone, so m' scores at most s and takes p only on an exact tie,
-    which goes to the lower index: only m' < m can. By the bound, m' cannot
-    win where slope |x - mu'|^2 > offset - 2 s, and (x0 - mu0')^2 <=
-    |x - mu'|^2. As -2 s is -(2 log w - const) rounded once (doubling is
-    exact), offset - 2 s is the bound's slack 64 eps (|2 log w| + |const|)
-    up to one rounding. So every candidate lies in the near-duplicate window
-    |x0 - mu0'| <= sqrt((offset - 2 s) / slope), widened here like the slabs
-    for the rounding of the difference, the quotient, the square root and
-    x0 -+ half. The window evaluates no bound, so nothing in it can
-    overflow.
+    Plain components share their slope and offset, so one window (_window)
+    over the plain components of moderate norm, `tight` by ascending mu0
+    with squared norms `mm`, holds every pair the bound could keep for a
+    pixel with a finite threshold; the bound is evaluated per window pair,
+    in chunks of _BLOCK_ELEMENTS weights. A plain component's own pixel is
+    no exception: its threshold is -2 times its exact own score, so the
+    window and the bound keep every component that could tie with its own,
+    and the lower index wins the tie. Pixels with infinite thresholds meet
+    every component of `tight`, and the `loose` components, which the bound
+    never prunes, meet every pixel.
     """
-    if not tight.size:
-        return tight, tight
-    x0 = mus[tight, 0]
-    rel = 16.0 * _EPS
-    reach = max(offset - 2.0 * float(own_score[pixels[0]]), 0.0) / slope
-    half = math.sqrt(reach) * (1.0 + rel) + rel * np.abs(x0) + _FLOOR
-    # A window holds another component only if it holds a neighbour.
-    lo_edge, hi_edge = x0 - half, x0 + half
-    many = np.flatnonzero(np.r_[x0[1:] <= hi_edge[:-1], False]
-                          | np.r_[False, x0[:-1] >= lo_edge[1:]])
-    lo = np.searchsorted(x0, lo_edge[many], "left")
-    hi = np.searchsorted(x0, hi_edge[many], "right")
-    pix = np.repeat(pixels[many], hi - lo)
-    comp = tight[_ranges(lo, hi)]
-    lower = comp < own[pix]
-    return pix[lower], comp[lower]
-
-
-def _shared_pairs(X, rows, threshold, mus, mm, tight, loose, pixels, slope, offset):
-    """Pairs of plain components and the other pixels that the bound keeps.
-
-    Plain components share their slope and offset, so one slab window
-    (_slab_window) over the plain components of moderate norm, `tight` by
-    ascending mu0 with squared norms `mm`, holds every pair the bound could
-    keep for one of `pixels` with a finite threshold; the bound is evaluated
-    per window pair, in chunks of _BLOCK_ELEMENTS weights. Pixels with
-    infinite thresholds meet every component of `tight`, and the `loose`
-    components, which the bound never prunes, meet every pixel.
-    """
-    closed = pixels[threshold[pixels] != np.inf]
-    open_pix = pixels[threshold[pixels] == np.inf]
+    closed = np.flatnonzero(threshold != np.inf)
+    # searchsorted runs fastest on ascending keys.
+    closed = closed[np.argsort(X[closed, 0])]
+    open_pix = np.flatnonzero(threshold == np.inf)
     every = np.arange(len(X))
     pix_parts = [np.repeat(open_pix, tight.size), np.repeat(every, loose.size)]
     comp_parts = [np.tile(tight, open_pix.size), np.tile(loose, every.size)]
     if tight.size and closed.size:
         with np.errstate(all="ignore"):
-            _, lo, count = _slab_window(X[closed, 0], rows[closed, FEATURE_DIM], threshold[closed],
-                                        mus[tight], np.array([slope]), np.array([offset]))
+            # As |x - mu|^2 >= (x0 - mu0)^2, a component lies in the window
+            # unless slope (x0 - mu0)^2 - offset exceeds t by more than the
+            # bound's rounding, which `err` covers: its terms are at most
+            # slope (|x| + |mu|)^2 and |offset| in size. A NaN from t = -inf
+            # leaves only the window's widening.
+            t = threshold[closed]
+            err = 1024.0 * _EPS * (np.abs(t) + abs(offset) + slope * (
+                np.sqrt(rows[closed, FEATURE_DIM]) + math.sqrt(mm.max())) ** 2)
+            lo, count = _window(mus[tight, 0], X[closed, 0], np.fmax(t + err + offset, 0.0) / slope)
+        # Most plain pixels' windows hold only their own component.
+        count[(count == 1) & (tight[np.minimum(lo, tight.size - 1)] == own[closed])] = 0
         ends = np.cumsum(count)
         step = _BLOCK_ELEMENTS // (FEATURE_DIM + 2)
         cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], step), "right"))
@@ -619,31 +587,16 @@ def _shared_pairs(X, rows, threshold, mus, mm, tight, loose, pixels, slope, offs
     return np.concatenate(pix_parts), np.concatenate(comp_parts)
 
 
-def _slab_window(x0, xx, threshold, mus, slope, offset):
-    """The slab index over one group of prunable components.
+def _window(mu0, x0, reach):
+    """Per pixel, the range [lo, lo + count) of sorted `mu0` within sqrt(reach) of x0.
 
-    Takes the pixels' first feature components, squared norms and finite
-    thresholds t, and the group's components. As |x - mu|^2 >= (x0 - mu0)^2,
-    component m loses at a pixel once slope_m (x0 - mu0)^2 - offset_m
-    exceeds t by more than the rounding of the bound's evaluation. The
-    group's smallest slope and largest offset turn that into one window of
-    mu0 values per pixel, widened for rounding. Returns (order, lo, count):
-    the group's components by ascending mu0, and per pixel its window
-    order[lo:lo + count].
+    The half-width is widened for the rounding of the square root, of the
+    difference and of x0 -+ half.
     """
-    order = np.argsort(mus[:, 0], kind="stable")
-    mu0 = mus[order, 0]
-    # The bound's terms are at most slope (|x| + |mu|)^2 and |offset| in
-    # size, so `err` covers its rounding. A NaN from t = -inf leaves only
-    # the widening of `half`.
-    err = 1024.0 * _EPS * (np.abs(threshold) + np.abs(offset).max()
-                           + slope.max() * (np.sqrt(xx) + np.sqrt(
-                               np.einsum("md,md->m", mus, mus).max())) ** 2)
-    reach = np.fmax(threshold + err + offset.max(), 0.0) / slope.min()
     rel = 16.0 * _EPS
     half = np.sqrt(reach) * (1.0 + rel) + rel * np.abs(x0) + _FLOOR
     lo = np.searchsorted(mu0, x0 - half, "left")
-    return order, lo, np.searchsorted(mu0, x0 + half, "right") - lo
+    return lo, np.searchsorted(mu0, x0 + half, "right") - lo
 
 
 def _check_prediction(pred: Prediction):

@@ -162,7 +162,7 @@ def _check_frame_values(bundle_path, t):
                                        f"outside its amodal mask")
         total = np.count_nonzero(mask)
         if occ[k] != (visible / total if total else 0.0):
-            raise ValueRangeError(f"{bundle_path}: occlusion_scores[{k}] is {occ[k]!r}, but "
+            raise ValueRangeError(f"{bundle_path}: occlusion_scores[{k}] is {float(occ[k])}, but "
                                   f"its masks give {visible} / {total}")
 
 

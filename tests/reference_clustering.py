@@ -7,7 +7,8 @@ bit (labels, score bytes and seeds); the tests compare the two.
 
 `reference_candidates` is the E-step filter's former dense form, which
 evaluates the pruning bound on every (pixel, component) pair with one
-blocked gemm; the library's slab index must keep every pair it keeps.
+blocked gemm; the library's window over plain components must keep every
+pair it keeps.
 
 `loop_seed_segmentation` and `dense_gmm_refine` are second oracles, fast
 enough for large degenerate frames: the library's former seeding, one

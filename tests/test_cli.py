@@ -814,6 +814,19 @@ def test_a_damaged_frame_bundle_exits_2_naming_it(oracle_run, tmp_path, capsys, 
         assert len(err.splitlines()) == 1 and str(path) in err, argv[0]
 
 
+def test_a_nan_occlusion_score_is_named_as_a_plain_number(oracle_run, tmp_path):
+    ds = tmp_path / "ds"
+    shutil.copytree(oracle_run / "ds", ds)
+    path = ds / "frame_00001.tsb"
+    tensors = read_bundle(path)
+    scores = tensors["occlusion_scores"].copy()
+    scores[0] = np.nan
+    write_bundle(path, {**tensors, "occlusion_scores": scores})
+    with pytest.raises(ValueRangeError, match=r"occlusion_scores\[0\] is nan, but its masks give "
+                                              r"(\d+) / \1$"):
+        load_frames(str(ds))
+
+
 # ---------------------------------------------------------------------------
 # infer streams its dataset: one frame per worker in memory, nothing written
 # unless every frame succeeds

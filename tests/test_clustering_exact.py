@@ -2,7 +2,7 @@
 
 Every comparison is bit for bit: labels, the bytes of the score array, the
 seed list and the spherical-fallback counter. The fast paths inside the
-stages (one-member statistics, the E-step filter's slab index over plain
+stages (one-member statistics, the E-step filter's window over plain
 components) are also checked against the per-group and dense computations
 they replace, and both stages against the former library stages (a loop
 iteration per pixel; a covariance matrix per component), which are fast
@@ -20,7 +20,7 @@ from clusterseg import clustering
 from clusterseg.annotation import annotate
 from clusterseg.clustering import (COVARIANCE_REGULARIZATION, Prediction, Segmentation,
                                    _bound_terms, _components, _instance_scores, _quad_forms,
-                                   _slab_window, gmm_refine, seed_segmentation, segment)
+                                   gmm_refine, seed_segmentation, segment)
 from clusterseg.errors import NonFiniteError, PlacementError, ShapeMismatchError
 from clusterseg.geometry import FEATURE_DIM, CameraIntrinsics
 from clusterseg.predictor import NoiseSpec, init_model, mlp_forward, noisy_predict, oracle_predict
@@ -234,7 +234,7 @@ def test_exact_near_overflow(magnitude):
 def test_exact_with_one_member_components_whose_differences_overflow():
     # Rows +-1e308 apart overflow x - mu, so the definition scores them
     # under each other's one-member components as NaN, and the first NaN
-    # takes a pixel: the near-duplicate window must leave rows of huge norm
+    # takes a pixel: the plain components' window must leave rows of huge norm
     # to the exact scores, although their first components nearly agree.
     xi = np.zeros((4, FEATURE_DIM))
     xi[0, 1], xi[1, 1], xi[1, 0] = 1e308, -1e308, 1e-300
@@ -427,6 +427,45 @@ def test_stages_exact_with_duplicate_and_near_duplicate_rows(data):
         _assert_both_oracles(pred)
 
 
+def test_exact_ties_between_plain_components_one_ulp_apart():
+    # Zero radii seed one component per row. Rows one ulp apart in
+    # component 0 that agree elsewhere score each other's pixels exactly as
+    # their own, so the lower index takes both: three triples of plain
+    # rows, and a plain row beside one holding -0.0, which is no plain
+    # component but scores as one. Centroid probabilities tie, so the visit
+    # order mostly falls to the flat index. Two-member clusters meet the
+    # plain components in dense blocks, and the last pair straddles the
+    # pruning's magnitude limit: one squared norm lies just under 1e100,
+    # the other at it.
+    base = np.linspace(-1.0, 1.0, FEATURE_DIM)
+
+    def row(x0):
+        out = base.copy()
+        out[0] = x0
+        return out
+
+    rows = [row(np.nextafter(x0, to)) for x0 in (0.3, -2.0, 7.5) for to in (np.inf, x0, -np.inf)]
+    rows += [row(3.0), row(np.nextafter(3.0, np.inf))]
+    rows[-1][FEATURE_DIM // 2] = -0.0
+    rows += [base + 0.5, base + 0.5 + 1e-3, base - 4.0, base - 4.0 - 1e-3]
+    rows += [np.eye(FEATURE_DIM)[0] * np.nextafter(1e50, 0.0), np.eye(FEATURE_DIM)[0] * 1e50]
+    assert rows[-2] @ rows[-2] < clustering._MAGNITUDE <= rows[-1] @ rows[-1]
+    # A component of huge norm widens every pixel's window to all of them.
+    for n in (len(rows) - 2, len(rows)):
+        eta = np.where(np.arange(n) % 4 == 1, 0.9, 0.5)
+        radii = np.where((np.arange(n) >= 11) & (np.arange(n) < 15), 0.01, 0.0)
+        pred = Prediction(xi_hat=np.array(rows[:n]).reshape(1, n, FEATURE_DIM),
+                          eta_hat=eta.reshape(1, n), b_hat=radii.reshape(1, n),
+                          mask_prob=np.ones((1, n)))
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            seeded, _ = _assert_both_oracles(pred)
+            labels = gmm_refine(seeded, pred).labels[0]
+        assert len(seeded.scores) == n - 2
+        assert [len(set(labels[i:i + 3].tolist())) for i in (0, 3, 6, 9)] == [1, 1, 1, 2]
+        assert labels[10] == labels[9]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @seed(0)
 @given(data=st.data())
@@ -449,41 +488,54 @@ def test_seeding_equals_both_oracles_at_every_claim_density(data):
         _assert_same(seed_segmentation(pred), want)
 
 
-def _assert_index_keeps_every_dense_pair(args):
-    """Every pair the dense bound keeps lies in the slab index.
+def _assert_index_keeps_every_dense_pair(args, monkeypatch):
+    """The plain components' window ends where the dense bound rejects.
 
-    A kept pair has an open pixel (infinite threshold), a component that is
-    not prunable, or lies inside the pixel's window over the component's
-    slope group; the windows are checked for every group, and for all
-    prunable components as one group. `_candidates` itself returns every
-    kept pair whose bound is clear of its threshold by more than rounding.
-    Returns the number of pairs checked against a window.
+    For each pixel with a finite threshold, the nearest plain component on
+    each side of its window (before a window holding only the pixel's own
+    component is skipped) is one the dense bound rejects, and so does its
+    first-component term, so every plain component the bound keeps lies
+    inside. `_candidates` itself returns every kept pair whose bound is
+    clear of its threshold by more than rounding. Returns the number of
+    window ends checked.
     """
     X, own, own_score, mus, covs, variance, fallback, log_w, const, plain = args
+    seen = {}
+
+    def shared_pairs(*shared_args):
+        seen["tight"] = shared_args[6]
+        return real_shared(*shared_args)
+
+    def window(*window_args):
+        lo, count = real_window(*window_args)
+        seen["window"] = lo.copy(), count.copy()
+        return lo, count
+
+    real_shared, real_window = clustering._shared_pairs, clustering._window
+    monkeypatch.setattr(clustering, "_shared_pairs", shared_pairs)
+    monkeypatch.setattr(clustering, "_window", window)
     with np.errstate(all="ignore"):
         pix, comp = reference_candidates(*args[:-1])
-        rows, weights, threshold, slope, offset, prunable = _bound_terms(
+        rows, weights, threshold, slope, offset, _ = _bound_terms(
             X, own_score, mus, covs, variance, fallback, log_w, const, plain)
         bound = np.einsum("nk,nk->n", rows[pix], weights[comp])
         clear = ~(bound >= threshold[pix] - 1e-9 * (1.0 + np.abs(threshold[pix])))
         got_pix, got_comp = clustering._candidates(*args)
         assert np.isin(comp[clear] * len(X) + pix[clear], got_comp * len(X) + got_pix).all()
+        monkeypatch.undo()
+        if "window" not in seen:
+            return 0
+        tight, (lo, count) = seen["tight"], seen["window"]
+        # The pixels with finite thresholds, in the order _shared_pairs queries them.
         closed = np.flatnonzero(threshold != np.inf)
-        row_of = np.full(len(X), -1)
-        row_of[closed] = np.arange(closed.size)
-        tight = np.flatnonzero(prunable)
-        exponent = np.frexp(slope[tight])[1]
+        closed = closed[np.argsort(X[closed, 0])]
         checked = 0
-        for group in [tight[exponent == k] for k in np.unique(exponent)] + [tight]:
-            order, lo, count = _slab_window(X[closed, 0], rows[closed, FEATURE_DIM],
-                                            threshold[closed], mus[group], slope[group],
-                                            offset[group])
-            rank = np.full(len(mus), -1)
-            rank[group[order]] = np.arange(group.size)
-            mine = (rank[comp] >= 0) & (row_of[pix] >= 0)
-            r, at = row_of[pix[mine]], rank[comp[mine]]
-            assert np.all((lo[r] <= at) & (at < lo[r] + count[r]))
-            checked += int(mine.sum())
+        for at, inside in ((lo - 1, lo > 0), (lo + count, lo + count < tight.size)):
+            p, c = closed[inside], tight[at[inside]]
+            assert (np.einsum("nk,nk->n", rows[p], weights[c]) > threshold[p]).all()
+            # So does the first-component term alone, which the window reads.
+            assert (slope[c] * (X[p, 0] - mus[c, 0]) ** 2 - offset[c] > threshold[p]).all()
+            checked += p.size
     return checked
 
 
@@ -515,4 +567,4 @@ def test_slab_index_keeps_every_pair_the_dense_bound_keeps(monkeypatch):
         preds += [mlp_forward(init_model(model), frame)[0].to_prediction() for model in range(4)]
     calls = _recorded_candidate_calls(monkeypatch, preds)
     assert len(calls) > 250
-    assert sum(_assert_index_keeps_every_dense_pair(args) for args in calls) > 10_000
+    assert sum(_assert_index_keeps_every_dense_pair(args, monkeypatch) for args in calls) > 10_000
