@@ -403,6 +403,8 @@ PATH = _Kind(str, lambda v: v is None or type(v) is str and "\0" not in v, "a pa
 SWITCH = _Kind(str, lambda v: type(v) is bool, "a boolean")
 # Instance ids are stored as u16, and 0 is the background.
 MAX_OBJECTS = 65534
+# Amodal windows and segmentation seeds store pixel coordinates as u16.
+MAX_SIDE = 65535
 
 
 class _Flag(NamedTuple):
@@ -427,7 +429,9 @@ _FLAGS = (
     _Flag("out", "gen infer train", None, PATH, "output dataset directory (gen), segmentation "
           "directory (infer) or checkpoint path (train)", required=True),
     _Flag("count", "gen", "8", COUNT, "number of frames"),
-    _Flag("res", "gen", "64x64", _pair(INTEGER, "x", "two integers WxH"), "image resolution"),
+    _Flag("res", "gen", "64x64",
+          _pair(INTEGER, "x", f"two integers WxH, each at most {MAX_SIDE}",
+                lambda w, h: w <= MAX_SIDE and h <= MAX_SIDE), "image resolution"),
     _Flag("objects", "gen", "2..8",
           _pair(INTEGER, "..", f"two integers A..B with 1 <= A <= B <= {MAX_OBJECTS}",
                 lambda lo, hi: 1 <= lo <= hi <= MAX_OBJECTS), "object count range per scene"),

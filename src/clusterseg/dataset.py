@@ -4,18 +4,22 @@ A dataset directory (written by gen, read by infer, eval and train) holds
 dataset.json, the manifest (format, frame file names and the generation
 parameters), and per frame a scene_NNNNN.json (the scenegen JSON schema) and
 a frame_NNNNN.tsb bundle (frame_layout). gen writes the per-object features
-and builds no annotation maps. Loading is two steps: read_dataset_manifest
-checks the manifest, every frame's entry included, and load_frame loads and
-checks one frame, so a command can hold one frame at a time.
+and builds no annotation maps; it stores each amodal mask as its window, the
+tight bounding box of its pixels and the box's contents (encode_amodal), and
+no occlusion scores. Loading is two steps: read_dataset_manifest checks the
+manifest, every frame's entry included, and load_frame loads and checks one
+frame, so a command can hold one frame at a time.
 derive_annotation builds a frame's maps with `annotation.build_annotation`
 from its features, its instance map and the manifest's fraction and
 single_object_radius. load_dataset loads every frame with its maps, and
 load_frames, for commands that read only the frames, builds none. A loaded
 frame carries the scene's camera, so it derives xyz from its depth on first
 read, as a rendered one does; loading only checks that the depth
-back-projects to finite points, and rejects features that are not finite,
-amodal mask values other than 0 and 1, visible pixels outside their
-object's amodal mask and occlusion scores other than the masks give.
+back-projects to finite points. It rebuilds the amodal masks from their
+windows, derives each occlusion score from the pixel counts, and rejects
+features that are not finite, windows outside the frame or that disagree
+with the stored pixel count, mask values other than 0 and 1 and visible
+pixels outside their object's amodal mask.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
 the manifest (segmentation file names, predictor and fg_threshold), and per
@@ -47,18 +51,48 @@ from .scenegen import FrameBundle, scene_from_json, scene_to_json
 
 # The dataset layout gen writes; a dataset with any other "format" must be
 # regenerated.
-DATASET_FORMAT = 2
+DATASET_FORMAT = 3
 # A segmentation bundle: M instances over an H x W image.
 SEGMENTATION_LAYOUT = {"labels": (np.uint16, ("H", "W")), "scores": (np.float64, ("M",)),
                        "seeds": (np.uint16, ("M", 2))}
 
 
 def frame_layout(H, W, K):
-    """Every tensor an H x W frame of K objects stores, in written order: name -> (dtype, shape)."""
+    """Every tensor an H x W frame of K objects stores, in written order: name -> (dtype, shape).
+
+    amodal_windows and amodal_pixels store the amodal masks (encode_amodal).
+    """
     return {"rgb": (np.float32, (H, W, 3)), "depth": (np.float64, (H, W)),
-            "instance_map": (np.uint16, (H, W)), "amodal_masks": (np.uint8, (K, H, W)),
-            "occlusion_scores": (np.float64, (K,)),
+            "instance_map": (np.uint16, (H, W)), "amodal_windows": (np.uint16, (K, 4)),
+            "amodal_pixels": (np.uint8, ("P",)),
             "per_object_xi": (np.float64, (K, FEATURE_DIM))}
+
+
+def encode_amodal(masks):
+    """The (windows, pixels) that store K x H x W bool masks.
+
+    Row k of the K x 4 windows is (top, left, height, width), the tight
+    bounding box of mask k's pixels, or zeros for an empty mask; pixels holds
+    every window's contents, row-major, in object order, as u8.
+    """
+    rows, cols = masks.any(axis=2), masks.any(axis=1)
+    windows = np.zeros((len(masks), 4), dtype=np.int64)
+    parts = [np.empty(0, dtype=bool)]
+    for k in np.flatnonzero(rows.any(axis=1)).tolist():
+        r, c = np.flatnonzero(rows[k]), np.flatnonzero(cols[k])
+        windows[k] = r[0], c[0], r[-1] + 1 - r[0], c[-1] + 1 - c[0]
+        parts.append(masks[k, r[0]:r[-1] + 1, c[0]:c[-1] + 1].ravel())
+    return windows, np.concatenate(parts).view(np.uint8)
+
+
+def decode_amodal(windows, pixels, H, W):
+    """The K x H x W bool masks that `windows` and their 0/1 `pixels` store."""
+    masks = np.zeros((len(windows), H, W), dtype=bool)
+    start = 0
+    for k, (top, left, h, w) in enumerate(windows.tolist()):
+        masks[k, top:top + h, left:left + w] = pixels[start:start + h * w].reshape(h, w)
+        start += h * w
+    return masks
 
 
 def is_number(value):
@@ -128,7 +162,9 @@ def write_dataset(path, records, **params):
         bundle_name = f"frame_{i:05d}.tsb"
         with open(os.path.join(path, scene_name), "w", encoding="utf-8") as fh:
             fh.write(scene_to_json(scene))
-        arrays = {**vars(frame), "per_object_xi": per_object_xi}
+        windows, pixels = encode_amodal(frame.amodal_masks)
+        arrays = {**vars(frame), "amodal_windows": windows, "amodal_pixels": pixels,
+                  "per_object_xi": per_object_xi}
         layout = frame_layout(*frame.depth.shape, len(scene.objects))
         dataio.write_bundle(os.path.join(path, bundle_name),
                             {name: arrays[name].astype(dtype)
@@ -140,30 +176,46 @@ def write_dataset(path, records, **params):
 
 
 def _check_frame_values(bundle_path, t):
-    """Raise a typed error naming the bundle for a value no rendered frame holds.
+    """The frame's amodal masks and occlusion scores, every stored value checked.
 
-    Object k's visible pixels (id k + 1) must lie in its amodal mask, and its
-    occlusion score must be their count over the mask's, as
-    scenegen.occlusion_score computes it. Of several damaged objects the
-    lowest k is named, its containment checked before its score.
+    Raises a typed error naming the bundle for a value no rendered frame
+    holds: every window must lie inside the frame, amodal_pixels must hold
+    exactly the windows' pixels, each 0 or 1, and object k's visible pixels
+    (id k + 1) must lie in its amodal mask; of several such objects the
+    lowest k is named. Object k's occlusion score is its visible pixel count
+    over its amodal pixel count, 0 for an empty mask, the bits
+    scenegen.occlusion_score gives.
     """
     if not np.isfinite(t["per_object_xi"]).all():
         raise NonFiniteError(f"{bundle_path}: per_object_xi contains NaN or infinity")
-    amodal = t["amodal_masks"]
-    if amodal.max(initial=0) > 1:
-        raise ValueRangeError(f"{bundle_path}: amodal_masks must hold only 0 and 1, "
-                              f"got {int(amodal.max())}")
-    ids, occ = t["instance_map"], t["occlusion_scores"]
-    for k, mask in enumerate(amodal.view(np.bool_)):
-        own = ids == k + 1
-        visible = np.count_nonzero(own)
-        if np.count_nonzero(own & mask) != visible:
-            raise MaskContainmentError(f"{bundle_path}: a visible pixel of object {k} lies "
-                                       f"outside its amodal mask")
-        total = np.count_nonzero(mask)
-        if occ[k] != (visible / total if total else 0.0):
-            raise ValueRangeError(f"{bundle_path}: occlusion_scores[{k}] is {float(occ[k])}, but "
-                                  f"its masks give {visible} / {total}")
+    ids, windows, pixels = t["instance_map"], t["amodal_windows"], t["amodal_pixels"]
+    (H, W), K = ids.shape, len(windows)
+    top, left, h, w = windows.astype(np.int64).T
+    outside = (top + h > H) | (left + w > W)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueRangeError(f"{bundle_path}: amodal window {k} {tuple(windows[k].tolist())} "
+                              f"(top, left, height, width) extends past the {H} x {W} frame")
+    area = h * w
+    if pixels.size != area.sum():
+        raise ShapeMismatchError(f"{bundle_path}: amodal_pixels holds {pixels.size} values, but "
+                                 f"the amodal windows cover {int(area.sum())}")
+    if pixels.max(initial=0) > 1:
+        raise ValueRangeError(f"{bundle_path}: amodal_pixels must hold only 0 and 1, "
+                              f"got {int(pixels.max())}")
+    masks = decode_amodal(windows, pixels.view(np.bool_), H, W)
+    fg = np.flatnonzero(ids.ravel() != 0)  # faster on bool than on u16
+    owner = ids.ravel()[fg].astype(np.intp) - 1
+    outside = ~masks.reshape(K, H * W)[owner, fg]
+    if outside.any():
+        raise MaskContainmentError(f"{bundle_path}: a visible pixel of object "
+                                   f"{int(owner[outside].min())} lies outside its amodal mask")
+    visible = np.bincount(owner, minlength=K)
+    # reduceat sums each start's pixels up to the next start, so it gets the
+    # non-empty windows only.
+    amodal, full = np.zeros(K, dtype=np.int64), area > 0
+    amodal[full] = np.add.reduceat(pixels, (np.cumsum(area) - area)[full], dtype=np.int64)
+    return masks, np.divide(visible, amodal, out=np.zeros(K), where=amodal > 0)
 
 
 def read_dataset_manifest(path):
@@ -205,15 +257,14 @@ def load_frame(scene_path, bundle_path):
     dataio.check_layout(bundle_path, t, frame_layout(scene.camera.height, scene.camera.width, K))
     if t["instance_map"].max(initial=0) > K:
         raise ShapeMismatchError(f"{bundle_path}: instance ids exceed the object count {K}")
-    _check_frame_values(bundle_path, t)
+    amodal, occlusion = _check_frame_values(bundle_path, t)
     try:
         check_back_projection(t["depth"], scene.camera)
     except ClusterSegError as exc:
         raise type(exc)(f"{bundle_path}: {exc}") from exc
     frame = FrameBundle(rgb=t["rgb"], depth=t["depth"], camera=scene.camera,
                         instance_map=t["instance_map"].astype(np.int32),
-                        amodal_masks=t["amodal_masks"].astype(bool),
-                        occlusion_scores=t["occlusion_scores"])
+                        amodal_masks=amodal, occlusion_scores=occlusion)
     return scene, frame, t["per_object_xi"]
 
 

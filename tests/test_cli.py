@@ -389,6 +389,8 @@ BAD_VALUES = [
     ("gen", ["--count", "0"], 1),
     ("gen", ["--count", "-3"], 1),
     ("gen", ["--objects", "0..2"], 1),
+    ("gen", ["--res", "65536x1"], 1),
+    ("gen", ["--res", "1x65536"], 1),
     ("infer", ["--predictor", "noisy", "--sweep", "0.0,nan"], 2),
     ("infer", ["--predictor", "noisy", "--sigma-xi", "nan"], 2),
     ("infer", ["--predictor", "noisy", "--flip-rate", "2"], 2),
@@ -756,75 +758,93 @@ def oracle_run(tmp_path_factory):
     return root
 
 
-def _visible_pixel_cleared(tensors):
-    """The amodal masks with object 0's first visible pixel cleared."""
-    amodal = tensors["amodal_masks"].copy()
-    amodal[0].flat[np.flatnonzero(tensors["instance_map"] == 1)[0]] = 0
-    return amodal
+def _first(name, value):
+    """A damage that sets the first entry of tensor `name` to `value`."""
+    def damage(tensors):
+        damaged = tensors[name].copy()
+        damaged.flat[0] = value
+        return {**tensors, name: damaged}
+    return damage
+
+
+def _payload_index(tensors, k, pixel):
+    """The amodal_pixels index of flat frame `pixel` in object k's window."""
+    windows = tensors["amodal_windows"].astype(np.int64)
+    top, left, _, width = windows[k]
+    row, col = divmod(int(pixel), tensors["instance_map"].shape[1])
+    return (windows[:k, 2] * windows[:k, 3]).sum() + (row - top) * width + (col - left)
+
+
+def _visible_pixel_cleared(tensors, k=0):
+    """Object k's first visible pixel cleared in its window."""
+    pixels = tensors["amodal_pixels"].copy()
+    pixels[_payload_index(tensors, k, np.flatnonzero(tensors["instance_map"] == k + 1)[0])] = 0
+    return {**tensors, "amodal_pixels": pixels}
+
+
+def _window_past_edge(tensors):
+    """Object 0's window moved down until its last row lies one past the frame's."""
+    windows = tensors["amodal_windows"].copy()
+    windows[0, 0] = tensors["instance_map"].shape[0] - windows[0, 2] + 1
+    return {**tensors, "amodal_windows": windows}
+
+
+def _window_emptied(tensors):
+    """Object 0 stored as an empty mask, so none of its visible pixels lies in its window."""
+    windows = tensors["amodal_windows"].copy()
+    size = int(windows[0, 2]) * int(windows[0, 3])
+    windows[0] = 0
+    return {**tensors, "amodal_windows": windows,
+            "amodal_pixels": tensors["amodal_pixels"][size:]}
 
 
 def _two_objects_damaged(tensors):
-    """Object 0's mask widened by a background pixel, object 1's first visible pixel cleared.
+    """Object 0's mask gains a pixel and object 1's first visible pixel is cleared.
 
-    Object 0's score no longer matches its masks and object 1 is not
-    contained: the lower object is named, whatever its damage.
+    Only object 1 is not contained; object 0's occlusion score is derived
+    from its masks, so the gained pixel is no error.
     """
-    amodal = tensors["amodal_masks"].copy()
-    amodal[0].flat[np.flatnonzero(tensors["instance_map"] == 0)[0]] = 1
-    amodal[1].flat[np.flatnonzero(tensors["instance_map"] == 2)[0]] = 0
-    return amodal
+    tensors = _visible_pixel_cleared(tensors, k=1)
+    pixels = tensors["amodal_pixels"].copy()
+    _, _, height, width = tensors["amodal_windows"][0].tolist()
+    pixels[np.flatnonzero(pixels[:height * width] == 0)[0]] = 1
+    return {**tensors, "amodal_pixels": pixels}
 
 
-@pytest.mark.parametrize("tensor, value, error", [
-    ("per_object_xi", np.nan, NonFiniteError),
-    ("per_object_xi", -np.inf, NonFiniteError),
-    ("occlusion_scores", np.nan, ValueRangeError),
-    ("occlusion_scores", 5.0, ValueRangeError),
-    ("occlusion_scores", -1.0, ValueRangeError),
-    ("amodal_masks", 7, ValueRangeError),
-    ("amodal_masks", 2, ValueRangeError),
-    # The frame's two objects are fully visible: their masks derive 1.0.
-    ("occlusion_scores", 0.123, ValueRangeError),
-    ("amodal_masks", lambda t: np.zeros_like(t["amodal_masks"]), MaskContainmentError),
-    ("amodal_masks", _visible_pixel_cleared, MaskContainmentError),
-    ("amodal_masks", _two_objects_damaged, ValueRangeError),
-], ids=["nan-feature", "inf-feature", "nan-occlusion", "occlusion-5", "occlusion-minus-1",
-        "amodal-7", "amodal-2", "underived-occlusion", "cleared-amodal", "visible-outside-amodal",
-        "two-objects"])
-def test_a_damaged_frame_bundle_exits_2_naming_it(oracle_run, tmp_path, capsys, tensor, value,
-                                                  error):
-    # A callable value gives the whole damaged tensor; any other replaces its first entry.
+@pytest.mark.parametrize("damage, error, named", [
+    (_first("per_object_xi", np.nan), NonFiniteError, "per_object_xi"),
+    (_first("per_object_xi", -np.inf), NonFiniteError, "per_object_xi"),
+    (_first("amodal_pixels", 7), ValueRangeError, "got 7"),
+    (_first("amodal_pixels", 2), ValueRangeError, "got 2"),
+    (_window_past_edge, ValueRangeError, "amodal window 0 "),
+    (lambda t: {**t, "amodal_pixels": t["amodal_pixels"][:-1]}, ShapeMismatchError,
+     "amodal_pixels holds"),
+    (lambda t: {**t, "amodal_pixels": np.zeros_like(t["amodal_pixels"])}, MaskContainmentError,
+     "object 0 "),
+    (_visible_pixel_cleared, MaskContainmentError, "object 0 "),
+    (_window_emptied, MaskContainmentError, "object 0 "),
+    (_two_objects_damaged, MaskContainmentError, "object 1 "),
+    (lambda t: {**t, "amodal_masks": np.ones((2, 16, 16), dtype=np.uint8)}, BundleManifestError,
+     "amodal_masks"),
+    (lambda t: {**t, "occlusion_scores": np.ones(2)}, BundleManifestError, "occlusion_scores"),
+], ids=["nan-feature", "inf-feature", "amodal-7", "amodal-2", "window-past-edge", "pixel-count",
+        "cleared-amodal", "visible-outside-amodal", "visible-outside-window", "two-objects",
+        "stored-amodal-masks", "stored-occlusion"])
+def test_a_damaged_frame_bundle_exits_2_naming_it(oracle_run, tmp_path, capsys, damage, error,
+                                                  named):
     ds = tmp_path / "ds"
     shutil.copytree(oracle_run / "ds", ds)
     path = ds / "frame_00001.tsb"
-    tensors = read_bundle(path)
-    damaged = tensors[tensor].copy()
-    if callable(value):
-        damaged = value(tensors)
-    else:
-        damaged.flat[0] = value
-    write_bundle(path, {**tensors, tensor: damaged})
-    with pytest.raises(error, match=re.escape(str(path))):
+    write_bundle(path, damage(read_bundle(path)))
+    with pytest.raises(error, match=re.escape(str(path))) as raised:
         load_frames(str(ds))
+    assert named in str(raised.value)
     for argv in (("eval", "--segs", str(oracle_run / "segs")),
                  ("infer", "--out", str(tmp_path / "segs")),
                  ("train", "--out", str(tmp_path / "model.ckpt"), "--epochs", "1")):
         assert run_cli(*argv, "--dataset", str(ds)) == 2, argv[0]
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and str(path) in err, argv[0]
-
-
-def test_a_nan_occlusion_score_is_named_as_a_plain_number(oracle_run, tmp_path):
-    ds = tmp_path / "ds"
-    shutil.copytree(oracle_run / "ds", ds)
-    path = ds / "frame_00001.tsb"
-    tensors = read_bundle(path)
-    scores = tensors["occlusion_scores"].copy()
-    scores[0] = np.nan
-    write_bundle(path, {**tensors, "occlusion_scores": scores})
-    with pytest.raises(ValueRangeError, match=r"occlusion_scores\[0\] is nan, but its masks give "
-                                              r"(\d+) / \1$"):
-        load_frames(str(ds))
 
 
 # ---------------------------------------------------------------------------

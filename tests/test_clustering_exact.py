@@ -9,7 +9,9 @@ iteration per pixel; a covariance matrix per component), which are fast
 enough for large degenerate frames.
 """
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from clusterseg import clustering
 from clusterseg.annotation import annotate
 from clusterseg.clustering import (COVARIANCE_REGULARIZATION, Prediction, Segmentation,
                                    _bound_terms, _components, _instance_scores, _quad_forms,
-                                   gmm_refine, seed_segmentation, segment)
+                                   _window, gmm_refine, seed_segmentation, segment)
 from clusterseg.errors import NonFiniteError, PlacementError, ShapeMismatchError
 from clusterseg.geometry import FEATURE_DIM, CameraIntrinsics
 from clusterseg.predictor import NoiseSpec, init_model, mlp_forward, noisy_predict, oracle_predict
@@ -568,3 +570,22 @@ def test_slab_index_keeps_every_pair_the_dense_bound_keeps(monkeypatch):
     calls = _recorded_candidate_calls(monkeypatch, preds)
     assert len(calls) > 250
     assert sum(_assert_index_keeps_every_dense_pair(args, monkeypatch) for args in calls) > 10_000
+
+
+def test_window_holds_every_component_within_reach_despite_rounding():
+    # reach is the least float at or above the exact (x0 - mu0)^2. Where
+    # |mu0| is far below |x0 - mu0|, the square root rounds down past the
+    # exact distance, and x0 - sqrt(reach) lands beyond mu0 for about a
+    # third of these pairs; the window's widening must keep every one.
+    rng = np.random.default_rng(0)
+    x0 = rng.standard_normal(400) * 10.0 ** rng.integers(-5, 5, 400)
+    mu0 = rng.standard_normal(400) * 10.0 ** rng.integers(-25, 5, 400)
+    reach = []
+    for x, mu in zip(x0.tolist(), mu0.tolist()):
+        exact = (Fraction(x) - Fraction(mu)) ** 2
+        near = float(exact)
+        reach.append(near if Fraction(near) >= exact else math.nextafter(near, math.inf))
+    order = np.argsort(mu0)
+    lo, count = _window(mu0[order], x0, np.array(reach))
+    rank = np.argsort(order)
+    assert ((lo <= rank) & (rank < lo + count)).all()

@@ -1,32 +1,37 @@
 """Dataset directories: what a frame bundle stores, and what loading rebuilds.
 
-A frame bundle stores rgb, depth, the instance map, the amodal masks, the
-occlusion scores and the per-object features. Loading rebuilds the
-annotation maps from the features, the instance map and the manifest's
-fraction and single-object radius, and a loaded frame derives xyz from the
-depth and the camera on first read; every rebuilt field must equal what gen
-computed, bit for bit and dtype included.
+A frame bundle stores rgb, depth, the instance map, each amodal mask as its
+window (bounding box and contents) and the per-object features. Loading
+rebuilds the amodal masks from their windows, derives the occlusion scores
+from the pixel counts and rebuilds the annotation maps from the features,
+the instance map and the manifest's fraction and single-object radius, and
+a loaded frame derives xyz from the depth and the camera on first read;
+every rebuilt field must equal what gen computed, bit for bit and dtype
+included.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from clusterseg import scenegen
-from clusterseg.annotation import annotate
+from clusterseg.annotation import annotate, object_features
 from clusterseg.cli import main
 from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.clustering import Segmentation
-from clusterseg.dataset import load_dataset, load_segmentations, write_segmentations
+from clusterseg.dataset import (decode_amodal, encode_amodal, load_dataset, load_frames,
+                                load_segmentations, write_dataset, write_segmentations)
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
                                NonFiniteError, PlacementError, ShapeMismatchError)
 from clusterseg.geometry import CameraIntrinsics, depth_to_xyz
-from clusterseg.scenegen import render
+from clusterseg.scenegen import Primitive, Scene, render
 
 FRAME_FIELDS = ("rgb", "depth", "xyz", "instance_map", "amodal_masks", "occlusion_scores")
 ANNOTATION_FIELDS = ("xi_map", "eta_gt", "b_map", "fg_mask", "per_object_xi", "instance_map")
-STORED = ["amodal_masks", "depth", "instance_map", "occlusion_scores", "per_object_xi", "rgb"]
+STORED = ["amodal_pixels", "amodal_windows", "depth", "instance_map", "per_object_xi", "rgb"]
 
 
 def run_cli(*argv):
@@ -74,23 +79,90 @@ def test_loaded_records_equal_what_gen_computed(tmp_path, monkeypatch, res, obje
             _same(getattr(ann, name), getattr(want_ann, name), name)
 
 
+def _out_of_view_scenes(camera):
+    """A scene with no objects and one whose second object lies behind the camera."""
+    ball = Primitive(kind="sphere", quaternion=(1.0, 0.0, 0.0, 0.0), translation=(0.0, 0.0, 1.2),
+                     half_extents=(0.2, 0.2, 0.2), albedo=(0.8, 0.2, 0.2))
+    behind = Primitive(kind="box", quaternion=(1.0, 0.0, 0.0, 0.0),
+                       translation=(0.0, 0.0, -2.0), half_extents=(0.1, 0.1, 0.1),
+                       albedo=(0.2, 0.8, 0.2))
+    return [Scene(objects=(), camera=camera), Scene(objects=(ball, behind), camera=camera)]
+
+
 @pytest.mark.parametrize("res, count_range", [(16, (1, 2)), (32, (2, 8)), (48, (6, 12))])
-def test_rendered_occlusion_scores_are_what_loading_derives(res, count_range):
-    # Loading rejects any occlusion score but the one its masks give over
-    # the whole frame; render computes each within the object's window.
+def test_rendered_occlusion_scores_are_what_loading_derives(tmp_path, res, count_range):
+    # render computes each score within the object's render window; loading
+    # derives it from the instance map and the stored mask windows. Every
+    # other field of a loaded frame equals the rendered one as well.
     camera = CameraIntrinsics(float(res), float(res), res / 2.0, res / 2.0, res, res)
     cfg = scenegen.GeneratorConfig(count_range=count_range, size_range=(0.06, 0.3), camera=camera)
-    rendered = 0
-    for seed in range(40):
+    scenes = _out_of_view_scenes(camera)
+    for seed_ in range(40):
         try:
-            frame = render(scenegen.sample_scene(seed, cfg))
+            scenes.append(scenegen.sample_scene(seed_, cfg))
         except PlacementError:
             continue
-        derived = [scenegen.occlusion_score(frame.instance_map == k + 1, mask)
-                   for k, mask in enumerate(frame.amodal_masks)]
-        assert np.array(derived, dtype=np.float64).tobytes() == frame.occlusion_scores.tobytes()
-        rendered += 1
-    assert rendered >= 30
+    assert len(scenes) >= 32
+    records = [(scene, render(scene), object_features(scene)) for scene in scenes]
+    assert records[1][1].amodal_masks[1].sum() == 0
+    write_dataset(tmp_path, records, fraction=0.2, single_object_radius=1.0)
+    _, loaded = load_frames(tmp_path)
+    for (_, want, want_xi), (_, frame, xi) in zip(records, loaded, strict=True):
+        for name in FRAME_FIELDS:
+            _same(getattr(frame, name), getattr(want, name), name)
+        assert frame.camera == want.camera
+        _same(xi, want_xi, "per_object_xi")
+
+
+def _masks(draw, K, H, W):
+    """K random H x W masks: each empty, one pixel, the full frame or random bits in a box.
+
+    An "edge" box reaches the last row and column.
+    """
+    masks = np.zeros((K, H, W), dtype=bool)
+    for mask in masks:
+        kind = draw(st.sampled_from(["empty", "pixel", "full", "box", "edge"]))
+        if kind == "pixel":
+            mask[draw(st.integers(0, H - 1)), draw(st.integers(0, W - 1))] = True
+        elif kind == "full":
+            mask[:] = True
+        elif kind != "empty":
+            top, left = draw(st.integers(0, H - 1)), draw(st.integers(0, W - 1))
+            bottom = H if kind == "edge" else draw(st.integers(top + 1, H))
+            right = W if kind == "edge" else draw(st.integers(left + 1, W))
+            shape = (bottom - top, right - left)
+            bits = draw(st.lists(st.booleans(), min_size=1, max_size=shape[0] * shape[1]))
+            mask[top:bottom, left:right] = np.resize(np.array(bits), shape)
+    return masks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@seed(0)
+@given(data=st.data())
+def test_amodal_windows_round_trip_bit_for_bit(data):
+    K, H, W = (data.draw(st.integers(lo, hi)) for lo, hi in [(0, 5), (1, 9), (1, 9)])
+    masks = _masks(data.draw, K, H, W)
+    windows, pixels = encode_amodal(masks)
+    assert windows.shape == (K, 4) and pixels.dtype == np.uint8
+    top, left, h, w = windows.T
+    assert pixels.size == (h * w).sum()
+    for k, mask in enumerate(masks):
+        if not mask.any():
+            assert windows[k].tolist() == [0, 0, 0, 0]
+            continue
+        # each window is the tight bounding box: its edge rows and columns hold a pixel
+        box = mask[top[k]:top[k] + h[k], left[k]:left[k] + w[k]]
+        assert box.sum() == mask.sum()
+        assert box[0].any() and box[-1].any() and box[:, 0].any() and box[:, -1].any()
+    decoded = decode_amodal(windows.astype(np.uint16), pixels.view(bool), H, W)
+    _same(decoded, masks, "amodal_masks")
+
+
+def test_no_masks_store_no_windows_and_no_pixels():
+    windows, pixels = encode_amodal(np.zeros((0, 3, 4), dtype=bool))
+    assert windows.shape == (0, 4) and pixels.shape == (0,)
+    _same(decode_amodal(windows.astype(np.uint16), pixels.view(bool), 3, 4),
+          np.zeros((0, 3, 4), dtype=bool), "amodal_masks")
 
 
 @pytest.fixture
@@ -113,7 +185,7 @@ def _exits_2(ds, segs, tmp_path, capsys):
 
 def _raise_id_above_k(t):
     im = t["instance_map"].copy()
-    im[im == 1] = t["occlusion_scores"].size + 1
+    im[im == 1] = len(t["amodal_windows"]) + 1
     return {**t, "instance_map": im}
 
 
@@ -122,24 +194,30 @@ def _raise_id_above_k(t):
      BundleDtypeError),
     (lambda t: {**t, "instance_map": t["instance_map"].astype(np.float32) + 0.5},
      BundleDtypeError),
-    (lambda t: {**t, "occlusion_scores": t["occlusion_scores"][:1]}, ShapeMismatchError),
+    (lambda t: {**t, "amodal_windows": t["amodal_windows"][:, :3]}, ShapeMismatchError),
     (lambda t: {**t, "depth": t["depth"][:5]}, ShapeMismatchError),
     (lambda t: {**t, "rgb": t["rgb"].astype(np.float64)}, BundleDtypeError),
     (lambda t: {**t, "depth": t["depth"].astype(np.float32)}, BundleDtypeError),
-    (lambda t: {**t, "amodal_masks": t["amodal_masks"].astype(np.uint16)}, BundleDtypeError),
+    (lambda t: {**t, "amodal_pixels": t["amodal_pixels"].astype(np.uint16)}, BundleDtypeError),
+    (lambda t: {**t, "amodal_windows": t["amodal_windows"].astype(np.uint8)}, BundleDtypeError),
     (lambda t: {**t, "per_object_xi": t["per_object_xi"].astype(np.float32)},
      BundleDtypeError),
     (lambda t: {**t, "rgb": t["rgb"][..., :2]}, ShapeMismatchError),
     (lambda t: {**t, "instance_map": t["instance_map"][:, :-1]}, ShapeMismatchError),
-    (lambda t: {**t, "amodal_masks": t["amodal_masks"][:-1]}, ShapeMismatchError),
+    (lambda t: {**t, "amodal_windows": t["amodal_windows"][:-1]}, ShapeMismatchError),
+    (lambda t: {**t, "amodal_pixels": t["amodal_pixels"][:, None]}, ShapeMismatchError),
     (lambda t: {**t, "per_object_xi": t["per_object_xi"][:-1]}, ShapeMismatchError),
     (lambda t: {**t, "per_object_xi": t["per_object_xi"][:, :8]}, ShapeMismatchError),
     (_raise_id_above_k, ShapeMismatchError),
     (lambda t: {k: v for k, v in t.items() if k != "per_object_xi"}, BundleManifestError),
     (lambda t: {**t, "xi_map": np.zeros((24, 24, 9))}, BundleManifestError),
-], ids=["nan-f64-ids", "f32-ids", "occlusion-count", "depth-rows", "f64-rgb", "f32-depth",
-        "u16-amodal", "f32-features", "rgb-channels", "map-columns", "amodal-count",
-        "feature-rows", "feature-width", "id-above-k", "missing-tensor", "extra-tensor"])
+    # format 2 stored the masks whole and the occlusion scores
+    (lambda t: {**t, "amodal_masks": np.zeros((3, 24, 24), dtype=np.uint8)}, BundleManifestError),
+    (lambda t: {**t, "occlusion_scores": np.ones(3)}, BundleManifestError),
+], ids=["nan-f64-ids", "f32-ids", "window-width", "depth-rows", "f64-rgb", "f32-depth",
+        "u16-amodal", "u8-windows", "f32-features", "rgb-channels", "map-columns",
+        "amodal-count", "pixel-rows", "feature-rows", "feature-width", "id-above-k",
+        "missing-tensor", "extra-tensor", "stored-amodal-masks", "stored-occlusion"])
 def test_malformed_frame_bundle_is_a_typed_error(dataset, tmp_path, capsys, mutate, error):
     ds, segs = dataset
     path = ds / "frame_00001.tsb"
@@ -177,7 +255,7 @@ def test_derivation_values_are_validated(dataset, tmp_path, capsys, key, value):
     _exits_2(ds, segs, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("value", [_MISSING, 1, 3, 2.0, "2", True, None])
+@pytest.mark.parametrize("value", [_MISSING, 1, 2, 2.0, 3.0, "3", True, None])
 def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
     ds, segs = dataset
     _edit_manifest(ds, "format", value)
@@ -188,7 +266,7 @@ def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
 
 def test_manifest_records_the_format(dataset):
     ds, _ = dataset
-    assert json.loads((ds / "dataset.json").read_text())["format"] == 2
+    assert json.loads((ds / "dataset.json").read_text())["format"] == 3
 
 
 @pytest.mark.parametrize("flag, value", [

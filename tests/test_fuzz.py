@@ -43,6 +43,8 @@ def files(tmp_path_factory):
     assert main(["infer", "--dataset", str(ds), "--out", str(segs),
                  "--predictor", "noisy", "--sigma-xi", "0.05"]) == 0
     save_checkpoint(model, init_model(0))
+    # the frame-bundle property damages a bundle in the current dataset format
+    assert "amodal_windows" in read_bundle(ds / "frame_00000.tsb")
     seg_name = json.load(open(segs / "segs.json"))["segmentations"][0]
     return {"ds": ds, "segs": segs, "seg_name": seg_name, "model": model}
 
