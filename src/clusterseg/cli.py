@@ -322,21 +322,16 @@ def _cmd_train(args) -> int:
         terms = []
         for chunk_start in range(0, len(order), args.batch):
             batch = order[chunk_start:chunk_start + args.batch]
-            grads_sum = None
+            grads = []
             for idx in batch:
                 scene, frame, ann = records[int(idx)]
-                frame_terms, grads = _frame_step(model, frame, ann, weights)
+                frame_terms, grad = _frame_step(model, frame, ann, weights)
                 terms.append(frame_terms)
-                if grads_sum is None:
-                    grads_sum = grads
-                else:
-                    # A sum that overflows is left for adam_step to reject.
-                    with np.errstate(over="ignore"):
-                        for k in grads_sum:
-                            grads_sum[k] += grads[k]
-            for k in grads_sum:
-                grads_sum[k] /= len(batch)
-            adam_step(model, grads_sum, state)
+                grads.append(grad)
+            # A sum that overflows is left for adam_step to reject.
+            with np.errstate(over="ignore"):
+                grad_sum = functools.reduce(np.add, grads)
+            adam_step(model, grad_sum / len(batch), state)
         log_epoch(epoch, weights, terms)
 
     save_checkpoint(args.out, model, state, next_epoch=args.epochs + 1)

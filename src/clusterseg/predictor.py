@@ -15,21 +15,21 @@ with input (r, g, b, x, y, z, depth, u/W, v/H, 1). It exists to exercise
 the loss gradients and the training loop end to end; with no spatial
 context it is not expected to reach the accuracy of a full image model.
 
-Checkpoints are tensor bundles (see dataio): every parameter raveled into
-one f64 vector in parameter_layout() order, the next epoch, and, when saved
-with Adam state, the two moments in the same layout and the step and
-hyperparameters.
+Parameters, gradients and Adam moments are each one f64 vector in
+parameter_layout() order, whose parts parameter_views names. Checkpoints are
+tensor bundles (see dataio) that store these vectors as they are.
 """
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from . import dataio
 from .annotation import Annotation
 from .clustering import Prediction
-from .errors import ClusterSegError, NonFiniteError, ShapeMismatchError
+from .errors import ClusterSegError, NonFiniteError, ShapeMismatchError, ValueRangeError
 from .losses import LogitPrediction
 from .scenegen import FrameBundle
 from .seeding import STREAM_MODEL, STREAM_NOISE, stream_rng
@@ -150,17 +150,21 @@ def noisy_predict(ann: Annotation, spec: NoiseSpec, seed: int) -> Prediction:
 
 @dataclass
 class MlpModel:
-    """Parameters of the per-pixel network, all float64.
+    """Parameters of the per-pixel network: one f64 vector in parameter_layout() order.
 
-    `scratch` is None, or a dict in which mlp_forward and mlp_backward keep
-    the frame-sized hidden-layer buffers of the last frame size they saw and
-    reuse them for every frame of that size. Each forward pass then
-    overwrites the cache the previous one returned, so a model with scratch
-    must not be shared across threads.
+    `params` names writable views of `vector`. `scratch` is None, or a dict
+    in which mlp_forward and mlp_backward keep the frame-sized hidden-layer
+    buffers of the last frame size they saw and reuse them for every frame
+    of that size. Each forward pass then overwrites the cache the previous
+    one returned, so a model with scratch must not be shared across threads.
     """
 
-    params: dict
+    vector: np.ndarray
     scratch: dict | None = None
+
+    @property
+    def params(self):
+        return MappingProxyType(parameter_views(self.vector))
 
     @staticmethod
     def parameter_layout():
@@ -172,16 +176,30 @@ class MlpModel:
         return layout
 
 
+PARAMETER_COUNT = sum(math.prod(shape) for _, shape in MlpModel.parameter_layout())
+# mlp_backward's order: a failure names the first non-finite parameter in it.
+_BACKWARD_ORDER = ([f"{kind}_{head}" for head in HEAD_DIMS for kind in "wb"]
+                   + ["w2", "b2", "w1", "b1"])
+
+
+def parameter_views(vector: np.ndarray) -> dict:
+    """One writable view of `vector` per parameter, by name, in parameter_layout() order."""
+    views, start = {}, 0
+    for name, shape in MlpModel.parameter_layout():
+        size = math.prod(shape)
+        views[name] = vector[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
 def init_model(seed: int) -> MlpModel:
     """He-initialized weights, zero biases."""
     rng = stream_rng(seed, STREAM_MODEL)
-    params = {}
-    for name, shape in MlpModel.parameter_layout():
-        if name.startswith("b"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
-    return MlpModel(params=params)
+    model = MlpModel(np.zeros(PARAMETER_COUNT))
+    for name, view in model.params.items():
+        if name.startswith("w"):
+            view[...] = rng.normal(0.0, np.sqrt(2.0 / view.shape[0]), size=view.shape)
+    return model
 
 
 def frame_features(frame: FrameBundle) -> np.ndarray:
@@ -247,14 +265,14 @@ def mlp_forward(model: MlpModel, frame: FrameBundle):
     return pred, cache
 
 
-def mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
+def mlp_backward(model: MlpModel, cache: dict, breakdown) -> np.ndarray:
     """Parameter gradients from head-output gradients via the chain rule.
 
-    Consumes the cache: h2 is overwritten with the gradient at the second
-    hidden layer and h1 with the one at the first, so the only frame-sized
-    float array this call needs is one product buffer, the model's scratch
-    one when it has scratch. A gradient that is not finite raises
-    NonFiniteError naming its parameter.
+    Returns a vector laid out as `model.vector`. Consumes the cache: h2 is
+    overwritten with the gradient at the second hidden layer and h1 with the
+    one at the first, so the only frame-sized float array this call needs is
+    one product buffer, the model's scratch one when it has scratch. A
+    gradient that is not finite raises NonFiniteError naming its parameter.
     """
     p = model.params
     x, h1, h2 = cache["x"], cache["h1"], cache["h2"]
@@ -265,15 +283,16 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
         "eta": breakdown.grad_eta_logits.reshape(n, 2),
         "mask": breakdown.grad_mask_logits.reshape(n, 2),
     }
-    grads = {}
+    grad = np.empty(PARAMETER_COUNT)
+    g = parameter_views(grad)
     with np.errstate(invalid="ignore", over="ignore"):
         for name, dy in head_grads.items():
             w = p[f"w_{name}"]
             if dy.shape[1] != w.shape[1]:
                 raise ShapeMismatchError(
                     f"gradient for head {name!r} has width {dy.shape[1]}, expected {w.shape[1]}")
-            grads[f"w_{name}"] = h2.T @ dy
-            grads[f"b_{name}"] = dy.sum(axis=0)
+            np.matmul(h2.T, dy, out=g[f"w_{name}"])
+            dy.sum(axis=0, out=g[f"b_{name}"])
         # h2 is only needed as its mask from here on, so it becomes the
         # accumulator dh2; starting from zeros keeps the sign of every zero sum.
         live2 = h2 > 0
@@ -292,25 +311,25 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
             dh2 += product
         da2 = dh2
         da2 *= live2
-        grads["w2"] = h1.T @ da2
-        grads["b2"] = da2.sum(axis=0)
+        np.matmul(h1.T, da2, out=g["w2"])
+        da2.sum(axis=0, out=g["b2"])
         live1 = h1 > 0
         da1 = np.matmul(da2, p["w2"].T, out=h1)
         da1 *= live1
-        grads["w1"] = x.T @ da1
-        grads["b1"] = da1.sum(axis=0)
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
-    return grads
+        np.matmul(x.T, da1, out=g["w1"])
+        da1.sum(axis=0, out=g["b1"])
+    if not np.isfinite(grad).all():
+        name = next(name for name in _BACKWARD_ORDER if not np.isfinite(g[name]).all())
+        raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
+    return grad
 
 
 @dataclass
 class AdamState:
-    """Moment accumulators and hyperparameters for Adam."""
+    """Moment accumulators, laid out as `MlpModel.vector`, and hyperparameters for Adam."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(PARAMETER_COUNT))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(PARAMETER_COUNT))
     step: int = 0
     lr: float = 1e-4
     beta1: float = 0.9
@@ -318,63 +337,40 @@ class AdamState:
     eps: float = 1e-8
 
 
-def adam_step(model: MlpModel, grads: dict, state: AdamState):
-    """One bias-corrected Adam update, in place. Returns (model, state).
+def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState):
+    """One bias-corrected Adam update of the whole vector, in place. Returns (model, state).
 
     A non-finite gradient, or an update that leaves a parameter or its
     second moment non-finite, raises NonFiniteError naming the parameter.
     """
-    if not state.m:
-        state.m = {k: np.zeros_like(v) for k, v in model.params.items()}
-        state.v = {k: np.zeros_like(v) for k, v in model.params.items()}
     state.step += 1
     t = state.step
     with np.errstate(invalid="ignore", over="ignore"):
-        for name, g in grads.items():
-            state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-            state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
+        state.m = state.beta1 * state.m + (1 - state.beta1) * grad
+        state.v = state.beta2 * state.v + (1 - state.beta2) * grad * grad
+        m_hat = state.m / (1 - state.beta1 ** t)
+        v_hat = state.v / (1 - state.beta2 ** t)
+        model.vector -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    if not (np.isfinite(state.v).all() and np.isfinite(model.vector).all()):
+        v, g, p = (parameter_views(a) for a in (state.v, grad, model.vector))
+        for name in _BACKWARD_ORDER:
             # A NaN or infinite gradient makes the second moment non-finite too.
-            if not np.isfinite(state.v[name]).all():
-                what = "second moment of" if np.isfinite(g).all() else "gradient for"
+            if not np.isfinite(v[name]).all():
+                what = "second moment of" if np.isfinite(g[name]).all() else "gradient for"
                 raise NonFiniteError(f"Adam step {t}: non-finite {what} parameter {name!r}")
-            m_hat = state.m[name] / (1 - state.beta1 ** t)
-            v_hat = state.v[name] / (1 - state.beta2 ** t)
-            model.params[name] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-            if not np.isfinite(model.params[name]).all():
+            if not np.isfinite(p[name]).all():
                 raise NonFiniteError(f"Adam step {t}: non-finite parameter {name!r}")
     return model, state
-
-
-def _flatten(params: dict) -> np.ndarray:
-    return np.concatenate([params[name].ravel() for name, _ in MlpModel.parameter_layout()])
-
-
-def _unflatten(flat: np.ndarray) -> dict:
-    out, start = {}, 0
-    for name, shape in MlpModel.parameter_layout():
-        size = math.prod(shape)
-        out[name] = flat[start:start + size].reshape(shape).copy()
-        start += size
-    return out
-
-
-def _checkpoint_layout(adam: bool) -> dict:
-    size = sum(math.prod(shape) for _, shape in MlpModel.parameter_layout())
-    layout = {"params": (np.float64, (size,)), "next_epoch": (np.float64, ())}
-    if adam:
-        layout.update(adam=(np.float64, (5,)), adam_m=(np.float64, (size,)),
-                      adam_v=(np.float64, (size,)))
-    return layout
 
 
 def save_checkpoint(path, model: MlpModel, state: AdamState | None = None,
                     next_epoch: int = 1):
     """Write the model (optionally with Adam state) as a tensor bundle."""
-    tensors = {"params": _flatten(model.params), "next_epoch": np.float64(next_epoch)}
+    tensors = {"params": model.vector, "next_epoch": np.float64(next_epoch)}
     if state is not None:
         tensors.update(adam=np.array([state.step, state.lr, state.beta1, state.beta2, state.eps],
                                      dtype=np.float64),
-                       adam_m=_flatten(state.m), adam_v=_flatten(state.v))
+                       adam_m=state.m, adam_v=state.v)
     dataio.write_bundle(path, tensors)
 
 
@@ -382,21 +378,29 @@ def load_checkpoint(path):
     """Read a checkpoint. Returns (model, adam_state_or_None, next_epoch).
 
     A file that is not a well-formed checkpoint of this model raises
-    ClusterSegError naming the path.
+    ClusterSegError naming the path (ValueRangeError for a value out of range).
     """
     t = dataio.read_bundle(path)
     adam = "adam" in t
-    dataio.check_layout(path, t, _checkpoint_layout(adam))
-    counts = {"next_epoch": float(t["next_epoch"])}
+    vector = (np.float64, (PARAMETER_COUNT,))
+    layout = {"params": vector, "next_epoch": (np.float64, ())}
     if adam:
-        counts["step"] = float(t["adam"][0])
-    for name, value in counts.items():
-        if not value.is_integer():
-            raise ClusterSegError(f"{path}: {name} must be an integer, got {value!r}")
-    model = MlpModel(params=_unflatten(t["params"]))
+        layout.update(adam=(np.float64, (5,)), adam_m=vector, adam_v=vector)
+    dataio.check_layout(path, t, layout)
+    next_epoch = float(t["next_epoch"])
+    checks = [("next_epoch", next_epoch, next_epoch.is_integer() and next_epoch >= 1,
+               "an integer of at least 1")]
+    if adam:
+        step, lr, beta1, beta2, eps = t["adam"].tolist()
+        checks += [("step", step, step.is_integer() and step >= 0, "an integer of at least 0"),
+                   ("lr", lr, 0 < lr < math.inf, "finite and above 0"),
+                   ("beta1", beta1, 0 <= beta1 < 1, "in [0, 1)"),
+                   ("beta2", beta2, 0 <= beta2 < 1, "in [0, 1)"),
+                   ("eps", eps, 0 < eps < math.inf, "finite and above 0")]
+    for name, value, ok, what in checks:
+        if not ok:
+            raise ValueRangeError(f"{path}: {name} must be {what}, got {value!r}")
     state = None
     if adam:
-        _, lr, beta1, beta2, eps = t["adam"].tolist()
-        state = AdamState(m=_unflatten(t["adam_m"]), v=_unflatten(t["adam_v"]),
-                          step=int(counts["step"]), lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    return model, state, int(counts["next_epoch"])
+        state = AdamState(t["adam_m"], t["adam_v"], int(step), lr, beta1, beta2, eps)
+    return MlpModel(t["params"]), state, int(next_epoch)

@@ -5,9 +5,13 @@ frame-sized array and selects the noisy value at the foreground pixels with
 np.where; the library gathers and writes only the foreground rows, in
 place. The MLP's reference input rows, forward and backward passes build
 every intermediate in a fresh array and leave the forward cache intact;
-the library computes them in place. The tests require each pair to agree
-bit for bit.
+the library computes them in place. The reference initialization and Adam
+step keep parameters, gradients and moments as dicts of named arrays and
+update them one name at a time; the library keeps one flat vector of each.
+The tests require each pair to agree bit for bit.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +21,7 @@ from clusterseg.errors import NonFiniteError, ShapeMismatchError
 from clusterseg.losses import LogitPrediction
 from clusterseg.predictor import HEAD_DIMS, MlpModel, NoiseSpec, oracle_predict
 from clusterseg.scenegen import FrameBundle
-from clusterseg.seeding import STREAM_NOISE, stream_rng
+from clusterseg.seeding import STREAM_MODEL, STREAM_NOISE, stream_rng
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, dim: int, radius: float) -> np.ndarray:
@@ -139,3 +143,67 @@ def reference_mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
     grads["w1"] = x.T @ da1
     grads["b1"] = da1.sum(axis=0)
     return grads
+
+
+def reference_init_model(seed: int) -> dict:
+    """He-initialized weights, zero biases, as a dict of named arrays."""
+    rng = stream_rng(seed, STREAM_MODEL)
+    params = {}
+    for name, shape in MlpModel.parameter_layout():
+        if name.startswith("b"):
+            params[name] = np.zeros(shape)
+        else:
+            params[name] = rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
+    return params
+
+
+@dataclass
+class ReferenceAdamState:
+    """Moment accumulators (dicts of named arrays) and hyperparameters for Adam."""
+
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+    step: int = 0
+    lr: float = 1e-4
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+
+
+def reference_adam_step(params: dict, grads: dict, state: ReferenceAdamState):
+    """One bias-corrected Adam update, in place, one name at a time, in the order of `grads`.
+
+    A non-finite gradient, or an update that leaves a parameter or its
+    second moment non-finite, raises NonFiniteError naming the parameter.
+    """
+    if not state.m:
+        state.m = {k: np.zeros_like(v) for k, v in params.items()}
+        state.v = {k: np.zeros_like(v) for k, v in params.items()}
+    state.step += 1
+    t = state.step
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, g in grads.items():
+            state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
+            state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
+            # A NaN or infinite gradient makes the second moment non-finite too.
+            if not np.isfinite(state.v[name]).all():
+                what = "second moment of" if np.isfinite(g).all() else "gradient for"
+                raise NonFiniteError(f"Adam step {t}: non-finite {what} parameter {name!r}")
+            m_hat = state.m[name] / (1 - state.beta1 ** t)
+            v_hat = state.v[name] / (1 - state.beta2 ** t)
+            params[name] -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            if not np.isfinite(params[name]).all():
+                raise NonFiniteError(f"Adam step {t}: non-finite parameter {name!r}")
+    return params, state
+
+
+def reference_gradient_check(grads: dict):
+    """Raise NonFiniteError naming the first parameter, in the order of `grads`, that is not finite."""
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
+
+
+def reference_vector(named: dict) -> np.ndarray:
+    """The arrays of `named` raveled into one vector, in parameter_layout() order."""
+    return np.concatenate([named[name].ravel() for name, _ in MlpModel.parameter_layout()])

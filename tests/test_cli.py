@@ -19,8 +19,8 @@ from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
                                MaskContainmentError, NonFiniteError, ShapeMismatchError,
                                ValueRangeError)
-from clusterseg.predictor import (AdamState, MlpModel, adam_step, init_model, load_checkpoint,
-                                  save_checkpoint)
+from clusterseg.predictor import (PARAMETER_COUNT, AdamState, MlpModel, adam_step, init_model,
+                                  load_checkpoint, save_checkpoint)
 
 
 def run_cli(*argv):
@@ -306,6 +306,11 @@ def _without(name):
     return lambda t: {k: v for k, v in t.items() if k != name}
 
 
+def _with_adam(index, value):
+    """Set one of the stored Adam values (step, lr, beta1, beta2, eps)."""
+    return lambda t: {**t, "adam": np.where(np.arange(5) == index, value, t["adam"])}
+
+
 @pytest.mark.parametrize("mutate, error", [
     (_without("next_epoch"), BundleManifestError),
     (lambda t: {**t, "w1": np.zeros((10, 64))}, BundleManifestError),
@@ -314,17 +319,31 @@ def _without(name):
     (lambda t: {**t, "next_epoch": t["next_epoch"].reshape(1)}, ShapeMismatchError),
     (_without("adam_v"), BundleManifestError),
     (_without("adam"), BundleManifestError),
-    (lambda t: {**t, "next_epoch": np.array(1.5)}, ClusterSegError),
-    (lambda t: {**t, "next_epoch": np.array(np.nan)}, ClusterSegError),
-    (lambda t: {**t, "adam": np.concatenate([[2.5], t["adam"][1:]])}, ClusterSegError),
+    (lambda t: {**t, "next_epoch": np.array(1.5)}, ValueRangeError),
+    (lambda t: {**t, "next_epoch": np.array(np.nan)}, ValueRangeError),
+    (lambda t: {**t, "adam": np.concatenate([[2.5], t["adam"][1:]])}, ValueRangeError),
+    (lambda t: {**t, "next_epoch": np.array(-2.0)}, ValueRangeError),
+    (lambda t: {**t, "next_epoch": np.array(0.0)}, ValueRangeError),
+    (_with_adam(0, -7.0), ValueRangeError),
+    (_with_adam(1, -1e-3), ValueRangeError),
+    (_with_adam(1, 0.0), ValueRangeError),
+    (_with_adam(1, np.inf), ValueRangeError),
+    (_with_adam(1, np.nan), ValueRangeError),
+    (_with_adam(2, 1.5), ValueRangeError),
+    (_with_adam(2, -0.1), ValueRangeError),
+    (_with_adam(3, 1.0), ValueRangeError),
+    (_with_adam(4, 0.0), ValueRangeError),
+    (_with_adam(4, np.inf), ValueRangeError),
 ], ids=["missing-tensor", "extra-tensor", "f32-params", "params-length", "1d-next-epoch",
         "no-adam-v", "no-adam", "fractional-next-epoch", "nan-next-epoch",
-        "fractional-step"])
+        "fractional-step", "next-epoch-minus-2", "next-epoch-0", "step-minus-7",
+        "negative-lr", "zero-lr", "infinite-lr", "nan-lr", "beta1-1.5", "negative-beta1",
+        "beta2-1", "zero-eps", "infinite-eps"])
 def test_malformed_checkpoint_is_a_typed_error(two_frame_dataset, tmp_path, capsys,
                                                mutate, error):
     path = tmp_path / "model.ckpt"
     model, state = init_model(0), AdamState()
-    adam_step(model, {k: np.ones_like(v) for k, v in model.params.items()}, state)
+    adam_step(model, np.ones(PARAMETER_COUNT), state)
     save_checkpoint(path, model, state, next_epoch=2)
     write_bundle(path, mutate(read_bundle(path)))
     with pytest.raises(error, match="model.ckpt") as caught:

@@ -111,7 +111,7 @@ def non_finite_outputs(out):
                     bad.append(name)
             else:
                 model, state, _ = load_checkpoint(path)
-                arrays = [*model.params.values(), *state.m.values(), *state.v.values()]
+                arrays = [model.vector, state.m, state.v]
                 if not all(np.isfinite(a).all() for a in arrays):
                     bad.append(name)
     return bad

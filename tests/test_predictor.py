@@ -1,3 +1,4 @@
+import math
 import struct
 import warnings
 from dataclasses import replace
@@ -11,13 +12,17 @@ from clusterseg.errors import (BundleManifestError, BundleTruncatedError, Cluste
 from clusterseg.geometry import CameraIntrinsics
 from clusterseg.losses import LossBreakdown, LossWeights, total_loss
 from clusterseg.dataio import MAGIC
-from clusterseg.predictor import (AdamState, NoiseSpec, adam_step,
+from clusterseg.predictor import (HEAD_DIMS, PARAMETER_COUNT, AdamState, MlpModel, NoiseSpec,
+                                  adam_step,
                                   frame_features, init_model, load_checkpoint,
                                   mlp_backward, mlp_forward, noisy_predict,
-                                  oracle_predict, save_checkpoint)
+                                  oracle_predict, parameter_views, save_checkpoint)
 
 from conftest import make_example, oracle_logits, same_partition
-from reference_predictor import reference_noisy_predict
+from reference_predictor import (ReferenceAdamState, reference_adam_step,
+                                 reference_gradient_check, reference_init_model,
+                                 reference_mlp_backward, reference_noisy_predict,
+                                 reference_vector)
 
 
 def test_oracle_predict_round_trips_ground_truth():
@@ -159,8 +164,8 @@ def test_noise_spec_validation():
 def test_mlp_zero_weights_output_biases():
     _, frame, _ = make_example(seed=0)
     model = init_model(0)
-    for name in model.params:
-        model.params[name] = np.zeros_like(model.params[name])
+    for view in model.params.values():
+        view[...] = 0.0
     model.params["b_xi"][:] = np.arange(9) * 0.1
     model.params["b_b"][:] = 0.7
     pred, _ = mlp_forward(model, frame)
@@ -181,8 +186,8 @@ def test_mlp_hand_computed_single_pixel():
         occlusion_scores=np.ones(1),
     )
     model = init_model(0)
-    for name in model.params:
-        model.params[name] = np.zeros_like(model.params[name])
+    for view in model.params.values():
+        view[...] = 0.0
     model.params["w1"][5, 0] = 1.0   # z coordinate feeds unit 0
     model.params["w1"][5, 1] = 0.5   # dead branch: relu(-1 + 0.75) = 0
     model.params["b1"][1] = -1.0
@@ -198,7 +203,7 @@ def test_mlp_hand_computed_single_pixel():
                              grad_b=np.zeros((1, 1)),
                              grad_eta_logits=np.zeros((1, 1, 2)),
                              grad_mask_logits=np.zeros((1, 1, 2)))
-    grads = mlp_backward(model, cache, upstream)
+    grads = parameter_views(mlp_backward(model, cache, upstream))
     assert grads["w1"][5, 1] == 0.0
     assert grads["b1"][1] == 0.0
     assert grads["w1"][5, 0] != 0.0
@@ -226,9 +231,9 @@ def test_mlp_zero_upstream_gives_zero_grads():
                              grad_xi=np.zeros((H, W, 9)), grad_b=np.zeros((H, W)),
                              grad_eta_logits=np.zeros((H, W, 2)),
                              grad_mask_logits=np.zeros((H, W, 2)))
-    grads = mlp_backward(model, cache, upstream)
-    for g in grads.values():
-        assert not g.any()
+    grad = mlp_backward(model, cache, upstream)
+    assert grad.shape == (PARAMETER_COUNT,)
+    assert not grad.any()
 
 
 def test_mlp_backward_matches_finite_differences():
@@ -238,7 +243,7 @@ def test_mlp_backward_matches_finite_differences():
     model = init_model(3)
     weights = LossWeights()
     pred, cache = mlp_forward(model, frame)
-    grads = mlp_backward(model, cache, total_loss(pred, ann, weights))
+    grads = parameter_views(mlp_backward(model, cache, total_loss(pred, ann, weights)))
 
     def loss_value():
         out, _ = mlp_forward(model, frame)
@@ -293,8 +298,8 @@ def test_mlp_backward_rejects_a_gradient_that_overflows():
 ], ids=["infinite-gradient", "nan-gradient", "second-moment", "parameter"])
 def test_adam_rejects_a_non_finite_update(grad, lr, message):
     model = init_model(0)
-    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-    grads["w1"][0, 0] = grad
+    grads = np.zeros(PARAMETER_COUNT)
+    parameter_views(grads)["w1"][0, 0] = grad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteError, match=message):
@@ -304,8 +309,7 @@ def test_adam_rejects_a_non_finite_update(grad, lr, message):
 def test_adam_zero_gradient_is_identity():
     model = init_model(0)
     before = {k: v.copy() for k, v in model.params.items()}
-    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-    adam_step(model, grads, AdamState())
+    adam_step(model, np.zeros(PARAMETER_COUNT), AdamState())
     for k in before:
         assert np.array_equal(model.params[k], before[k])
 
@@ -316,7 +320,7 @@ def test_adam_first_step_is_signed_lr():
     rng = np.random.default_rng(1)
     grads = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
     state = AdamState(lr=1e-4)
-    adam_step(model, grads, state)
+    adam_step(model, reference_vector(grads), state)
     for k, g in grads.items():
         delta = model.params[k] - before[k]
         # bias-corrected first step: -lr * g / (|g| + eps)
@@ -331,8 +335,7 @@ def test_adam_sequence_reproducible():
         state = AdamState(lr=1e-3)
         rng = np.random.default_rng(5)
         for _ in range(5):
-            grads = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
-            adam_step(model, grads, state)
+            adam_step(model, rng.normal(size=PARAMETER_COUNT), state)
         return model
     a = run()
     b = run()
@@ -340,11 +343,187 @@ def test_adam_sequence_reproducible():
         assert np.array_equal(a.params[k], b.params[k])
 
 
+def test_params_are_views_of_the_vector_that_cannot_be_rebound():
+    model = init_model(3)
+    assert model.vector.shape == (PARAMETER_COUNT,)
+    assert [(name, view.shape) for name, view in model.params.items()] == \
+        MlpModel.parameter_layout()
+    for name, view in model.params.items():
+        assert np.shares_memory(view, model.vector), name
+        view.flat[-1] = 7.5
+        assert model.params[name].flat[-1] == 7.5, name
+    assert np.count_nonzero(model.vector == 7.5) == len(model.params)
+    with pytest.raises(TypeError):
+        model.params["w1"] = np.zeros((10, 64))
+    with pytest.raises(TypeError):
+        del model.params["b1"]
+    assert np.shares_memory(model.params["w1"], model.vector)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
+def test_init_model_equals_the_reference(seed):
+    model, want = init_model(seed), reference_init_model(seed)
+    assert model.vector.tobytes() == reference_vector(want).tobytes()
+    for name, view in model.params.items():
+        assert view.tobytes() == want[name].tobytes(), name
+
+
+def _backward_order():
+    """The parameter names in the order reference_mlp_backward forms their gradients."""
+    model = init_model(0)
+    cache = {"x": np.zeros((1, 10)), "h1": np.zeros((1, 64)), "h2": np.zeros((1, 64))}
+    zeros = LossBreakdown(l_s=0.0, l_cen=0.0, l_p=0.0, l_var=0.0, l_vio=0.0, total=0.0,
+                          grad_xi=np.zeros((1, 1, 9)), grad_b=np.zeros((1, 1)),
+                          grad_eta_logits=np.zeros((1, 1, 2)),
+                          grad_mask_logits=np.zeros((1, 1, 2)))
+    return list(reference_mlp_backward(model, cache, zeros))
+
+
+def _random_gradient(rng):
+    """Gradients from 1e-12 to 1e2 in magnitude, with zeros of both signs, subnormal and huge ones."""
+    grad = rng.normal(size=PARAMETER_COUNT) * 10.0 ** rng.uniform(-12, 2, size=PARAMETER_COUNT)
+    special = rng.random(PARAMETER_COUNT) < 0.2
+    grad[special] = rng.choice(np.array([-0.0, 0.0, 5e-324, -1e-300, 1e150, -1e150]),
+                               size=int(special.sum()))
+    return grad
+
+
+def test_adam_sequences_equal_the_reference():
+    order = _backward_order()
+    for trial in range(50):
+        rng = np.random.default_rng(trial)
+        hyper = dict(lr=10.0 ** rng.uniform(-5, -1),
+                     beta1=float(rng.choice([0.0, 0.9, rng.random()])),
+                     beta2=float(rng.choice([0.0, 0.999, rng.random()])),
+                     eps=float(rng.choice([1e-8, 10.0 ** rng.uniform(-12, -4)])))
+        model, state = init_model(trial % 4), AdamState(**hyper)
+        params, ref_state = reference_init_model(trial % 4), ReferenceAdamState(**hyper)
+        for _ in range(5):
+            grad = _random_gradient(rng)
+            views = parameter_views(grad)
+            adam_step(model, grad, state)
+            reference_adam_step(params, {name: views[name].copy() for name in order}, ref_state)
+            assert state.step == ref_state.step
+            for got, want in ((model.vector, params), (state.m, ref_state.m),
+                              (state.v, ref_state.v)):
+                assert got.tobytes() == reference_vector(want).tobytes(), trial
+
+
+def _failure(call):
+    """The type and text of the ClusterSegError `call()` raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ClusterSegError) as caught:
+            call()
+    return caught.type, str(caught.value)
+
+
+def _ends():
+    """(name, flat index) for the first and the last element of every parameter."""
+    return [(name, index) for name, shape in MlpModel.parameter_layout()
+            for index in sorted({0, math.prod(shape) - 1})]
+
+
+@pytest.mark.parametrize("kind", ["infinite-gradient", "nan-gradient", "second-moment",
+                                  "parameter"])
+def test_adam_names_a_failing_element_as_the_reference_does(kind):
+    order = _backward_order()
+    for name, index in _ends():
+        model, params = init_model(1), reference_init_model(1)
+        grad = np.zeros(PARAMETER_COUNT)
+        views = parameter_views(grad)
+        views[name].flat[index] = {"infinite-gradient": np.inf, "nan-gradient": np.nan,
+                                   "second-moment": 1e200, "parameter": 1.0}[kind]
+        lr = 1e-3
+        if kind == "parameter":
+            # A step of about -1e300 from the most negative finite value overflows.
+            lr = 1e300
+            model.params[name].flat[index] = params[name].flat[index] = -np.finfo(float).max
+        got = _failure(lambda: adam_step(model, grad, AdamState(lr=lr)))
+        want = _failure(lambda: reference_adam_step(
+            params, {n: views[n].copy() for n in order}, ReferenceAdamState(lr=lr)))
+        assert got == want
+        assert got[0] is NonFiniteError and f"parameter {name!r}" in got[1], (name, index)
+
+
+def test_adam_names_the_first_failure_in_backward_order_as_the_reference_does():
+    # One parameter overflows and another gets an infinite gradient; the
+    # error names whichever comes first in backward order.
+    order = _backward_order()
+    for overflowing in order:
+        for infinite in order:
+            model, params = init_model(1), reference_init_model(1)
+            grad = np.zeros(PARAMETER_COUNT)
+            views = parameter_views(grad)
+            views[overflowing].flat[0] = 1.0
+            model.params[overflowing].flat[0] = -np.finfo(float).max
+            params[overflowing].flat[0] = -np.finfo(float).max
+            views[infinite].flat[-1] = np.inf
+            got = _failure(lambda: adam_step(model, grad, AdamState(lr=1e300)))
+            want = _failure(lambda: reference_adam_step(
+                params, {n: views[n].copy() for n in order}, ReferenceAdamState(lr=1e300)))
+            assert got == want, (overflowing, infinite)
+
+
+def _backward_overflowing_at(name, index):
+    """(model, cache, breakdown) whose gradient overflows at one element of one parameter.
+
+    Every value is finite. With zero weights no gradient reaches a layer
+    below the heads unless one weight is set to carry it: a weight element
+    overflows as the product of one huge input and one huge gradient, and a
+    bias element as the sum of two gradients near the largest finite value.
+    """
+    model = MlpModel(np.zeros(PARAMETER_COUNT))
+    p = model.params
+    n = 1 if name.startswith("w") else 2
+    x, h1, h2 = np.zeros((n, 10)), np.zeros((n, 64)), np.zeros((n, 64))
+    dy = {head: np.zeros((n, dim)) for head, dim in HEAD_DIMS.items()}
+    where = np.unravel_index(index, p[name].shape)
+    if name.startswith("w_"):
+        (i, j), head = where, name[2:]
+        h2[0, i], dy[head][0, j] = 1e300, 1e300
+    elif name.startswith("b_"):
+        dy[name[2:]][:, where[0]] = 1e308
+    elif name.endswith("2"):
+        # d(loss)/d(a2[:, i]) = dy_xi[:, 0] * w_xi[i, 0]: 1e300 for w2, 1e308 for b2
+        i = where[-1]
+        p["w_xi"][i, 0] = 1.0 if name == "w2" else 1e8
+        h2[:, i], dy["xi"][:, 0] = 1e-300, 1e300
+        if name == "w2":
+            h1[0, where[0]] = 1e300
+    else:
+        # d(loss)/d(a1[:, m]) = dy_xi[:, 0] * w_xi[0, 0] * w2[m, 0]: 1e300 for w1, 1e308 for b1
+        m = where[-1]
+        p["w_xi"][0, 0] = p["w2"][m, 0] = 1.0 if name == "w1" else 1e4
+        h2[:, 0], h1[:, m], dy["xi"][:, 0] = 1e-300, 1e-300, 1e300
+        if name == "w1":
+            x[0, where[0]] = 1e300
+    breakdown = LossBreakdown(l_s=0.0, l_cen=0.0, l_p=0.0, l_var=0.0, l_vio=0.0, total=0.0,
+                              grad_xi=dy["xi"].reshape(1, n, 9),
+                              grad_b=dy["b"].reshape(1, n),
+                              grad_eta_logits=dy["eta"].reshape(1, n, 2),
+                              grad_mask_logits=dy["mask"].reshape(1, n, 2))
+    return model, {"x": x, "h1": h1, "h2": h2}, breakdown
+
+
+def test_mlp_backward_names_a_failing_element_as_the_reference_does():
+    positions = parameter_views(np.arange(PARAMETER_COUNT))
+    for name, index in _ends():
+        model, cache, breakdown = _backward_overflowing_at(name, index)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref_grads = reference_mlp_backward(model, dict(cache), breakdown)
+        # the one non-finite element is the injected one
+        bad = np.flatnonzero(~np.isfinite(reference_vector(ref_grads)))
+        assert bad.tolist() == [positions[name].flat[index]], (name, index)
+        want = _failure(lambda: reference_gradient_check(ref_grads))
+        got = _failure(lambda: mlp_backward(model, cache, breakdown))
+        assert got == want == (NonFiniteError, f"non-finite gradient for parameter {name!r}")
+
+
 def test_checkpoint_round_trip(tmp_path):
     model = init_model(4)
     state = AdamState(lr=3e-3)
-    grads = {k: np.full_like(v, 0.5) for k, v in model.params.items()}
-    adam_step(model, grads, state)
+    adam_step(model, np.full(PARAMETER_COUNT, 0.5), state)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, state, next_epoch=7)
     loaded, loaded_state, next_epoch = load_checkpoint(path)
@@ -353,8 +532,20 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded_state.lr == 3e-3
     for k in model.params:
         assert np.array_equal(loaded.params[k], model.params[k])
-        assert np.array_equal(loaded_state.m[k], state.m[k])
-        assert np.array_equal(loaded_state.v[k], state.v[k])
+    for name in ("m", "v"):
+        got, want = getattr(loaded_state, name), getattr(state, name)
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_checkpoint_of_an_adam_state_that_has_not_stepped_round_trips(tmp_path):
+    model, path = init_model(2), tmp_path / "model.ckpt"
+    save_checkpoint(path, model, AdamState(lr=3e-3))
+    loaded, state, next_epoch = load_checkpoint(path)
+    assert loaded.vector.tobytes() == model.vector.tobytes()
+    assert (next_epoch, state.step, state.lr) == (1, 0, 3e-3)
+    for moment in (state.m, state.v):
+        assert moment.shape == (PARAMETER_COUNT,)
+        assert moment.tobytes() == np.zeros(PARAMETER_COUNT).tobytes()
 
 
 def test_checkpoint_corruption_errors(tmp_path):

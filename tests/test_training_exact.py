@@ -19,7 +19,7 @@ from clusterseg.losses import (LogitPrediction, LossBreakdown, LossWeights, cent
                                pixel_loss, semantic_mask_loss, total_loss, variance_loss,
                                violation_loss)
 from clusterseg.predictor import (MlpModel, frame_features, init_model, mlp_backward,
-                                  mlp_forward, save_checkpoint)
+                                  mlp_forward, parameter_views, save_checkpoint)
 
 from conftest import make_example
 from reference_losses import (reference_center_loss, reference_pixel_loss,
@@ -27,7 +27,7 @@ from reference_losses import (reference_center_loss, reference_pixel_loss,
                               reference_total_loss, reference_variance_loss,
                               reference_violation_loss)
 from reference_predictor import (reference_frame_features, reference_mlp_backward,
-                                 reference_mlp_forward)
+                                 reference_mlp_forward, reference_vector)
 
 BUMPED = LossWeights(lambda_var=100.0, lambda_vio=100.0)
 BREAKDOWN_FIELDS = ("l_s", "l_cen", "l_p", "l_var", "l_vio", "total",
@@ -61,8 +61,10 @@ def _assert_same_step(model, frame, ann, weights):
     breakdown = total_loss(pred, ann, weights)
     _assert_same_breakdown(breakdown, reference_total_loss(ref_pred, ann, weights))
     ref_grads = reference_mlp_backward(model, ref_cache, breakdown)
-    grads = mlp_backward(model, cache, breakdown)
-    assert list(grads) == list(ref_grads)
+    grad = mlp_backward(model, cache, breakdown)
+    _assert_same(grad, reference_vector(ref_grads), "gradient vector")
+    grads = parameter_views(grad)
+    assert grads.keys() == ref_grads.keys()
     for key in grads:
         _assert_same(grads[key], ref_grads[key], key)
 
@@ -93,7 +95,7 @@ def test_scratch_buffers_are_reused_and_change_no_bit():
         _, frame, ann = make_example(seed=seed, camera=camera)
         steps.append((frame, ann))
     plain = init_model(5)
-    model = MlpModel(params=plain.params, scratch={})
+    model = MlpModel(plain.vector, scratch={})
     caches, products = [], []
     for frame, ann in steps:
         pred, cache = mlp_forward(model, frame)
@@ -105,9 +107,12 @@ def test_scratch_buffers_are_reused_and_change_no_bit():
         breakdown = total_loss(pred, ann, BUMPED)
         _assert_same_breakdown(breakdown, total_loss(plain_pred, ann, BUMPED))
         ref_grads = reference_mlp_backward(plain, ref_cache, breakdown)
-        plain_grads = mlp_backward(plain, plain_cache, breakdown)
-        grads = mlp_backward(model, cache, breakdown)
-        assert list(grads) == list(plain_grads) == list(ref_grads)
+        plain_grad = mlp_backward(plain, plain_cache, breakdown)
+        grad = mlp_backward(model, cache, breakdown)
+        _assert_same(grad, plain_grad, "gradient vector")
+        _assert_same(grad, reference_vector(ref_grads), "gradient vector")
+        grads, plain_grads = parameter_views(grad), parameter_views(plain_grad)
+        assert grads.keys() == plain_grads.keys() == ref_grads.keys()
         for key in grads:
             _assert_same(grads[key], plain_grads[key], key)
             _assert_same(grads[key], ref_grads[key], key)
@@ -152,7 +157,7 @@ def test_negative_zeros_equal_reference():
     _, cache = mlp_forward(model, frame)
     _, ref_cache = reference_mlp_forward(model, frame)
     ref_grads = reference_mlp_backward(model, ref_cache, upstream)
-    grads = mlp_backward(model, cache, upstream)
+    grads = parameter_views(mlp_backward(model, cache, upstream))
     for key in grads:
         _assert_same(grads[key], ref_grads[key], key)
 
@@ -275,7 +280,8 @@ def _run(*argv):
 
 def _use_reference_definitions(monkeypatch):
     monkeypatch.setattr(cli, "mlp_forward", reference_mlp_forward)
-    monkeypatch.setattr(cli, "mlp_backward", reference_mlp_backward)
+    monkeypatch.setattr(cli, "mlp_backward",
+                        lambda *args: reference_vector(reference_mlp_backward(*args)))
     monkeypatch.setattr(cli, "total_loss", reference_total_loss)
     monkeypatch.setattr(LogitPrediction, "to_prediction", reference_to_prediction)
 
