@@ -33,12 +33,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import losses
-from .annotation import annotate, object_features
+from .annotation import annotate, build_annotation, object_features
 from .clustering import segment
-from .dataset import (derivation_values, derive_annotation, is_finite, is_number,
-                      load_dataset, load_frame, load_frames, load_segmentations,
-                      read_dataset_manifest, read_json_object, write_dataset, write_json,
-                      write_segmentations)
+from .dataset import (derivation_values, is_finite, is_number, load_dataset, load_frame,
+                      load_frames, load_segmentations, read_dataset_manifest, read_json_object,
+                      write_dataset, write_json, write_segmentations)
 from .errors import ClusterSegError
 from .evaluation import (EvalConfig, compute_metrics, format_table, result_to_dict)
 from .geometry import CameraIntrinsics
@@ -156,7 +155,7 @@ def _cmd_infer(args) -> int:
     def run(i):
         _, frame, per_object_xi = load_frame(*entries[i])
         ann = (None if args.predictor == "mlp"
-               else derive_annotation(values, frame, per_object_xi))
+               else build_annotation(per_object_xi, frame.instance_map, *values))
         pred = _predict_for_frame(args, model, noise, frame, ann, i)
         return segment(pred, args.fg_threshold)
 
@@ -289,6 +288,10 @@ def _cmd_train(args) -> int:
                 f"{args.epochs}: nothing left to train")
         if state is None:
             state = AdamState(lr=args.lr)
+        elif state.lr != args.lr:
+            raise ClusterSegError(
+                f"checkpoint {args.resume} holds Adam state at lr {state.lr!r}, but --lr is "
+                f"{args.lr!r}: resume with the checkpoint's rate")
     else:
         model = init_model(args.seed)
         state = AdamState(lr=args.lr)

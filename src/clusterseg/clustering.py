@@ -16,13 +16,14 @@ Both stages return exactly what the brute-force definitions above return
 (labels, score bits and seeds), but skip work that provably cannot change
 the result, so their cost grows close to linearly with foreground pixels:
 
+* Both stages meet rows through one window rule (_window): as
+  |x - y| >= |x0 - y0|, only rows whose first feature component lies within
+  sqrt(reach) of a pixel's, widened for rounding in the feature dtype, can
+  lie within reach of it; a binary search over the sorted components finds them.
 * Seeding visits foreground pixels by descending centroid probability, then
-  flat index. A pixel can lie in a seed's ball only if its first feature
-  component lies within the seed's radius of the seed's, so the pixels
-  sorted by that component give each pixel a candidate slab, widened for
-  rounding, and only a seed's live slab pixels get the 9-D distance test. A
-  radius whose square is not finite in the feature dtype tests every live
-  pixel, as the definition then does.
+  flat index; only a seed's live window pixels, at the reach of its squared
+  radius, get the 9-D distance test. A radius whose square is not finite in
+  the feature dtype tests every live pixel, as the definition then does.
 * The E-step scores each pixel under its own seeded component exactly.
   Since the Mahalanobis term is at least |x - mu_m|^2 / lambda_max(S_m),
   component m scores at most
@@ -33,13 +34,12 @@ the result, so their cost grows close to linearly with foreground pixels:
   log-densities). Pixels or components whose magnitudes could overflow are
   never pruned. The surviving pairs go through the same solve and dot
   product as the definition; ties go to the lowest component index.
-* A window keeps most pairs of a pixel and a plain component (below) from
-  meeting the bound at all, in the spirit of the spatial indexes in front
-  of EM of Moore ("Very fast EM-based mixture model clustering using
-  multiresolution kd-trees", NIPS 1998): as |x - mu|^2 >= (x0 - mu0)^2, a
-  pixel meets the plain components only within a window of their first
-  mean component, widened for rounding. The others meet every pixel in
-  dense gemm blocks.
+* The window keeps most pairs of a pixel and a plain component (below)
+  from meeting the bound at all, in the spirit of the spatial indexes in
+  front of EM of Moore ("Very fast EM-based mixture model clustering using
+  multiresolution kd-trees", NIPS 1998): a pixel meets the plain components
+  only within the window of their first mean components that the bound's
+  reach gives. The others meet every pixel in dense gemm blocks.
 * Most components of a degenerate prediction are plain: one member, whose
   finite row holds no -0.0. Such a component has that row as its np.mean
   and exactly 1e-6 * I as its covariance, stored and factored once for all
@@ -50,11 +50,14 @@ the result, so their cost grows close to linearly with foreground pixels:
   component's own pixel has -2 times its exact own score as threshold, so
   the window and the bound keep every component that could tie with it;
   the lower index wins the tie.
-* Two more paths stay for their measured cost, given as segment() time
-  without them over time with them on untrained-MLP frames (the median of
-  per-round ratios over 31 interleaved rounds):
+* Four more paths stay for their measured cost, given as segment() time
+  without them over time with them (the median of per-round ratios over 31
+  interleaved rounds) on untrained-MLP frames of the sizes named or, in order,
+  at 48x48, at 32x32 with one object, and on 128x128 ball-noise frames (0.49 minB):
   - width merging in _quad_forms (_SOLVE_COLUMNS): x1.04 at 48x48, x1.05 at 32x32;
-  - 16-bit radix keys in _stable_order: a further x1.05-1.07 at 48x48 and 128x128.
+  - 16-bit radix keys in _stable_order: a further x1.05-1.07 at 48x48 and 128x128;
+  - the Elkan bound (every non-plain pair solved instead): x6.2-6.7, x3.1-3.2, x3.8-3.9;
+  - one shared plain covariance (a matrix per component instead): x1.32-1.36, x1.10, x1.00.
 """
 
 import math
@@ -77,8 +80,6 @@ _EPS = float(np.finfo(np.float64).eps)
 # bound's slope below _CAP, so nothing the definition computes can overflow.
 _MAGNITUDE = 1e100
 _CAP = 1e100
-# Absorbs underflow in squared feature differences.
-_FLOOR = 8.0 * math.sqrt(float(np.finfo(np.float64).tiny))
 # Shrinks the bound's positive terms to cover the rounding of its dot
 # product and of the norms.
 _SHRINK = 1.0 - 256.0 * _EPS
@@ -163,31 +164,27 @@ def seed_segmentation(pred: Prediction,
     if n_nan:
         order = np.concatenate((order[n - n_nan:], order[:n - n_nan]))
 
-    # A member's first-component gap is at most its distance, up to the
-    # rounding of the squares and their sum, which `rel` and `floor` absorb,
-    # so a seed's members lie in its slab by_x0[slab[i]:slab[n + i]] of
-    # pixels by first component. A NaN bound means a NaN or infinite first
-    # component, whose distance to every pixel is NaN or infinite, so no
-    # pixel of its slab joins it. A squared radius that may compare as
-    # infinite in the feature dtype takes every live pixel in the
+    # A seed's members lie in its window by_x0[start[i]:stop[i]] of
+    # pixels by first component, at the reach of its squared radius. A NaN
+    # or infinite first component is NaN or infinitely far from every pixel,
+    # so no pixel of its window joins it. A squared radius that may compare
+    # as infinite in the feature dtype takes every live pixel in the
     # definition, so such a seed scans them all.
     x0 = X[:, 0].astype(np.float64)
-    # Slabs are sets: the order of equal first components does not matter.
+    # Windows are sets: the order of equal first components does not matter.
     by_x0 = np.argsort(x0)
+    x0 = x0[by_x0]
     radii = np.maximum(pred.b_hat[fg].astype(np.float64, copy=False), 0.0)
-    info = np.finfo(X.dtype if X.dtype.kind == "f" else np.float64)
-    rel = 16.0 * float(info.eps)
-    floor = 8.0 * math.sqrt(float(info.tiny))
-    r2_limit = float(info.max)
-    x0_sorted = x0[by_x0]
+    dtype = X.dtype if X.dtype.kind == "f" else np.float64
+    r2_limit = float(np.finfo(dtype).max)
     with np.errstate(all="ignore"):
-        half = radii[by_x0] * (1.0 + rel) + rel * np.abs(x0_sorted) + floor
-        edges = np.concatenate((x0_sorted - half, x0_sorted + half))
         r2 = radii * radii
-    slab = np.empty(2 * n, dtype=np.intp)
-    slab[np.concatenate((by_x0, by_x0 + n))] = np.searchsorted(x0_sorted, edges)
-    # A seed whose slab holds no other pixel scans nothing.
-    claims = (slab[n:] - slab[:n] > 1) | ~(r2 < r2_limit)
+        # searchsorted runs fastest on ascending keys.
+        lo, count = _window(x0, x0, r2[by_x0], dtype)
+    start, stop = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    start[by_x0], stop[by_x0] = lo, lo + count
+    # A seed whose window holds no other pixel scans nothing.
+    claims = (stop - start > 1) | ~(r2 < r2_limit)
 
     # One buffer, two views: bytes for fast reads in the loop, an array for
     # vector writes.
@@ -197,7 +194,7 @@ def seed_segmentation(pred: Prediction,
     seed_index = []
     # Memoryviews read single entries as Python numbers, about as fast as
     # lists, without converting the entries no seed reads.
-    slab, r2, claims = memoryview(slab), memoryview(r2), memoryview(claims)
+    start, stop, r2, claims = (memoryview(v) for v in (start, stop, r2, claims))
     # Rows of huge finite features can lie so far apart that their squared
     # distance overflows to inf, as in the definition.
     with np.errstate(over="ignore"):
@@ -209,7 +206,7 @@ def seed_segmentation(pred: Prediction,
             if not claims[i]:
                 continue
             if r2[i] < r2_limit:
-                cand = by_x0[slab[i]:slab[n + i]]
+                cand = by_x0[start[i]:stop[i]]
                 cand = cand[alive[cand]]
             else:
                 cand = np.flatnonzero(alive)
@@ -281,29 +278,16 @@ def _quad_forms(diff, counts, covs, variance, fallback, min_cols):
     return quad
 
 
-class _Covariances:
-    """Regularized covariances of M components, each distinct matrix stored once.
-
-    Component m's matrix is `matrices[slot[m]]`. Indexing gives the
-    per-component matrices, as an (M, 9, 9) array would.
-    """
-
-    def __init__(self, matrices, slot):
-        self.matrices, self.slot = matrices, slot
-
-    def __getitem__(self, key):
-        return self.matrices[self.slot[key]]
-
-
 def _components(Xs, sizes):
-    """Mean and regularized covariance of each component, and which are plain.
+    """Means, regularized covariances and their slots, and which components are plain.
 
-    `Xs` lists the members of component 0, then 1, ..., `sizes[m]` rows
-    each. A plain component has one member whose row is plain: its mean is
-    that row and its scatter matrix all +0.0, so its covariance is exactly
-    1e-6 * I, stored once as the last matrix for all of them. The others
-    take np.mean and a matmul of the centered members, as the definition
-    does, in slots 0, 1, ... in component order.
+    Component m's covariance is `matrices[slot[m]]`. `Xs` lists the members
+    of component 0, then 1, ..., `sizes[m]` rows each. A plain component
+    has one member whose row is plain: its mean is that row and its scatter
+    matrix all +0.0, so its covariance is exactly 1e-6 * I, stored once as
+    the last matrix for all of them. The others take np.mean and a matmul
+    of the centered members, as the definition does, in slots 0, 1, ... in
+    component order.
     """
     M = len(sizes)
     first = np.cumsum(sizes) - sizes
@@ -325,9 +309,10 @@ def _components(Xs, sizes):
     matrices[:, diag, diag] += COVARIANCE_REGULARIZATION
     slot = np.full(M, rest.size)
     slot[rest] = np.arange(rest.size)
-    return mus, _Covariances(matrices, slot), plain
+    return mus, matrices, slot, plain
 
 
+@np.errstate(all="ignore")
 def gmm_refine(seg: Segmentation, pred: Prediction,
                stats: dict | None = None) -> Segmentation:
     """One hard E-step over the seeded clusters.
@@ -339,11 +324,6 @@ def gmm_refine(seg: Segmentation, pred: Prediction,
     enough to overflow the step's sums and differences are scored as those
     overflowed values are, NaN included, without floating-point warnings.
     """
-    with np.errstate(all="ignore"):
-        return _hard_e_step(seg, pred, stats)
-
-
-def _hard_e_step(seg, pred, stats):
     M = len(seg.scores)
     if M == 0:
         return seg
@@ -357,35 +337,35 @@ def _hard_e_step(seg, pred, stats):
     by_label = _stable_order(own, M)
     sizes = np.bincount(own, minlength=M)
     Xs = X[by_label]
-    mus, covs, plain = _components(Xs, sizes)
+    mus, matrices, slot, plain = _components(Xs, sizes)
 
     # Each distinct matrix is factored once: a decomposition of equal
     # matrices gives equal bits. slogdet and solve factor the same matrix,
     # so solve fails exactly when the sign is zero.
-    sign, logdet = np.linalg.slogdet(covs.matrices)
+    sign, logdet = np.linalg.slogdet(matrices)
     fallback = ~((sign > 0) & np.isfinite(logdet))
-    variance = np.zeros(len(covs.matrices))
+    variance = np.zeros(len(matrices))
     for k in np.flatnonzero(fallback).tolist():
-        variance[k] = float(np.trace(covs.matrices[k])) / FEATURE_DIM
+        variance[k] = float(np.trace(matrices[k])) / FEATURE_DIM
         logdet[k] = FEATURE_DIM * np.log(variance[k])
     if stats is not None and fallback.any():
         stats["spherical_fallbacks"] = (stats.get("spherical_fallbacks", 0)
-                                        + int(np.count_nonzero(fallback[covs.slot])))
+                                        + int(np.count_nonzero(fallback[slot])))
 
     def quad_forms(diff, comp):
         # _quad_forms solves per matrix, so pairs go in slot order.
-        slot = covs.slot[comp]
-        by_slot = np.argsort(slot, kind="stable")
+        at = slot[comp]
+        by_slot = np.argsort(at, kind="stable")
         quad = np.empty(len(comp))
-        quad[by_slot] = _quad_forms(diff[by_slot], np.bincount(slot, minlength=len(variance)),
-                                    covs.matrices, variance, fallback, min(n_fg, 2))
+        quad[by_slot] = _quad_forms(diff[by_slot], np.bincount(at, minlength=len(variance)),
+                                    matrices, variance, fallback, min(n_fg, 2))
         return quad
 
     # With one component every pixel keeps it.
     new_own = own
     if M > 1:
         log_w = np.log(sizes / n_fg)
-        const = FEATURE_DIM * np.log(2.0 * np.pi) + logdet[covs.slot]
+        const = FEATURE_DIM * np.log(2.0 * np.pi) + logdet[slot]
         own_sorted = own[by_label]
         # A plain component's own pixel is its mean, so the solve sees a zero
         # right-hand side and its Mahalanobis term is +-0.0, which adds to
@@ -395,8 +375,8 @@ def _hard_e_step(seg, pred, stats):
         quad[live] = quad_forms(Xs[live] - mus[own_sorted[live]], own_sorted[live])
         own_score = np.empty(n_fg)
         own_score[by_label] = log_w[own_sorted] - 0.5 * (const[own_sorted] + quad)
-        pix, comp = _candidates(X, own, own_score, mus, covs, variance[covs.slot],
-                                fallback[covs.slot], log_w, const, plain)
+        pix, comp = _candidates(X, own, own_score, mus, matrices, slot, variance[slot],
+                                fallback[slot], log_w, const, plain)
         if pix.size:
             score = log_w[comp] - 0.5 * (const[comp] + quad_forms(X[pix] - mus[comp], comp))
             # Each contested pixel takes what np.argmax over its row would:
@@ -423,7 +403,7 @@ def _hard_e_step(seg, pred, stats):
     return Segmentation(labels=labels, scores=scores, seeds=seeds)
 
 
-def _bound_terms(X, own_score, mus, covs, variance, fallback, log_w, const, plain):
+def _bound_terms(X, own_score, mus, covs, variance, fallback, log_w, const):
     """The pruning bound of component m at pixel n: m cannot win once
 
         weights[m] . [x_n, |x_n|^2, 1] > threshold[n].
@@ -431,42 +411,36 @@ def _bound_terms(X, own_score, mus, covs, variance, fallback, log_w, const, plai
     Returns (rows, weights, threshold, slope, offset, prunable), rows being
     [x, |x|^2, 1] per pixel: the dot product is a lower bound of
     slope_m |x_n - mu_m|^2 - offset_m, and a component that is not prunable
-    has NaN weights, so it never loses by the bound. Plain components share
-    one covariance, whose spectrum is computed once.
+    has NaN weights, so it never loses by the bound. `covs` holds each
+    component's matrix.
     """
-    with np.errstate(all="ignore"):
-        # Bounds on the spectrum of each covariance, widened for eigvalsh
-        # error; a spherical fallback's spectrum is its variance.
-        lam_hi = variance.copy()
-        lam_lo = variance.copy()
-        eig = np.empty((len(mus), FEATURE_DIM))
-        pick = ~fallback & ~plain
-        eig[pick] = np.linalg.eigvalsh(covs[pick])
-        shared = ~fallback & plain
-        if shared.any():
-            eig[shared] = np.linalg.eigvalsh(covs[np.argmax(shared)])
-        lam_hi[~fallback] = eig[~fallback, -1] * (1.0 + 1e-12)
-        lam_lo[~fallback] = eig[~fallback, 0] - 1e-12 * eig[~fallback, -1]
-        # The definition's Mahalanobis term is at least slope * |x - mu|^2:
-        # LU backward error can shrink it by the cond term, the dot
-        # product's rounding by the sqrt(cond) term.
-        cond = lam_hi / lam_lo
-        slope = (1.0 - 2e-10 * cond - 1e-12 * np.sqrt(cond) - 1e-12) / lam_hi
-        mm = np.einsum("md,md->m", mus, mus)
-        bar = 2.0 * log_w - const
-        prunable = (lam_lo > 1.0 / _CAP) & (slope > 0) & (mm < _MAGNITUDE) & np.isfinite(bar)
-        # Component m loses to the own one when
-        #   slope * d2 - offset > -2 * own score,  offset = 2 log w_m - const_m + slack,
-        # the slack covering rounding in the definition's log-posterior,
-        # which (as |log w_m| >= 1 / n) also dwarfs any underflow in its
-        # Mahalanobis term; `_SHRINK` covers the rounding of the dot product
-        # and of the norms.
-        offset = bar + 64.0 * _EPS * (np.abs(2.0 * log_w) + np.abs(const))
-        weights = _weights(mus, mm, slope, offset)
-        weights[~prunable] = np.nan
-        # NaN and infinite own scores, and huge pixels, never prune.
-        xx = np.einsum("nd,nd->n", X, X)
-        threshold = np.where((xx < _MAGNITUDE) & np.isfinite(own_score), -2.0 * own_score, np.inf)
+    # Bounds on the spectrum of each covariance, widened for eigvalsh
+    # error; a spherical fallback's spectrum is its variance.
+    lam_hi = variance.copy()
+    lam_lo = variance.copy()
+    eig = np.linalg.eigvalsh(covs[~fallback])
+    lam_hi[~fallback] = eig[:, -1] * (1.0 + 1e-12)
+    lam_lo[~fallback] = eig[:, 0] - 1e-12 * eig[:, -1]
+    # The definition's Mahalanobis term is at least slope * |x - mu|^2:
+    # LU backward error can shrink it by the cond term, the dot
+    # product's rounding by the sqrt(cond) term.
+    cond = lam_hi / lam_lo
+    slope = (1.0 - 2e-10 * cond - 1e-12 * np.sqrt(cond) - 1e-12) / lam_hi
+    mm = np.einsum("md,md->m", mus, mus)
+    bar = 2.0 * log_w - const
+    prunable = (lam_lo > 1.0 / _CAP) & (slope > 0) & (mm < _MAGNITUDE) & np.isfinite(bar)
+    # Component m loses to the own one when
+    #   slope * d2 - offset > -2 * own score,  offset = 2 log w_m - const_m + slack,
+    # the slack covering rounding in the definition's log-posterior,
+    # which (as |log w_m| >= 1 / n) also dwarfs any underflow in its
+    # Mahalanobis term; `_SHRINK` covers the rounding of the dot product
+    # and of the norms.
+    offset = bar + 64.0 * _EPS * (np.abs(2.0 * log_w) + np.abs(const))
+    weights = _weights(mus, mm, slope, offset)
+    weights[~prunable] = np.nan
+    # NaN and infinite own scores, and huge pixels, never prune.
+    xx = np.einsum("nd,nd->n", X, X)
+    threshold = np.where((xx < _MAGNITUDE) & np.isfinite(own_score), -2.0 * own_score, np.inf)
     rows = np.concatenate((X, xx[:, None], np.ones((len(X), 1))), axis=1)
     return rows, weights, threshold, slope, offset, prunable
 
@@ -484,7 +458,8 @@ def _weights(mus, mm, slope, offset):
     return weights
 
 
-def _candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const, plain):
+def _candidates(X, own, own_score, mus, matrices, slot, variance, fallback, log_w, const,
+                plain):
     """(pixel, component) pairs the pruning bound cannot rule out, own excluded.
 
     Plain components share every bound term but their mean, so the bound
@@ -496,12 +471,11 @@ def _candidates(X, own, own_score, mus, covs, variance, fallback, log_w, const, 
     rest = np.flatnonzero(~plain)
     shared = np.flatnonzero(plain)
     by_mu0 = shared[np.argsort(mus[shared, 0])]
-    with np.errstate(over="ignore"):
-        mm = np.einsum("md,md->m", mus[by_mu0], mus[by_mu0])
+    mm = np.einsum("md,md->m", mus[by_mu0], mus[by_mu0])
     terms = np.append(rest, by_mu0[np.argmin(mm)]) if shared.size else rest
     rows, weights, threshold, slope, offset, prunable = _bound_terms(
-        X, own_score, mus[terms], covs[terms], variance[terms], fallback[terms], log_w[terms],
-        const[terms], plain[terms])
+        X, own_score, mus[terms], matrices[slot[terms]], variance[terms], fallback[terms],
+        log_w[terms], const[terms])
     k = rest.size
     pix, comp = _bounded_pairs(rows, threshold, weights[:k])
     comp = rest[comp]
@@ -529,12 +503,11 @@ def _bounded_pairs(rows, threshold, weights):
         # A C-ordered operand takes a faster gemm kernel.
         weights = np.ascontiguousarray(weights.T)
         step = max(1, _BLOCK_ELEMENTS // m)
-        with np.errstate(all="ignore"):
-            for lo in range(0, len(rows), step):
-                block = rows[lo:lo + step] @ weights > threshold[lo:lo + step, None]
-                p, c = np.divmod(np.flatnonzero(~block), m)
-                pix_parts.append(p + lo)
-                comp_parts.append(c)
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step] @ weights > threshold[lo:lo + step, None]
+            p, c = np.divmod(np.flatnonzero(~block), m)
+            pix_parts.append(p + lo)
+            comp_parts.append(c)
     return np.concatenate(pix_parts), np.concatenate(comp_parts)
 
 
@@ -560,16 +533,18 @@ def _shared_pairs(X, rows, threshold, own, mus, mm, tight, loose, slope, offset)
     pix_parts = [np.repeat(open_pix, tight.size), np.repeat(every, loose.size)]
     comp_parts = [np.tile(tight, open_pix.size), np.tile(loose, every.size)]
     if tight.size and closed.size:
-        with np.errstate(all="ignore"):
-            # As |x - mu|^2 >= (x0 - mu0)^2, a component lies in the window
-            # unless slope (x0 - mu0)^2 - offset exceeds t by more than the
-            # bound's rounding, which `err` covers: its terms are at most
-            # slope (|x| + |mu|)^2 and |offset| in size. A NaN from t = -inf
-            # leaves only the window's widening.
-            t = threshold[closed]
-            err = 1024.0 * _EPS * (np.abs(t) + abs(offset) + slope * (
-                np.sqrt(rows[closed, FEATURE_DIM]) + math.sqrt(mm.max())) ** 2)
-            lo, count = _window(mus[tight, 0], X[closed, 0], np.fmax(t + err + offset, 0.0) / slope)
+        # The bound falls short of slope d^2 - offset, d = |x - mu|, by at
+        # most about 300 eps (slope (|x| + |mu|)^2 + |offset|), _SHRINK's
+        # share included, so it keeps a pair only within that of t. As
+        # |mu| <= |x| + d, (|x| + |mu|)^2 <= 8 |x|^2 + 2 d^2: `err` covers
+        # the |x| and offset terms per pixel, whatever the components'
+        # norms, and the divisor the d^2 term. As d >= |x0 - mu0|, the
+        # window at that reach holds every kept pair. A NaN from t = -inf
+        # leaves only the window's widening.
+        t = threshold[closed]
+        err = 1024.0 * _EPS * (np.abs(t) + abs(offset) + 8.0 * slope * rows[closed, FEATURE_DIM])
+        reach = np.fmax(t + err + offset, 0.0) / (slope * (1.0 - 4096.0 * _EPS))
+        lo, count = _window(mus[tight, 0], X[closed, 0], reach)
         # Most plain pixels' windows hold only their own component.
         count[(count == 1) & (tight[np.minimum(lo, tight.size - 1)] == own[closed])] = 0
         ends = np.cumsum(count)
@@ -578,23 +553,22 @@ def _shared_pairs(X, rows, threshold, own, mus, mm, tight, loose, slope, offset)
         for a, b in zip(cuts.tolist(), np.append(cuts[1:], closed.size).tolist()):
             pix = np.repeat(closed[a:b], count[a:b])
             at = _ranges(lo[a:b], lo[a:b] + count[a:b])
-            with np.errstate(all="ignore"):
-                bound = np.einsum("nk,nk->n", rows[pix], _weights(mus[tight[at]], mm[at], slope,
-                                                                  offset))
-            keep = ~(bound > threshold[pix])
+            weights = _weights(mus[tight[at]], mm[at], slope, offset)
+            keep = ~(np.einsum("nk,nk->n", rows[pix], weights) > threshold[pix])
             pix_parts.append(pix[keep])
             comp_parts.append(tight[at[keep]])
     return np.concatenate(pix_parts), np.concatenate(comp_parts)
 
 
-def _window(mu0, x0, reach):
+def _window(mu0, x0, reach, dtype=np.float64):
     """Per pixel, the range [lo, lo + count) of sorted `mu0` within sqrt(reach) of x0.
 
     The half-width is widened for the rounding of the square root, of the
-    difference and of x0 -+ half.
+    difference and of x0 -+ half, and for underflow in squares of `dtype`.
     """
-    rel = 16.0 * _EPS
-    half = np.sqrt(reach) * (1.0 + rel) + rel * np.abs(x0) + _FLOOR
+    info = np.finfo(dtype)
+    rel = 16.0 * float(info.eps)
+    half = np.sqrt(reach) * (1.0 + rel) + rel * np.abs(x0) + 8.0 * math.sqrt(float(info.tiny))
     lo = np.searchsorted(mu0, x0 - half, "left")
     return lo, np.searchsorted(mu0, x0 + half, "right") - lo
 

@@ -9,9 +9,9 @@ tight bounding box of its pixels and the box's contents (encode_amodal), and
 no occlusion scores. Loading is two steps: read_dataset_manifest checks the
 manifest, every frame's entry included, and load_frame loads and checks one
 frame, so a command can hold one frame at a time.
-derive_annotation builds a frame's maps with `annotation.build_annotation`
-from its features, its instance map and the manifest's fraction and
-single_object_radius. load_dataset loads every frame with its maps, and
+A frame's maps are `annotation.build_annotation` of its features, its
+instance map and the manifest's fraction and single_object_radius.
+load_dataset loads every frame with its maps, and
 load_frames, for commands that read only the frames, builds none. A loaded
 frame carries the scene's camera, so it derives xyz from its depth on first
 read, as a rendered one does; loading only checks that the depth
@@ -268,11 +268,6 @@ def load_frame(scene_path, bundle_path):
     return scene, frame, t["per_object_xi"]
 
 
-def derive_annotation(values, frame, per_object_xi):
-    """A loaded frame's annotation maps, from its features and the manifest's `values`."""
-    return build_annotation(per_object_xi, frame.instance_map, *values)
-
-
 def load_frames(path):
     """The dataset's (fraction, single_object_radius) and (scene, frame, per_object_xi) per frame."""
     values, entries = read_dataset_manifest(path)
@@ -282,7 +277,7 @@ def load_frames(path):
 def load_dataset(path):
     """(scene, frame, annotation) per frame, the annotation rebuilt."""
     values, frames = load_frames(path)
-    return [(scene, frame, derive_annotation(values, frame, per_object_xi))
+    return [(scene, frame, build_annotation(per_object_xi, frame.instance_map, *values))
             for scene, frame, per_object_xi in frames]
 
 

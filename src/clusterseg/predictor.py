@@ -29,7 +29,7 @@ import numpy as np
 from . import dataio
 from .annotation import Annotation
 from .clustering import Prediction
-from .errors import ClusterSegError, NonFiniteError, ShapeMismatchError, ValueRangeError
+from .errors import ClusterSegError, NonFiniteError, ValueRangeError
 from .losses import LogitPrediction
 from .scenegen import FrameBundle
 from .seeding import STREAM_MODEL, STREAM_NOISE, stream_rng
@@ -287,10 +287,6 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> np.ndarray:
     g = parameter_views(grad)
     with np.errstate(invalid="ignore", over="ignore"):
         for name, dy in head_grads.items():
-            w = p[f"w_{name}"]
-            if dy.shape[1] != w.shape[1]:
-                raise ShapeMismatchError(
-                    f"gradient for head {name!r} has width {dy.shape[1]}, expected {w.shape[1]}")
             np.matmul(h2.T, dy, out=g[f"w_{name}"])
             dy.sum(axis=0, out=g[f"b_{name}"])
         # h2 is only needed as its mask from here on, so it becomes the

@@ -287,6 +287,19 @@ def test_train_resume_past_epochs_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.ckpt").exists()
 
 
+def test_train_resume_at_another_lr_exits_2(two_frame_dataset, tmp_path, capsys):
+    # Adam state carries its rate, so a different --lr would be ignored.
+    ckpt, out = tmp_path / "one.ckpt", tmp_path / "r.ckpt"
+    train = ("train", "--dataset", str(two_frame_dataset), "--batch", "2", "--seed", "4")
+    assert run_cli(*train, "--out", str(ckpt), "--epochs", "1", "--lr", "1e-3") == 0
+    capsys.readouterr()
+    assert run_cli(*train, "--out", str(out), "--epochs", "3", "--lr", "0.5",
+                   "--resume", str(ckpt)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "0.001" in err and "0.5" in err
+    assert not out.exists() and not (tmp_path / "r.ckpt.csv").exists()
+
+
 def test_train_resumed_from_an_untrained_checkpoint_matches_a_fresh_run(tmp_path):
     ds = tmp_path / "ds"
     assert run_cli("gen", "--count", "3", "--res", "16x16", "--objects", "1..1",

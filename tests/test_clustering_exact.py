@@ -372,7 +372,7 @@ def test_component_statistics_equal_a_mean_and_matmul_per_component(data):
     sizes = np.bincount(labels - 1)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        mus, covs, plain = _components(X[np.argsort(labels, kind="stable")], sizes)
+        mus, matrices, slot, plain = _components(X[np.argsort(labels, kind="stable")], sizes)
         for m in range(sizes.size):
             members = X[labels == m + 1]
             mu = members.mean(axis=0)
@@ -380,7 +380,7 @@ def test_component_statistics_equal_a_mean_and_matmul_per_component(data):
             cov = centered.T @ centered / members.shape[0]
             cov[np.diag_indices_from(cov)] += COVARIANCE_REGULARIZATION
             assert mus[m].tobytes() == mu.tobytes()
-            assert covs[m].tobytes() == cov.tobytes()
+            assert matrices[slot[m]].tobytes() == cov.tobytes()
             if plain[m]:
                 assert sizes[m] == 1 and np.array_equal(cov, COVARIANCE_REGULARIZATION * np.eye(9))
 
@@ -452,7 +452,8 @@ def test_exact_ties_between_plain_components_one_ulp_apart():
     rows += [base + 0.5, base + 0.5 + 1e-3, base - 4.0, base - 4.0 - 1e-3]
     rows += [np.eye(FEATURE_DIM)[0] * np.nextafter(1e50, 0.0), np.eye(FEATURE_DIM)[0] * 1e50]
     assert rows[-2] @ rows[-2] < clustering._MAGNITUDE <= rows[-1] @ rows[-1]
-    # A component of huge norm widens every pixel's window to all of them.
+    # With the last pair, the component under the limit meets the pixels
+    # through the window, the one at it meets every pixel.
     for n in (len(rows) - 2, len(rows)):
         eta = np.where(np.arange(n) % 4 == 1, 0.9, 0.5)
         radii = np.where((np.arange(n) >= 11) & (np.arange(n) < 15), 0.01, 0.0)
@@ -482,12 +483,28 @@ def test_seeding_equals_both_oracles_at_every_claim_density(data):
     radii[rng.random(n) < 0.02] = rng.choice([np.nan, np.inf, 1e200])
     xi = rng.uniform(0.0, 1.0, (n, FEATURE_DIM))
     xi[:, 1:] *= data.draw(st.sampled_from([0.0, 0.1, 1.0]))
+    xi = xi.astype(data.draw(st.sampled_from([np.float64, np.float32])))
     pred = Prediction(xi_hat=xi.reshape(1, n, FEATURE_DIM), eta_hat=rng.random((1, n)),
                       b_hat=radii.reshape(1, n), mask_prob=rng.random((1, n)) * 1.2)
     with np.errstate(all="ignore"):
         want = reference_seed_segmentation(pred)
         _assert_same(loop_seed_segmentation(pred), want)
         _assert_same(seed_segmentation(pred), want)
+
+
+def test_seeding_window_floor_follows_the_feature_dtype():
+    # Rows 1e-23 apart in float32 have a squared distance that underflows
+    # to 0, within a zero radius, so the definition puts both in one
+    # instance; a float64 floor would leave the second out of the first's
+    # window.
+    xi = np.zeros((1, 2, FEATURE_DIM), dtype=np.float32)
+    xi[0, 1, 0] = 1e-23
+    pred = Prediction(xi_hat=xi, eta_hat=np.array([[0.9, 0.8]]), b_hat=np.zeros((1, 2)),
+                      mask_prob=np.ones((1, 2)))
+    want = reference_seed_segmentation(pred)
+    assert want.labels.tolist() == [[1, 1]]
+    _assert_same(loop_seed_segmentation(pred), want)
+    _assert_same(seed_segmentation(pred), want)
 
 
 def _assert_index_keeps_every_dense_pair(args, monkeypatch):
@@ -501,7 +518,8 @@ def _assert_index_keeps_every_dense_pair(args, monkeypatch):
     clear of its threshold by more than rounding. Returns the number of
     window ends checked.
     """
-    X, own, own_score, mus, covs, variance, fallback, log_w, const, plain = args
+    X, own, own_score, mus, matrices, slot, variance, fallback, log_w, const, plain = args
+    covs = matrices[slot]
     seen = {}
 
     def shared_pairs(*shared_args):
@@ -517,9 +535,10 @@ def _assert_index_keeps_every_dense_pair(args, monkeypatch):
     monkeypatch.setattr(clustering, "_shared_pairs", shared_pairs)
     monkeypatch.setattr(clustering, "_window", window)
     with np.errstate(all="ignore"):
-        pix, comp = reference_candidates(*args[:-1])
+        pix, comp = reference_candidates(X, own, own_score, mus, covs, variance, fallback, log_w,
+                                         const)
         rows, weights, threshold, slope, offset, _ = _bound_terms(
-            X, own_score, mus, covs, variance, fallback, log_w, const, plain)
+            X, own_score, mus, covs, variance, fallback, log_w, const)
         bound = np.einsum("nk,nk->n", rows[pix], weights[comp])
         clear = ~(bound >= threshold[pix] - 1e-9 * (1.0 + np.abs(threshold[pix])))
         got_pix, got_comp = clustering._candidates(*args)
@@ -570,6 +589,34 @@ def test_slab_index_keeps_every_pair_the_dense_bound_keeps(monkeypatch):
     calls = _recorded_candidate_calls(monkeypatch, preds)
     assert len(calls) > 250
     assert sum(_assert_index_keeps_every_dense_pair(args, monkeypatch) for args in calls) > 10_000
+
+
+def test_plain_window_stays_narrow_beside_a_component_of_huge_norm(monkeypatch):
+    # A foreground row of norm 1e40 seeds a plain component whose squared
+    # norm is still below the pruning's limit. The window's reach is
+    # bounded per pixel, not by the largest component norm, so the E-step's
+    # windows hold about as many pairs as on the clean frame.
+    frame, _ = _frame(1, 48, count_range=(2, 6))
+    real_window = clustering._window
+    totals = []
+    for outlier in (False, True):
+        pred = mlp_forward(init_model(0), frame)[0].to_prediction()
+        if outlier:
+            rows, cols = np.nonzero(pred.mask_prob >= 0.5)
+            pred.xi_hat[rows[0], cols[0]] = 1e40 * np.eye(FEATURE_DIM)[0]
+        seeded, _ = _assert_both_oracles(pred)
+        counts = []
+
+        def window(*args):
+            lo, count = real_window(*args)
+            counts.append(int(count.sum()))
+            return lo, count
+
+        monkeypatch.setattr(clustering, "_window", window)
+        gmm_refine(seeded, pred)
+        monkeypatch.undo()
+        totals.append(sum(counts))
+    assert 0 < totals[1] <= 2 * totals[0]
 
 
 def test_window_holds_every_component_within_reach_despite_rounding():
