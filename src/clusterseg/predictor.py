@@ -22,6 +22,7 @@ tensor bundles (see dataio) that store these vectors as they are.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -152,17 +153,25 @@ def noisy_predict(ann: Annotation, spec: NoiseSpec, seed: int) -> Prediction:
 class MlpModel:
     """Parameters of the per-pixel network: one f64 vector in parameter_layout() order.
 
-    `params` names writable views of `vector`. `scratch` is None, or a dict
-    in which mlp_forward and mlp_backward keep the frame-sized hidden-layer
-    buffers of the last frame size they saw and reuse them for every frame
-    of that size. Each forward pass then overwrites the cache the previous
-    one returned, so a model with scratch must not be shared across threads.
+    `params` names writable views of `vector`, built on first read and again
+    only after `vector` is rebound to another array. `scratch` is None, or a
+    dict in which mlp_forward and mlp_backward keep the frame-sized
+    hidden-layer buffers of the last frame size they saw and reuse them for
+    every frame of that size. Each forward pass then overwrites the cache the
+    previous one returned, so a model with scratch must not be shared across
+    threads.
     """
 
     vector: np.ndarray
     scratch: dict | None = None
 
-    @property
+    def __setattr__(self, name, value):
+        # An in-place update (model.vector -= ...) rebinds the same array.
+        if name == "vector" and value is not self.__dict__.get("vector"):
+            self.__dict__.pop("params", None)
+        object.__setattr__(self, name, value)
+
+    @cached_property
     def params(self):
         return MappingProxyType(parameter_views(self.vector))
 

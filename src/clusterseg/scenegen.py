@@ -81,6 +81,10 @@ RAY_MIN_T = 1e-9
 
 SURFACE_SAMPLE_COUNT = 4096
 
+# The grey of every rgb channel where a ray hits the backdrop; with no
+# backdrop, missed rays are black.
+BACKDROP_RGB = 0.15
+
 # Inflation of a primitive's squared bounding radius R^2 for its screen
 # window: R^2 (1 + WINDOW_REL) + WINDOW_ABS (|c|^2 + R^2); the module
 # docstring gives the rounding bounds these cover.
@@ -453,7 +457,7 @@ def render(scene: Scene) -> FrameBundle:
 
     rgb = np.zeros((H, W, 3))
     if scene.background_depth is not None:
-        rgb[:] = 0.15
+        rgb[:] = BACKDROP_RGB
     occ = np.zeros(K)
     for k, (prim, cast) in enumerate(zip(scene.objects, casts)):
         if cast is None:

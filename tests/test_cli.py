@@ -52,7 +52,9 @@ def test_gen_writes_dataset(tmp_path):
     for entry in manifest["frames"]:
         assert (out / entry["scene"]).exists()
         tensors = read_bundle(out / entry["bundle"])
-        assert tensors["rgb"].shape == (32, 32, 3)
+        foreground = np.count_nonzero(tensors["instance_map"])
+        assert tensors["rgb"].shape == (foreground, 3)
+        assert tensors["depth"].shape == (foreground,)
         assert tensors["instance_map"].dtype == np.uint16
         assert 2 <= entry["objects"] <= 4
 
@@ -843,6 +845,13 @@ def _two_objects_damaged(tensors):
     return {**tensors, "amodal_pixels": pixels}
 
 
+def _rgb_nan_and_7(tensors):
+    """One NaN and one 7.0 in rgb: the NaN is named."""
+    rgb = tensors["rgb"].copy()
+    rgb.flat[0], rgb.flat[-1] = np.nan, 7.0
+    return {**tensors, "rgb": rgb}
+
+
 @pytest.mark.parametrize("damage, error, named", [
     (_first("per_object_xi", np.nan), NonFiniteError, "per_object_xi"),
     (_first("per_object_xi", -np.inf), NonFiniteError, "per_object_xi"),
@@ -859,9 +868,15 @@ def _two_objects_damaged(tensors):
     (lambda t: {**t, "amodal_masks": np.ones((2, 16, 16), dtype=np.uint8)}, BundleManifestError,
      "amodal_masks"),
     (lambda t: {**t, "occlusion_scores": np.ones(2)}, BundleManifestError, "occlusion_scores"),
+    (_first("rgb", np.nan), NonFiniteError, "rgb contains NaN"),
+    (_first("rgb", np.inf), NonFiniteError, "rgb contains NaN"),
+    (_first("rgb", 7.0), ValueRangeError, "got 7.0"),
+    (_first("rgb", -0.5), ValueRangeError, "got -0.5"),
+    (_rgb_nan_and_7, NonFiniteError, "rgb contains NaN"),
 ], ids=["nan-feature", "inf-feature", "amodal-7", "amodal-2", "window-past-edge", "pixel-count",
         "cleared-amodal", "visible-outside-amodal", "visible-outside-window", "two-objects",
-        "stored-amodal-masks", "stored-occlusion"])
+        "stored-amodal-masks", "stored-occlusion", "nan-rgb", "inf-rgb", "rgb-7", "rgb-negative",
+        "nan-and-7-rgb"])
 def test_a_damaged_frame_bundle_exits_2_naming_it(oracle_run, tmp_path, capsys, damage, error,
                                                   named):
     ds = tmp_path / "ds"
@@ -898,34 +913,54 @@ def _infer_argv(root, predictor):
     return ("--predictor", "noisy", "--sigma-xi", "0.05", "--flip-rate", "0.05")
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("predictor", ["noisy", "mlp"])
-def test_infer_holds_at_most_jobs_frames(eight_frames, tmp_path, monkeypatch, predictor, jobs):
-    # A loaded frame keeps the depth array its bundle was read into, so a
-    # frame is live until that array is freed.
+def _count_live_frames(monkeypatch, keep=None):
+    """Count the frames infer's loader returns and how many are live at once.
+
+    A frame is live until the FrameBundle load_frame returned is freed. A
+    `keep` list holds on to every frame, as a loader that leaks them would.
+    """
     lock = threading.Lock()
-    live, peak, loads = [0], [0], [0]
-    read = dataio.read_bundle
+    counts = {"live": 0, "peak": 0, "loads": 0}
+    load = cli.load_frame
 
     def freed():
         with lock:
-            live[0] -= 1
+            counts["live"] -= 1
 
-    def counted(path):
-        tensors = read(path)
-        if "depth" in tensors:
-            with lock:
-                live[0] += 1
-                loads[0] += 1
-                peak[0] = max(peak[0], live[0])
-            weakref.finalize(tensors["depth"], freed)
-        return tensors
+    def counted(*args):
+        loaded = load(*args)
+        with lock:
+            counts["live"] += 1
+            counts["loads"] += 1
+            counts["peak"] = max(counts["peak"], counts["live"])
+        weakref.finalize(loaded[1], freed)
+        if keep is not None:
+            keep.append(loaded)
+        return loaded
 
-    monkeypatch.setattr(dataio, "read_bundle", counted)
+    monkeypatch.setattr(cli, "load_frame", counted)
+    return counts
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("predictor", ["noisy", "mlp"])
+def test_infer_holds_at_most_jobs_frames(eight_frames, tmp_path, monkeypatch, predictor, jobs):
+    counts = _count_live_frames(monkeypatch)
     assert run_cli("infer", "--dataset", str(eight_frames / "ds"), "--out", str(tmp_path / "segs"),
                    *_infer_argv(eight_frames, predictor), "--jobs", str(jobs)) == 0
-    assert loads[0] == 8
-    assert 1 <= peak[0] <= jobs
+    assert counts["loads"] == 8
+    assert 1 <= counts["peak"] <= jobs
+
+
+def test_the_live_frame_count_sees_a_loader_that_keeps_every_frame(eight_frames, tmp_path,
+                                                                    monkeypatch):
+    kept = []
+    counts = _count_live_frames(monkeypatch, keep=kept)
+    assert run_cli("infer", "--dataset", str(eight_frames / "ds"), "--out", str(tmp_path / "segs"),
+                   *_infer_argv(eight_frames, "noisy"), "--jobs", "1") == 0
+    assert counts["loads"] == 8 and counts["peak"] == 8
+    kept.clear()
+    assert counts["live"] == 0
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

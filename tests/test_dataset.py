@@ -1,7 +1,8 @@
 """Dataset directories: what a frame bundle stores, and what loading rebuilds.
 
-A frame bundle stores rgb, depth, the instance map, each amodal mask as its
-window (bounding box and contents) and the per-object features. Loading
+A frame bundle stores rgb and depth at the foreground pixels, the instance
+map, each amodal mask as its window (bounding box and contents) and the
+per-object features. Loading fills the backdrop pixels of rgb and depth,
 rebuilds the amodal masks from their windows, derives the occlusion scores
 from the pixel counts and rebuilds the annotation maps from the features,
 the instance map and the manifest's fraction and single-object radius, and
@@ -11,6 +12,7 @@ included.
 """
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -158,6 +160,46 @@ def test_amodal_windows_round_trip_bit_for_bit(data):
     _same(decoded, masks, "amodal_masks")
 
 
+@pytest.mark.parametrize("background_depth", [None, 2.5, 97.25])
+@pytest.mark.parametrize("kind", ["empty", "full", "random"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@seed(0)
+@given(data=st.data())
+def test_foreground_rgb_and_depth_round_trip_bit_for_bit(kind, background_depth, data):
+    # write_dataset gathers rgb and depth at the nonzero ids; load_frame
+    # scatters them back and fills the backdrop as render does.
+    H, W = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    K = data.draw(st.integers(0 if kind == "empty" else 1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "empty":
+        ids = np.zeros((H, W), dtype=np.int32)
+    else:
+        ids = rng.integers(1 if kind == "full" else 0, K + 1, size=(H, W), dtype=np.int32)
+    fg = ids > 0
+    backdrop = background_depth is not None
+    rgb = np.full((H, W, 3), scenegen.BACKDROP_RGB if backdrop else 0.0, dtype=np.float32)
+    rgb[fg] = rng.random((int(fg.sum()), 3), dtype=np.float32)
+    depth = np.where(fg, rng.uniform(0.1, 10.0, size=(H, W)),
+                     background_depth if backdrop else 0.0)
+    ball = Primitive(kind="sphere", quaternion=(1.0, 0.0, 0.0, 0.0),
+                     translation=(0.0, 0.0, 1.0), half_extents=(0.1, 0.1, 0.1),
+                     albedo=(0.5, 0.5, 0.5))
+    camera = CameraIntrinsics(10.0, 10.0, W / 2.0, H / 2.0, W, H)
+    scene = Scene(objects=(ball,) * K, camera=camera, background_depth=background_depth)
+    masks = ids == np.arange(1, K + 1)[:, None, None]
+    frame = scenegen.FrameBundle(rgb=rgb, depth=depth, camera=camera, instance_map=ids,
+                                 amodal_masks=masks, occlusion_scores=np.ones(K))
+    with tempfile.TemporaryDirectory() as ds:
+        write_dataset(ds, [(scene, frame, np.zeros((K, 9)))], fraction=0.2,
+                      single_object_radius=1.0)
+        stored = read_bundle(f"{ds}/frame_00000.tsb")
+        assert stored["rgb"].shape == (fg.sum(), 3) and stored["depth"].shape == (fg.sum(),)
+        _, [(_, loaded, _)] = load_frames(ds)
+    _same(loaded.rgb, rgb, "rgb")
+    _same(loaded.depth, depth, "depth")
+    _same(loaded.instance_map, ids, "instance_map")
+
+
 def test_no_masks_store_no_windows_and_no_pixels():
     windows, pixels = encode_amodal(np.zeros((0, 3, 4), dtype=bool))
     assert windows.shape == (0, 4) and pixels.shape == (0,)
@@ -214,16 +256,41 @@ def _raise_id_above_k(t):
     # format 2 stored the masks whole and the occlusion scores
     (lambda t: {**t, "amodal_masks": np.zeros((3, 24, 24), dtype=np.uint8)}, BundleManifestError),
     (lambda t: {**t, "occlusion_scores": np.ones(3)}, BundleManifestError),
+    (lambda t: {**t, "rgb": t["rgb"][:-1]}, ShapeMismatchError),
+    (lambda t: {**t, "rgb": np.concatenate([t["rgb"], t["rgb"][:1]])}, ShapeMismatchError),
+    (lambda t: {**t, "depth": t["depth"][:-1]}, ShapeMismatchError),
+    (lambda t: {**t, "depth": np.concatenate([t["depth"], t["depth"][:1]])}, ShapeMismatchError),
+    # format 3 stored rgb and depth for every pixel
+    (lambda t: {**t, "rgb": np.zeros((24, 24, 3), dtype=np.float32),
+                "depth": np.zeros((24, 24))}, ShapeMismatchError),
+    (lambda t: {**t, "rgb": np.zeros((24 * 24, 3), dtype=np.float32),
+                "depth": np.zeros(24 * 24)}, ShapeMismatchError),
 ], ids=["nan-f64-ids", "f32-ids", "window-width", "depth-rows", "f64-rgb", "f32-depth",
         "u16-amodal", "u8-windows", "f32-features", "rgb-channels", "map-columns",
         "amodal-count", "pixel-rows", "feature-rows", "feature-width", "id-above-k",
-        "missing-tensor", "extra-tensor", "stored-amodal-masks", "stored-occlusion"])
+        "missing-tensor", "extra-tensor", "stored-amodal-masks", "stored-occlusion",
+        "rgb-row-short", "rgb-row-long", "depth-row-short", "depth-row-long", "full-frame-maps",
+        "every-pixel-rows"])
 def test_malformed_frame_bundle_is_a_typed_error(dataset, tmp_path, capsys, mutate, error):
     ds, segs = dataset
     path = ds / "frame_00001.tsb"
     write_bundle(path, mutate(read_bundle(path)))
     with pytest.raises(error, match="frame_00001.tsb"):
         load_dataset(str(ds))
+    _exits_2(ds, segs, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_stored_rows_must_be_one_per_foreground_pixel(dataset, tmp_path, capsys, extra):
+    ds, segs = dataset
+    path = ds / "frame_00001.tsb"
+    t = read_bundle(path)
+    F = np.count_nonzero(t["instance_map"])
+    rows = np.resize(np.arange(F), F + extra)
+    write_bundle(path, {**t, "rgb": t["rgb"][rows], "depth": t["depth"][rows]})
+    with pytest.raises(ShapeMismatchError, match=f"frame_00001.tsb: rgb and depth hold {F + extra} "
+                                                 f"pixels, but the instance map has {F} "):
+        load_frames(str(ds))
     _exits_2(ds, segs, tmp_path, capsys)
 
 
@@ -255,7 +322,8 @@ def test_derivation_values_are_validated(dataset, tmp_path, capsys, key, value):
     _exits_2(ds, segs, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("value", [_MISSING, 1, 2, 2.0, 3.0, "3", True, None])
+@pytest.mark.parametrize("value", [_MISSING, 1, 2, 2.0, 3.0, "3", True, None,
+                                   pytest.param(3, id="int-3"), 4.0, "4"])
 def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
     ds, segs = dataset
     _edit_manifest(ds, "format", value)
@@ -266,7 +334,7 @@ def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
 
 def test_manifest_records_the_format(dataset):
     ds, _ = dataset
-    assert json.loads((ds / "dataset.json").read_text())["format"] == 3
+    assert json.loads((ds / "dataset.json").read_text())["format"] == 4
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -382,7 +450,7 @@ def _nan_depth(ds):
     path = ds / "frame_00000.tsb"
     tensors = read_bundle(path)
     depth = tensors["depth"].copy()
-    depth[3, 3] = np.nan
+    depth[3] = np.nan
     write_bundle(path, {**tensors, "depth": depth})
 
 

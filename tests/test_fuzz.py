@@ -44,7 +44,9 @@ def files(tmp_path_factory):
                  "--predictor", "noisy", "--sigma-xi", "0.05"]) == 0
     save_checkpoint(model, init_model(0))
     # the frame-bundle property damages a bundle in the current dataset format
-    assert "amodal_windows" in read_bundle(ds / "frame_00000.tsb")
+    bundle = read_bundle(ds / "frame_00000.tsb")
+    assert "amodal_windows" in bundle
+    assert len(bundle["rgb"]) == len(bundle["depth"]) == bundle["instance_map"].astype(bool).sum()
     seg_name = json.load(open(segs / "segs.json"))["segmentations"][0]
     return {"ds": ds, "segs": segs, "seg_name": seg_name, "model": model}
 

@@ -360,6 +360,19 @@ def test_params_are_views_of_the_vector_that_cannot_be_rebound():
     assert np.shares_memory(model.params["w1"], model.vector)
 
 
+def test_params_are_built_once_until_the_vector_is_rebound():
+    model = init_model(3)
+    params = model.params
+    assert model.params is params
+    adam_step(model, np.ones(PARAMETER_COUNT), AdamState())
+    assert model.params is params
+    model.vector = model.vector.copy()
+    assert model.params is not params
+    for name, view in model.params.items():
+        assert np.shares_memory(view, model.vector), name
+        assert not np.shares_memory(view, params[name]), name
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 7, 12345])
 def test_init_model_equals_the_reference(seed):
     model, want = init_model(seed), reference_init_model(seed)

@@ -1,9 +1,10 @@
-"""The README's "Library use" examples run as written and print what they promise."""
+"""The README's "Library use" examples run as written, and the dataset format it states is gen's."""
 
 import pathlib
 import re
 
 from clusterseg.cli import main
+from clusterseg.dataset import DATASET_FORMAT
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +24,11 @@ def test_library_use_examples_print_a_perfect_ap(tmp_path, monkeypatch, capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out.split() == ["1.0", "1.0"]
+
+
+def test_the_stated_dataset_format_is_the_current_one():
+    text = README.read_text(encoding="utf-8")
+    stated = (re.findall(r'"format": (\d+)', text)
+              + re.findall(r"`format` is missing or not (\d+)", text))
+    assert len(stated) == 2
+    assert {int(n) for n in stated} == {DATASET_FORMAT}
