@@ -17,8 +17,7 @@ from .geometry import (CameraIntrinsics, compute_object_feature, depth_to_xyz,
 from .losses import LogitPrediction, LossBreakdown, LossWeights, finite_diff_check, total_loss
 from .predictor import (AdamState, MlpModel, NoiseSpec, adam_step, init_model,
                         mlp_backward, mlp_forward, noisy_predict, oracle_predict)
-from .scenegen import (FrameBundle, GeneratorConfig, Primitive, Scene, occlusion_score,
-                       render, sample_scene)
+from .scenegen import FrameBundle, GeneratorConfig, Primitive, Scene, render, sample_scene
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "LogitPrediction", "LossBreakdown", "LossWeights", "finite_diff_check", "total_loss",
     "AdamState", "MlpModel", "NoiseSpec", "adam_step", "init_model",
     "mlp_backward", "mlp_forward", "noisy_predict", "oracle_predict",
-    "FrameBundle", "GeneratorConfig", "Primitive", "Scene", "occlusion_score",
-    "render", "sample_scene",
+    "FrameBundle", "GeneratorConfig", "Primitive", "Scene", "render", "sample_scene",
     "__version__",
 ]

@@ -36,8 +36,8 @@ from . import losses
 from .annotation import annotate, build_annotation, object_features
 from .clustering import segment
 from .dataset import (derivation_values, is_finite, is_number, load_dataset, load_frame,
-                      load_frames, load_segmentations, read_dataset_manifest, read_json_object,
-                      write_dataset, write_json, write_segmentations)
+                      load_segmentations, read_dataset_manifest, read_json_object, write_dataset,
+                      write_json, write_segmentations)
 from .errors import ClusterSegError
 from .evaluation import (EvalConfig, compute_metrics, format_table, result_to_dict)
 from .geometry import CameraIntrinsics
@@ -185,12 +185,12 @@ def _cmd_infer(args) -> int:
 # eval
 
 def _cmd_eval(args) -> int:
-    _, frames = load_frames(args.dataset)
+    frames = [load_frame(*entry)[1] for entry in read_dataset_manifest(args.dataset)[1]]
     segs = load_segmentations(args.segs)
     if len(frames) != len(segs):
         raise ClusterSegError(
             f"dataset has {len(frames)} frames but {len(segs)} segmentations were given")
-    pairs = [(seg, frame) for seg, (_, frame, _) in zip(segs, frames)]
+    pairs = list(zip(segs, frames))
     result = compute_metrics(pairs, EvalConfig())
     report = {"metrics": result_to_dict(result), "num_images": len(pairs)}
     if args.report:
@@ -498,19 +498,17 @@ class _BadValue(Exception):
 
 
 @functools.cache
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser, with flags on the sub-parser of `command` only, or of every command if None.
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, one sub-parser per command with that command's flags.
 
-    One parser is built per `command` and process and shared by every caller,
-    so no caller may change it.
+    One parser is built per process and shared by every caller, so no caller
+    may change it.
     """
     parser = _Parser(prog="clusterseg",
                      description="Synthetic RGB-D instance segmentation pipeline.")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (_, about) in _COMMANDS.items():
         sub = subs.add_parser(name, help=about)
-        if command not in (None, name):
-            continue
         sub.add_argument("--config", help="JSON object of flag values; explicit flags win")
         sub.add_argument("--dump-config", action="store_true",
                          help="print the effective configuration as JSON and exit")
@@ -584,12 +582,7 @@ def _dump(args) -> str:
 def main(argv=None) -> int:
     try:
         argv = _join_dash_values(sys.argv[1:] if argv is None else argv)
-        # The top-level parser takes no value, so argparse runs the sub-parser of
-        # the first token that is not an option, and only that one needs flags.
-        # Any other first token is a usage error, which the parser with every
-        # flag reports alike.
-        command = next((token for token in argv if not token.startswith("-")), None)
-        given = vars(build_parser(command if command in _COMMANDS else None).parse_args(argv))
+        given = vars(build_parser().parse_args(argv))
         command, dump = given.pop("command"), given.pop("dump_config")
         args = _settings(command, given, dump)
         if dump:

@@ -13,13 +13,13 @@ and load_frame loads and checks one frame, so a command can hold one frame
 at a time.
 A frame's maps are `annotation.build_annotation` of its features, its
 instance map and the manifest's fraction and single_object_radius.
-load_dataset loads every frame with its maps, and
-load_frames, for commands that read only the frames, builds none. A loaded
+load_dataset loads every frame with its maps; load_frame builds none. A loaded
 frame carries the scene's camera, so it derives xyz from its depth on first
 read, as a rendered one does; loading only checks that the depth
 back-projects to finite points. It fills the backdrop pixels of rgb and
 depth with the values render gives them, rebuilds the amodal masks from
-their windows, derives each occlusion score from the pixel counts, and
+their windows, derives the occlusion scores from the pixel counts
+(scenegen.occlusion_scores, as render does), and
 rejects rgb outside [0, 1], features that are not finite, windows outside
 the frame or that disagree with the stored pixel count, mask values other
 than 0 and 1 and visible pixels outside their object's amodal mask.
@@ -48,7 +48,7 @@ from .clustering import Segmentation
 from .errors import (ClusterSegError, MaskContainmentError, NonFiniteError, ShapeMismatchError,
                      ValueRangeError)
 from .geometry import FEATURE_DIM, check_back_projection
-from .scenegen import BACKDROP_RGB, FrameBundle, scene_from_json, scene_to_json
+from .scenegen import BACKDROP_RGB, FrameBundle, occlusion_scores, scene_from_json, scene_to_json
 
 # The dataset layout gen writes; a dataset with any other "format" must be
 # regenerated.
@@ -154,10 +154,18 @@ def derivation_values(fraction, single_object_radius):
 def write_dataset(path, records, **params):
     """Write (scene, frame, per_object_xi) records and a manifest of the generation `params`.
 
-    The records have the shape load_frames returns. Loading derives the
+    The records have the shape load_frame returns. Loading derives the
     annotation maps from the features and the params' fraction and
-    single_object_radius.
+    single_object_radius. Every record is checked against the u16 limits
+    before the first file is written, so one that would wrap leaves the
+    directory as it was.
     """
+    u16_max = np.iinfo(np.uint16).max
+    for i, (scene, frame, _) in enumerate(records):
+        (H, W), K = frame.depth.shape, len(scene.objects)
+        if max(H, W, K) > u16_max:
+            raise ClusterSegError(f"frame {i} is {H} x {W} with {K} objects, but the sides and "
+                                  f"the object count must be at most the u16 limit {u16_max}")
     os.makedirs(path, exist_ok=True)
     frames = []
     for i, (scene, frame, per_object_xi) in enumerate(records):
@@ -189,9 +197,8 @@ def _check_frame_values(bundle_path, t):
     amodal_pixels must hold exactly the windows' pixels, each 0 or 1, and
     object k's visible pixels (id k + 1) must lie in its amodal mask; of
     several such objects the lowest k is named. The foreground pixels are
-    the flat indices of the nonzero ids, ascending. Object k's occlusion
-    score is its visible pixel count over its amodal pixel count, 0 for an
-    empty mask, the bits scenegen.occlusion_score gives.
+    the flat indices of the nonzero ids, ascending. The occlusion scores are
+    scenegen.occlusion_scores of the visible and amodal pixel counts.
     """
     if not np.isfinite(t["per_object_xi"]).all():
         raise NonFiniteError(f"{bundle_path}: per_object_xi contains NaN or infinity")
@@ -232,7 +239,7 @@ def _check_frame_values(bundle_path, t):
     # non-empty windows only.
     amodal, full = np.zeros(K, dtype=np.int64), area > 0
     amodal[full] = np.add.reduceat(pixels, (np.cumsum(area) - area)[full], dtype=np.int64)
-    return fg, masks, np.divide(visible, amodal, out=np.zeros(K), where=amodal > 0)
+    return fg, masks, occlusion_scores(visible, amodal)
 
 
 def read_dataset_manifest(path):
@@ -295,17 +302,11 @@ def load_frame(scene_path, bundle_path):
     return scene, frame, t["per_object_xi"]
 
 
-def load_frames(path):
-    """The dataset's (fraction, single_object_radius) and (scene, frame, per_object_xi) per frame."""
-    values, entries = read_dataset_manifest(path)
-    return values, [load_frame(*entry) for entry in entries]
-
-
 def load_dataset(path):
     """(scene, frame, annotation) per frame, the annotation rebuilt."""
-    values, frames = load_frames(path)
+    values, entries = read_dataset_manifest(path)
     return [(scene, frame, build_annotation(per_object_xi, frame.instance_map, *values))
-            for scene, frame, per_object_xi in frames]
+            for scene, frame, per_object_xi in (load_frame(*entry) for entry in entries)]
 
 
 def write_segmentations(path, segs, **meta):

@@ -54,24 +54,19 @@ def depth_to_xyz(depth: np.ndarray, intr: CameraIntrinsics) -> np.ndarray:
     NonFiniteError when a point is not finite, as for a NaN depth or one so
     large that its x or y overflows.
     """
+    check_back_projection(depth, intr)
     depth = np.asarray(depth, dtype=np.float64)
-    if depth.ndim != 2 or depth.shape != (intr.height, intr.width):
-        raise ShapeMismatchError(
-            f"depth map shape {depth.shape} does not match intrinsics {intr.height}x{intr.width}")
     u = np.arange(intr.width, dtype=np.float64)
     v = np.arange(intr.height, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = (u[None, :] - intr.ppx) * depth / intr.fx
-        y = (v[:, None] - intr.ppy) * depth / intr.fy
+    x = (u[None, :] - intr.ppx) * depth / intr.fx
+    y = (v[:, None] - intr.ppy) * depth / intr.fy
     xyz = np.stack([x, y, depth], axis=-1)
     xyz[depth == 0.0] = 0.0
-    if not np.isfinite(xyz).all():
-        raise NonFiniteError("depth map back-projects to non-finite points")
     return xyz
 
 
 def check_back_projection(depth: np.ndarray, intr: CameraIntrinsics) -> None:
-    """Raise NonFiniteError exactly when depth_to_xyz would, without building xyz.
+    """Raise NonFiniteError exactly when a back-projected point would not be finite, building none.
 
     The depth must be finite. For a fixed column, |x| = |(u - ppx) * d / fx|
     rounds monotonically in |d|, so x is finite in the whole column when it

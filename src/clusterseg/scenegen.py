@@ -5,7 +5,7 @@ authored directly in the camera frame. Rendering is exact per-pixel ray
 casting with a z-buffer: the nearest positive hit wins, ties closer than
 1e-9 m resolve to the lower instance ID. Each frame carries RGB, depth,
 XYZ, the modal instance-ID map, per-object amodal masks, and per-object
-occlusion scores (visible pixels / amodal pixels).
+occlusion scores (occlusion_scores: visible pixels / amodal pixels).
 
 Each primitive is ray-cast only inside its screen window: the rows and
 columns whose ray lines can meet its bounding sphere (center c = the
@@ -69,7 +69,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ClusterSegError, MaskContainmentError, PlacementError, ShapeMismatchError
+from .errors import ClusterSegError, PlacementError
 from .geometry import (CameraIntrinsics, check_back_projection, compute_object_feature,
                        depth_to_xyz, feature_distance)
 from .seeding import STREAM_SCENE, stream_rng
@@ -432,6 +432,7 @@ def render(scene: Scene) -> FrameBundle:
     dirs = _ray_directions(intr)
     K = len(scene.objects)
     amodal = np.zeros((K, H, W), dtype=bool)
+    amodal_pixels = np.zeros(K, dtype=np.int64)
     best_t = np.full((H, W), np.inf)
     winner = np.zeros((H, W), dtype=np.int32)
     # Per object: its window and the window's directions, or None.
@@ -444,7 +445,9 @@ def render(scene: Scene) -> FrameBundle:
         sub = np.ascontiguousarray(dirs[window])
         intersect = _intersect_sphere if prim.kind == "sphere" else _intersect_box
         t = intersect(prim, sub)
-        amodal[k][window] = np.isfinite(t)
+        hit = np.isfinite(t)
+        amodal[k][window] = hit
+        amodal_pixels[k] = np.count_nonzero(hit)
         closer = t < best_t[window] - DEPTH_TIE_EPS
         np.copyto(best_t[window], t, where=closer)
         winner[window][closer] = k + 1
@@ -458,13 +461,11 @@ def render(scene: Scene) -> FrameBundle:
     rgb = np.zeros((H, W, 3))
     if scene.background_depth is not None:
         rgb[:] = BACKDROP_RGB
-    occ = np.zeros(K)
     for k, (prim, cast) in enumerate(zip(scene.objects, casts)):
         if cast is None:
             continue
         window, sub = cast
         sel = winner[window] == k + 1
-        occ[k] = occlusion_score(sel, amodal[k][window])
         if not np.any(sel):
             continue
         # Only the pixels prim wins are shaded, so only they get normals;
@@ -477,23 +478,15 @@ def render(scene: Scene) -> FrameBundle:
     rgb = np.clip(rgb, 0.0, 1.0)
 
     check_back_projection(depth, intr)
+    visible = np.bincount(winner.ravel(), minlength=K + 1)[1:]
     return FrameBundle(rgb=rgb.astype(np.float32), depth=depth, camera=intr,
-                       instance_map=winner,
-                       amodal_masks=amodal, occlusion_scores=occ)
+                       instance_map=winner, amodal_masks=amodal,
+                       occlusion_scores=occlusion_scores(visible, amodal_pixels))
 
 
-def occlusion_score(modal: np.ndarray, amodal: np.ndarray) -> float:
-    """Visible-pixel count over amodal-pixel count; 0 for an empty amodal mask."""
-    modal = np.asarray(modal, dtype=bool)
-    amodal = np.asarray(amodal, dtype=bool)
-    if modal.shape != amodal.shape:
-        raise ShapeMismatchError(f"mask shapes differ: {modal.shape} vs {amodal.shape}")
-    if np.any(modal & ~amodal):
-        raise MaskContainmentError("modal mask is not a subset of the amodal mask")
-    total = int(amodal.sum())
-    if total == 0:
-        return 0.0
-    return float(int(modal.sum()) / total)
+def occlusion_scores(visible: np.ndarray, amodal: np.ndarray) -> np.ndarray:
+    """Per object, visible over amodal pixel count (one correctly rounded division); 0 if empty."""
+    return np.divide(visible, amodal, out=np.zeros(len(amodal)), where=amodal > 0)
 
 
 def scene_to_json(scene: Scene) -> str:

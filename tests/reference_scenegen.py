@@ -9,11 +9,13 @@ scatters it with one boolean mask per object, as does
 `reference_make_bgt_map` with the radii;
 `reference_make_centroid_candidates` scans the instance map once per
 object; `reference_box_points` builds a box's surface sample face by face
-from np.linspace grids. The library's windowed renderer with normals only
-at shaded pixels, its feature over coordinate rows, per-primitive feature
-cache, table gathers, one-sort candidate ranking and box sample filled two
-faces at a time from one coordinate table must reproduce them bit for bit;
-the tests compare the two.
+from np.linspace grids; `reference_occlusion_score` counts one object's
+modal and amodal masks, where render and the loader each divide two count
+arrays with scenegen.occlusion_scores. The library's windowed renderer
+with normals only at shaded pixels, its feature over coordinate rows,
+per-primitive feature cache, table gathers, one-sort candidate ranking
+and box sample filled two faces at a time from one coordinate table must
+reproduce them bit for bit; the tests compare the two.
 """
 
 import numpy as np
@@ -22,7 +24,13 @@ from clusterseg.annotation import DEFAULT_SINGLE_OBJECT_RADIUS
 from clusterseg.errors import ClusterSegError
 from clusterseg.geometry import FEATURE_DIM
 from clusterseg.scenegen import (DEPTH_TIE_EPS, RAY_MIN_T, SURFACE_SAMPLE_COUNT, FrameBundle,
-                                 Scene, _ray_directions, occlusion_score, surface_points)
+                                 Scene, _ray_directions, surface_points)
+
+
+def reference_occlusion_score(modal: np.ndarray, amodal: np.ndarray) -> float:
+    """Visible-pixel count over amodal-pixel count of one object; 0 for an empty amodal mask."""
+    total = int(np.count_nonzero(amodal))
+    return int(np.count_nonzero(modal)) / total if total else 0.0
 
 
 def reference_object_feature(points: np.ndarray) -> np.ndarray:
@@ -174,7 +182,7 @@ def reference_render(scene: Scene) -> FrameBundle:
     amodal = np.isfinite(t_maps)
     occ = np.zeros(K)
     for k in range(K):
-        occ[k] = occlusion_score(winner == k + 1, amodal[k])
+        occ[k] = reference_occlusion_score(winner == k + 1, amodal[k])
 
     return FrameBundle(rgb=rgb.astype(np.float32), depth=depth,
                        camera=intr, instance_map=winner,

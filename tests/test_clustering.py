@@ -1,10 +1,16 @@
 import math
 
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from clusterseg.annotation import annotate
 from clusterseg.clustering import (Prediction, Segmentation, gmm_refine,
                                    seed_segmentation, segment)
+from clusterseg.errors import PlacementError
+from clusterseg.geometry import FEATURE_DIM, CameraIntrinsics
 from clusterseg.predictor import NoiseSpec, noisy_predict, oracle_predict
+from clusterseg.scenegen import GeneratorConfig, render, sample_scene
 
 from conftest import make_example, same_partition
 
@@ -180,3 +186,124 @@ def test_gmm_refine_spherical_fallback_counter():
     stats = {}
     gmm_refine(seed_segmentation(pred), pred, stats=stats)
     assert stats.get("spherical_fallbacks", 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# The exactness guarantee under structured error fields
+#
+# If every pixel's feature error is below half the minimum enclosing radius
+# minB, two pixels of object k lie less than minB <= b_k apart, and pixels of
+# two objects more than 2 b_k - minB >= b_k apart, so greedy seeding recovers
+# the partition whatever the errors' structure. The hard E-step after it
+# keeps no such guarantee.
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _ball(rng, n, radius):
+    """n errors drawn uniformly from the 9-D ball of `radius`."""
+    d = rng.normal(size=(n, FEATURE_DIM))
+    return d / np.linalg.norm(d, axis=1, keepdims=True) * (
+        radius * rng.random((n, 1)) ** (1.0 / FEATURE_DIM))
+
+
+def _pushed_pixel(ann, k, radius, rng=None):
+    """(flat index, error) of a pixel of object k pushed `radius` toward its nearest visible object.
+
+    The pixel is object k's first in row-major order, or a random one of them given rng.
+    """
+    ids = ann.instance_map.ravel()
+    xi = ann.per_object_xi
+    others = [j for j in np.unique(ids).tolist() if j not in (0, k)]
+    near = min(others, key=lambda j: np.linalg.norm(xi[j - 1] - xi[k - 1]))
+    pixels = np.flatnonzero(ids == k)
+    p = pixels[0] if rng is None else rng.choice(pixels)
+    return p, near, radius * _unit(xi[near - 1] - xi[k - 1])
+
+
+def _structured_errors(ann, radius, rng):
+    """A feature error field, each pixel's norm at most `radius`, one pattern per visible object.
+
+    An object gets one pixel pushed toward its nearest other visible
+    object, its pixels split into two random halves with antipodal errors,
+    one error shared by all its pixels, uniform-ball errors, or none.
+    """
+    ids = ann.instance_map.ravel()
+    errors = np.zeros((ids.size, FEATURE_DIM))
+    visible = [k for k in np.unique(ids).tolist() if k]
+    for k in visible:
+        pixels = np.flatnonzero(ids == k)
+        pattern = rng.choice(["push", "split", "shift", "ball", "none"] if len(visible) > 1
+                             else ["split", "shift", "ball", "none"])
+        if pattern == "push":
+            p, _, e = _pushed_pixel(ann, k, radius, rng)
+            errors[p] = e
+        elif pattern == "split":
+            e = radius * _unit(rng.normal(size=FEATURE_DIM))
+            half = rng.permutation(pixels)[:pixels.size // 2]
+            errors[pixels] = e
+            errors[half] = -e
+        elif pattern == "shift":
+            errors[pixels] = radius * _unit(rng.normal(size=FEATURE_DIM))
+        elif pattern == "ball":
+            errors[pixels] = _ball(rng, pixels.size, radius)
+    return errors
+
+
+def _with_errors(ann, errors):
+    pred = oracle_predict(ann)
+    pred.xi_hat = ann.xi_map.astype(np.float64) + errors.reshape(ann.xi_map.shape)
+    return pred
+
+
+def _camera(res):
+    return CameraIntrinsics(float(res), float(res), res / 2.0, res / 2.0, res, res)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene_seed=st.integers(0, 2**31 - 1), field_seed=st.integers(0, 2**32 - 1),
+       res=st.integers(24, 64), count_range=st.sampled_from([(1, 3), (2, 5), (4, 8)]),
+       frac=st.floats(0.0, 0.499))
+def test_seeding_recovers_the_partition_under_structured_errors_below_half_min_radius(
+        scene_seed, field_seed, res, count_range, frac):
+    try:
+        scene = sample_scene(scene_seed, GeneratorConfig(count_range=count_range,
+                                                         camera=_camera(res)))
+    except PlacementError:
+        assume(False)
+    frame = render(scene)
+    ann = annotate(scene, frame)
+    assume(ann.fg_mask.any())
+    min_b = float(ann.b_map[ann.fg_mask].min())
+    pred = _with_errors(ann, _structured_errors(ann, frac * min_b,
+                                                np.random.default_rng(field_seed)))
+    assert np.linalg.norm(pred.xi_hat - ann.xi_map, axis=-1).max() < 0.5 * min_b
+    assert same_partition(seed_segmentation(pred).labels, frame.instance_map)
+    # The E-step may move pixels between instances, never in or out of the foreground.
+    assert np.array_equal(segment(pred).labels > 0, ann.fg_mask)
+
+
+def test_the_e_step_moves_a_pushed_pixel_that_seeding_keeps():
+    # One pixel of the largest visible object is pushed 0.49 minB toward its
+    # nearest visible object, whose pixels get uniform-ball errors of that
+    # radius. Seeding keeps the partition; the E-step scores the pixel under
+    # the largest object's tight component and the neighbour's broad one, and
+    # moves it to the neighbour.
+    scene = sample_scene(0, GeneratorConfig(count_range=(2, 5), camera=_camera(64)))
+    ann = annotate(scene, render(scene))
+    ids = ann.instance_map.ravel()
+    min_b = float(ann.b_map[ann.fg_mask].min())
+    largest = int(np.argmax(np.bincount(ids)[1:])) + 1
+    p, near, e = _pushed_pixel(ann, largest, 0.49 * min_b)
+    errors = np.zeros((ids.size, FEATURE_DIM))
+    errors[p] = e
+    neighbour = np.flatnonzero(ids == near)
+    errors[neighbour] = _ball(np.random.default_rng(0), neighbour.size, 0.49 * min_b)
+    pred = _with_errors(ann, errors)
+
+    seeded = seed_segmentation(pred)
+    assert same_partition(seeded.labels, ann.instance_map)
+    refined = segment(pred)
+    assert np.flatnonzero(refined.labels != seeded.labels).tolist() == [p]
+    assert refined.labels.flat[p] == seeded.labels.flat[neighbour[0]]

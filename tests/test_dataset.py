@@ -24,8 +24,9 @@ from clusterseg.annotation import annotate, object_features
 from clusterseg.cli import main
 from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.clustering import Segmentation
-from clusterseg.dataset import (decode_amodal, encode_amodal, load_dataset, load_frames,
-                                load_segmentations, write_dataset, write_segmentations)
+from clusterseg.dataset import (decode_amodal, encode_amodal, load_dataset, load_frame,
+                                load_segmentations, read_dataset_manifest, write_dataset,
+                                write_segmentations)
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
                                NonFiniteError, PlacementError, ShapeMismatchError)
 from clusterseg.geometry import CameraIntrinsics, depth_to_xyz
@@ -41,6 +42,11 @@ def run_cli(*argv):
         return main([str(a) for a in argv])
     except SystemExit as exc:
         return int(exc.code)
+
+
+def _load_frames(path):
+    """(scene, frame, per_object_xi) of every frame of the dataset at path."""
+    return [load_frame(*entry) for entry in read_dataset_manifest(path)[1]]
 
 
 def _same(got, want, name):
@@ -108,7 +114,7 @@ def test_rendered_occlusion_scores_are_what_loading_derives(tmp_path, res, count
     records = [(scene, render(scene), object_features(scene)) for scene in scenes]
     assert records[1][1].amodal_masks[1].sum() == 0
     write_dataset(tmp_path, records, fraction=0.2, single_object_radius=1.0)
-    _, loaded = load_frames(tmp_path)
+    loaded = _load_frames(tmp_path)
     for (_, want, want_xi), (_, frame, xi) in zip(records, loaded, strict=True):
         for name in FRAME_FIELDS:
             _same(getattr(frame, name), getattr(want, name), name)
@@ -194,7 +200,7 @@ def test_foreground_rgb_and_depth_round_trip_bit_for_bit(kind, background_depth,
                       single_object_radius=1.0)
         stored = read_bundle(f"{ds}/frame_00000.tsb")
         assert stored["rgb"].shape == (fg.sum(), 3) and stored["depth"].shape == (fg.sum(),)
-        _, [(_, loaded, _)] = load_frames(ds)
+        [(_, loaded, _)] = _load_frames(ds)
     _same(loaded.rgb, rgb, "rgb")
     _same(loaded.depth, depth, "depth")
     _same(loaded.instance_map, ids, "instance_map")
@@ -290,7 +296,7 @@ def test_stored_rows_must_be_one_per_foreground_pixel(dataset, tmp_path, capsys,
     write_bundle(path, {**t, "rgb": t["rgb"][rows], "depth": t["depth"][rows]})
     with pytest.raises(ShapeMismatchError, match=f"frame_00001.tsb: rgb and depth hold {F + extra} "
                                                  f"pixels, but the instance map has {F} "):
-        load_frames(str(ds))
+        _load_frames(str(ds))
     _exits_2(ds, segs, tmp_path, capsys)
 
 
@@ -349,6 +355,53 @@ def test_gen_refuses_values_its_loader_would_reject(tmp_path, capsys, flag, valu
     assert run_cli("gen", "--count", 1, "--res", "16x16", "--out", out, flag, value) == 2
     assert "error" in capsys.readouterr().err
     assert not (out / "dataset.json").exists()
+
+
+BALL = Primitive(kind="sphere", quaternion=(1.0, 0.0, 0.0, 0.0), translation=(0.0, 0.0, 2.0),
+                 half_extents=(0.5, 0.5, 0.5), albedo=(0.5, 0.5, 0.5))
+
+
+def _column_record(height):
+    """A rendered frame 1 pixel wide and `height` rows tall whose one sphere covers every pixel."""
+    scene = Scene(objects=(BALL,), camera=CameraIntrinsics(100.0, 100.0 * height, 0.5,
+                                                            height / 2.0, 1, height))
+    return scene, render(scene), object_features(scene)
+
+
+def _one_pixel_record(K):
+    """A 1 x 1 frame of K copies of one sphere whose pixel shows object K."""
+    camera = CameraIntrinsics(1.0, 1.0, 0.5, 0.5, 1, 1)
+    frame = scenegen.FrameBundle(rgb=np.full((1, 1, 3), 0.5, dtype=np.float32),
+                                 depth=np.ones((1, 1)), camera=camera,
+                                 instance_map=np.full((1, 1), K, dtype=np.int32),
+                                 amodal_masks=np.ones((K, 1, 1), dtype=bool),
+                                 occlusion_scores=np.zeros(K))
+    return Scene(objects=(BALL,) * K, camera=camera), frame, np.zeros((K, 9))
+
+
+def _files(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+def test_write_dataset_refuses_a_side_past_the_u16_limit(tmp_path):
+    # A 65535-row amodal window still fits its u16 height; 65536 would wrap to 0.
+    ds, edge = tmp_path / "ds", _column_record(65535)
+    write_dataset(ds, [edge], fraction=0.2, single_object_radius=1.0)
+    [(_, loaded, _)] = _load_frames(ds)
+    _same(loaded.amodal_masks, edge[1].amodal_masks, "amodal_masks")
+    before = _files(ds)
+    with pytest.raises(ClusterSegError, match="frame 1 is 65536 x 1 with 1 objects, .* 65535"):
+        write_dataset(ds, [edge, _column_record(65536)], fraction=0.2, single_object_radius=1.0)
+    assert _files(ds) == before
+
+
+def test_write_dataset_refuses_more_objects_than_u16_ids(tmp_path):
+    # Instance id 65536 would wrap to 0, the background.
+    ds = tmp_path / "ds"
+    with pytest.raises(ClusterSegError, match="frame 1 is 1 x 1 with 65536 objects, .* 65535"):
+        write_dataset(ds, [_one_pixel_record(1), _one_pixel_record(65536)], fraction=0.2,
+                      single_object_radius=1.0)
+    assert not ds.exists()
 
 
 @pytest.mark.parametrize("name", ["dataset.json", "scene_00001.json", "frame_00001.tsb"])

@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clusterseg.errors import EmptyPointCloudError, ShapeMismatchError
-from clusterseg.geometry import (CameraIntrinsics, compute_object_feature,
+from clusterseg.errors import EmptyPointCloudError, NonFiniteError, ShapeMismatchError
+from clusterseg.geometry import (CameraIntrinsics, check_back_projection, compute_object_feature,
                                  depth_to_xyz, feature_distance)
+
+
+def reference_depth_to_xyz(depth, intr):
+    """The back-projection built in full, non-finite points kept: the definition the check decides."""
+    u = np.arange(intr.width, dtype=np.float64)
+    v = np.arange(intr.height, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = (u[None, :] - intr.ppx) * depth / intr.fx
+        y = (v[:, None] - intr.ppy) * depth / intr.fy
+    xyz = np.stack([x, y, depth], axis=-1)
+    xyz[depth == 0.0] = 0.0
+    return xyz
 
 
 def test_principal_point_projects_onto_optical_axis():
@@ -40,8 +54,37 @@ def test_depth_round_trip():
 
 def test_depth_shape_mismatch():
     intr = CameraIntrinsics(100.0, 100.0, 8.0, 8.0, 16, 16)
-    with pytest.raises(ShapeMismatchError):
-        depth_to_xyz(np.zeros((16, 17)), intr)
+    for check in (depth_to_xyz, check_back_projection):
+        with pytest.raises(ShapeMismatchError, match=r"\(16, 17\) does not match intrinsics 16x16"):
+            check(np.zeros((16, 17)), intr)
+
+
+# Depths that are zero, signed zero, not finite, at the edge of overflow, or plain.
+DEPTHS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e308, -1e308, 1.7976931348623157e308, 5e307,
+          1e300, 5e-324, 1.0, 2.5]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), height=st.integers(1, 5), width=st.integers(1, 5),
+       fx=st.sampled_from([1e-300, 5e-324, 1e-3, 0.5]) | st.floats(1e-6, 1e4),
+       fy=st.sampled_from([1e-300, 5e-324, 1e-3, 0.5]) | st.floats(1e-6, 1e4),
+       ppx=st.sampled_from([-1e308, 1e308, -1e30, 1e6]) | st.floats(-10.0, 10.0),
+       ppy=st.sampled_from([-1e308, 1e308, -1e30, 1e6]) | st.floats(-10.0, 10.0))
+def test_check_back_projection_raises_exactly_when_a_point_is_not_finite(
+        data, height, width, fx, fy, ppx, ppy):
+    intr = CameraIntrinsics(fx, fy, ppx, ppy, width, height)
+    depth = np.array(data.draw(st.lists(st.sampled_from(DEPTHS) | st.floats(-1e3, 1e3),
+                                        min_size=height * width, max_size=height * width)),
+                     dtype=np.float64).reshape(height, width)
+    want = reference_depth_to_xyz(depth, intr)
+    if np.isfinite(want).all():
+        check_back_projection(depth, intr)
+        got = depth_to_xyz(depth, intr)
+        assert got.tobytes() == want.tobytes()
+    else:
+        for check in (check_back_projection, depth_to_xyz):
+            with pytest.raises(NonFiniteError, match="back-projects to non-finite points"):
+                check(depth, intr)
 
 
 def test_single_point_feature():

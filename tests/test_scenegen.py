@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from clusterseg.errors import (ClusterSegError, MaskContainmentError, PlacementError,
-                               ShapeMismatchError)
+from clusterseg.errors import ClusterSegError, PlacementError
 from clusterseg.geometry import CameraIntrinsics, feature_distance
 from clusterseg.scenegen import (Primitive, Scene,
-                                 occlusion_score, render, sample_scene, scene_from_json,
+                                 occlusion_scores, render, sample_scene, scene_from_json,
                                  scene_to_json, surface_points)
 
 from conftest import small_config
+from reference_scenegen import reference_occlusion_score
 
 IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
 
@@ -190,22 +190,20 @@ def test_modal_equals_amodal_minus_closer_objects():
     for k in range(len(scene.objects)):
         modal = frame.instance_map == k + 1
         assert not np.any(modal & ~frame.amodal_masks[k])
-        expected = occlusion_score(modal, frame.amodal_masks[k])
+        expected = reference_occlusion_score(modal, frame.amodal_masks[k])
         assert frame.occlusion_scores[k] == expected
 
 
 def test_occlusion_score_cases():
-    full = np.ones((10, 10), dtype=bool)
-    assert occlusion_score(full, full) == 1.0
-    modal = np.zeros((10, 10), dtype=bool)
-    modal[:5, :5] = True
-    assert occlusion_score(modal, full) == 0.25
-    empty = np.zeros((10, 10), dtype=bool)
-    assert occlusion_score(empty, empty) == 0.0
-    with pytest.raises(MaskContainmentError):
-        occlusion_score(full, modal)
-    with pytest.raises(ShapeMismatchError):
-        occlusion_score(np.zeros((2, 2), bool), np.zeros((3, 3), bool))
+    # all visible, a quarter visible, an empty amodal mask
+    scores = occlusion_scores(np.array([100, 25, 0]), np.array([100, 100, 0]))
+    assert scores.dtype == np.float64 and scores.tolist() == [1.0, 0.25, 0.0]
+    # every count below 2^53 gives the correctly rounded quotient of Python's int division
+    rng = np.random.default_rng(0)
+    amodal = rng.integers(1, 2**53, size=1000)
+    visible = rng.integers(0, amodal + 1)
+    assert occlusion_scores(visible, amodal).tolist() == [
+        v / a for v, a in zip(visible.tolist(), amodal.tolist())]
 
 
 def test_scene_json_round_trip():
