@@ -35,6 +35,7 @@ import os
 import pathlib
 import platform
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,19 +130,12 @@ def run_battery(root):
         code, out, err = _run([arg.replace("{root}", root) for arg in argv])
         assert code == 0, f"{name} exited {code}: {err}"
         digests[f"stdout/{name}"] = _sha(out.replace(root, "<root>").encode())
-    previous = os.environ.get("COLUMNS")
-    try:
-        for columns in COLUMNS:
-            os.environ["COLUMNS"] = columns
+    for columns in COLUMNS:
+        with mock.patch.dict(os.environ, {"COLUMNS": columns}):
             for argv in PARSER_ARGV:
                 code, out, err = _run(list(argv))
                 key = f"parser/{columns}/{' '.join(argv) or 'no-arguments'}"
                 digests[key] = _sha(f"{code}\n{out}\0{err}".encode())
-    finally:
-        if previous is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = previous
     for directory, _, files in os.walk(root):
         for file in files:
             path = os.path.join(directory, file)
