@@ -24,7 +24,15 @@ the result, so their cost grows close to linearly with foreground pixels:
   flat index; only a seed's live window pixels, at the reach of its squared
   radius, get the 9-D distance test. A radius whose square is not finite in
   the feature dtype tests every live pixel, as the definition then does.
-* The E-step scores each pixel under its own seeded component exactly.
+* The E-step first settles whole components, as Elkan's inter-centre bounds
+  skip whole pairs: component o's members lie within R_o of mu_o (their
+  largest distance, rounded up), so on them o scores at least
+  log w_o - 1/2 (9 log 2 pi + log|S_o| + R_o^2 / lambda_min(S_o)) and a rival
+  m at most the bound below with |mu_o - mu_m| - R_o for |x - mu_m|. Both are
+  widened as that bound is, for LU error by cond(S) and for the rounding of
+  the sums; where every rival's bound lies below o's, o's members keep it
+  unsolved. Plain rivals meet o only in the window at that bound's reach.
+* The E-step scores every other pixel under its own component exactly.
   Since the Mahalanobis term is at least |x - mu_m|^2 / lambda_max(S_m),
   component m scores at most
   log w_m - 1/2 (9 log 2 pi + log|S_m| + |x - mu_m|^2 / lambda_max(S_m)).
@@ -50,14 +58,16 @@ the result, so their cost grows close to linearly with foreground pixels:
   component's own pixel has -2 times its exact own score as threshold, so
   the window and the bound keep every component that could tie with it;
   the lower index wins the tie.
-* Four more paths stay for their measured cost, given as segment() time
+* Five more paths stay for their measured cost, given as segment() time
   without them over time with them (the median of per-round ratios over 31
   interleaved rounds) on untrained-MLP frames of the sizes named or, in order,
   at 48x48, at 32x32 with one object, and on 128x128 ball-noise frames (0.49 minB):
   - width merging in _quad_forms (_SOLVE_COLUMNS): x1.04 at 48x48, x1.05 at 32x32;
   - 16-bit radix keys in _stable_order: a further x1.05-1.07 at 48x48 and 128x128;
   - the Elkan bound (every non-plain pair solved instead): x6.2-6.7, x3.1-3.2, x3.8-3.9;
-  - one shared plain covariance (a matrix per component instead): x1.32-1.36, x1.10, x1.00.
+  - one shared plain covariance (a matrix per component instead): x1.32-1.36, x1.10, x1.00;
+  - the component test: x1.73-1.76 with ball noise, x0.97 at 48x48, x0.97-0.98 on train-32's
+    per-epoch AP predictions.
 """
 
 import math
@@ -76,6 +86,7 @@ _BLOCK_ELEMENTS = 1 << 16
 _SOLVE_COLUMNS = 128
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 # Pruning needs |x|^2 and |mu|^2 below this, and 1 / lambda_min(S) and the
 # bound's slope below _CAP, so nothing the definition computes can overflow.
 _MAGNITUDE = 1e100
@@ -279,7 +290,7 @@ def _quad_forms(diff, counts, covs, variance, fallback, min_cols):
 
 
 def _components(Xs, sizes):
-    """Means, regularized covariances and their slots, and which components are plain.
+    """Means, regularized covariances and their slots, which components are plain, x - mu.
 
     Component m's covariance is `matrices[slot[m]]`. `Xs` lists the members
     of component 0, then 1, ..., `sizes[m]` rows each. A plain component
@@ -287,7 +298,7 @@ def _components(Xs, sizes):
     matrix all +0.0, so its covariance is exactly 1e-6 * I, stored once as
     the last matrix for all of them. The others take np.mean and a matmul
     of the centered members, as the definition does, in slots 0, 1, ... in
-    component order.
+    component order; `centered` holds their members minus their means, by slot.
     """
     M = len(sizes)
     first = np.cumsum(sizes) - sizes
@@ -297,19 +308,20 @@ def _components(Xs, sizes):
     mus[plain] = Xs[first[plain]]
     rest = np.flatnonzero(~plain)
     matrices = np.zeros((rest.size + plain.any(), FEATURE_DIM, FEATURE_DIM))
+    centered = []
     for k, (m, lo, hi) in enumerate(zip(rest.tolist(), first[rest].tolist(),
                                         (first + sizes)[rest].tolist())):
         members = Xs[lo:hi]
         # np.mean over rows: their sum divided by their count.
         mus[m] = np.add.reduce(members, axis=0) / members.shape[0]
-        centered = members - mus[m]
-        np.matmul(centered.T, centered, out=matrices[k])
+        centered.append(members - mus[m])
+        np.matmul(centered[k].T, centered[k], out=matrices[k])
     matrices[:rest.size] /= sizes[rest, None, None]
     diag = np.arange(FEATURE_DIM)
     matrices[:, diag, diag] += COVARIANCE_REGULARIZATION
     slot = np.full(M, rest.size)
     slot[rest] = np.arange(rest.size)
-    return mus, matrices, slot, plain
+    return mus, matrices, slot, plain, centered
 
 
 @np.errstate(all="ignore")
@@ -336,8 +348,7 @@ def gmm_refine(seg: Segmentation, pred: Prediction,
     # order, as the definition's boolean mask does.
     by_label = _stable_order(own, M)
     sizes = np.bincount(own, minlength=M)
-    Xs = X[by_label]
-    mus, matrices, slot, plain = _components(Xs, sizes)
+    mus, matrices, slot, plain, centered = _components(X[by_label], sizes)
 
     # Each distinct matrix is factored once: a decomposition of equal
     # matrices gives equal bits. slogdet and solve factor the same matrix,
@@ -366,30 +377,33 @@ def gmm_refine(seg: Segmentation, pred: Prediction,
     if M > 1:
         log_w = np.log(sizes / n_fg)
         const = FEATURE_DIM * np.log(2.0 * np.pi) + logdet[slot]
-        own_sorted = own[by_label]
+        rivals = _rivals(mus, matrices, slot, variance, fallback, log_w, const, plain)
+        # Settled components keep their members unsolved; the rest meet the bound.
+        settled = np.zeros(M, dtype=bool)
+        settled[rivals[0]] = _settled(mus, rivals, centered, sizes[rivals[0]])
+        at = np.flatnonzero(~settled[own]) if settled.any() else slice(None)
+        X, own_at = X[at], own[at]
         # A plain component's own pixel is its mean, so the solve sees a zero
         # right-hand side and its Mahalanobis term is +-0.0, which adds to
         # const exactly as +0.0 does.
-        live = ~plain[own_sorted]
-        quad = np.zeros(n_fg)
-        quad[live] = quad_forms(Xs[live] - mus[own_sorted[live]], own_sorted[live])
-        own_score = np.empty(n_fg)
-        own_score[by_label] = log_w[own_sorted] - 0.5 * (const[own_sorted] + quad)
-        pix, comp = _candidates(X, own, own_score, mus, matrices, slot, variance[slot],
-                                fallback[slot], log_w, const, plain)
+        live = np.flatnonzero(~plain[own_at])
+        quad = np.zeros(len(X))
+        quad[live] = quad_forms(X[live] - mus[own_at[live]], own_at[live])
+        own_score = log_w[own_at] - 0.5 * (const[own_at] + quad)
+        pix, comp = _candidates(X, own_at, own_score, mus, rivals) if len(X) else (live, live)
         if pix.size:
             score = log_w[comp] - 0.5 * (const[comp] + quad_forms(X[pix] - mus[comp], comp))
             # Each contested pixel takes what np.argmax over its row would:
             # the first NaN, else the first maximum.
             contested = np.unique(pix)
             pix = np.concatenate((pix, contested))
-            comp = np.concatenate((comp, own[contested]))
+            comp = np.concatenate((comp, own_at[contested]))
             score = np.concatenate((score, own_score[contested]))
             order = np.lexsort((comp, -score, ~np.isnan(score), pix))
             pix, comp = pix[order], comp[order]
             first = np.r_[True, pix[1:] != pix[:-1]]
             new_own = own.copy()
-            new_own[pix[first]] = comp[first]
+            new_own[np.arange(n_fg)[at][pix[first]]] = comp[first]
 
     # Relabel the components that kept pixels, in order.
     kept = np.flatnonzero(np.bincount(new_own, minlength=M))
@@ -403,52 +417,49 @@ def gmm_refine(seg: Segmentation, pred: Prediction,
     return Segmentation(labels=labels, scores=scores, seeds=seeds)
 
 
-def _bound_terms(X, own_score, mus, covs, variance, fallback, log_w, const):
-    """The pruning bound of component m at pixel n: m cannot win once
+def _rivals(mus, matrices, slot, variance, fallback, log_w, const, plain):
+    """Bound terms (rest, by_mu0, mm, slope, offset, lead, ceiling, prunable).
 
-        weights[m] . [x_n, |x_n|^2, 1] > threshold[n].
-
-    Returns (rows, weights, threshold, slope, offset, prunable), rows being
-    [x, |x|^2, 1] per pixel: the dot product is a lower bound of
-    slope_m |x_n - mu_m|^2 - offset_m, and a component that is not prunable
-    has NaN weights, so it never loses by the bound. `covs` holds each
-    component's matrix.
+    A prunable component's score in the definition at x lies between
+    -(lead + ceiling d2) / 2 and -(slope d2 - offset) / 2, d2 = |x - mu|^2.
+    The last five hold an entry per component of `rest` (not plain), then
+    one shared by the plain ones, listed in `by_mu0` by ascending mu0 with
+    squared norms `mm`: that of the least norm, prunable unless none is.
     """
+    rest = np.flatnonzero(~plain)
+    shared = np.flatnonzero(plain)
+    by_mu0 = shared[np.argsort(mus[shared, 0])]
+    mm = np.einsum("md,md->m", mus[by_mu0], mus[by_mu0])
+    terms = np.append(rest, by_mu0[np.argmin(mm)]) if shared.size else rest
+    at = slot[terms]
+    mus, fallback, log_w, const = mus[terms], fallback[at], log_w[terms], const[terms]
     # Bounds on the spectrum of each covariance, widened for eigvalsh
     # error; a spherical fallback's spectrum is its variance.
-    lam_hi = variance.copy()
-    lam_lo = variance.copy()
-    eig = np.linalg.eigvalsh(covs[~fallback])
+    lam_hi, lam_lo = variance[at], variance[at]
+    eig = np.linalg.eigvalsh(matrices[at[~fallback]])
     lam_hi[~fallback] = eig[:, -1] * (1.0 + 1e-12)
     lam_lo[~fallback] = eig[:, 0] - 1e-12 * eig[:, -1]
-    # The definition's Mahalanobis term is at least slope * |x - mu|^2:
-    # LU backward error can shrink it by the cond term, the dot
-    # product's rounding by the sqrt(cond) term.
+    # LU backward error can move the definition's Mahalanobis term by the
+    # cond term, the dot product's rounding by the sqrt(cond) term.
     cond = lam_hi / lam_lo
-    slope = (1.0 - 2e-10 * cond - 1e-12 * np.sqrt(cond) - 1e-12) / lam_hi
-    mm = np.einsum("md,md->m", mus, mus)
+    shrink = 1.0 - 2e-10 * cond - 1e-12 * np.sqrt(cond) - 1e-12
+    slope = shrink / lam_hi
     bar = 2.0 * log_w - const
-    prunable = (lam_lo > 1.0 / _CAP) & (slope > 0) & (mm < _MAGNITUDE) & np.isfinite(bar)
-    # Component m loses to the own one when
-    #   slope * d2 - offset > -2 * own score,  offset = 2 log w_m - const_m + slack,
-    # the slack covering rounding in the definition's log-posterior,
-    # which (as |log w_m| >= 1 / n) also dwarfs any underflow in its
-    # Mahalanobis term; `_SHRINK` covers the rounding of the dot product
-    # and of the norms.
-    offset = bar + 64.0 * _EPS * (np.abs(2.0 * log_w) + np.abs(const))
-    weights = _weights(mus, mm, slope, offset)
-    weights[~prunable] = np.nan
-    # NaN and infinite own scores, and huge pixels, never prune.
-    xx = np.einsum("nd,nd->n", X, X)
-    threshold = np.where((xx < _MAGNITUDE) & np.isfinite(own_score), -2.0 * own_score, np.inf)
-    rows = np.concatenate((X, xx[:, None], np.ones((len(X), 1))), axis=1)
-    return rows, weights, threshold, slope, offset, prunable
+    prunable = ((lam_lo > 1.0 / _CAP) & (slope > 0) & np.isfinite(bar)
+                & (np.einsum("md,md->m", mus, mus) < _MAGNITUDE))
+    # The slack covers rounding in the definition's log-posterior, which
+    # (as |log w_m| >= 1 / n) also dwarfs any underflow in its Mahalanobis
+    # term.
+    slack = 64.0 * _EPS * (np.abs(2.0 * log_w) + np.abs(const))
+    ceiling = 1.0 / (shrink * lam_lo)
+    return rest, by_mu0, mm, slope, bar + slack, 2.0 * slack - bar, ceiling, prunable
 
 
 def _weights(mus, mm, slope, offset):
     """Bound weights [-2 slope mu, slope, slope |mu|^2 - offset] per row, the positive terms shrunk.
 
-    `slope` and `offset` are per row or shared by all rows.
+    `slope` and `offset` are per row or shared by all rows; the weights' dot
+    product with [x, |x|^2, 1] is at most slope |x - mu|^2 - offset.
     """
     slope = np.asarray(slope)
     weights = np.empty((len(mus), FEATURE_DIM + 2))
@@ -458,28 +469,74 @@ def _weights(mus, mm, slope, offset):
     return weights
 
 
-def _candidates(X, own, own_score, mus, matrices, slot, variance, fallback, log_w, const,
-                plain):
+def _settled(mus, rivals, centered, sizes):
+    """Which components of `rest` (_rivals) keep every member whatever it scores.
+
+    Component o's members, `centered` minus mu_o, lie within R_o of mu_o,
+    so o scores at least -(lead_o + ceiling_o R_o^2) / 2 on them and a rival
+    m at mean distance D at most -(slope_m max(0, D - R_o)^2 - offset_m) / 2.
+    o settles where every rival's bound, widened for rounding, lies below
+    its own; plain rivals meet it only in the window (_window) at their reach.
+    """
+    rest, by_mu0, mm, slope, offset, lead, ceiling, prunable = rivals
+    k = rest.size
+    # R_o, rounded up past rounding and underflow (an empty component reads
+    # a neighbour's rows, but it cannot prune), and -2 times o's bound.
+    rows = np.concatenate([*centered, np.zeros((1, FEATURE_DIM))])
+    radius = np.maximum.reduceat(np.einsum("nd,nd->n", rows, rows), np.cumsum(sizes) - sizes)
+    radius = np.sqrt(radius + _TINY) * (1.0 + 64.0 * _EPS)
+    t = lead[:k] + ceiling[:k] * radius * radius * (1.0 + 1024.0 * _EPS)
+    # Huge balls, and components that cannot prune, settle nothing.
+    settled = prunable[:k] & (radius * radius < _MAGNITUDE) & (np.abs(t) < np.inf)
+    # m loses once slope_m (D - R_o)^2 > t_o + offset_m, D bounded below past
+    # the rounding of d2 = D^2 (NaN where it underflows); the rest widened.
+    t = t + 1024.0 * _EPS * np.abs(t)
+    offset = offset + 1024.0 * _EPS * np.abs(offset)
+    slope = slope * (1.0 - 4096.0 * _EPS)
+
+    def beaten(o, d2, m):
+        gap = np.maximum(np.sqrt(d2 - _TINY) * (1.0 - 64.0 * _EPS) - radius[o], 0.0)
+        return gap * gap * slope[m] > t[o] + offset[m]
+
+    step = max(1, _BLOCK_ELEMENTS // (FEATURE_DIM * max(k, 1)))
+    for lo in range(0, k, step):
+        o = np.flatnonzero(settled[lo:lo + step]) + lo
+        diff = mus[rest[o], None] - mus[rest]
+        d2 = np.einsum("omd,omd->om", diff, diff)
+        d2[np.arange(o.size), o] = np.inf
+        settled[o] &= (beaten(o[:, None], d2, slice(k)) & prunable[:k]).all(axis=1)
+    if by_mu0.size and settled.any():
+        o = np.flatnonzero(settled)
+        settled[o] = prunable[k] and (mm < _MAGNITUDE).all()
+        need = np.maximum((t[o] + offset[k]) / slope[k], 0.0)
+        reach = ((radius[o] + np.sqrt(need)) * (1.0 + 64.0 * _EPS)) ** 2
+        lo, count = _window(mus[by_mu0, 0], mus[rest[o], 0], reach)
+        for o, at in _window_pairs(o, lo, count, _BLOCK_ELEMENTS // FEATURE_DIM):
+            diff = mus[rest[o]] - mus[by_mu0[at]]
+            d2 = np.einsum("nd,nd->n", diff, diff)
+            settled[o[~beaten(o, d2, k)]] = False
+    return settled
+
+
+def _candidates(X, own, own_score, mus, rivals):
     """(pixel, component) pairs the pruning bound cannot rule out, own excluded.
 
-    Plain components share every bound term but their mean, so the bound
-    is set up for the other components and the plain one of least norm,
-    which stands for all: it is prunable unless none of them is. Pairs come
-    sorted by component, then pixel.
+    Pairs come sorted by component, then pixel.
     """
     n = len(X)
-    rest = np.flatnonzero(~plain)
-    shared = np.flatnonzero(plain)
-    by_mu0 = shared[np.argsort(mus[shared, 0])]
-    mm = np.einsum("md,md->m", mus[by_mu0], mus[by_mu0])
-    terms = np.append(rest, by_mu0[np.argmin(mm)]) if shared.size else rest
-    rows, weights, threshold, slope, offset, prunable = _bound_terms(
-        X, own_score, mus[terms], matrices[slot[terms]], variance[terms], fallback[terms],
-        log_w[terms], const[terms])
+    rest, by_mu0, mm, slope, offset, _, _, prunable = rivals
     k = rest.size
-    pix, comp = _bounded_pairs(rows, threshold, weights[:k])
+    # Rows [x, |x|^2, 1] meet _weights. NaN and infinite own scores, and
+    # huge pixels, never prune.
+    xx = np.einsum("nd,nd->n", X, X)
+    threshold = np.where((xx < _MAGNITUDE) & np.isfinite(own_score), -2.0 * own_score, np.inf)
+    rows = np.concatenate((X, xx[:, None], np.ones((n, 1))), axis=1)
+    weights = _weights(mus[rest], np.einsum("md,md->m", mus[rest], mus[rest]), slope[:k],
+                       offset[:k])
+    weights[~prunable[:k]] = np.nan
+    pix, comp = _bounded_pairs(rows, threshold, weights)
     comp = rest[comp]
-    if shared.size:
+    if by_mu0.size:
         # Plain components of huge norm, or that cannot prune, meet every pixel.
         tight = (mm < _MAGNITUDE) & prunable[k]
         more = _shared_pairs(X, rows, threshold, own, mus, mm[tight], by_mu0[tight],
@@ -547,17 +604,20 @@ def _shared_pairs(X, rows, threshold, own, mus, mm, tight, loose, slope, offset)
         lo, count = _window(mus[tight, 0], X[closed, 0], reach)
         # Most plain pixels' windows hold only their own component.
         count[(count == 1) & (tight[np.minimum(lo, tight.size - 1)] == own[closed])] = 0
-        ends = np.cumsum(count)
-        step = _BLOCK_ELEMENTS // (FEATURE_DIM + 2)
-        cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], step), "right"))
-        for a, b in zip(cuts.tolist(), np.append(cuts[1:], closed.size).tolist()):
-            pix = np.repeat(closed[a:b], count[a:b])
-            at = _ranges(lo[a:b], lo[a:b] + count[a:b])
+        for pix, at in _window_pairs(closed, lo, count, _BLOCK_ELEMENTS // (FEATURE_DIM + 2)):
             weights = _weights(mus[tight[at]], mm[at], slope, offset)
             keep = ~(np.einsum("nk,nk->n", rows[pix], weights) > threshold[pix])
             pix_parts.append(pix[keep])
             comp_parts.append(tight[at[keep]])
     return np.concatenate(pix_parts), np.concatenate(comp_parts)
+
+
+def _window_pairs(queries, lo, count, step):
+    """(query, position) pairs of the windows [lo, lo + count), in chunks of about `step`."""
+    ends = np.cumsum(count)
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], step), "right"))
+    for a, b in zip(cuts.tolist(), np.append(cuts[1:], queries.size).tolist()):
+        yield np.repeat(queries[a:b], count[a:b]), _ranges(lo[a:b], lo[a:b] + count[a:b])
 
 
 def _window(mu0, x0, reach, dtype=np.float64):

@@ -222,20 +222,26 @@ def _pushed_pixel(ann, k, radius, rng=None):
     return p, near, radius * _unit(xi[near - 1] - xi[k - 1])
 
 
-def _structured_errors(ann, radius, rng):
+STRUCTURED_PATTERNS = ("push", "split", "shift", "ball")
+
+
+def _structured_errors(ann, radius, rng, pattern=None):
     """A feature error field, each pixel's norm at most `radius`, one pattern per visible object.
 
     An object gets one pixel pushed toward its nearest other visible
     object, its pixels split into two random halves with antipodal errors,
-    one error shared by all its pixels, uniform-ball errors, or none.
+    one error shared by all its pixels, uniform-ball errors, or none; each
+    object draws its own, unless `pattern` names one for all of them.
     """
     ids = ann.instance_map.ravel()
     errors = np.zeros((ids.size, FEATURE_DIM))
     visible = [k for k in np.unique(ids).tolist() if k]
+    draw = pattern is None
     for k in visible:
         pixels = np.flatnonzero(ids == k)
-        pattern = rng.choice(["push", "split", "shift", "ball", "none"] if len(visible) > 1
-                             else ["split", "shift", "ball", "none"])
+        if draw:
+            pattern = rng.choice([*STRUCTURED_PATTERNS, "none"] if len(visible) > 1
+                                 else ["split", "shift", "ball", "none"])
         if pattern == "push":
             p, _, e = _pushed_pixel(ann, k, radius, rng)
             errors[p] = e
@@ -284,12 +290,13 @@ def test_seeding_recovers_the_partition_under_structured_errors_below_half_min_r
     assert np.array_equal(segment(pred).labels > 0, ann.fg_mask)
 
 
-def test_the_e_step_moves_a_pushed_pixel_that_seeding_keeps():
-    # One pixel of the largest visible object is pushed 0.49 minB toward its
-    # nearest visible object, whose pixels get uniform-ball errors of that
-    # radius. Seeding keeps the partition; the E-step scores the pixel under
-    # the largest object's tight component and the neighbour's broad one, and
-    # moves it to the neighbour.
+def pushed_pixel_scene():
+    """(prediction, annotation, pushed pixel, the neighbour's pixels) of scene 0 at 64x64.
+
+    One pixel of the largest visible object is pushed 0.49 minB toward its
+    nearest visible object, whose pixels get uniform-ball errors of that
+    radius.
+    """
     scene = sample_scene(0, GeneratorConfig(count_range=(2, 5), camera=_camera(64)))
     ann = annotate(scene, render(scene))
     ids = ann.instance_map.ravel()
@@ -300,8 +307,14 @@ def test_the_e_step_moves_a_pushed_pixel_that_seeding_keeps():
     errors[p] = e
     neighbour = np.flatnonzero(ids == near)
     errors[neighbour] = _ball(np.random.default_rng(0), neighbour.size, 0.49 * min_b)
-    pred = _with_errors(ann, errors)
+    return _with_errors(ann, errors), ann, p, neighbour
 
+
+def test_the_e_step_moves_a_pushed_pixel_that_seeding_keeps():
+    # Seeding keeps the partition; the E-step scores the pushed pixel under
+    # the largest object's tight component and the neighbour's broad one, and
+    # moves it to the neighbour.
+    pred, ann, p, neighbour = pushed_pixel_scene()
     seeded = seed_segmentation(pred)
     assert same_partition(seeded.labels, ann.instance_map)
     refined = segment(pred)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from clusterseg import clustering
 from clusterseg.annotation import annotate
 from clusterseg.clustering import (COVARIANCE_REGULARIZATION, Prediction, Segmentation,
-                                   _bound_terms, _components, _instance_scores, _quad_forms,
+                                   _components, _instance_scores, _quad_forms, _rivals, _weights,
                                    _window, gmm_refine, seed_segmentation, segment)
 from clusterseg.errors import NonFiniteError, PlacementError, ShapeMismatchError
 from clusterseg.geometry import FEATURE_DIM, CameraIntrinsics
@@ -29,6 +29,8 @@ from clusterseg.predictor import NoiseSpec, init_model, mlp_forward, noisy_predi
 from clusterseg.scenegen import GeneratorConfig, render, sample_scene
 
 from conftest import same_partition
+from test_clustering import (STRUCTURED_PATTERNS, _structured_errors, _with_errors,
+                             pushed_pixel_scene)
 from reference_clustering import (dense_gmm_refine, loop_seed_segmentation,
                                   reference_candidates, reference_gmm_refine,
                                   reference_seed_segmentation, reference_segment)
@@ -80,6 +82,71 @@ def test_exact_on_oracle_and_noisy_corpus():
         radius = 0.49 * float(ann.b_map[ann.fg_mask].min())
         _assert_stages_exact(noisy_predict(ann, NoiseSpec(bound_mode="uniform-ball",
                                                           ball_radius=radius), seed))
+
+
+def test_settled_components_solve_no_own_pixel(monkeypatch):
+    # On oracle frames every component settles before any pixel is scored,
+    # so the E-step solves nothing. Under 0.49 minB ball noise, small
+    # components of nearly singular covariance keep some frames from
+    # settling (22 of these 100); most frames still solve nothing, and
+    # every frame equals both oracles.
+    columns = []
+    real = clustering._quad_forms
+
+    def quad_forms(diff, *args):
+        columns.append(len(diff))
+        return real(diff, *args)
+
+    solved = {"oracle": [], "ball": []}
+    for seed in range(100):
+        _, ann = _frame(seed, 64)
+        radius = 0.49 * float(ann.b_map[ann.fg_mask].min())
+        ball = noisy_predict(ann, NoiseSpec(bound_mode="uniform-ball", ball_radius=radius), seed)
+        for name, pred in (("oracle", oracle_predict(ann)), ("ball", ball)):
+            seeded, _ = _assert_both_oracles(pred)
+            monkeypatch.setattr(clustering, "_quad_forms", quad_forms)
+            gmm_refine(seeded, pred)
+            monkeypatch.undo()
+            solved[name].append(sum(columns))
+            columns.clear()
+    assert solved["oracle"] == [0] * 100
+    assert sum(n == 0 for n in solved["ball"]) >= 75
+
+
+@pytest.mark.parametrize("pattern", STRUCTURED_PATTERNS)
+def test_exact_under_structured_errors_below_half_min_radius(pattern):
+    # Each visible object gets the same error pattern of norm 0.49 minB: a
+    # pushed pixel, antipodal halves, a shared shift or uniform-ball
+    # errors. A single lopsided member can decide a component's ball.
+    for seed in range(12):
+        cfg = GeneratorConfig(count_range=(2, 5), camera=_camera(64))
+        scene = sample_scene(seed, cfg)
+        ann = annotate(scene, render(scene))
+        radius = 0.49 * float(ann.b_map[ann.fg_mask].min())
+        rng = np.random.default_rng(seed)
+        _assert_both_oracles(_with_errors(ann, _structured_errors(ann, radius, rng, pattern)))
+
+
+def test_exact_on_the_pushed_pixel_scene():
+    pred, _, p, _ = pushed_pixel_scene()
+    seeded, _ = _assert_both_oracles(pred)
+    assert gmm_refine(seeded, pred).labels.flat[p] != seeded.labels.flat[p]
+
+
+def test_an_ill_conditioned_component_never_settles():
+    # A zero-radius pixel seeds a plain component beside the end of a line
+    # of five pixels 100 apart, which the next seed takes. Their covariance
+    # has condition number 2e10, beyond what the bound trusts, so the line
+    # cannot settle, and the E-step moves its end pixel to the plain one.
+    xi = np.zeros((6, FEATURE_DIM))
+    xi[0, :2] = 200.0, 1e-3
+    xi[1:, 0] = [-200.0, -100.0, 0.0, 100.0, 200.0]
+    pred = Prediction(xi_hat=xi.reshape(1, 6, FEATURE_DIM),
+                      eta_hat=np.array([[0.99, 0.5, 0.5, 0.9, 0.5, 0.5]]),
+                      b_hat=np.array([[0.0, 0.0, 0.0, 500.0, 0.0, 0.0]]), mask_prob=np.ones((1, 6)))
+    seeded, _ = _assert_both_oracles(pred)
+    assert seeded.labels.tolist() == [[1, 2, 2, 2, 2, 2]]
+    assert gmm_refine(seeded, pred).labels.tolist() == [[1, 2, 2, 2, 2, 1]]
 
 
 def test_quad_forms_match_one_solve_per_component():
@@ -226,8 +293,9 @@ def _overflow_case(magnitude):
 @pytest.mark.parametrize("magnitude", [1.0, 1e150, 1e160, 1e200])
 def test_exact_near_overflow(magnitude):
     pred = _overflow_case(magnitude)
-    with np.errstate(all="ignore"):
-        seeded, fallbacks = _assert_stages_exact(pred)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        seeded, fallbacks = _assert_both_oracles(pred)
         _assert_same(segment(pred), reference_segment(pred))
     assert len(seeded.scores) >= 2
     assert fallbacks > 0
@@ -372,17 +440,20 @@ def test_component_statistics_equal_a_mean_and_matmul_per_component(data):
     sizes = np.bincount(labels - 1)
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        mus, matrices, slot, plain = _components(X[np.argsort(labels, kind="stable")], sizes)
+        mus, matrices, slot, plain, centered = _components(X[np.argsort(labels, kind="stable")],
+                                                           sizes)
         for m in range(sizes.size):
             members = X[labels == m + 1]
             mu = members.mean(axis=0)
-            centered = members - mu
-            cov = centered.T @ centered / members.shape[0]
+            centered_members = members - mu
+            cov = centered_members.T @ centered_members / members.shape[0]
             cov[np.diag_indices_from(cov)] += COVARIANCE_REGULARIZATION
             assert mus[m].tobytes() == mu.tobytes()
             assert matrices[slot[m]].tobytes() == cov.tobytes()
             if plain[m]:
                 assert sizes[m] == 1 and np.array_equal(cov, COVARIANCE_REGULARIZATION * np.eye(9))
+            else:
+                assert centered[slot[m]].tobytes() == centered_members.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -401,7 +472,7 @@ def test_stages_exact_with_non_finite_features_and_radii(data):
                       b_hat=radii.reshape(1, n), mask_prob=np.ones((1, n)))
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        _assert_stages_exact(pred)
+        _assert_both_oracles(pred)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -507,7 +578,7 @@ def test_seeding_window_floor_follows_the_feature_dtype():
     _assert_same(seed_segmentation(pred), want)
 
 
-def _assert_index_keeps_every_dense_pair(args, monkeypatch):
+def _assert_index_keeps_every_dense_pair(call, monkeypatch):
     """The plain components' window ends where the dense bound rejects.
 
     For each pixel with a finite threshold, the nearest plain component on
@@ -515,11 +586,12 @@ def _assert_index_keeps_every_dense_pair(args, monkeypatch):
     component is skipped) is one the dense bound rejects, and so does its
     first-component term, so every plain component the bound keeps lies
     inside. `_candidates` itself returns every kept pair whose bound is
-    clear of its threshold by more than rounding. Returns the number of
-    window ends checked.
+    clear of its threshold by more than rounding. `call` holds the
+    arguments of a `_rivals` call and of the `_candidates` call that
+    follows it. Returns the number of window ends checked.
     """
-    X, own, own_score, mus, matrices, slot, variance, fallback, log_w, const, plain = args
-    covs = matrices[slot]
+    (_, matrices, slot, variance, fallback, log_w, const, plain), args = call
+    X, own, own_score, mus, _ = args
     seen = {}
 
     def shared_pairs(*shared_args):
@@ -535,10 +607,17 @@ def _assert_index_keeps_every_dense_pair(args, monkeypatch):
     monkeypatch.setattr(clustering, "_shared_pairs", shared_pairs)
     monkeypatch.setattr(clustering, "_window", window)
     with np.errstate(all="ignore"):
-        pix, comp = reference_candidates(X, own, own_score, mus, covs, variance, fallback, log_w,
-                                         const)
-        rows, weights, threshold, slope, offset, _ = _bound_terms(
-            X, own_score, mus, covs, variance, fallback, log_w, const)
+        pix, comp = reference_candidates(X, own, own_score, mus, matrices[slot], variance[slot],
+                                         fallback[slot], log_w, const)
+        # The bound terms of every component on its own, as if none were plain.
+        _, _, _, slope, offset, _, _, prunable = _rivals(mus, matrices, slot, variance, fallback,
+                                                      log_w, const, np.zeros_like(plain))
+        weights = _weights(mus, np.einsum("md,md->m", mus, mus), slope, offset)
+        weights[~prunable] = np.nan
+        xx = np.einsum("nd,nd->n", X, X)
+        rows = np.concatenate((X, xx[:, None], np.ones((len(X), 1))), axis=1)
+        threshold = np.where((xx < clustering._MAGNITUDE) & np.isfinite(own_score),
+                             -2.0 * own_score, np.inf)
         bound = np.einsum("nk,nk->n", rows[pix], weights[comp])
         clear = ~(bound >= threshold[pix] - 1e-9 * (1.0 + np.abs(threshold[pix])))
         got_pix, got_comp = clustering._candidates(*args)
@@ -561,14 +640,20 @@ def _assert_index_keeps_every_dense_pair(args, monkeypatch):
 
 
 def _recorded_candidate_calls(monkeypatch, preds):
-    calls = []
-    real = clustering._candidates
+    """(`_rivals` arguments, `_candidates` arguments) of each `_candidates` call of segment()."""
+    calls, latest = [], {}
+    real_rivals, real_candidates = clustering._rivals, clustering._candidates
 
-    def record(*args):
-        calls.append(args)
-        return real(*args)
+    def rivals(*args):
+        latest["rivals"] = args
+        return real_rivals(*args)
 
-    monkeypatch.setattr(clustering, "_candidates", record)
+    def candidates(*args):
+        calls.append((latest["rivals"], args))
+        return real_candidates(*args)
+
+    monkeypatch.setattr(clustering, "_rivals", rivals)
+    monkeypatch.setattr(clustering, "_candidates", candidates)
     for pred in preds:
         segment(pred)
     monkeypatch.undo()
@@ -576,19 +661,22 @@ def _recorded_candidate_calls(monkeypatch, preds):
 
 
 def test_slab_index_keeps_every_pair_the_dense_bound_keeps(monkeypatch):
+    # Frames whose components all settle never call _candidates, so
+    # Gaussian feature noise and untrained models supply contested pixels.
     preds = []
     for seed in range(100):
         _, ann = _frame(seed, 64)
         radius = 0.49 * float(ann.b_map[ann.fg_mask].min())
         ball = NoiseSpec(bound_mode="uniform-ball", ball_radius=radius)
-        preds += [oracle_predict(ann), noisy_predict(ann, ball, seed),
-                  noisy_predict(ann, NoiseSpec(sigma_xi=0.05), seed)]
+        preds += [oracle_predict(ann), noisy_predict(ann, ball, seed)]
+        preds += [noisy_predict(ann, NoiseSpec(sigma_xi=sigma), seed)
+                  for sigma in (0.02, 0.05, 0.1)]
     for res in (32, 48, 64, 96):
         frame, _ = _frame(1, res, count_range=(2, 6))
-        preds += [mlp_forward(init_model(model), frame)[0].to_prediction() for model in range(4)]
+        preds += [mlp_forward(init_model(model), frame)[0].to_prediction() for model in range(12)]
     calls = _recorded_candidate_calls(monkeypatch, preds)
     assert len(calls) > 250
-    assert sum(_assert_index_keeps_every_dense_pair(args, monkeypatch) for args in calls) > 10_000
+    assert sum(_assert_index_keeps_every_dense_pair(call, monkeypatch) for call in calls) > 10_000
 
 
 def test_plain_window_stays_narrow_beside_a_component_of_huge_norm(monkeypatch):

@@ -8,7 +8,8 @@ each at --jobs 1 and 2; eval of every segmentation; a 2-epoch train, a
 --resume to 3 epochs and MLP infer from that checkpoint; gradcheck; every
 command's --dump-config; and the help and usage errors of PARSER_ARGV at
 three terminal widths. Every written file and every command's stdout, with
-the output root replaced by "<root>", is one digest.
+the output root replaced by "<root>", is one digest. The steps that run the
+MLP run once more with OpenBLAS set to one thread, to the same digests.
 
 The digests in output_digests.json pin the bytes a change must keep. They
 were made by the code before the change the file's "made_by" names, so a
@@ -28,6 +29,8 @@ where COMMIT names the commit whose code is on PYTHONPATH.
 """
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
 import json
@@ -76,6 +79,15 @@ PREDICTORS = {
 COLUMNS = ("40", "80", "200")
 
 
+def mlp_steps():
+    """Names of the battery steps that run the MLP, and of the gen steps whose data they read."""
+    names = {"gen32-j1", "train2", "train3"}
+    for predictor in ("untrained", "trained"):
+        for data in PREDICTORS[predictor][1]:
+            names |= {f"{data}-j1", f"{predictor}-{data}-j1", f"{predictor}-{data}-j2"}
+    return names
+
+
 def battery_steps():
     """(step name, argv) of every command the battery runs, in order; {root} is the output root."""
     steps = []
@@ -121,16 +133,21 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def run_battery(root):
-    """{output name: sha256} of every file the battery writes under root and of each stdout."""
+def run_battery(root, only=None):
+    """{output name: sha256} of every file the battery writes under root and of each stdout.
+
+    Given a set of step names, `only` those steps run, and no parser text.
+    """
     root = str(root)
     save_checkpoint(os.path.join(root, "untrained.ckpt"), init_model(0))
     digests = {}
     for name, argv in battery_steps():
+        if only is not None and name not in only:
+            continue
         code, out, err = _run([arg.replace("{root}", root) for arg in argv])
         assert code == 0, f"{name} exited {code}: {err}"
         digests[f"stdout/{name}"] = _sha(out.replace(root, "<root>").encode())
-    for columns in COLUMNS:
+    for columns in COLUMNS if only is None else ():
         with mock.patch.dict(os.environ, {"COLUMNS": columns}):
             for argv in PARSER_ARGV:
                 code, out, err = _run(list(argv))
@@ -160,19 +177,61 @@ def environment():
             "python": ".".join(platform.python_version_tuple()[:2])}
 
 
-def test_every_output_byte_matches_the_recorded_digests(tmp_path):
+def _recorded_digests():
+    """The recorded digests; skips when they were recorded in another environment."""
     recorded, here = json.loads(DIGESTS.read_text(encoding="utf-8")), environment()
     differs = [f"{key}: recorded {value!r}, here {here[key]!r}"
                for key, value in recorded["environment"].items() if here[key] != value]
     if differs:
         pytest.skip("the digests were recorded on another build, where rounding may differ: "
                     + "; ".join(differs))
+    return recorded["digests"]
+
+
+def _openblas_threads():
+    """(getter, setter) of numpy's OpenBLAS thread count, or None where none is found.
+
+    The library is found as perfbench/measure.py finds its getter.
+    """
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                       "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
+                getter, setter = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                getter.restype, getter.argtypes = ctypes.c_int, []
+                setter.restype, setter.argtypes = None, [ctypes.c_int]
+                return getter, setter
+    return None
+
+
+def test_every_output_byte_matches_the_recorded_digests(tmp_path):
+    want = _recorded_digests()
     got = run_battery(tmp_path)
-    want = recorded["digests"]
     changed = sorted(name for name in want.keys() & got.keys() if want[name] != got[name])
     missing, extra = sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys())
     assert not (changed or missing or extra), (
         f"changed: {changed}; not written: {missing}; not recorded: {extra}")
+
+
+def test_mlp_outputs_match_the_digests_with_one_blas_thread(tmp_path):
+    # gemm may split its work by thread count; the MLP's forward and
+    # backward passes must not depend on it.
+    want = _recorded_digests()
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS thread-count setter found next to numpy, so the count "
+                    "cannot be set")
+    getter, setter = threads
+    before = getter()
+    setter(1)
+    try:
+        got = run_battery(tmp_path, mlp_steps())
+    finally:
+        setter(before)
+    changed = sorted(name for name in got if want.get(name) != got[name])
+    assert not changed, f"changed under one OpenBLAS thread (default {before}): {changed}"
 
 
 if __name__ == "__main__":
