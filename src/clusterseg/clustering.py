@@ -32,6 +32,8 @@ the result, so their cost grows close to linearly with foreground pixels:
   widened as that bound is, for LU error by cond(S) and for the rounding of
   the sums; where every rival's bound lies below o's, o's members keep it
   unsolved. Plain rivals meet o only in the window at that bound's reach.
+  A first pass reads no member, with trace(S_o) - 9e-6 <= R_o^2 for R_o^2:
+  what it drops fails at R_o too, up to rounding, which only costs time.
 * The E-step scores every other pixel under its own component exactly.
   Since the Mahalanobis term is at least |x - mu_m|^2 / lambda_max(S_m),
   component m scores at most
@@ -66,8 +68,7 @@ the result, so their cost grows close to linearly with foreground pixels:
   - 16-bit radix keys in _stable_order: a further x1.05-1.07 at 48x48 and 128x128;
   - the Elkan bound (every non-plain pair solved instead): x6.2-6.7, x3.1-3.2, x3.8-3.9;
   - one shared plain covariance (a matrix per component instead): x1.32-1.36, x1.10, x1.00;
-  - the component test: x1.73-1.76 with ball noise, x0.97 at 48x48, x0.97-0.98 on train-32's
-    per-epoch AP predictions.
+  - the component test: x1.61-1.63 with ball noise, x0.96-0.98 at 48x48, x0.96-1.00 on train-32.
 """
 
 import math
@@ -379,9 +380,8 @@ def gmm_refine(seg: Segmentation, pred: Prediction,
         const = FEATURE_DIM * np.log(2.0 * np.pi) + logdet[slot]
         rivals = _rivals(mus, matrices, slot, variance, fallback, log_w, const, plain)
         # Settled components keep their members unsolved; the rest meet the bound.
-        settled = np.zeros(M, dtype=bool)
-        settled[rivals[0]] = _settled(mus, rivals, centered, sizes[rivals[0]])
-        at = np.flatnonzero(~settled[own]) if settled.any() else slice(None)
+        settled = rivals[0][_settled(mus, rivals, matrices, centered, sizes[rivals[0]])]
+        at = np.flatnonzero(~np.isin(own, settled)) if settled.size else slice(None)
         X, own_at = X[at], own[at]
         # A plain component's own pixel is its mean, so the solve sees a zero
         # right-hand side and its Mahalanobis term is +-0.0, which adds to
@@ -426,8 +426,7 @@ def _rivals(mus, matrices, slot, variance, fallback, log_w, const, plain):
     one shared by the plain ones, listed in `by_mu0` by ascending mu0 with
     squared norms `mm`: that of the least norm, prunable unless none is.
     """
-    rest = np.flatnonzero(~plain)
-    shared = np.flatnonzero(plain)
+    rest, shared = np.flatnonzero(~plain), np.flatnonzero(plain)
     by_mu0 = shared[np.argsort(mus[shared, 0])]
     mm = np.einsum("md,md->m", mus[by_mu0], mus[by_mu0])
     terms = np.append(rest, by_mu0[np.argmin(mm)]) if shared.size else rest
@@ -469,53 +468,55 @@ def _weights(mus, mm, slope, offset):
     return weights
 
 
-def _settled(mus, rivals, centered, sizes):
-    """Which components of `rest` (_rivals) keep every member whatever it scores.
+def _settled(mus, rivals, matrices, centered, sizes):
+    """Positions in `rest` (_rivals) of the components that keep every member (module docstring).
 
-    Component o's members, `centered` minus mu_o, lie within R_o of mu_o,
-    so o scores at least -(lead_o + ceiling_o R_o^2) / 2 on them and a rival
-    m at mean distance D at most -(slope_m max(0, D - R_o)^2 - offset_m) / 2.
-    o settles where every rival's bound, widened for rounding, lies below
-    its own; plain rivals meet it only in the window (_window) at their reach.
+    On o's ball, o scores at least -(lead_o + ceiling_o R_o^2) / 2 and a rival m at
+    mean distance D at most -(slope_m max(0, D - R_o)^2 - offset_m) / 2.
     """
     rest, by_mu0, mm, slope, offset, lead, ceiling, prunable = rivals
     k = rest.size
-    # R_o, rounded up past rounding and underflow (an empty component reads
-    # a neighbour's rows, but it cannot prune), and -2 times o's bound.
-    rows = np.concatenate([*centered, np.zeros((1, FEATURE_DIM))])
-    radius = np.maximum.reduceat(np.einsum("nd,nd->n", rows, rows), np.cumsum(sizes) - sizes)
-    radius = np.sqrt(radius + _TINY) * (1.0 + 64.0 * _EPS)
-    t = lead[:k] + ceiling[:k] * radius * radius * (1.0 + 1024.0 * _EPS)
-    # Huge balls, and components that cannot prune, settle nothing.
-    settled = prunable[:k] & (radius * radius < _MAGNITUDE) & (np.abs(t) < np.inf)
-    # m loses once slope_m (D - R_o)^2 > t_o + offset_m, D bounded below past
-    # the rounding of d2 = D^2 (NaN where it underflows); the rest widened.
-    t = t + 1024.0 * _EPS * np.abs(t)
-    offset = offset + 1024.0 * _EPS * np.abs(offset)
-    slope = slope * (1.0 - 4096.0 * _EPS)
+    # Rivals that cannot prune, and plain ones of huge norm, settle nothing.
+    if not (k and prunable.all() and (mm < _MAGNITUDE).all()):
+        return rest[:0]
 
     def beaten(o, d2, m):
         gap = np.maximum(np.sqrt(d2 - _TINY) * (1.0 - 64.0 * _EPS) - radius[o], 0.0)
         return gap * gap * slope[m] > t[o] + offset[m]
 
-    step = max(1, _BLOCK_ELEMENTS // (FEATURE_DIM * max(k, 1)))
-    for lo in range(0, k, step):
-        o = np.flatnonzero(settled[lo:lo + step]) + lo
-        diff = mus[rest[o], None] - mus[rest]
-        d2 = np.einsum("omd,omd->om", diff, diff)
-        d2[np.arange(o.size), o] = np.inf
-        settled[o] &= (beaten(o[:, None], d2, slice(k)) & prunable[:k]).all(axis=1)
-    if by_mu0.size and settled.any():
-        o = np.flatnonzero(settled)
-        settled[o] = prunable[k] and (mm < _MAGNITUDE).all()
+    def against_rest(o):
+        step, keep = _BLOCK_ELEMENTS // (FEATURE_DIM * k) + 1, np.ones(o.size, dtype=bool)
+        for lo in range(0, o.size, step):
+            diff = mus[rest[o[lo:lo + step]], None] - mus[rest]
+            d2 = np.einsum("omd,omd->om", diff, diff)
+            d2[np.arange(len(d2)), o[lo:lo + step]] = np.inf
+            keep[lo:lo + step] = beaten(o[lo:lo + step, None], d2, slice(k)).all(axis=1)
+        return o[keep]
+
+    spread = np.einsum("kii->k", matrices[:k]) - FEATURE_DIM * COVARIANCE_REGULARIZATION
+    radius, t = np.sqrt(np.maximum(spread, 0.0)), lead[:k] + ceiling[:k] * spread
+    o = against_rest(np.arange(k))
+    if not o.size:
+        return o
+    # R_o, rounded up past rounding and underflow (a prunable component has
+    # members), and -2 times o's bound; huge balls settle nothing.
+    r2 = np.concatenate([centered[i] for i in o.tolist()])
+    r2 = np.maximum.reduceat(np.einsum("nd,nd->n", r2, r2), np.cumsum(sizes[o]) - sizes[o])
+    radius[o] = np.sqrt(r2 + _TINY) * (1.0 + 64.0 * _EPS)
+    t[o] = lead[o] + ceiling[o] * radius[o] * radius[o] * (1.0 + 1024.0 * _EPS)
+    # m loses once slope_m (D - R_o)^2 > t_o + offset_m, D bounded below past
+    # the rounding of d2 = D^2 (NaN where it underflows); the rest widened.
+    t, offset = (v + 1024.0 * _EPS * np.abs(v) for v in (t, offset))
+    slope = slope * (1.0 - 4096.0 * _EPS)
+    o = against_rest(o[radius[o] * radius[o] < _MAGNITUDE])
+    if by_mu0.size and o.size:
         need = np.maximum((t[o] + offset[k]) / slope[k], 0.0)
         reach = ((radius[o] + np.sqrt(need)) * (1.0 + 64.0 * _EPS)) ** 2
         lo, count = _window(mus[by_mu0, 0], mus[rest[o], 0], reach)
-        for o, at in _window_pairs(o, lo, count, _BLOCK_ELEMENTS // FEATURE_DIM):
-            diff = mus[rest[o]] - mus[by_mu0[at]]
-            d2 = np.einsum("nd,nd->n", diff, diff)
-            settled[o[~beaten(o, d2, k)]] = False
-    return settled
+        for p, at in _window_pairs(o, lo, count, _BLOCK_ELEMENTS // FEATURE_DIM):
+            diff = mus[rest[p]] - mus[by_mu0[at]]
+            o = np.setdiff1d(o, p[~beaten(p, np.einsum("nd,nd->n", diff, diff), k)])
+    return o
 
 
 def _candidates(X, own, own_score, mus, rivals):
@@ -531,8 +532,7 @@ def _candidates(X, own, own_score, mus, rivals):
     xx = np.einsum("nd,nd->n", X, X)
     threshold = np.where((xx < _MAGNITUDE) & np.isfinite(own_score), -2.0 * own_score, np.inf)
     rows = np.concatenate((X, xx[:, None], np.ones((n, 1))), axis=1)
-    weights = _weights(mus[rest], np.einsum("md,md->m", mus[rest], mus[rest]), slope[:k],
-                       offset[:k])
+    weights = _weights(mus[rest], np.einsum("md,md->m", mus[rest], mus[rest]), slope[:k], offset[:k])
     weights[~prunable[:k]] = np.nan
     pix, comp = _bounded_pairs(rows, threshold, weights)
     comp = rest[comp]

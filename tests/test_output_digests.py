@@ -230,6 +230,8 @@ def test_mlp_outputs_match_the_digests_with_one_blas_thread(tmp_path):
         got = run_battery(tmp_path, mlp_steps())
     finally:
         setter(before)
+    missed = sorted(name for name in mlp_steps() if f"stdout/{name}" not in got)
+    assert not missed, f"steps named by mlp_steps() that the battery does not run: {missed}"
     changed = sorted(name for name in got if want.get(name) != got[name])
     assert not changed, f"changed under one OpenBLAS thread (default {before}): {changed}"
 
