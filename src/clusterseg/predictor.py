@@ -11,15 +11,18 @@ double-precision network applied independently at every pixel:
 
     input (10) -> ReLU(64) -> ReLU(64) -> {xi: 9, b: 1, eta: 2, mask: 2}
 
-with input (r, g, b, x, y, z, depth, u/W, v/H, 1). It exists to exercise
-the loss gradients and the training loop end to end; with no spatial
-context it is not expected to reach the accuracy of a full image model.
+with input (r, g, b, x, y, z, depth, u/W, v/H, 1); the four heads are one
+(64, 14) product, each head's output a column view of its (N, 14) result.
+It exists to exercise the loss gradients and the training loop end to end;
+with no spatial context it is not expected to reach the accuracy of a full
+image model.
 
 Parameters, gradients and Adam moments are each one f64 vector in
 parameter_layout() order, whose parts parameter_views names. Checkpoints are
 tensor bundles (see dataio) that store these vectors as they are.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -155,11 +158,10 @@ class MlpModel:
 
     `params` names writable views of `vector`, built on first read and again
     only after `vector` is rebound to another array. `scratch` is None, or a
-    dict in which mlp_forward and mlp_backward keep the frame-sized
-    hidden-layer buffers of the last frame size they saw and reuse them for
-    every frame of that size. Each forward pass then overwrites the cache the
-    previous one returned, so a model with scratch must not be shared across
-    threads.
+    dict in which mlp_forward keeps the frame-sized hidden-layer buffers h1
+    and h2 of the last frame size it saw and reuses them for every frame of
+    that size. Each forward pass then overwrites the cache the previous one
+    returned, so a model with scratch must not be shared across threads.
     """
 
     vector: np.ndarray
@@ -244,6 +246,15 @@ def _hidden_buffer(model: MlpModel, name: str, rows: int) -> np.ndarray:
     return buf
 
 
+def _head_positions():
+    """Where the (65, 14) head matrix lies in the parameter vector: 64 weight rows, then the bias."""
+    at = parameter_views(np.arange(PARAMETER_COUNT))
+    return np.hstack([np.vstack([at[f"w_{name}"], at[f"b_{name}"]]) for name in HEAD_DIMS])
+
+
+_HEAD_POSITIONS = _head_positions()
+
+
 def mlp_forward(model: MlpModel, frame: FrameBundle):
     """Run the network over one frame.
 
@@ -255,20 +266,24 @@ def mlp_forward(model: MlpModel, frame: FrameBundle):
     p = model.params
     x = frame_features(frame)
     n = x.shape[0]
+    # gathered on every call: adam_step updates the vector in place
+    heads = model.vector[_HEAD_POSITIONS]
     with np.errstate(invalid="ignore", over="ignore"):
         h1 = _dense(x, p["w1"], p["b1"], out=_hidden_buffer(model, "h1", n))
         np.maximum(h1, 0.0, out=h1)
         h2 = _dense(h1, p["w2"], p["b2"], out=_hidden_buffer(model, "h2", n))
         np.maximum(h2, 0.0, out=h2)
-        heads = {name: _dense(h2, p[f"w_{name}"], p[f"b_{name}"]) for name in HEAD_DIMS}
-    for name, out in heads.items():
-        if not np.all(np.isfinite(out)):
-            raise NonFiniteError(f"non-finite activations in head {name!r}")
+        out = _dense(h2, heads[:HIDDEN_DIM], heads[HIDDEN_DIM])
+    if not np.isfinite(out).all():
+        first = np.flatnonzero(~np.isfinite(out).all(axis=0))[0]
+        ends = itertools.accumulate(HEAD_DIMS.values())
+        name = next(name for name, end in zip(HEAD_DIMS, ends) if first < end)
+        raise NonFiniteError(f"non-finite activations in head {name!r}")
     pred = LogitPrediction(
-        xi_hat=heads["xi"].reshape(H, W, 9),
-        b_hat=heads["b"].reshape(H, W),
-        eta_logits=heads["eta"].reshape(H, W, 2),
-        mask_logits=heads["mask"].reshape(H, W, 2),
+        xi_hat=out[:, :9].reshape(H, W, 9),
+        b_hat=out[:, 9].reshape(H, W),
+        eta_logits=out[:, 10:12].reshape(H, W, 2),
+        mask_logits=out[:, 12:].reshape(H, W, 2),
     )
     cache = {"x": x, "h1": h1, "h2": h2}
     return pred, cache
@@ -279,42 +294,23 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> np.ndarray:
 
     Returns a vector laid out as `model.vector`. Consumes the cache: h2 is
     overwritten with the gradient at the second hidden layer and h1 with the
-    one at the first, so the only frame-sized float array this call needs is
-    one product buffer, the model's scratch one when it has scratch. A
+    one at the first, so this call allocates no frame-sized (N, 64) array. A
     gradient that is not finite raises NonFiniteError naming its parameter.
     """
     p = model.params
     x, h1, h2 = cache["x"], cache["h1"], cache["h2"]
     n = x.shape[0]
-    head_grads = {
-        "xi": breakdown.grad_xi.reshape(n, 9),
-        "b": breakdown.grad_b.reshape(n, 1),
-        "eta": breakdown.grad_eta_logits.reshape(n, 2),
-        "mask": breakdown.grad_mask_logits.reshape(n, 2),
-    }
+    dy = np.concatenate([breakdown.grad_xi.reshape(n, 9), breakdown.grad_b.reshape(n, 1),
+                         breakdown.grad_eta_logits.reshape(n, 2),
+                         breakdown.grad_mask_logits.reshape(n, 2)], axis=1)
+    heads = model.vector[_HEAD_POSITIONS]
     grad = np.empty(PARAMETER_COUNT)
     g = parameter_views(grad)
     with np.errstate(invalid="ignore", over="ignore"):
-        for name, dy in head_grads.items():
-            np.matmul(h2.T, dy, out=g[f"w_{name}"])
-            dy.sum(axis=0, out=g[f"b_{name}"])
-        # h2 is only needed as its mask from here on, so it becomes the
-        # accumulator dh2; starting from zeros keeps the sign of every zero sum.
+        grad[_HEAD_POSITIONS] = np.vstack([h2.T @ dy, dy.sum(axis=0)])
+        # h2 is only needed as its mask from here on, so it takes dh2.
         live2 = h2 > 0
-        dh2 = h2
-        dh2.fill(0.0)
-        product = _hidden_buffer(model, "product", n)
-        for name, dy in head_grads.items():
-            # k = 1 for a one-column head, where a broadcast multiply is far
-            # faster than the gemm. It can differ from the gemm only in the
-            # sign of a zero, which dh2 += product erases: dh2 starts at +0.0
-            # and so never holds -0.0.
-            if dy.shape[1] == 1:
-                np.multiply(dy, p[f"w_{name}"].T, out=product)
-            else:
-                np.matmul(dy, p[f"w_{name}"].T, out=product)
-            dh2 += product
-        da2 = dh2
+        da2 = np.matmul(dy, heads[:HIDDEN_DIM].T, out=h2)
         da2 *= live2
         np.matmul(h1.T, da2, out=g["w2"])
         da2.sum(axis=0, out=g["b2"])

@@ -110,12 +110,17 @@ class Primitive:
     def __post_init__(self):
         if self.kind not in ("sphere", "box"):
             raise ClusterSegError(f"unknown primitive kind {self.kind!r}")
+        # Each test is written so that NaN fails it.
         q = np.asarray(self.quaternion, dtype=np.float64)
-        if q.shape != (4,) or abs(np.linalg.norm(q) - 1.0) > 1e-9:
+        if q.shape != (4,) or not abs(math.sqrt(q.dot(q)) - 1.0) <= 1e-9:
             raise ClusterSegError("quaternion must be a unit 4-vector (w, x, y, z)")
         he = np.asarray(self.half_extents, dtype=np.float64)
-        if he.shape != (3,) or np.any(he <= 0):
+        if he.shape != (3,) or not (he > 0).all():
             raise ClusterSegError("half_extents must be three positive values")
+        for name in ("translation", "albedo"):
+            value = getattr(self, name)
+            if len(value) != 3 or not all(map(math.isfinite, value)):
+                raise ClusterSegError(f"{name} must be three finite values")
         if self.kind == "sphere" and (he[0] != he[1] or he[1] != he[2]):
             raise ClusterSegError("sphere half_extents must replicate the radius")
 

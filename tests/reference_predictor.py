@@ -4,11 +4,12 @@
 frame-sized array and selects the noisy value at the foreground pixels with
 np.where; the library gathers and writes only the foreground rows, in
 place. The MLP's reference input rows, forward and backward passes build
-every intermediate in a fresh array and leave the forward cache intact;
-the library computes them in place. The reference initialization and Adam
-step keep parameters, gradients and moments as dicts of named arrays and
-update them one name at a time; the library keeps one flat vector of each.
-The tests require each pair to agree bit for bit.
+every intermediate in a fresh array, the (64, 14) head matrix included,
+and leave the forward cache intact; the library computes them in place.
+The reference initialization and Adam step keep parameters, gradients and
+moments as dicts of named arrays and update them one name at a time; the
+library keeps one flat vector of each. The tests require each pair to
+agree bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -87,22 +88,38 @@ def reference_frame_features(frame: FrameBundle) -> np.ndarray:
     ])
 
 
+def _head_matrix(p: dict):
+    """The four heads' weights side by side (64, 14), and their biases side by side (14,)."""
+    return (np.concatenate([p[f"w_{name}"] for name in HEAD_DIMS], axis=1),
+            np.concatenate([p[f"b_{name}"] for name in HEAD_DIMS]))
+
+
+def _head_columns():
+    """Each head's name and its columns of the one (N, 14) head output, in HEAD_DIMS order."""
+    start = 0
+    for name, dim in HEAD_DIMS.items():
+        yield name, slice(start, start + dim)
+        start += dim
+
+
 def reference_mlp_forward(model: MlpModel, frame: FrameBundle):
-    """Run the network over one frame.
+    """Run the network over one frame; the four heads are one product with the head matrix.
 
     Returns (LogitPrediction, cache); the cache feeds reference_mlp_backward.
     """
     H, W = frame.depth.shape
     p = model.params
     x = reference_frame_features(frame)
+    w_heads, b_heads = _head_matrix(p)
     with np.errstate(invalid="ignore", over="ignore"):
         a1 = x @ p["w1"] + p["b1"]
         h1 = np.maximum(a1, 0.0)
         a2 = h1 @ p["w2"] + p["b2"]
         h2 = np.maximum(a2, 0.0)
-        heads = {name: h2 @ p[f"w_{name}"] + p[f"b_{name}"] for name in HEAD_DIMS}
-    for name, out in heads.items():
-        if not np.all(np.isfinite(out)):
+        out = h2 @ w_heads + b_heads
+    heads = {name: out[:, cols] for name, cols in _head_columns()}
+    for name, head in heads.items():
+        if not np.all(np.isfinite(head)):
             raise NonFiniteError(f"non-finite activations in head {name!r}")
     pred = LogitPrediction(
         xi_hat=heads["xi"].reshape(H, W, 9),
@@ -115,7 +132,11 @@ def reference_mlp_forward(model: MlpModel, frame: FrameBundle):
 
 
 def reference_mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
-    """Parameter gradients from head-output gradients via the chain rule."""
+    """Parameter gradients from head-output gradients via the chain rule.
+
+    The four head gradients, side by side, meet the head matrix in one
+    product each way.
+    """
     p = model.params
     x, h1, h2 = cache["x"], cache["h1"], cache["h2"]
     n = x.shape[0]
@@ -125,16 +146,19 @@ def reference_mlp_backward(model: MlpModel, cache: dict, breakdown) -> dict:
         "eta": breakdown.grad_eta_logits.reshape(n, 2),
         "mask": breakdown.grad_mask_logits.reshape(n, 2),
     }
-    grads = {}
-    dh2 = np.zeros_like(h2)
     for name, dy in head_grads.items():
-        w = p[f"w_{name}"]
-        if dy.shape[1] != w.shape[1]:
+        if dy.shape[1] != HEAD_DIMS[name]:
             raise ShapeMismatchError(
-                f"gradient for head {name!r} has width {dy.shape[1]}, expected {w.shape[1]}")
-        grads[f"w_{name}"] = h2.T @ dy
-        grads[f"b_{name}"] = dy.sum(axis=0)
-        dh2 += dy @ w.T
+                f"gradient for head {name!r} has width {dy.shape[1]}, expected {HEAD_DIMS[name]}")
+    dy = np.concatenate(list(head_grads.values()), axis=1)
+    w_heads, _ = _head_matrix(p)
+    dw_heads = h2.T @ dy
+    db_heads = dy.sum(axis=0)
+    grads = {}
+    for name, cols in _head_columns():
+        grads[f"w_{name}"] = dw_heads[:, cols]
+        grads[f"b_{name}"] = db_heads[cols]
+    dh2 = dy @ w_heads.T
     da2 = dh2 * (h2 > 0)
     grads["w2"] = h1.T @ da2
     grads["b2"] = da2.sum(axis=0)

@@ -12,6 +12,7 @@ included.
 """
 
 import json
+import math
 import tempfile
 
 import numpy as np
@@ -431,6 +432,23 @@ def test_malformed_scene_json_is_a_typed_error(dataset, tmp_path, capsys, sectio
         load_dataset(str(ds))
     _exits_2(ds, segs, tmp_path, capsys)
 
+
+@pytest.mark.parametrize("field, index, value", [
+    ("quaternion", 0, math.nan), ("half_extents", 1, math.nan), ("translation", 2, math.nan),
+    ("translation", 0, math.inf), ("albedo", 0, math.nan), ("albedo", 2, -math.inf),
+])
+def test_a_non_finite_object_value_exits_2_naming_the_scene(dataset, tmp_path, capsys,
+                                                            field, index, value):
+    # json.loads reads NaN and Infinity; no object check may let them through.
+    ds, segs = dataset
+    path = ds / "scene_00001.json"
+    doc = json.loads(path.read_text())
+    doc["objects"][1][field][index] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ClusterSegError, match=field):
+        load_dataset(str(ds))
+    err = _exits_2(ds, segs, tmp_path, capsys)
+    assert err.count(f"{path}: ") == 2 and err.count(field) == 2
 
 
 def test_eval_and_oracle_infer_read_frames_without_deriving_xyz(dataset, tmp_path, monkeypatch,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 import warnings
@@ -21,8 +22,8 @@ from clusterseg.predictor import (HEAD_DIMS, PARAMETER_COUNT, AdamState, MlpMode
 from conftest import make_example, oracle_logits, same_partition
 from reference_predictor import (ReferenceAdamState, reference_adam_step,
                                  reference_gradient_check, reference_init_model,
-                                 reference_mlp_backward, reference_noisy_predict,
-                                 reference_vector)
+                                 reference_mlp_backward, reference_mlp_forward,
+                                 reference_noisy_predict, reference_vector)
 
 
 def test_oracle_predict_round_trips_ground_truth():
@@ -273,6 +274,21 @@ def test_mlp_non_finite_raises():
     model.params["w_xi"][0, 0] = np.inf
     with pytest.raises(NonFiniteError):
         mlp_forward(model, frame)
+
+
+@pytest.mark.parametrize("bad", [(head,) for head in HEAD_DIMS]
+                         + list(itertools.combinations(HEAD_DIMS, 2)),
+                         ids=lambda bad: "+".join(bad))
+def test_mlp_forward_names_the_first_non_finite_head_as_the_reference_does(bad):
+    # The heads are one product; a failure names the first bad head in
+    # xi, b, eta, mask order.
+    _, frame, _ = make_example(seed=0)
+    model = init_model(0)
+    for head in bad:
+        model.params[f"w_{head}"][0, -1] = np.inf
+    got = _failure(lambda: mlp_forward(model, frame))
+    want = _failure(lambda: reference_mlp_forward(model, frame))
+    assert got == want == (NonFiniteError, f"non-finite activations in head {bad[0]!r}")
 
 
 def test_mlp_backward_rejects_a_gradient_that_overflows():

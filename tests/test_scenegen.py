@@ -230,6 +230,28 @@ def test_primitive_validation():
                   half_extents=(0.1, 0.2, 0.1), albedo=(1, 1, 1))
 
 
+PRIMITIVE_MESSAGES = {"quaternion": "quaternion must be a unit 4-vector",
+                      "half_extents": "half_extents must be three positive values",
+                      "translation": "translation must be three finite values",
+                      "albedo": "albedo must be three finite values"}
+
+
+@pytest.mark.parametrize("field, value", [
+    *((field, math.nan) for field in PRIMITIVE_MESSAGES),
+    ("quaternion", math.inf), ("half_extents", -math.inf),
+    ("translation", math.inf), ("translation", -math.inf), ("albedo", math.inf),
+])
+def test_primitive_rejects_a_nan_or_an_infinite_value(field, value):
+    message = PRIMITIVE_MESSAGES[field]
+    valid = dict(kind="box", quaternion=IDENTITY_Q, translation=(0.0, 0.0, 1.0),
+                 half_extents=(0.1, 0.1, 0.1), albedo=(0.5, 0.5, 0.5))
+    for index in range(len(valid[field])):
+        damaged = list(valid[field])
+        damaged[index] = value
+        with pytest.raises(ClusterSegError, match=message):
+            Primitive(**{**valid, field: tuple(damaged)})
+
+
 def test_surface_points_cover_box_bounds():
     rng = np.random.default_rng(2)
     for _ in range(5):
