@@ -308,7 +308,7 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> np.ndarray:
     g = parameter_views(grad)
     with np.errstate(invalid="ignore", over="ignore"):
         grad[_HEAD_POSITIONS] = np.vstack([h2.T @ dy, dy.sum(axis=0)])
-        # h2 is only needed as its mask from here on, so it takes dh2.
+        # h2 is only needed as its mask from here on, so it takes the gradient.
         live2 = h2 > 0
         da2 = np.matmul(dy, heads[:HIDDEN_DIM].T, out=h2)
         da2 *= live2

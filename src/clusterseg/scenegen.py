@@ -114,8 +114,8 @@ class Primitive:
         q = np.asarray(self.quaternion, dtype=np.float64)
         if q.shape != (4,) or not abs(math.sqrt(q.dot(q)) - 1.0) <= 1e-9:
             raise ClusterSegError("quaternion must be a unit 4-vector (w, x, y, z)")
-        he = np.asarray(self.half_extents, dtype=np.float64)
-        if he.shape != (3,) or not (he > 0).all():
+        he = self.half_extents
+        if len(he) != 3 or not all(0 < h < math.inf for h in he):
             raise ClusterSegError("half_extents must be three positive values")
         for name in ("translation", "albedo"):
             value = getattr(self, name)

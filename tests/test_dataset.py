@@ -434,16 +434,20 @@ def test_malformed_scene_json_is_a_typed_error(dataset, tmp_path, capsys, sectio
 
 
 @pytest.mark.parametrize("field, index, value", [
-    ("quaternion", 0, math.nan), ("half_extents", 1, math.nan), ("translation", 2, math.nan),
-    ("translation", 0, math.inf), ("albedo", 0, math.nan), ("albedo", 2, -math.inf),
+    ("quaternion", 0, math.nan), ("half_extents", 1, math.nan), ("half_extents", None, math.inf),
+    ("translation", 2, math.nan), ("translation", 0, math.inf), ("albedo", 0, math.nan),
+    ("albedo", 2, -math.inf),
 ])
 def test_a_non_finite_object_value_exits_2_naming_the_scene(dataset, tmp_path, capsys,
                                                             field, index, value):
     # json.loads reads NaN and Infinity; no object check may let them through.
+    # An index of None puts the value in every entry, as a sphere's radius.
     ds, segs = dataset
     path = ds / "scene_00001.json"
     doc = json.loads(path.read_text())
-    doc["objects"][1][field][index] = value
+    entries = doc["objects"][1][field]
+    for i in range(len(entries)) if index is None else [index]:
+        entries[i] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ClusterSegError, match=field):
         load_dataset(str(ds))

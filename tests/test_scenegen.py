@@ -238,7 +238,7 @@ PRIMITIVE_MESSAGES = {"quaternion": "quaternion must be a unit 4-vector",
 
 @pytest.mark.parametrize("field, value", [
     *((field, math.nan) for field in PRIMITIVE_MESSAGES),
-    ("quaternion", math.inf), ("half_extents", -math.inf),
+    ("quaternion", math.inf), ("half_extents", math.inf), ("half_extents", -math.inf),
     ("translation", math.inf), ("translation", -math.inf), ("albedo", math.inf),
 ])
 def test_primitive_rejects_a_nan_or_an_infinite_value(field, value):

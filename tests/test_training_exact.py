@@ -123,7 +123,6 @@ def test_scratch_buffers_are_reused_and_change_no_bit():
         assert not np.shares_memory(caches[0][key], caches[1][key]), key
         assert np.shares_memory(caches[2][key], caches[3][key]), key
         assert buffers[3][key] is buffers[2][key] is not buffers[1][key], key
-        assert buffers[0][key] is not buffers[1][key], key
     assert plain.scratch is None
 
 
