@@ -127,8 +127,8 @@ def _predict_for_frame(args, model, noise, frame, ann, index):
             radius = args.ball_minb_frac * float(fg_b.min()) if fg_b.size else 0.0
             noise = replace(noise, ball_radius=radius)
         return noisy_predict(ann, noise, args.seed * SEED_STRIDE + index)
-    logits, _ = mlp_forward(model, frame)
-    return logits.to_prediction()
+    # The forward cache dies before the prediction is built.
+    return mlp_forward(model, frame)[0].to_prediction()
 
 
 def _dataset_ap(records, fg_threshold, predict):
@@ -277,8 +277,9 @@ def _frame_step(model, frame, ann, weights):
 def _cmd_train(args) -> int:
     base = LossWeights()
     bumped = replace(base, lambda_var=args.bump_value, lambda_vio=args.bump_value)
-    records = load_dataset(args.dataset)
-    if not records:
+    # As in infer: the manifest, then the checkpoint, then the frames, so
+    # neither bad file costs a frame read.
+    if not read_dataset_manifest(args.dataset)[1]:
         raise ClusterSegError("training dataset is empty")
     if args.resume:
         model, state, start_epoch = load_checkpoint(args.resume)
@@ -296,6 +297,7 @@ def _cmd_train(args) -> int:
         model = init_model(args.seed)
         state = AdamState(lr=args.lr)
         start_epoch = 1
+    records = load_dataset(args.dataset)
     # One run, one thread: every forward and backward reuses one set of
     # hidden-layer buffers.
     model.scratch = {}

@@ -17,8 +17,8 @@ load_dataset loads every frame with its maps; load_frame builds none. A loaded
 frame carries the scene's camera, so it derives xyz from its depth on first
 read, as a rendered one does; loading only checks that the depth
 back-projects to finite points. It fills the backdrop pixels of rgb and
-depth with the values render gives them, rebuilds the amodal masks from
-their windows, derives the occlusion scores from the pixel counts
+depth with scenegen.backdrop's values, as render does, rebuilds the amodal
+masks from their windows, derives the occlusion scores from the pixel counts
 (scenegen.occlusion_scores, as render does), and
 rejects rgb outside [0, 1], features that are not finite, windows outside
 the frame or that disagree with the stored pixel count, mask values other
@@ -30,8 +30,10 @@ frame a seg_NNNNN.tsb bundle (SEGMENTATION_LAYOUT); loading rejects
 scores that are not finite, labels above the instance count and seeds
 outside the image.
 
-Bundles go through `dataio.read_bundle` and `dataio.write_bundle`, looked up
-at call time, so the benchmark's tracer can replace those two functions.
+A file that cannot be read, as UTF-8 or JSON where it is text, is a
+ClusterSegError("cannot read WHAT PATH: ..."). Bundles go through
+`dataio.read_bundle` and `dataio.write_bundle`, looked up at call time, so
+the benchmark's tracer can replace those two functions.
 """
 
 import itertools
@@ -39,6 +41,7 @@ import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from .clustering import Segmentation
 from .errors import (ClusterSegError, MaskContainmentError, NonFiniteError, ShapeMismatchError,
                      ValueRangeError)
 from .geometry import FEATURE_DIM, check_back_projection
-from .scenegen import BACKDROP_RGB, FrameBundle, occlusion_scores, scene_from_json, scene_to_json
+from .scenegen import FrameBundle, backdrop, occlusion_scores, scene_from_json, scene_to_json
 
 # The dataset layout gen writes; a dataset with any other "format" must be
 # regenerated.
@@ -107,27 +110,17 @@ def is_finite(value):
     return is_number(value) and math.isfinite(value)
 
 
-def _read_text(path, what):
+def _read(path, what, reader):
+    """reader(path); an OSError or ValueError from it is a ClusterSegError naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-        raise ClusterSegError(f"cannot read {what} {path}: {exc}") from exc
-
-
-def _read_bundle(path, what):
-    try:
-        return dataio.read_bundle(path)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        return reader(path)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, or a NUL in the path
         raise ClusterSegError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def read_json_object(path, what):
     """The JSON object in the file at `path`; `what` names the file in errors."""
-    try:
-        doc = json.loads(_read_text(path, what))
-    except json.JSONDecodeError as exc:
-        raise ClusterSegError(f"cannot read {what} {path}: {exc}") from exc
+    doc = _read(path, what, lambda p: json.loads(Path(p).read_text(encoding="utf-8")))
     if not isinstance(doc, dict):
         raise ClusterSegError(f"malformed {what} {path}: not a JSON object")
     return doc
@@ -270,29 +263,30 @@ def read_dataset_manifest(path):
 def load_frame(scene_path, bundle_path):
     """One frame's (scene, frame, per_object_xi), every value checked.
 
-    The backdrop pixels get the values render gives them: depth
-    background_depth, or 0 with no backdrop, and rgb BACKDROP_RGB, or 0.
-    A depth map that back-projects to non-finite points is a NonFiniteError.
+    A scene's parse error keeps its type and gains the scene path. The
+    backdrop pixels get scenegen.backdrop's values, as render gives them. A
+    depth map that back-projects to non-finite points is a NonFiniteError.
     """
+    text = _read(scene_path, "scene", lambda p: Path(p).read_text(encoding="utf-8"))
     try:
-        scene = scene_from_json(_read_text(scene_path, "scene"))
+        scene = scene_from_json(text)
     except ClusterSegError as exc:
-        raise ClusterSegError(f"{scene_path}: {exc}") from exc
-    t = _read_bundle(bundle_path, "frame bundle")
+        raise type(exc)(f"{scene_path}: {exc}") from exc
+    t = _read(bundle_path, "frame bundle", dataio.read_bundle)
     (H, W), K = (scene.camera.height, scene.camera.width), len(scene.objects)
     dataio.check_layout(bundle_path, t, frame_layout(H, W, K))
     if t["instance_map"].max(initial=0) > K:
         raise ShapeMismatchError(f"{bundle_path}: instance ids exceed the object count {K}")
     fg, amodal, occlusion = _check_frame_values(bundle_path, t)
-    backdrop = scene.background_depth is not None
-    depth = np.full(H * W, scene.background_depth if backdrop else 0.0)
+    backdrop_rgb, backdrop_depth = backdrop(scene.background_depth)
+    depth = np.full(H * W, backdrop_depth)
     depth[fg] = t["depth"]
     depth = depth.reshape(H, W)
     try:
         check_back_projection(depth, scene.camera)
     except ClusterSegError as exc:
         raise type(exc)(f"{bundle_path}: {exc}") from exc
-    rgb = np.full((H * W, 3), BACKDROP_RGB if backdrop else 0.0, dtype=np.float32)
+    rgb = np.full((H * W, 3), backdrop_rgb, dtype=np.float32)
     # Each pixel's three channels put as one 12-byte value: twice as fast as
     # assigning f32 rows by index.
     np.put(rgb.view("V12"), fg, t["rgb"].view("V12"))
@@ -364,7 +358,7 @@ def load_segmentations(path):
     try:
         for name in manifest["segmentations"]:
             bundle_path = os.path.join(path, name)
-            t = _read_bundle(bundle_path, "segmentation bundle")
+            t = _read(bundle_path, "segmentation bundle", dataio.read_bundle)
             dataio.check_layout(bundle_path, t, SEGMENTATION_LAYOUT)
             _check_segmentation_values(bundle_path, t)
             segs.append(Segmentation(labels=t["labels"].astype(np.int32),

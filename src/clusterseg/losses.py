@@ -65,9 +65,14 @@ class LogitPrediction:
     mask_logits: np.ndarray  # H x W x 2
 
     def to_prediction(self) -> Prediction:
-        """Probability-space view for the clustering stage."""
+        """Probability-space view for the clustering stage.
+
+        xi_hat is copied when it is not contiguous, as the MLP's column block
+        of its (N, 14) head output is, so the prediction keeps no other head
+        alive.
+        """
         return Prediction(
-            xi_hat=self.xi_hat,
+            xi_hat=np.ascontiguousarray(self.xi_hat),
             eta_hat=_softmax(self.eta_logits)[..., 1],
             b_hat=np.maximum(self.b_hat, 0.0),
             mask_prob=_softmax(self.mask_logits)[..., 1],

@@ -12,14 +12,16 @@ double-precision network applied independently at every pixel:
     input (10) -> ReLU(64) -> ReLU(64) -> {xi: 9, b: 1, eta: 2, mask: 2}
 
 with input (r, g, b, x, y, z, depth, u/W, v/H, 1); the four heads are one
-(64, 14) product, each head's output a column view of its (N, 14) result.
+(64, 14) product, whose (N, 14) result is split at the running sums of
+HEAD_DIMS into one column view per head.
 It exists to exercise the loss gradients and the training loop end to end;
 with no spatial context it is not expected to reach the accuracy of a full
 image model.
 
 Parameters, gradients and Adam moments are each one f64 vector in
 parameter_layout() order, whose parts parameter_views names. Checkpoints are
-tensor bundles (see dataio) that store these vectors as they are.
+tensor bundles (see dataio) that store these vectors as they are; loading
+rejects a vector entry that is not finite and a negative second moment.
 """
 
 import itertools
@@ -72,13 +74,8 @@ class NoiseSpec:
 
 def oracle_predict(ann: Annotation) -> Prediction:
     """Ground truth copied into prediction space."""
-    return _annotation_prediction(ann, ann.xi_map.copy())
-
-
-def _annotation_prediction(ann: Annotation, xi_hat: np.ndarray) -> Prediction:
-    """`xi_hat` with the annotation's other maps copied into prediction space."""
     return Prediction(
-        xi_hat=xi_hat,
+        xi_hat=ann.xi_map.copy(),
         eta_hat=ann.eta_gt.astype(np.float64, order="C"),
         b_hat=ann.b_map.copy(),
         mask_prob=ann.fg_mask.astype(np.float64),
@@ -129,15 +126,13 @@ def noisy_predict(ann: Annotation, spec: NoiseSpec, seed: int) -> Prediction:
             eps = _uniform_ball(rng, fg.size, dim, spec.ball_radius)
     elif spec.sigma_xi > 0:
         eps = rng.normal(0.0, spec.sigma_xi, size=(fg.size, dim))
-    if eps is None:
-        pred = oracle_predict(ann)
-    else:
-        xi_hat = ann.xi_map.astype(np.float64, order="C")
-        rows = xi_hat.reshape(-1, dim)
+    pred = oracle_predict(ann)
+    if eps is not None:
+        pred.xi_hat = pred.xi_hat.astype(np.float64, order="C", copy=False)
+        rows = pred.xi_hat.reshape(-1, dim)
         # addition commutes bit for bit
         eps += rows[fg]
         rows[fg] = eps
-        pred = _annotation_prediction(ann, xi_hat)
     if spec.sigma_b > 0:
         pred.b_hat = pred.b_hat.astype(np.float64, order="C", copy=False)
         b = pred.b_hat.reshape(-1)
@@ -253,6 +248,8 @@ def _head_positions():
 
 
 _HEAD_POSITIONS = _head_positions()
+# Where the (N, 14) head output splits into the heads' columns.
+_HEAD_SPLITS = list(itertools.accumulate(HEAD_DIMS.values()))[:-1]
 
 
 def mlp_forward(model: MlpModel, frame: FrameBundle):
@@ -274,17 +271,12 @@ def mlp_forward(model: MlpModel, frame: FrameBundle):
         h2 = _dense(h1, p["w2"], p["b2"], out=_hidden_buffer(model, "h2", n))
         np.maximum(h2, 0.0, out=h2)
         out = _dense(h2, heads[:HIDDEN_DIM], heads[HIDDEN_DIM])
+    xi, b, eta, mask = views = np.split(out, _HEAD_SPLITS, axis=1)
     if not np.isfinite(out).all():
-        first = np.flatnonzero(~np.isfinite(out).all(axis=0))[0]
-        ends = itertools.accumulate(HEAD_DIMS.values())
-        name = next(name for name, end in zip(HEAD_DIMS, ends) if first < end)
+        name = next(name for name, view in zip(HEAD_DIMS, views) if not np.isfinite(view).all())
         raise NonFiniteError(f"non-finite activations in head {name!r}")
-    pred = LogitPrediction(
-        xi_hat=out[:, :9].reshape(H, W, 9),
-        b_hat=out[:, 9].reshape(H, W),
-        eta_logits=out[:, 10:12].reshape(H, W, 2),
-        mask_logits=out[:, 12:].reshape(H, W, 2),
-    )
+    pred = LogitPrediction(xi_hat=xi.reshape(H, W, -1), b_hat=b.reshape(H, W),
+                           eta_logits=eta.reshape(H, W, -1), mask_logits=mask.reshape(H, W, -1))
     cache = {"x": x, "h1": h1, "h2": h2}
     return pred, cache
 
@@ -300,9 +292,9 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> np.ndarray:
     p = model.params
     x, h1, h2 = cache["x"], cache["h1"], cache["h2"]
     n = x.shape[0]
-    dy = np.concatenate([breakdown.grad_xi.reshape(n, 9), breakdown.grad_b.reshape(n, 1),
-                         breakdown.grad_eta_logits.reshape(n, 2),
-                         breakdown.grad_mask_logits.reshape(n, 2)], axis=1)
+    dy = np.concatenate([head.reshape(n, -1) for head in (
+        breakdown.grad_xi, breakdown.grad_b, breakdown.grad_eta_logits,
+        breakdown.grad_mask_logits)], axis=1)
     heads = model.vector[_HEAD_POSITIONS]
     grad = np.empty(PARAMETER_COUNT)
     g = parameter_views(grad)
@@ -379,7 +371,9 @@ def load_checkpoint(path):
     """Read a checkpoint. Returns (model, adam_state_or_None, next_epoch).
 
     A file that is not a well-formed checkpoint of this model raises
-    ClusterSegError naming the path (ValueRangeError for a value out of range).
+    ClusterSegError naming the path: NonFiniteError for a NaN or infinite
+    entry of params, adam_m or adam_v, and ValueRangeError for any other
+    value out of range, a negative adam_v entry included.
     """
     t = dataio.read_bundle(path)
     adam = "adam" in t
@@ -401,6 +395,12 @@ def load_checkpoint(path):
     for name, value, ok, what in checks:
         if not ok:
             raise ValueRangeError(f"{path}: {name} must be {what}, got {value!r}")
+    for name in ("params", "adam_m", "adam_v") if adam else ("params",):
+        if not np.isfinite(t[name]).all():
+            raise NonFiniteError(f"{path}: {name} contains NaN or infinity")
+    if adam and t["adam_v"].min() < 0:
+        raise ValueRangeError(f"{path}: adam_v must be at least 0, "
+                              f"got {float(t['adam_v'].min())!r}")
     state = None
     if adam:
         state = AdamState(t["adam_m"], t["adam_v"], int(step), lr, beta1, beta2, eps)

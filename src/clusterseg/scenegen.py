@@ -81,8 +81,7 @@ RAY_MIN_T = 1e-9
 
 SURFACE_SAMPLE_COUNT = 4096
 
-# The grey of every rgb channel where a ray hits the backdrop; with no
-# backdrop, missed rays are black.
+# The grey of every rgb channel where a ray hits the backdrop (see backdrop).
 BACKDROP_RGB = 0.15
 
 # Inflation of a primitive's squared bounding radius R^2 for its screen
@@ -142,6 +141,16 @@ class Primitive:
         return xi
 
 
+def backdrop(background_depth):
+    """(rgb, depth) of a pixel no object covers: (BACKDROP_RGB, background_depth), or (0, 0)."""
+    if background_depth is None:
+        return 0.0, 0.0
+    if not 0.0 < background_depth < math.inf:
+        raise ClusterSegError(f"background_depth must be finite and positive, or None, "
+                              f"got {background_depth}")
+    return BACKDROP_RGB, background_depth
+
+
 @dataclass(frozen=True)
 class Scene:
     """Objects (instance IDs 1..K in list order) plus the camera.
@@ -153,6 +162,9 @@ class Scene:
     objects: tuple
     camera: CameraIntrinsics
     background_depth: float | None = None
+
+    def __post_init__(self):
+        backdrop(self.background_depth)
 
 
 @dataclass
@@ -200,9 +212,7 @@ class GeneratorConfig:
         if not 0.0 <= self.min_feature_separation < math.inf:
             raise ClusterSegError(f"min_feature_separation must be finite and non-negative, "
                                   f"got {self.min_feature_separation}")
-        if self.background_depth is not None and not 0.0 < self.background_depth < math.inf:
-            raise ClusterSegError(f"background_depth must be finite and positive, or None, "
-                                  f"got {self.background_depth}")
+        backdrop(self.background_depth)
 
 
 @lru_cache(maxsize=4)
@@ -458,14 +468,9 @@ def render(scene: Scene) -> FrameBundle:
         winner[window][closer] = k + 1
         casts.append((window, sub))
 
-    fg = winner > 0
-    depth = np.where(fg, best_t, 0.0)
-    if scene.background_depth is not None:
-        depth = np.where(fg, depth, scene.background_depth)
-
-    rgb = np.zeros((H, W, 3))
-    if scene.background_depth is not None:
-        rgb[:] = BACKDROP_RGB
+    backdrop_rgb, backdrop_depth = backdrop(scene.background_depth)
+    depth = np.where(winner > 0, best_t, backdrop_depth)
+    rgb = np.full((H, W, 3), backdrop_rgb)
     for k, (prim, cast) in enumerate(zip(scene.objects, casts)):
         if cast is None:
             continue

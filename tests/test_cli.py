@@ -327,6 +327,11 @@ def _with_adam(index, value):
     return lambda t: {**t, "adam": np.where(np.arange(5) == index, value, t["adam"])}
 
 
+def _with_entry(name, value):
+    """Set entry 7 of the stored vector `name` (params, adam_m or adam_v)."""
+    return lambda t: {**t, name: np.where(np.arange(PARAMETER_COUNT) == 7, value, t[name])}
+
+
 @pytest.mark.parametrize("mutate, error", [
     (_without("next_epoch"), BundleManifestError),
     (lambda t: {**t, "w1": np.zeros((10, 64))}, BundleManifestError),
@@ -350,13 +355,20 @@ def _with_adam(index, value):
     (_with_adam(3, 1.0), ValueRangeError),
     (_with_adam(4, 0.0), ValueRangeError),
     (_with_adam(4, np.inf), ValueRangeError),
+    (_with_entry("params", np.nan), NonFiniteError),
+    (_with_entry("params", -np.inf), NonFiniteError),
+    (_with_entry("adam_m", np.inf), NonFiniteError),
+    (_with_entry("adam_v", np.nan), NonFiniteError),
+    (_with_entry("adam_v", np.inf), NonFiniteError),
+    (_with_entry("adam_v", -1e-300), ValueRangeError),
 ], ids=["missing-tensor", "extra-tensor", "f32-params", "params-length", "1d-next-epoch",
         "no-adam-v", "no-adam", "fractional-next-epoch", "nan-next-epoch",
         "fractional-step", "next-epoch-minus-2", "next-epoch-0", "step-minus-7",
         "negative-lr", "zero-lr", "infinite-lr", "nan-lr", "beta1-1.5", "negative-beta1",
-        "beta2-1", "zero-eps", "infinite-eps"])
+        "beta2-1", "zero-eps", "infinite-eps", "nan-params", "infinite-params",
+        "infinite-adam-m", "nan-adam-v", "infinite-adam-v", "negative-adam-v"])
 def test_malformed_checkpoint_is_a_typed_error(two_frame_dataset, tmp_path, capsys,
-                                               mutate, error):
+                                               monkeypatch, mutate, error):
     path = tmp_path / "model.ckpt"
     model, state = init_model(0), AdamState()
     adam_step(model, np.ones(PARAMETER_COUNT), state)
@@ -365,10 +377,22 @@ def test_malformed_checkpoint_is_a_typed_error(two_frame_dataset, tmp_path, caps
     with pytest.raises(error, match="model.ckpt") as caught:
         load_checkpoint(path)
     assert caught.type is error
+    # Both commands that read a checkpoint fail on it before any frame is read.
+    bundles_read = []
+    read = dataio.read_bundle
+
+    def recorded(name):
+        bundles_read.append(str(name))
+        return read(name)
+
+    monkeypatch.setattr(dataio, "read_bundle", recorded)
     assert run_cli("infer", "--dataset", str(two_frame_dataset), "--out",
                    str(tmp_path / "segs"), "--predictor", "mlp", "--model", str(path)) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "model.ckpt" in err
+    assert run_cli("train", "--dataset", str(two_frame_dataset), "--out",
+                   str(tmp_path / "resumed.ckpt"), "--epochs", "2", "--resume", str(path)) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(str(path) in line for line in lines)
+    assert bundles_read == [str(path)] * 2
 
 
 def test_a_checkpoint_in_the_old_format_exits_2(two_frame_dataset, tmp_path, capsys):

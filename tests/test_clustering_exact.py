@@ -371,6 +371,13 @@ def test_segment_rejects_mismatched_shapes():
     pred.xi_hat = pred.xi_hat[..., :8]
     with pytest.raises(ShapeMismatchError):
         segment(pred)
+    # Maps that agree with each other, but are not H x W.
+    pred = oracle_predict(ann)
+    for name in ("xi_hat", "eta_hat", "b_hat", "mask_prob"):
+        value = getattr(pred, name)
+        setattr(pred, name, value.reshape(1, *value.shape))
+    with pytest.raises(ShapeMismatchError, match="eta_hat must be H x W"):
+        segment(pred)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -473,6 +480,19 @@ def test_stages_exact_with_non_finite_features_and_radii(data):
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         _assert_both_oracles(pred)
+
+
+def test_seeding_visits_nan_centroid_probabilities_first_as_the_definition():
+    # The definition's argmax returns the first NaN, so NaN pixels seed first.
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        eta = rng.integers(0, 5, size=(6, 7)) / 4.0
+        eta.reshape(-1)[rng.choice(eta.size, size=rng.integers(1, 4), replace=False)] = np.nan
+        pred = Prediction(xi_hat=rng.normal(size=(6, 7, FEATURE_DIM)), eta_hat=eta,
+                          b_hat=rng.uniform(0.0, 5.0, (6, 7)), mask_prob=rng.random((6, 7)))
+        seeded = seed_segmentation(pred)
+        _assert_same(seeded, reference_seed_segmentation(pred))
+        _assert_same(seeded, loop_seed_segmentation(pred))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -159,6 +159,14 @@ def test_shape_overflowing_int64_is_a_manifest_error(tmp_path):
         read_bundle(path)
 
 
+@pytest.mark.parametrize("shape", [[0] * 65, [0, 2 ** 62, 2 ** 62]])
+def test_an_empty_tensor_numpy_cannot_shape_is_a_manifest_error(tmp_path, shape):
+    # 65 dimensions, or a zero size whose byte size overflows, with a length of 0.
+    path = _bundle_with_entry(tmp_path, {"shape": shape, "offset": 0, "length": 0})
+    with pytest.raises(BundleManifestError, match="tensor 'a' has an unsupported shape"):
+        read_bundle(path)
+
+
 def test_boolean_in_shape_is_a_manifest_error(tmp_path):
     path = _bundle_with_entry(tmp_path, {"shape": [True, 4], "offset": 0, "length": 4},
                               b"\0" * 4)

@@ -349,7 +349,7 @@ def test_manifest_records_the_format(dataset):
     ("--single-object-radius", "-2"), ("--single-object-radius", "inf"),
     ("--fraction", "nan"), ("--fraction", "0.5"),
     ("--sizes", "0.2..0.1"), ("--z-range", "nan..1"), ("--min-sep", "nan"),
-    ("--background-depth", "nan"), ("--background-depth", "-3"),
+    ("--background-depth", "nan"), ("--background-depth", "-3"), ("--background-depth", "0"),
 ])
 def test_gen_refuses_values_its_loader_would_reject(tmp_path, capsys, flag, value):
     out = tmp_path / "ds"
@@ -431,6 +431,84 @@ def test_malformed_scene_json_is_a_typed_error(dataset, tmp_path, capsys, sectio
     with pytest.raises(ClusterSegError):
         load_dataset(str(ds))
     _exits_2(ds, segs, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_a_backdrop_depth_that_is_not_finite_and_positive_exits_2_naming_the_scene(
+        dataset, tmp_path, capsys, value):
+    # Depth 0 is the no-measurement depth, so it cannot be a backdrop's.
+    ds, segs = dataset
+    path = ds / "scene_00000.json"
+    doc = json.loads(path.read_text())
+    doc["background_depth"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ClusterSegError, match="background_depth must be finite and positive"):
+        load_dataset(str(ds))
+    err = _exits_2(ds, segs, tmp_path, capsys)
+    assert run_cli("train", "--dataset", ds, "--out", tmp_path / "model.ckpt",
+                   "--epochs", 1) == 2
+    lines = (err + capsys.readouterr().err).splitlines()
+    assert len(lines) == 3
+    assert all(line == f"clusterseg: error: {path}: background_depth must be finite and "
+                       f"positive, or None, got {value}" for line in lines)
+
+
+def test_a_loaded_scene_keeps_the_error_type_of_its_parse(dataset):
+    ds, _ = dataset
+    path = ds / "scene_00000.json"
+    doc = json.loads(path.read_text())
+    doc["camera"]["fx"] = math.nan
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NonFiniteError) as caught:
+        load_frame(str(path), str(ds / "frame_00000.tsb"))
+    assert str(caught.value).startswith(f"{path}: camera intrinsics must be finite")
+
+
+def test_an_unreadable_scene_is_named_once(dataset):
+    ds, _ = dataset
+    path = ds / "scene_00001.json"
+    path.unlink()
+    with pytest.raises(ClusterSegError) as caught:
+        load_dataset(str(ds))
+    assert str(caught.value).startswith(f"cannot read scene {path}: ")
+
+
+@pytest.mark.parametrize("name, what", [("config.json", "config"),
+                                        ("ds/dataset.json", "dataset manifest"),
+                                        ("segs/segs.json", "segmentation manifest")])
+def test_a_json_file_that_is_not_json_exits_2_naming_it(dataset, tmp_path, capsys, name, what):
+    ds, segs = dataset
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    path = tmp_path / name
+    path.write_text('{"frames": [')
+    assert run_cli("eval", "--config", config, "--dataset", ds, "--segs", segs) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"clusterseg: error: cannot read {what} {path}: Expecting value")
+
+
+@pytest.mark.parametrize("manifest", [{}, {"segmentations": None}, {"segmentations": 5},
+                                      {"segmentations": [5]}, {"segmentations": [["a"]]}])
+def test_a_malformed_segmentation_manifest_exits_2(dataset, capsys, manifest):
+    ds, segs = dataset
+    (segs / "segs.json").write_text(json.dumps(manifest))
+    assert run_cli("eval", "--dataset", ds, "--segs", segs) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"clusterseg: error: malformed segmentation manifest "
+                          f"{segs / 'segs.json'}: ")
+
+
+def test_train_on_a_manifest_that_lists_no_frames_exits_2(dataset, tmp_path, capsys):
+    ds, _ = dataset
+    manifest = json.loads((ds / "dataset.json").read_text())
+    manifest["frames"] = []
+    (ds / "dataset.json").write_text(json.dumps(manifest))
+    out = tmp_path / "model.ckpt"
+    assert run_cli("train", "--dataset", ds, "--out", out, "--epochs", 1) == 2
+    assert capsys.readouterr().err == "clusterseg: error: training dataset is empty\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, index, value", [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from clusterseg.annotation import Annotation
 from clusterseg.cli import gradcheck_inputs
 from clusterseg import losses
-from clusterseg.errors import ClusterSegError, TargetError
+from clusterseg.errors import ClusterSegError, ShapeMismatchError, TargetError
 from clusterseg.losses import (LogitPrediction, LossWeights, center_loss,
                                finite_diff_check, pixel_loss, semantic_mask_loss,
                                total_loss, variance_loss, violation_loss)
@@ -269,6 +270,18 @@ def test_losses_reject_a_target_outside_zero_and_one(bad):
     # an empty foreground does not excuse a bad target
     with pytest.raises(TargetError):
         center_loss(logits, target, ~fg)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (1, 4), (3, 4, 1)])
+def test_losses_reject_a_target_of_another_shape(shape):
+    # (1, 4) would broadcast against the (3, 4) logits without the check.
+    logits = np.zeros((3, 4, 2))
+    target = np.zeros(shape, dtype=bool)
+    fg = np.ones((3, 4), dtype=bool)
+    with pytest.raises(ShapeMismatchError, match=re.escape(f"target has shape {shape}")):
+        semantic_mask_loss(logits, target)
+    with pytest.raises(ShapeMismatchError):
+        center_loss(logits, target, fg)
 
 
 def test_background_feature_gradient_is_zero():

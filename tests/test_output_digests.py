@@ -1,15 +1,16 @@
 """Every CLI output of a fixed battery of runs matches committed SHA-256 digests.
 
 The battery runs in-process into a temporary directory: gen at 32², 48² and
-128², with and without a backdrop; infer with the oracle, with uniform-ball
-feature noise at 0.49 and 2 times each frame's minimum ground-truth radius,
-with Gaussian noise plus --sweep and --flip-rate, and with an untrained MLP,
-each at --jobs 1 and 2; eval of every segmentation; a 2-epoch train, a
---resume to 3 epochs and MLP infer from that checkpoint; gradcheck; every
-command's --dump-config; and the help and usage errors of PARSER_ARGV at
-three terminal widths. Every written file and every command's stdout, with
-the output root replaced by "<root>", is one digest. The steps that run the
-MLP run once more with OpenBLAS set to one thread, to the same digests.
+128², with and without a backdrop, and at 128² with 28 to 30 objects; infer
+with the oracle, with uniform-ball feature noise at 0.49 and 2 times each
+frame's minimum ground-truth radius, with Gaussian noise plus --sweep and
+--flip-rate, and with an untrained MLP, each at --jobs 1 and 2; eval of
+every segmentation; a 2-epoch train, a --resume to 3 epochs and MLP infer
+from that checkpoint; gradcheck; every command's --dump-config; and the
+help and usage errors of PARSER_ARGV at three terminal widths. Every
+written file and every command's stdout, with the output root replaced by
+"<root>", is one digest. The steps that run the MLP run once more with
+OpenBLAS set to one thread, to the same digests.
 
 The digests in output_digests.json pin the bytes a change must keep. They
 were made by the code before the change the file's "made_by" names, so a
@@ -61,13 +62,15 @@ DATASETS = {
     "gen128": ["--res", "128x128", "--count", "2", "--objects", "4..8", "--seed", "9"],
     "gen128-empty": ["--res", "128x128", "--count", "1", "--objects", "4..8",
                      "--background-depth", "none", "--seed", "10"],
+    "gen128-crowded": ["--res", "128x128", "--count", "2", "--objects", "28..30",
+                       "--sizes", "0.03..0.08", "--seed", "14"],
 }
 BALL = ["--predictor", "noisy", "--noise-mode", "uniform-ball", "--ball-minb-frac"]
 # name -> (infer flags, the datasets it runs on)
 PREDICTORS = {
     "oracle": ([], list(DATASETS)),
     "ball049": ([*BALL, "0.49", "--seed", "11"], ["gen48", "gen48-empty", "gen128",
-                                                  "gen128-empty"]),
+                                                  "gen128-empty", "gen128-crowded"]),
     "ball2": ([*BALL, "2", "--seed", "12"], ["gen48", "gen128"]),
     "gauss": (["--predictor", "noisy", "--sigma-xi", "0.05", "--sigma-b", "0.02",
                "--sigma-eta", "0.1", "--flip-rate", "0.02", "--sweep", "0,0.05,0.2",

@@ -291,6 +291,17 @@ def test_mlp_forward_names_the_first_non_finite_head_as_the_reference_does(bad):
     assert got == want == (NonFiniteError, f"non-finite activations in head {bad[0]!r}")
 
 
+def test_an_mlp_prediction_keeps_no_other_head_alive():
+    # xi_hat is copied out of the (N, 14) head output, so the prediction that
+    # is segmented does not hold the other heads' columns.
+    _, frame, _ = make_example(seed=0)
+    logits, _ = mlp_forward(init_model(0), frame)
+    pred = logits.to_prediction()
+    assert pred.xi_hat.tobytes() == logits.xi_hat.tobytes()
+    for other in (logits.b_hat, logits.eta_logits, logits.mask_logits):
+        assert not np.may_share_memory(pred.xi_hat, other)
+
+
 def test_mlp_backward_rejects_a_gradient_that_overflows():
     _, frame, _ = make_example(seed=0)
     model = init_model(0)

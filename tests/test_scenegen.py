@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from clusterseg.errors import ClusterSegError, PlacementError
 from clusterseg.geometry import CameraIntrinsics, feature_distance
-from clusterseg.scenegen import (Primitive, Scene,
+from clusterseg.scenegen import (BACKDROP_RGB, GeneratorConfig, Primitive, Scene, backdrop,
                                  occlusion_scores, render, sample_scene, scene_from_json,
                                  scene_to_json, surface_points)
 
@@ -158,6 +159,21 @@ def test_background_depth_fills_misses():
     intr = CameraIntrinsics(32.0, 32.0, 8.0, 8.0, 16, 16)
     frame = render(Scene(objects=(), camera=intr, background_depth=2.5))
     assert np.all(frame.depth == 2.5)
+
+
+def test_backdrop_gives_what_a_pixel_no_object_covers():
+    assert backdrop(None) == (0.0, 0.0)
+    assert backdrop(2.5) == (BACKDROP_RGB, 2.5)
+
+
+@pytest.mark.parametrize("depth", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_a_backdrop_depth_that_is_not_finite_and_positive_is_rejected(depth):
+    message = re.escape(f"background_depth must be finite and positive, or None, got {depth}")
+    intr = CameraIntrinsics(32.0, 32.0, 8.0, 8.0, 16, 16)
+    for make in (backdrop, lambda d: Scene(objects=(), camera=intr, background_depth=d),
+                 lambda d: GeneratorConfig(background_depth=d)):
+        with pytest.raises(ClusterSegError, match=message):
+            make(depth)
 
 
 def test_render_against_scalar_oracle():
