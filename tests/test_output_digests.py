@@ -1,7 +1,8 @@
 """Every CLI output of a fixed battery of runs matches committed SHA-256 digests.
 
 The battery runs in-process into a temporary directory: gen at 32², 48² and
-128², with and without a backdrop, and at 128² with 28 to 30 objects; infer
+128², with and without a backdrop, at 128² with 28 to 30 objects, and at
+37x23, whose 851 pixels leave padding bits in the foreground bitmask; infer
 with the oracle, with uniform-ball feature noise at 0.49 and 2 times each
 frame's minimum ground-truth radius, with Gaussian noise plus --sweep and
 --flip-rate, and with an untrained MLP, each at --jobs 1 and 2; eval of
@@ -64,6 +65,7 @@ DATASETS = {
                      "--background-depth", "none", "--seed", "10"],
     "gen128-crowded": ["--res", "128x128", "--count", "2", "--objects", "28..30",
                        "--sizes", "0.03..0.08", "--seed", "14"],
+    "gen37x23": ["--res", "37x23", "--count", "2", "--objects", "3..5", "--seed", "15"],
 }
 BALL = ["--predictor", "noisy", "--noise-mode", "uniform-ball", "--ball-minb-frac"]
 # name -> (infer flags, the datasets it runs on)
