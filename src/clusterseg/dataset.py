@@ -4,10 +4,11 @@ A dataset directory (written by gen, read by infer, eval and train) holds
 dataset.json, the manifest (format, frame file names and the generation
 parameters), and per frame a scene_NNNNN.json (the scenegen JSON schema) and
 a frame_NNNNN.tsb bundle (frame_layout). gen writes the per-object features
-and builds no annotation maps; it stores rgb and depth at the foreground
-pixels only (instance id above 0, in row-major order), each amodal mask as
-its window, the tight bounding box of its pixels and the box's contents
-(encode_amodal), and no occlusion scores. Loading is two steps:
+and builds no annotation maps; it stores the foreground (the pixels of
+instance id above 0) as a bitmask, and the instance ids, rgb and depth at
+the foreground pixels only, in row-major order; each amodal mask as its
+window, the tight bounding box of its pixels and the box's contents
+(encode_amodal); and no occlusion scores. Loading is two steps:
 read_dataset_manifest checks the manifest, every frame's entry included,
 and load_frame loads and checks one frame, so a command can hold one frame
 at a time.
@@ -22,7 +23,9 @@ masks from their windows, derives the occlusion scores from the pixel counts
 (scenegen.occlusion_scores, as render does), and
 rejects rgb outside [0, 1], features that are not finite, windows outside
 the frame or that disagree with the stored pixel count, mask values other
-than 0 and 1 and visible pixels outside their object's amodal mask.
+than 0 and 1, visible pixels outside their object's amodal mask, a
+foreground bitmask with a padding bit set or that sets another number of
+pixels than the ids fill, and ids outside 1..K.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
 the manifest (segmentation file names, predictor and fg_threshold), and per
@@ -55,7 +58,7 @@ from .scenegen import FrameBundle, backdrop, occlusion_scores, scene_from_json, 
 
 # The dataset layout gen writes; a dataset with any other "format" must be
 # regenerated.
-DATASET_FORMAT = 4
+DATASET_FORMAT = 5
 # A segmentation bundle: M instances over an H x W image.
 SEGMENTATION_LAYOUT = {"labels": (np.uint16, ("H", "W")), "scores": (np.float64, ("M",)),
                        "seeds": (np.uint16, ("M", 2))}
@@ -64,13 +67,15 @@ SEGMENTATION_LAYOUT = {"labels": (np.uint16, ("H", "W")), "scores": (np.float64,
 def frame_layout(H, W, K):
     """Every tensor an H x W frame of K objects stores, in written order: name -> (dtype, shape).
 
-    rgb and depth hold the values at the F foreground pixels, the nonzero
-    pixels of instance_map in row-major order; amodal_windows and
+    foreground is np.packbits of the row-major H x W map of nonzero
+    instance ids: the first pixel in the high bit of byte 0, and the unused
+    low bits of the last byte 0. rgb, depth and instance_ids hold the values
+    at its F set pixels, in row-major order; amodal_windows and
     amodal_pixels store the amodal masks (encode_amodal).
     """
     return {"rgb": (np.float32, ("F", 3)), "depth": (np.float64, ("F",)),
-            "instance_map": (np.uint16, (H, W)), "amodal_windows": (np.uint16, (K, 4)),
-            "amodal_pixels": (np.uint8, ("P",)),
+            "foreground": (np.uint8, (-(-H * W // 8),)), "instance_ids": (np.uint16, ("F",)),
+            "amodal_windows": (np.uint16, (K, 4)), "amodal_pixels": (np.uint8, ("P",)),
             "per_object_xi": (np.float64, (K, FEATURE_DIM))}
 
 
@@ -111,10 +116,15 @@ def is_finite(value):
 
 
 def _read(path, what, reader):
-    """reader(path); an OSError or ValueError from it is a ClusterSegError naming the file."""
+    """reader(path); an OSError, ValueError or RecursionError from it is a ClusterSegError.
+
+    The error names the file.
+    """
     try:
         return reader(path)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON, or a NUL in the path
+    # ValueError: not UTF-8, not JSON, or a NUL in the path; RecursionError:
+    # JSON nested deeper than the parser's recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise ClusterSegError(f"cannot read {what} {path}: {exc}") from exc
 
 
@@ -167,10 +177,13 @@ def write_dataset(path, records, **params):
         with open(os.path.join(path, scene_name), "w", encoding="utf-8") as fh:
             fh.write(scene_to_json(scene))
         windows, pixels = encode_amodal(frame.amodal_masks)
-        fg = np.flatnonzero(frame.instance_map)
-        arrays = {**vars(frame), "rgb": frame.rgb.reshape(-1, 3)[fg],
-                  "depth": frame.depth.ravel()[fg], "amodal_windows": windows,
-                  "amodal_pixels": pixels, "per_object_xi": per_object_xi}
+        ids = frame.instance_map.ravel()
+        foreground = ids != 0
+        fg = np.flatnonzero(foreground)
+        arrays = {"rgb": frame.rgb.reshape(-1, 3)[fg], "depth": frame.depth.ravel()[fg],
+                  "foreground": np.packbits(foreground), "instance_ids": ids[fg],
+                  "amodal_windows": windows, "amodal_pixels": pixels,
+                  "per_object_xi": per_object_xi}
         layout = frame_layout(*frame.depth.shape, len(scene.objects))
         dataio.write_bundle(os.path.join(path, bundle_name),
                             {name: arrays[name].astype(dtype)
@@ -181,18 +194,33 @@ def write_dataset(path, records, **params):
                {**params, "format": DATASET_FORMAT, "frames": frames})
 
 
-def _check_frame_values(bundle_path, t):
+def _check_frame_values(bundle_path, t, H, W):
     """The frame's foreground pixels, amodal masks and occlusion scores, every stored value checked.
 
     Raises a typed error naming the bundle for a value no rendered frame
-    holds: rgb must be finite and in [0, 1], rgb and depth must hold one row
-    per foreground pixel, every window must lie inside the frame,
-    amodal_pixels must hold exactly the windows' pixels, each 0 or 1, and
-    object k's visible pixels (id k + 1) must lie in its amodal mask; of
-    several such objects the lowest k is named. The foreground pixels are
-    the flat indices of the nonzero ids, ascending. The occlusion scores are
+    holds: the unused bits of foreground's last byte must be 0, it must set
+    one pixel per stored id, every id must lie in 1..K, rgb must be finite
+    and in [0, 1], every window must lie inside the frame, amodal_pixels
+    must hold exactly the windows' pixels, each 0 or 1, and object k's
+    visible pixels (id k + 1) must lie in its amodal mask; of several such
+    objects the lowest k is named. The foreground pixels are the flat
+    indices of foreground's set bits, ascending. The occlusion scores are
     scenegen.occlusion_scores of the visible and amodal pixel counts.
     """
+    ids, windows, pixels = t["instance_ids"], t["amodal_windows"], t["amodal_pixels"]
+    K, padding = len(windows), -H * W % 8
+    if padding and t["foreground"][-1] & ((1 << padding) - 1):
+        raise ValueRangeError(f"{bundle_path}: foreground sets a padding bit past the "
+                              f"{H * W} pixels of the {H} x {W} frame")
+    # flatnonzero runs about four times faster on bool than on u8
+    fg = np.flatnonzero(np.unpackbits(t["foreground"]).view(np.bool_))
+    if fg.size != ids.size:
+        raise ShapeMismatchError(f"{bundle_path}: rgb, depth and instance_ids hold {ids.size} "
+                                 f"pixels, but foreground sets {fg.size}")
+    if ids.max(initial=0) > K:
+        raise ShapeMismatchError(f"{bundle_path}: instance ids exceed the object count {K}")
+    if ids.min(initial=1) == 0:
+        raise ValueRangeError(f"{bundle_path}: instance id 0 at a foreground pixel")
     if not np.isfinite(t["per_object_xi"]).all():
         raise NonFiniteError(f"{bundle_path}: per_object_xi contains NaN or infinity")
     rgb = t["rgb"]
@@ -202,12 +230,6 @@ def _check_frame_values(bundle_path, t):
             raise NonFiniteError(f"{bundle_path}: rgb contains NaN or infinity")
         raise ValueRangeError(f"{bundle_path}: rgb values must lie in [0, 1], got "
                               f"{rgb.min() if rgb.min() < 0 else rgb.max()}")
-    ids, windows, pixels = t["instance_map"], t["amodal_windows"], t["amodal_pixels"]
-    (H, W), K = ids.shape, len(windows)
-    fg = np.flatnonzero(ids.ravel() != 0)  # faster on bool than on u16
-    if fg.size != len(rgb):
-        raise ShapeMismatchError(f"{bundle_path}: rgb and depth hold {len(rgb)} pixels, but "
-                                 f"the instance map has {fg.size} foreground pixels")
     top, left, h, w = windows.astype(np.int64).T
     outside = (top + h > H) | (left + w > W)
     if outside.any():
@@ -222,7 +244,7 @@ def _check_frame_values(bundle_path, t):
         raise ValueRangeError(f"{bundle_path}: amodal_pixels must hold only 0 and 1, "
                               f"got {int(pixels.max())}")
     masks = decode_amodal(windows, pixels.view(np.bool_), H, W)
-    owner = ids.ravel()[fg].astype(np.intp) - 1
+    owner = ids.astype(np.intp) - 1
     outside = ~masks.ravel()[owner * (H * W) + fg]
     if outside.any():
         raise MaskContainmentError(f"{bundle_path}: a visible pixel of object "
@@ -275,9 +297,7 @@ def load_frame(scene_path, bundle_path):
     t = _read(bundle_path, "frame bundle", dataio.read_bundle)
     (H, W), K = (scene.camera.height, scene.camera.width), len(scene.objects)
     dataio.check_layout(bundle_path, t, frame_layout(H, W, K))
-    if t["instance_map"].max(initial=0) > K:
-        raise ShapeMismatchError(f"{bundle_path}: instance ids exceed the object count {K}")
-    fg, amodal, occlusion = _check_frame_values(bundle_path, t)
+    fg, amodal, occlusion = _check_frame_values(bundle_path, t, H, W)
     backdrop_rgb, backdrop_depth = backdrop(scene.background_depth)
     depth = np.full(H * W, backdrop_depth)
     depth[fg] = t["depth"]
@@ -290,8 +310,10 @@ def load_frame(scene_path, bundle_path):
     # Each pixel's three channels put as one 12-byte value: twice as fast as
     # assigning f32 rows by index.
     np.put(rgb.view("V12"), fg, t["rgb"].view("V12"))
+    instance_map = np.zeros(H * W, dtype=np.int32)
+    instance_map[fg] = t["instance_ids"]
     frame = FrameBundle(rgb=rgb.reshape(H, W, 3), depth=depth, camera=scene.camera,
-                        instance_map=t["instance_map"].astype(np.int32),
+                        instance_map=instance_map.reshape(H, W),
                         amodal_masks=amodal, occlusion_scores=occlusion)
     return scene, frame, t["per_object_xi"]
 

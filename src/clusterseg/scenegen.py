@@ -535,6 +535,6 @@ def scene_from_json(text: str) -> Scene:
                       half_extents=tuple(float(x) for x in o["half_extents"]),
                       albedo=tuple(float(x) for x in o["albedo"]))
             for o in doc["objects"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ClusterSegError(f"malformed scene JSON: {exc}") from exc
     return Scene(objects=objects, camera=intr, background_depth=bg)

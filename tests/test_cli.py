@@ -53,10 +53,13 @@ def test_gen_writes_dataset(tmp_path):
     for entry in manifest["frames"]:
         assert (out / entry["scene"]).exists()
         tensors = read_bundle(out / entry["bundle"])
-        foreground = np.count_nonzero(tensors["instance_map"])
+        assert tensors["foreground"].dtype == np.uint8
+        assert tensors["foreground"].shape == (32 * 32 // 8,)
+        foreground = np.count_nonzero(np.unpackbits(tensors["foreground"]))
         assert tensors["rgb"].shape == (foreground, 3)
         assert tensors["depth"].shape == (foreground,)
-        assert tensors["instance_map"].dtype == np.uint16
+        assert tensors["instance_ids"].shape == (foreground,)
+        assert tensors["instance_ids"].dtype == np.uint16
         assert 2 <= entry["objects"] <= 4
 
 
@@ -808,10 +811,14 @@ def test_infer_mlp_without_a_sweep_builds_no_annotation_maps(two_frame_dataset, 
     assert _dir_bytes(tmp_path / "got") == _dir_bytes(tmp_path / "want")
 
 
+# oracle_run's frames are SIDE x SIDE
+SIDE = 16
+
+
 @pytest.fixture(scope="module")
 def oracle_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("damaged")
-    assert run_cli("gen", "--count", "2", "--res", "16x16", "--objects", "2..2",
+    assert run_cli("gen", "--count", "2", "--res", f"{SIDE}x{SIDE}", "--objects", "2..2",
                    "--sizes", "0.12..0.2", "--seed", "5", "--out", str(root / "ds")) == 0
     assert run_cli("infer", "--dataset", str(root / "ds"), "--out", str(root / "segs")) == 0
     return root
@@ -830,21 +837,23 @@ def _payload_index(tensors, k, pixel):
     """The amodal_pixels index of flat frame `pixel` in object k's window."""
     windows = tensors["amodal_windows"].astype(np.int64)
     top, left, _, width = windows[k]
-    row, col = divmod(int(pixel), tensors["instance_map"].shape[1])
+    row, col = divmod(int(pixel), SIDE)
     return (windows[:k, 2] * windows[:k, 3]).sum() + (row - top) * width + (col - left)
 
 
 def _visible_pixel_cleared(tensors, k=0):
     """Object k's first visible pixel cleared in its window."""
     pixels = tensors["amodal_pixels"].copy()
-    pixels[_payload_index(tensors, k, np.flatnonzero(tensors["instance_map"] == k + 1)[0])] = 0
+    foreground = np.flatnonzero(np.unpackbits(tensors["foreground"]))
+    pixel = foreground[tensors["instance_ids"] == k + 1][0]
+    pixels[_payload_index(tensors, k, pixel)] = 0
     return {**tensors, "amodal_pixels": pixels}
 
 
 def _window_past_edge(tensors):
     """Object 0's window moved down until its last row lies one past the frame's."""
     windows = tensors["amodal_windows"].copy()
-    windows[0, 0] = tensors["instance_map"].shape[0] - windows[0, 2] + 1
+    windows[0, 0] = SIDE - windows[0, 2] + 1
     return {**tensors, "amodal_windows": windows}
 
 

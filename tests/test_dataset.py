@@ -1,8 +1,9 @@
 """Dataset directories: what a frame bundle stores, and what loading rebuilds.
 
-A frame bundle stores rgb and depth at the foreground pixels, the instance
-map, each amodal mask as its window (bounding box and contents) and the
-per-object features. Loading fills the backdrop pixels of rgb and depth,
+A frame bundle stores the foreground as a bitmask, the instance ids, rgb
+and depth at the foreground pixels, each amodal mask as its window
+(bounding box and contents) and the per-object features. Loading scatters
+the ids into the instance map, fills the backdrop pixels of rgb and depth,
 rebuilds the amodal masks from their windows, derives the occlusion scores
 from the pixel counts and rebuilds the annotation maps from the features,
 the instance map and the manifest's fraction and single-object radius, and
@@ -13,6 +14,7 @@ included.
 
 import json
 import math
+import shutil
 import tempfile
 
 import numpy as np
@@ -29,13 +31,15 @@ from clusterseg.dataset import (decode_amodal, encode_amodal, load_dataset, load
                                 load_segmentations, read_dataset_manifest, write_dataset,
                                 write_segmentations)
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
-                               NonFiniteError, PlacementError, ShapeMismatchError)
+                               NonFiniteError, PlacementError, ShapeMismatchError,
+                               ValueRangeError)
 from clusterseg.geometry import CameraIntrinsics, depth_to_xyz
 from clusterseg.scenegen import Primitive, Scene, render
 
 FRAME_FIELDS = ("rgb", "depth", "xyz", "instance_map", "amodal_masks", "occlusion_scores")
 ANNOTATION_FIELDS = ("xi_map", "eta_gt", "b_map", "fg_mask", "per_object_xi", "instance_map")
-STORED = ["amodal_pixels", "amodal_windows", "depth", "instance_map", "per_object_xi", "rgb"]
+STORED = ["amodal_pixels", "amodal_windows", "depth", "foreground", "instance_ids",
+          "per_object_xi", "rgb"]
 
 
 def run_cli(*argv):
@@ -167,21 +171,14 @@ def test_amodal_windows_round_trip_bit_for_bit(data):
     _same(decoded, masks, "amodal_masks")
 
 
-@pytest.mark.parametrize("background_depth", [None, 2.5, 97.25])
-@pytest.mark.parametrize("kind", ["empty", "full", "random"])
-@settings(max_examples=25, deadline=None, derandomize=True)
-@seed(0)
-@given(data=st.data())
-def test_foreground_rgb_and_depth_round_trip_bit_for_bit(kind, background_depth, data):
-    # write_dataset gathers rgb and depth at the nonzero ids; load_frame
-    # scatters them back and fills the backdrop as render does.
-    H, W = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
-    K = data.draw(st.integers(0 if kind == "empty" else 1, 3))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "empty":
-        ids = np.zeros((H, W), dtype=np.int32)
-    else:
-        ids = rng.integers(1 if kind == "full" else 0, K + 1, size=(H, W), dtype=np.int32)
+def _assert_frame_round_trips(ids, K, background_depth, rng):
+    """write_dataset then load_frame of a frame with instance map `ids` gives it back bit for bit.
+
+    rgb and depth are random at the foreground and the backdrop's elsewhere;
+    each amodal mask holds its object's visible pixels and random others,
+    and the occlusion scores are what render derives from them.
+    """
+    H, W = ids.shape
     fg = ids > 0
     backdrop = background_depth is not None
     rgb = np.full((H, W, 3), scenegen.BACKDROP_RGB if backdrop else 0.0, dtype=np.float32)
@@ -193,18 +190,60 @@ def test_foreground_rgb_and_depth_round_trip_bit_for_bit(kind, background_depth,
                      albedo=(0.5, 0.5, 0.5))
     camera = CameraIntrinsics(10.0, 10.0, W / 2.0, H / 2.0, W, H)
     scene = Scene(objects=(ball,) * K, camera=camera, background_depth=background_depth)
-    masks = ids == np.arange(1, K + 1)[:, None, None]
+    visible = ids == np.arange(1, K + 1)[:, None, None]
+    masks = visible | (rng.random((K, H, W)) < rng.random())
+    occlusion = scenegen.occlusion_scores(visible.sum(axis=(1, 2)), masks.sum(axis=(1, 2)))
     frame = scenegen.FrameBundle(rgb=rgb, depth=depth, camera=camera, instance_map=ids,
-                                 amodal_masks=masks, occlusion_scores=np.ones(K))
+                                 amodal_masks=masks, occlusion_scores=occlusion)
     with tempfile.TemporaryDirectory() as ds:
         write_dataset(ds, [(scene, frame, np.zeros((K, 9)))], fraction=0.2,
                       single_object_radius=1.0)
         stored = read_bundle(f"{ds}/frame_00000.tsb")
-        assert stored["rgb"].shape == (fg.sum(), 3) and stored["depth"].shape == (fg.sum(),)
+        F = int(fg.sum())
+        assert stored["rgb"].shape == (F, 3) and stored["depth"].shape == (F,)
+        assert stored["instance_ids"].shape == (F,) and stored["foreground"].size == -(-H * W // 8)
         [(_, loaded, _)] = _load_frames(ds)
     _same(loaded.rgb, rgb, "rgb")
     _same(loaded.depth, depth, "depth")
     _same(loaded.instance_map, ids, "instance_map")
+    _same(loaded.amodal_masks, masks, "amodal_masks")
+    _same(loaded.occlusion_scores, occlusion, "occlusion_scores")
+
+
+def _instance_map(kind, H, W, K, rng):
+    """An H x W int32 map of ids 0..K: all 0, all above 0, or random."""
+    if kind == "empty":
+        return np.zeros((H, W), dtype=np.int32)
+    return rng.integers(1 if kind == "full" else 0, K + 1, size=(H, W), dtype=np.int32)
+
+
+@pytest.mark.parametrize("background_depth", [None, 2.5, 97.25])
+@pytest.mark.parametrize("kind", ["empty", "full", "random"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@seed(0)
+@given(data=st.data())
+def test_foreground_rgb_and_depth_round_trip_bit_for_bit(kind, background_depth, data):
+    # write_dataset gathers rgb, depth and the ids at the nonzero ids;
+    # load_frame scatters them back and fills the backdrop as render does.
+    H, W = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    K = data.draw(st.integers(0 if kind == "empty" else 1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    _assert_frame_round_trips(_instance_map(kind, H, W, K, rng), K, background_depth, rng)
+
+
+@pytest.mark.parametrize("H, W", [(1, 1), (7, 5), (37, 23), (8, 8)])
+@pytest.mark.parametrize("kind", ["empty", "full", "random"])
+@settings(max_examples=8, deadline=None, derandomize=True)
+@seed(0)
+@given(data=st.data())
+def test_instance_maps_round_trip_whatever_the_padding_of_the_foreground_bitmask(kind, H, W,
+                                                                                 data):
+    # The foreground bitmask's last byte holds -H * W % 8 padding bits (none
+    # at 8 x 8); F = 0 and F = H * W are the empty and full maps.
+    K = data.draw(st.integers(0 if kind == "empty" else 1, 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    background_depth = data.draw(st.sampled_from([None, 3.5]))
+    _assert_frame_round_trips(_instance_map(kind, H, W, K, rng), K, background_depth, rng)
 
 
 def test_no_masks_store_no_windows_and_no_pixels():
@@ -233,15 +272,15 @@ def _exits_2(ds, segs, tmp_path, capsys):
 
 
 def _raise_id_above_k(t):
-    im = t["instance_map"].copy()
-    im[im == 1] = len(t["amodal_windows"]) + 1
-    return {**t, "instance_map": im}
+    ids = t["instance_ids"].copy()
+    ids[ids == 1] = len(t["amodal_windows"]) + 1
+    return {**t, "instance_ids": ids}
 
 
 @pytest.mark.parametrize("mutate, error", [
-    (lambda t: {**t, "instance_map": np.full(t["instance_map"].shape, np.nan)},
+    (lambda t: {**t, "instance_ids": np.full(t["instance_ids"].shape, np.nan)},
      BundleDtypeError),
-    (lambda t: {**t, "instance_map": t["instance_map"].astype(np.float32) + 0.5},
+    (lambda t: {**t, "instance_ids": t["instance_ids"].astype(np.float32) + 0.5},
      BundleDtypeError),
     (lambda t: {**t, "amodal_windows": t["amodal_windows"][:, :3]}, ShapeMismatchError),
     (lambda t: {**t, "depth": t["depth"][:5]}, ShapeMismatchError),
@@ -252,7 +291,8 @@ def _raise_id_above_k(t):
     (lambda t: {**t, "per_object_xi": t["per_object_xi"].astype(np.float32)},
      BundleDtypeError),
     (lambda t: {**t, "rgb": t["rgb"][..., :2]}, ShapeMismatchError),
-    (lambda t: {**t, "instance_map": t["instance_map"][:, :-1]}, ShapeMismatchError),
+    (lambda t: {**t, "foreground": t["foreground"][:-1]}, ShapeMismatchError),
+    (lambda t: {**t, "foreground": np.append(t["foreground"], np.uint8(0))}, ShapeMismatchError),
     (lambda t: {**t, "amodal_windows": t["amodal_windows"][:-1]}, ShapeMismatchError),
     (lambda t: {**t, "amodal_pixels": t["amodal_pixels"][:, None]}, ShapeMismatchError),
     (lambda t: {**t, "per_object_xi": t["per_object_xi"][:-1]}, ShapeMismatchError),
@@ -272,12 +312,14 @@ def _raise_id_above_k(t):
                 "depth": np.zeros((24, 24))}, ShapeMismatchError),
     (lambda t: {**t, "rgb": np.zeros((24 * 24, 3), dtype=np.float32),
                 "depth": np.zeros(24 * 24)}, ShapeMismatchError),
+    # format 4 stored the instance map whole
+    (lambda t: {**t, "instance_map": np.zeros((24, 24), dtype=np.uint16)}, BundleManifestError),
 ], ids=["nan-f64-ids", "f32-ids", "window-width", "depth-rows", "f64-rgb", "f32-depth",
-        "u16-amodal", "u8-windows", "f32-features", "rgb-channels", "map-columns",
-        "amodal-count", "pixel-rows", "feature-rows", "feature-width", "id-above-k",
+        "u16-amodal", "u8-windows", "f32-features", "rgb-channels", "foreground-short",
+        "foreground-long", "amodal-count", "pixel-rows", "feature-rows", "feature-width", "id-above-k",
         "missing-tensor", "extra-tensor", "stored-amodal-masks", "stored-occlusion",
         "rgb-row-short", "rgb-row-long", "depth-row-short", "depth-row-long", "full-frame-maps",
-        "every-pixel-rows"])
+        "every-pixel-rows", "stored-instance-map"])
 def test_malformed_frame_bundle_is_a_typed_error(dataset, tmp_path, capsys, mutate, error):
     ds, segs = dataset
     path = ds / "frame_00001.tsb"
@@ -292,13 +334,79 @@ def test_stored_rows_must_be_one_per_foreground_pixel(dataset, tmp_path, capsys,
     ds, segs = dataset
     path = ds / "frame_00001.tsb"
     t = read_bundle(path)
-    F = np.count_nonzero(t["instance_map"])
+    F = len(t["instance_ids"])
     rows = np.resize(np.arange(F), F + extra)
-    write_bundle(path, {**t, "rgb": t["rgb"][rows], "depth": t["depth"][rows]})
-    with pytest.raises(ShapeMismatchError, match=f"frame_00001.tsb: rgb and depth hold {F + extra} "
-                                                 f"pixels, but the instance map has {F} "):
+    write_bundle(path, {**t, "rgb": t["rgb"][rows], "depth": t["depth"][rows],
+                        "instance_ids": t["instance_ids"][rows]})
+    with pytest.raises(ShapeMismatchError, match=f"frame_00001.tsb: rgb, depth and instance_ids "
+                                                 f"hold {F + extra} pixels, but foreground sets "
+                                                 f"{F}$"):
         _load_frames(str(ds))
     _exits_2(ds, segs, tmp_path, capsys)
+
+
+@pytest.fixture(scope="module")
+def odd_dataset(tmp_path_factory):
+    """A dataset of 23 x 37 frames: 851 pixels, so foreground's last byte has 5 padding bits."""
+    root = tmp_path_factory.mktemp("odd")
+    assert run_cli("gen", "--count", 2, "--res", "37x23", "--objects", "3..5",
+                   "--sizes", "0.15..0.3", "--seed", 15, "--out", root / "ds") == 0
+    assert run_cli("infer", "--dataset", root / "ds", "--out", root / "segs") == 0
+    return root
+
+
+def _bits_changed(change):
+    """A damage that applies change(bits) to foreground's unpacked bits, padding included."""
+    def damage(t):
+        bits = np.unpackbits(t["foreground"])
+        change(bits)
+        return {**t, "foreground": np.packbits(bits)}
+    return damage
+
+
+def _padding_bit_set(bits):
+    # The last foreground pixel is cleared, so the set bits still number F.
+    bits[np.flatnonzero(bits)[-1]] = 0
+    bits[-1] = 1
+
+
+def _id_set(index, value):
+    """A damage that sets instance_ids[index] to value(K)."""
+    def damage(t):
+        ids = t["instance_ids"].copy()
+        ids[index] = value(len(t["amodal_windows"]))
+        return {**t, "instance_ids": ids}
+    return damage
+
+
+@pytest.mark.parametrize("damage, error, message", [
+    (_bits_changed(_padding_bit_set), ValueRangeError,
+     "foreground sets a padding bit past the 851 pixels of the 23 x 37 frame"),
+    (_bits_changed(lambda bits: bits.put(np.flatnonzero(bits[:851] == 0)[0], 1)),
+     ShapeMismatchError, "rgb, depth and instance_ids hold {F} pixels, but foreground sets {F1}"),
+    (_bits_changed(lambda bits: bits.put(np.flatnonzero(bits)[0], 0)),
+     ShapeMismatchError, "rgb, depth and instance_ids hold {F} pixels, but foreground sets {F_1}"),
+    (_id_set(0, lambda K: 0), ValueRangeError, "instance id 0 at a foreground pixel"),
+    (_id_set(-1, lambda K: 0), ValueRangeError, "instance id 0 at a foreground pixel"),
+    (_id_set(-1, lambda K: K + 1), ShapeMismatchError, "instance ids exceed the object count {K}"),
+], ids=["padding-bit", "popcount-above-f", "popcount-below-f", "first-id-0", "last-id-0",
+        "id-k-plus-1"])
+def test_a_damaged_foreground_or_id_exits_2_naming_the_bundle(odd_dataset, tmp_path, capsys,
+                                                              damage, error, message):
+    ds = tmp_path / "ds"
+    shutil.copytree(odd_dataset / "ds", ds)
+    path = ds / "frame_00001.tsb"
+    tensors = read_bundle(path)
+    F, K = len(tensors["instance_ids"]), len(tensors["amodal_windows"])
+    write_bundle(path, damage(tensors))
+    want = f"{path}: " + message.format(F=F, F1=F + 1, F_1=F - 1, K=K)
+    with pytest.raises(error) as raised:
+        _load_frames(ds)
+    assert str(raised.value) == want
+    for argv in (("eval", "--segs", odd_dataset / "segs"), ("infer", "--out", tmp_path / "segs"),
+                 ("train", "--out", tmp_path / "model.ckpt", "--epochs", 1)):
+        assert run_cli(argv[0], "--dataset", ds, *argv[1:]) == 2
+        assert capsys.readouterr().err == f"clusterseg: error: {want}\n"
 
 
 _MISSING = object()
@@ -330,7 +438,8 @@ def test_derivation_values_are_validated(dataset, tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("value", [_MISSING, 1, 2, 2.0, 3.0, "3", True, None,
-                                   pytest.param(3, id="int-3"), 4.0, "4"])
+                                   pytest.param(3, id="int-3"), 4.0, "4",
+                                   pytest.param(4, id="int-4"), 5.0, "5"])
 def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
     ds, segs = dataset
     _edit_manifest(ds, "format", value)
@@ -341,7 +450,7 @@ def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
 
 def test_manifest_records_the_format(dataset):
     ds, _ = dataset
-    assert json.loads((ds / "dataset.json").read_text())["format"] == 4
+    assert json.loads((ds / "dataset.json").read_text())["format"] == 5
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -486,6 +595,26 @@ def test_a_json_file_that_is_not_json_exits_2_naming_it(dataset, tmp_path, capsy
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"clusterseg: error: cannot read {what} {path}: Expecting value")
+
+
+@pytest.mark.parametrize("name, error", [
+    ("config.json", "cannot read config {path}: maximum recursion depth exceeded"),
+    ("ds/dataset.json", "cannot read dataset manifest {path}: maximum recursion depth exceeded"),
+    ("segs/segs.json",
+     "cannot read segmentation manifest {path}: maximum recursion depth exceeded"),
+    ("ds/scene_00001.json", "{path}: malformed scene JSON: maximum recursion depth exceeded"),
+], ids=["config", "dataset-manifest", "segmentation-manifest", "scene"])
+def test_json_nested_past_the_recursion_limit_exits_2_naming_the_file(dataset, tmp_path, capsys,
+                                                                       name, error):
+    ds, segs = dataset
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    path = tmp_path / name
+    path.write_text('{"camera": ' + "[" * 100_000)
+    assert run_cli("eval", "--config", config, "--dataset", ds, "--segs", segs) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("clusterseg: error: " + error.format(path=path))
 
 
 @pytest.mark.parametrize("manifest", [{}, {"segmentations": None}, {"segmentations": 5},

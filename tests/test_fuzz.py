@@ -16,6 +16,7 @@ import struct
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
@@ -46,7 +47,8 @@ def files(tmp_path_factory):
     # the frame-bundle property damages a bundle in the current dataset format
     bundle = read_bundle(ds / "frame_00000.tsb")
     assert "amodal_windows" in bundle
-    assert len(bundle["rgb"]) == len(bundle["depth"]) == bundle["instance_map"].astype(bool).sum()
+    assert (len(bundle["rgb"]) == len(bundle["depth"]) == len(bundle["instance_ids"])
+            == np.unpackbits(bundle["foreground"]).sum())
     seg_name = json.load(open(segs / "segs.json"))["segmentations"][0]
     return {"ds": ds, "segs": segs, "seg_name": seg_name, "model": model}
 
