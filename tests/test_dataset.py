@@ -316,8 +316,8 @@ def _raise_id_above_k(t):
     (lambda t: {**t, "instance_map": np.zeros((24, 24), dtype=np.uint16)}, BundleManifestError),
 ], ids=["nan-f64-ids", "f32-ids", "window-width", "depth-rows", "f64-rgb", "f32-depth",
         "u16-amodal", "u8-windows", "f32-features", "rgb-channels", "foreground-short",
-        "foreground-long", "amodal-count", "pixel-rows", "feature-rows", "feature-width", "id-above-k",
-        "missing-tensor", "extra-tensor", "stored-amodal-masks", "stored-occlusion",
+        "foreground-long", "amodal-count", "pixel-rows", "feature-rows", "feature-width",
+        "id-above-k", "missing-tensor", "extra-tensor", "stored-amodal-masks", "stored-occlusion",
         "rgb-row-short", "rgb-row-long", "depth-row-short", "depth-row-long", "full-frame-maps",
         "every-pixel-rows", "stored-instance-map"])
 def test_malformed_frame_bundle_is_a_typed_error(dataset, tmp_path, capsys, mutate, error):
