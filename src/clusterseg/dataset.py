@@ -4,11 +4,11 @@ A dataset directory (written by gen, read by infer, eval and train) holds
 dataset.json, the manifest (format, frame file names and the generation
 parameters), and per frame a scene_NNNNN.json (the scenegen JSON schema) and
 a frame_NNNNN.tsb bundle (frame_layout). gen writes the per-object features
-and builds no annotation maps; it stores the foreground (the pixels of
-instance id above 0) as a bitmask, and the instance ids, rgb and depth at
-the foreground pixels only, in row-major order; each amodal mask as its
-window, the tight bounding box of its pixels and the box's contents
-(encode_amodal); and no occlusion scores. Loading is two steps:
+and builds no annotation maps; it stores the frame size, each amodal mask as
+its window, the tight bounding box of its pixels and the box's contents
+(encode_amodal), and the instance ids, rgb and depth at the foreground (the
+union of the amodal masks) only, in row-major order; and no occlusion
+scores. Loading is two steps:
 read_dataset_manifest checks the manifest, every frame's entry included,
 and load_frame loads and checks one frame, so a command can hold one frame
 at a time.
@@ -20,12 +20,11 @@ read, as a rendered one does; loading only checks that the depth
 back-projects to finite points. It fills the backdrop pixels of rgb and
 depth with scenegen.backdrop's values, as render does, rebuilds the amodal
 masks from their windows, derives the occlusion scores from the pixel counts
-(scenegen.occlusion_scores, as render does), and
-rejects rgb outside [0, 1], features that are not finite, windows outside
-the frame or that disagree with the stored pixel count, mask values other
-than 0 and 1, visible pixels outside their object's amodal mask, a
-foreground bitmask with a padding bit set or that sets another number of
-pixels than the ids fill, and ids outside 1..K.
+(scenegen.occlusion_scores, as render does), and rejects a frame size other
+than the camera's, rgb outside [0, 1], features that are not finite, windows
+outside the frame or that disagree with the stored pixel count, mask values
+other than 0 and 1, another number of stored pixels than the masks cover,
+ids outside 1..K and visible pixels outside their object's amodal mask.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
 the manifest (segmentation file names, predictor and fg_threshold), and per
@@ -58,23 +57,21 @@ from .scenegen import FrameBundle, backdrop, occlusion_scores, scene_from_json, 
 
 # The dataset layout gen writes; a dataset with any other "format" must be
 # regenerated.
-DATASET_FORMAT = 5
+DATASET_FORMAT = 6
 # A segmentation bundle: M instances over an H x W image.
 SEGMENTATION_LAYOUT = {"labels": (np.uint16, ("H", "W")), "scores": (np.float64, ("M",)),
                        "seeds": (np.uint16, ("M", 2))}
 
 
-def frame_layout(H, W, K):
-    """Every tensor an H x W frame of K objects stores, in written order: name -> (dtype, shape).
+def frame_layout(K):
+    """Every tensor a frame of K objects stores, in written order: name -> (dtype, shape).
 
-    foreground is np.packbits of the row-major H x W map of nonzero
-    instance ids: the first pixel in the high bit of byte 0, and the unused
-    low bits of the last byte 0. rgb, depth and instance_ids hold the values
-    at its F set pixels, in row-major order; amodal_windows and
-    amodal_pixels store the amodal masks (encode_amodal).
+    frame_size is (H, W). amodal_windows and amodal_pixels store the amodal
+    masks (encode_amodal). rgb, depth and instance_ids hold the values at
+    the F pixels of the masks' union, in row-major order.
     """
     return {"rgb": (np.float32, ("F", 3)), "depth": (np.float64, ("F",)),
-            "foreground": (np.uint8, (-(-H * W // 8),)), "instance_ids": (np.uint16, ("F",)),
+            "instance_ids": (np.uint16, ("F",)), "frame_size": (np.uint16, (2,)),
             "amodal_windows": (np.uint16, (K, 4)), "amodal_pixels": (np.uint8, ("P",)),
             "per_object_xi": (np.float64, (K, FEATURE_DIM))}
 
@@ -159,9 +156,9 @@ def write_dataset(path, records, **params):
 
     The records have the shape load_frame returns. Loading derives the
     annotation maps from the features and the params' fraction and
-    single_object_radius. Every record is checked against the u16 limits
-    before the first file is written, so one that would wrap leaves the
-    directory as it was.
+    single_object_radius. Every record is checked before the first file is
+    written, against the u16 limits and for nonzero ids on exactly the
+    amodal masks' union, so one that fails leaves the directory as it was.
     """
     u16_max = np.iinfo(np.uint16).max
     for i, (scene, frame, _) in enumerate(records):
@@ -169,6 +166,9 @@ def write_dataset(path, records, **params):
         if max(H, W, K) > u16_max:
             raise ClusterSegError(f"frame {i} is {H} x {W} with {K} objects, but the sides and "
                                   f"the object count must be at most the u16 limit {u16_max}")
+        if not np.array_equal(frame.instance_map != 0, frame.amodal_masks.any(axis=0)):
+            raise ClusterSegError(f"frame {i}: the pixels of nonzero instance id are not the "
+                                  f"union of the amodal masks")
     os.makedirs(path, exist_ok=True)
     frames = []
     for i, (scene, frame, per_object_xi) in enumerate(records):
@@ -178,13 +178,12 @@ def write_dataset(path, records, **params):
             fh.write(scene_to_json(scene))
         windows, pixels = encode_amodal(frame.amodal_masks)
         ids = frame.instance_map.ravel()
-        foreground = ids != 0
-        fg = np.flatnonzero(foreground)
+        fg = np.flatnonzero(ids)
         arrays = {"rgb": frame.rgb.reshape(-1, 3)[fg], "depth": frame.depth.ravel()[fg],
-                  "foreground": np.packbits(foreground), "instance_ids": ids[fg],
+                  "instance_ids": ids[fg], "frame_size": np.array(frame.depth.shape),
                   "amodal_windows": windows, "amodal_pixels": pixels,
                   "per_object_xi": per_object_xi}
-        layout = frame_layout(*frame.depth.shape, len(scene.objects))
+        layout = frame_layout(len(scene.objects))
         dataio.write_bundle(os.path.join(path, bundle_name),
                             {name: arrays[name].astype(dtype)
                              for name, (dtype, _) in layout.items()})
@@ -198,25 +197,21 @@ def _check_frame_values(bundle_path, t, H, W):
     """The frame's foreground pixels, amodal masks and occlusion scores, every stored value checked.
 
     Raises a typed error naming the bundle for a value no rendered frame
-    holds: the unused bits of foreground's last byte must be 0, it must set
-    one pixel per stored id, every id must lie in 1..K, rgb must be finite
-    and in [0, 1], every window must lie inside the frame, amodal_pixels
-    must hold exactly the windows' pixels, each 0 or 1, and object k's
-    visible pixels (id k + 1) must lie in its amodal mask; of several such
-    objects the lowest k is named. The foreground pixels are the flat
-    indices of foreground's set bits, ascending. The occlusion scores are
+    holds: frame_size must be the scene camera's (H, W), checked first;
+    every id must lie in 1..K, rgb must be finite and in [0, 1], every
+    window must lie inside the frame, amodal_pixels must hold exactly the
+    windows' pixels, each 0 or 1, the stored rows must be one per pixel of
+    the masks' union, the foreground pixels (flat indices, ascending), and
+    object k's visible pixels (id k + 1) must lie in its amodal mask; of
+    several such objects the lowest k is named. The occlusion scores are
     scenegen.occlusion_scores of the visible and amodal pixel counts.
     """
     ids, windows, pixels = t["instance_ids"], t["amodal_windows"], t["amodal_pixels"]
-    K, padding = len(windows), -H * W % 8
-    if padding and t["foreground"][-1] & ((1 << padding) - 1):
-        raise ValueRangeError(f"{bundle_path}: foreground sets a padding bit past the "
-                              f"{H * W} pixels of the {H} x {W} frame")
-    # flatnonzero runs about four times faster on bool than on u8
-    fg = np.flatnonzero(np.unpackbits(t["foreground"]).view(np.bool_))
-    if fg.size != ids.size:
-        raise ShapeMismatchError(f"{bundle_path}: rgb, depth and instance_ids hold {ids.size} "
-                                 f"pixels, but foreground sets {fg.size}")
+    K = len(windows)
+    size = t["frame_size"].tolist()
+    if size != [H, W]:
+        raise ShapeMismatchError(f"{bundle_path}: frame_size is {size[0]} x {size[1]}, but the "
+                                 f"scene's camera is {H} x {W}")
     if ids.max(initial=0) > K:
         raise ShapeMismatchError(f"{bundle_path}: instance ids exceed the object count {K}")
     if ids.min(initial=1) == 0:
@@ -244,6 +239,10 @@ def _check_frame_values(bundle_path, t, H, W):
         raise ValueRangeError(f"{bundle_path}: amodal_pixels must hold only 0 and 1, "
                               f"got {int(pixels.max())}")
     masks = decode_amodal(windows, pixels.view(np.bool_), H, W)
+    fg = np.flatnonzero(masks.any(axis=0))
+    if fg.size != ids.size:
+        raise ShapeMismatchError(f"{bundle_path}: rgb, depth and instance_ids hold {ids.size} "
+                                 f"pixels, but the amodal masks cover {fg.size}")
     owner = ids.astype(np.intp) - 1
     outside = ~masks.ravel()[owner * (H * W) + fg]
     if outside.any():
@@ -296,7 +295,7 @@ def load_frame(scene_path, bundle_path):
         raise type(exc)(f"{scene_path}: {exc}") from exc
     t = _read(bundle_path, "frame bundle", dataio.read_bundle)
     (H, W), K = (scene.camera.height, scene.camera.width), len(scene.objects)
-    dataio.check_layout(bundle_path, t, frame_layout(H, W, K))
+    dataio.check_layout(bundle_path, t, frame_layout(K))
     fg, amodal, occlusion = _check_frame_values(bundle_path, t, H, W)
     backdrop_rgb, backdrop_depth = backdrop(scene.background_depth)
     depth = np.full(H * W, backdrop_depth)

@@ -14,8 +14,8 @@ import pytest
 from clusterseg import annotation, cli, dataio, dataset
 from clusterseg.cli import main
 from clusterseg.clustering import Segmentation
-from clusterseg.dataset import (load_frame, load_segmentations, read_dataset_manifest,
-                                write_segmentations)
+from clusterseg.dataset import (decode_amodal, load_frame, load_segmentations,
+                                read_dataset_manifest, write_segmentations)
 from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
                                MaskContainmentError, NonFiniteError, ShapeMismatchError,
@@ -41,6 +41,13 @@ def _dir_bytes(path):
     return out
 
 
+def _foreground(tensors, side):
+    """The flat indices of a side x side bundle's foreground, the union of its amodal masks."""
+    masks = decode_amodal(tensors["amodal_windows"], tensors["amodal_pixels"].view(bool), side,
+                          side)
+    return np.flatnonzero(masks.any(axis=0))
+
+
 GEN_ARGS = ("gen", "--count", "4", "--res", "32x32", "--objects", "2..4",
             "--seed", "5")
 
@@ -53,9 +60,9 @@ def test_gen_writes_dataset(tmp_path):
     for entry in manifest["frames"]:
         assert (out / entry["scene"]).exists()
         tensors = read_bundle(out / entry["bundle"])
-        assert tensors["foreground"].dtype == np.uint8
-        assert tensors["foreground"].shape == (32 * 32 // 8,)
-        foreground = np.count_nonzero(np.unpackbits(tensors["foreground"]))
+        assert tensors["frame_size"].dtype == np.uint16
+        assert tensors["frame_size"].tolist() == [32, 32]
+        foreground = _foreground(tensors, 32).size
         assert tensors["rgb"].shape == (foreground, 3)
         assert tensors["depth"].shape == (foreground,)
         assert tensors["instance_ids"].shape == (foreground,)
@@ -844,9 +851,23 @@ def _payload_index(tensors, k, pixel):
 def _visible_pixel_cleared(tensors, k=0):
     """Object k's first visible pixel cleared in its window."""
     pixels = tensors["amodal_pixels"].copy()
-    foreground = np.flatnonzero(np.unpackbits(tensors["foreground"]))
-    pixel = foreground[tensors["instance_ids"] == k + 1][0]
+    pixel = _foreground(tensors, SIDE)[tensors["instance_ids"] == k + 1][0]
     pixels[_payload_index(tensors, k, pixel)] = 0
+    return {**tensors, "amodal_pixels": pixels}
+
+
+def _visible_pixel_moved(tensors, k, j):
+    """Object k's first visible pixel inside object j's window moved from mask k to mask j.
+
+    The pixel stays in the masks' union, so the stored rows still match it.
+    """
+    pixels = tensors["amodal_pixels"].copy()
+    top, left, height, width = tensors["amodal_windows"][j].astype(np.int64)
+    rows, cols = np.divmod(_foreground(tensors, SIDE)[tensors["instance_ids"] == k + 1], SIDE)
+    inside = (rows >= top) & (rows < top + height) & (cols >= left) & (cols < left + width)
+    pixel = rows[inside][0] * SIDE + cols[inside][0]
+    pixels[_payload_index(tensors, k, pixel)] = 0
+    pixels[_payload_index(tensors, j, pixel)] = 1
     return {**tensors, "amodal_pixels": pixels}
 
 
@@ -867,16 +888,12 @@ def _window_emptied(tensors):
 
 
 def _two_objects_damaged(tensors):
-    """Object 0's mask gains a pixel and object 1's first visible pixel is cleared.
+    """Object 1's visible pixel moved into object 0's mask.
 
     Only object 1 is not contained; object 0's occlusion score is derived
-    from its masks, so the gained pixel is no error.
+    from its masks, so the pixel it gains is no error.
     """
-    tensors = _visible_pixel_cleared(tensors, k=1)
-    pixels = tensors["amodal_pixels"].copy()
-    _, _, height, width = tensors["amodal_windows"][0].tolist()
-    pixels[np.flatnonzero(pixels[:height * width] == 0)[0]] = 1
-    return {**tensors, "amodal_pixels": pixels}
+    return _visible_pixel_moved(tensors, 1, 0)
 
 
 def _rgb_nan_and_7(tensors):
@@ -894,10 +911,11 @@ def _rgb_nan_and_7(tensors):
     (_window_past_edge, ValueRangeError, "amodal window 0 "),
     (lambda t: {**t, "amodal_pixels": t["amodal_pixels"][:-1]}, ShapeMismatchError,
      "amodal_pixels holds"),
-    (lambda t: {**t, "amodal_pixels": np.zeros_like(t["amodal_pixels"])}, MaskContainmentError,
-     "object 0 "),
-    (_visible_pixel_cleared, MaskContainmentError, "object 0 "),
-    (_window_emptied, MaskContainmentError, "object 0 "),
+    (lambda t: {**t, "amodal_pixels": np.zeros_like(t["amodal_pixels"])}, ShapeMismatchError,
+     "the amodal masks cover 0"),
+    (_visible_pixel_cleared, ShapeMismatchError, "the amodal masks cover"),
+    (_window_emptied, ShapeMismatchError, "the amodal masks cover"),
+    (lambda t: _visible_pixel_moved(t, 0, 1), MaskContainmentError, "object 0 "),
     (_two_objects_damaged, MaskContainmentError, "object 1 "),
     (lambda t: {**t, "amodal_masks": np.ones((2, 16, 16), dtype=np.uint8)}, BundleManifestError,
      "amodal_masks"),
@@ -908,7 +926,8 @@ def _rgb_nan_and_7(tensors):
     (_first("rgb", -0.5), ValueRangeError, "got -0.5"),
     (_rgb_nan_and_7, NonFiniteError, "rgb contains NaN"),
 ], ids=["nan-feature", "inf-feature", "amodal-7", "amodal-2", "window-past-edge", "pixel-count",
-        "cleared-amodal", "visible-outside-amodal", "visible-outside-window", "two-objects",
+        "cleared-amodal", "visible-outside-amodal", "visible-outside-window",
+        "visible-in-another-mask", "two-objects",
         "stored-amodal-masks", "stored-occlusion", "nan-rgb", "inf-rgb", "rgb-7", "rgb-negative",
         "nan-and-7-rgb"])
 def test_a_damaged_frame_bundle_exits_2_naming_it(oracle_run, tmp_path, capsys, damage, error,

@@ -1,10 +1,11 @@
 """Dataset directories: what a frame bundle stores, and what loading rebuilds.
 
-A frame bundle stores the foreground as a bitmask, the instance ids, rgb
-and depth at the foreground pixels, each amodal mask as its window
-(bounding box and contents) and the per-object features. Loading scatters
+A frame bundle stores the frame size, each amodal mask as its window
+(bounding box and contents), the instance ids, rgb and depth at the
+foreground pixels (the union of the amodal masks) and the per-object
+features. Loading rebuilds the amodal masks from their windows, scatters
 the ids into the instance map, fills the backdrop pixels of rgb and depth,
-rebuilds the amodal masks from their windows, derives the occlusion scores
+derives the occlusion scores
 from the pixel counts and rebuilds the annotation maps from the features,
 the instance map and the manifest's fraction and single-object radius, and
 a loaded frame derives xyz from the depth and the camera on first read;
@@ -16,6 +17,7 @@ import json
 import math
 import shutil
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from clusterseg.scenegen import Primitive, Scene, render
 
 FRAME_FIELDS = ("rgb", "depth", "xyz", "instance_map", "amodal_masks", "occlusion_scores")
 ANNOTATION_FIELDS = ("xi_map", "eta_gt", "b_map", "fg_mask", "per_object_xi", "instance_map")
-STORED = ["amodal_pixels", "amodal_windows", "depth", "foreground", "instance_ids",
+STORED = ["amodal_pixels", "amodal_windows", "depth", "frame_size", "instance_ids",
           "per_object_xi", "rgb"]
 
 
@@ -175,8 +177,10 @@ def _assert_frame_round_trips(ids, K, background_depth, rng):
     """write_dataset then load_frame of a frame with instance map `ids` gives it back bit for bit.
 
     rgb and depth are random at the foreground and the backdrop's elsewhere;
-    each amodal mask holds its object's visible pixels and random others,
-    and the occlusion scores are what render derives from them.
+    each amodal mask holds its object's visible pixels and random other
+    foreground pixels, so that their union is the foreground, as render
+    gives it, and a mask may cover another object's visible pixel. The
+    occlusion scores are what render derives from the masks.
     """
     H, W = ids.shape
     fg = ids > 0
@@ -191,7 +195,7 @@ def _assert_frame_round_trips(ids, K, background_depth, rng):
     camera = CameraIntrinsics(10.0, 10.0, W / 2.0, H / 2.0, W, H)
     scene = Scene(objects=(ball,) * K, camera=camera, background_depth=background_depth)
     visible = ids == np.arange(1, K + 1)[:, None, None]
-    masks = visible | (rng.random((K, H, W)) < rng.random())
+    masks = visible | (rng.random((K, H, W)) < rng.random()) & fg
     occlusion = scenegen.occlusion_scores(visible.sum(axis=(1, 2)), masks.sum(axis=(1, 2)))
     frame = scenegen.FrameBundle(rgb=rgb, depth=depth, camera=camera, instance_map=ids,
                                  amodal_masks=masks, occlusion_scores=occlusion)
@@ -201,7 +205,7 @@ def _assert_frame_round_trips(ids, K, background_depth, rng):
         stored = read_bundle(f"{ds}/frame_00000.tsb")
         F = int(fg.sum())
         assert stored["rgb"].shape == (F, 3) and stored["depth"].shape == (F,)
-        assert stored["instance_ids"].shape == (F,) and stored["foreground"].size == -(-H * W // 8)
+        assert stored["instance_ids"].shape == (F,) and stored["frame_size"].tolist() == [H, W]
         [(_, loaded, _)] = _load_frames(ds)
     _same(loaded.rgb, rgb, "rgb")
     _same(loaded.depth, depth, "depth")
@@ -236,10 +240,9 @@ def test_foreground_rgb_and_depth_round_trip_bit_for_bit(kind, background_depth,
 @settings(max_examples=8, deadline=None, derandomize=True)
 @seed(0)
 @given(data=st.data())
-def test_instance_maps_round_trip_whatever_the_padding_of_the_foreground_bitmask(kind, H, W,
-                                                                                 data):
-    # The foreground bitmask's last byte holds -H * W % 8 padding bits (none
-    # at 8 x 8); F = 0 and F = H * W are the empty and full maps.
+def test_instance_maps_round_trip_at_odd_and_even_frame_sizes(kind, H, W, data):
+    # 37 x 23 and 7 x 5 have unequal odd sides, so a swapped frame size or
+    # row-major order fails; F = 0 and F = H * W are the empty and full maps.
     K = data.draw(st.integers(0 if kind == "empty" else 1, 6))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     background_depth = data.draw(st.sampled_from([None, 3.5]))
@@ -291,8 +294,8 @@ def _raise_id_above_k(t):
     (lambda t: {**t, "per_object_xi": t["per_object_xi"].astype(np.float32)},
      BundleDtypeError),
     (lambda t: {**t, "rgb": t["rgb"][..., :2]}, ShapeMismatchError),
-    (lambda t: {**t, "foreground": t["foreground"][:-1]}, ShapeMismatchError),
-    (lambda t: {**t, "foreground": np.append(t["foreground"], np.uint8(0))}, ShapeMismatchError),
+    (lambda t: {**t, "frame_size": t["frame_size"][:-1]}, ShapeMismatchError),
+    (lambda t: {**t, "frame_size": np.append(t["frame_size"], np.uint16(1))}, ShapeMismatchError),
     (lambda t: {**t, "amodal_windows": t["amodal_windows"][:-1]}, ShapeMismatchError),
     (lambda t: {**t, "amodal_pixels": t["amodal_pixels"][:, None]}, ShapeMismatchError),
     (lambda t: {**t, "per_object_xi": t["per_object_xi"][:-1]}, ShapeMismatchError),
@@ -314,12 +317,16 @@ def _raise_id_above_k(t):
                 "depth": np.zeros(24 * 24)}, ShapeMismatchError),
     # format 4 stored the instance map whole
     (lambda t: {**t, "instance_map": np.zeros((24, 24), dtype=np.uint16)}, BundleManifestError),
+    # format 5 stored the foreground as a bitmask, and no frame size
+    (lambda t: {**{k: v for k, v in t.items() if k != "frame_size"},
+                "foreground": np.zeros(24 * 24 // 8, dtype=np.uint8)}, BundleManifestError),
+    (lambda t: {**t, "frame_size": t["frame_size"].astype(np.uint8)}, BundleDtypeError),
 ], ids=["nan-f64-ids", "f32-ids", "window-width", "depth-rows", "f64-rgb", "f32-depth",
-        "u16-amodal", "u8-windows", "f32-features", "rgb-channels", "foreground-short",
-        "foreground-long", "amodal-count", "pixel-rows", "feature-rows", "feature-width",
+        "u16-amodal", "u8-windows", "f32-features", "rgb-channels", "frame-size-short",
+        "frame-size-long", "amodal-count", "pixel-rows", "feature-rows", "feature-width",
         "id-above-k", "missing-tensor", "extra-tensor", "stored-amodal-masks", "stored-occlusion",
         "rgb-row-short", "rgb-row-long", "depth-row-short", "depth-row-long", "full-frame-maps",
-        "every-pixel-rows", "stored-instance-map"])
+        "every-pixel-rows", "stored-instance-map", "format-5-foreground", "u8-frame-size"])
 def test_malformed_frame_bundle_is_a_typed_error(dataset, tmp_path, capsys, mutate, error):
     ds, segs = dataset
     path = ds / "frame_00001.tsb"
@@ -339,15 +346,15 @@ def test_stored_rows_must_be_one_per_foreground_pixel(dataset, tmp_path, capsys,
     write_bundle(path, {**t, "rgb": t["rgb"][rows], "depth": t["depth"][rows],
                         "instance_ids": t["instance_ids"][rows]})
     with pytest.raises(ShapeMismatchError, match=f"frame_00001.tsb: rgb, depth and instance_ids "
-                                                 f"hold {F + extra} pixels, but foreground sets "
-                                                 f"{F}$"):
+                                                 f"hold {F + extra} pixels, but the amodal masks "
+                                                 f"cover {F}$"):
         _load_frames(str(ds))
     _exits_2(ds, segs, tmp_path, capsys)
 
 
 @pytest.fixture(scope="module")
 def odd_dataset(tmp_path_factory):
-    """A dataset of 23 x 37 frames: 851 pixels, so foreground's last byte has 5 padding bits."""
+    """A dataset of 23 x 37 frames: unequal sides, so a swapped frame size shows."""
     root = tmp_path_factory.mktemp("odd")
     assert run_cli("gen", "--count", 2, "--res", "37x23", "--objects", "3..5",
                    "--sizes", "0.15..0.3", "--seed", 15, "--out", root / "ds") == 0
@@ -355,19 +362,31 @@ def odd_dataset(tmp_path_factory):
     return root
 
 
-def _bits_changed(change):
-    """A damage that applies change(bits) to foreground's unpacked bits, padding included."""
+def _frame_size(H, W):
+    """A damage that stores H x W as the frame size."""
+    return lambda t: {**t, "frame_size": np.array([H, W], dtype=np.uint16)}
+
+
+def _amodal_pixel_flipped(covered):
+    """A damage that flips the first pixel of a window whose own mask and the union agree.
+
+    With covered 0 it switches on a background pixel inside a window; with
+    covered 1 it clears a pixel only that window's mask covers.
+    """
     def damage(t):
-        bits = np.unpackbits(t["foreground"])
-        change(bits)
-        return {**t, "foreground": np.packbits(bits)}
+        windows, pixels = t["amodal_windows"].astype(np.int64), t["amodal_pixels"].copy()
+        union = decode_amodal(windows, pixels.view(bool), 23, 37).sum(axis=0)
+        start = 0
+        for top, left, h, w in windows.tolist():
+            own = pixels[start:start + h * w]
+            hits = np.flatnonzero((union[top:top + h, left:left + w].ravel() == covered)
+                                  & (own == covered))
+            if hits.size:
+                pixels[start + hits[0]] ^= 1
+                return {**t, "amodal_pixels": pixels}
+            start += h * w
+        raise AssertionError(f"no window pixel covered {covered} times by its own mask")
     return damage
-
-
-def _padding_bit_set(bits):
-    # The last foreground pixel is cleared, so the set bits still number F.
-    bits[np.flatnonzero(bits)[-1]] = 0
-    bits[-1] = 1
 
 
 def _id_set(index, value):
@@ -380,17 +399,21 @@ def _id_set(index, value):
 
 
 @pytest.mark.parametrize("damage, error, message", [
-    (_bits_changed(_padding_bit_set), ValueRangeError,
-     "foreground sets a padding bit past the 851 pixels of the 23 x 37 frame"),
-    (_bits_changed(lambda bits: bits.put(np.flatnonzero(bits[:851] == 0)[0], 1)),
-     ShapeMismatchError, "rgb, depth and instance_ids hold {F} pixels, but foreground sets {F1}"),
-    (_bits_changed(lambda bits: bits.put(np.flatnonzero(bits)[0], 0)),
-     ShapeMismatchError, "rgb, depth and instance_ids hold {F} pixels, but foreground sets {F_1}"),
+    (_frame_size(22, 37), ShapeMismatchError,
+     "frame_size is 22 x 37, but the scene's camera is 23 x 37"),
+    (_frame_size(23, 36), ShapeMismatchError,
+     "frame_size is 23 x 36, but the scene's camera is 23 x 37"),
+    (_frame_size(37, 23), ShapeMismatchError,
+     "frame_size is 37 x 23, but the scene's camera is 23 x 37"),
+    (_amodal_pixel_flipped(0), ShapeMismatchError,
+     "rgb, depth and instance_ids hold {F} pixels, but the amodal masks cover {F1}"),
+    (_amodal_pixel_flipped(1), ShapeMismatchError,
+     "rgb, depth and instance_ids hold {F} pixels, but the amodal masks cover {F_1}"),
     (_id_set(0, lambda K: 0), ValueRangeError, "instance id 0 at a foreground pixel"),
     (_id_set(-1, lambda K: 0), ValueRangeError, "instance id 0 at a foreground pixel"),
     (_id_set(-1, lambda K: K + 1), ShapeMismatchError, "instance ids exceed the object count {K}"),
-], ids=["padding-bit", "popcount-above-f", "popcount-below-f", "first-id-0", "last-id-0",
-        "id-k-plus-1"])
+], ids=["frame-size-height", "frame-size-width", "frame-size-swapped", "background-pixel-in-mask",
+        "pixel-in-no-mask", "first-id-0", "last-id-0", "id-k-plus-1"])
 def test_a_damaged_foreground_or_id_exits_2_naming_the_bundle(odd_dataset, tmp_path, capsys,
                                                               damage, error, message):
     ds = tmp_path / "ds"
@@ -439,7 +462,8 @@ def test_derivation_values_are_validated(dataset, tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("value", [_MISSING, 1, 2, 2.0, 3.0, "3", True, None,
                                    pytest.param(3, id="int-3"), 4.0, "4",
-                                   pytest.param(4, id="int-4"), 5.0, "5"])
+                                   pytest.param(4, id="int-4"), 5.0, "5",
+                                   pytest.param(5, id="int-5"), 6.0, "6"])
 def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
     ds, segs = dataset
     _edit_manifest(ds, "format", value)
@@ -450,7 +474,7 @@ def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
 
 def test_manifest_records_the_format(dataset):
     ds, _ = dataset
-    assert json.loads((ds / "dataset.json").read_text())["format"] == 5
+    assert json.loads((ds / "dataset.json").read_text())["format"] == 6
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -512,6 +536,72 @@ def test_write_dataset_refuses_more_objects_than_u16_ids(tmp_path):
         write_dataset(ds, [_one_pixel_record(1), _one_pixel_record(65536)], fraction=0.2,
                       single_object_radius=1.0)
     assert not ds.exists()
+
+
+def _ball_record():
+    """A rendered 16 x 16 frame of BALL: a disc of visible pixels, background at the corners."""
+    scene = Scene(objects=(BALL,), camera=CameraIntrinsics(16.0, 16.0, 8.0, 8.0, 16, 16))
+    return scene, render(scene), object_features(scene)
+
+
+@pytest.mark.parametrize("pixel, value", [((0, 0), True), ((8, 8), False)],
+                         ids=["background-in-mask", "visible-in-no-mask"])
+def test_write_dataset_refuses_ids_that_are_not_the_union_of_the_amodal_masks(tmp_path, pixel,
+                                                                             value):
+    # render gives an id to exactly the pixels some amodal mask covers, and
+    # the loader takes the masks' union as the foreground.
+    ds, (scene, frame, xi) = tmp_path / "ds", _ball_record()
+    assert frame.instance_map[pixel] == (not value)
+    masks = frame.amodal_masks.copy()
+    masks[(0, *pixel)] = value
+    write_dataset(ds, [(scene, frame, xi)], fraction=0.2, single_object_radius=1.0)
+    before = _files(ds)
+    with pytest.raises(ClusterSegError, match="^frame 1: the pixels of nonzero instance id are not "
+                                              "the union of the amodal masks$"):
+        write_dataset(ds, [(scene, frame, xi), (scene, replace(frame, amodal_masks=masks), xi)],
+                      fraction=0.2, single_object_radius=1.0)
+    assert _files(ds) == before
+
+
+@pytest.fixture(scope="module")
+def camera_datasets(tmp_path_factory):
+    """Two datasets of six 32 x 32 frames, one without a backdrop, and their segmentations."""
+    root = tmp_path_factory.mktemp("camera")
+    for name, flags in [("a", ("--objects", "2..5")), ("b", ("--background-depth", "none"))]:
+        assert run_cli("gen", "--count", 6, "--res", "32x32", *flags, "--seed", 21,
+                       "--out", root / name / "ds") == 0
+        assert run_cli("infer", "--dataset", root / name / "ds", "--out", root / name / "segs") == 0
+    return root
+
+
+# (width, height) in place of the scene camera's 32 x 32
+CAMERA_SIZES = [(31, 32), (33, 32), (32, 31), (32, 33), (16, 64), (64, 16), (1, 1024), (1024, 1),
+                (1, 1), (65536, 32), (32, 1e300)]
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_a_scene_camera_of_another_size_exits_2_naming_the_bundle(camera_datasets, tmp_path,
+                                                                  capsys, name):
+    # frame_size is checked before anything is decoded, so no camera size,
+    # not even one of the same pixel count, reaches the mask decode.
+    ds, segs = tmp_path / "ds", camera_datasets / name / "segs"
+    shutil.copytree(camera_datasets / name / "ds", ds)
+    for i in range(6):
+        scene_path, bundle_path = ds / f"scene_{i:05d}.json", ds / f"frame_{i:05d}.tsb"
+        text = scene_path.read_text()
+        for width, height in CAMERA_SIZES:
+            doc = json.loads(text)
+            doc["camera"].update(width=width, height=height)
+            scene_path.write_text(json.dumps(doc))
+            want = (f"{bundle_path}: frame_size is 32 x 32, but the scene's camera is "
+                    f"{int(height)} x {width}")
+            with pytest.raises(ShapeMismatchError) as raised:
+                load_frame(str(scene_path), str(bundle_path))
+            assert str(raised.value) == want
+            assert run_cli("eval", "--dataset", ds, "--segs", segs) == 2
+            assert capsys.readouterr().err == f"clusterseg: error: {want}\n"
+        scene_path.write_text(text)
+    assert run_cli("eval", "--dataset", ds, "--segs", segs) == 0
 
 
 @pytest.mark.parametrize("name", ["dataset.json", "scene_00001.json", "frame_00001.tsb"])

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from clusterseg import dataio
 from clusterseg.cli import main
 from clusterseg.dataio import read_bundle
-from clusterseg.dataset import load_dataset
+from clusterseg.dataset import decode_amodal, load_dataset
 from clusterseg.errors import ClusterSegError
 from clusterseg.predictor import init_model, load_checkpoint, save_checkpoint
 
@@ -47,8 +47,9 @@ def files(tmp_path_factory):
     # the frame-bundle property damages a bundle in the current dataset format
     bundle = read_bundle(ds / "frame_00000.tsb")
     assert "amodal_windows" in bundle
+    masks = decode_amodal(bundle["amodal_windows"], bundle["amodal_pixels"].view(bool), 20, 20)
     assert (len(bundle["rgb"]) == len(bundle["depth"]) == len(bundle["instance_ids"])
-            == np.unpackbits(bundle["foreground"]).sum())
+            == masks.any(axis=0).sum())
     seg_name = json.load(open(segs / "segs.json"))["segmentations"][0]
     return {"ds": ds, "segs": segs, "seg_name": seg_name, "model": model}
 

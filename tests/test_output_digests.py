@@ -2,7 +2,7 @@
 
 The battery runs in-process into a temporary directory: gen at 32², 48² and
 128², with and without a backdrop, at 128² with 28 to 30 objects, and at
-37x23, whose 851 pixels leave padding bits in the foreground bitmask; infer
+37x23, whose unequal odd sides show a swapped height and width; infer
 with the oracle, with uniform-ball feature noise at 0.49 and 2 times each
 frame's minimum ground-truth radius, with Gaussian noise plus --sweep and
 --flip-rate, and with an untrained MLP, each at --jobs 1 and 2; eval of
