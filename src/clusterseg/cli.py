@@ -35,9 +35,9 @@ import numpy as np
 from . import losses
 from .annotation import annotate, build_annotation, object_features
 from .clustering import segment
-from .dataset import (derivation_values, is_finite, is_number, load_dataset, load_frame,
-                      load_segmentations, read_dataset_manifest, read_json_object, write_dataset,
-                      write_json, write_segmentations)
+from .dataset import (U16_MAX, derivation_values, is_finite, is_number, load_dataset,
+                      load_frame, load_segmentations, read_dataset_manifest, read_json_object,
+                      write_dataset, write_json, write_segmentations)
 from .errors import ClusterSegError
 from .evaluation import (EvalConfig, compute_metrics, format_table, result_to_dict)
 from .geometry import CameraIntrinsics
@@ -401,10 +401,6 @@ OPTIONAL_NUMBER = _Kind(_optional_float, lambda v: v is None or is_number(v), "a
 RANGE = _pair(NUMBER, "..", "two numbers A..B")
 PATH = _Kind(str, lambda v: v is None or type(v) is str and "\0" not in v, "a path")
 SWITCH = _Kind(str, lambda v: type(v) is bool, "a boolean")
-# Instance ids are stored as u16, and 0 is the background.
-MAX_OBJECTS = 65534
-# Amodal windows and segmentation seeds store pixel coordinates as u16.
-MAX_SIDE = 65535
 
 
 class _Flag(NamedTuple):
@@ -430,11 +426,11 @@ _FLAGS = (
           "directory (infer) or checkpoint path (train)", required=True),
     _Flag("count", "gen", "8", COUNT, "number of frames"),
     _Flag("res", "gen", "64x64",
-          _pair(INTEGER, "x", f"two integers WxH, each at most {MAX_SIDE}",
-                lambda w, h: w <= MAX_SIDE and h <= MAX_SIDE), "image resolution"),
+          _pair(INTEGER, "x", f"two integers WxH, each at most {U16_MAX}",
+                lambda w, h: w <= U16_MAX and h <= U16_MAX), "image resolution"),
     _Flag("objects", "gen", "2..8",
-          _pair(INTEGER, "..", f"two integers A..B with 1 <= A <= B <= {MAX_OBJECTS}",
-                lambda lo, hi: 1 <= lo <= hi <= MAX_OBJECTS), "object count range per scene"),
+          _pair(INTEGER, "..", f"two integers A..B with 1 <= A <= B <= {U16_MAX}",
+                lambda lo, hi: 1 <= lo <= hi <= U16_MAX), "object count range per scene"),
     _Flag("sizes", "gen", "0.06..0.18", RANGE, "half-extent range in meters"),
     _Flag("z-range", "gen", "0.9..1.8", RANGE, "object center depth range in meters"),
     _Flag("fraction", "gen", "0.2", NUMBER, "centroid-candidate fraction in [0.10, 0.30]"),

@@ -24,7 +24,8 @@ masks from their windows, derives the occlusion scores from the pixel counts
 than the camera's, rgb outside [0, 1], features that are not finite, windows
 outside the frame or that disagree with the stored pixel count, mask values
 other than 0 and 1, another number of stored pixels than the masks cover,
-ids outside 1..K and visible pixels outside their object's amodal mask.
+ids outside 1..K, visible pixels outside their object's amodal mask, and
+foreground depths at or below scenegen.RAY_MIN_T, nearer than any ray hit.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
 the manifest (segmentation file names, predictor and fg_threshold), and per
@@ -53,11 +54,15 @@ from .clustering import Segmentation
 from .errors import (ClusterSegError, MaskContainmentError, NonFiniteError, ShapeMismatchError,
                      ValueRangeError)
 from .geometry import FEATURE_DIM, check_back_projection
-from .scenegen import FrameBundle, backdrop, occlusion_scores, scene_from_json, scene_to_json
+from .scenegen import (RAY_MIN_T, FrameBundle, backdrop, occlusion_scores, scene_from_json,
+                       scene_to_json)
 
 # The dataset layout gen writes; a dataset with any other "format" must be
 # regenerated.
 DATASET_FORMAT = 6
+# The largest stored u16: frame sides, object counts (ids 1..K, 0 is the
+# background), amodal windows, segmentation labels and seed coordinates.
+U16_MAX = 65535
 # A segmentation bundle: M instances over an H x W image.
 SEGMENTATION_LAYOUT = {"labels": (np.uint16, ("H", "W")), "scores": (np.float64, ("M",)),
                        "seeds": (np.uint16, ("M", 2))}
@@ -160,12 +165,11 @@ def write_dataset(path, records, **params):
     written, against the u16 limits and for nonzero ids on exactly the
     amodal masks' union, so one that fails leaves the directory as it was.
     """
-    u16_max = np.iinfo(np.uint16).max
     for i, (scene, frame, _) in enumerate(records):
         (H, W), K = frame.depth.shape, len(scene.objects)
-        if max(H, W, K) > u16_max:
+        if max(H, W, K) > U16_MAX:
             raise ClusterSegError(f"frame {i} is {H} x {W} with {K} objects, but the sides and "
-                                  f"the object count must be at most the u16 limit {u16_max}")
+                                  f"the object count must be at most the u16 limit {U16_MAX}")
         if not np.array_equal(frame.instance_map != 0, frame.amodal_masks.any(axis=0)):
             raise ClusterSegError(f"frame {i}: the pixels of nonzero instance id are not the "
                                   f"union of the amodal masks")
@@ -286,7 +290,8 @@ def load_frame(scene_path, bundle_path):
 
     A scene's parse error keeps its type and gains the scene path. The
     backdrop pixels get scenegen.backdrop's values, as render gives them. A
-    depth map that back-projects to non-finite points is a NonFiniteError.
+    depth map that back-projects to non-finite points is a NonFiniteError,
+    and a finite foreground depth at or below RAY_MIN_T a ValueRangeError.
     """
     text = _read(scene_path, "scene", lambda p: Path(p).read_text(encoding="utf-8"))
     try:
@@ -305,6 +310,9 @@ def load_frame(scene_path, bundle_path):
         check_back_projection(depth, scene.camera)
     except ClusterSegError as exc:
         raise type(exc)(f"{bundle_path}: {exc}") from exc
+    if t["depth"].min(initial=np.inf) <= RAY_MIN_T:
+        raise ValueRangeError(f"{bundle_path}: foreground depth {float(t['depth'].min())!r} is "
+                              f"not beyond RAY_MIN_T = {RAY_MIN_T}, as every ray hit is")
     rgb = np.full((H * W, 3), backdrop_rgb, dtype=np.float32)
     # Each pixel's three channels put as one 12-byte value: twice as fast as
     # assigning f32 rows by index.
@@ -330,19 +338,18 @@ def write_segmentations(path, segs, **meta):
     Every segmentation is checked against the u16 limits before the first file
     is written, so one that would wrap leaves the directory as it was.
     """
-    u16_max = np.iinfo(np.uint16).max
     bundles = {}
     for i, seg in enumerate(segs):
         name = f"seg_{i:05d}.tsb"
         bundle_path = os.path.join(path, name)
         seeds = np.fromiter(itertools.chain.from_iterable(seg.seeds), np.int64,
                             2 * len(seg.seeds)).reshape(len(seg.seeds), 2)
-        if len(seg.scores) > u16_max:
+        if len(seg.scores) > U16_MAX:
             raise ClusterSegError(f"{bundle_path}: {len(seg.scores)} instances exceed the u16 "
-                                  f"label limit of {u16_max}")
-        if seeds.size and seeds.max() > u16_max:
+                                  f"label limit of {U16_MAX}")
+        if seeds.size and seeds.max() > U16_MAX:
             raise ClusterSegError(f"{bundle_path}: a seed coordinate exceeds the u16 limit of "
-                                  f"{u16_max}")
+                                  f"{U16_MAX}")
         bundles[name] = {"labels": seg.labels.astype(np.uint16),
                          "scores": np.asarray(seg.scores, dtype=np.float64),
                          "seeds": seeds.astype(np.uint16)}

@@ -487,6 +487,15 @@ def test_a_bad_value_exits_with_one_line_and_writes_nothing(two_frame_dataset, t
     assert not out.exists()
 
 
+def test_the_object_count_limit_is_the_largest_u16_id(capsys):
+    # Instance ids 1..65535 fit u16, whose 0 is the background.
+    assert run_cli("gen", "--objects", "65535..65535", "--dump-config") == 0
+    assert json.loads(capsys.readouterr().out)["objects"] == [65535, 65535]
+    assert run_cli("gen", "--objects", "65536..65536", "--dump-config") == 1
+    assert capsys.readouterr().err == ("clusterseg: error: --objects must be two integers A..B "
+                                       "with 1 <= A <= B <= 65535, got '65536..65536'\n")
+
+
 @pytest.mark.parametrize("command, flag, value, parsed", [
     ("gen", "--z-range", "-1..1", [-1.0, 1.0]),
     ("gen", "--z-range", "-0.5..1", [-0.5, 1.0]),

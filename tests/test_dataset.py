@@ -398,6 +398,18 @@ def _id_set(index, value):
     return damage
 
 
+def _first_depth(value):
+    """A damage that sets the first foreground depth to value."""
+    def damage(t):
+        depth = t["depth"].copy()
+        depth[0] = value
+        return {**t, "depth": depth}
+    return damage
+
+
+NEAR = "foreground depth {} is not beyond RAY_MIN_T = 1e-09, as every ray hit is"
+
+
 @pytest.mark.parametrize("damage, error, message", [
     (_frame_size(22, 37), ShapeMismatchError,
      "frame_size is 22 x 37, but the scene's camera is 23 x 37"),
@@ -412,8 +424,15 @@ def _id_set(index, value):
     (_id_set(0, lambda K: 0), ValueRangeError, "instance id 0 at a foreground pixel"),
     (_id_set(-1, lambda K: 0), ValueRangeError, "instance id 0 at a foreground pixel"),
     (_id_set(-1, lambda K: K + 1), ShapeMismatchError, "instance ids exceed the object count {K}"),
+    (_first_depth(0.0), ValueRangeError, NEAR.format(0.0)),
+    (_first_depth(-1.5), ValueRangeError, NEAR.format(-1.5)),
+    (_first_depth(scenegen.RAY_MIN_T), ValueRangeError, NEAR.format(1e-09)),
+    (_first_depth(math.nan), NonFiniteError, "depth map back-projects to non-finite points"),
+    (_first_depth(math.inf), NonFiniteError, "depth map back-projects to non-finite points"),
+    (_first_depth(-math.inf), NonFiniteError, "depth map back-projects to non-finite points"),
 ], ids=["frame-size-height", "frame-size-width", "frame-size-swapped", "background-pixel-in-mask",
-        "pixel-in-no-mask", "first-id-0", "last-id-0", "id-k-plus-1"])
+        "pixel-in-no-mask", "first-id-0", "last-id-0", "id-k-plus-1", "depth-0", "depth-negative",
+        "depth-ray-min-t", "depth-nan", "depth-inf", "depth-minus-inf"])
 def test_a_damaged_foreground_or_id_exits_2_naming_the_bundle(odd_dataset, tmp_path, capsys,
                                                               damage, error, message):
     ds = tmp_path / "ds"
@@ -430,6 +449,16 @@ def test_a_damaged_foreground_or_id_exits_2_naming_the_bundle(odd_dataset, tmp_p
                  ("train", "--out", tmp_path / "model.ckpt", "--epochs", 1)):
         assert run_cli(argv[0], "--dataset", ds, *argv[1:]) == 2
         assert capsys.readouterr().err == f"clusterseg: error: {want}\n"
+
+
+def test_a_depth_just_beyond_ray_min_t_loads(odd_dataset, tmp_path):
+    ds = tmp_path / "ds"
+    shutil.copytree(odd_dataset / "ds", ds)
+    path = ds / "frame_00001.tsb"
+    depth = np.nextafter(scenegen.RAY_MIN_T, 1.0)
+    write_bundle(path, _first_depth(depth)(read_bundle(path)))
+    [_, (_, frame, _)] = _load_frames(ds)
+    assert frame.depth.min() == depth
 
 
 _MISSING = object()

@@ -3,12 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from clusterseg.errors import ClusterSegError, PlacementError
 from clusterseg.geometry import CameraIntrinsics, feature_distance
-from clusterseg.scenegen import (BACKDROP_RGB, GeneratorConfig, Primitive, Scene, backdrop,
-                                 occlusion_scores, render, sample_scene, scene_from_json,
-                                 scene_to_json, surface_points)
+from clusterseg.scenegen import (BACKDROP_RGB, RAY_MIN_T, GeneratorConfig, Primitive, Scene,
+                                 backdrop, occlusion_scores, render, sample_scene,
+                                 scene_from_json, scene_to_json, surface_points)
 
 from conftest import small_config
 from reference_scenegen import reference_occlusion_score
@@ -208,6 +210,28 @@ def test_modal_equals_amodal_minus_closer_objects():
         assert not np.any(modal & ~frame.amodal_masks[k])
         expected = reference_occlusion_score(modal, frame.amodal_masks[k])
         assert frame.occlusion_scores[k] == expected
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@seed(0)
+@given(data=st.data())
+def test_render_ids_exactly_the_union_of_the_amodal_masks_beyond_ray_min_t(data):
+    # A frame bundle stores no foreground: the loader takes the masks' union,
+    # and refuses a foreground depth at or below RAY_MIN_T. Wide placement
+    # puts objects partly or wholly off-frame; the sides are odd.
+    H, W = (2 * data.draw(st.integers(0, 20)) + 1 for _ in range(2))
+    cfg = GeneratorConfig(count_range=(28, 30), size_range=(0.03, 0.12),
+                          x_range=(-1.2, 1.2), y_range=(-1.2, 1.2), background_depth=None,
+                          camera=CameraIntrinsics(float(W), float(H), W / 2.0, H / 2.0, W, H))
+    try:
+        scene = sample_scene(data.draw(st.integers(0, 2 ** 32 - 1)), cfg)
+    except PlacementError:
+        assume(False)
+    frame = render(scene)
+    foreground = frame.instance_map > 0
+    assert np.array_equal(foreground, frame.amodal_masks.any(axis=0))
+    assert (frame.depth[foreground] > RAY_MIN_T).all()
+    assert not frame.depth[~foreground].any()
 
 
 def test_occlusion_score_cases():
