@@ -195,7 +195,7 @@ def _assert_frame_round_trips(ids, K, background_depth, rng):
     camera = CameraIntrinsics(10.0, 10.0, W / 2.0, H / 2.0, W, H)
     scene = Scene(objects=(ball,) * K, camera=camera, background_depth=background_depth)
     visible = ids == np.arange(1, K + 1)[:, None, None]
-    masks = visible | (rng.random((K, H, W)) < rng.random()) & fg
+    masks = visible | ((rng.random((K, H, W)) < rng.random()) & fg)
     occlusion = scenegen.occlusion_scores(visible.sum(axis=(1, 2)), masks.sum(axis=(1, 2)))
     frame = scenegen.FrameBundle(rgb=rgb, depth=depth, camera=camera, instance_map=ids,
                                  amodal_masks=masks, occlusion_scores=occlusion)
