@@ -28,10 +28,17 @@ ids outside 1..K, visible pixels outside their object's amodal mask, and
 foreground depths at or below scenegen.RAY_MIN_T, nearer than any ray hit.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
-the manifest (segmentation file names, predictor and fg_threshold), and per
-frame a seg_NNNNN.tsb bundle (SEGMENTATION_LAYOUT); loading rejects
-scores that are not finite, labels above the instance count and seeds
-outside the image.
+the manifest (format, segmentation file names, predictor and fg_threshold),
+and per frame a seg_NNNNN.tsb bundle (segmentation_layout): the frame size,
+the foreground (the pixels of label above 0) as a bitmask, the labels at the
+foreground, the scores and the seeds, the labels and seeds each in the
+narrowest type that holds every value they may take. write_segmentations
+refuses, before it writes any file, what load_segmentations rejects:
+sides or an instance count above the u16 limit, labels outside 0..M for M
+instances, scores that are not finite and seeds outside the frame. The
+loader also rejects a bitmask whose length is not the frame size's, that
+sets a padding bit or another number of pixels than there are labels, a
+label of 0 and, by check_layout, any other dtype than the writer's.
 
 A file that cannot be read, as UTF-8 or JSON where it is text, is a
 ClusterSegError("cannot read WHAT PATH: ..."). Bundles go through
@@ -60,12 +67,12 @@ from .scenegen import (RAY_MIN_T, FrameBundle, backdrop, occlusion_scores, scene
 # The dataset layout gen writes; a dataset with any other "format" must be
 # regenerated.
 DATASET_FORMAT = 6
+# The segmentation layout infer writes, which segs.json names; segmentations
+# in any other "format" must be written again by infer.
+SEGMENTATION_FORMAT = 2
 # The largest stored u16: frame sides, object counts (ids 1..K, 0 is the
-# background), amodal windows, segmentation labels and seed coordinates.
+# background), amodal windows and segmentation instance counts.
 U16_MAX = 65535
-# A segmentation bundle: M instances over an H x W image.
-SEGMENTATION_LAYOUT = {"labels": (np.uint16, ("H", "W")), "scores": (np.float64, ("M",)),
-                       "seeds": (np.uint16, ("M", 2))}
 
 
 def frame_layout(K):
@@ -79,6 +86,28 @@ def frame_layout(K):
             "instance_ids": (np.uint16, ("F",)), "frame_size": (np.uint16, (2,)),
             "amodal_windows": (np.uint16, (K, 4)), "amodal_pixels": (np.uint8, ("P",)),
             "per_object_xi": (np.float64, (K, FEATURE_DIM))}
+
+
+def _narrowest(largest):
+    """The narrowest stored unsigned type that holds every value up to `largest`."""
+    return np.uint8 if largest <= 255 else np.uint16
+
+
+def segmentation_layout(M, H, W):
+    """Every tensor a segmentation of M instances over an H x W frame stores: name -> (dtype, shape).
+
+    frame_size is (H, W) and scores holds one value per instance; the
+    two come first, since the other shapes and dtypes follow from them.
+    foreground is np.packbits of the row-major H x W map of labels above 0:
+    the first pixel in the high bit of byte 0, and the unused low bits of
+    the last byte 0. label_ids holds the labels at its F set pixels, in
+    row-major order, and seeds one (row, col) per instance, each in the
+    narrowest type that holds its largest possible value: u8 ids while
+    M <= 255, u8 seeds while both sides are at most 256.
+    """
+    return {"frame_size": (np.uint16, (2,)), "scores": (np.float64, (M,)),
+            "foreground": (np.uint8, (-(-H * W // 8),)), "label_ids": (_narrowest(M), ("F",)),
+            "seeds": (_narrowest(max(H, W) - 1), (M, 2))}
 
 
 def encode_amodal(masks):
@@ -332,67 +361,119 @@ def load_dataset(path):
             for scene, frame, per_object_xi in (load_frame(*entry) for entry in entries)]
 
 
+def _check_seeds_inside(bundle_path, seeds, H, W):
+    """Raise a ValueRangeError naming the bundle for the first seed (row, col) outside H x W."""
+    rows, cols = seeds.T
+    # Three whole-array reductions, about ten times faster than a per-row
+    # test on thousands of seeds; the rows are scanned only on failure.
+    if seeds.size and (seeds.min() < 0 or rows.max() >= H or cols.max() >= W):
+        row, col = seeds[(seeds < 0).any(axis=1) | (rows >= H) | (cols >= W)][0].tolist()
+        raise ValueRangeError(f"{bundle_path}: seed ({row}, {col}) lies outside the "
+                              f"{H} x {W} frame")
+
+
 def write_segmentations(path, segs, **meta):
     """Write one bundle per segmentation and a segs.json listing them with `meta`.
 
-    Every segmentation is checked against the u16 limits before the first file
-    is written, so one that would wrap leaves the directory as it was.
+    Every segmentation is checked before the first file is written, so one
+    that load_segmentations would reject leaves the directory as it was:
+    its sides and instance count M must be at most the u16 limit, its
+    labels must lie in 0..M, its scores must be finite and its M seeds
+    must lie inside the frame.
     """
     bundles = {}
     for i, seg in enumerate(segs):
         name = f"seg_{i:05d}.tsb"
         bundle_path = os.path.join(path, name)
+        (H, W), M = seg.labels.shape, len(seg.scores)
+        if max(H, W, M) > U16_MAX:
+            raise ClusterSegError(f"{bundle_path}: the segmentation is {H} x {W} with {M} "
+                                  f"instances, but the sides and the instance count must be at "
+                                  f"most the u16 limit {U16_MAX}")
+        labels = seg.labels.ravel()
+        if labels.min(initial=0) < 0 or labels.max(initial=0) > M:
+            bad = labels.min() if labels.min() < 0 else labels.max()
+            raise ValueRangeError(f"{bundle_path}: label {int(bad)} lies outside 0..{M}, the "
+                                  f"instance count")
+        scores = np.asarray(seg.scores, dtype=np.float64)
+        if not np.isfinite(scores).all():
+            raise NonFiniteError(f"{bundle_path}: segmentation scores must be finite")
         seeds = np.fromiter(itertools.chain.from_iterable(seg.seeds), np.int64,
                             2 * len(seg.seeds)).reshape(len(seg.seeds), 2)
-        if len(seg.scores) > U16_MAX:
-            raise ClusterSegError(f"{bundle_path}: {len(seg.scores)} instances exceed the u16 "
-                                  f"label limit of {U16_MAX}")
-        if seeds.size and seeds.max() > U16_MAX:
-            raise ClusterSegError(f"{bundle_path}: a seed coordinate exceeds the u16 limit of "
-                                  f"{U16_MAX}")
-        bundles[name] = {"labels": seg.labels.astype(np.uint16),
-                         "scores": np.asarray(seg.scores, dtype=np.float64),
-                         "seeds": seeds.astype(np.uint16)}
+        if len(seeds) != M:
+            raise ShapeMismatchError(f"{bundle_path}: {len(seeds)} seeds for {M} instances")
+        _check_seeds_inside(bundle_path, seeds, H, W)
+        fg = labels > 0
+        arrays = {"frame_size": np.array([H, W]), "scores": scores,
+                  "foreground": np.packbits(fg), "label_ids": labels[fg], "seeds": seeds}
+        bundles[name] = {key: arrays[key].astype(dtype)
+                         for key, (dtype, _) in segmentation_layout(M, H, W).items()}
     os.makedirs(path, exist_ok=True)
     for name, tensors in bundles.items():
         dataio.write_bundle(os.path.join(path, name), tensors)
-    write_json(os.path.join(path, "segs.json"), {**meta, "segmentations": list(bundles)})
+    write_json(os.path.join(path, "segs.json"),
+               {**meta, "format": SEGMENTATION_FORMAT, "segmentations": list(bundles)})
 
 
-def _check_segmentation_values(bundle_path, t):
-    """Raise a typed error naming the bundle for a value no segmentation holds.
+def _load_segmentation(bundle_path):
+    """The segmentation in one bundle, every stored value checked before any is scattered.
 
-    Scores must be finite, labels at most the instance count M and seeds
-    (row, col) inside the labels' H x W.
+    Raises a typed error naming the bundle for a bundle the writer cannot
+    write: check_layout rejects any other tensors, dtypes or shapes, a
+    foreground of another length than frame_size gives among them; the
+    foreground must set no padding bit and one pixel per label, the labels
+    must lie in 1..M, the scores must be finite and the seeds must lie
+    inside the frame.
     """
-    scores, seeds = t["scores"], t["seeds"]
+    t = _read(bundle_path, "segmentation bundle", dataio.read_bundle)
+    # The layout follows from the frame size and instance count the bundle
+    # states. check_layout checks those two tensors first, so another size
+    # derived here from a malformed one is never reported.
+    size = t.get("frame_size")
+    valid = size is not None and size.dtype == np.uint16 and size.shape == (2,)
+    H, W = size.tolist() if valid else (0, 0)
+    M = t["scores"].size if "scores" in t else 0
+    dataio.check_layout(bundle_path, t, segmentation_layout(M, H, W))
+    ids, scores, seeds = t["label_ids"], t["scores"], t["seeds"]
+    padding = -H * W % 8
+    if padding and t["foreground"][-1] & ((1 << padding) - 1):
+        raise ValueRangeError(f"{bundle_path}: foreground sets a padding bit past the "
+                              f"{H * W} pixels of the {H} x {W} frame")
+    fg = np.unpackbits(t["foreground"], count=H * W).view(np.bool_)
+    F = np.count_nonzero(fg)
+    if F != ids.size:
+        raise ShapeMismatchError(f"{bundle_path}: label_ids holds {ids.size} labels, but "
+                                 f"foreground sets {F} pixels")
+    if ids.min(initial=1) == 0:
+        raise ValueRangeError(f"{bundle_path}: label 0 at a foreground pixel")
+    if ids.max(initial=0) > M:
+        raise ValueRangeError(f"{bundle_path}: label {int(ids.max())} exceeds the instance "
+                              f"count {M}")
     if not np.isfinite(scores).all():
         raise NonFiniteError(f"{bundle_path}: segmentation scores must be finite")
-    if t["labels"].max(initial=0) > scores.size:
-        raise ValueRangeError(f"{bundle_path}: label {int(t['labels'].max())} exceeds the "
-                              f"instance count {scores.size}")
-    outside = (seeds >= t["labels"].shape).any(axis=1)
-    if outside.any():
-        row, col = seeds[outside][0].tolist()
-        raise ValueRangeError(f"{bundle_path}: seed ({row}, {col}) lies outside the "
-                              f"{t['labels'].shape[0]} x {t['labels'].shape[1]} labels")
+    _check_seeds_inside(bundle_path, seeds, H, W)
+    labels = np.zeros(H * W, dtype=np.int32)
+    labels[fg] = ids
+    return Segmentation(labels=labels.reshape(H, W), scores=scores,
+                        seeds=list(zip(*seeds.T.tolist())))
 
 
 def load_segmentations(path):
-    """The segmentations segs.json lists, each bundle in SEGMENTATION_LAYOUT with valid values."""
+    """The segmentations segs.json lists, each bundle checked by _load_segmentation.
+
+    A segs.json whose "format" is not SEGMENTATION_FORMAT is a
+    ClusterSegError that asks to run infer again.
+    """
     manifest_path = os.path.join(path, "segs.json")
     manifest = read_json_object(manifest_path, "segmentation manifest")
-    segs = []
+    fmt = manifest.get("format")
+    if type(fmt) is not int or fmt != SEGMENTATION_FORMAT:
+        raise ClusterSegError(f"{manifest_path}: segmentation format {fmt!r} is not the current "
+                              f"format {SEGMENTATION_FORMAT}; re-run infer to write the "
+                              f"segmentations again")
     try:
-        for name in manifest["segmentations"]:
-            bundle_path = os.path.join(path, name)
-            t = _read(bundle_path, "segmentation bundle", dataio.read_bundle)
-            dataio.check_layout(bundle_path, t, SEGMENTATION_LAYOUT)
-            _check_segmentation_values(bundle_path, t)
-            segs.append(Segmentation(labels=t["labels"].astype(np.int32),
-                                     scores=t["scores"],
-                                     seeds=list(zip(*t["seeds"].T.tolist()))))
+        return [_load_segmentation(os.path.join(path, name))
+                for name in manifest["segmentations"]]
     except (KeyError, TypeError) as exc:
         raise ClusterSegError(
             f"malformed segmentation manifest {manifest_path}: {exc}") from exc
-    return segs

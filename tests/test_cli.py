@@ -629,52 +629,109 @@ def test_dump_config_round_trips_and_help_lists_every_flag(tmp_path, capsys, com
 
 @pytest.fixture
 def oracle_segs(tmp_path):
+    # 25 x 23 = 575 pixels, so the foreground bitmask's last byte has one
+    # padding bit.
     ds = tmp_path / "ds"
     segs = tmp_path / "segs"
-    assert run_cli("gen", "--count", "2", "--res", "24x24", "--seed", "1",
+    assert run_cli("gen", "--count", "2", "--res", "25x23", "--seed", "1",
                    "--out", str(ds)) == 0
     assert run_cli("infer", "--dataset", str(ds), "--out", str(segs)) == 0
     return ds, segs
 
 
+BUNDLE = "seg_00000.tsb"
+
+
 def _seed_outside(axis):
-    """A mutation moving the first seed just past the labels along `axis`."""
+    """A mutation moving the first seed just past the frame along `axis`."""
     def mutate(t):
         seeds = t["seeds"].copy()
-        seeds[0, axis] = t["labels"].shape[axis]
+        seeds[0, axis] = t["frame_size"][axis]
         return {**t, "seeds": seeds}
     return mutate
 
 
-@pytest.mark.parametrize("mutate, error", [
-    (lambda t: {**t, "labels": np.full(t["labels"].shape, np.nan)}, BundleDtypeError),
-    (lambda t: {**t, "labels": t["labels"].astype(np.uint8)}, BundleDtypeError),
-    (lambda t: {**t, "seeds": t["seeds"].astype(np.float64)}, BundleDtypeError),
-    (lambda t: {**t, "scores": t["scores"].astype(np.float32)}, BundleDtypeError),
-    (lambda t: {**t, "scores": t["scores"][None, :]}, ShapeMismatchError),
-    (lambda t: {**t, "labels": t["labels"][None]}, ShapeMismatchError),
-    (lambda t: {**t, "seeds": t["seeds"].ravel()}, ShapeMismatchError),
-    (lambda t: {**t, "seeds": t["seeds"][:-1]}, ShapeMismatchError),
-    (lambda t: {k: v for k, v in t.items() if k != "seeds"}, BundleManifestError),
-    (lambda t: {**t, "extra": np.zeros(2)}, BundleManifestError),
-    (lambda t: {**t, "scores": np.r_[np.nan, t["scores"][1:]]}, NonFiniteError),
-    (lambda t: {**t, "scores": np.r_[t["scores"][:-1], -np.inf]}, NonFiniteError),
-    (lambda t: {**t, "labels": np.where(t["labels"] == 1, t["scores"].size + 1,
-                                        t["labels"]).astype(np.uint16)}, ValueRangeError),
-    (_seed_outside(0), ValueRangeError),
-    (_seed_outside(1), ValueRangeError),
-], ids=["nan-f64-labels", "u8-labels", "f64-seeds", "f32-scores", "2d-scores",
-        "3d-labels", "1d-seeds", "seed-count", "missing-seeds", "extra-tensor", "nan-score",
-        "inf-score", "label-above-m", "seed-row-outside", "seed-col-outside"])
-def test_malformed_segmentation_bundle_is_a_typed_error(oracle_segs, mutate, error, capsys):
+def _first_label(value):
+    """A mutation setting the label of the first foreground pixel to `value`."""
+    def mutate(t):
+        ids = t["label_ids"].copy()
+        ids[0] = value(t["scores"].size)
+        return {**t, "label_ids": ids}
+    return mutate
+
+
+def _instances(count):
+    """A mutation giving the bundle `count` instances, each added one scored 0.5 at seed (0, 0)."""
+    def mutate(t):
+        extra = count - t["scores"].size
+        return {**t, "scores": np.r_[t["scores"], np.full(extra, 0.5)],
+                "seeds": np.r_[t["seeds"], np.zeros((extra, 2), t["seeds"].dtype)]}
+    return mutate
+
+
+def _set_foreground_bit(last):
+    """A mutation setting the last bit of the bitmask (a padding bit), or else its first clear bit."""
+    def mutate(t):
+        bits = np.unpackbits(t["foreground"])
+        bits[-1 if last else np.flatnonzero(bits == 0)[0]] = 1
+        return {**t, "foreground": np.packbits(bits)}
+    return mutate
+
+
+def _frame_size_plus(rows, cols):
+    def mutate(t):
+        return {**t, "frame_size": (t["frame_size"] + (rows, cols)).astype(np.uint16)}
+    return mutate
+
+
+@pytest.mark.parametrize("name, mutate, error", [
+    (BUNDLE, lambda t: {**t, "label_ids": np.full(t["label_ids"].shape, np.nan)},
+     BundleDtypeError),
+    (BUNDLE, _instances(256), BundleDtypeError),
+    (BUNDLE, lambda t: {**t, "label_ids": t["label_ids"].astype(np.uint16)}, BundleDtypeError),
+    (BUNDLE, lambda t: {**t, "seeds": t["seeds"].astype(np.uint16)}, BundleDtypeError),
+    (BUNDLE, lambda t: {**t, "seeds": t["seeds"].astype(np.float64)}, BundleDtypeError),
+    (BUNDLE, lambda t: {**t, "scores": t["scores"].astype(np.float32)}, BundleDtypeError),
+    (BUNDLE, lambda t: {**t, "frame_size": t["frame_size"].astype(np.uint8)}, BundleDtypeError),
+    (BUNDLE, lambda t: {**t, "scores": t["scores"][None, :]}, ShapeMismatchError),
+    (BUNDLE, lambda t: {**t, "label_ids": t["label_ids"][None, None]}, ShapeMismatchError),
+    (BUNDLE, lambda t: {**t, "seeds": t["seeds"].ravel()}, ShapeMismatchError),
+    (BUNDLE, lambda t: {**t, "seeds": t["seeds"][:-1]}, ShapeMismatchError),
+    (BUNDLE, _frame_size_plus(1, 0), ShapeMismatchError),
+    (BUNDLE, _frame_size_plus(0, -1), ShapeMismatchError),
+    (BUNDLE, _set_foreground_bit(last=False), ShapeMismatchError),
+    (BUNDLE, lambda t: {k: v for k, v in t.items() if k != "seeds"}, BundleManifestError),
+    (BUNDLE, lambda t: {**t, "extra": np.zeros(2)}, BundleManifestError),
+    (BUNDLE, lambda t: {**t, "scores": np.r_[np.nan, t["scores"][1:]]}, NonFiniteError),
+    (BUNDLE, lambda t: {**t, "scores": np.r_[t["scores"][:-1], -np.inf]}, NonFiniteError),
+    (BUNDLE, _set_foreground_bit(last=True), ValueRangeError),
+    (BUNDLE, _first_label(lambda M: 0), ValueRangeError),
+    (BUNDLE, _first_label(lambda M: M + 1), ValueRangeError),
+    (BUNDLE, _seed_outside(0), ValueRangeError),
+    (BUNDLE, _seed_outside(1), ValueRangeError),
+    ("segs.json", lambda doc: {k: v for k, v in doc.items() if k != "format"}, ClusterSegError),
+    ("segs.json", lambda doc: {**doc, "format": 1}, ClusterSegError),
+], ids=["nan-f64-labels", "u8-labels", "u16-ids", "u16-seeds", "f64-seeds", "f32-scores",
+        "u8-frame-size", "2d-scores", "3d-labels", "1d-seeds", "seed-count", "frame-size-rows",
+        "frame-size-cols", "popcount", "missing-seeds", "extra-tensor", "nan-score",
+        "inf-score", "padding-bit", "label-zero", "label-above-m", "seed-row-outside",
+        "seed-col-outside", "format-missing", "format-1"])
+def test_malformed_segmentation_bundle_is_a_typed_error(oracle_segs, name, mutate, error,
+                                                        capsys):
+    # The rows damage the first bundle, or segs.json; "u8-labels" keeps u8
+    # ids for 256 instances, where the writer stores u16.
     ds, segs = oracle_segs
-    path = segs / "seg_00000.tsb"
-    write_bundle(path, mutate(read_bundle(path)))
+    path = segs / name
+    if name == "segs.json":
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+    else:
+        write_bundle(path, mutate(read_bundle(path)))
     with pytest.raises(error, match=re.escape(str(path))):
         load_segmentations(str(segs))
     assert run_cli("eval", "--dataset", str(ds), "--segs", str(segs)) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "error" in err and str(path) in err
+    assert ("re-run infer" in err) == (name == "segs.json")
 
 
 @pytest.mark.parametrize("name", ["seg\u0000.tsb", "seg_99999.tsb"], ids=["nul-name", "missing"])
@@ -692,10 +749,13 @@ def test_an_unreadable_segmentation_bundle_is_a_typed_error(oracle_segs, capsys,
 
 
 def test_segmentation_shape_must_match_frame(oracle_segs, capsys):
+    # A valid segmentation one column narrower than its frame.
     ds, segs = oracle_segs
-    path = segs / "seg_00000.tsb"
-    t = read_bundle(path)
-    write_bundle(path, {**t, "labels": np.ascontiguousarray(t["labels"][:, :-1])})
+    first, *rest = load_segmentations(str(segs))
+    W = first.labels.shape[1] - 1
+    narrow = Segmentation(np.ascontiguousarray(first.labels[:, :W]), first.scores,
+                          [(row, min(col, W - 1)) for row, col in first.seeds])
+    write_segmentations(segs, [narrow, *rest], predictor="oracle", fg_threshold=0.5)
     assert run_cli("eval", "--dataset", str(ds), "--segs", str(segs)) == 2
     assert "does not match frame" in capsys.readouterr().err
 
@@ -744,13 +804,20 @@ def _segmentation(count, seeds):
 
 
 def test_write_segmentation_refuses_u16_overflow(tmp_path):
-    write_segmentations(tmp_path / "edge", [_segmentation(1, [(65535, 65535)])])
-    with pytest.raises(ClusterSegError, match="many/seg_00000.tsb: .*65535"):
-        write_segmentations(tmp_path / "many", [_segmentation(65536, [(0, 0)] * 65536)])
-    for seed in [(65536, 0), (0, 65536)]:
-        with pytest.raises(ClusterSegError, match="far/seg_00001.tsb: .*65535"):
-            write_segmentations(tmp_path / "far",
-                                [_segmentation(1, [(0, 0)]), _segmentation(1, [seed])])
+    # The largest instance count and side, with a seed in the last column;
+    # one more instance, or one more column, is refused before any file is
+    # written.
+    edge = _segmentation(65535, [(0, 65534)] * 65535)
+    write_segmentations(tmp_path / "edge", [edge])
+    (loaded,) = load_segmentations(tmp_path / "edge")
+    assert np.array_equal(loaded.labels, edge.labels) and loaded.seeds == edge.seeds
+    many = Segmentation(labels=np.arange(1, 65537, dtype=np.int32).reshape(256, 256),
+                        scores=np.zeros(65536), seeds=[(0, 0)] * 65536)
+    wide = Segmentation(labels=np.zeros((1, 65536), dtype=np.int32), scores=np.zeros(0),
+                        seeds=[])
+    for name, seg in [("many", many), ("wide", wide)]:
+        with pytest.raises(ClusterSegError, match=f"{name}/seg_00001.tsb: .*65535"):
+            write_segmentations(tmp_path / name, [_segmentation(1, [(0, 0)]), seg])
     assert sorted(os.listdir(tmp_path)) == ["edge"]
     assert sorted(os.listdir(tmp_path / "edge")) == ["seg_00000.tsb", "segs.json"]
 

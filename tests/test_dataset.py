@@ -15,6 +15,7 @@ included.
 
 import json
 import math
+import re
 import shutil
 import tempfile
 from dataclasses import replace
@@ -740,7 +741,7 @@ def test_json_nested_past_the_recursion_limit_exits_2_naming_the_file(dataset, t
                                       {"segmentations": [5]}, {"segmentations": [["a"]]}])
 def test_a_malformed_segmentation_manifest_exits_2(dataset, capsys, manifest):
     ds, segs = dataset
-    (segs / "segs.json").write_text(json.dumps(manifest))
+    (segs / "segs.json").write_text(json.dumps({"format": 2, **manifest}))
     assert run_cli("eval", "--dataset", ds, "--segs", segs) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
@@ -889,8 +890,75 @@ def test_segmentation_seeds_round_trip_as_int_tuples(tmp_path, seeds):
     labels[0, :M] = np.arange(1, M + 1)
     write_segmentations(tmp_path / "segs", [Segmentation(labels, np.linspace(0, 1, M), seeds)])
     stored = read_bundle(tmp_path / "segs" / "seg_00000.tsb")["seeds"]
-    assert stored.dtype == np.uint16 and stored.shape == (M, 2)
+    assert stored.dtype == np.uint8 and stored.shape == (M, 2)
     assert stored.tolist() == [list(s) for s in seeds]
     (seg,) = load_segmentations(tmp_path / "segs")
     assert seg.seeds == seeds
     assert all(type(v) is int for s in seg.seeds for v in s)
+
+
+@pytest.mark.parametrize("M", [255, 256])
+@pytest.mark.parametrize("H, W", [(256, 13), (9, 256), (257, 3), (5, 257)])
+@pytest.mark.parametrize("fill", ["empty", "random", "full"])
+def test_segmentation_round_trips_at_the_dtype_boundaries(tmp_path, M, H, W, fill):
+    # u8 label ids hold M <= 255 and u8 seeds sides up to 256; one more
+    # takes u16. No W here is a multiple of 8.
+    rng = np.random.default_rng([M, H, W, len(fill)])
+    fg = {"empty": np.zeros((H, W), bool), "full": np.ones((H, W), bool),
+          "random": rng.random((H, W)) < 0.5}[fill]
+    labels = np.where(fg, rng.integers(1, M + 1, size=(H, W)), 0).astype(np.int32)
+    labels.ravel()[np.flatnonzero(fg)[:1]] = M
+    scores = rng.standard_normal(M)
+    scores[:3] = -0.0, 5e-324, -1.7e308
+    seeds = [(H - 1, W - 1), *map(tuple, rng.integers(0, (H, W), size=(M - 1, 2)).tolist())]
+    write_segmentations(tmp_path / "segs", [Segmentation(labels, scores, seeds)])
+    stored = read_bundle(tmp_path / "segs" / "seg_00000.tsb")
+    assert stored["label_ids"].dtype == (np.uint8 if M <= 255 else np.uint16)
+    assert stored["seeds"].dtype == (np.uint8 if max(H, W) <= 256 else np.uint16)
+    assert stored["foreground"].size == -(-H * W // 8)
+    (seg,) = load_segmentations(tmp_path / "segs")
+    assert seg.labels.dtype == np.int32 and np.array_equal(seg.labels, labels)
+    assert seg.scores.dtype == np.float64 and seg.scores.tobytes() == scores.tobytes()
+    assert seg.seeds == seeds
+
+
+def _refused(tmp_path, seg, error, message):
+    """Writing a valid segmentation, then `seg`, raises `error` naming seg's bundle; nothing is written."""
+    labels = np.zeros((4, 6), dtype=np.int32)
+    labels[1, 2:4] = 1
+    valid = Segmentation(labels, np.array([0.5]), [(1, 2)])
+    with pytest.raises(error, match=re.escape(f"{tmp_path / 'segs' / 'seg_00001.tsb'}: {message}")):
+        write_segmentations(tmp_path / "segs", [valid, seg])
+    assert not (tmp_path / "segs").exists()
+
+
+@pytest.mark.parametrize("label", [-1, 3], ids=["negative", "above-m"])
+def test_write_segmentations_refuses_a_label_outside_0_to_m(tmp_path, label):
+    # -1 would wrap to 65535 in a u16 map, and in a bitmask become background.
+    labels = np.zeros((4, 6), dtype=np.int32)
+    labels[0, :3] = 1, 2, label
+    _refused(tmp_path, Segmentation(labels, np.array([0.5, 0.7]), [(0, 0), (0, 1)]),
+             ValueRangeError, f"label {label} lies outside 0..2")
+
+
+@pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+def test_write_segmentations_refuses_a_non_finite_score(tmp_path, score):
+    labels = np.zeros((4, 6), dtype=np.int32)
+    labels[2, 2] = 1
+    _refused(tmp_path, Segmentation(labels, np.array([score]), [(2, 2)]), NonFiniteError,
+             "segmentation scores must be finite")
+
+
+@pytest.mark.parametrize("seed", [(4, 0), (0, 6), (9, 9), (-1, 0)])
+def test_write_segmentations_refuses_a_seed_outside_the_frame(tmp_path, seed):
+    labels = np.zeros((4, 6), dtype=np.int32)
+    labels[3, 5] = 1
+    _refused(tmp_path, Segmentation(labels, np.array([0.5]), [seed]), ValueRangeError,
+             f"seed {seed} lies outside the 4 x 6 frame")
+
+
+def test_write_segmentations_refuses_a_seed_count_other_than_m(tmp_path):
+    labels = np.zeros((4, 6), dtype=np.int32)
+    labels[0, 0] = 1
+    _refused(tmp_path, Segmentation(labels, np.array([0.5]), [(0, 0), (1, 1)]),
+             ShapeMismatchError, "2 seeds for 1 instances")

@@ -167,7 +167,11 @@ def run_battery(root, only=None):
 
 
 def environment():
-    """What the recorded bits depend on besides the code: numpy, BLAS, LAPACK, SIMD, Python."""
+    """What the recorded bits depend on besides the code.
+
+    That is numpy, BLAS, LAPACK, the OpenBLAS core that DYNAMIC_ARCH picked
+    for this CPU, SIMD and Python.
+    """
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # numpy before 1.26 only prints its build
@@ -177,6 +181,7 @@ def environment():
             **{lib: " ".join(str(deps.get(lib, {}).get(key)) for key in
                              ("name", "version", "openblas configuration"))
                for lib in ("blas", "lapack")},
+            "openblas_core": _openblas_core(),
             "simd": sorted(config.get("SIMD Extensions", {}).get("found", [])),
             "machine": platform.machine(),
             "python": ".".join(platform.python_version_tuple()[:2])}
@@ -193,14 +198,15 @@ def _recorded_digests():
     return recorded["digests"]
 
 
-def _openblas_threads():
-    """(getter, setter) of numpy's OpenBLAS thread count, or None where none is found.
+def _openblas_libs():
+    """numpy's bundled OpenBLAS libraries, found as perfbench/measure.py finds its getter."""
+    return [ctypes.CDLL(path) for path in glob.glob(
+        os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))]
 
-    The library is found as perfbench/measure.py finds its getter.
-    """
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
-                                       "numpy.libs", "*openblas*")):
-        lib = ctypes.CDLL(path)
+
+def _openblas_threads():
+    """(getter, setter) of numpy's OpenBLAS thread count, or None where none is found."""
+    for lib in _openblas_libs():
         for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                      "openblas_{}_num_threads"):
             if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
@@ -208,6 +214,18 @@ def _openblas_threads():
                 getter.restype, getter.argtypes = ctypes.c_int, []
                 setter.restype, setter.argtypes = None, [ctypes.c_int]
                 return getter, setter
+    return None
+
+
+def _openblas_core():
+    """The name of the core numpy's OpenBLAS runs on, or None where no getter is found."""
+    for lib in _openblas_libs():
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                     "openblas_get_corename"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.restype, getter.argtypes = ctypes.c_char_p, []
+                return getter().decode()
     return None
 
 
