@@ -94,7 +94,7 @@ def _narrowest(largest):
 
 
 def segmentation_layout(M, H, W):
-    """Every tensor a segmentation of M instances over an H x W frame stores: name -> (dtype, shape).
+    """Every tensor an H x W segmentation of M instances stores: name -> (dtype, shape).
 
     frame_size is (H, W) and scores holds one value per instance; the
     two come first, since the other shapes and dtypes follow from them.
@@ -419,8 +419,8 @@ def _load_segmentation(bundle_path):
     """The segmentation in one bundle, every stored value checked before any is scattered.
 
     Raises a typed error naming the bundle for a bundle the writer cannot
-    write: check_layout rejects any other tensors, dtypes or shapes, a
-    foreground of another length than frame_size gives among them; the
+    write: check_layout rejects any other tensors, dtypes or shapes (a
+    foreground whose length is not frame_size's among them); the
     foreground must set no padding bit and one pixel per label, the labels
     must lie in 1..M, the scores must be finite and the seeds must lie
     inside the frame.
@@ -461,8 +461,9 @@ def _load_segmentation(bundle_path):
 def load_segmentations(path):
     """The segmentations segs.json lists, each bundle checked by _load_segmentation.
 
-    A segs.json whose "format" is not SEGMENTATION_FORMAT is a
-    ClusterSegError that asks to run infer again.
+    The manifest is checked whole before any bundle is read. One whose
+    "format" is not SEGMENTATION_FORMAT is a ClusterSegError that asks to
+    run infer again.
     """
     manifest_path = os.path.join(path, "segs.json")
     manifest = read_json_object(manifest_path, "segmentation manifest")
@@ -472,8 +473,8 @@ def load_segmentations(path):
                               f"format {SEGMENTATION_FORMAT}; re-run infer to write the "
                               f"segmentations again")
     try:
-        return [_load_segmentation(os.path.join(path, name))
-                for name in manifest["segmentations"]]
+        bundle_paths = [os.path.join(path, name) for name in manifest["segmentations"]]
     except (KeyError, TypeError) as exc:
         raise ClusterSegError(
             f"malformed segmentation manifest {manifest_path}: {exc}") from exc
+    return [_load_segmentation(bundle_path) for bundle_path in bundle_paths]

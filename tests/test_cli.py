@@ -670,7 +670,7 @@ def _instances(count):
 
 
 def _set_foreground_bit(last):
-    """A mutation setting the last bit of the bitmask (a padding bit), or else its first clear bit."""
+    """A mutation setting the bitmask's last bit (a padding bit), or else its first clear bit."""
     def mutate(t):
         bits = np.unpackbits(t["foreground"])
         bits[-1 if last else np.flatnonzero(bits == 0)[0]] = 1
@@ -679,6 +679,7 @@ def _set_foreground_bit(last):
 
 
 def _frame_size_plus(rows, cols):
+    """A mutation adding `rows` and `cols` to the stored frame size."""
     def mutate(t):
         return {**t, "frame_size": (t["frame_size"] + (rows, cols)).astype(np.uint16)}
     return mutate
@@ -841,6 +842,33 @@ def test_infer_exits_2_on_too_many_instances(tmp_path, monkeypatch, capsys):
                    "--predictor", "oracle", "--jobs", "1") == 2
     assert "seg_00001.tsb" in capsys.readouterr().err and len(calls) == 4
     assert _dir_bytes(segs) == before
+
+
+@pytest.mark.parametrize("labels, scores, seeds", [
+    ([[1, -1]], [0.5], [(0, 0)]),
+    ([[1, 2]], [0.5], [(0, 0)]),
+    ([[1, 0]], [np.nan], [(0, 0)]),
+    ([[1, 0]], [0.5], [(1, 0)]),
+    ([[1, 0]], [0.5], [(0, 0), (0, 1)]),
+], ids=["label-negative", "label-above-m", "nan-score", "seed-outside", "seed-count"])
+def test_infer_exits_2_on_a_segmentation_the_loader_would_reject(tmp_path, monkeypatch, capsys,
+                                                                  labels, scores, seeds):
+    # Only the second of four frames is bad; nothing is written.
+    ds, segs = tmp_path / "ds", tmp_path / "segs"
+    assert run_cli(*GEN_ARGS, "--out", str(ds)) == 0
+    calls = []
+
+    def second_frame_is_bad(pred, threshold):
+        calls.append(pred)
+        if len(calls) == 2:
+            return Segmentation(np.array(labels, dtype=np.int32), np.array(scores), seeds)
+        return _segmentation(1, [(0, 0)])
+
+    monkeypatch.setattr(cli, "segment", second_frame_is_bad)
+    assert run_cli("infer", "--dataset", str(ds), "--out", str(segs), "--jobs", "1") == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(segs / "seg_00001.tsb") in err
+    assert not segs.exists()
 
 
 PARSER_ARGV = [["-h"], ["--help"], [], *([command, "-h"] for command in COMMANDS),

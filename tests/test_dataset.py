@@ -923,11 +923,15 @@ def test_segmentation_round_trips_at_the_dtype_boundaries(tmp_path, M, H, W, fil
 
 
 def _refused(tmp_path, seg, error, message):
-    """Writing a valid segmentation, then `seg`, raises `error` naming seg's bundle; nothing is written."""
+    """Writing a valid segmentation, then `seg`, raises `error` naming seg's bundle.
+
+    Every segmentation is checked first, so no file is written.
+    """
     labels = np.zeros((4, 6), dtype=np.int32)
     labels[1, 2:4] = 1
     valid = Segmentation(labels, np.array([0.5]), [(1, 2)])
-    with pytest.raises(error, match=re.escape(f"{tmp_path / 'segs' / 'seg_00001.tsb'}: {message}")):
+    bundle = tmp_path / "segs" / "seg_00001.tsb"
+    with pytest.raises(error, match=re.escape(f"{bundle}: {message}")):
         write_segmentations(tmp_path / "segs", [valid, seg])
     assert not (tmp_path / "segs").exists()
 

@@ -1,10 +1,10 @@
-"""The README's "Library use" examples run as written, and the dataset format it states is gen's."""
+"""The README's "Library use" examples run as written, and the formats it states are current."""
 
 import pathlib
 import re
 
 from clusterseg.cli import main
-from clusterseg.dataset import DATASET_FORMAT
+from clusterseg.dataset import DATASET_FORMAT, SEGMENTATION_FORMAT
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -26,9 +26,17 @@ def test_library_use_examples_print_a_perfect_ap(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.split() == ["1.0", "1.0"]
 
 
-def test_the_stated_dataset_format_is_the_current_one():
+def _stated_format(manifest, whose):
+    """Every format README states for `manifest` and for a `whose` ... `format` is missing."""
     text = README.read_text(encoding="utf-8")
-    stated = (re.findall(r'"format": (\d+)', text)
-              + re.findall(r"`format` is missing or not (\d+)", text))
-    assert len(stated) == 2
-    assert {int(n) for n in stated} == {DATASET_FORMAT}
+    return [int(n) for n in
+            re.findall(rf'`{manifest}` \(the manifest: `"format": (\d+)`', text)
+            + re.findall(rf"{whose} whose\s+`format` is missing or not (\d+)", text)]
+
+
+def test_the_stated_dataset_format_is_the_current_one():
+    assert _stated_format("dataset.json", "A dataset") == [DATASET_FORMAT] * 2
+
+
+def test_the_stated_segmentation_format_is_the_current_one():
+    assert _stated_format("segs.json", "a `segs.json`") == [SEGMENTATION_FORMAT] * 2
