@@ -27,8 +27,13 @@ def test_library_use_examples_print_a_perfect_ap(tmp_path, monkeypatch, capsys):
 
 
 def _stated_format(manifest, whose):
-    """Every format README states for `manifest` and for a `whose` ... `format` is missing."""
+    """Every format README states for `manifest` and for a `whose` ... `format` is missing.
+
+    README states the dataset and the segmentation format twice each, and
+    no format elsewhere.
+    """
     text = README.read_text(encoding="utf-8")
+    assert len(re.findall(r'"format": \d+|`format` is missing or not \d+', text)) == 4
     return [int(n) for n in
             re.findall(rf'`{manifest}` \(the manifest: `"format": (\d+)`', text)
             + re.findall(rf"{whose} whose\s+`format` is missing or not (\d+)", text)]
