@@ -3,7 +3,9 @@
 A dataset directory (written by gen, read by infer, eval and train) holds
 dataset.json, the manifest (format, frame file names and the generation
 parameters), and per frame a scene_NNNNN.json (the scenegen JSON schema) and
-a frame_NNNNN.tsb bundle (frame_layout). gen writes the per-object features
+a frame_NNNNN.tsb bundle (frame_layout), in bundle format 2 (dataio). Entry
+i of the manifest's frame list must be exactly frame i's two names, so no
+entry names a file outside the directory. gen writes the per-object features
 and builds no annotation maps; it stores the frame size, each amodal mask as
 its window, the tight bounding box of its pixels and the box's contents
 (encode_amodal), and the instance ids, rgb and depth at the foreground (the
@@ -29,7 +31,8 @@ foreground depths at or below scenegen.RAY_MIN_T, nearer than any ray hit.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
 the manifest (format, segmentation file names, predictor and fg_threshold),
-and per frame a seg_NNNNN.tsb bundle (segmentation_layout): the frame size,
+and per frame a seg_NNNNN.tsb bundle (segmentation_layout), entry i of the
+file list being exactly segmentation i's name: the frame size,
 the foreground (the pixels of label above 0) as a bitmask, the labels at the
 foreground, the scores and the seeds, the labels and seeds each in the
 narrowest type that holds every value they may take. write_segmentations
@@ -66,10 +69,10 @@ from .scenegen import (RAY_MIN_T, FrameBundle, backdrop, occlusion_scores, scene
 
 # The dataset layout gen writes; a dataset with any other "format" must be
 # regenerated.
-DATASET_FORMAT = 6
+DATASET_FORMAT = 7
 # The segmentation layout infer writes, which segs.json names; segmentations
 # in any other "format" must be written again by infer.
-SEGMENTATION_FORMAT = 2
+SEGMENTATION_FORMAT = 3
 # The largest stored u16: frame sides, object counts (ids 1..K, 0 is the
 # background), amodal windows and segmentation instance counts.
 U16_MAX = 65535
@@ -108,6 +111,16 @@ def segmentation_layout(M, H, W):
     return {"frame_size": (np.uint16, (2,)), "scores": (np.float64, (M,)),
             "foreground": (np.uint8, (-(-H * W // 8),)), "label_ids": (_narrowest(M), ("F",)),
             "seeds": (_narrowest(max(H, W) - 1), (M, 2))}
+
+
+def _frame_files(i):
+    """The manifest entry of frame i: the names of its scene file and its bundle."""
+    return {"scene": f"scene_{i:05d}.json", "bundle": f"frame_{i:05d}.tsb"}
+
+
+def _segmentation_file(i):
+    """The name of segmentation i's bundle."""
+    return f"seg_{i:05d}.tsb"
 
 
 def encode_amodal(masks):
@@ -205,9 +218,8 @@ def write_dataset(path, records, **params):
     os.makedirs(path, exist_ok=True)
     frames = []
     for i, (scene, frame, per_object_xi) in enumerate(records):
-        scene_name = f"scene_{i:05d}.json"
-        bundle_name = f"frame_{i:05d}.tsb"
-        with open(os.path.join(path, scene_name), "w", encoding="utf-8") as fh:
+        files = _frame_files(i)
+        with open(os.path.join(path, files["scene"]), "w", encoding="utf-8") as fh:
             fh.write(scene_to_json(scene))
         windows, pixels = encode_amodal(frame.amodal_masks)
         ids = frame.instance_map.ravel()
@@ -217,11 +229,10 @@ def write_dataset(path, records, **params):
                   "amodal_windows": windows, "amodal_pixels": pixels,
                   "per_object_xi": per_object_xi}
         layout = frame_layout(len(scene.objects))
-        dataio.write_bundle(os.path.join(path, bundle_name),
+        dataio.write_bundle(os.path.join(path, files["bundle"]),
                             {name: arrays[name].astype(dtype)
                              for name, (dtype, _) in layout.items()})
-        frames.append({"scene": scene_name, "bundle": bundle_name,
-                       "objects": len(scene.objects)})
+        frames.append(files)
     write_json(os.path.join(path, "dataset.json"),
                {**params, "format": DATASET_FORMAT, "frames": frames})
 
@@ -289,6 +300,21 @@ def _check_frame_values(bundle_path, t, H, W):
     return fg, masks, occlusion_scores(visible, amodal)
 
 
+def _entries(manifest_path, what, entries, entry):
+    """`entries`, a list whose item i must be exactly entry(i), the writer's file names.
+
+    So every file a manifest lists lies in its directory.
+    """
+    if not isinstance(entries, list):
+        raise ClusterSegError(f"malformed {what} manifest {manifest_path}: the file list must "
+                              f"be a JSON array, got {entries!r}")
+    for i, got in enumerate(entries):
+        if got != entry(i):
+            raise ClusterSegError(f"malformed {what} manifest {manifest_path}: entry {i} must "
+                                  f"be {entry(i)!r}, got {got!r}")
+    return entries
+
+
 def read_dataset_manifest(path):
     """The dataset's (fraction, single_object_radius) and each frame's (scene path, bundle path).
 
@@ -306,12 +332,9 @@ def read_dataset_manifest(path):
                                    manifest.get("single_object_radius"))
     except ClusterSegError as exc:
         raise ClusterSegError(f"malformed dataset manifest {manifest_path}: {exc}") from exc
-    try:
-        entries = [(os.path.join(path, entry["scene"]), os.path.join(path, entry["bundle"]))
-                   for entry in manifest["frames"]]
-    except (KeyError, TypeError) as exc:
-        raise ClusterSegError(f"malformed dataset manifest {manifest_path}: {exc}") from exc
-    return values, entries
+    frames = _entries(manifest_path, "dataset", manifest.get("frames"), _frame_files)
+    return values, [(os.path.join(path, files["scene"]), os.path.join(path, files["bundle"]))
+                    for files in frames]
 
 
 def load_frame(scene_path, bundle_path):
@@ -383,7 +406,7 @@ def write_segmentations(path, segs, **meta):
     """
     bundles = {}
     for i, seg in enumerate(segs):
-        name = f"seg_{i:05d}.tsb"
+        name = _segmentation_file(i)
         bundle_path = os.path.join(path, name)
         (H, W), M = seg.labels.shape, len(seg.scores)
         if max(H, W, M) > U16_MAX:
@@ -472,9 +495,6 @@ def load_segmentations(path):
         raise ClusterSegError(f"{manifest_path}: segmentation format {fmt!r} is not the current "
                               f"format {SEGMENTATION_FORMAT}; re-run infer to write the "
                               f"segmentations again")
-    try:
-        bundle_paths = [os.path.join(path, name) for name in manifest["segmentations"]]
-    except (KeyError, TypeError) as exc:
-        raise ClusterSegError(
-            f"malformed segmentation manifest {manifest_path}: {exc}") from exc
-    return [_load_segmentation(bundle_path) for bundle_path in bundle_paths]
+    names = _entries(manifest_path, "segmentation", manifest.get("segmentations"),
+                     _segmentation_file)
+    return [_load_segmentation(os.path.join(path, name)) for name in names]

@@ -42,7 +42,7 @@ class BundleError(ClusterSegError):
 
 
 class BundleManifestError(BundleError):
-    """The bundle manifest is malformed (bad magic, bad JSON, bad fields)."""
+    """The bundle is malformed: bad magic, bad JSON, bad fields or bytes after the last tensor."""
 
 
 class BundleTruncatedError(BundleError):

@@ -43,6 +43,10 @@ from .seeding import STREAM_MODEL, STREAM_NOISE, stream_rng
 INPUT_DIM = 10
 HIDDEN_DIM = 64
 HEAD_DIMS = {"xi": 9, "b": 1, "eta": 2, "mask": 2}
+# Adam's fixed hyperparameters; only the learning rate is set per run.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -319,15 +323,15 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Moment accumulators, laid out as `MlpModel.vector`, and hyperparameters for Adam."""
+    """Moment accumulators, laid out as `MlpModel.vector`, the step count and the learning rate.
+
+    The other hyperparameters are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
+    """
 
     m: np.ndarray = field(default_factory=lambda: np.zeros(PARAMETER_COUNT))
     v: np.ndarray = field(default_factory=lambda: np.zeros(PARAMETER_COUNT))
     step: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState):
@@ -339,11 +343,11 @@ def adam_step(model: MlpModel, grad: np.ndarray, state: AdamState):
     state.step += 1
     t = state.step
     with np.errstate(invalid="ignore", over="ignore"):
-        state.m = state.beta1 * state.m + (1 - state.beta1) * grad
-        state.v = state.beta2 * state.v + (1 - state.beta2) * grad * grad
-        m_hat = state.m / (1 - state.beta1 ** t)
-        v_hat = state.v / (1 - state.beta2 ** t)
-        model.vector -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * grad
+        state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * grad * grad
+        m_hat = state.m / (1 - ADAM_BETA1 ** t)
+        v_hat = state.v / (1 - ADAM_BETA2 ** t)
+        model.vector -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     if not (np.isfinite(state.v).all() and np.isfinite(model.vector).all()):
         v, g, p = (parameter_views(a) for a in (state.v, grad, model.vector))
         for name in _BACKWARD_ORDER:
@@ -361,8 +365,7 @@ def save_checkpoint(path, model: MlpModel, state: AdamState | None = None,
     """Write the model (optionally with Adam state) as a tensor bundle."""
     tensors = {"params": model.vector, "next_epoch": np.float64(next_epoch)}
     if state is not None:
-        tensors.update(adam=np.array([state.step, state.lr, state.beta1, state.beta2, state.eps],
-                                     dtype=np.float64),
+        tensors.update(adam=np.array([state.step, state.lr], dtype=np.float64),
                        adam_m=state.m, adam_v=state.v)
     dataio.write_bundle(path, tensors)
 
@@ -380,18 +383,15 @@ def load_checkpoint(path):
     vector = (np.float64, (PARAMETER_COUNT,))
     layout = {"params": vector, "next_epoch": (np.float64, ())}
     if adam:
-        layout.update(adam=(np.float64, (5,)), adam_m=vector, adam_v=vector)
+        layout.update(adam=(np.float64, (2,)), adam_m=vector, adam_v=vector)
     dataio.check_layout(path, t, layout)
     next_epoch = float(t["next_epoch"])
     checks = [("next_epoch", next_epoch, next_epoch.is_integer() and next_epoch >= 1,
                "an integer of at least 1")]
     if adam:
-        step, lr, beta1, beta2, eps = t["adam"].tolist()
+        step, lr = t["adam"].tolist()
         checks += [("step", step, step.is_integer() and step >= 0, "an integer of at least 0"),
-                   ("lr", lr, 0 < lr < math.inf, "finite and above 0"),
-                   ("beta1", beta1, 0 <= beta1 < 1, "in [0, 1)"),
-                   ("beta2", beta2, 0 <= beta2 < 1, "in [0, 1)"),
-                   ("eps", eps, 0 < eps < math.inf, "finite and above 0")]
+                   ("lr", lr, 0 < lr < math.inf, "finite and above 0")]
     for name, value, ok, what in checks:
         if not ok:
             raise ValueRangeError(f"{path}: {name} must be {what}, got {value!r}")
@@ -403,5 +403,5 @@ def load_checkpoint(path):
                               f"got {float(t['adam_v'].min())!r}")
     state = None
     if adam:
-        state = AdamState(t["adam_m"], t["adam_v"], int(step), lr, beta1, beta2, eps)
+        state = AdamState(t["adam_m"], t["adam_v"], int(step), lr)
     return MlpModel(t["params"]), state, int(next_epoch)

@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from clusterseg.dataio import MAGIC, read_bundle, write_bundle
 from clusterseg.errors import (BundleDtypeError, BundleError, BundleManifestError,
@@ -13,6 +16,20 @@ def _round_trip(tmp_path, tensors):
     path = tmp_path / "t.tsb"
     write_bundle(path, tensors)
     return read_bundle(path)
+
+
+def _manifest(raw):
+    """The manifest of the bundle bytes `raw`, parsed, and the payload after it."""
+    (mlen,) = struct.unpack("<Q", raw[4:12])
+    return json.loads(raw[12:12 + mlen]), raw[12 + mlen:]
+
+
+def _bundle(tmp_path, manifest, payload=b""):
+    """A .tsb file of the manifest text (or object) `manifest` and the bytes `payload`."""
+    blob = (manifest if isinstance(manifest, str) else json.dumps(manifest)).encode()
+    path = tmp_path / "t.tsb"
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + payload)
+    return path
 
 
 def test_round_trip_every_dtype(tmp_path):
@@ -31,6 +48,38 @@ def test_round_trip_every_dtype(tmp_path):
         assert out[name].dtype == arr.dtype.newbyteorder("=") or out[name].dtype == arr.dtype
         assert out[name].shape == arr.shape
         assert out[name].tobytes() == arr.tobytes()
+
+
+# Names in any order (not sorted, not ASCII-ordered), tensors of every stored
+# dtype and of any shape, 0-d and empty ones included.
+TENSORS = st.dictionaries(
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1, max_size=8),
+    st.sampled_from(["<f4", "<f8", "u1", "<u2"]).flatmap(lambda dtype: hnp.arrays(
+        dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))),
+    max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tensors=TENSORS)
+def test_a_bundle_round_trips_in_written_order_and_one_byte_more_or_less_is_an_error(
+        tmp_path_factory, tensors):
+    path = tmp_path_factory.mktemp("bundle") / "t.tsb"
+    write_bundle(path, tensors)
+    out = read_bundle(path)
+    assert list(out) == list(tensors)
+    for name, arr in tensors.items():
+        assert out[name].dtype == arr.dtype and out[name].shape == arr.shape
+        assert out[name].tobytes() == arr.tobytes()
+    raw = path.read_bytes()
+    manifest, payload = _manifest(raw)
+    # Each entry holds dtype and shape only; the tensors follow one another.
+    assert list(manifest) == list(tensors)
+    assert all(list(entry) == ["dtype", "shape"] for entry in manifest.values())
+    assert payload == b"".join(arr.tobytes() for arr in tensors.values())
+    for damaged, error in ((raw[:-1], BundleTruncatedError), (raw + b"\0", BundleManifestError)):
+        path.write_bytes(damaged)
+        with pytest.raises(error, match="t.tsb"):
+            read_bundle(path)
 
 
 def test_round_trip_preserves_nan_bits(tmp_path):
@@ -57,7 +106,7 @@ def test_empty_bundle(tmp_path):
     write_bundle(path, {})
     assert read_bundle(path) == {}
     raw = path.read_bytes()
-    assert raw[:4] == MAGIC
+    assert raw == MAGIC + struct.pack("<Q", 2) + b"{}"
 
 
 def test_rejects_bad_names_and_dtypes(tmp_path):
@@ -74,6 +123,16 @@ def test_bad_magic(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(BundleManifestError):
+        read_bundle(path)
+
+
+def test_a_format_1_bundle_is_missing_the_magic(tmp_path):
+    manifest = {"a": {"dtype": "u8", "endianness": "little", "layout": "row-major",
+                      "length": 2, "offset": 0, "shape": [2]}}
+    blob = json.dumps(manifest, sort_keys=True).encode()
+    path = tmp_path / "t.tsb"
+    path.write_bytes(b"TSB1" + struct.pack("<Q", len(blob)) + blob + b"\0\0")
+    with pytest.raises(BundleManifestError, match="t.tsb: missing TSB2 magic"):
         read_bundle(path)
 
 
@@ -96,32 +155,60 @@ def test_truncated_manifest(tmp_path):
 
 
 def test_unknown_dtype_tag(tmp_path):
-    manifest = json.dumps({"a": {"dtype": "c128", "shape": [1], "offset": 0,
-                                 "length": 16}}).encode()
-    path = tmp_path / "t.tsb"
-    path.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest + b"\0" * 16)
+    path = _bundle(tmp_path, {"a": {"dtype": "c128", "shape": [1]}}, b"\0" * 16)
     with pytest.raises(BundleDtypeError):
         read_bundle(path)
 
 
 def test_overlapping_offsets_rejected(tmp_path):
-    manifest = json.dumps({
-        "a": {"dtype": "u8", "shape": [4], "offset": 0, "length": 4},
-        "b": {"dtype": "u8", "shape": [4], "offset": 2, "length": 4},
-    }).encode()
-    path = tmp_path / "t.tsb"
-    path.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest + b"\0" * 8)
-    with pytest.raises(BundleManifestError):
+    # A manifest cannot place tensors: one that gives offsets is rejected,
+    # and without them the two tensors lie one after the other.
+    path = _bundle(tmp_path, {"a": {"dtype": "u8", "shape": [4], "offset": 0},
+                              "b": {"dtype": "u8", "shape": [4], "offset": 2}}, bytes(range(8)))
+    with pytest.raises(BundleManifestError, match="entry for 'a'"):
         read_bundle(path)
+    path = _bundle(tmp_path, {"a": {"dtype": "u8", "shape": [4]},
+                              "b": {"dtype": "u8", "shape": [4]}}, bytes(range(8)))
+    out = read_bundle(path)
+    assert out["a"].tolist() == [0, 1, 2, 3] and out["b"].tolist() == [4, 5, 6, 7]
 
 
 def test_length_shape_mismatch_rejected(tmp_path):
-    manifest = json.dumps({"a": {"dtype": "u8", "shape": [4], "offset": 0,
-                                 "length": 5}}).encode()
-    path = tmp_path / "t.tsb"
-    path.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest + b"\0" * 5)
-    with pytest.raises(BundleManifestError):
+    # The payload must be exactly as long as the shapes say: 4 bytes here.
+    with pytest.raises(BundleManifestError,
+                       match="t.tsb: the payload is 5 bytes, but its tensors take 4"):
+        read_bundle(_bundle(tmp_path, {"a": {"dtype": "u8", "shape": [4]}}, b"\0" * 5))
+    with pytest.raises(BundleTruncatedError, match="t.tsb: tensor 'a' extends past the end"):
+        read_bundle(_bundle(tmp_path, {"a": {"dtype": "u8", "shape": [4]}}, b"\0" * 3))
+
+
+def test_bytes_between_the_manifest_and_a_tensor_are_trailing_bytes(tmp_path):
+    # No gap can be declared: a tensor starts where the one before it ends.
+    path = _bundle(tmp_path, {"a": {"dtype": "u16", "shape": [2]}}, b"\0" + bytes(4))
+    with pytest.raises(BundleManifestError, match="the payload is 5 bytes, but its tensors take 4"):
         read_bundle(path)
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": {"dtype": "u8", "shape": [1]}, "a": {"dtype": "u8", "shape": [1]}}',
+    '{"a": {"dtype": "u8", "shape": [1], "shape": [1]}}',
+], ids=["tensor", "entry-key"])
+def test_a_name_given_twice_is_a_manifest_error(tmp_path, text):
+    with pytest.raises(BundleManifestError, match="t.tsb: manifest names '(a|shape)' twice"):
+        read_bundle(_bundle(tmp_path, text, b"\0\0"))
+
+
+@pytest.mark.parametrize("entry", [
+    {"dtype": "u8", "shape": [1], "layout": "row-major"},
+    {"dtype": "u8", "shape": [1], "endianness": "little"},
+    {"dtype": "u8", "shape": [1], "note": None},
+    {"dtype": "u8"},
+    {"shape": [1]},
+    [1],
+], ids=["layout", "endianness", "other-key", "no-shape", "no-dtype", "not-an-object"])
+def test_an_entry_of_other_keys_than_dtype_and_shape_is_a_manifest_error(tmp_path, entry):
+    with pytest.raises(BundleManifestError, match="t.tsb: entry for 'a' must be an object"):
+        read_bundle(_bundle(tmp_path, {"a": entry}, b"\0"))
 
 
 def test_fuzzed_files_raise_structured_errors(tmp_path):
@@ -146,38 +233,34 @@ def test_fuzzed_files_raise_structured_errors(tmp_path):
 
 
 def _bundle_with_entry(tmp_path, entry, payload=b""):
-    manifest = json.dumps({"a": {"dtype": "u8", **entry}}).encode()
-    path = tmp_path / "t.tsb"
-    path.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest + payload)
-    return path
+    return _bundle(tmp_path, {"a": {"dtype": "u8", **entry}}, payload)
 
 
 def test_shape_overflowing_int64_is_a_manifest_error(tmp_path):
-    path = _bundle_with_entry(tmp_path, {"shape": [2 ** 40, 2 ** 40], "offset": 0,
-                                         "length": 0})
+    path = _bundle_with_entry(tmp_path, {"shape": [2 ** 40, 2 ** 40]})
     with pytest.raises(BundleManifestError):
         read_bundle(path)
 
 
 @pytest.mark.parametrize("shape", [[0] * 65, [0, 2 ** 62, 2 ** 62]])
 def test_an_empty_tensor_numpy_cannot_shape_is_a_manifest_error(tmp_path, shape):
-    # 65 dimensions, or a zero size whose byte size overflows, with a length of 0.
-    path = _bundle_with_entry(tmp_path, {"shape": shape, "offset": 0, "length": 0})
+    # 65 dimensions, or a zero size whose byte size overflows.
+    path = _bundle_with_entry(tmp_path, {"shape": shape})
     with pytest.raises(BundleManifestError, match="tensor 'a' has an unsupported shape"):
         read_bundle(path)
 
 
 def test_boolean_in_shape_is_a_manifest_error(tmp_path):
-    path = _bundle_with_entry(tmp_path, {"shape": [True, 4], "offset": 0, "length": 4},
-                              b"\0" * 4)
+    path = _bundle_with_entry(tmp_path, {"shape": [True, 4]}, b"\0" * 4)
     with pytest.raises(BundleManifestError):
         read_bundle(path)
 
 
 @pytest.mark.parametrize("key", ["offset", "length"])
 def test_boolean_offset_or_length_is_a_manifest_error(tmp_path, key):
-    entry = {"shape": [1], "offset": 0, "length": 1}
-    entry[key] = True
-    path = _bundle_with_entry(tmp_path, entry, b"\0" * 2)
-    with pytest.raises(BundleManifestError):
-        read_bundle(path)
+    # Format 2 derives offsets and lengths, so an entry may not state one,
+    # whatever its value.
+    for value in (True, 0, 1):
+        path = _bundle_with_entry(tmp_path, {"shape": [1], key: value}, b"\0")
+        with pytest.raises(BundleManifestError, match="entry for 'a' must be an object"):
+            read_bundle(path)

@@ -30,7 +30,8 @@ from clusterseg.annotation import annotate, object_features
 from clusterseg.cli import main
 from clusterseg.dataio import read_bundle, write_bundle
 from clusterseg.clustering import Segmentation
-from clusterseg.dataset import (decode_amodal, encode_amodal, load_dataset, load_frame,
+from clusterseg.dataset import (SEGMENTATION_FORMAT, decode_amodal, encode_amodal, load_dataset,
+                                load_frame,
                                 load_segmentations, read_dataset_manifest, write_dataset,
                                 write_segmentations)
 from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSegError,
@@ -504,7 +505,11 @@ def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
 
 def test_manifest_records_the_format(dataset):
     ds, _ = dataset
-    assert json.loads((ds / "dataset.json").read_text())["format"] == 6
+    manifest = json.loads((ds / "dataset.json").read_text())
+    assert manifest["format"] == 7
+    # Each frame's entry is the two file names, and nothing else.
+    assert manifest["frames"] == [{"scene": f"scene_{i:05d}.json", "bundle": f"frame_{i:05d}.tsb"}
+                                  for i in range(len(manifest["frames"]))]
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -741,7 +746,7 @@ def test_json_nested_past_the_recursion_limit_exits_2_naming_the_file(dataset, t
                                       {"segmentations": [5]}, {"segmentations": [["a"]]}])
 def test_a_malformed_segmentation_manifest_exits_2(dataset, capsys, manifest):
     ds, segs = dataset
-    (segs / "segs.json").write_text(json.dumps({"format": 2, **manifest}))
+    (segs / "segs.json").write_text(json.dumps({"format": SEGMENTATION_FORMAT, **manifest}))
     assert run_cli("eval", "--dataset", ds, "--segs", segs) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
