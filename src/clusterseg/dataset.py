@@ -1,16 +1,14 @@
 """Dataset and segmentation directories: the one module that knows their formats.
 
 A dataset directory (written by gen, read by infer, eval and train) holds
-dataset.json, the manifest (format, frame file names and the generation
-parameters), and per frame a scene_NNNNN.json (the scenegen JSON schema) and
-a frame_NNNNN.tsb bundle (frame_layout), in bundle format 2 (dataio). Entry
-i of the manifest's frame list must be exactly frame i's two names, so no
-entry names a file outside the directory. gen writes the per-object features
-and builds no annotation maps; it stores the frame size, each amodal mask as
-its window, the tight bounding box of its pixels and the box's contents
-(encode_amodal), and the instance ids, rgb and depth at the foreground (the
-union of the amodal masks) only, in row-major order; and no occlusion
-scores. Loading is two steps:
+dataset.json, the manifest (format, the file names of frame i as entry i
+and the generation parameters), and per frame a scene_NNNNN.json (the
+scenegen JSON schema) and a frame_NNNNN.tsb bundle (frame_layout). gen
+writes the per-object features and builds no annotation maps; it stores
+the frame size, each amodal mask as its window, the tight bounding box of
+its pixels and the box's contents (encode_amodal), and the instance ids,
+rgb and depth at the foreground (the union of the amodal masks) only, in
+row-major order; and no occlusion scores. Loading is two steps:
 read_dataset_manifest checks the manifest, every frame's entry included,
 and load_frame loads and checks one frame, so a command can hold one frame
 at a time.
@@ -30,13 +28,13 @@ ids outside 1..K, visible pixels outside their object's amodal mask, and
 foreground depths at or below scenegen.RAY_MIN_T, nearer than any ray hit.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
-the manifest (format, segmentation file names, predictor and fg_threshold),
-and per frame a seg_NNNNN.tsb bundle (segmentation_layout), entry i of the
-file list being exactly segmentation i's name: the frame size,
-the foreground (the pixels of label above 0) as a bitmask, the labels at the
-foreground, the scores and the seeds, the labels and seeds each in the
-narrowest type that holds every value they may take. write_segmentations
-refuses, before it writes any file, what load_segmentations rejects:
+the manifest (format, the file name of segmentation i as entry i, predictor
+and fg_threshold), and per frame a seg_NNNNN.tsb bundle
+(segmentation_layout): the frame size, the foreground (the pixels of label
+above 0) as a bitmask, the labels at the foreground, the scores and the
+seeds, the labels and seeds each in the narrowest type that holds every
+value they may take. write_segmentations refuses, before it writes any
+file, what load_segmentations rejects:
 sides or an instance count above the u16 limit, labels outside 0..M for M
 instances, scores that are not finite and seeds outside the frame. The
 loader also rejects a bitmask whose length is not the frame size's, that
@@ -114,12 +112,10 @@ def segmentation_layout(M, H, W):
 
 
 def _frame_files(i):
-    """The manifest entry of frame i: the names of its scene file and its bundle."""
     return {"scene": f"scene_{i:05d}.json", "bundle": f"frame_{i:05d}.tsb"}
 
 
 def _segmentation_file(i):
-    """The name of segmentation i's bundle."""
     return f"seg_{i:05d}.tsb"
 
 
@@ -301,10 +297,7 @@ def _check_frame_values(bundle_path, t, H, W):
 
 
 def _entries(manifest_path, what, entries, entry):
-    """`entries`, a list whose item i must be exactly entry(i), the writer's file names.
-
-    So every file a manifest lists lies in its directory.
-    """
+    """`entries` if it is a list whose item i is entry(i), the names the writer gives, at each i."""
     if not isinstance(entries, list):
         raise ClusterSegError(f"malformed {what} manifest {manifest_path}: the file list must "
                               f"be a JSON array, got {entries!r}")

@@ -323,10 +323,7 @@ def mlp_backward(model: MlpModel, cache: dict, breakdown) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Moment accumulators, laid out as `MlpModel.vector`, the step count and the learning rate.
-
-    The other hyperparameters are ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
-    """
+    """Adam's moments, laid out as `MlpModel.vector`, step count and learning rate."""
 
     m: np.ndarray = field(default_factory=lambda: np.zeros(PARAMETER_COUNT))
     v: np.ndarray = field(default_factory=lambda: np.zeros(PARAMETER_COUNT))
