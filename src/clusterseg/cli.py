@@ -26,6 +26,7 @@ import functools
 import json
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Callable, NamedTuple
@@ -36,8 +37,9 @@ from . import losses
 from .annotation import annotate, build_annotation, object_features
 from .clustering import segment
 from .dataset import (U16_MAX, derivation_values, is_finite, is_number, load_dataset,
-                      load_frame, load_segmentations, read_dataset_manifest, read_json_object,
-                      write_dataset, write_json, write_segmentations)
+                      load_frame, load_segmentation, load_segmentations, read_dataset_manifest,
+                      read_json_object, read_segmentation_manifest, write_dataset, write_json,
+                      write_segmentations)
 from .errors import ClusterSegError
 from .evaluation import (EvalConfig, compute_metrics, format_table, result_to_dict)
 from .geometry import CameraIntrinsics
@@ -66,20 +68,19 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _jobs_default():
-    env = os.environ.get("CLUSTERSEG_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _map_frames(fn, count, jobs):
-    # Results come back in frame order no matter how workers finish.
+    # Results come back in frame order no matter how workers finish. At most
+    # jobs + 1 frames are queued, so a manifest's count past the frames on
+    # disk fails at the first missing one, with nothing queued for the rest.
     if jobs <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(count)))
+        queued, results = deque(), []
+        for i in range(count):
+            queued.append(pool.submit(fn, i))
+            if len(queued) > jobs:
+                results.append(queued.popleft().result())
+        return results + [future.result() for future in queued]
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def _cmd_infer(args) -> int:
                       flip_rate=args.flip_rate, bound_mode=args.noise_mode,
                       ball_radius=args.ball_radius)
     sweep = [NoiseSpec(sigma_xi=s) for s in _sweep_sigmas(args.sweep)] if args.sweep else None
-    values, entries = read_dataset_manifest(args.dataset)
+    values, count = read_dataset_manifest(args.dataset)
     model = None
     if args.predictor == "mlp":
         if not args.model:
@@ -153,7 +154,7 @@ def _cmd_infer(args) -> int:
     # --jobs frames are in memory. The MLP reads only the frame, so it gets
     # no annotation maps.
     def run(i):
-        _, frame, per_object_xi = load_frame(*entries[i])
+        _, frame, per_object_xi = load_frame(args.dataset, i)
         ann = (None if args.predictor == "mlp"
                else build_annotation(per_object_xi, frame.instance_map, *values))
         pred = _predict_for_frame(args, model, noise, frame, ann, i)
@@ -161,7 +162,7 @@ def _cmd_infer(args) -> int:
 
     # Every frame is segmented before anything is written, so a frame that
     # fails leaves the output directory as it was.
-    segs = _map_frames(run, len(entries), args.jobs)
+    segs = _map_frames(run, count, args.jobs)
     write_segmentations(args.out, segs, predictor=args.predictor,
                         fg_threshold=args.fg_threshold)
 
@@ -185,12 +186,16 @@ def _cmd_infer(args) -> int:
 # eval
 
 def _cmd_eval(args) -> int:
-    frames = [load_frame(*entry)[1] for entry in read_dataset_manifest(args.dataset)[1]]
-    segs = load_segmentations(args.segs)
-    if len(frames) != len(segs):
+    # Both manifests are checked, and their counts compared, before any
+    # bundle is read.
+    count = read_dataset_manifest(args.dataset)[1]
+    segs_count = read_segmentation_manifest(args.segs)
+    if count != segs_count:
         raise ClusterSegError(
-            f"dataset has {len(frames)} frames but {len(segs)} segmentations were given")
-    pairs = list(zip(segs, frames))
+            f"{os.path.join(args.dataset, 'dataset.json')} counts {count} frames, but "
+            f"{os.path.join(args.segs, 'segs.json')} counts {segs_count} segmentations")
+    frames = [load_frame(args.dataset, i)[1] for i in range(count)]
+    pairs = [(load_segmentation(args.segs, i), frame) for i, frame in enumerate(frames)]
     result = compute_metrics(pairs, EvalConfig())
     report = {"metrics": result_to_dict(result), "num_images": len(pairs)}
     if args.report:
@@ -406,7 +411,7 @@ SWITCH = _Kind(str, lambda v: type(v) is bool, "a boolean")
 class _Flag(NamedTuple):
     name: str
     commands: str     # the commands that take it, space-separated
-    default: object   # command-line text, a value, or a function giving one
+    default: object   # command-line text or a value
     kind: _Kind
     help: str
     required: bool = False
@@ -419,8 +424,7 @@ class _Flag(NamedTuple):
 _ALL = "gen infer eval gradcheck train"
 _FLAGS = (
     _Flag("seed", _ALL, "0", INTEGER, "master random seed"),
-    _Flag("jobs", _ALL, _jobs_default, COUNT, "worker threads for frame-level parallelism "
-          "(default: CLUSTERSEG_JOBS or 1)"),
+    _Flag("jobs", _ALL, "1", COUNT, "worker threads for frame-level parallelism"),
     _Flag("dataset", "infer eval train", None, PATH, "dataset directory", required=True),
     _Flag("out", "gen infer train", None, PATH, "output dataset directory (gen), segmentation "
           "directory (infer) or checkpoint path (train)", required=True),
@@ -533,7 +537,6 @@ def _settings(command, given, dump):
     values = {}
     for row in rows:
         value = given.get(row.dest, config.get(row.dest, row.default))
-        value = value() if callable(value) else value
         if value is None and row.required and not dump:
             raise _BadValue(f"--{row.name} is required")
         try:

@@ -1,17 +1,16 @@
 """Dataset and segmentation directories: the one module that knows their formats.
 
 A dataset directory (written by gen, read by infer, eval and train) holds
-dataset.json, the manifest (format, the file names of frame i as entry i
-and the generation parameters), and per frame a scene_NNNNN.json (the
-scenegen JSON schema) and a frame_NNNNN.tsb bundle (frame_layout). gen
-writes the per-object features and builds no annotation maps; it stores
-the frame size, each amodal mask as its window, the tight bounding box of
-its pixels and the box's contents (encode_amodal), and the instance ids,
-rgb and depth at the foreground (the union of the amodal masks) only, in
-row-major order; and no occlusion scores. Loading is two steps:
-read_dataset_manifest checks the manifest, every frame's entry included,
-and load_frame loads and checks one frame, so a command can hold one frame
-at a time.
+dataset.json, the manifest (format, the frame count N and the generation
+parameters), and per frame i < N a scene_NNNNN.json (the scenegen JSON
+schema) and a frame_NNNNN.tsb bundle (frame_layout), NNNNN being i in five
+digits. gen writes the per-object features and builds no annotation maps;
+it stores the frame size, each amodal mask as its window, the tight
+bounding box of its pixels and the box's contents (encode_amodal), and the
+instance ids, rgb and depth at the foreground (the union of the amodal
+masks) only, in row-major order; and no occlusion scores. Loading is two
+steps: read_dataset_manifest checks the manifest, and load_frame loads and
+checks frame i, so a command can hold one frame at a time.
 A frame's maps are `annotation.build_annotation` of its features, its
 instance map and the manifest's fraction and single_object_radius.
 load_dataset loads every frame with its maps; load_frame builds none. A loaded
@@ -28,20 +27,23 @@ ids outside 1..K, visible pixels outside their object's amodal mask, and
 foreground depths at or below scenegen.RAY_MIN_T, nearer than any ray hit.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
-the manifest (format, the file name of segmentation i as entry i, predictor
-and fg_threshold), and per frame a seg_NNNNN.tsb bundle
+the manifest (format, the segmentation count N, predictor and
+fg_threshold), and per segmentation i < N a seg_NNNNN.tsb bundle
 (segmentation_layout): the frame size, the foreground (the pixels of label
 above 0) as a bitmask, the labels at the foreground, the scores and the
 seeds, the labels and seeds each in the narrowest type that holds every
-value they may take. write_segmentations refuses, before it writes any
-file, what load_segmentations rejects:
+value they may take; read_segmentation_manifest and load_segmentation
+load it in two steps too. write_segmentations refuses, before it writes
+any file, what load_segmentation rejects:
 sides or an instance count above the u16 limit, labels outside 0..M for M
 instances, scores that are not finite and seeds outside the frame. The
 loader also rejects a bitmask whose length is not the frame size's, that
 sets a padding bit or another number of pixels than there are labels, a
 label of 0 and, by check_layout, any other dtype than the writer's.
 
-A file that cannot be read, as UTF-8 or JSON where it is text, is a
+A count is a JSON integer of at least 0; one past the files present fails
+at the first missing file. A file that cannot be read, as UTF-8 or JSON
+where it is text, is a
 ClusterSegError("cannot read WHAT PATH: ..."). Bundles go through
 `dataio.read_bundle` and `dataio.write_bundle`, looked up at call time, so
 the benchmark's tracer can replace those two functions.
@@ -51,6 +53,7 @@ import itertools
 import json
 import math
 import os
+import reprlib
 import sys
 from pathlib import Path
 
@@ -67,10 +70,10 @@ from .scenegen import (RAY_MIN_T, FrameBundle, backdrop, occlusion_scores, scene
 
 # The dataset layout gen writes; a dataset with any other "format" must be
 # regenerated.
-DATASET_FORMAT = 7
-# The segmentation layout infer writes, which segs.json names; segmentations
-# in any other "format" must be written again by infer.
-SEGMENTATION_FORMAT = 3
+DATASET_FORMAT = 8
+# The segmentation layout infer writes; segmentations in any other "format"
+# must be written again by infer.
+SEGMENTATION_FORMAT = 4
 # The largest stored u16: frame sides, object counts (ids 1..K, 0 is the
 # background), amodal windows and segmentation instance counts.
 U16_MAX = 65535
@@ -111,12 +114,13 @@ def segmentation_layout(M, H, W):
             "seeds": (_narrowest(max(H, W) - 1), (M, 2))}
 
 
-def _frame_files(i):
-    return {"scene": f"scene_{i:05d}.json", "bundle": f"frame_{i:05d}.tsb"}
+def _frame_files(path, i):
+    """The scene JSON and frame bundle of frame i in the dataset directory `path`."""
+    return os.path.join(path, f"scene_{i:05d}.json"), os.path.join(path, f"frame_{i:05d}.tsb")
 
 
-def _segmentation_file(i):
-    return f"seg_{i:05d}.tsb"
+def _segmentation_file(path, i):
+    return os.path.join(path, f"seg_{i:05d}.tsb")
 
 
 def encode_amodal(masks):
@@ -212,10 +216,9 @@ def write_dataset(path, records, **params):
             raise ClusterSegError(f"frame {i}: the pixels of nonzero instance id are not the "
                                   f"union of the amodal masks")
     os.makedirs(path, exist_ok=True)
-    frames = []
     for i, (scene, frame, per_object_xi) in enumerate(records):
-        files = _frame_files(i)
-        with open(os.path.join(path, files["scene"]), "w", encoding="utf-8") as fh:
+        scene_path, bundle_path = _frame_files(path, i)
+        with open(scene_path, "w", encoding="utf-8") as fh:
             fh.write(scene_to_json(scene))
         windows, pixels = encode_amodal(frame.amodal_masks)
         ids = frame.instance_map.ravel()
@@ -225,12 +228,10 @@ def write_dataset(path, records, **params):
                   "amodal_windows": windows, "amodal_pixels": pixels,
                   "per_object_xi": per_object_xi}
         layout = frame_layout(len(scene.objects))
-        dataio.write_bundle(os.path.join(path, files["bundle"]),
-                            {name: arrays[name].astype(dtype)
-                             for name, (dtype, _) in layout.items()})
-        frames.append(files)
+        dataio.write_bundle(bundle_path, {name: arrays[name].astype(dtype)
+                                          for name, (dtype, _) in layout.items()})
     write_json(os.path.join(path, "dataset.json"),
-               {**params, "format": DATASET_FORMAT, "frames": frames})
+               {**params, "format": DATASET_FORMAT, "frames": len(records)})
 
 
 def _check_frame_values(bundle_path, t, H, W):
@@ -296,24 +297,18 @@ def _check_frame_values(bundle_path, t, H, W):
     return fg, masks, occlusion_scores(visible, amodal)
 
 
-def _entries(manifest_path, what, entries, entry):
-    """`entries` if it is a list whose item i is entry(i), the names the writer gives, at each i."""
-    if not isinstance(entries, list):
-        raise ClusterSegError(f"malformed {what} manifest {manifest_path}: the file list must "
-                              f"be a JSON array, got {entries!r}")
-    for i, got in enumerate(entries):
-        if got != entry(i):
-            raise ClusterSegError(f"malformed {what} manifest {manifest_path}: entry {i} must "
-                                  f"be {entry(i)!r}, got {got!r}")
-    return entries
+def _count(manifest_path, what, manifest, key):
+    """manifest[key], the number of files the manifest stands for: a JSON integer of at least 0."""
+    count = manifest.get(key)
+    # JSON true and false parse as bool, an int
+    if type(count) is not int or count < 0:
+        raise ClusterSegError(f"malformed {what} manifest {manifest_path}: {key} must be an "
+                              f"integer of at least 0, got {reprlib.repr(count)}")
+    return count
 
 
 def read_dataset_manifest(path):
-    """The dataset's (fraction, single_object_radius) and each frame's (scene path, bundle path).
-
-    The manifest is checked whole, every frame's entry included, before
-    any frame is read.
-    """
+    """The dataset's (fraction, single_object_radius) and its frame count, the manifest checked."""
     manifest_path = os.path.join(path, "dataset.json")
     manifest = read_json_object(manifest_path, "dataset manifest")
     fmt = manifest.get("format")
@@ -325,19 +320,18 @@ def read_dataset_manifest(path):
                                    manifest.get("single_object_radius"))
     except ClusterSegError as exc:
         raise ClusterSegError(f"malformed dataset manifest {manifest_path}: {exc}") from exc
-    frames = _entries(manifest_path, "dataset", manifest.get("frames"), _frame_files)
-    return values, [(os.path.join(path, files["scene"]), os.path.join(path, files["bundle"]))
-                    for files in frames]
+    return values, _count(manifest_path, "dataset", manifest, "frames")
 
 
-def load_frame(scene_path, bundle_path):
-    """One frame's (scene, frame, per_object_xi), every value checked.
+def load_frame(path, i):
+    """Frame i of the dataset at `path`: its (scene, frame, per_object_xi), every value checked.
 
     A scene's parse error keeps its type and gains the scene path. The
     backdrop pixels get scenegen.backdrop's values, as render gives them. A
     depth map that back-projects to non-finite points is a NonFiniteError,
     and a finite foreground depth at or below RAY_MIN_T a ValueRangeError.
     """
+    scene_path, bundle_path = _frame_files(path, i)
     text = _read(scene_path, "scene", lambda p: Path(p).read_text(encoding="utf-8"))
     try:
         scene = scene_from_json(text)
@@ -372,9 +366,9 @@ def load_frame(scene_path, bundle_path):
 
 def load_dataset(path):
     """(scene, frame, annotation) per frame, the annotation rebuilt."""
-    values, entries = read_dataset_manifest(path)
+    values, count = read_dataset_manifest(path)
     return [(scene, frame, build_annotation(per_object_xi, frame.instance_map, *values))
-            for scene, frame, per_object_xi in (load_frame(*entry) for entry in entries)]
+            for scene, frame, per_object_xi in (load_frame(path, i) for i in range(count))]
 
 
 def _check_seeds_inside(bundle_path, seeds, H, W):
@@ -389,18 +383,17 @@ def _check_seeds_inside(bundle_path, seeds, H, W):
 
 
 def write_segmentations(path, segs, **meta):
-    """Write one bundle per segmentation and a segs.json listing them with `meta`.
+    """Write one bundle per segmentation and a segs.json counting them, with `meta`.
 
     Every segmentation is checked before the first file is written, so one
-    that load_segmentations would reject leaves the directory as it was:
+    that load_segmentation would reject leaves the directory as it was:
     its sides and instance count M must be at most the u16 limit, its
     labels must lie in 0..M, its scores must be finite and its M seeds
     must lie inside the frame.
     """
     bundles = {}
     for i, seg in enumerate(segs):
-        name = _segmentation_file(i)
-        bundle_path = os.path.join(path, name)
+        bundle_path = _segmentation_file(path, i)
         (H, W), M = seg.labels.shape, len(seg.scores)
         if max(H, W, M) > U16_MAX:
             raise ClusterSegError(f"{bundle_path}: the segmentation is {H} x {W} with {M} "
@@ -422,17 +415,17 @@ def write_segmentations(path, segs, **meta):
         fg = labels > 0
         arrays = {"frame_size": np.array([H, W]), "scores": scores,
                   "foreground": np.packbits(fg), "label_ids": labels[fg], "seeds": seeds}
-        bundles[name] = {key: arrays[key].astype(dtype)
+        bundles[bundle_path] = {key: arrays[key].astype(dtype)
                          for key, (dtype, _) in segmentation_layout(M, H, W).items()}
     os.makedirs(path, exist_ok=True)
-    for name, tensors in bundles.items():
-        dataio.write_bundle(os.path.join(path, name), tensors)
+    for bundle_path, tensors in bundles.items():
+        dataio.write_bundle(bundle_path, tensors)
     write_json(os.path.join(path, "segs.json"),
-               {**meta, "format": SEGMENTATION_FORMAT, "segmentations": list(bundles)})
+               {**meta, "format": SEGMENTATION_FORMAT, "segmentations": len(bundles)})
 
 
-def _load_segmentation(bundle_path):
-    """The segmentation in one bundle, every stored value checked before any is scattered.
+def load_segmentation(path, i):
+    """Segmentation i of the directory `path`, every stored value checked before any is scattered.
 
     Raises a typed error naming the bundle for a bundle the writer cannot
     write: check_layout rejects any other tensors, dtypes or shapes (a
@@ -441,6 +434,7 @@ def _load_segmentation(bundle_path):
     must lie in 1..M, the scores must be finite and the seeds must lie
     inside the frame.
     """
+    bundle_path = _segmentation_file(path, i)
     t = _read(bundle_path, "segmentation bundle", dataio.read_bundle)
     # The layout follows from the frame size and instance count the bundle
     # states. check_layout checks those two tensors first, so another size
@@ -474,12 +468,11 @@ def _load_segmentation(bundle_path):
                         seeds=list(zip(*seeds.T.tolist())))
 
 
-def load_segmentations(path):
-    """The segmentations segs.json lists, each bundle checked by _load_segmentation.
+def read_segmentation_manifest(path):
+    """The number of segmentations segs.json counts, the manifest checked.
 
-    The manifest is checked whole before any bundle is read. One whose
-    "format" is not SEGMENTATION_FORMAT is a ClusterSegError that asks to
-    run infer again.
+    One whose "format" is not SEGMENTATION_FORMAT is a ClusterSegError
+    that asks to run infer again.
     """
     manifest_path = os.path.join(path, "segs.json")
     manifest = read_json_object(manifest_path, "segmentation manifest")
@@ -488,6 +481,9 @@ def load_segmentations(path):
         raise ClusterSegError(f"{manifest_path}: segmentation format {fmt!r} is not the current "
                               f"format {SEGMENTATION_FORMAT}; re-run infer to write the "
                               f"segmentations again")
-    names = _entries(manifest_path, "segmentation", manifest.get("segmentations"),
-                     _segmentation_file)
-    return [_load_segmentation(os.path.join(path, name)) for name in names]
+    return _count(manifest_path, "segmentation", manifest, "segmentations")
+
+
+def load_segmentations(path):
+    """Every segmentation segs.json counts; the manifest is checked before any bundle is read."""
+    return [load_segmentation(path, i) for i in range(read_segmentation_manifest(path))]

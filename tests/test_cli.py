@@ -56,11 +56,9 @@ GEN_ARGS = ("gen", "--count", "4", "--res", "32x32", "--objects", "2..4",
 def test_gen_writes_dataset(tmp_path):
     out = tmp_path / "ds"
     assert run_cli(*GEN_ARGS, "--out", str(out)) == 0
-    manifest = json.load(open(out / "dataset.json"))
-    assert len(manifest["frames"]) == 4
-    for entry in manifest["frames"]:
-        assert (out / entry["scene"]).exists()
-        tensors = read_bundle(out / entry["bundle"])
+    assert json.load(open(out / "dataset.json"))["frames"] == 4
+    for i in range(4):
+        tensors = read_bundle(out / f"frame_{i:05d}.tsb")
         assert tensors["frame_size"].dtype == np.uint16
         assert tensors["frame_size"].tolist() == [32, 32]
         foreground = _foreground(tensors, 32).size
@@ -68,7 +66,7 @@ def test_gen_writes_dataset(tmp_path):
         assert tensors["depth"].shape == (foreground,)
         assert tensors["instance_ids"].shape == (foreground,)
         assert tensors["instance_ids"].dtype == np.uint16
-        assert 2 <= len(json.load(open(out / entry["scene"]))["objects"]) <= 4
+        assert 2 <= len(json.load(open(out / f"scene_{i:05d}.json"))["objects"]) <= 4
 
 
 def test_gen_deterministic(tmp_path):
@@ -87,8 +85,7 @@ def test_gen_fixed_object_count(tmp_path):
     out = tmp_path / "ds"
     assert run_cli("gen", "--count", "3", "--res", "24x24", "--objects", "3..3",
                    "--seed", "1", "--out", str(out)) == 0
-    manifest = json.load(open(out / "dataset.json"))
-    assert [len(json.load(open(out / e["scene"]))["objects"]) for e in manifest["frames"]] == [
+    assert [len(json.load(open(out / f"scene_{i:05d}.json"))["objects"]) for i in range(3)] == [
         3, 3, 3]
 
 
@@ -637,6 +634,39 @@ def oracle_segs(tmp_path):
     return ds, segs
 
 
+# The key of each manifest's count
+COUNT_KEY = {"dataset.json": "frames", "segs.json": "segmentations"}
+MISSING = object()
+
+
+def _set_count(path, value):
+    """Store `value` as the count of the manifest at `path`, or delete the count for MISSING."""
+    doc = json.loads(path.read_text())
+    doc.pop(COUNT_KEY[path.name])
+    if value is not MISSING:
+        doc[COUNT_KEY[path.name]] = value
+    path.write_text(json.dumps(doc))
+
+
+def _file_list(manifest, count):
+    """The file list a format 7 dataset.json or a format 3 segs.json held in place of a count."""
+    if manifest == "segs.json":
+        return [f"seg_{i:05d}.tsb" for i in range(count)]
+    return [{"scene": f"scene_{i:05d}.json", "bundle": f"frame_{i:05d}.tsb"} for i in range(count)]
+
+
+def _record_bundle_reads(monkeypatch):
+    """The list of paths every later dataio.read_bundle call appends to."""
+    paths, read = [], dataio.read_bundle
+
+    def recorded(path):
+        paths.append(path)
+        return read(path)
+
+    monkeypatch.setattr(dataio, "read_bundle", recorded)
+    return paths
+
+
 BUNDLE = "seg_00000.tsb"
 
 
@@ -733,18 +763,21 @@ def test_malformed_segmentation_bundle_is_a_typed_error(oracle_segs, name, mutat
     assert ("re-run infer" in err) == (name == "segs.json")
 
 
-@pytest.mark.parametrize("name", ["seg\u0000.tsb", "seg_00001.tsb"], ids=["nul-name", "missing"])
-def test_an_unreadable_segmentation_bundle_is_a_typed_error(oracle_segs, capsys, name):
-    # segs.json lists the writer's name of a deleted bundle, or a name
-    # that cannot be opened, which is never tried: it is not the writer's.
+@pytest.mark.parametrize("past", [False, True], ids=["missing", "count-past-files"])
+def test_an_unreadable_segmentation_bundle_is_a_typed_error(oracle_segs, capsys, past):
+    # Bundle 1 is deleted, or both counts are raised one past the two
+    # bundles and a copy of frame 1 made frame 2: the first missing bundle
+    # is named.
     ds, segs = oracle_segs
-    manifest = json.loads((segs / "segs.json").read_text())
-    manifest["segmentations"][1] = name
-    (segs / "segs.json").write_text(json.dumps(manifest))
-    (segs / "seg_00001.tsb").unlink()
-    message = (f"cannot read segmentation bundle {os.path.join(str(segs), name)}: "
-               if name == "seg_00001.tsb" else
-               f"malformed segmentation manifest {segs / 'segs.json'}: entry 1 must be ")
+    missing = segs / f"seg_0000{2 if past else 1}.tsb"
+    if past:
+        for name in ("scene_{:05d}.json", "frame_{:05d}.tsb"):
+            shutil.copy(ds / name.format(1), ds / name.format(2))
+        _set_count(ds / "dataset.json", 3)
+        _set_count(segs / "segs.json", 3)
+    else:
+        missing.unlink()
+    message = f"cannot read segmentation bundle {missing}: "
     with pytest.raises(ClusterSegError, match=re.escape(message)):
         load_segmentations(str(segs))
     assert run_cli("eval", "--dataset", str(ds), "--segs", str(segs)) == 2
@@ -762,17 +795,6 @@ def test_segmentation_shape_must_match_frame(oracle_segs, capsys):
     write_segmentations(segs, [narrow, *rest], predictor="oracle", fg_threshold=0.5)
     assert run_cli("eval", "--dataset", str(ds), "--segs", str(segs)) == 2
     assert "does not match frame" in capsys.readouterr().err
-
-
-def test_jobs_env_fallback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CLUSTERSEG_JOBS", "3")
-    assert run_cli("gen", "--out", str(tmp_path / "ds"), "--count", "1",
-                   "--res", "16x16", "--seed", "0", "--dump-config") == 0
-    assert json.loads(capsys.readouterr().out)["jobs"] == 3
-    monkeypatch.setenv("CLUSTERSEG_JOBS", "junk")
-    assert run_cli("gen", "--out", str(tmp_path / "ds"), "--count", "1",
-                   "--res", "16x16", "--seed", "0", "--dump-config") == 0
-    assert json.loads(capsys.readouterr().out)["jobs"] == 1
 
 
 def test_jobs_flag_is_deterministic(tmp_path):
@@ -1044,7 +1066,7 @@ def test_a_damaged_frame_bundle_exits_2_naming_it(oracle_run, tmp_path, capsys, 
     path = ds / "frame_00001.tsb"
     write_bundle(path, damage(read_bundle(path)))
     with pytest.raises(error, match=re.escape(str(path))) as raised:
-        [load_frame(*entry) for entry in read_dataset_manifest(str(ds))[1]]
+        [load_frame(str(ds), i) for i in range(read_dataset_manifest(str(ds))[1])]
     assert named in str(raised.value)
     for argv in (("eval", "--segs", str(oracle_run / "segs")),
                  ("infer", "--out", str(tmp_path / "segs")),
@@ -1152,19 +1174,14 @@ def test_a_damaged_last_frame_leaves_a_previous_run_unchanged(eight_frames, tmp_
 ], ids=["infer-oracle", "infer-mlp", "eval", "train"])
 def test_a_malformed_last_manifest_entry_exits_2_before_any_frame_is_read(
         eight_frames, tmp_path, monkeypatch, capsys, command):
+    # The frame list of format 7 in place of the count, its last entry
+    # without its bundle: a list is no count, whatever its entries hold.
     ds = tmp_path / "ds"
     shutil.copytree(eight_frames / "ds", ds)
-    manifest = json.loads((ds / "dataset.json").read_text())
-    del manifest["frames"][-1]["bundle"]
-    (ds / "dataset.json").write_text(json.dumps(manifest))
-    bundles_read = []
-    read = dataio.read_bundle
-
-    def recorded(path):
-        bundles_read.append(path)
-        return read(path)
-
-    monkeypatch.setattr(dataio, "read_bundle", recorded)
+    frames = _file_list("dataset.json", 8)
+    del frames[-1]["bundle"]
+    _set_count(ds / "dataset.json", frames)
+    bundles_read = _record_bundle_reads(monkeypatch)
     argv = [a.format(tmp=tmp_path, root=eight_frames) for a in command]
     assert run_cli(argv[0], "--dataset", str(ds), *argv[1:]) == 2
     err = capsys.readouterr().err
@@ -1181,11 +1198,12 @@ def test_a_malformed_last_manifest_entry_exits_2_before_any_frame_is_read(
         "dataset-bundle-eval", "segs-eval"])
 def test_a_manifest_entry_outside_its_directory_exits_2(oracle_segs, tmp_path, monkeypatch,
                                                        capsys, manifest, key, command, where):
-    # Entry 0 names a valid copy of its own file in a sibling directory.
+    # The file list of format 7 (or segmentation format 3) in place of the
+    # count, entry 0 naming a valid copy of its own file in a sibling
+    # directory: a list is no count, so nothing it names is read.
     ds, segs = oracle_segs
     directory = segs if manifest == "segs.json" else ds
-    doc = json.loads((directory / manifest).read_text())
-    entries = doc["segmentations"] if manifest == "segs.json" else doc["frames"]
+    entries = _file_list(manifest, 2)
     name = entries[0] if key is None else entries[0][key]
     outside = tmp_path / "elsewhere" / f"outside{os.path.splitext(name)[1]}"
     outside.parent.mkdir()
@@ -1195,25 +1213,77 @@ def test_a_manifest_entry_outside_its_directory_exits_2(oracle_segs, tmp_path, m
         entries[0] = moved
     else:
         entries[0][key] = moved
-    (directory / manifest).write_text(json.dumps(doc))
-    bundles_read = []
-    read = dataio.read_bundle
-
-    def recorded(path):
-        bundles_read.append(os.path.dirname(os.path.abspath(path)))
-        return read(path)
-
-    monkeypatch.setattr(dataio, "read_bundle", recorded)
+    _set_count(directory / manifest, entries)
+    bundles_read = _record_bundle_reads(monkeypatch)
     argv = (["infer", "--out", str(tmp_path / "out")] if command == "infer" else
             ["eval", "--segs", str(segs)])
     assert run_cli(argv[0], "--dataset", str(ds), *argv[1:]) == 2
     err = capsys.readouterr().err
     what = "segmentation" if manifest == "segs.json" else "dataset"
     assert err.startswith(f"clusterseg: error: malformed {what} manifest "
-                          f"{directory / manifest}: entry 0 must be ")
+                          f"{directory / manifest}: {COUNT_KEY[manifest]} must be an integer "
+                          f"of at least 0, got [")
     assert len(err.splitlines()) == 1
-    # Neither the listed file nor another of its directory is read.
-    assert str(directory) not in bundles_read and str(outside.parent) not in bundles_read
+    assert bundles_read == []
+
+
+@pytest.mark.parametrize("manifest", ["dataset.json", "segs.json"])
+@pytest.mark.parametrize("value", [MISSING, None, True, -1, 2.0, "8", "list", 10 ** 18],
+                         ids=["missing", "null", "true", "minus-1", "float", "string",
+                              "format-7-list", "1e18"])
+def test_a_malformed_count_exits_2_naming_its_manifest(oracle_segs, monkeypatch, capsys,
+                                                       manifest, value):
+    # A count of 10**18 is well formed, so it fails as a count other than
+    # the other manifest's.
+    ds, segs = oracle_segs
+    path = (segs if manifest == "segs.json" else ds) / manifest
+    _set_count(path, _file_list(manifest, 2) if value == "list" else value)
+    bundles_read = _record_bundle_reads(monkeypatch)
+    assert run_cli("eval", "--dataset", str(ds), "--segs", str(segs)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(path) in err
+    assert bundles_read == []
+
+
+@pytest.mark.parametrize("command", [
+    ("infer", "--out", "{tmp}/segs", "--jobs", "1"),
+    ("infer", "--out", "{tmp}/segs", "--jobs", "2"),
+    ("eval", "--segs", "{tmp}/segs"),
+    ("train", "--out", "{tmp}/model.ckpt", "--epochs", "1"),
+], ids=["infer-jobs-1", "infer-jobs-2", "eval", "train"])
+def test_a_frame_count_past_the_files_exits_2_at_the_first_missing_frame(oracle_segs, capsys,
+                                                                          command):
+    # Frames 0 and 1 are read, frame 2 is missing; no more is queued.
+    ds, segs = oracle_segs
+    _set_count(ds / "dataset.json", 10 ** 18)
+    _set_count(segs / "segs.json", 10 ** 18)
+    argv = [a.format(tmp=ds.parent) for a in command]
+    assert run_cli(argv[0], "--dataset", str(ds), *argv[1:]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"clusterseg: error: cannot read scene {ds / 'scene_00002.json'}: ")
+
+
+@pytest.mark.parametrize("damage", ["dataset-format-7", "segs-format-3", "count-mismatch"])
+def test_eval_checks_both_manifests_before_any_bundle_is_read(oracle_segs, monkeypatch, capsys,
+                                                              damage):
+    ds, segs = oracle_segs
+    if damage == "dataset-format-7":
+        path = ds / "dataset.json"
+        doc = {**json.loads(path.read_text()), "format": 7,
+               "frames": _file_list("dataset.json", 2)}
+    else:
+        path = segs / "segs.json"
+        doc = json.loads(path.read_text())
+        doc.update({"format": 3, "segmentations": _file_list("segs.json", 2)}
+                   if damage == "segs-format-3" else {"segmentations": 1})
+    path.write_text(json.dumps(doc))
+    bundles_read = _record_bundle_reads(monkeypatch)
+    assert run_cli("eval", "--dataset", str(ds), "--segs", str(segs)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(path) in err
+    assert ("regenerate" in err) == (damage == "dataset-format-7")
+    assert ("re-run infer" in err) == (damage == "segs-format-3")
+    assert bundles_read == []
 
 
 def _tsb_parts(raw):

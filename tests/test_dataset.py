@@ -55,7 +55,7 @@ def run_cli(*argv):
 
 def _load_frames(path):
     """(scene, frame, per_object_xi) of every frame of the dataset at path."""
-    return [load_frame(*entry) for entry in read_dataset_manifest(path)[1]]
+    return [load_frame(path, i) for i in range(read_dataset_manifest(path)[1])]
 
 
 def _same(got, want, name):
@@ -75,8 +75,8 @@ def test_loaded_records_equal_what_gen_computed(tmp_path, monkeypatch, res, obje
     assert run_cli("gen", "--count", 3, "--res", f"{res}x{res}", "--objects", objects,
                    "--seed", res, "--out", ds, *extra) == 0
     manifest = json.loads((ds / "dataset.json").read_text())
-    for entry in manifest["frames"]:
-        assert sorted(read_bundle(ds / entry["bundle"])) == STORED
+    for i in range(manifest["frames"]):
+        assert sorted(read_bundle(ds / f"frame_{i:05d}.tsb")) == STORED
 
     def recomputed(*args, **kwargs):
         raise AssertionError("loading recomputed an object feature")
@@ -494,7 +494,8 @@ def test_derivation_values_are_validated(dataset, tmp_path, capsys, key, value):
 @pytest.mark.parametrize("value", [_MISSING, 1, 2, 2.0, 3.0, "3", True, None,
                                    pytest.param(3, id="int-3"), 4.0, "4",
                                    pytest.param(4, id="int-4"), 5.0, "5",
-                                   pytest.param(5, id="int-5"), 6.0, "6"])
+                                   pytest.param(5, id="int-5"), 6.0, "6", 7.0, "7",
+                                   pytest.param(7, id="int-7")])
 def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
     ds, segs = dataset
     _edit_manifest(ds, "format", value)
@@ -506,10 +507,9 @@ def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
 def test_manifest_records_the_format(dataset):
     ds, _ = dataset
     manifest = json.loads((ds / "dataset.json").read_text())
-    assert manifest["format"] == 7
-    # Each frame's entry is the two file names, and nothing else.
-    assert manifest["frames"] == [{"scene": f"scene_{i:05d}.json", "bundle": f"frame_{i:05d}.tsb"}
-                                  for i in range(len(manifest["frames"]))]
+    assert manifest["format"] == 8
+    # The frame count, and no file names: frame i's follow from i.
+    assert manifest["frames"] == 2
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -631,7 +631,7 @@ def test_a_scene_camera_of_another_size_exits_2_naming_the_bundle(camera_dataset
             want = (f"{bundle_path}: frame_size is 32 x 32, but the scene's camera is "
                     f"{int(height)} x {width}")
             with pytest.raises(ShapeMismatchError) as raised:
-                load_frame(str(scene_path), str(bundle_path))
+                load_frame(str(ds), i)
             assert str(raised.value) == want
             assert run_cli("eval", "--dataset", ds, "--segs", segs) == 2
             assert capsys.readouterr().err == f"clusterseg: error: {want}\n"
@@ -694,7 +694,7 @@ def test_a_loaded_scene_keeps_the_error_type_of_its_parse(dataset):
     doc["camera"]["fx"] = math.nan
     path.write_text(json.dumps(doc))
     with pytest.raises(NonFiniteError) as caught:
-        load_frame(str(path), str(ds / "frame_00000.tsb"))
+        load_frame(str(ds), 0)
     assert str(caught.value).startswith(f"{path}: camera intrinsics must be finite")
 
 
@@ -742,7 +742,7 @@ def test_json_nested_past_the_recursion_limit_exits_2_naming_the_file(dataset, t
     assert err.startswith("clusterseg: error: " + error.format(path=path))
 
 
-@pytest.mark.parametrize("manifest", [{}, {"segmentations": None}, {"segmentations": 5},
+@pytest.mark.parametrize("manifest", [{}, {"segmentations": None}, {"segmentations": -5},
                                       {"segmentations": [5]}, {"segmentations": [["a"]]}])
 def test_a_malformed_segmentation_manifest_exits_2(dataset, capsys, manifest):
     ds, segs = dataset
@@ -757,7 +757,7 @@ def test_a_malformed_segmentation_manifest_exits_2(dataset, capsys, manifest):
 def test_train_on_a_manifest_that_lists_no_frames_exits_2(dataset, tmp_path, capsys):
     ds, _ = dataset
     manifest = json.loads((ds / "dataset.json").read_text())
-    manifest["frames"] = []
+    manifest["frames"] = 0
     (ds / "dataset.json").write_text(json.dumps(manifest))
     out = tmp_path / "model.ckpt"
     assert run_cli("train", "--dataset", ds, "--out", out, "--epochs", 1) == 2
