@@ -36,10 +36,10 @@ import numpy as np
 from . import losses
 from .annotation import annotate, build_annotation, object_features
 from .clustering import segment
-from .dataset import (U16_MAX, derivation_values, is_finite, is_number, load_dataset,
-                      load_frame, load_segmentation, load_segmentations, read_dataset_manifest,
-                      read_json_object, read_segmentation_manifest, write_dataset, write_json,
-                      write_segmentations)
+from .dataset import (DATASET_MANIFEST, SEGMENTATION_MANIFEST, U16_MAX, derivation_values,
+                      is_finite, is_number, load_dataset, load_frame, load_segmentation,
+                      load_segmentations, read_dataset_manifest, read_json_object,
+                      read_segmentation_manifest, write_dataset, write_json, write_segmentations)
 from .errors import ClusterSegError
 from .evaluation import (EvalConfig, compute_metrics, format_table, result_to_dict)
 from .geometry import CameraIntrinsics
@@ -186,14 +186,13 @@ def _cmd_infer(args) -> int:
 # eval
 
 def _cmd_eval(args) -> int:
-    # Both manifests are checked, and their counts compared, before any
-    # bundle is read.
+    # Both manifests and their counts are checked before any bundle is read.
     count = read_dataset_manifest(args.dataset)[1]
     segs_count = read_segmentation_manifest(args.segs)
     if count != segs_count:
         raise ClusterSegError(
-            f"{os.path.join(args.dataset, 'dataset.json')} counts {count} frames, but "
-            f"{os.path.join(args.segs, 'segs.json')} counts {segs_count} segmentations")
+            f"{os.path.join(args.dataset, DATASET_MANIFEST)} counts {count} frames, but "
+            f"{os.path.join(args.segs, SEGMENTATION_MANIFEST)} counts {segs_count} segmentations")
     frames = [load_frame(args.dataset, i)[1] for i in range(count)]
     pairs = [(load_segmentation(args.segs, i), frame) for i, frame in enumerate(frames)]
     result = compute_metrics(pairs, EvalConfig())

@@ -3,14 +3,14 @@
 A dataset directory (written by gen, read by infer, eval and train) holds
 dataset.json, the manifest (format, the frame count N and the generation
 parameters), and per frame i < N a scene_NNNNN.json (the scenegen JSON
-schema) and a frame_NNNNN.tsb bundle (frame_layout), NNNNN being i in five
-digits. gen writes the per-object features and builds no annotation maps;
-it stores the frame size, each amodal mask as its window, the tight
-bounding box of its pixels and the box's contents (encode_amodal), and the
-instance ids, rgb and depth at the foreground (the union of the amodal
-masks) only, in row-major order; and no occlusion scores. Loading is two
-steps: read_dataset_manifest checks the manifest, and load_frame loads and
-checks frame i, so a command can hold one frame at a time.
+schema) and a frame_NNNNN.tsb bundle (frame_layout). gen writes the
+per-object features and builds no annotation maps; it stores the frame
+size, each amodal mask as its window, the tight bounding box of its pixels
+and the box's contents (encode_amodal), and the instance ids, rgb and
+depth at the foreground (the union of the amodal masks) only, in row-major
+order; and no occlusion scores. Loading is two steps: read_dataset_manifest
+checks the manifest, and load_frame loads and checks frame i, so a command
+can hold one frame at a time.
 A frame's maps are `annotation.build_annotation` of its features, its
 instance map and the manifest's fraction and single_object_radius.
 load_dataset loads every frame with its maps; load_frame builds none. A loaded
@@ -74,6 +74,8 @@ DATASET_FORMAT = 8
 # The segmentation layout infer writes; segmentations in any other "format"
 # must be written again by infer.
 SEGMENTATION_FORMAT = 4
+# The manifest file of a dataset directory and of a segmentation directory
+DATASET_MANIFEST, SEGMENTATION_MANIFEST = "dataset.json", "segs.json"
 # The largest stored u16: frame sides, object counts (ids 1..K, 0 is the
 # background), amodal windows and segmentation instance counts.
 U16_MAX = 65535
@@ -230,7 +232,7 @@ def write_dataset(path, records, **params):
         layout = frame_layout(len(scene.objects))
         dataio.write_bundle(bundle_path, {name: arrays[name].astype(dtype)
                                           for name, (dtype, _) in layout.items()})
-    write_json(os.path.join(path, "dataset.json"),
+    write_json(os.path.join(path, DATASET_MANIFEST),
                {**params, "format": DATASET_FORMAT, "frames": len(records)})
 
 
@@ -309,7 +311,7 @@ def _count(manifest_path, what, manifest, key):
 
 def read_dataset_manifest(path):
     """The dataset's (fraction, single_object_radius) and its frame count, the manifest checked."""
-    manifest_path = os.path.join(path, "dataset.json")
+    manifest_path = os.path.join(path, DATASET_MANIFEST)
     manifest = read_json_object(manifest_path, "dataset manifest")
     fmt = manifest.get("format")
     if type(fmt) is not int or fmt != DATASET_FORMAT:
@@ -416,11 +418,11 @@ def write_segmentations(path, segs, **meta):
         arrays = {"frame_size": np.array([H, W]), "scores": scores,
                   "foreground": np.packbits(fg), "label_ids": labels[fg], "seeds": seeds}
         bundles[bundle_path] = {key: arrays[key].astype(dtype)
-                         for key, (dtype, _) in segmentation_layout(M, H, W).items()}
+                                for key, (dtype, _) in segmentation_layout(M, H, W).items()}
     os.makedirs(path, exist_ok=True)
     for bundle_path, tensors in bundles.items():
         dataio.write_bundle(bundle_path, tensors)
-    write_json(os.path.join(path, "segs.json"),
+    write_json(os.path.join(path, SEGMENTATION_MANIFEST),
                {**meta, "format": SEGMENTATION_FORMAT, "segmentations": len(bundles)})
 
 
@@ -469,12 +471,8 @@ def load_segmentation(path, i):
 
 
 def read_segmentation_manifest(path):
-    """The number of segmentations segs.json counts, the manifest checked.
-
-    One whose "format" is not SEGMENTATION_FORMAT is a ClusterSegError
-    that asks to run infer again.
-    """
-    manifest_path = os.path.join(path, "segs.json")
+    """The segmentation count in segs.json, checked; another "format" asks to re-run infer."""
+    manifest_path = os.path.join(path, SEGMENTATION_MANIFEST)
     manifest = read_json_object(manifest_path, "segmentation manifest")
     fmt = manifest.get("format")
     if type(fmt) is not int or fmt != SEGMENTATION_FORMAT:

@@ -769,7 +769,7 @@ def test_an_unreadable_segmentation_bundle_is_a_typed_error(oracle_segs, capsys,
     # bundles and a copy of frame 1 made frame 2: the first missing bundle
     # is named.
     ds, segs = oracle_segs
-    missing = segs / f"seg_0000{2 if past else 1}.tsb"
+    missing = segs / ("seg_00002.tsb" if past else "seg_00001.tsb")
     if past:
         for name in ("scene_{:05d}.json", "frame_{:05d}.tsb"):
             shutil.copy(ds / name.format(1), ds / name.format(2))
