@@ -26,6 +26,7 @@ import functools
 import json
 import os
 import sys
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -119,17 +120,15 @@ def _cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 # infer
 
-def _predict_for_frame(args, model, noise, frame, ann, index):
+def _oracle_for_frame(args, noise, ann, index):
+    """The oracle or noisy-oracle prediction of frame `index`."""
     if args.predictor == "oracle":
         return oracle_predict(ann)
-    if args.predictor == "noisy":
-        if args.ball_minb_frac is not None:
-            fg_b = ann.b_map[ann.fg_mask]
-            radius = args.ball_minb_frac * float(fg_b.min()) if fg_b.size else 0.0
-            noise = replace(noise, ball_radius=radius)
-        return noisy_predict(ann, noise, args.seed * SEED_STRIDE + index)
-    # The forward cache dies before the prediction is built.
-    return mlp_forward(model, frame)[0].to_prediction()
+    if args.ball_minb_frac is not None:
+        fg_b = ann.b_map[ann.fg_mask]
+        radius = args.ball_minb_frac * float(fg_b.min()) if fg_b.size else 0.0
+        noise = replace(noise, ball_radius=radius)
+    return noisy_predict(ann, noise, args.seed * SEED_STRIDE + index)
 
 
 def _dataset_ap(records, fg_threshold, predict):
@@ -149,16 +148,24 @@ def _cmd_infer(args) -> int:
         if not args.model:
             raise ClusterSegError("--model is required with --predictor mlp")
         model, _, _ = load_checkpoint(args.model)
+    # Each worker thread runs a model of its own over the one parameter
+    # vector, so the frames it runs reuse one set of hidden-layer buffers and
+    # no two threads share one.
+    local = threading.local()
 
     # Each frame is loaded, predicted and segmented in one call, so at most
     # --jobs frames are in memory. The MLP reads only the frame, so it gets
     # no annotation maps.
     def run(i):
         _, frame, per_object_xi = load_frame(args.dataset, i)
-        ann = (None if args.predictor == "mlp"
-               else build_annotation(per_object_xi, frame.instance_map, *values))
-        pred = _predict_for_frame(args, model, noise, frame, ann, i)
-        return segment(pred, args.fg_threshold)
+        if model is None:
+            ann = build_annotation(per_object_xi, frame.instance_map, *values)
+            return segment(_oracle_for_frame(args, noise, ann, i), args.fg_threshold)
+        if not hasattr(local, "model"):
+            local.model = replace(model, scratch={})
+        # The prediction holds no part of the forward cache, whose hidden
+        # buffers wait in the thread's model for its next frame.
+        return segment(mlp_forward(local.model, frame)[0].to_prediction(), args.fg_threshold)
 
     # Every frame is segmented before anything is written, so a frame that
     # fails leaves the output directory as it was.

@@ -6,25 +6,26 @@ parameters), and per frame i < N a scene_NNNNN.json (the scenegen JSON
 schema) and a frame_NNNNN.tsb bundle (frame_layout). gen writes the
 per-object features and builds no annotation maps; it stores the frame
 size, each amodal mask as its window, the tight bounding box of its pixels
-and the box's contents (encode_amodal), and the instance ids, rgb and
-depth at the foreground (the union of the amodal masks) only, in row-major
-order; and no occlusion scores. Loading is two steps: read_dataset_manifest
-checks the manifest, and load_frame loads and checks frame i, so a command
-can hold one frame at a time.
+and the box's contents (encode_amodal), and the instance ids and depth at
+the foreground (the union of the amodal masks) only, in row-major order;
+and no rgb and no occlusion scores. Loading is two steps:
+read_dataset_manifest checks the manifest, and load_frame loads and checks
+frame i, so a command can hold one frame at a time.
 A frame's maps are `annotation.build_annotation` of its features, its
 instance map and the manifest's fraction and single_object_radius.
 load_dataset loads every frame with its maps; load_frame builds none. A loaded
-frame carries the scene's camera, so it derives xyz from its depth on first
-read, as a rendered one does; loading only checks that the depth
-back-projects to finite points. It fills the backdrop pixels of rgb and
-depth with scenegen.backdrop's values, as render does, rebuilds the amodal
-masks from their windows, derives the occlusion scores from the pixel counts
-(scenegen.occlusion_scores, as render does), and rejects a frame size other
-than the camera's, rgb outside [0, 1], features that are not finite, windows
-outside the frame or that disagree with the stored pixel count, mask values
-other than 0 and 1, another number of stored pixels than the masks cover,
-ids outside 1..K, visible pixels outside their object's amodal mask, and
-foreground depths at or below scenegen.RAY_MIN_T, nearer than any ray hit.
+frame carries its scene, so it derives rgb (scenegen.shade) and xyz from its
+scene, instance map and depth on first read, as a rendered one does; loading
+only checks that the depth back-projects to finite points. It fills the
+backdrop pixels of depth with scenegen.backdrop's value, as render does,
+rebuilds the amodal masks from their windows, derives the occlusion scores
+from the pixel counts (scenegen.occlusion_scores, as render does), and
+rejects a frame size other than the camera's, features that are not finite,
+windows outside the frame or that disagree with the stored pixel count,
+mask values other than 0 and 1, another number of stored pixels than the
+masks cover, ids outside 1..K, visible pixels outside their object's amodal
+mask, and foreground depths at or below scenegen.RAY_MIN_T, nearer than any
+ray hit.
 
 A segmentation directory (written by infer, read by eval) holds segs.json,
 the manifest (format, the segmentation count N, predictor and
@@ -70,7 +71,7 @@ from .scenegen import (RAY_MIN_T, FrameBundle, backdrop, occlusion_scores, scene
 
 # The dataset layout gen writes; a dataset with any other "format" must be
 # regenerated.
-DATASET_FORMAT = 8
+DATASET_FORMAT = 9
 # The segmentation layout infer writes; segmentations in any other "format"
 # must be written again by infer.
 SEGMENTATION_FORMAT = 4
@@ -85,11 +86,10 @@ def frame_layout(K):
     """Every tensor a frame of K objects stores, in written order: name -> (dtype, shape).
 
     frame_size is (H, W). amodal_windows and amodal_pixels store the amodal
-    masks (encode_amodal). rgb, depth and instance_ids hold the values at
-    the F pixels of the masks' union, in row-major order.
+    masks (encode_amodal). depth and instance_ids hold the values at the F
+    pixels of the masks' union, in row-major order.
     """
-    return {"rgb": (np.float32, ("F", 3)), "depth": (np.float64, ("F",)),
-            "instance_ids": (np.uint16, ("F",)), "frame_size": (np.uint16, (2,)),
+    return {"depth": (np.float64, ("F",)), "instance_ids": (np.uint16, ("F",)), "frame_size": (np.uint16, (2,)),
             "amodal_windows": (np.uint16, (K, 4)), "amodal_pixels": (np.uint8, ("P",)),
             "per_object_xi": (np.float64, (K, FEATURE_DIM))}
 
@@ -225,8 +225,7 @@ def write_dataset(path, records, **params):
         windows, pixels = encode_amodal(frame.amodal_masks)
         ids = frame.instance_map.ravel()
         fg = np.flatnonzero(ids)
-        arrays = {"rgb": frame.rgb.reshape(-1, 3)[fg], "depth": frame.depth.ravel()[fg],
-                  "instance_ids": ids[fg], "frame_size": np.array(frame.depth.shape),
+        arrays = {"depth": frame.depth.ravel()[fg], "instance_ids": ids[fg], "frame_size": np.array(frame.depth.shape),
                   "amodal_windows": windows, "amodal_pixels": pixels,
                   "per_object_xi": per_object_xi}
         layout = frame_layout(len(scene.objects))
@@ -241,8 +240,7 @@ def _check_frame_values(bundle_path, t, H, W):
 
     Raises a typed error naming the bundle for a value no rendered frame
     holds: frame_size must be the scene camera's (H, W), checked first;
-    every id must lie in 1..K, rgb must be finite and in [0, 1], every
-    window must lie inside the frame, amodal_pixels must hold exactly the
+    every id must lie in 1..K, every window must lie inside the frame, amodal_pixels must hold exactly the
     windows' pixels, each 0 or 1, the stored rows must be one per pixel of
     the masks' union, the foreground pixels (flat indices, ascending), and
     object k's visible pixels (id k + 1) must lie in its amodal mask; of
@@ -261,13 +259,6 @@ def _check_frame_values(bundle_path, t, H, W):
         raise ValueRangeError(f"{bundle_path}: instance id 0 at a foreground pixel")
     if not np.isfinite(t["per_object_xi"]).all():
         raise NonFiniteError(f"{bundle_path}: per_object_xi contains NaN or infinity")
-    rgb = t["rgb"]
-    # min and max are NaN if any value is NaN, so only valid rgb passes
-    if not (rgb.min(initial=0) >= 0 and rgb.max(initial=0) <= 1):
-        if not np.isfinite(rgb).all():
-            raise NonFiniteError(f"{bundle_path}: rgb contains NaN or infinity")
-        raise ValueRangeError(f"{bundle_path}: rgb values must lie in [0, 1], got "
-                              f"{rgb.min() if rgb.min() < 0 else rgb.max()}")
     top, left, h, w = windows.astype(np.int64).T
     outside = (top + h > H) | (left + w > W)
     if outside.any():
@@ -284,7 +275,7 @@ def _check_frame_values(bundle_path, t, H, W):
     masks = decode_amodal(windows, pixels.view(np.bool_), H, W)
     fg = np.flatnonzero(masks.any(axis=0))
     if fg.size != ids.size:
-        raise ShapeMismatchError(f"{bundle_path}: rgb, depth and instance_ids hold {ids.size} "
+        raise ShapeMismatchError(f"{bundle_path}: depth and instance_ids hold {ids.size} "
                                  f"pixels, but the amodal masks cover {fg.size}")
     owner = ids.astype(np.intp) - 1
     outside = ~masks.ravel()[owner * (H * W) + fg]
@@ -329,7 +320,7 @@ def load_frame(path, i):
     """Frame i of the dataset at `path`: its (scene, frame, per_object_xi), every value checked.
 
     A scene's parse error keeps its type and gains the scene path. The
-    backdrop pixels get scenegen.backdrop's values, as render gives them. A
+    backdrop pixels get scenegen.backdrop's depth, as render gives them. A
     depth map that back-projects to non-finite points is a NonFiniteError,
     and a finite foreground depth at or below RAY_MIN_T a ValueRangeError.
     """
@@ -343,8 +334,7 @@ def load_frame(path, i):
     (H, W), K = (scene.camera.height, scene.camera.width), len(scene.objects)
     dataio.check_layout(bundle_path, t, frame_layout(K))
     fg, amodal, occlusion = _check_frame_values(bundle_path, t, H, W)
-    backdrop_rgb, backdrop_depth = backdrop(scene.background_depth)
-    depth = np.full(H * W, backdrop_depth)
+    depth = np.full(H * W, backdrop(scene.background_depth)[1])
     depth[fg] = t["depth"]
     depth = depth.reshape(H, W)
     try:
@@ -354,14 +344,9 @@ def load_frame(path, i):
     if t["depth"].min(initial=np.inf) <= RAY_MIN_T:
         raise ValueRangeError(f"{bundle_path}: foreground depth {float(t['depth'].min())!r} is "
                               f"not beyond RAY_MIN_T = {RAY_MIN_T}, as every ray hit is")
-    rgb = np.full((H * W, 3), backdrop_rgb, dtype=np.float32)
-    # Each pixel's three channels put as one 12-byte value: twice as fast as
-    # assigning f32 rows by index.
-    np.put(rgb.view("V12"), fg, t["rgb"].view("V12"))
     instance_map = np.zeros(H * W, dtype=np.int32)
     instance_map[fg] = t["instance_ids"]
-    frame = FrameBundle(rgb=rgb.reshape(H, W, 3), depth=depth, camera=scene.camera,
-                        instance_map=instance_map.reshape(H, W),
+    frame = FrameBundle(depth=depth, scene=scene, instance_map=instance_map.reshape(H, W),
                         amodal_masks=amodal, occlusion_scores=occlusion)
     return scene, frame, t["per_object_xi"]
 

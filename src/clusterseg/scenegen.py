@@ -3,9 +3,10 @@
 Scenes are lists of analytic primitives (spheres and oriented boxes)
 authored directly in the camera frame. Rendering is exact per-pixel ray
 casting with a z-buffer: the nearest positive hit wins, ties closer than
-1e-9 m resolve to the lower instance ID. Each frame carries RGB, depth,
-XYZ, the modal instance-ID map, per-object amodal masks, and per-object
-occlusion scores (occlusion_scores: visible pixels / amodal pixels).
+1e-9 m resolve to the lower instance ID. Each frame carries depth, the
+modal instance-ID map, per-object amodal masks and per-object occlusion
+scores (occlusion_scores: visible pixels / amodal pixels); it derives rgb
+(shade) and XYZ from them and its scene on first read.
 
 Each primitive is ray-cast only inside its screen window: the rows and
 columns whose ray lines can meet its bounding sphere (center c = the
@@ -35,12 +36,14 @@ Inside the window the intersection code runs unchanged on a contiguous
 copy of the window's directions, and every pixel outside it misses, so
 the frame is bit-identical to casting every pixel.
 
-Intersection returns only the hit distance. Normals are computed after
-the z-buffer is settled, and only at the pixels each primitive wins, the
-only ones shaded. Every step of a normal is per ray, so a subset of rays
-gets the bits the whole window would: a sphere's normal is elementwise,
-and a box's is its rotation times a signed one-hot, one exact product
-plus signed zeros whose sum does not depend on order.
+Intersection returns only the hit distance, so render shades nothing.
+shade computes normals only at the pixels each primitive wins, the only
+ones shaded, from the instance map and the depth, which at those pixels
+is the primitive's own hit distance. Every step of a normal is per ray,
+so a subset of rays gets the bits the whole window would: a sphere's
+normal is elementwise, and a box's is its rotation times a signed
+one-hot, one exact product plus signed zeros whose sum does not depend
+on order.
 
 Every sphere's surface sample scales and shifts one read-only unit sample,
 built once per point count. A box's sample fills both faces normal to each
@@ -171,17 +174,23 @@ class Scene:
 class FrameBundle:
     """One rendered frame with modal and amodal ground truth."""
 
-    rgb: np.ndarray            # H x W x 3 in [0, 1]
     depth: np.ndarray          # H x W meters, 0 = no hit
-    camera: CameraIntrinsics   # the intrinsics the depth was rendered with
+    scene: Scene               # the scene rendered; its camera gives the rays
     instance_map: np.ndarray   # H x W int, 0 = background
     amodal_masks: np.ndarray   # K x H x W bool
     occlusion_scores: np.ndarray  # K floats in [0, 1]
 
     @cached_property
+    def rgb(self) -> np.ndarray:
+        """Read-only H x W x 3 f32 shading in [0, 1] of the scene (see shade), derived once."""
+        rgb = shade(self.scene, self.instance_map, self.depth)
+        rgb.flags.writeable = False
+        return rgb
+
+    @cached_property
     def xyz(self) -> np.ndarray:
         """Read-only H x W x 3 camera-frame points of the depth, derived once."""
-        xyz = depth_to_xyz(self.depth, self.camera)
+        xyz = depth_to_xyz(self.depth, self.scene.camera)
         xyz.flags.writeable = False
         return xyz
 
@@ -402,13 +411,18 @@ def _normals(prim: Primitive, dirs: np.ndarray, t: np.ndarray) -> np.ndarray:
         c = np.asarray(prim.translation, dtype=np.float64)
         return (dirs * t[:, None] - c) / prim.half_extents[0]
     d_local, t1, t2, t_near, _ = _box_slabs(prim, dirs)
-    face_axis = np.argmax(np.where(np.isfinite(t1), t1, -np.inf), axis=-1)
-    exit_axis = np.argmin(np.where(np.isfinite(t2), t2, np.inf), axis=-1)
-    rows, axes = np.arange(len(dirs)), np.arange(3)
-    # The bool one-hots multiply as the rows of np.eye(3) would.
-    n_local = np.where((t_near > RAY_MIN_T)[:, None],
-                       -np.sign(d_local[rows, face_axis])[:, None] * (face_axis[:, None] == axes),
-                       np.sign(d_local[rows, exit_axis])[:, None] * (exit_axis[:, None] == axes))
+    entry = t_near > RAY_MIN_T
+    # The face's axis: the largest finite t1 of an entering ray, else the
+    # smallest finite t2 (the largest -t2), taken elementwise over the three
+    # slabs with the lowest axis winning a tie, as argmax and argmin give it.
+    key = np.where(entry[:, None], t1, -t2)
+    key = np.where(np.isfinite(key), key, -np.inf)
+    k0, k1, k2 = key.T
+    axis = np.where((k0 >= k1) & (k0 >= k2), 0, np.where(k1 >= k2, 1, 2))
+    # The bool one-hot multiplies as a row of np.eye(3) would.
+    onehot = axis[:, None] == np.arange(3)
+    sign = np.sign(d_local[onehot])
+    n_local = np.where(entry, -sign, sign)[:, None] * onehot
     return np.einsum("ij,...j->...i", prim.rotation, n_local)
 
 
@@ -450,48 +464,62 @@ def render(scene: Scene) -> FrameBundle:
     amodal_pixels = np.zeros(K, dtype=np.int64)
     best_t = np.full((H, W), np.inf)
     winner = np.zeros((H, W), dtype=np.int32)
-    # Per object: its window and the window's directions, or None.
-    casts = []
     for k, prim in enumerate(scene.objects):
         window = _window(prim, dirs)
         if window is None:
-            casts.append(None)
             continue
-        sub = np.ascontiguousarray(dirs[window])
         intersect = _intersect_sphere if prim.kind == "sphere" else _intersect_box
-        t = intersect(prim, sub)
+        t = intersect(prim, np.ascontiguousarray(dirs[window]))
         hit = np.isfinite(t)
         amodal[k][window] = hit
         amodal_pixels[k] = np.count_nonzero(hit)
         closer = t < best_t[window] - DEPTH_TIE_EPS
         np.copyto(best_t[window], t, where=closer)
         winner[window][closer] = k + 1
-        casts.append((window, sub))
 
-    backdrop_rgb, backdrop_depth = backdrop(scene.background_depth)
-    depth = np.where(winner > 0, best_t, backdrop_depth)
-    rgb = np.full((H, W, 3), backdrop_rgb)
-    for k, (prim, cast) in enumerate(zip(scene.objects, casts)):
-        if cast is None:
-            continue
-        window, sub = cast
-        sel = winner[window] == k + 1
-        if not np.any(sel):
-            continue
-        # Only the pixels prim wins are shaded, so only they get normals;
-        # there best_t is prim's own t.
-        d = sub[sel]
-        n = _normals(prim, d, best_t[window][sel])
-        lambert = -np.einsum("nc,nc->n", n, d) * (1.0 / np.linalg.norm(d, axis=-1))
-        shade = 0.2 + 0.8 * np.clip(lambert, 0.0, 1.0)
-        rgb[window][sel] = np.asarray(prim.albedo) * shade[:, None]
-    rgb = np.clip(rgb, 0.0, 1.0)
-
+    depth = np.where(winner > 0, best_t, backdrop(scene.background_depth)[1])
     check_back_projection(depth, intr)
     visible = np.bincount(winner.ravel(), minlength=K + 1)[1:]
-    return FrameBundle(rgb=rgb.astype(np.float32), depth=depth, camera=intr,
-                       instance_map=winner, amodal_masks=amodal,
+    return FrameBundle(depth=depth, scene=scene, instance_map=winner, amodal_masks=amodal,
                        occlusion_scores=occlusion_scores(visible, amodal_pixels))
+
+
+def shade(scene: Scene, instance_map: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """The H x W x 3 f32 rgb of a frame of the scene with this instance map and depth.
+
+    The ids must lie in 0..K, as render and the loader give them. Object
+    k's visible pixels (id k + 1), in row-major order, get
+    albedo * (0.2 + 0.8 clip(cos, 0, 1)) clipped to [0, 1], cos being the
+    Lambert term of the pixel's ray and k's outward normal where the ray
+    hits k at the pixel's depth (the hit distance, as the rays have dz = 1);
+    every other pixel gets scenegen.backdrop's rgb. Each value is computed
+    per ray, so it does not depend on which other pixels are shaded.
+    """
+    intr = scene.camera
+    H, W = instance_map.shape
+    rgb = np.full((H * W, 3), backdrop(scene.background_depth)[0], dtype=np.float32)
+    ids = instance_map.ravel()
+    fg = np.flatnonzero(ids)
+    # A stable sort by id puts each object's pixels in one run, in row-major
+    # order; object k's run ends at the count of ids up to k + 1.
+    fg = fg[np.argsort(ids[fg], kind="stable")]
+    ends = np.cumsum(np.bincount(ids[fg], minlength=len(scene.objects) + 1))
+    rows, cols = np.divmod(fg, W)
+    d = np.empty((fg.size, 3))
+    d[:, 0] = (cols.astype(np.float64) - intr.ppx) / intr.fx
+    d[:, 1] = (rows.astype(np.float64) - intr.ppy) / intr.fy
+    d[:, 2] = 1.0
+    t = depth.ravel()[fg]
+    value = np.empty((fg.size, 3))
+    for prim, start, stop in zip(scene.objects, ends[:-1].tolist(), ends[1:].tolist()):
+        if start == stop:
+            continue
+        run = slice(start, stop)
+        n = _normals(prim, d[run], t[run])
+        lambert = -np.einsum("nc,nc->n", n, d[run]) * (1.0 / np.linalg.norm(d[run], axis=-1))
+        value[run] = np.asarray(prim.albedo) * (0.2 + 0.8 * np.clip(lambert, 0.0, 1.0))[:, None]
+    rgb[fg] = np.clip(value, 0.0, 1.0)
+    return rgb.reshape(H, W, 3)
 
 
 def occlusion_scores(visible: np.ndarray, amodal: np.ndarray) -> np.ndarray:

@@ -184,9 +184,11 @@ def reference_render(scene: Scene) -> FrameBundle:
     for k in range(K):
         occ[k] = reference_occlusion_score(winner == k + 1, amodal[k])
 
-    return FrameBundle(rgb=rgb.astype(np.float32), depth=depth,
-                       camera=intr, instance_map=winner,
-                       amodal_masks=amodal, occlusion_scores=occ)
+    frame = FrameBundle(depth=depth, scene=scene, instance_map=winner,
+                        amodal_masks=amodal, occlusion_scores=occ)
+    # The oracle's own shading, set before a read could derive it.
+    frame.rgb = rgb.astype(np.float32)
+    return frame
 
 
 def reference_make_xi_map(scene: Scene, frame: FrameBundle,

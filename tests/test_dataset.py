@@ -1,16 +1,15 @@
 """Dataset directories: what a frame bundle stores, and what loading rebuilds.
 
 A frame bundle stores the frame size, each amodal mask as its window
-(bounding box and contents), the instance ids, rgb and depth at the
-foreground pixels (the union of the amodal masks) and the per-object
-features. Loading rebuilds the amodal masks from their windows, scatters
-the ids into the instance map, fills the backdrop pixels of rgb and depth,
-derives the occlusion scores
-from the pixel counts and rebuilds the annotation maps from the features,
-the instance map and the manifest's fraction and single-object radius, and
-a loaded frame derives xyz from the depth and the camera on first read;
-every rebuilt field must equal what gen computed, bit for bit and dtype
-included.
+(bounding box and contents), the instance ids and depth at the foreground
+pixels (the union of the amodal masks) and the per-object features, and no
+rgb. Loading rebuilds the amodal masks from their windows, scatters the ids
+into the instance map, fills the backdrop pixels of depth, derives the
+occlusion scores from the pixel counts and rebuilds the annotation maps
+from the features, the instance map and the manifest's fraction and
+single-object radius, and a loaded frame shades rgb and derives xyz from
+its scene, instance map and depth on first read; every rebuilt field must
+equal what gen computed, bit for bit and dtype included.
 """
 
 import json
@@ -40,10 +39,12 @@ from clusterseg.errors import (BundleDtypeError, BundleManifestError, ClusterSeg
 from clusterseg.geometry import CameraIntrinsics, depth_to_xyz
 from clusterseg.scenegen import Primitive, Scene, render
 
+from reference_scenegen import reference_render
+
 FRAME_FIELDS = ("rgb", "depth", "xyz", "instance_map", "amodal_masks", "occlusion_scores")
 ANNOTATION_FIELDS = ("xi_map", "eta_gt", "b_map", "fg_mask", "per_object_xi", "instance_map")
 STORED = ["amodal_pixels", "amodal_windows", "depth", "frame_size", "instance_ids",
-          "per_object_xi", "rgb"]
+          "per_object_xi"]
 
 
 def run_cli(*argv):
@@ -127,7 +128,7 @@ def test_rendered_occlusion_scores_are_what_loading_derives(tmp_path, res, count
     for (_, want, want_xi), (_, frame, xi) in zip(records, loaded, strict=True):
         for name in FRAME_FIELDS:
             _same(getattr(frame, name), getattr(want, name), name)
-        assert frame.camera == want.camera
+        assert frame.scene == want.scene
         _same(xi, want_xi, "per_object_xi")
 
 
@@ -178,19 +179,16 @@ def test_amodal_windows_round_trip_bit_for_bit(data):
 def _assert_frame_round_trips(ids, K, background_depth, rng):
     """write_dataset then load_frame of a frame with instance map `ids` gives it back bit for bit.
 
-    rgb and depth are random at the foreground and the backdrop's elsewhere;
-    each amodal mask holds its object's visible pixels and random other
+    depth is random at the foreground and the backdrop's elsewhere, and rgb
+    is what the frame shades of it, as a rendered one does; each amodal mask holds its object's visible pixels and random other
     foreground pixels, so that their union is the foreground, as render
     gives it, and a mask may cover another object's visible pixel. The
     occlusion scores are what render derives from the masks.
     """
     H, W = ids.shape
     fg = ids > 0
-    backdrop = background_depth is not None
-    rgb = np.full((H, W, 3), scenegen.BACKDROP_RGB if backdrop else 0.0, dtype=np.float32)
-    rgb[fg] = rng.random((int(fg.sum()), 3), dtype=np.float32)
     depth = np.where(fg, rng.uniform(0.1, 10.0, size=(H, W)),
-                     background_depth if backdrop else 0.0)
+                     0.0 if background_depth is None else background_depth)
     ball = Primitive(kind="sphere", quaternion=(1.0, 0.0, 0.0, 0.0),
                      translation=(0.0, 0.0, 1.0), half_extents=(0.1, 0.1, 0.1),
                      albedo=(0.5, 0.5, 0.5))
@@ -199,17 +197,17 @@ def _assert_frame_round_trips(ids, K, background_depth, rng):
     visible = ids == np.arange(1, K + 1)[:, None, None]
     masks = visible | ((rng.random((K, H, W)) < rng.random()) & fg)
     occlusion = scenegen.occlusion_scores(visible.sum(axis=(1, 2)), masks.sum(axis=(1, 2)))
-    frame = scenegen.FrameBundle(rgb=rgb, depth=depth, camera=camera, instance_map=ids,
+    frame = scenegen.FrameBundle(depth=depth, scene=scene, instance_map=ids,
                                  amodal_masks=masks, occlusion_scores=occlusion)
     with tempfile.TemporaryDirectory() as ds:
         write_dataset(ds, [(scene, frame, np.zeros((K, 9)))], fraction=0.2,
                       single_object_radius=1.0)
         stored = read_bundle(f"{ds}/frame_00000.tsb")
         F = int(fg.sum())
-        assert stored["rgb"].shape == (F, 3) and stored["depth"].shape == (F,)
+        assert stored["depth"].shape == (F,)
         assert stored["instance_ids"].shape == (F,) and stored["frame_size"].tolist() == [H, W]
         [(_, loaded, _)] = _load_frames(ds)
-    _same(loaded.rgb, rgb, "rgb")
+    _same(loaded.rgb, frame.rgb, "rgb")
     _same(loaded.depth, depth, "depth")
     _same(loaded.instance_map, ids, "instance_map")
     _same(loaded.amodal_masks, masks, "amodal_masks")
@@ -229,8 +227,9 @@ def _instance_map(kind, H, W, K, rng):
 @seed(0)
 @given(data=st.data())
 def test_foreground_rgb_and_depth_round_trip_bit_for_bit(kind, background_depth, data):
-    # write_dataset gathers rgb, depth and the ids at the nonzero ids;
-    # load_frame scatters them back and fills the backdrop as render does.
+    # write_dataset gathers depth and the ids at the nonzero ids; load_frame
+    # scatters them back and fills the backdrop as render does, and both
+    # frames shade the same rgb.
     H, W = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
     K = data.draw(st.integers(0 if kind == "empty" else 1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
@@ -249,6 +248,35 @@ def test_instance_maps_round_trip_at_odd_and_even_frame_sizes(kind, H, W, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     background_depth = data.draw(st.sampled_from([None, 3.5]))
     _assert_frame_round_trips(_instance_map(kind, H, W, K, rng), K, background_depth, rng)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@seed(0)
+@given(data=st.data())
+def test_a_loaded_frame_shades_the_rgb_render_and_the_reference_shade(data):
+    # No bundle stores rgb: a loaded frame shades it from its scene, instance
+    # map and depth, which must give what render's frame and the reference
+    # renderer's eager shading give, bit for bit.
+    W, H = data.draw(st.sampled_from([(37, 23), (23, 37), (64, 64)]))
+    count = data.draw(st.integers(1, 30))
+    cfg = scenegen.GeneratorConfig(
+        count_range=(count, count), size_range=(0.03, 0.12),
+        sphere_prob=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        background_depth=data.draw(st.sampled_from([None, 2.5])),
+        camera=CameraIntrinsics(float(W), float(W), W / 2.0, H / 2.0, W, H))
+    try:
+        scene = scenegen.sample_scene(data.draw(st.integers(0, 2 ** 32 - 1)), cfg)
+    except PlacementError:
+        return
+    frame = render(scene)
+    with tempfile.TemporaryDirectory() as ds:
+        write_dataset(ds, [(scene, frame, object_features(scene))], fraction=0.2,
+                      single_object_radius=1.0)
+        assert "rgb" not in read_bundle(f"{ds}/frame_00000.tsb")
+        [(_, loaded, _)] = _load_frames(ds)
+    assert not loaded.rgb.flags.writeable
+    _same(loaded.rgb, frame.rgb, "rgb")
+    _same(loaded.rgb, reference_render(scene).rgb, "rgb")
 
 
 def test_no_masks_store_no_windows_and_no_pixels():
@@ -289,13 +317,11 @@ def _raise_id_above_k(t):
      BundleDtypeError),
     (lambda t: {**t, "amodal_windows": t["amodal_windows"][:, :3]}, ShapeMismatchError),
     (lambda t: {**t, "depth": t["depth"][:5]}, ShapeMismatchError),
-    (lambda t: {**t, "rgb": t["rgb"].astype(np.float64)}, BundleDtypeError),
     (lambda t: {**t, "depth": t["depth"].astype(np.float32)}, BundleDtypeError),
     (lambda t: {**t, "amodal_pixels": t["amodal_pixels"].astype(np.uint16)}, BundleDtypeError),
     (lambda t: {**t, "amodal_windows": t["amodal_windows"].astype(np.uint8)}, BundleDtypeError),
     (lambda t: {**t, "per_object_xi": t["per_object_xi"].astype(np.float32)},
      BundleDtypeError),
-    (lambda t: {**t, "rgb": t["rgb"][..., :2]}, ShapeMismatchError),
     (lambda t: {**t, "frame_size": t["frame_size"][:-1]}, ShapeMismatchError),
     (lambda t: {**t, "frame_size": np.append(t["frame_size"], np.uint16(1))}, ShapeMismatchError),
     (lambda t: {**t, "amodal_windows": t["amodal_windows"][:-1]}, ShapeMismatchError),
@@ -308,26 +334,22 @@ def _raise_id_above_k(t):
     # format 2 stored the masks whole and the occlusion scores
     (lambda t: {**t, "amodal_masks": np.zeros((3, 24, 24), dtype=np.uint8)}, BundleManifestError),
     (lambda t: {**t, "occlusion_scores": np.ones(3)}, BundleManifestError),
-    (lambda t: {**t, "rgb": t["rgb"][:-1]}, ShapeMismatchError),
-    (lambda t: {**t, "rgb": np.concatenate([t["rgb"], t["rgb"][:1]])}, ShapeMismatchError),
     (lambda t: {**t, "depth": t["depth"][:-1]}, ShapeMismatchError),
     (lambda t: {**t, "depth": np.concatenate([t["depth"], t["depth"][:1]])}, ShapeMismatchError),
-    # format 3 stored rgb and depth for every pixel
-    (lambda t: {**t, "rgb": np.zeros((24, 24, 3), dtype=np.float32),
-                "depth": np.zeros((24, 24))}, ShapeMismatchError),
-    (lambda t: {**t, "rgb": np.zeros((24 * 24, 3), dtype=np.float32),
-                "depth": np.zeros(24 * 24)}, ShapeMismatchError),
+    # format 3 stored depth (and rgb) for every pixel
+    (lambda t: {**t, "depth": np.zeros((24, 24))}, ShapeMismatchError),
+    (lambda t: {**t, "depth": np.zeros(24 * 24)}, ShapeMismatchError),
     # format 4 stored the instance map whole
     (lambda t: {**t, "instance_map": np.zeros((24, 24), dtype=np.uint16)}, BundleManifestError),
     # format 5 stored the foreground as a bitmask, and no frame size
     (lambda t: {**{k: v for k, v in t.items() if k != "frame_size"},
                 "foreground": np.zeros(24 * 24 // 8, dtype=np.uint8)}, BundleManifestError),
     (lambda t: {**t, "frame_size": t["frame_size"].astype(np.uint8)}, BundleDtypeError),
-], ids=["nan-f64-ids", "f32-ids", "window-width", "depth-rows", "f64-rgb", "f32-depth",
-        "u16-amodal", "u8-windows", "f32-features", "rgb-channels", "frame-size-short",
+], ids=["nan-f64-ids", "f32-ids", "window-width", "depth-rows", "f32-depth",
+        "u16-amodal", "u8-windows", "f32-features", "frame-size-short",
         "frame-size-long", "amodal-count", "pixel-rows", "feature-rows", "feature-width",
         "id-above-k", "missing-tensor", "extra-tensor", "stored-amodal-masks", "stored-occlusion",
-        "rgb-row-short", "rgb-row-long", "depth-row-short", "depth-row-long", "full-frame-maps",
+        "depth-row-short", "depth-row-long", "full-frame-maps",
         "every-pixel-rows", "stored-instance-map", "format-5-foreground", "u8-frame-size"])
 def test_malformed_frame_bundle_is_a_typed_error(dataset, tmp_path, capsys, mutate, error):
     ds, segs = dataset
@@ -345,9 +367,8 @@ def test_stored_rows_must_be_one_per_foreground_pixel(dataset, tmp_path, capsys,
     t = read_bundle(path)
     F = len(t["instance_ids"])
     rows = np.resize(np.arange(F), F + extra)
-    write_bundle(path, {**t, "rgb": t["rgb"][rows], "depth": t["depth"][rows],
-                        "instance_ids": t["instance_ids"][rows]})
-    with pytest.raises(ShapeMismatchError, match=f"frame_00001.tsb: rgb, depth and instance_ids "
+    write_bundle(path, {**t, "depth": t["depth"][rows], "instance_ids": t["instance_ids"][rows]})
+    with pytest.raises(ShapeMismatchError, match=f"frame_00001.tsb: depth and instance_ids "
                                                  f"hold {F + extra} pixels, but the amodal masks "
                                                  f"cover {F}$"):
         _load_frames(str(ds))
@@ -420,9 +441,9 @@ NEAR = "foreground depth {} is not beyond RAY_MIN_T = 1e-09, as every ray hit is
     (_frame_size(37, 23), ShapeMismatchError,
      "frame_size is 37 x 23, but the scene's camera is 23 x 37"),
     (_amodal_pixel_flipped(0), ShapeMismatchError,
-     "rgb, depth and instance_ids hold {F} pixels, but the amodal masks cover {F1}"),
+     "depth and instance_ids hold {F} pixels, but the amodal masks cover {F1}"),
     (_amodal_pixel_flipped(1), ShapeMismatchError,
-     "rgb, depth and instance_ids hold {F} pixels, but the amodal masks cover {F_1}"),
+     "depth and instance_ids hold {F} pixels, but the amodal masks cover {F_1}"),
     (_id_set(0, lambda K: 0), ValueRangeError, "instance id 0 at a foreground pixel"),
     (_id_set(-1, lambda K: 0), ValueRangeError, "instance id 0 at a foreground pixel"),
     (_id_set(-1, lambda K: K + 1), ShapeMismatchError, "instance ids exceed the object count {K}"),
@@ -495,7 +516,8 @@ def test_derivation_values_are_validated(dataset, tmp_path, capsys, key, value):
                                    pytest.param(3, id="int-3"), 4.0, "4",
                                    pytest.param(4, id="int-4"), 5.0, "5",
                                    pytest.param(5, id="int-5"), 6.0, "6", 7.0, "7",
-                                   pytest.param(7, id="int-7")])
+                                   pytest.param(7, id="int-7"), 8.0, "8",
+                                   pytest.param(8, id="int-8")])
 def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
     ds, segs = dataset
     _edit_manifest(ds, "format", value)
@@ -504,10 +526,25 @@ def test_other_formats_must_be_regenerated(dataset, tmp_path, capsys, value):
     assert "regenerate" in _exits_2(ds, segs, tmp_path, capsys)
 
 
+def test_a_format_8_dataset_or_a_bundle_that_stores_rgb_exits_2_naming_the_file(
+        dataset, tmp_path, capsys):
+    ds, segs = dataset
+    bundle = ds / "frame_00001.tsb"
+    t = read_bundle(bundle)
+    write_bundle(bundle, {**t, "rgb": np.zeros((len(t["depth"]), 3), dtype=np.float32)})
+    with pytest.raises(BundleManifestError, match=re.escape(str(bundle))):
+        load_dataset(str(ds))
+    assert str(bundle) in _exits_2(ds, segs, tmp_path, capsys)
+    _edit_manifest(ds, "format", 8)
+    with pytest.raises(ClusterSegError, match="dataset format 8 .*regenerate"):
+        load_dataset(str(ds))
+    assert str(ds / "dataset.json") in _exits_2(ds, segs, tmp_path, capsys)
+
+
 def test_manifest_records_the_format(dataset):
     ds, _ = dataset
     manifest = json.loads((ds / "dataset.json").read_text())
-    assert manifest["format"] == 8
+    assert manifest["format"] == 9
     # The frame count, and no file names: frame i's follow from i.
     assert manifest["frames"] == 2
 
@@ -539,13 +576,12 @@ def _column_record(height):
 
 def _one_pixel_record(K):
     """A 1 x 1 frame of K copies of one sphere whose pixel shows object K."""
-    camera = CameraIntrinsics(1.0, 1.0, 0.5, 0.5, 1, 1)
-    frame = scenegen.FrameBundle(rgb=np.full((1, 1, 3), 0.5, dtype=np.float32),
-                                 depth=np.ones((1, 1)), camera=camera,
+    scene = Scene(objects=(BALL,) * K, camera=CameraIntrinsics(1.0, 1.0, 0.5, 0.5, 1, 1))
+    frame = scenegen.FrameBundle(depth=np.ones((1, 1)), scene=scene,
                                  instance_map=np.full((1, 1), K, dtype=np.int32),
                                  amodal_masks=np.ones((K, 1, 1), dtype=bool),
                                  occlusion_scores=np.zeros(K))
-    return Scene(objects=(BALL,) * K, camera=camera), frame, np.zeros((K, 9))
+    return scene, frame, np.zeros((K, 9))
 
 
 def _files(path):

@@ -50,8 +50,8 @@ def _frame_of(instance, occlusion):
     h, w = instance.shape
     amodal = np.array([instance == k + 1 for k in range(len(occlusion))],
                       dtype=bool).reshape(len(occlusion), h, w)
-    return FrameBundle(rgb=np.zeros((h, w, 3), dtype=np.float32), depth=np.zeros((h, w)),
-                       camera=None, instance_map=instance, amodal_masks=amodal,
+    return FrameBundle(depth=np.zeros((h, w)), scene=None, instance_map=instance,
+                       amodal_masks=amodal,
                        occlusion_scores=np.asarray(occlusion, dtype=np.float64))
 
 

@@ -48,8 +48,7 @@ def files(tmp_path_factory):
     bundle = read_bundle(ds / "frame_00000.tsb")
     assert "amodal_windows" in bundle
     masks = decode_amodal(bundle["amodal_windows"], bundle["amodal_pixels"].view(bool), 20, 20)
-    assert (len(bundle["rgb"]) == len(bundle["depth"]) == len(bundle["instance_ids"])
-            == masks.any(axis=0).sum())
+    assert len(bundle["depth"]) == len(bundle["instance_ids"]) == masks.any(axis=0).sum()
     return {"ds": ds, "segs": segs, "seg_name": "seg_00000.tsb", "model": model}
 
 

@@ -177,11 +177,13 @@ def test_mlp_zero_weights_output_biases():
 
 def test_mlp_hand_computed_single_pixel():
     # One hot path through the trunk: z input -> h1[0] -> h2[0] -> xi[0].
-    from clusterseg.scenegen import FrameBundle
+    from clusterseg.scenegen import FrameBundle, Primitive, Scene
+    ball = Primitive(kind="sphere", quaternion=(1.0, 0.0, 0.0, 0.0), translation=(0.0, 0.0, 2.0),
+                     half_extents=(0.5, 0.5, 0.5), albedo=(0.5, 0.5, 0.5))
     frame = FrameBundle(
-        rgb=np.zeros((1, 1, 3), dtype=np.float32),
         depth=np.array([[1.5]]),
-        camera=CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 1, 1),  # xyz (0, 0, 1.5)
+        scene=Scene(objects=(ball,), camera=CameraIntrinsics(1.0, 1.0, 0.0, 0.0, 1, 1)),
+        # xyz (0, 0, 1.5); rgb feeds no unit
         instance_map=np.ones((1, 1), dtype=np.int32),
         amodal_masks=np.ones((1, 1, 1), dtype=bool),
         occlusion_scores=np.ones(1),

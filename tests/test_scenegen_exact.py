@@ -18,9 +18,10 @@ from clusterseg.geometry import CameraIntrinsics, compute_object_feature
 from clusterseg.scenegen import (SURFACE_SAMPLE_COUNT, FrameBundle, GeneratorConfig, Primitive,
                                  Scene, _ray_directions, render, sample_scene, surface_points)
 
-from reference_scenegen import (reference_make_bgt_map, reference_make_centroid_candidates,
+from reference_scenegen import (reference_box_points, reference_intersect_box,
+                                reference_make_bgt_map, reference_make_centroid_candidates,
                                 reference_make_xi_map, reference_object_feature,
-                                reference_box_points, reference_render, reference_sphere_points)
+                                reference_render, reference_sphere_points)
 
 FIELDS = ("rgb", "depth", "xyz", "instance_map", "amodal_masks", "occlusion_scores")
 IDENTITY_Q = (1.0, 0.0, 0.0, 0.0)
@@ -154,6 +155,32 @@ def test_exact_on_depth_ties():
                    _prim("box", (-0.2, 0.1, 1.0), 0.15, q),
                    _prim("box", (-0.2, 0.1, 1.0), 0.15, q, albedo=(0.1, 0.9, 0.1)),
                    _prim("sphere", (0.1, 0.0, 1.2 + 5e-10), 0.2, albedo=(0.1, 0.1, 0.9))])
+
+
+def test_box_normals_match_the_reference_on_slab_ties():
+    # _normals picks the bounding slab's axis with elementwise comparisons;
+    # the reference's argmax and argmin pick the lowest axis of a tie. Rays
+    # aimed at a box's corners and edge midpoints tie two or three slabs
+    # exactly, rays in a face's plane run parallel to its slab, and the
+    # camera inside a box makes every ray take its exit face.
+    rng = np.random.default_rng(23)
+    boxes = [_prim("box", (0.0, 0.0, 4.0), 1.0), _prim("box", (0.0, 0.0, 0.0), 1.0),
+             _prim("box", (0.5, -0.25, 3.0), (0.5, 0.25, 1.0)),
+             _prim("box", (0.0, 0.0, 2.0), 0.5, _random_q(rng))]
+    steps = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    ties = 0
+    for prim in boxes:
+        he, c = np.asarray(prim.half_extents), np.asarray(prim.translation)
+        points = c + np.stack(np.meshgrid(steps, steps, steps), -1).reshape(-1, 3) * he
+        points = points[points[:, 2] > 0.0]
+        dirs = np.concatenate([points / points[:, 2:], rng.uniform(-1.0, 1.0, size=(200, 3))])
+        dirs[:, 2] = 1.0
+        _, t1, t2, _, _ = scenegen._box_slabs(prim, dirs)
+        ties += int(np.count_nonzero((t1 == t1.max(axis=1, keepdims=True)).sum(axis=1) > 1))
+        ties += int(np.count_nonzero((t2 == t2.min(axis=1, keepdims=True)).sum(axis=1) > 1))
+        _, want = reference_intersect_box(prim, dirs[None])
+        _same(scenegen._normals(prim, dirs, np.ones(len(dirs))), want[0], "normals")
+    assert ties > 50
 
 
 def _tangent_spheres(rng, cam, count, scale):
@@ -392,7 +419,7 @@ def test_maps_zero_ids_outside_one_to_k(dtype):
                   reference_make_bgt_map(per_object, instance_map, radius), "b_map")
         objects = tuple(_prim("sphere", (0.1 * i, 0.0, 1.0), 0.05) for i in range(k))
         scene = Scene(objects, _camera(10, 12), None)
-        frame = FrameBundle(rgb=None, depth=None, camera=None, instance_map=instance_map,
+        frame = FrameBundle(depth=None, scene=scene, instance_map=instance_map,
                             amodal_masks=None, occlusion_scores=None)
         want_xi_map, per_object = reference_make_xi_map(scene, frame)
         _same(make_xi_map(per_object, instance_map), want_xi_map, "xi_map")
