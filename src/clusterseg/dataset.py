@@ -89,9 +89,9 @@ def frame_layout(K):
     masks (encode_amodal). depth and instance_ids hold the values at the F
     pixels of the masks' union, in row-major order.
     """
-    return {"depth": (np.float64, ("F",)), "instance_ids": (np.uint16, ("F",)), "frame_size": (np.uint16, (2,)),
-            "amodal_windows": (np.uint16, (K, 4)), "amodal_pixels": (np.uint8, ("P",)),
-            "per_object_xi": (np.float64, (K, FEATURE_DIM))}
+    return {"depth": (np.float64, ("F",)), "instance_ids": (np.uint16, ("F",)),
+            "frame_size": (np.uint16, (2,)), "amodal_windows": (np.uint16, (K, 4)),
+            "amodal_pixels": (np.uint8, ("P",)), "per_object_xi": (np.float64, (K, FEATURE_DIM))}
 
 
 def _narrowest(largest):
@@ -225,9 +225,9 @@ def write_dataset(path, records, **params):
         windows, pixels = encode_amodal(frame.amodal_masks)
         ids = frame.instance_map.ravel()
         fg = np.flatnonzero(ids)
-        arrays = {"depth": frame.depth.ravel()[fg], "instance_ids": ids[fg], "frame_size": np.array(frame.depth.shape),
-                  "amodal_windows": windows, "amodal_pixels": pixels,
-                  "per_object_xi": per_object_xi}
+        arrays = {"depth": frame.depth.ravel()[fg], "instance_ids": ids[fg],
+                  "frame_size": np.array(frame.depth.shape), "amodal_windows": windows,
+                  "amodal_pixels": pixels, "per_object_xi": per_object_xi}
         layout = frame_layout(len(scene.objects))
         dataio.write_bundle(bundle_path, {name: arrays[name].astype(dtype)
                                           for name, (dtype, _) in layout.items()})
@@ -240,12 +240,13 @@ def _check_frame_values(bundle_path, t, H, W):
 
     Raises a typed error naming the bundle for a value no rendered frame
     holds: frame_size must be the scene camera's (H, W), checked first;
-    every id must lie in 1..K, every window must lie inside the frame, amodal_pixels must hold exactly the
-    windows' pixels, each 0 or 1, the stored rows must be one per pixel of
-    the masks' union, the foreground pixels (flat indices, ascending), and
-    object k's visible pixels (id k + 1) must lie in its amodal mask; of
-    several such objects the lowest k is named. The occlusion scores are
-    scenegen.occlusion_scores of the visible and amodal pixel counts.
+    every id must lie in 1..K, every window must lie inside the frame,
+    amodal_pixels must hold exactly the windows' pixels, each 0 or 1, the
+    stored rows must be one per pixel of the masks' union, the foreground
+    pixels (flat indices, ascending), and object k's visible pixels (id
+    k + 1) must lie in its amodal mask; of several such objects the lowest
+    k is named. The occlusion scores are scenegen.occlusion_scores of the
+    visible and amodal pixel counts.
     """
     ids, windows, pixels = t["instance_ids"], t["amodal_windows"], t["amodal_pixels"]
     K = len(windows)

@@ -180,10 +180,11 @@ def _assert_frame_round_trips(ids, K, background_depth, rng):
     """write_dataset then load_frame of a frame with instance map `ids` gives it back bit for bit.
 
     depth is random at the foreground and the backdrop's elsewhere, and rgb
-    is what the frame shades of it, as a rendered one does; each amodal mask holds its object's visible pixels and random other
-    foreground pixels, so that their union is the foreground, as render
-    gives it, and a mask may cover another object's visible pixel. The
-    occlusion scores are what render derives from the masks.
+    is what the frame shades of it, as a rendered one does; each amodal
+    mask holds its object's visible pixels and random other foreground
+    pixels, so that their union is the foreground, as render gives it, and
+    a mask may cover another object's visible pixel. The occlusion scores
+    are what render derives from the masks.
     """
     H, W = ids.shape
     fg = ids > 0
